@@ -30,8 +30,8 @@
 // mutations answer 503 not_ready) until snapshot+WAL replay completes
 // and, in cluster mode, until the initial replica catch-up converged.
 //
-// Endpoints (canonical spellings under /v1; the legacy unversioned paths
-// still answer, with a Deprecation header):
+// Endpoints (the API lives under /v1 only; the operational endpoints are
+// unversioned):
 //
 //	POST   /v1/graphs                  load/generate a named graph
 //	GET    /v1/graphs                  list registered graphs (limit/cursor pagination)
@@ -77,7 +77,7 @@ func main() {
 	queue := flag.Int("queue", 0, "max queries queued for a worker slot (0 = 4×workers)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper clamp on client-requested deadlines")
-	allowPath := flag.Bool("allow-path-load", false, "permit POST /graphs to read files from this host's filesystem")
+	allowPath := flag.Bool("allow-path-load", false, "permit POST /v1/graphs to read files from this host's filesystem")
 	dataDir := flag.String("data", "", "directory for durable graph snapshots (empty = volatile)")
 	snapEvery := flag.Duration("snapshot-interval", 30*time.Second, "how often to snapshot dirty graphs (0 disables the background snapshotter; requires -data)")
 	walSync := flag.Bool("wal-sync", true, "fsync the edge journal on every accepted batch (requires -data; false trades durability for throughput)")

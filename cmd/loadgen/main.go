@@ -5,9 +5,7 @@
 // return identical checksums (the determinism contract), and finally
 // validates the /metrics payload. Exit status 0 means the round-trip is
 // healthy; any protocol violation exits 1 — which is exactly what the CI
-// server-smoke job keys on. Queries alternate between the /v1 and legacy
-// spellings, and the legacy spelling is required to answer with a
-// Deprecation header while /v1 must not.
+// server-smoke job keys on.
 //
 // With -edges N the mix also ingests N deterministic edge batches (POST
 // /v1/graphs/{name}-mut/edges) against a second copy of the graph,
@@ -81,7 +79,7 @@ func main() {
 	name := flag.String("name", "loadgen", "graph name to register")
 	wait := flag.Duration("wait", 10*time.Second, "how long to wait for the daemon to come up")
 	noLoad := flag.Bool("no-load", false, "skip loading: the graph must already exist (e.g. recovered from -data)")
-	flush := flag.Bool("flush", false, "POST /admin/flush after the query mix (daemon must run with -data)")
+	flush := flag.Bool("flush", false, "POST /v1/admin/flush after the query mix (daemon must run with -data)")
 	sumsOut := flag.String("checksums-out", "", "write per-algorithm checksums to this JSON file")
 	sumsIn := flag.String("checksums-in", "", "require per-algorithm checksums to match this JSON file")
 	edges := flag.Int("edges", 0, "edge-mutation batches to interleave with the query mix (0 = none)")
@@ -160,32 +158,11 @@ func run(opts options) error {
 		}
 	}
 
-	// 2. Versioning contract: the legacy spelling answers with a
-	// Deprecation header naming its /v1 successor; the /v1 spelling
-	// answers without one.
-	for _, probe := range []struct {
-		path       string
-		wantLegacy bool
-	}{{"/graphs", true}, {"/v1/graphs", false}} {
-		resp, err := client.Get(base + probe.path)
-		if err != nil {
-			return fmt.Errorf("probe %s: %v", probe.path, err)
-		}
-		resp.Body.Close()
-		dep := resp.Header.Get("Deprecation")
-		if probe.wantLegacy && dep != "true" {
-			return fmt.Errorf("legacy path %s missing Deprecation header", probe.path)
-		}
-		if !probe.wantLegacy && dep != "" {
-			return fmt.Errorf("canonical path %s wrongly marked deprecated", probe.path)
-		}
-	}
-
-	// 3. Load a deterministic synthetic graph (replace, so reruns work).
+	// 2. Load a deterministic synthetic graph (replace, so reruns work).
 	// With -no-load the graph must already be registered — the daemon is
 	// expected to have recovered it from its durable store.
 	if opts.noLoad {
-		resp, err := client.Get(base + "/graphs/" + name)
+		resp, err := client.Get(base + "/v1/graphs/" + name)
 		if err != nil {
 			return fmt.Errorf("info: %v", err)
 		}
@@ -199,16 +176,17 @@ func run(opts options) error {
 			"name": name, "undirected": true, "replace": true,
 			"generator": map[string]any{"kind": "powerlaw", "scale": scale, "edge_factor": 8, "seed": 42},
 		}
-		code, body, err := postJSON(client, base+"/graphs", load)
+		code, body, err := postJSON(client, base+"/v1/graphs", load)
 		if err != nil {
 			return fmt.Errorf("load: %v", err)
 		}
 		if code/100 != 2 {
 			return fmt.Errorf("load: status %d: %s", code, body)
 		}
-		if opts.edges > 0 {
-			// Second copy for the mutation traffic, so the concurrent edge
-			// batches cannot perturb the main graph's determinism checks.
+		if opts.edges > 0 || opts.dual {
+			// Second copy for the mutation traffic (-edges batches, -dual
+			// rounds), so it cannot perturb the main graph's determinism
+			// checks.
 			load["name"] = mutName(name)
 			code, body, err := postJSON(client, base+"/v1/graphs", load)
 			if err != nil {
@@ -220,12 +198,11 @@ func run(opts options) error {
 		}
 	}
 
-	// 4. Fire the query mix concurrently; every request must be 2xx.
-	// Queries alternate between the legacy and /v1 spellings and
-	// round-robin over every base (against a cluster, the 307s and proxied
-	// answers are part of what is under test); with -edges, deterministic
-	// edge batches against the mutation copy are interleaved into the same
-	// worker pool.
+	// 3. Fire the query mix concurrently; every request must be 2xx.
+	// Queries round-robin over every base (against a cluster, the 307s and
+	// proxied answers are part of what is under test); with -edges,
+	// deterministic edge batches against the mutation copy are interleaved
+	// into the same worker pool.
 	n := 1 << opts.scale
 	// The job queue is filled and closed up front (it is small — one int
 	// per job), so the workers are plain drain-until-closed goroutines
@@ -262,12 +239,8 @@ func run(opts options) error {
 					continue
 				}
 				q := queryMix[i%len(queryMix)]
-				prefix := "" // alternate spellings; both must serve the mix
-				if i%2 == 1 {
-					prefix = "/v1"
-				}
 				r := result{algo: q["algo"].(string)}
-				code, body, err := postJSON(client, target+prefix+"/graphs/"+name+"/query", q)
+				code, body, err := postJSON(client, target+"/v1/graphs/"+name+"/query", q)
 				r.code, r.err = code, err
 				if err == nil && code == 200 {
 					var qr struct {
@@ -396,7 +369,7 @@ func run(opts options) error {
 	// before the caller kills a daemon.
 	if opts.flush {
 		for _, b := range bases {
-			code, body, err := postJSON(client, b+"/admin/flush", nil)
+			code, body, err := postJSON(client, b+"/v1/admin/flush", nil)
 			if err != nil {
 				return fmt.Errorf("flush %s: %v", b, err)
 			}
@@ -407,7 +380,7 @@ func run(opts options) error {
 		}
 	}
 
-	// 5. Validate /metrics on every node: well-formed Prometheus text with
+	// 4. Validate /metrics on every node: well-formed Prometheus text with
 	// the required families and coherent histograms.
 	for _, b := range bases {
 		resp, err := client.Get(b + "/metrics")

@@ -25,12 +25,18 @@ func TestRunAgainstRealService(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	err := run(options{
+	opts := options{
 		bases: []string{ts.URL}, name: "loadgen-test", scale: 5,
 		queries: 24, parallel: 4, wait: 2 * time.Second,
-	})
-	if err != nil {
+	}
+	if err := run(opts); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	// CI's server-smoke shape: -dual with no -edges must still load the
+	// mutation copy its rounds ingest into.
+	opts.dual, opts.dualRounds = true, 2
+	if err := run(opts); err != nil {
+		t.Fatalf("run -dual: %v", err)
 	}
 }
 

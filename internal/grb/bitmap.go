@@ -10,11 +10,15 @@ package grb
 // The bitmap is a *view*: the row-major compressed structure (Matrix.csr)
 // stays canonical for every matrix, so serialization, the store's LGSNAP
 // frames, ExtractTuples and all compressed-only kernels are format
-// transparent. Kernels that profit from O(1) access (bitmap vxm, the
-// bitmap dot mxm) consult bitmapView and fall back to compressed storage
-// when the view is absent. maybeConvertFormat builds and drops the view
-// under the density thresholds below; mutations invalidate it exactly
-// like the column cache.
+// transparent. Kernels that profit from O(1) access (the bitmap dot mxm,
+// element reads) consult bitmapView and fall back to compressed storage
+// when the view is absent. vxm/mxv never sweep the view: measured across
+// fills from 50% to 100% the compressed pull kernel wins in both
+// orientations (EXPERIMENTS.md) — a sweep re-derives each row's occupancy
+// from the bool lane when the index arrays already encode it.
+// maybeConvertFormat drops the view and bitmapView rebuilds it under the
+// density thresholds below; mutations invalidate it exactly like the
+// column cache.
 type bm[T any] struct {
 	nr, nc int
 	// b[i*nc+j] reports whether (i,j) holds a stored entry; x[i*nc+j] is
@@ -125,28 +129,6 @@ func (a *Matrix[T]) bitmapWanted() bool {
 		return cells >= 0 && c.nvals()*bitmapDenRatio >= cells
 	}
 	return false
-}
-
-// bitmapEligible completes pending work and reports bitmap eligibility
-// without building the view — the O(1) probe dispatch uses to assemble
-// its candidate set.
-func (a *Matrix[T]) bitmapEligible() bool {
-	a.Wait()
-	return a.bitmapWanted()
-}
-
-// bitmapPreferred reports whether static vxm dispatch should pick the
-// bitmap sweep outright: only when the caller forced FormatBitmap — an
-// explicit declaration that the matrix lives dense. Density alone never
-// makes the sweep the static choice: measured across fills from 50% to
-// 100%, the compressed pull kernel beats the bitmap sweep (the sweep
-// re-derives each row's occupancy from the bool lane, information the
-// compressed index arrays already encode), so under FormatAuto the view
-// serves the O(1)-probe kernels (bitmap dot, element reads) while sweeps
-// stay compressed unless the tuner measures otherwise.
-func (a *Matrix[T]) bitmapPreferred() bool {
-	a.Wait()
-	return a.format == FormatBitmap && a.bitmapWanted()
 }
 
 // cachedBitmap returns the already-built bitmap view or nil, without

@@ -46,27 +46,6 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	if method == MxMAuto {
 		method = chooseMxM(ca, mm, ar, bc)
 		policy = "static"
-		if tn := ActiveTuner(); tn != nil {
-			cands := []string{"gustavson", "heap"}
-			if mm != nil && !mm.comp {
-				if b.bitmapEligible() {
-					cands = append(cands, "dot-bitmap")
-				} else {
-					cands = append(cands, "dot")
-				}
-			}
-			if k, ok := tn.Advise("mxm", mask != nil, int64(ca.nvals())+int64(b.Nvals()), cands); ok {
-				policy = "tuned"
-				switch k {
-				case "dot", "dot-bitmap":
-					method = MxMDot
-				case "heap":
-					method = MxMHeap
-				default:
-					method = MxMGustavson
-				}
-			}
-		}
 	}
 
 	// Observation guard: one atomic load; st stays nil (and the kernels

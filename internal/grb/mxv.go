@@ -58,11 +58,10 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	mv := newMaskVec(mask, d)
 
 	// Kernel selection. A forced direction is honored verbatim; DirAuto
-	// engages the static heuristics (bitmap scan for at-least-half-full
-	// matrices, else the GraphBLAST push/pull density switch), which an
-	// installed Tuner may override from measured history. Every candidate
-	// accumulates each output in ascending input-index order, so the
-	// choice can never change results — only speed.
+	// engages the GraphBLAST push/pull density switch, a pure function of
+	// the operands. Both kernels accumulate each output in ascending
+	// input-index order, so the choice can never change results — only
+	// speed.
 	kernel := "push"
 	policy := "forced"
 	switch d.Dir {
@@ -72,20 +71,8 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 		kernel = "push"
 	default:
 		policy = "static"
-		bmOK := a.bitmapEligible()
-		if a.bitmapPreferred() {
-			kernel = "bitmap"
-		} else if chooseDirection(u, a, d, mv, ac) == DirPull {
+		if chooseDirection(u, a, d, mv, ac) == DirPull {
 			kernel = "pull"
-		}
-		if tn := ActiveTuner(); tn != nil {
-			cands := []string{"push", "pull"}
-			if bmOK {
-				cands = append(cands, "bitmap")
-			}
-			if k, ok := tn.Advise(op, mask != nil, int64(a.Nvals())+int64(u.Nvals()), cands); ok {
-				kernel, policy = k, "tuned"
-			}
 		}
 	}
 
@@ -105,10 +92,6 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	var zx []T
 	var nnzA int
 	switch kernel {
-	case "bitmap":
-		va := a.bitmapView()
-		nnzA = va.nvals
-		zi, zx = vxmBitmap(u, va, d.TranA, s, mv, ac, st)
 	case "pull":
 		// Pull: dot products over output positions; needs the effective
 		// matrix in column-major order (columns of A = rows of Aᵀ).
@@ -452,190 +435,6 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 	parallelWorkObs(n, pullWorkQuantum, weight, st, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			if v, ok := dotCol(colOf(t)); ok {
-				vals[t] = v
-				found[t] = true
-			}
-		}
-	})
-	zi := make([]int, 0, n)
-	zx := make([]T, 0, n)
-	for t := 0; t < n; t++ {
-		if found[t] {
-			zi = append(zi, colOf(t))
-			zx = append(zx, vals[t])
-		}
-	}
-	return zi, zx
-}
-
-// vxmBitmap computes z = uᵀ·Aeff against the dense bitmap view of A. The
-// view is row-major over A's rows, so the contiguous scan direction
-// depends on the orientation: untransposed (vxm) the frontier selects
-// bitmap rows directly and the kernel scatters them push-style; transposed
-// (mxv) each output is a bitmap row dotted against u pull-style. Either
-// way every output accumulates in ascending input-index order — the same
-// association as the push and pull kernels — so the format choice is
-// invisible in the result bits.
-func vxmBitmap[A, U, T any](u *Vector[U], va *bm[A], tran bool, s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
-	if tran {
-		return vxmBitmapPull(u, va, s, mv, outDim, st)
-	}
-	return vxmBitmapPush(u, va, s, mv, outDim, st)
-}
-
-// vxmBitmapPush scatters the frontier's bitmap rows (contiguous cell
-// scans) into dense accumulators, chunked and merged exactly like vxmPush.
-// outDim = va.nc is bitmap-bounded, so the dense accumulator is always
-// affordable (no hash regime).
-func vxmBitmapPush[A, U, T any](u *Vector[U], va *bm[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
-	ui, ux := u.materialized()
-	// Every frontier row costs one full cell scan regardless of fill.
-	rowCost := func(int) int { return va.nc + 1 }
-	bounds := workChunks(len(ui), rowCost, pushWorkQuantum, pushMaxChunks)
-	nchunks := len(bounds) - 1
-	if st != nil {
-		st.fill(bounds, rowCost)
-	}
-
-	parts := make([]sparsePart[T], nchunks)
-	if nchunks <= 1 {
-		val := make([]T, outDim)
-		seen := make([]bool, outDim)
-		parts[0].i, parts[0].x = scatterBitmapRows(ui, ux, va, s, val, seen)
-	} else {
-		w := workers()
-		if w > nchunks {
-			w = nchunks
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				val := make([]T, outDim)
-				seen := make([]bool, outDim)
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= nchunks {
-						return
-					}
-					lo, hi := bounds[c], bounds[c+1]
-					parts[c].i, parts[c].x = scatterBitmapRows(ui[lo:hi], ux[lo:hi], va, s, val, seen)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	zi, zx := parts[0].i, parts[0].x
-	if nchunks > 1 {
-		zi, zx = mergeAddParts(parts, s.Add)
-	}
-	if mv == nil {
-		return zi, zx
-	}
-	oi := zi[:0]
-	ox := zx[:0]
-	allowed := mv.cursor()
-	for t, j := range zi {
-		if allowed(j) {
-			oi = append(oi, j)
-			ox = append(ox, zx[t])
-		}
-	}
-	return oi, ox
-}
-
-// scatterBitmapRows is scatterRowsDense over bitmap rows: present cells of
-// each selected row accumulate into the dense accumulator in ascending
-// column order, rows in frontier (ascending index) order.
-func scatterBitmapRows[A, U, T any](ui []int, ux []U, va *bm[A], s Semiring[U, A, T], val []T, seen []bool) ([]int, []T) {
-	var touched []int
-	for t, k := range ui {
-		base := k * va.nc
-		uv := ux[t]
-		for j := 0; j < va.nc; j++ {
-			if !va.b[base+j] {
-				continue
-			}
-			if seen[j] {
-				if s.Add.Terminal != nil && s.Add.Terminal(val[j]) {
-					continue
-				}
-				val[j] = s.Add.Op(val[j], s.Mul(uv, va.x[base+j]))
-			} else {
-				seen[j] = true
-				val[j] = s.Mul(uv, va.x[base+j])
-				touched = append(touched, j)
-			}
-		}
-	}
-	sort.Ints(touched)
-	zx := make([]T, len(touched))
-	for t, j := range touched {
-		zx[t] = val[j]
-		seen[j] = false
-	}
-	return touched, zx
-}
-
-// vxmBitmapPull computes each admitted output as a dot of one bitmap row
-// (the transposed orientation: columns of Aᵀ are rows of A) against the
-// densified input, with the pull kernel's terminal early exit and the same
-// target-set logic as vxmPull.
-func vxmBitmapPull[A, U, T any](u *Vector[U], va *bm[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
-	ud, uok := u.dense()
-
-	var targets []int
-	if mv != nil && !mv.comp && mv.val == nil {
-		targets = mv.idx
-	} else if mv != nil {
-		bmv := mv.bitmap(outDim)
-		for j, ok := range bmv {
-			if ok {
-				targets = append(targets, j)
-			}
-		}
-	}
-
-	dotRow := func(j int) (T, bool) {
-		base := j * va.nc
-		var acc T
-		found := false
-		for i := 0; i < va.nc; i++ {
-			if !va.b[base+i] || !uok[i] {
-				continue
-			}
-			p := s.Mul(ud[i], va.x[base+i])
-			if found {
-				acc = s.Add.Op(acc, p)
-			} else {
-				acc = p
-				found = true
-			}
-			if s.Add.Terminal != nil && s.Add.Terminal(acc) {
-				return acc, true
-			}
-		}
-		return acc, found
-	}
-
-	var n int
-	var colOf func(t int) int
-	if targets != nil {
-		n = len(targets)
-		colOf = func(t int) int { return targets[t] }
-	} else {
-		n = outDim
-		colOf = func(t int) int { return t }
-	}
-	rowCost := func(int) int { return va.nc + 1 }
-	vals := make([]T, n)
-	found := make([]bool, n)
-	parallelWorkObs(n, pullWorkQuantum, rowCost, st, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			if v, ok := dotRow(colOf(t)); ok {
 				vals[t] = v
 				found[t] = true
 			}

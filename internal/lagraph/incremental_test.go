@@ -154,6 +154,53 @@ func TestPageRankWarmEquivalence(t *testing.T) {
 	}
 }
 
+// TestPageRankWarmHalvesIterations is the machine-independent gate the
+// retired bench-tables "incremental" table carried (BENCH_4.json: 43 → 16
+// at scale 13): under a 1%-edge delta whose endpoints are drawn
+// degree-proportionally — the endpoints of uniformly random existing
+// edges, the growth model the power-law fixture is built from — a warm
+// start converges in at most half the iterations of a full recompute, at
+// the service defaults (d = 0.85, tol = 1e-4).
+func TestPageRankWarmHalvesIterations(t *testing.T) {
+	n := 1 << 11
+	el := gen.PowerLaw(n, 16*n, 1.8, gen.Config{Seed: 42, Undirected: true, NoSelfLoops: true})
+	g, err := lagraph.NewGraph(el.Matrix(), lagraph.Undirected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []lagraph.Option{lagraph.WithDamping(0.85), lagraph.WithTolerance(1e-4), lagraph.WithMaxIter(1000)}
+	prior, err := lagraph.PageRankWith(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(4242))
+	src := make([]int, g.NEdges()/2/100)
+	dst := make([]int, len(src))
+	for k := range src {
+		src[k] = el.Src[rng.Intn(len(el.Src))]
+		dst[k] = el.Dst[rng.Intn(len(el.Dst))]
+	}
+	applyInserts(t, g, src, dst)
+
+	warm, err := lagraph.PageRankWarm(g, prior.Rank, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := lagraph.PageRankWith(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Converged || !full.Converged {
+		t.Fatalf("expected both runs to converge (warm=%v full=%v)", warm.Converged, full.Converged)
+	}
+	if warm.Iterations*2 > full.Iterations {
+		t.Fatalf("warm start took %d iterations, full recompute %d: want at most half under a 1%% delta (+%d edges)",
+			warm.Iterations, full.Iterations, len(src))
+	}
+	t.Logf("+%d edges: %d warm vs %d full iterations", len(src), warm.Iterations, full.Iterations)
+}
+
 func TestPageRankWarmRejectsUnusablePriors(t *testing.T) {
 	g := deltaGraph(t, lagraph.Directed)
 	prior, err := lagraph.PageRankWith(g)

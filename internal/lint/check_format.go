@@ -48,8 +48,6 @@ var formatExempt = map[string]bool{
 	"Materialize":     true,
 	"bitmapView":      true,
 	"bitmapWanted":    true,
-	"bitmapEligible":  true,
-	"bitmapPreferred": true,
 	"cachedBitmap":    true,
 	"orientedCSR":     true,
 	"orientedCSC":     true,

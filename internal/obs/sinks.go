@@ -27,7 +27,7 @@ type Counters struct {
 	Heap      atomic.Int64
 	Push      atomic.Int64
 	Pull      atomic.Int64
-	Bitmap    atomic.Int64 // bitmap-format kernels: "bitmap" vxm, "dot-bitmap" mxm
+	Bitmap    atomic.Int64 // the bitmap-view kernel: "dot-bitmap" mxm
 }
 
 // Now implements Observer via the package clock.
@@ -50,7 +50,7 @@ func (c *Counters) Op(r OpRecord) {
 		c.Push.Add(1)
 	case "pull":
 		c.Pull.Add(1)
-	case "bitmap", "dot-bitmap":
+	case "dot-bitmap":
 		c.Bitmap.Add(1)
 	case "assemble":
 		c.Waits.Add(1)
@@ -118,36 +118,6 @@ func (s CounterSnapshot) Sub(prev CounterSnapshot) CounterSnapshot {
 		Push:      s.Push - prev.Push,
 		Pull:      s.Pull - prev.Pull,
 		Bitmap:    s.Bitmap - prev.Bitmap,
-	}
-}
-
-// Multi fans every record out to several observers in order — the way to
-// run a Trace (or Counters) alongside the kernel tuner, which is itself an
-// Observer. Now comes from the first observer so durations stay on a
-// single clock; an empty Multi falls back to the package clock.
-type Multi struct {
-	Obs []Observer
-}
-
-// Now implements Observer.
-func (m *Multi) Now() int64 {
-	if len(m.Obs) > 0 {
-		return m.Obs[0].Now()
-	}
-	return Clock()
-}
-
-// Op implements Observer.
-func (m *Multi) Op(r OpRecord) {
-	for _, o := range m.Obs {
-		o.Op(r)
-	}
-}
-
-// Iter implements Observer.
-func (m *Multi) Iter(r IterRecord) {
-	for _, o := range m.Obs {
-		o.Iter(r)
 	}
 }
 

@@ -40,7 +40,7 @@ type GeneratorSpec struct {
 	MaxWeight float64 `json:"max_weight"`
 }
 
-// LoadRequest is the POST /graphs body: exactly one of Generator, MMIO
+// LoadRequest is the POST /v1/graphs body: exactly one of Generator, MMIO
 // (inline Matrix Market text) or Path (daemon-side file, if enabled).
 type LoadRequest struct {
 	Name       string         `json:"name"`
@@ -51,10 +51,10 @@ type LoadRequest struct {
 	Path       string         `json:"path,omitempty"`
 }
 
-// QueryRequest is the POST /graphs/{name}/query body.
+// QueryRequest is the POST /v1/graphs/{name}/query body.
 type QueryRequest struct {
-	// Algo is bfs | parents | sssp | bellmanford | pagerank | cc | cc-lp
-	// | tc | ktruss | mis | hits.
+	// Algo is bfs | parents | sssp | bellmanford | pagerank | cc | tc |
+	// ktruss | mis | hits.
 	Algo string `json:"algo"`
 	// Src is the source vertex for traversals.
 	Src int `json:"src"`
@@ -480,13 +480,6 @@ func (s *Server) runQuery(ctx context.Context, e *catalog.Entry, req *QueryReque
 			return s.runIncAlgo(e, g, mode, pagerankAlgo(req, opts, k), resp)
 		case "cc":
 			return s.runIncAlgo(e, g, mode, ccAlgo(opts), resp)
-		case "cc-lp":
-			labels, err := lagraph.ConnectedComponentsLabelProp(g, opts...)
-			if err != nil {
-				return err
-			}
-			resp.Result = map[string]any{"components": lagraph.CountComponents(labels)}
-			resp.Checksum = checksumInt64(labels)
 		case "tc":
 			c, err := lagraph.TriangleCount(g, lagraph.TCSandiaDot, opts...)
 			if err != nil {

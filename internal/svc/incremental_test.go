@@ -12,7 +12,7 @@ import (
 func queryMode(t *testing.T, base, graph string, body map[string]any, wantCode int) QueryResponse {
 	t.Helper()
 	var q QueryResponse
-	if code := post(t, base+"/graphs/"+graph+"/query", body, &q); code != wantCode {
+	if code := post(t, base+"/v1/graphs/"+graph+"/query", body, &q); code != wantCode {
 		t.Fatalf("query %v: status %d, want %d", body, code, wantCode)
 	}
 	return q
@@ -22,7 +22,7 @@ func queryMode(t *testing.T, base, graph string, body map[string]any, wantCode i
 func ingestEdges(t *testing.T, base, graph string, edges []map[string]any) EdgesResponse {
 	t.Helper()
 	var er EdgesResponse
-	if code := post(t, base+"/graphs/"+graph+"/edges", map[string]any{"edges": edges}, &er); code != 200 {
+	if code := post(t, base+"/v1/graphs/"+graph+"/edges", map[string]any{"edges": edges}, &er); code != 200 {
 		t.Fatalf("edges: status %d", code)
 	}
 	return er

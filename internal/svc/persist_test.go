@@ -44,7 +44,7 @@ func newPersistentServer(t *testing.T, dir string) (*Server, *httptest.Server, [
 func queryChecksum(t *testing.T, base, graph, algo string) string {
 	t.Helper()
 	var resp QueryResponse
-	if code := post(t, base+"/graphs/"+graph+"/query", map[string]any{"algo": algo}, &resp); code != http.StatusOK {
+	if code := post(t, base+"/v1/graphs/"+graph+"/query", map[string]any{"algo": algo}, &resp); code != http.StatusOK {
 		t.Fatalf("query %s/%s: status %d", graph, algo, code)
 	}
 	if resp.Checksum == "" {
@@ -77,7 +77,7 @@ func TestCrashRecovery(t *testing.T) {
 		}
 	}
 	var flush store.FlushResult
-	if code := post(t, ts1.URL+"/admin/flush", nil, &flush); code != http.StatusOK {
+	if code := post(t, ts1.URL+"/v1/admin/flush", nil, &flush); code != http.StatusOK {
 		t.Fatalf("flush: status %d", code)
 	}
 	if len(flush.Snapshotted) != 2 {
@@ -134,7 +134,7 @@ func TestCrashRecovery(t *testing.T) {
 			t.Errorf("alpha/%s: checksum drifted after quarantine boot", a)
 		}
 	}
-	resp, err := http.Get(ts3.URL + "/graphs/bravo")
+	resp, err := http.Get(ts3.URL + "/v1/graphs/bravo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,17 +155,17 @@ func TestSnapshotEndpoint(t *testing.T) {
 	loadGraph(t, ts.URL, "g", 6)
 
 	var res store.SnapResult
-	if code := post(t, ts.URL+"/graphs/g/snapshot", nil, &res); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/graphs/g/snapshot", nil, &res); code != http.StatusOK {
 		t.Fatalf("snapshot: status %d", code)
 	}
 	if !res.Written || res.Bytes == 0 || res.Name != "g" {
 		t.Fatalf("snapshot result: %+v", res)
 	}
 	// Second snapshot of an unchanged graph is clean (same generation).
-	if code := post(t, ts.URL+"/graphs/g/snapshot", nil, &res); code != http.StatusOK || res.Written {
+	if code := post(t, ts.URL+"/v1/graphs/g/snapshot", nil, &res); code != http.StatusOK || res.Written {
 		t.Fatalf("re-snapshot: status %d result %+v", code, res)
 	}
-	if code := post(t, ts.URL+"/graphs/nope/snapshot", nil, nil); code != http.StatusNotFound {
+	if code := post(t, ts.URL+"/v1/graphs/nope/snapshot", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("snapshot of unknown graph: status %d, want 404", code)
 	}
 
@@ -185,7 +185,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 	// Drop mirrors into the store: the snapshot is gone from disk and a
 	// rebooted daemon does not resurrect the graph.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/g", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/g", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +208,13 @@ func TestSnapshotEndpoint(t *testing.T) {
 	// retryable: the retry answers 204 and clears the store instead of
 	// 404ing and stranding a snapshot that would resurrect the graph.
 	loadGraph(t, ts2.URL, "h", 5)
-	if code := post(t, ts2.URL+"/graphs/h/snapshot", nil, nil); code != http.StatusOK {
+	if code := post(t, ts2.URL+"/v1/graphs/h/snapshot", nil, nil); code != http.StatusOK {
 		t.Fatalf("snapshot h: status %d", code)
 	}
 	if err := s2.Catalog().Drop("h"); err != nil {
 		t.Fatal(err)
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts2.URL+"/graphs/h", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts2.URL+"/v1/graphs/h", nil)
 	dresp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("retried drop left durable copies: %v", names)
 	}
 	// A name unknown to catalog and store alike still 404s.
-	req, _ = http.NewRequest(http.MethodDelete, ts2.URL+"/graphs/h", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts2.URL+"/v1/graphs/h", nil)
 	dresp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -239,11 +239,11 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 	// Volatile daemon: durability endpoints answer 501.
 	_, vts := newTestServer(t, Config{})
-	if code := post(t, vts.URL+"/admin/flush", nil, nil); code != http.StatusNotImplemented {
+	if code := post(t, vts.URL+"/v1/admin/flush", nil, nil); code != http.StatusNotImplemented {
 		t.Fatalf("flush on volatile daemon: status %d, want 501", code)
 	}
 	loadGraph(t, vts.URL, "v", 5)
-	if code := post(t, vts.URL+"/graphs/v/snapshot", nil, nil); code != http.StatusNotImplemented {
+	if code := post(t, vts.URL+"/v1/graphs/v/snapshot", nil, nil); code != http.StatusNotImplemented {
 		t.Fatalf("snapshot on volatile daemon: status %d, want 501", code)
 	}
 }

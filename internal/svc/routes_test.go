@@ -1,7 +1,6 @@
 package svc
 
 import (
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -9,92 +8,49 @@ import (
 	"lagraph/internal/catalog"
 )
 
-// TestV1AndLegacySpellings proves every API route answers at both its /v1
-// spelling and its legacy alias, and that only the legacy spelling
-// carries the deprecation announcement.
-func TestV1AndLegacySpellings(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	loadGraph(t, ts.URL, "g", 4)
+// TestRoutesAnswerUnderV1Only walks the route table: every API row is
+// answered by its handler under /v1, its unversioned spelling is the mux's
+// 404, and the operational endpoints are the other way round.
+func TestRoutesAnswerUnderV1Only(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	api, operational := s.routes()
 
-	for _, tc := range []struct {
-		method, path string
-		wantStatus   int
-	}{
-		{"GET", "/graphs", http.StatusOK},
-		{"GET", "/graphs/g", http.StatusOK},
-		{"POST", "/graphs/g/query", http.StatusOK},
-		{"POST", "/graphs/g/edges", http.StatusOK},
-	} {
-		for _, prefix := range []string{"", "/v1"} {
-			url := ts.URL + prefix + tc.path
-			var resp *http.Response
-			var err error
-			switch tc.method {
-			case "GET":
-				resp, err = http.Get(url)
-			case "POST":
-				body := `{"algo":"bfs","src":0}`
-				if tc.path == "/graphs/g/edges" {
-					body = `{"edges":[{"src":0,"dst":1}]}`
-				}
-				resp, err = http.Post(url, "application/json", strings.NewReader(body))
-			}
-			if err != nil {
-				t.Fatalf("%s %s: %v", tc.method, url, err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.wantStatus {
-				t.Errorf("%s %s: status %d, want %d", tc.method, url, resp.StatusCode, tc.wantStatus)
-			}
-			dep := resp.Header.Get("Deprecation")
-			link := resp.Header.Get("Link")
-			if prefix == "/v1" {
-				if dep != "" || link != "" {
-					t.Errorf("%s %s: /v1 spelling must not carry deprecation headers (Deprecation=%q Link=%q)",
-						tc.method, url, dep, link)
-				}
-			} else {
-				if dep != "true" {
-					t.Errorf("%s %s: legacy spelling missing Deprecation header", tc.method, url)
-				}
-				want := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", routePatternFor(tc.path))
-				if link != want {
-					t.Errorf("%s %s: Link = %q, want %q", tc.method, url, link, want)
-				}
-			}
+	// muxMiss sends an empty-bodied request and reports whether the mux
+	// found no route: its 404 is plain text, a handler's is the JSON
+	// envelope.
+	muxMiss := func(method, path string) bool {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusNotFound &&
+			!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json")
+	}
+
+	for _, rt := range api {
+		name := "g-" + rt.endpoint // a graph per row: the drop row deletes its own
+		loadGraph(t, ts.URL, name, 3)
+		path := strings.ReplaceAll(rt.pattern, "{name}", name)
+		if !muxMiss(rt.method, path) {
+			t.Errorf("%s %s: the unversioned spelling must be 404", rt.method, path)
+		}
+		if muxMiss(rt.method, "/v1"+path) {
+			t.Errorf("%s /v1%s: no route", rt.method, path)
 		}
 	}
-
-	// Operational endpoints stay unversioned: no /v1 alias, no headers.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/healthz must not be marked deprecated")
-	}
-	resp, err = http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/v1/healthz: status %d, want 404 (operational endpoints are unversioned)", resp.StatusCode)
-	}
-}
-
-// routePatternFor maps a concrete test path back to its route pattern.
-func routePatternFor(path string) string {
-	switch path {
-	case "/graphs/g":
-		return "/graphs/{name}"
-	case "/graphs/g/query":
-		return "/graphs/{name}/query"
-	case "/graphs/g/edges":
-		return "/graphs/{name}/edges"
-	default:
-		return path
+	for _, rt := range operational {
+		if muxMiss(rt.method, rt.pattern) {
+			t.Errorf("%s %s: no route", rt.method, rt.pattern)
+		}
+		if !muxMiss(rt.method, "/v1"+rt.pattern) {
+			t.Errorf("%s /v1%s: operational endpoints are unversioned", rt.method, rt.pattern)
+		}
 	}
 }
 

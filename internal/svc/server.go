@@ -50,7 +50,7 @@ type Config struct {
 	// generator sources only.
 	AllowPathLoad bool
 	// Persister, when non-nil, enables the durability endpoints
-	// (POST /graphs/{name}/snapshot, POST /admin/flush), mirrors graph
+	// (POST /v1/graphs/{name}/snapshot, POST /v1/admin/flush), mirrors graph
 	// drops into the store, and adds lagraphd_store_* metric families.
 	// Nil runs the daemon volatile, exactly as before persistence existed.
 	Persister *store.Persister
@@ -173,8 +173,7 @@ func (s *Server) Counters() *obs.Counters { return s.counters }
 // route is one row of the API surface: an operation (the metrics label),
 // its method, its path pattern relative to the version prefix, and the
 // handler. Having the whole surface in one table is the point of the /v1
-// redesign — a new endpoint is one row, and the versioned and legacy
-// spellings can never drift apart because both are generated from it.
+// redesign — a new endpoint is one row.
 type route struct {
 	method   string
 	pattern  string // e.g. "/graphs/{name}/query"
@@ -183,8 +182,7 @@ type route struct {
 }
 
 // routes returns the full API surface. /healthz and /metrics are
-// operational endpoints scraped by infrastructure; they stay unversioned
-// (and get no /v1 alias or Deprecation header).
+// operational endpoints scraped by infrastructure; they stay unversioned.
 func (s *Server) routes() (api, operational []route) {
 	api = []route{
 		{"POST", "/graphs", "load", s.handleLoad},
@@ -204,15 +202,13 @@ func (s *Server) routes() (api, operational []route) {
 	return api, operational
 }
 
-// Handler builds the mux: every API route is registered under /v1 (the
-// canonical spelling) and at its legacy unversioned path, where the
-// response carries a Deprecation header plus a Link to the successor.
+// Handler builds the mux: every API route is registered under /v1, the
+// only spelling; operational endpoints at their bare path.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	api, operational := s.routes()
 	for _, rt := range api {
 		mux.HandleFunc(rt.method+" /v1"+rt.pattern, s.instrument(rt.endpoint, rt.handler))
-		mux.HandleFunc(rt.method+" "+rt.pattern, s.instrument(rt.endpoint, deprecated(rt.pattern, rt.handler)))
 	}
 	for _, rt := range operational {
 		mux.HandleFunc(rt.method+" "+rt.pattern, s.instrument(rt.endpoint, rt.handler))
@@ -229,18 +225,6 @@ func (s *Server) Handler() http.Handler {
 		}))
 	}
 	return mux
-}
-
-// deprecated wraps a legacy-path handler: the response announces the
-// deprecation (RFC 8594 style) and names the /v1 successor. Headers must
-// be set before the handler writes the status line.
-func deprecated(pattern string, h func(http.ResponseWriter, *http.Request) int) func(http.ResponseWriter, *http.Request) int {
-	successor := "/v1" + pattern
-	return func(w http.ResponseWriter, r *http.Request) int {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		return h(w, r)
-	}
 }
 
 // instrument wraps a handler with latency and status-class accounting.

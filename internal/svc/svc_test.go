@@ -62,7 +62,7 @@ func post(t *testing.T, url string, body any, out any) int {
 func loadGraph(t *testing.T, base, name string, scale int) catalog.Properties {
 	t.Helper()
 	var p catalog.Properties
-	code := post(t, base+"/graphs", map[string]any{
+	code := post(t, base+"/v1/graphs", map[string]any{
 		"name": name, "undirected": true,
 		"generator": map[string]any{"kind": "powerlaw", "scale": scale, "edge_factor": 8, "seed": 42},
 	}, &p)
@@ -85,14 +85,14 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Duplicate load without replace → 409.
-	if code := post(t, ts.URL+"/graphs", map[string]any{
+	if code := post(t, ts.URL+"/v1/graphs", map[string]any{
 		"name": "e2e", "generator": map[string]any{"kind": "er", "scale": 4},
 	}, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate load: status %d, want 409", code)
 	}
 
 	// List includes the graph.
-	resp, err := http.Get(ts.URL + "/graphs")
+	resp, err := http.Get(ts.URL + "/v1/graphs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestEndToEnd(t *testing.T) {
 	// Query with a trace attached; run twice and require identical
 	// checksums (the determinism contract over HTTP).
 	var q1, q2 QueryResponse
-	if code := post(t, ts.URL+"/graphs/e2e/query",
+	if code := post(t, ts.URL+"/v1/graphs/e2e/query",
 		map[string]any{"algo": "bfs", "src": 0, "trace": true}, &q1); code != 200 {
 		t.Fatalf("query: status %d", code)
 	}
@@ -121,7 +121,7 @@ func TestEndToEnd(t *testing.T) {
 	if q1.Trace == nil || q1.Trace.Schema != obs.TraceSchema || len(q1.Trace.Iters) == 0 {
 		t.Fatalf("trace missing or empty: %+v", q1.Trace)
 	}
-	if code := post(t, ts.URL+"/graphs/e2e/query",
+	if code := post(t, ts.URL+"/v1/graphs/e2e/query",
 		map[string]any{"algo": "bfs", "src": 0}, &q2); code != 200 {
 		t.Fatalf("re-query: status %d", code)
 	}
@@ -130,9 +130,9 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// The rest of the algorithm mix must all succeed.
-	for _, algo := range []string{"parents", "sssp", "bellmanford", "pagerank", "cc", "cc-lp", "tc", "ktruss", "mis", "hits"} {
+	for _, algo := range []string{"parents", "sssp", "bellmanford", "pagerank", "cc", "tc", "ktruss", "mis", "hits"} {
 		var qr QueryResponse
-		if code := post(t, ts.URL+"/graphs/e2e/query", map[string]any{"algo": algo, "src": 1}, &qr); code != 200 {
+		if code := post(t, ts.URL+"/v1/graphs/e2e/query", map[string]any{"algo": algo, "src": 1}, &qr); code != 200 {
 			t.Fatalf("query %s: status %d", algo, code)
 		}
 		if len(qr.Result) == 0 {
@@ -140,16 +140,20 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Error mapping: unknown algo 400, missing graph 404.
-	if code := post(t, ts.URL+"/graphs/e2e/query", map[string]any{"algo": "nope"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad algo: status %d, want 400", code)
+	// Error mapping: unknown algo 400 (cc-lp is a library algorithm, not a
+	// served one), missing graph 404.
+	for _, algo := range []string{"nope", "cc-lp"} {
+		var eb errorBody
+		if code := post(t, ts.URL+"/v1/graphs/e2e/query", map[string]any{"algo": algo}, &eb); code != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+			t.Fatalf("algo %s: status %d code %q, want 400 bad_request", algo, code, eb.Error.Code)
+		}
 	}
-	if code := post(t, ts.URL+"/graphs/ghost/query", map[string]any{"algo": "bfs"}, nil); code != http.StatusNotFound {
+	if code := post(t, ts.URL+"/v1/graphs/ghost/query", map[string]any{"algo": "bfs"}, nil); code != http.StatusNotFound {
 		t.Fatalf("missing graph: status %d, want 404", code)
 	}
 
 	// Drop, then the graph is gone.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/e2e", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/e2e", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +162,7 @@ func TestEndToEnd(t *testing.T) {
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("drop: status %d", dresp.StatusCode)
 	}
-	gresp, err := http.Get(ts.URL + "/graphs/e2e")
+	gresp, err := http.Get(ts.URL + "/v1/graphs/e2e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +178,7 @@ func TestEndToEnd(t *testing.T) {
 func TestQueryDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadGraph(t, ts.URL, "g", 11)
-	code := post(t, ts.URL+"/graphs/g/query", map[string]any{
+	code := post(t, ts.URL+"/v1/graphs/g/query", map[string]any{
 		"algo": "pagerank", "timeout_ms": 1, "max_iter": 1000000, "tol": 1e-300,
 	}, nil)
 	if code != http.StatusGatewayTimeout {
@@ -182,7 +186,7 @@ func TestQueryDeadline(t *testing.T) {
 	}
 	// The cache survives a canceled query: the next run is clean.
 	var qr QueryResponse
-	if code := post(t, ts.URL+"/graphs/g/query", map[string]any{"algo": "bfs", "src": 0}, &qr); code != 200 {
+	if code := post(t, ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "bfs", "src": 0}, &qr); code != 200 {
 		t.Fatalf("query after cancel: status %d", code)
 	}
 	if qr.Generation != 0 {
@@ -221,7 +225,7 @@ func TestAdmissionGate(t *testing.T) {
 		t.Fatalf("queued = %d, want 1", s.queued.Load())
 	}
 
-	if code := post(t, ts.URL+"/graphs/g/query", map[string]any{"algo": "bfs"}, nil); code != http.StatusTooManyRequests {
+	if code := post(t, ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "bfs"}, nil); code != http.StatusTooManyRequests {
 		t.Fatalf("saturated query: status %d, want 429", code)
 	}
 	if s.rejected.Load() == 0 {
@@ -254,7 +258,7 @@ func TestMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadGraph(t, ts.URL, "g", 6)
 	for i := 0; i < 3; i++ {
-		if code := post(t, ts.URL+"/graphs/g/query", map[string]any{"algo": "bfs", "src": i}, nil); code != 200 {
+		if code := post(t, ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "bfs", "src": i}, nil); code != 200 {
 			t.Fatalf("query: status %d", code)
 		}
 	}
@@ -337,7 +341,7 @@ func TestBadLoadRequests(t *testing.T) {
 		{"bad mmio", map[string]any{"name": "x", "mmio": "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n"}, 400},
 	}
 	for _, tc := range cases {
-		if code := post(t, ts.URL+"/graphs", tc.body, nil); code != tc.want {
+		if code := post(t, ts.URL+"/v1/graphs", tc.body, nil); code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
 		}
 	}
@@ -348,7 +352,7 @@ func TestInlineMMIOLoad(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	mm := "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 1\n3 1 1\n3 2 1\n"
 	var p catalog.Properties
-	if code := post(t, ts.URL+"/graphs", map[string]any{
+	if code := post(t, ts.URL+"/v1/graphs", map[string]any{
 		"name": "tri", "undirected": true, "mmio": mm,
 	}, &p); code != http.StatusCreated {
 		t.Fatalf("mmio load: status %d", code)
@@ -358,7 +362,7 @@ func TestInlineMMIOLoad(t *testing.T) {
 		t.Fatalf("triangle properties: %+v", p)
 	}
 	var qr QueryResponse
-	if code := post(t, ts.URL+"/graphs/tri/query", map[string]any{"algo": "tc"}, &qr); code != 200 {
+	if code := post(t, ts.URL+"/v1/graphs/tri/query", map[string]any{"algo": "tc"}, &qr); code != 200 {
 		t.Fatalf("tc query: status %d", code)
 	}
 	if fmt.Sprint(qr.Result["triangles"]) != "1" {
