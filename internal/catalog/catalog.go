@@ -80,38 +80,43 @@ func New() *Catalog {
 // Add registers g under name. The graph is adopted: after Add, the caller
 // must not touch g except through the returned Entry.
 func (c *Catalog) Add(name string, g *lagraph.Graph) (*Entry, error) {
-	if g == nil {
-		return nil, fmt.Errorf("catalog: add %q: nil graph", name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	e := &Entry{name: name, g: g, cat: c}
-	c.entries[name] = e
-	return e, nil
+	return c.Load(name, g, false, nil)
 }
 
-// Replace registers g under name, replacing any existing graph. When the
-// name exists, the swap happens under the entry's exclusive lock, so
-// in-flight readers finish against the old graph and later readers see
-// the new one — the Entry identity (and any held references) stays valid.
-func (c *Catalog) Replace(name string, g *lagraph.Graph) (*Entry, error) {
+// Load registers g under name like Add; with replace set, an existing
+// name has g swapped in under the entry's exclusive lock instead of
+// failing, so in-flight readers finish against the old graph and later
+// readers see the new one — the Entry identity (and any held references)
+// stays valid. born, when non-nil, runs once with that exclusive lock
+// held, at the only moment the new graph is reachable and nothing else
+// can touch it: the one place to initialize entry state that must be in
+// step with the graph (the service stamps the journal mark there).
+func (c *Catalog) Load(name string, g *lagraph.Graph, replace bool, born func(e *Entry)) (*Entry, error) {
 	if g == nil {
-		return nil, fmt.Errorf("catalog: replace %q: nil graph", name)
+		return nil, fmt.Errorf("catalog: load %q: nil graph", name)
 	}
 	c.mu.Lock()
 	e, ok := c.entries[name]
 	if !ok {
 		e = &Entry{name: name, g: g, cat: c}
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		c.entries[name] = e
 		c.mu.Unlock()
+		if born != nil {
+			born(e)
+		}
 		return e, nil
 	}
 	c.mu.Unlock()
+	if !replace {
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	}
 	err := e.Update(func(*lagraph.Graph) error {
 		e.g = g
+		if born != nil {
+			born(e)
+		}
 		return nil
 	})
 	return e, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -104,26 +105,43 @@ func TestWarmLifecycle(t *testing.T) {
 	}
 }
 
-func TestReplace(t *testing.T) {
+// TestLoadReplaceAndBirthHook: Load with replace keeps the Entry identity
+// and bumps the generation, refuses an existing name without replace, and
+// runs the birth hook exactly once per load with the new graph already in
+// place — where the service stamps the journal mark.
+func TestLoadReplaceAndBirthHook(t *testing.T) {
 	c := New()
-	e1, err := c.Replace("g", testGraph(t, 3))
+	births := 0
+	stamp := func(mark uint64) func(*Entry) {
+		return func(e *Entry) {
+			births++
+			e.SetJournalSeq(mark)
+		}
+	}
+	e1, err := c.Load("g", testGraph(t, 3), true, stamp(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if births != 1 || e1.JournalSeq() != 7 {
+		t.Fatalf("new entry: %d births, journal mark %d, want 1 and 7", births, e1.JournalSeq())
+	}
 	n1 := e1.Properties().N
-	e2, err := c.Replace("g", testGraph(t, 4))
+	if _, err := c.Load("g", testGraph(t, 4), false, stamp(8)); !errors.Is(err, ErrExists) || births != 1 {
+		t.Fatalf("load over an existing name without replace: err %v, %d births", err, births)
+	}
+	e2, err := c.Load("g", testGraph(t, 4), true, stamp(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 != e2 {
-		t.Fatal("Replace of an existing name must keep the Entry identity")
+		t.Fatal("replace of an existing name must keep the Entry identity")
 	}
-	p := e2.Properties()
-	if p.N == n1 {
-		t.Fatal("Replace did not swap the graph")
+	var info SnapshotInfo
+	if info, err = e2.Snapshot(io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if p.Generation == 0 {
-		t.Fatal("Replace of an existing entry must bump the generation")
+	if births != 2 || info.Journal != 9 || info.N == n1 || info.Generation == 0 {
+		t.Fatalf("replace: %d births, snapshot pins %+v (old n %d)", births, info, n1)
 	}
 }
 

@@ -250,30 +250,16 @@ func (e *Entry) ReplicaLag() uint64 {
 }
 
 // SetJournalSeq records the WAL sequence number of the last edge batch
-// applied to this entry. Call inside the Ingest callback (the exclusive
-// lock is held) or during boot recovery before the entry is published.
+// applied to this entry. Call inside the Ingest callback or a Load birth
+// hook (the exclusive lock is held), or before the entry is published
+// (boot recovery). A birth hook stamps the mark at the log head, so the
+// floor the graph's first snapshot pins excludes every WAL record of an
+// earlier graph under the same name.
 func (e *Entry) SetJournalSeq(lsn uint64) { e.jseq.Store(lsn) }
 
 // JournalSeq returns the WAL high-water mark of this entry (0 = no edge
 // batch ever applied). Lock-free, safe inside View callbacks.
 func (e *Entry) JournalSeq() uint64 { return e.jseq.Load() }
-
-// FenceJournalSeq raises the journal mark of an entry that has never
-// journaled a batch (jseq still 0) to lsn, and leaves any nonzero mark
-// untouched. The persister uses it to fence a freshly created entry
-// against WAL records of an earlier same-name incarnation: seeding the
-// mark at the current log head means the floor pinned by the entry's
-// first snapshot excludes every record already in the log — none of
-// which can belong to an incarnation that has journaled nothing. The
-// compare-and-swap makes a race with a concurrent first Ingest harmless:
-// whichever lands first wins, and an Ingest-assigned LSN is always past
-// the log head the fence read.
-func (e *Entry) FenceJournalSeq(lsn uint64) {
-	if lsn == 0 {
-		return
-	}
-	e.jseq.CompareAndSwap(0, lsn)
-}
 
 // Properties returns the entry's cached structural facts. On a warm entry
 // this is lock-shared and touches no lazy state; on a cold entry it warms

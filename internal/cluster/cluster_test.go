@@ -170,10 +170,10 @@ func makeGraph(t *testing.T, n int, kind lagraph.Kind) *lagraph.Graph {
 
 // ingest pushes one edge batch through the primary's write path exactly
 // as the service layer does: baseline snapshot before the first
-// journaled batch, then journal → apply → advance marks.
+// journaled batch, then journal → apply → advance the mark.
 func (tn *testNode) ingest(t *testing.T, b store.EdgeBatch) {
 	t.Helper()
-	if !tn.pers.HasDurable(b.Name) {
+	if _, ok := tn.pers.Store().Position(b.Name); !ok {
 		if _, err := tn.pers.SnapshotOne(b.Name); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,6 @@ func (tn *testNode) ingest(t *testing.T, b store.EdgeBatch) {
 			return false, aerr
 		}
 		e.SetJournalSeq(lsn)
-		tn.pers.MarkApplied(b.Name, lsn)
 		return true, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -595,6 +594,58 @@ func TestSingleNodeClusterIsReadyImmediately(t *testing.T) {
 	role, primary := nodes["solo"].n.RoleOf("anything")
 	if role != catalog.RolePrimary || primary.ID != "solo" {
 		t.Fatalf("solo placement = %v on %s", role, primary.ID)
+	}
+}
+
+// TestAdoptedFloorSurvivesCrash is the regression test for the adoption
+// floor: a replica copy installed at source LSN 1000 is adopted as primary
+// (journal mark rebased to the empty local log head, generation
+// unchanged), acknowledges one batch at local LSN 1 and dies without a
+// flush. The rebased floor must be what recovery finds on disk — a save
+// guard keyed on the generation alone skipped the adoption snapshot, left
+// the floor at 1000 in the old primary's LSN space, and replay dropped
+// the acknowledged batch as already contained.
+func TestAdoptedFloorSurvivesCrash(t *testing.T) {
+	const name = "moved"
+	var frame, payload bytes.Buffer
+	if err := lagraph.WriteGraph(&payload, makeGraph(t, 16, lagraph.Directed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteFrame(&frame, store.Meta{
+		Name: name, Kind: "directed", NRows: 16, NCols: 16, Generation: 5, Journal: 1000,
+	}, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	oldPrimary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(frame.Bytes())
+	}))
+	defer oldPrimary.Close()
+
+	ids := []string{"solo"}
+	tn := newTestCluster(t, ids, flatTopology(1, 1, ids), ids)["solo"]
+	e, err := tn.n.installSnapshot(context.Background(), NodeInfo{ID: "old", URL: oldPrimary.URL}, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sync loop finds a replica copy of a graph the ring assigns to
+	// this node and no peer listing it: it adopts.
+	waitFor(t, 5*time.Second, "adoption", func() bool { return e.Role() == catalog.RolePrimary })
+	if e.Generation() != 5 || e.JournalSeq() != 0 {
+		t.Fatalf("adopted position = (%d, %d), want generation 5 rebased to LSN 0", e.Generation(), e.JournalSeq())
+	}
+	tn.ingest(t, store.EdgeBatch{Name: name, Ops: []store.EdgeOp{{Src: 1, Dst: 2, Weight: 3}}})
+	if e.JournalSeq() != 1 {
+		t.Fatalf("first local batch journaled at %d, want 1", e.JournalSeq())
+	}
+	want := tn.graphChecksum(t, name)
+
+	tn.kill()
+	tn.boot(t)
+	if rs := tn.pers.ReplayStats(); rs.Applied != 1 || rs.SkippedFloor != 0 {
+		t.Fatalf("replay after crash = %+v, want the acknowledged batch applied", rs)
+	}
+	if got := tn.graphChecksum(t, name); got != want {
+		t.Fatalf("recovered checksum %016x, want pre-crash %016x", got, want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"lagraph/internal/catalog"
 	"lagraph/internal/store"
 	"lagraph/internal/wal"
 )
@@ -182,13 +181,6 @@ func (n *Node) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		clusterError(w, http.StatusNotFound, "not_found", err.Error(), false)
 		return
-	}
-	// Same fence SnapshotOne applies: a primary graph that has never
-	// journaled must not inherit WAL records of an earlier same-name
-	// incarnation — and the shipped floor must exclude them too. Replica
-	// entries are exempt (their mark is in the source's LSN space).
-	if l := n.pers.WAL(); l != nil && e.Role() != catalog.RoleReplica {
-		e.FenceJournalSeq(l.NextLSN() - 1)
 	}
 	var buf bytes.Buffer
 	info, err := e.Snapshot(&buf)

@@ -175,14 +175,6 @@ func (n *Node) run(ctx context.Context) {
 // Self returns this node's ID.
 func (n *Node) Self() string { return n.self }
 
-// SelfInfo returns this node's topology entry.
-func (n *Node) SelfInfo() NodeInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	info, _ := n.top.Node(n.self)
-	return info
-}
-
 // Epoch returns the current topology epoch (lock-free).
 func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 

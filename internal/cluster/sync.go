@@ -481,9 +481,9 @@ func (n *Node) applyWindow(ctx context.Context, src NodeInfo, e *catalog.Entry, 
 }
 
 // installSnapshot fetches the source's snapshot frame for one graph and
-// installs it as a local replica entry: catalog registration, journal
-// mark in the source's LSN space, persister floor reset, and an
-// immediate local snapshot so a restart resumes from this baseline.
+// installs it as a local replica entry: catalog registration, position
+// from the frame (the journal mark stays in the source's LSN space), and
+// an immediate local snapshot so a restart resumes from this baseline.
 func (n *Node) installSnapshot(ctx context.Context, src NodeInfo, name string) (*catalog.Entry, error) {
 	u := src.URL + "/v1/cluster/graphs/" + url.PathEscape(name) + "/snapshot"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -533,7 +533,6 @@ func (n *Node) installSnapshot(ctx context.Context, src NodeInfo, name string) (
 	e.SeedGeneration(meta.Generation)
 	e.SetJournalSeq(meta.Journal)
 	e.SetRole(catalog.RoleReplica)
-	n.pers.ResetJournalFloor(name, meta.Journal)
 	n.mu.Unlock()
 	n.fetchedSnaps.Add(1)
 	if _, serr := n.pers.SnapshotOne(name); serr != nil {
@@ -547,7 +546,8 @@ func (n *Node) installSnapshot(ctx context.Context, src NodeInfo, name string) (
 // adopt finalizes a handoff: this node becomes the graph's primary. The
 // journal mark rebases into the local WAL's LSN space — the adopted copy
 // already contains every shipped record, and this node is now the single
-// writer — and a snapshot pins the rebased floor durably.
+// writer — and a snapshot pins the rebased floor durably: the generation
+// is unchanged but the position pair is not, so the store writes it.
 func (n *Node) adopt(name string, e *catalog.Entry) {
 	var head uint64
 	if l := n.pers.WAL(); l != nil {
@@ -564,7 +564,6 @@ func (n *Node) adopt(name string, e *catalog.Entry) {
 	if _, err := n.pers.SnapshotOne(name); err != nil {
 		n.logf("cluster: snapshot after adopting %q: %v", name, err)
 	}
-	n.handoffs.Add(1)
 	n.logf("cluster: adopted %q as primary (journal rebased to %d)", name, head)
 }
 
@@ -576,16 +575,21 @@ func (n *Node) adoptLocked(name string, e *catalog.Entry, head uint64) bool {
 	if n.tombs[name] {
 		return false
 	}
+	// The replica's snapshot on disk pins a floor in the old primary's LSN
+	// space: it is no baseline for the primary this entry becomes, so no
+	// batch is journaled here before the rebased floor is on disk. The
+	// role flips last — it is what admits writes.
 	e.SetJournalSeq(head)
-	n.pers.ResetJournalFloor(name, head)
+	n.pers.Reborn(name)
 	e.SetSourceHead(0)
+	n.handoffs.Add(1)
 	e.SetRole(catalog.RolePrimary)
 	delete(n.syncs, name)
 	return true
 }
 
 // dropLocal removes a graph's local copy: catalog entry, durable
-// snapshot, journal floors, and sync cursor.
+// snapshot, and sync cursor.
 func (n *Node) dropLocal(name, reason string) {
 	n.mu.Lock()
 	n.dropLocalLocked(name, reason)

@@ -40,7 +40,7 @@ func TestStoreRoundTripAllFormats(t *testing.T) {
 			payload := graphBytes(t, g)
 			name := fmt.Sprintf("g-%s", fc.name)
 			meta := Meta{Name: name, Kind: "undirected", NRows: int64(g.N()), NCols: int64(g.N()), NVals: int64(g.NEdges()), Generation: 1}
-			if written, err := st.Save(meta, payload); err != nil || !written {
+			if written, err := st.Save(meta, payload, nil); err != nil || !written {
 				t.Fatalf("save: written=%v err=%v", written, err)
 			}
 			_, gotPayload, err := st.Load(name)

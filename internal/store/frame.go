@@ -200,14 +200,6 @@ func readCapped(r io.Reader, n int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// frameChecksum digests an encoded frame region; used by tests and
-// debugging tools, and kept here so the polynomial choice has one home.
-func frameChecksum(b []byte) uint64 {
-	h := crc64.New(crcTable)
-	h.Write(b)
-	return h.Sum64()
-}
-
 // ensure hash.Hash64 stays the interface crc64 gives us; a compile-time
 // guard against accidentally switching to a 32-bit digest.
 var _ hash.Hash64 = crc64.New(crcTable)

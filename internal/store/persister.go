@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,11 +12,13 @@ import (
 	"lagraph/internal/wal"
 )
 
-// Persister ties a catalog to a store: it knows which generation of each
-// graph is durably on disk, snapshots dirty entries (generation-counter
-// diff), and replays the store into the catalog on boot. Snapshots run
-// under the entry's shared read lock (catalog.Entry.Snapshot), so
-// concurrent queries keep executing while a graph serializes.
+// Persister ties a catalog to a store: it snapshots dirty entries and
+// replays the store and the journal into the catalog on boot. It keeps no
+// per-graph progress of its own — a graph's position is on the catalog
+// entry for what is in memory and in the store's table for what is on
+// disk, and dirty, the truncation floor and "has a baseline" compare the
+// two. Snapshots run under the entry's shared read lock
+// (catalog.Entry.Snapshot), so queries keep executing meanwhile.
 type Persister struct {
 	st  *Store
 	cat *catalog.Catalog
@@ -27,22 +28,12 @@ type Persister struct {
 	// Immutable after AttachWAL (which runs before the service starts).
 	jl *wal.Log
 
-	mu    sync.Mutex
-	saved map[string]uint64 //grblint:guardedby mu // name → generation last durably written
-	// removed counts Remove calls per name: a tombstone epoch. SnapshotOne
-	// pins the count before serializing and vetoes its store commit when a
-	// Remove interleaved, so a slow snapshot can never resurrect a graph
-	// dropped while it serialized.
+	mu sync.Mutex
+	// removed counts Remove and Reborn calls per name: a tombstone count.
+	// SnapshotOne pins it before serializing and vetoes its store commit
+	// when one interleaved, so a slow snapshot can never resurrect a graph
+	// dropped — or roll back one replaced — while it serialized.
 	removed map[string]uint64 //grblint:guardedby mu
-	// journal is each graph's durable WAL floor: the highest LSN already
-	// contained in its live snapshot. Records at or below the floor are
-	// dead for that graph; the floor across all graphs drives segment
-	// truncation.
-	journal map[string]uint64 //grblint:guardedby mu
-	// applied is each graph's in-memory WAL high-water mark (last LSN
-	// applied to the catalog entry). applied > journal means the graph
-	// has journaled mutations not yet captured by a snapshot.
-	applied map[string]uint64 //grblint:guardedby mu
 	// replayStats records what the boot-time WAL replay did.
 	replayStats ReplayStats //grblint:guardedby mu
 
@@ -53,11 +44,7 @@ type Persister struct {
 
 // NewPersister wires a store to a catalog.
 func NewPersister(st *Store, cat *catalog.Catalog) *Persister {
-	return &Persister{
-		st: st, cat: cat,
-		saved: map[string]uint64{}, removed: map[string]uint64{},
-		journal: map[string]uint64{}, applied: map[string]uint64{},
-	}
+	return &Persister{st: st, cat: cat, removed: map[string]uint64{}}
 }
 
 // Store exposes the underlying store (metrics, tests).
@@ -76,8 +63,8 @@ type SnapResult struct {
 	Generation uint64  `json:"generation"`
 	Bytes      int64   `json:"bytes"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
-	// Written is false when a concurrent snapshot of a newer generation
-	// made this one redundant.
+	// Written is false when the store already holds this position or a
+	// newer generation, or the commit was vetoed.
 	Written bool `json:"written"`
 }
 
@@ -85,10 +72,11 @@ type SnapResult struct {
 // snapshots are quarantined by the store and reported in the events; a
 // non-corruption failure (e.g. a catalog conflict) keeps the durable copy
 // and is reported without destroying state. Neither aborts the boot.
-// Recovered entries have their catalog generation seeded from the
-// snapshot's persisted generation — generations continue the durable
-// sequence across restarts instead of restarting at zero — and are marked
-// clean, so a restart does not immediately re-snapshot everything.
+// A recovered entry takes its position from the snapshot metadata:
+// generations continue the durable sequence across restarts instead of
+// restarting at zero, and the store records the same position for the
+// name, so a recovered graph is clean and a restart does not immediately
+// re-snapshot everything.
 func (p *Persister) LoadAll() ([]RecoveryEvent, error) {
 	events, err := p.st.LoadAll(func(meta Meta, payload []byte) error {
 		g, gerr := lagraph.ReadGraph(bytes.NewReader(payload))
@@ -104,11 +92,6 @@ func (p *Persister) LoadAll() ([]RecoveryEvent, error) {
 		}
 		e.SeedGeneration(meta.Generation)
 		e.SetJournalSeq(meta.Journal)
-		p.mu.Lock()
-		p.saved[meta.Name] = meta.Generation
-		p.journal[meta.Name] = meta.Journal
-		p.applied[meta.Name] = meta.Journal
-		p.mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -145,7 +128,8 @@ func (p *Persister) ReplayStats() ReplayStats {
 	return p.replayStats
 }
 
-// replayWAL applies every journal record past its graph's snapshot floor.
+// replayWAL applies every journal record past its graph's snapshot floor
+// (the journal mark LoadAll set, which each applied record advances).
 // The graph named by a record may have no snapshot (created, mutated and
 // never flushed before the crash — the service prevents this by forcing a
 // baseline snapshot before the first journaled batch, so in practice this
@@ -167,15 +151,12 @@ func (p *Persister) replayWAL() error {
 			// rather than silently diverging from the pre-crash state.
 			return fmt.Errorf("store: wal replay: record %d: %w", r.LSN, derr)
 		}
-		p.mu.Lock()
-		floor := p.journal[b.Name]
-		p.mu.Unlock()
 		e, gerr := p.cat.Get(b.Name)
 		if gerr != nil {
 			rs.SkippedUnknown++
 			return nil
 		}
-		if r.LSN <= floor {
+		if r.LSN <= e.JournalSeq() {
 			rs.SkippedFloor++
 			return nil
 		}
@@ -189,9 +170,6 @@ func (p *Persister) replayWAL() error {
 		if ierr != nil {
 			return fmt.Errorf("store: wal replay: record %d on %q: %w", r.LSN, b.Name, ierr)
 		}
-		p.mu.Lock()
-		p.applied[b.Name] = r.LSN
-		p.mu.Unlock()
 		rs.Applied++
 		return nil
 	})
@@ -225,98 +203,57 @@ func (p *Persister) JournalEdges(b EdgeBatch) (uint64, error) {
 	return lsn, nil
 }
 
-// MarkApplied records that every journal record up to lsn is applied to
-// the named graph in memory. Call after a successful apply, still under
-// the entry's exclusive lock (the catalog→store lock order permits
-// taking p.mu there; the reverse would not).
-func (p *Persister) MarkApplied(name string, lsn uint64) {
-	if lsn == 0 {
-		return
-	}
-	p.mu.Lock()
-	if lsn > p.applied[name] {
-		p.applied[name] = lsn
-	}
-	p.mu.Unlock()
-}
-
-// ResetJournalFloor overwrites the named graph's journal bookkeeping with
-// lsn, unconditionally. The cluster layer calls it when a graph changes
-// LSN space: installing a shipped snapshot on a replica (the floor moves
-// into the source primary's space) or adopting a moved graph as the new
-// primary (the floor rebases onto the local log head, because this node
-// is now the single writer and all shipped history is baked into the
-// adopted snapshot). The unconditional overwrite is the point — the old
-// value belongs to a different log and comparing against it would be
-// meaningless.
-func (p *Persister) ResetJournalFloor(name string, lsn uint64) {
-	p.mu.Lock()
-	p.journal[name] = lsn
-	p.applied[name] = lsn
-	p.mu.Unlock()
-}
-
-// HasDurable reports whether the named graph has a durable snapshot. The
-// edges handler consults it to force a baseline snapshot before the
-// FIRST journaled batch of a freshly loaded graph — without one, the
-// WAL would hold mutations for a graph recovery cannot reconstruct.
-func (p *Persister) HasDurable(name string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.saved[name]
-	return ok
-}
+// MarkApplied does nothing: the entry's journal mark (SetJournalSeq) is
+// the only record of what is applied. It is kept for its one caller,
+// bench/e2e/trace.go, which a PR outside bench/e2e may not edit.
+func (p *Persister) MarkApplied(name string, lsn uint64) {}
 
 // TruncateWAL removes journal segments made dead by snapshots: a record
-// is dead once every graph's durable floor is at or past it. Called
-// after snapshot sweeps; returns the number of segments removed.
+// is dead once every graph that journaled past its snapshot has a durable
+// floor at or past it. Replica entries are skipped — their mark counts
+// the source primary's log, not this one. Called after snapshot sweeps;
+// returns the number of segments removed.
 func (p *Persister) TruncateWAL() (int, error) {
 	if p.jl == nil {
 		return 0, nil
 	}
 	floor := p.jl.NextLSN()
-	p.mu.Lock()
-	for name, applied := range p.applied {
-		if jf := p.journal[name]; applied > jf && jf+1 < floor {
-			floor = jf + 1
+	for _, name := range p.cat.Names() {
+		e, err := p.cat.Get(name)
+		if err != nil || e.Role() == catalog.RoleReplica {
+			continue
+		}
+		if disk, _ := p.st.Position(name); e.JournalSeq() > disk.Journal && disk.Journal+1 < floor {
+			floor = disk.Journal + 1
 		}
 	}
-	p.mu.Unlock()
 	return p.jl.TruncateBefore(floor)
 }
 
-// Dirty returns the names whose in-memory generation differs from the
-// last durably saved one (including graphs never saved at all), sorted.
-// The saved map is copied under p.mu and the catalog consulted with no
-// lock held: the repo-wide lock order is catalog→store, and holding a
-// store-side mutex across a catalog call is the deadlock shape grblint's
-// lock-discipline check forbids. The copy is a consistent-enough basis —
-// a graph saved or removed mid-scan is re-classified on the next sweep.
+// Dirty returns the names whose position in memory differs from the one
+// the store holds on disk (including graphs never saved at all), sorted.
+// No store lock is held across a catalog call (the repo-wide lock order
+// is catalog→store); a graph saved or removed mid-scan is re-classified
+// on the next sweep.
 func (p *Persister) Dirty() []string {
-	p.mu.Lock()
-	saved := make(map[string]uint64, len(p.saved))
-	for name, gen := range p.saved {
-		saved[name] = gen
-	}
-	p.mu.Unlock()
 	var dirty []string
 	for _, name := range p.cat.Names() {
 		e, err := p.cat.Get(name)
 		if err != nil {
 			continue // dropped concurrently
 		}
-		if gen, ok := saved[name]; !ok || gen != e.Generation() {
+		if disk, ok := p.st.Position(name); !ok || disk != (Position{e.Generation(), e.JournalSeq()}) {
 			dirty = append(dirty, name)
 		}
 	}
-	sort.Strings(dirty)
 	return dirty
 }
 
 // SnapshotOne serializes the named graph at a pinned generation and saves
 // it durably. Queries sharing the entry's read lock keep running. The
-// save commit is vetoed if the graph is Removed while the snapshot
-// serializes, so a drop racing a flush can never resurrect the graph.
+// save commit is vetoed if the graph is Removed or Reborn while the
+// snapshot serializes, so a drop racing a flush can never resurrect the
+// graph and a replace racing one can never be rolled back by it.
 func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 	e, err := p.cat.Get(name)
 	if err != nil {
@@ -325,20 +262,6 @@ func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 	p.mu.Lock()
 	rem := p.removed[name]
 	p.mu.Unlock()
-	// A graph that has never journaled a batch must not inherit WAL
-	// records of an earlier same-name incarnation: dropping a graph
-	// deletes its floors but leaves its records in the log, so a
-	// re-created graph snapshotted with Journal 0 would have the old
-	// records replayed onto it after a crash. Fencing the entry at the
-	// current log head before the pin makes this snapshot's floor exclude
-	// every pre-existing record — none of which can belong to an
-	// incarnation that has journaled nothing yet. Replica entries are
-	// exempt: their journal mark lives in the SOURCE primary's LSN space
-	// (it is the replication position), and fencing it against the local
-	// log head would splice two unrelated LSN spaces together.
-	if p.jl != nil && e.Role() != catalog.RoleReplica {
-		e.FenceJournalSeq(p.jl.NextLSN() - 1)
-	}
 	t0 := time.Now()
 	var buf bytes.Buffer
 	info, err := e.Snapshot(&buf)
@@ -350,7 +273,7 @@ func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 		p.afterSerialize(name)
 	}
 	kind := kindString(info.Directed)
-	written, err := p.st.SaveIf(Meta{
+	written, err := p.st.Save(Meta{
 		Name: name, Kind: kind,
 		NRows: int64(info.N), NCols: int64(info.N), NVals: int64(info.NEdges),
 		Generation: info.Generation, Journal: info.Journal,
@@ -364,21 +287,6 @@ func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 	}
 	elapsed := time.Since(t0)
 	p.st.snapshotNanos.Add(int64(elapsed))
-	p.mu.Lock()
-	// Only mark the graph clean if no Remove interleaved: a vetoed save
-	// must not leave a stale saved-generation behind for a future re-add
-	// of the same name.
-	if p.removed[name] == rem {
-		if gen, ok := p.saved[name]; !ok || info.Generation > gen || written {
-			p.saved[name] = info.Generation
-		}
-		// The snapshot contains every journaled batch up to info.Journal:
-		// advance the durable floor so truncation can retire segments.
-		if info.Journal > p.journal[name] {
-			p.journal[name] = info.Journal
-		}
-	}
-	p.mu.Unlock()
 	return SnapResult{
 		Name: name, Generation: info.Generation, Bytes: int64(buf.Len()),
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond), Written: written,
@@ -409,7 +317,7 @@ func (p *Persister) FlushDirty() (FlushResult, error) {
 		}
 		res.Snapshotted = append(res.Snapshotted, sr)
 	}
-	// The sweep advanced durable floors; retire journal segments every
+	// The sweep advanced the floors on disk; retire journal segments every
 	// graph is now snapshotted past. Best-effort: a truncation failure
 	// only costs disk, not correctness.
 	if _, terr := p.TruncateWAL(); terr != nil {
@@ -421,19 +329,27 @@ func (p *Persister) FlushDirty() (FlushResult, error) {
 // Remove forgets a graph's durable copy (mirrors a catalog Drop). The
 // tombstone bump happens before the store removal, so an in-flight
 // SnapshotOne that serialized the graph before the drop is vetoed at
-// commit time no matter how the two interleave. Reports whether a
-// durable copy existed.
+// commit time no matter how the two interleave. The graph's WAL records
+// stay in the log and replay as skipped-unknown, which is exactly right
+// for a drop. Reports whether a durable copy existed.
 func (p *Persister) Remove(name string) (removed bool, err error) {
 	p.mu.Lock()
 	p.removed[name]++
-	delete(p.saved, name)
-	// Forget the graph's journal position too: a dropped graph must not
-	// pin the truncation floor (its WAL records replay as
-	// skipped-unknown, which is exactly right for a drop).
-	delete(p.journal, name)
-	delete(p.applied, name)
 	p.mu.Unlock()
 	return p.st.Remove(name)
+}
+
+// Reborn tells the persister that name now holds a graph its durable copy
+// does not describe (a load or replace; call it where the new graph
+// becomes reachable, under the entry's exclusive lock): an in-flight
+// snapshot of the previous graph is vetoed exactly as by Remove, and the
+// name has no baseline until its next snapshot. The file on disk stays,
+// so a crash before that snapshot recovers the previous graph.
+func (p *Persister) Reborn(name string) {
+	p.mu.Lock()
+	p.removed[name]++
+	p.mu.Unlock()
+	p.st.forget(name)
 }
 
 // kindString maps the graph kind onto the frame metadata vocabulary.

@@ -19,22 +19,24 @@ import (
 // which snapshot files are current.
 const manifestName = "MANIFEST"
 
-// manifestEntry records one graph's live snapshot. Epoch is the store's
-// boot epoch at the time of the write: catalog generations restart at
-// zero in every process life, so generations are only comparable between
-// entries of the same epoch. Entries adopted by a rescan carry epoch 0
-// ("unknown"), which matches no live epoch.
+// manifestEntry records one graph's live snapshot file.
 type manifestEntry struct {
 	File       string `json:"file"`
 	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch,omitempty"`
 }
 
-// manifestDoc is the manifest payload. Epoch records the boot epoch of
-// the last writer; each Open resumes from it + 1.
+// manifestDoc is the manifest payload.
 type manifestDoc struct {
-	Epoch  uint64                   `json:"epoch,omitempty"`
 	Graphs map[string]manifestEntry `json:"graphs"`
+}
+
+// Position is a graph's durable progress: the catalog generation and the
+// journal LSN one snapshot captured. The catalog entry holds the pair for
+// what is in memory (Entry.Snapshot pins both together); the store holds
+// it for what is on disk.
+type Position struct {
+	Generation uint64
+	Journal    uint64
 }
 
 // Stats aggregates store activity counters, rendered by /metrics.
@@ -53,13 +55,16 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	// epoch is this Open's boot epoch: one more than the epoch persisted
-	// by the previous life's manifest. Immutable after Open.
-	epoch uint64
-
 	mu       sync.Mutex               // guards manifest (map + file) and file shuffling
 	manifest map[string]manifestEntry //grblint:guardedby mu
 	manSeq   uint64                   //grblint:guardedby mu // manifest write sequence, stored as its Generation
+	// pos is what THIS process life knows to be on disk: filled when
+	// LoadAll recovers a snapshot and when Save commits one, emptied by
+	// Remove and Persister.Reborn, empty at Open. A name the manifest lists
+	// but pos does not is a previous life's file nothing in memory descends
+	// from: it never blocks a save, so generations of different process
+	// lives are never compared.
+	pos map[string]Position //grblint:guardedby mu
 
 	snapshots      atomic.Int64
 	snapshotBytes  atomic.Int64
@@ -78,12 +83,11 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, manifest: map[string]manifestEntry{}}
+	s := &Store{dir: dir, manifest: map[string]manifestEntry{}, pos: map[string]Position{}}
 	path := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		s.epoch = 1
 		if err := s.rescan(); err != nil {
 			return nil, err
 		}
@@ -98,9 +102,6 @@ func Open(dir string) (*Store, error) {
 			ferr = corruptf("manifest frame has kind %q", meta.Kind)
 		}
 		if ferr != nil {
-			// The previous life's epoch is unreadable; epoch 1 is safe
-			// because rescan normalizes every adopted entry to epoch 0.
-			s.epoch = 1
 			s.quarantine(path)
 			if err := s.rescan(); err != nil {
 				return nil, err
@@ -108,20 +109,12 @@ func Open(dir string) (*Store, error) {
 			break
 		}
 		s.manSeq = meta.Generation
-		s.epoch = doc.Epoch + 1
 		if doc.Graphs != nil {
 			s.manifest = doc.Graphs
 		}
 	}
 	return s, nil
 }
-
-// Epoch returns this Open's boot epoch. Generation guards apply only
-// between saves of the same epoch.
-func (s *Store) Epoch() uint64 { return s.epoch }
-
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
 
 // rescan rebuilds the manifest from the snapshot files themselves: every
 // *.snap frame that validates contributes its (name, generation), the
@@ -150,39 +143,39 @@ func (s *Store) rescan() error {
 	return s.writeManifestLocked()
 }
 
-// Save durably writes one snapshot frame and repoints the manifest at it.
-// The generation guard makes concurrent saves of the same graph safe:
-// a Save carrying an older generation than the manifest's live entry of
-// the same boot epoch is dropped rather than allowed to roll the graph
-// back. Entries persisted by a previous process life carry an older
-// epoch and never block a save: catalog generations restart at zero on
-// every boot, so cross-epoch generations are not comparable.
-func (s *Store) Save(meta Meta, payload []byte) (written bool, err error) {
-	return s.SaveIf(meta, payload, nil)
+// supersededLocked is Save's position guard: a save is dropped when this
+// life already put exactly its position on disk (nothing to write) or a
+// strictly newer generation (a stale save must not roll the graph back).
+// An equal generation at a different journal LSN IS written: the graph
+// bytes are the same but the replay floor moved, and recovery replays
+// from the floor on disk.
+//
+//grblint:locked mu
+func (s *Store) supersededLocked(meta Meta) bool {
+	cur, ok := s.pos[meta.Name]
+	return ok && (cur.Generation > meta.Generation || cur == Position{meta.Generation, meta.Journal})
 }
 
-// SaveIf is Save with a commit veto: when ok is non-nil it is consulted
+// Save durably writes one snapshot frame and repoints the manifest at it,
+// unless the position guard drops it — which makes concurrent saves of
+// the same graph safe. ok, when non-nil, is a commit veto: it is consulted
 // under the store mutex immediately before the manifest is repointed, and
 // a false return discards the write without touching the manifest. The
 // Persister uses it to keep a slow snapshot from resurrecting a graph
 // that was dropped while the snapshot serialized.
-func (s *Store) SaveIf(meta Meta, payload []byte, ok func() bool) (written bool, err error) {
+func (s *Store) Save(meta Meta, payload []byte, ok func() bool) (written bool, err error) {
 	defer func() {
 		if err != nil {
 			s.snapshotErrors.Add(1)
 		}
 	}()
 	final := snapFileName(meta.Name, meta.Generation)
-	// Idempotence: a generation already durable (or superseded) in this
-	// epoch needs no write — snapshot bytes at a given generation are
-	// deterministic, so the live file is already exactly this payload or
-	// newer.
 	s.mu.Lock()
-	if old, had := s.manifest[meta.Name]; had && old.Epoch == s.epoch && old.Generation >= meta.Generation {
-		s.mu.Unlock()
+	superseded := s.supersededLocked(meta)
+	s.mu.Unlock()
+	if superseded {
 		return false, nil
 	}
-	s.mu.Unlock()
 	if err := s.writeFileAtomic(final, meta, payload); err != nil {
 		return false, err
 	}
@@ -190,25 +183,16 @@ func (s *Store) SaveIf(meta Meta, payload []byte, ok func() bool) (written bool,
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old, had := s.manifest[meta.Name]
-	// removeFinal discards the just-written file unless the manifest's
-	// live entry already names it (a re-save of the same generation
-	// renamed identical bytes over the live file).
-	removeFinal := func() {
+	// A vetoed or superseded save discards the just-written file unless the
+	// manifest's live entry already names it (a save at the live generation
+	// renamed the same graph bytes over the live file).
+	if (ok != nil && !ok()) || s.supersededLocked(meta) {
 		if !had || old.File != final {
 			_ = os.Remove(filepath.Join(s.dir, final))
 		}
-	}
-	if ok != nil && !ok() {
-		removeFinal()
 		return false, nil
 	}
-	if had && old.Epoch == s.epoch && old.Generation >= meta.Generation {
-		// A snapshot at this generation or newer landed while this one was
-		// serializing: keep it.
-		removeFinal()
-		return false, nil
-	}
-	s.manifest[meta.Name] = manifestEntry{File: final, Generation: meta.Generation, Epoch: s.epoch}
+	s.manifest[meta.Name] = manifestEntry{File: final, Generation: meta.Generation}
 	if err := s.writeManifestLocked(); err != nil {
 		// The manifest still names the old snapshot; the new file is
 		// orphaned but harmless (a future rescan would adopt it).
@@ -221,6 +205,7 @@ func (s *Store) SaveIf(meta Meta, payload []byte, ok func() bool) (written bool,
 	if had && old.File != final {
 		_ = os.Remove(filepath.Join(s.dir, old.File))
 	}
+	s.pos[meta.Name] = Position{meta.Generation, meta.Journal}
 	s.snapshots.Add(1)
 	s.snapshotBytes.Add(int64(len(payload)))
 	return true, nil
@@ -300,6 +285,9 @@ func (s *Store) LoadAll(decode func(meta Meta, payload []byte) error) ([]Recover
 		switch {
 		case err == nil:
 			s.loads.Add(1)
+			s.mu.Lock()
+			s.pos[name] = Position{meta.Generation, meta.Journal}
+			s.mu.Unlock()
 		case errors.Is(err, ErrCorrupt):
 			ev.Quarantined = true
 			s.quarantine(path)
@@ -328,6 +316,7 @@ func (s *Store) LoadAll(decode func(meta Meta, payload []byte) error) ([]Recover
 func (s *Store) Remove(name string) (removed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.pos, name)
 	ent, ok := s.manifest[name]
 	if !ok {
 		return false, nil
@@ -341,24 +330,20 @@ func (s *Store) Remove(name string) (removed bool, err error) {
 	return true, nil
 }
 
-// Names returns the manifest's graph names, sorted.
-func (s *Store) Names() []string {
+// forget drops name's position and leaves the disk alone (Persister.Reborn).
+func (s *Store) forget(name string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.manifest))
-	for n := range s.manifest {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	delete(s.pos, name)
+	s.mu.Unlock()
 }
 
-// Generation returns the manifest's recorded generation for name.
-func (s *Store) Generation(name string) (uint64, bool) {
+// Position returns the durable position this process life loaded or saved
+// for name; ok is false when the graph in memory has no baseline on disk.
+func (s *Store) Position(name string) (pos Position, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, ok := s.manifest[name]
-	return ent.Generation, ok
+	pos, ok = s.pos[name]
+	return pos, ok
 }
 
 // Stats snapshots the store counters.
@@ -391,7 +376,7 @@ func (s *Store) quarantine(path string) {
 //grblint:locked mu
 func (s *Store) writeManifestLocked() error {
 	s.manSeq++
-	payload, err := json.Marshal(manifestDoc{Epoch: s.epoch, Graphs: s.manifest})
+	payload, err := json.Marshal(manifestDoc{Graphs: s.manifest})
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}

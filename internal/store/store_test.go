@@ -46,7 +46,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	g := testGraph(t, 5)
 	payload := graphBytes(t, g)
 	meta := Meta{Name: "g", Kind: "undirected", NRows: 32, NCols: 32, NVals: int64(g.NEdges()), Generation: 3}
-	if written, err := st.Save(meta, payload); err != nil || !written {
+	if written, err := st.Save(meta, payload, nil); err != nil || !written {
 		t.Fatalf("save: written=%v err=%v", written, err)
 	}
 	gotMeta, gotPayload, err := st.Load("g")
@@ -84,7 +84,7 @@ func TestStoreReopenSeesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "alpha", Kind: "undirected", Generation: 1}, payload); err != nil {
+	if _, err := st.Save(Meta{Name: "alpha", Kind: "undirected", Generation: 1}, payload, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +118,7 @@ func TestCrashMidWriteKeepsPreviousGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, good); err != nil {
+	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, good, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,7 +163,7 @@ func TestCorruptManifestRescues(t *testing.T) {
 		t.Fatal(err)
 	}
 	gold := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "keep", Kind: "undirected", Generation: 5}, gold); err != nil {
+	if _, err := st.Save(Meta{Name: "keep", Kind: "undirected", Generation: 5}, gold, nil); err != nil {
 		t.Fatal(err)
 	}
 	// An older generation of the same graph lingering on disk (crash
@@ -210,30 +210,51 @@ func TestCorruptManifestRescues(t *testing.T) {
 	}
 }
 
-// TestSaveGenerationGuard: a Save carrying an older generation than the
-// live manifest entry must not roll the graph back.
-func TestSaveGenerationGuard(t *testing.T) {
+// TestSavePositionGuard: a save is dropped only when the store already
+// holds exactly its position or a strictly newer generation. A stale
+// concurrent save must not roll the graph back; a save at the live
+// generation but a different journal LSN (an adoption rebasing the floor)
+// must be written, because recovery replays from the floor on disk.
+func TestSavePositionGuard(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := Meta{Name: "g", Kind: "undirected", Generation: 7, Journal: 1000}
 	newPayload := graphBytes(t, testGraph(t, 5))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 7}, newPayload); err != nil {
+	if _, err := st.Save(live, newPayload, nil); err != nil {
 		t.Fatal(err)
 	}
-	written, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 3}, graphBytes(t, testGraph(t, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written {
-		t.Fatal("stale save reported written")
+	for _, c := range []struct {
+		why     string
+		meta    Meta
+		written bool
+	}{
+		{"stale generation", Meta{Name: "g", Kind: "undirected", Generation: 3, Journal: 2000}, false},
+		{"identical position", live, false},
+		{"same generation, rebased floor", Meta{Name: "g", Kind: "undirected", Generation: 7, Journal: 0}, true},
+	} {
+		payload := newPayload
+		if c.meta.Generation != live.Generation {
+			payload = graphBytes(t, testGraph(t, 4))
+		}
+		written, err := st.Save(c.meta, payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if written != c.written {
+			t.Fatalf("%s: written=%v, want %v", c.why, written, c.written)
+		}
 	}
 	meta, payload, err := st.Load("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Generation != 7 || !bytes.Equal(payload, newPayload) {
-		t.Fatal("stale save rolled the snapshot back")
+	if meta.Generation != 7 || meta.Journal != 0 || !bytes.Equal(payload, newPayload) {
+		t.Fatalf("live snapshot is %+v, want generation 7 at the rebased floor 0", meta)
+	}
+	if pos, ok := st.Position("g"); !ok || pos != (Position{7, 0}) {
+		t.Fatalf("store position = %+v,%v, want {7 0}", pos, ok)
 	}
 }
 
@@ -358,11 +379,11 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload bit in doomed's snapshot file.
-	ent, ok := st.Generation("doomed")
+	pos, ok := st.Position("doomed")
 	if !ok {
-		t.Fatal("doomed not in manifest")
+		t.Fatal("doomed not saved")
 	}
-	path := filepath.Join(dir, snapFileName("doomed", ent))
+	path := filepath.Join(dir, snapFileName("doomed", pos.Generation))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +438,7 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 // post-recovery snapshot whose (fresh, small) generation trailed the old
 // (large) one — and a crash then rolled the graph back. Recovery now
 // seeds catalog generations from the snapshot metadata, and the store's
-// guard is scoped to one boot epoch.
+// guard compares against this life's position table only.
 func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -438,8 +459,8 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	if _, err := p1.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if gen, ok := p1.Store().Generation("g"); !ok || gen != 3 {
-		t.Fatalf("manifest generation = %d,%v, want 3", gen, ok)
+	if pos, ok := p1.Store().Position("g"); !ok || pos.Generation != 3 {
+		t.Fatalf("saved position = %+v,%v, want generation 3", pos, ok)
 	}
 
 	// Life 2: recover, replace the graph's contents, snapshot.
@@ -457,7 +478,7 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	}
 	replacement := testGraph(t, 5)
 	wantEdges := replacement.NEdges()
-	if _, err := cat2.Replace("g", replacement); err != nil {
+	if _, err := cat2.Load("g", replacement, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := p2.Dirty(); len(d) != 1 || d[0] != "g" {
@@ -486,41 +507,47 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestSaveEpochsCrossRestart pins the store-level contract behind the fix
-// above: the generation guard applies only between saves of the same boot
-// epoch, so a fresh process whose generations restarted low can still
-// overwrite a high-generation entry persisted by a previous life.
-func TestSaveEpochsCrossRestart(t *testing.T) {
+// TestPositionTableIsPerLife pins the store-level contract behind the fix
+// above: the position guard compares against what THIS process life
+// loaded or saved, never against the manifest a previous life left
+// behind. A fresh process whose generations restarted low can overwrite a
+// high-generation entry it never loaded, and one that did load it finds
+// the graph clean.
+func TestPositionTableIsPerLife(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 1 {
-		t.Fatalf("first epoch = %d, want 1", st.Epoch())
-	}
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 57}, graphBytes(t, testGraph(t, 4))); err != nil {
+	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 57, Journal: 9}, graphBytes(t, testGraph(t, 4)), nil); err != nil {
 		t.Fatal(err)
-	}
-	// Same life: the guard still blocks stale generations.
-	if written, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 3}, graphBytes(t, testGraph(t, 3))); err != nil || written {
-		t.Fatalf("same-epoch stale save: written=%v err=%v", written, err)
 	}
 
-	st2, err := Open(dir)
-	if err != nil {
+	// A life that recovers the graph holds its position: nothing is dirty.
+	cat := catalog.New()
+	p := NewPersister(Must(Open(dir)), cat)
+	if _, ok := p.Store().Position("g"); ok {
+		t.Fatal("position table not empty at Open")
+	}
+	if _, err := p.LoadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Epoch() != 2 {
-		t.Fatalf("second epoch = %d, want 2", st2.Epoch())
+	if pos, ok := p.Store().Position("g"); !ok || pos != (Position{57, 9}) {
+		t.Fatalf("position after recovery = %+v,%v, want {57 9}", pos, ok)
 	}
+	if d := p.Dirty(); len(d) != 0 {
+		t.Fatalf("recovered graph dirty at boot: %v", d)
+	}
+
+	// A life that never loaded it is not blocked by the manifest entry.
+	st2 := Must(Open(dir))
 	fresh := graphBytes(t, testGraph(t, 5))
-	written, err := st2.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, fresh)
+	written, err := st2.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !written {
-		t.Fatal("cross-epoch save blocked by the previous life's generation")
+		t.Fatal("save blocked by a previous life's manifest entry")
 	}
 	meta, payload, err := st2.Load("g")
 	if err != nil {
@@ -528,6 +555,9 @@ func TestSaveEpochsCrossRestart(t *testing.T) {
 	}
 	if meta.Generation != 1 || !bytes.Equal(payload, fresh) {
 		t.Fatalf("live snapshot is generation %d, want the new life's 1", meta.Generation)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapFileName("g", 57))); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("previous life's snapshot file not retired: %v", err)
 	}
 }
 
@@ -571,8 +601,8 @@ func TestDropDuringSnapshotDoesNotResurrect(t *testing.T) {
 	if sr.Written {
 		t.Fatalf("vetoed snapshot reported written: %+v", sr)
 	}
-	if names := st.Names(); len(names) != 0 {
-		t.Fatalf("dropped graph re-entered the manifest: %v", names)
+	if n := st.Stats().Graphs; n != 0 {
+		t.Fatalf("dropped graph re-entered the manifest: %d entries", n)
 	}
 	// No stale dirty-tracking state either: a re-add of the same name is
 	// dirty and flushable as if the name were brand new.
@@ -600,7 +630,7 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	dir := t.TempDir()
 	st := Must(Open(dir))
 	payload := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, payload); err != nil {
+	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, payload, nil); err != nil {
 		t.Fatal(err)
 	}
 	transient := errors.New("no room in the catalog today")
@@ -614,7 +644,7 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapFileName("g", 1))); err != nil {
 		t.Fatal("valid snapshot destroyed over a non-corruption error")
 	}
-	if _, ok := st.Generation("g"); !ok {
+	if st.Stats().Graphs != 1 {
 		t.Fatal("manifest entry dropped over a non-corruption error")
 	}
 	// The next attempt (here: a permissive callback) recovers normally.
@@ -625,10 +655,9 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 }
 
 // TestDirtyUnlocksBeforeCatalogScan is the regression test for the
-// Dirty() restructure: the saved-generation map is copied under p.mu and
-// the catalog consulted with no persister lock held (the repo-wide lock
-// order is catalog→store; grblint's lock-discipline check forbids the
-// inverse). It pins classification across the save/update/remove
+// Dirty() restructure: the catalog is consulted with no store-side lock
+// held (the repo-wide lock order is catalog→store; grblint's
+// lock-discipline check forbids the inverse). It pins classification across the save/update/remove
 // transitions and then hammers Dirty/FlushDirty against a concurrent
 // catalog writer — under -race, the shape that used to hold p.mu across
 // catalog calls.
@@ -713,7 +742,7 @@ func TestStoreNameEscaping(t *testing.T) {
 	hostile := []string{"../escape", "a/b/c", ".hidden", "", "name with spaces", "_5f"}
 	payload := graphBytes(t, testGraph(t, 3))
 	for i, name := range hostile {
-		if _, err := st.Save(Meta{Name: name, Kind: "undirected", Generation: uint64(i)}, payload); err != nil {
+		if _, err := st.Save(Meta{Name: name, Kind: "undirected", Generation: uint64(i)}, payload, nil); err != nil {
 			t.Fatalf("save %q: %v", name, err)
 		}
 	}

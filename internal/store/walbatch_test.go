@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lagraph/internal/catalog"
@@ -167,7 +169,7 @@ func TestApplyEdgeBatchValidatesWholeBatchFirst(t *testing.T) {
 }
 
 // ingestBatch journals and applies one batch the way the service does:
-// journal first (write-ahead), then apply, then advance the marks.
+// journal first (write-ahead), then apply, then advance the mark.
 func ingestBatch(t *testing.T, p *Persister, e *catalog.Entry, b EdgeBatch) uint64 {
 	t.Helper()
 	var lsn uint64
@@ -182,7 +184,6 @@ func ingestBatch(t *testing.T, p *Persister, e *catalog.Entry, b EdgeBatch) uint
 		}
 		if lsn > 0 {
 			e.SetJournalSeq(lsn)
-			p.MarkApplied(b.Name, lsn)
 		}
 		return true, nil
 	})
@@ -319,11 +320,12 @@ func TestWALRecordsForDroppedGraphSkipOnReplay(t *testing.T) {
 	}
 }
 
-// TestRecreatedNameFencedFromOldWALRecords: dropping a graph deletes its
-// floors but leaves its records in the WAL. A graph re-created under the
-// same name must not have the old incarnation's records replayed onto it
-// after a crash — its baseline snapshot pins a floor fenced at the log
-// head, past everything the previous incarnation journaled.
+// TestRecreatedNameFencedFromOldWALRecords: dropping a graph leaves its
+// records in the WAL. A graph re-created under the same name must not
+// have the old incarnation's records replayed onto it after a crash — it
+// is born with its journal mark at the log head (the service's birth
+// hook, mirrored here), so its baseline snapshot pins a floor past
+// everything the previous incarnation journaled.
 func TestRecreatedNameFencedFromOldWALRecords(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -357,7 +359,10 @@ func TestRecreatedNameFencedFromOldWALRecords(t *testing.T) {
 
 	// Second incarnation, same name and dims: the old records would apply
 	// cleanly here — exactly the silent-corruption shape the fence stops.
-	e2, err := cat.Add("g", testGraph(t, 4))
+	e2, err := cat.Load("g", testGraph(t, 4), false, func(e *catalog.Entry) {
+		e.SetJournalSeq(jl.NextLSN() - 1)
+		p.Reborn("g")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +398,80 @@ func TestRecreatedNameFencedFromOldWALRecords(t *testing.T) {
 	}
 	if e3.JournalSeq() != 3 {
 		t.Fatalf("recovered journal seq = %d, want 3", e3.JournalSeq())
+	}
+}
+
+// TestBootsDataDirectoryWrittenAt187c103 is the upgrade test for dropping
+// the manifest's boot epochs (CONTRIBUTING rule 9: prove compatibility
+// instead of bumping a version, since no persisted byte changes and the
+// manifest only stops writing an optional key). testdata/data-187c103 was
+// written by the code at commit 187c103: two process lives (a MANIFEST
+// whose document and entry both carry "epoch":2), one 8-vertex graph, a
+// snapshot at journal floor 1 and two journaled batches past it.
+// recovered.graph is the graph image 187c103's own recovery of that
+// directory serves. This code must boot it, replay the same records and
+// serve the same bytes.
+func TestBootsDataDirectoryWrittenAt187c103(t *testing.T) {
+	const fixture = "testdata/data-187c103"
+	dir := t.TempDir()
+	for _, f := range []string{"MANIFEST", "g-1.snap", "wal/wal-0000000000000001.seg"} {
+		data, err := os.ReadFile(filepath.Join(fixture, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f == "MANIFEST" && bytes.Count(data, []byte(`"epoch":2`)) != 2 {
+			t.Fatal("fixture manifest does not carry the boot epochs this test is about")
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, f)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(fixture, "recovered.graph"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cat := catalog.New()
+	p := NewPersister(Must(Open(dir)), cat)
+	jl, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	p.AttachWAL(jl)
+	events, err := p.LoadAll()
+	if err != nil || len(events) != 1 || events[0].Err != nil {
+		t.Fatalf("recovery: %+v, %v", events, err)
+	}
+	if rs := p.ReplayStats(); rs.Applied != 2 || rs.SkippedFloor != 1 || rs.SkippedUnknown != 0 {
+		t.Fatalf("replay = %+v, want what 187c103 replays: 2 applied, 1 below the floor", rs)
+	}
+	e := Must(cat.Get("g"))
+	var got bytes.Buffer
+	if _, err := e.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("graph recovered from the 187c103 directory differs from what 187c103 recovers")
+	}
+	// The next save rewrites the manifest without the key and a further
+	// boot still finds the graph, now clean at its new position.
+	if sr, err := p.SnapshotOne("g"); err != nil || !sr.Written {
+		t.Fatalf("snapshot after upgrade: %+v, %v", sr, err)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || bytes.Contains(data, []byte("epoch")) {
+		t.Fatalf("rewritten manifest still carries an epoch (err %v)", err)
+	}
+	p2 := NewPersister(Must(Open(dir)), catalog.New())
+	p2.AttachWAL(jl)
+	if _, err := p2.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := p2.ReplayStats(); rs.Applied != 0 || len(p2.Dirty()) != 0 {
+		t.Fatalf("second boot: replay %+v, dirty %v, want nothing to replay and nothing dirty", rs, p2.Dirty())
 	}
 }
 

@@ -117,49 +117,59 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) int {
 	batch := store.EdgeBatch{Name: e.Name(), Dup: req.Dup, Ops: ops}
 
 	// A graph with journaled mutations but no snapshot would be
-	// unrecoverable (replay has nothing to land on), so the FIRST
-	// journaled batch of a never-snapshotted graph forces a baseline
-	// snapshot. Races between two first batches are harmless: SnapshotOne
-	// is idempotent per generation.
+	// unrecoverable (replay has nothing to land on), so a batch is
+	// journaled only while the graph in memory has a baseline on disk —
+	// checked inside the critical section that journals, because a replace
+	// forgets the baseline inside the one that swaps the graph. Taking the
+	// baseline needs the read lock: step out, snapshot, retry.
 	p := s.cfg.Persister
-	if p != nil && p.WAL() != nil && !p.HasDurable(e.Name()) {
-		if _, serr := p.SnapshotOne(e.Name()); serr != nil {
-			return fail(w, fmt.Errorf("baseline snapshot before first edge batch: %w", serr))
-		}
-	}
+	journaled := p != nil && p.WAL() != nil
 
 	t0 := time.Now()
 	resp := EdgesResponse{Graph: e.Name(), Accepted: len(ops), Added: added, Removed: removed}
-	err = e.Ingest(func(g *lagraph.Graph) (bool, error) {
-		if verr := store.ValidateEdgeBatch(g, batch); verr != nil {
-			return false, verr
-		}
-		if p != nil {
-			lsn, jerr := p.JournalEdges(batch)
-			if jerr != nil {
-				return false, jerr
+	for {
+		baseline := true
+		err = e.Ingest(func(g *lagraph.Graph) (bool, error) {
+			if verr := store.ValidateEdgeBatch(g, batch); verr != nil {
+				return false, verr
 			}
-			resp.LSN = lsn
+			if journaled {
+				if _, baseline = p.Store().Position(e.Name()); !baseline {
+					return false, nil
+				}
+			}
+			if p != nil {
+				lsn, jerr := p.JournalEdges(batch)
+				if jerr != nil {
+					return false, jerr
+				}
+				resp.LSN = lsn
+			}
+			if aerr := store.ApplyEdgeBatch(g, batch); aerr != nil {
+				// Validation precedes journaling, so this is unreachable in
+				// practice; report it as mutated because a partial apply may
+				// have buffered tuples.
+				return true, aerr
+			}
+			if resp.LSN > 0 {
+				e.SetJournalSeq(resp.LSN)
+			}
+			// Declare the batch to the entry's delta log so later
+			// mode=incremental queries can prove their warm-start window
+			// insert-only (committed by Ingest after the generation bump).
+			e.StageDelta(batch.DeltaParts())
+			resp.Pending, _ = g.A.Pending()
+			return true, nil
+		})
+		if err != nil {
+			return fail(w, err)
 		}
-		if aerr := store.ApplyEdgeBatch(g, batch); aerr != nil {
-			// Validation precedes journaling, so this is unreachable in
-			// practice; report it as mutated because a partial apply may
-			// have buffered tuples.
-			return true, aerr
+		if baseline {
+			break
 		}
-		if resp.LSN > 0 {
-			e.SetJournalSeq(resp.LSN)
-			p.MarkApplied(e.Name(), resp.LSN)
+		if _, serr := p.SnapshotOne(e.Name()); serr != nil {
+			return fail(w, fmt.Errorf("baseline snapshot before first edge batch: %w", serr))
 		}
-		// Declare the batch to the entry's delta log so later
-		// mode=incremental queries can prove their warm-start window
-		// insert-only (committed by Ingest after the generation bump).
-		e.StageDelta(batch.DeltaParts())
-		resp.Pending, _ = g.A.Pending()
-		return true, nil
-	})
-	if err != nil {
-		return fail(w, err)
 	}
 	resp.Generation = e.Generation()
 	// A nonzero LSN proves the batch is in the journal, but it is durable

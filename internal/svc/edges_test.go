@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -275,6 +276,96 @@ func TestEdgesDurableCrashRecovery(t *testing.T) {
 	if postQuery.Checksum != preQuery.Checksum {
 		t.Fatalf("post-crash checksum %s != pre-crash %s (replay not identical)",
 			postQuery.Checksum, preQuery.Checksum)
+	}
+}
+
+// graphImage serializes a served graph for bitwise comparison.
+func graphImage(t *testing.T, s *Server, name string) []byte {
+	t.Helper()
+	e, err := s.cat.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBatchesReplayOntoTheGraphThatAcknowledgedThem covers the two ways a
+// name changes graphs under a journaling daemon: snapshot → batch → new
+// graph → batch → crash without a flush. Either way handleLoad gives the
+// new graph its journal mark at the log head and no baseline, so recovery
+// keeps the earlier graph's WAL records below the new snapshot's floor
+// and replays the later batch onto the graph it was acknowledged against.
+func TestBatchesReplayOntoTheGraphThatAcknowledgedThem(t *testing.T) {
+	edge := func(src, dst int) map[string]any {
+		return map[string]any{"dup": "sum", "edges": []map[string]any{{"src": src, "dst": dst, "weight": 2.5}}}
+	}
+	for _, c := range []struct {
+		name    string
+		rebirth func(t *testing.T, base string)
+		after   map[string]any
+	}{
+		// Replace is invisible to the journal: without a new floor and
+		// baseline, recovery is the pre-replace snapshot plus both batches
+		// — and vertex 60 does not exist in the 32-vertex graph, so the
+		// boot fails outright.
+		{"replace", func(t *testing.T, base string) {
+			var p catalog.Properties
+			if code := post(t, base+"/v1/graphs", map[string]any{
+				"name": "g", "undirected": true, "replace": true,
+				"generator": map[string]any{"kind": "powerlaw", "scale": 6, "edge_factor": 8, "seed": 9},
+			}, &p); code != http.StatusCreated || p.N != 64 {
+				t.Fatalf("replace: status %d, %+v", code, p)
+			}
+		}, edge(3, 60)},
+		// Same dimensions, so the dropped graph's record would apply
+		// cleanly to the new one: the PR 8 regression, at its birth site.
+		{"drop and re-create", func(t *testing.T, base string) {
+			req, err := http.NewRequest(http.MethodDelete, base+"/v1/graphs/g", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("drop: status %d", resp.StatusCode)
+			}
+			loadGraph(t, base, "g", 5)
+		}, edge(3, 30)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts, _ := newDurableServer(t, dir)
+			loadGraph(t, ts.URL, "g", 5)
+			if code := post(t, ts.URL+"/v1/graphs/g/snapshot", nil, nil); code != http.StatusOK {
+				t.Fatalf("snapshot: status %d", code)
+			}
+			batch := func(body map[string]any) {
+				t.Helper()
+				if code, resp := postEdges(t, ts.URL, "g", body); code != http.StatusOK || !resp.Durable {
+					t.Fatalf("batch %v: status %d, %+v", body, code, resp)
+				}
+			}
+			batch(edge(0, 31))
+			c.rebirth(t, ts.URL)
+			batch(c.after)
+			want := graphImage(t, s, "g")
+			ts.Close() // crash: no flush, no drain
+
+			s2, _, _ := newDurableServer(t, dir)
+			if rs := s2.Persister().ReplayStats(); rs.Applied != 1 || rs.SkippedFloor != 1 {
+				t.Fatalf("replay = %+v, want the earlier graph's batch below the floor and the later one applied", rs)
+			}
+			if !bytes.Equal(graphImage(t, s2, "g"), want) {
+				t.Fatal("recovered graph is not bitwise the pre-crash graph")
+			}
+		})
 	}
 }
 

@@ -211,14 +211,30 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return fail(w, err)
 	}
-	var e *catalog.Entry
-	if req.Replace {
-		e, err = s.cat.Replace(req.Name, g)
-	} else {
-		e, err = s.cat.Add(req.Name, g)
+	// On a journaling daemon a graph is born with its journal mark at the
+	// log head and no baseline: the floor its first snapshot pins excludes
+	// every WAL record of an earlier graph under this name (a dropped one,
+	// or the one being replaced), and handleEdges journals nothing for it
+	// until that snapshot is on disk.
+	var born func(*catalog.Entry)
+	p := s.cfg.Persister
+	journaled := p != nil && p.WAL() != nil
+	if journaled {
+		born = func(e *catalog.Entry) {
+			e.SetJournalSeq(p.WAL().NextLSN() - 1)
+			p.Reborn(req.Name)
+		}
 	}
+	e, err := s.cat.Load(req.Name, g, req.Replace, born)
 	if err != nil {
 		return fail(w, err)
+	}
+	if journaled && req.Replace {
+		// The previous graph's snapshot is still what a crash recovers;
+		// an acknowledged replace must not come back as the old graph.
+		if _, serr := p.SnapshotOne(req.Name); serr != nil {
+			return fail(w, fmt.Errorf("baseline snapshot of replaced graph: %w", serr))
+		}
 	}
 	return writeJSON(w, http.StatusCreated, e.Properties())
 }
