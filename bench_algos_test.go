@@ -271,3 +271,41 @@ func BenchmarkAblation_PendingGranularity(b *testing.B) {
 		})
 	}
 }
+
+// The write-rule ablation: one traversal level's `paths += frontier` — a
+// 256-entry update accumulated into a well-filled 1×16384 matrix — with the
+// in-place route open (FormatAuto promotes the output to the dense form and
+// scatters the update into it, O(nnz(update))) and closed (FormatCSR forbids
+// the dense form, so every write merges all of C into fresh arrays,
+// O(nnz(C))). The pair is the per-level cost difference DESIGN.md's "Storage
+// formats and kernel selection" describes.
+func benchWriteRuleInPlace(b *testing.B, f grb.Format) {
+	const n, frontier = 1 << 14, 256
+	paths := grb.MustMatrix[float64](1, n)
+	paths.SetFormat(f)
+	for j := 0; j < n; j += 2 {
+		_ = paths.SetElement(0, j, 1)
+	}
+	paths.Wait()
+	update := grb.MustMatrix[float64](1, n)
+	for k := 0; k < frontier; k++ {
+		_ = update.SetElement(0, (k*61)%n, 1)
+	}
+	update.Wait()
+	plus := grb.Plus[float64]()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := grb.AssignMatrix[float64, bool](paths, nil, plus, update, grb.All, grb.All, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblation_WriteRuleInPlace_On(b *testing.B) {
+	benchWriteRuleInPlace(b, grb.FormatAuto)
+}
+
+func BenchmarkAblation_WriteRuleInPlace_Off(b *testing.B) {
+	benchWriteRuleInPlace(b, grb.FormatCSR)
+}

@@ -64,14 +64,46 @@ func ApplyIndexVector[A, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp
 	if w.n != u.n {
 		return opErrorf("apply", ErrDimensionMismatch, "w is %d, u is %d", w.n, u.n)
 	}
-	d := desc.get()
-	ui, ux := u.materialized()
-	zi := append([]int(nil), ui...)
-	zx := make([]T, len(ux))
-	for k := range ux {
-		zx[k] = f(ux[k], ui[k], 0)
+	if mask != nil && mask.n != w.n {
+		return opErrorf("apply", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
+	d := desc.get()
+	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), true, func(x A, i int) (T, bool) { return f(x, i, 0), true })
 	return writeVectorResult(w, mask, accum, zi, zx, d)
+}
+
+// unaryRow maps the entries of one operand row through f, keeping those f
+// accepts. Like ewiseRow it walks whichever is cheaper: the operand, or —
+// when a positive mask rm bounds the output to fewer positions — the
+// mask's admitted positions, probing the operand. The result is fresh;
+// total says f accepts everything, so an operand-driven result can be
+// sized exactly.
+func unaryRow[A, T any](ru rowRef[A], rm *maskVec, total bool, f func(x A, i int) (T, bool)) ([]int, []T) {
+	var zi []int
+	var zx []T
+	emit := func(i int, x A) {
+		if y, ok := f(x, i); ok {
+			zi = append(zi, i)
+			zx = append(zx, y)
+		}
+	}
+	if rm == nil || len(rm.idx)*probeCost(ru) >= ru.span() {
+		if total && ru.nvals > 0 {
+			zi = make([]int, 0, ru.nvals)
+			zx = make([]T, 0, ru.nvals)
+		}
+		ru.each(emit)
+		return zi, zx
+	}
+	for t, i := range rm.idx {
+		if rm.val != nil && !rm.val[t] {
+			continue
+		}
+		if x, ok := ru.get(i); ok {
+			emit(i, x)
+		}
+	}
+	return zi, zx
 }
 
 // SelectMatrix computes C⟨M⟩ ⊙= A(keep), retaining only the entries for
@@ -92,15 +124,22 @@ func SelectMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 	ca := orientedCSR(a, d.TranA)
 	staging := newRowSlices[T](ca.nvecs())
 	parallelRanges(ca.nvecs(), 64, func(lo, hi int) {
+		// One slab per chunk, sized by the chunk's input: the kept entries
+		// of each row are a capped window of it, not an allocation.
+		si := make([]int, 0, ca.p[hi]-ca.p[lo])
+		sx := make([]T, 0, ca.p[hi]-ca.p[lo])
 		for k := lo; k < hi; k++ {
 			row := ca.majorOf(k)
 			ci, cx := ca.vec(k)
+			from := len(si)
 			for t := range ci {
 				if keep(cx[t], row, ci[t]) {
-					staging.idx[k] = append(staging.idx[k], ci[t])
-					staging.val[k] = append(staging.val[k], cx[t])
+					si = append(si, ci[t])
+					sx = append(sx, cx[t])
 				}
 			}
+			staging.idx[k] = si[from:len(si):len(si)]
+			staging.val[k] = sx[from:len(sx):len(sx)]
 		}
 	})
 	var z *cs[T]
@@ -120,16 +159,11 @@ func SelectVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 	if w.n != u.n {
 		return opErrorf("select", ErrDimensionMismatch, "w is %d, u is %d", w.n, u.n)
 	}
-	d := desc.get()
-	ui, ux := u.materialized()
-	var zi []int
-	var zx []T
-	for k := range ui {
-		if keep(ux[k], ui[k], 0) {
-			zi = append(zi, ui[k])
-			zx = append(zx, ux[k])
-		}
+	if mask != nil && mask.n != w.n {
+		return opErrorf("select", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
+	d := desc.get()
+	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), false, func(x T, i int) (T, bool) { return x, keep(x, i, 0) })
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 

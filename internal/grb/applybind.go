@@ -129,8 +129,7 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	}
 	is, js, xs = is[:w], js[:w], xs[:w]
 	a.nr, a.nc = nrows, ncols
-	a.csr = emptyCS[T](nrows, ncols, old.h != nil)
-	a.csc = nil
+	a.setCSR(emptyCS[T](nrows, ncols, old.h != nil))
 	if w > 0 {
 		return a.Build(is, js, xs, nil)
 	}
@@ -143,15 +142,9 @@ func (v *Vector[T]) Resize(n int) error {
 	if n < 0 {
 		return opErrorf("resize", ErrInvalidValue, "want %d", n)
 	}
-	v.Wait()
-	w := 0
-	for k := range v.idx {
-		if v.idx[k] < n {
-			v.idx[w], v.x[w] = v.idx[k], v.x[k]
-			w++
-		}
-	}
-	v.idx, v.x = v.idx[:w], v.x[:w]
+	idx, x := v.materialized()
+	w := searchFlipped(idx, n) // sorted: the survivors are a prefix
+	v.setSparse(idx[:w], x[:w])
 	v.n = n
 	return nil
 }

@@ -40,38 +40,34 @@ func AssignVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 		return nil
 	}
 
+	// With no index list the region is all of w: the plain write rule, on
+	// a copy of u's entries (the rule owns its z and may adopt it).
+	if idx == nil {
+		return writeVectorResult(w, mask, accum, append([]int(nil), ui...), append([]T(nil), ux...), d)
+	}
+
 	// General path: expand u into w-shaped z over the region, then apply
 	// the write rule restricted to the region.
-	zi := make([]int, 0, len(ui))
-	zx := make([]T, 0, len(ui))
+	type ent struct {
+		i int
+		x T
+	}
+	tmp := make([]ent, 0, len(idx))
 	region := make(map[int]struct{}, un)
-	if idx == nil {
-		zi = append(zi, ui...)
-		zx = append(zx, ux...)
-	} else {
-		type ent struct {
-			i int
-			x T
-			e bool // entry present in u
-		}
-		tmp := make([]ent, 0, len(idx))
-		ud, uok := u.dense()
-		for t, target := range idx {
-			region[target] = struct{}{}
-			if uok[t] {
-				tmp = append(tmp, ent{target, ud[t], true})
-			}
-		}
-		sort.Slice(tmp, func(a, b int) bool { return tmp[a].i < tmp[b].i })
-		for _, e := range tmp {
-			zi = append(zi, e.i)
-			zx = append(zx, e.x)
+	ud, uok := u.dense()
+	for t, target := range idx {
+		region[target] = struct{}{}
+		if uok[t] {
+			tmp = append(tmp, ent{target, ud[t]})
 		}
 	}
+	sort.Slice(tmp, func(a, b int) bool { return tmp[a].i < tmp[b].i })
+	zi := make([]int, len(tmp))
+	zx := make([]T, len(tmp))
+	for k, e := range tmp {
+		zi[k], zx[k] = e.i, e.x
+	}
 	inRegion := func(i int) bool {
-		if idx == nil {
-			return true
-		}
 		_, ok := region[i]
 		return ok
 	}
@@ -107,7 +103,7 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 			zi[i] = i
 		}
 	case idx == nil && !mv.comp && mv.val == nil:
-		zi = append(zi, mv.idx...)
+		zi = mv.idx // read only below: neither route keeps or edits zi
 	case idx == nil:
 		for i := 0; i < w.n; i++ {
 			if mv.allowed(i) {
@@ -127,14 +123,25 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 			zi = keep
 		}
 	}
+	// The scalar fills every admitted region position, so within the
+	// masked region there are no deletions; outside the region nothing
+	// changes — unless Replace sweeps the unadmitted rest of a whole-vector
+	// region. Without that sweep a dense-held w takes the scalar in place,
+	// O(admitted positions); otherwise the merge is direct.
+	w.settle()
+	if !(d.Replace && idx == nil && mv != nil) && any(mask) != any(w) {
+		if dn := w.writableDense(); dn != nil {
+			for _, i := range zi {
+				dn.put(i, s, accum)
+			}
+			w.sparseStale()
+			return nil
+		}
+	}
 	zx := make([]T, len(zi))
 	for k := range zx {
 		zx[k] = s
 	}
-
-	// The scalar fills every admitted region position, so within the
-	// masked region there are no deletions; outside the region nothing
-	// changes. Merge is therefore direct.
 	widx, wx := w.materialized()
 	ni := make([]int, 0, len(widx)+len(zi))
 	nx := make([]T, 0, len(widx)+len(zi))
@@ -176,7 +183,7 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 			k++
 		}
 	}
-	w.idx, w.x = ni, nx
+	w.setSparse(ni, nx)
 	return nil
 }
 
@@ -234,7 +241,7 @@ func writeVectorRegion[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T
 			k++
 		}
 	}
-	w.idx, w.x = ni, nx
+	w.setSparse(ni, nx)
 	return nil
 }
 
@@ -261,9 +268,16 @@ func AssignMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 		return opErrorf("assign", ErrDimensionMismatch, "A is %d×%d, region is %d×%d", a.nr, a.nc, anr, anc)
 	}
 	d := desc.get()
+	ca := a.materializedCSR()
+
+	// With no index lists the region is all of C: the plain write rule
+	// (`paths += frontier` of the batched BFS is this, with an accumulator),
+	// on a copy of A's entries (the rule owns its z and may adopt it).
+	if rows == nil && cols == nil {
+		return writeMatrixResult(c, mask, accum, ca.clone(), d)
+	}
 
 	// Expand A into a C-shaped result z.
-	ca := a.materializedCSR()
 	is := make([]int, 0, ca.nvals())
 	js := make([]int, 0, ca.nvals())
 	xs := make([]T, 0, ca.nvals())
@@ -506,8 +520,6 @@ func writeMatrixRegion[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T
 			np = append(np, len(ni))
 		}
 	}
-	c.csr = &cs[T]{nmajor: c.nr, nminor: c.nc, p: np, h: nh, i: ni, x: nx}
-	c.csc = nil
-	c.maybeConvertFormat()
+	c.setCSR(&cs[T]{nmajor: c.nr, nminor: c.nc, p: np, h: nh, i: ni, x: nx})
 	return nil
 }

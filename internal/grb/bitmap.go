@@ -1,44 +1,67 @@
 package grb
 
-// Bitmap storage (§II-A: SuiteSparse's fourth format family). A bitmap
+import "sort"
+
+// Dense storage (§II-A: SuiteSparse's bitmap/full format family). A bm
 // holds a presence flag and a value slot for every (i,j) position, giving
-// O(1) random access and perfectly contiguous row scans — the layout that
-// wins when a matrix is dense enough that compressed indices cost more
-// than they save (dense frontiers, small dense blocks of a multigrid
-// hierarchy, masks that admit most positions).
+// O(1) random access and O(1) in-place insertion, update and deletion —
+// the layout that wins when an object is dense enough that compressed
+// indices cost more than they save, and the only layout in which the
+// output write rule can cost O(nnz(z)) instead of O(nnz(C)): the growing
+// `levels`/`paths`/`delta` accumulators of a traversal are written a
+// frontier at a time, and a sorted-sparse C has to be rebuilt whole for
+// every such write.
 //
-// The bitmap is a *view*: the row-major compressed structure (Matrix.csr)
-// stays canonical for every matrix, so serialization, the store's LGSNAP
-// frames, ExtractTuples and all compressed-only kernels are format
-// transparent. Kernels that profit from O(1) access (the bitmap dot mxm,
-// element reads) consult bitmapView and fall back to compressed storage
-// when the view is absent. vxm/mxv never sweep the view: measured across
+// bm is the one dense container for both object kinds: a Vector's dense
+// form is a 1×n bm (Vector.dn), a Matrix within bitmapMaxCells may hold an
+// nr×nc one (Matrix.bmp). It is a second *form*, not a view, under a
+// two-way cache protocol:
+//
+//   - whichever form was written last is authoritative. While the dense
+//     form exists every mutation (the write rule's in-place path, pending
+//     tuples at assembly, RemoveElement) goes to it and marks the
+//     compressed form stale; a write that produces a whole new compressed
+//     result (adopt, merge) drops the dense form instead.
+//   - the stale side is rebuilt lazily: materialized()/materializedCSR()
+//     recompact the dense lanes, so every compressed-only kernel,
+//     serialization, the store's LGSNAP frames and the wire are format
+//     transparent and byte-identical. Wait() completes the compressed form
+//     too, preserving "materialize before sharing": after Wait, reads of
+//     either form are pure loads.
+//   - a dense buffer belongs to exactly one object. It is never adopted
+//     from or handed to another object (Dup copies it, Export compacts it),
+//     which is what makes mutating it in place safe: compressed arrays are
+//     shared by pointer all over the package (c.csr = z, Import/Export,
+//     the Graph caches) and are therefore never written after they are
+//     built.
+//
+// Promotion is lazy and a pure function of (cells, nvals): the write rule
+// builds the dense form of its output when denseWanted holds and the write
+// would otherwise need a merge; assembly demotes when it no longer holds.
+// A matrix read by the dot mxm gets the same form built as a cache by
+// bitmapView. vxm/mxv never sweep a dense matrix operand: measured across
 // fills from 50% to 100% the compressed pull kernel wins in both
-// orientations (EXPERIMENTS.md) — a sweep re-derives each row's occupancy
-// from the bool lane when the index arrays already encode it.
-// maybeConvertFormat drops the view and bitmapView rebuilds it under the
-// density thresholds below; mutations invalidate it exactly like the
-// column cache.
+// orientations (EXPERIMENTS.md).
 type bm[T any] struct {
 	nr, nc int
 	// b[i*nc+j] reports whether (i,j) holds a stored entry; x[i*nc+j] is
 	// its value. Rows are contiguous.
 	b []bool
 	x []T
-	// nvals mirrors the canonical structure's entry count.
+	// nvals counts the set flags.
 	nvals int
 }
 
-// Bitmap eligibility: FormatAuto builds the view only when the matrix is
-// small enough that a dense array is affordable and dense enough that it
-// pays. FormatBitmap forces the view whenever the cell count is
-// representable (the cap still applies — a 2^40-dimension bitmap is not a
-// storage format, it is an OOM).
+// Dense eligibility: an object takes the dense form only when it is small
+// enough that a dense array is affordable and dense enough that it pays.
+// FormatBitmap forces it whenever the cell count is representable (the
+// cap still applies — a 2^40-dimension bitmap is not a storage format, it
+// is an OOM).
 const (
-	// bitmapMaxCells caps nr*nc for any bitmap view (bools + values for
+	// bitmapMaxCells caps nr*nc for any dense form (bools + values for
 	// 2^22 cells of float64 ≈ 36 MiB, the outer edge of "cheap").
 	bitmapMaxCells = 1 << 22
-	// bitmapDenRatio selects the view when nvals ≥ nr*nc/bitmapDenRatio,
+	// bitmapDenRatio selects the dense form when nvals ≥ nr*nc/bitmapDenRatio,
 	// i.e. at ≥ 12.5% fill compressed indices are pure overhead.
 	bitmapDenRatio = 8
 )
@@ -52,18 +75,56 @@ func bitmapCells(nr, nc int) int {
 	return nr * nc
 }
 
-// csToBM expands a compressed structure into its bitmap view.
+// denseWanted is the promotion rule: cells is bitmapCells' answer.
+func denseWanted(cells, nvals int) bool {
+	return cells >= 0 && nvals*bitmapDenRatio >= cells
+}
+
+func newBM[T any](nr, nc int) *bm[T] {
+	return &bm[T]{nr: nr, nc: nc, b: make([]bool, nr*nc), x: make([]T, nr*nc)}
+}
+
+func (v *bm[T]) clone() *bm[T] {
+	return &bm[T]{nr: v.nr, nc: v.nc, nvals: v.nvals,
+		b: append([]bool(nil), v.b...), x: append([]T(nil), v.x...)}
+}
+
+// put stores x at cell, combining with a present value through accum
+// (nil: overwrite) — the write rule at one admitted position.
+func (v *bm[T]) put(cell int, x T, accum func(T, T) T) {
+	if !v.b[cell] {
+		v.b[cell] = true
+		v.nvals++
+	} else if accum != nil {
+		x = accum(v.x[cell], x)
+	}
+	v.x[cell] = x
+}
+
+// del removes the entry at cell if present. The value slot is zeroed so a
+// deleted pointer-typed value does not stay reachable.
+func (v *bm[T]) del(cell int) {
+	if v.b[cell] {
+		var zero T
+		v.b[cell] = false
+		v.x[cell] = zero
+		v.nvals--
+	}
+}
+
+// row returns the presence and value lanes of row i.
+func (v *bm[T]) row(i int) ([]bool, []T) {
+	return v.b[i*v.nc : (i+1)*v.nc], v.x[i*v.nc : (i+1)*v.nc]
+}
+
+// csToBM expands a compressed structure into dense form.
 func csToBM[T any](c *cs[T]) *bm[T] {
 	cells := bitmapCells(c.nmajor, c.nminor)
 	if cells < 0 {
 		return nil
 	}
-	v := &bm[T]{
-		nr: c.nmajor, nc: c.nminor,
-		b:     make([]bool, cells),
-		x:     make([]T, cells),
-		nvals: c.nvals(),
-	}
+	v := newBM[T](c.nmajor, c.nminor)
+	v.nvals = c.nvals()
 	for k := 0; k < c.nvecs(); k++ {
 		base := c.majorOf(k) * c.nminor
 		ci, cx := c.vec(k)
@@ -75,7 +136,7 @@ func csToBM[T any](c *cs[T]) *bm[T] {
 	return v
 }
 
-// bmToCS compacts a bitmap view back into standard compressed form, rows
+// bmToCS compacts dense storage back into standard compressed form, rows
 // ascending, columns ascending within each row — the unique canonical
 // order, so the round trip is exact.
 func bmToCS[T any](v *bm[T]) *cs[T] {
@@ -96,47 +157,123 @@ func bmToCS[T any](v *bm[T]) *cs[T] {
 	return c
 }
 
-// bitmapView completes pending work and returns the bitmap view, building
+// bitmapView completes pending work and returns the dense form, building
 // and caching it on first use — the exact protocol of materializedCSC, so
 // a fully-materialized matrix can be shared by concurrent readers. It
-// returns nil when the matrix is not bitmap-eligible (FormatCSR /
+// returns nil when the matrix is not dense-eligible (FormatCSR /
 // FormatHyper, too many cells, or FormatAuto below the density bar);
-// callers fall back to compressed kernels on nil. Every mutation path
-// invalidates the cache (bmp = nil) exactly like the column cache.
+// callers fall back to compressed kernels on nil.
 func (a *Matrix[T]) bitmapView() *bm[T] {
-	a.Wait()
+	a.settle()
 	a.bmpMu.Lock()
 	defer a.bmpMu.Unlock()
-	if a.bmp != nil {
-		return a.bmp
-	}
-	if !a.bitmapWanted() {
-		return nil
-	}
-	a.bmp = csToBM(a.csr)
-	return a.bmp
+	return a.writableDense()
 }
 
-// bitmapWanted reports whether the current storage qualifies for a bitmap
-// view under the configured format. Pending work must already be complete.
-func (a *Matrix[T]) bitmapWanted() bool {
-	c := a.csr
-	cells := bitmapCells(c.nmajor, c.nminor)
+// denseWantedAt is the promotion rule under the configured format: whether
+// a matrix of these dimensions holding nvals entries takes the dense form.
+func (a *Matrix[T]) denseWantedAt(nvals int) bool {
+	cells := bitmapCells(a.nr, a.nc)
 	switch a.format {
 	case FormatBitmap:
 		return cells >= 0
 	case FormatAuto:
-		return cells >= 0 && c.nvals()*bitmapDenRatio >= cells
+		return denseWanted(cells, nvals)
 	}
 	return false
 }
 
-// cachedBitmap returns the already-built bitmap view or nil, without
-// triggering a build — the cheap fast-path probe for single-element reads.
-// Pending work must already be complete.
+// cachedBitmap returns the dense form if the matrix holds one, or nil,
+// without triggering a build — the probe every dense-aware path starts
+// from. Pending work must already be complete.
 func (a *Matrix[T]) cachedBitmap() *bm[T] {
 	a.bmpMu.Lock()
 	v := a.bmp
 	a.bmpMu.Unlock()
 	return v
+}
+
+// entriesToBM expands a vector's sorted entries into its 1×n dense form.
+func entriesToBM[T any](n int, idx []int, x []T) *bm[T] {
+	v := newBM[T](1, n)
+	v.nvals = len(idx)
+	for k, i := range idx {
+		v.b[i], v.x[i] = true, x[k]
+	}
+	return v
+}
+
+// compactLanes returns the entries stored in one row's dense lanes as
+// fresh sorted arrays with room for hint entries.
+func compactLanes[T any](b []bool, x []T, hint int) ([]int, []T) {
+	idx := make([]int, 0, hint)
+	xs := make([]T, 0, hint)
+	for j, ok := range b {
+		if ok {
+			idx = append(idx, j)
+			xs = append(xs, x[j])
+		}
+	}
+	return idx, xs
+}
+
+// rowRef is one row of an operand (a Vector is its own single row) over
+// every form that is currently valid: the sorted entries when sparse is
+// set, the dense lanes when b is non-nil; at least one always is. Kernels
+// iterate the compressed entries when they have them and probe the dense
+// lanes when they have those, so an operand is never converted to be read.
+type rowRef[T any] struct {
+	idx    []int
+	x      []T
+	sparse bool
+	b      []bool
+	dx     []T
+	// nvals is the stored-entry count, or -1 for a matrix row known only
+	// by its dense lanes.
+	nvals int
+}
+
+// get returns the entry at j: O(1) on dense lanes, O(log nvals) otherwise.
+func (r rowRef[T]) get(j int) (T, bool) {
+	if r.b != nil {
+		return r.dx[j], r.b[j]
+	}
+	var zero T
+	pos := sort.SearchInts(r.idx, j)
+	if pos < len(r.idx) && r.idx[pos] == j {
+		return r.x[pos], true
+	}
+	return zero, false
+}
+
+// span is the number of steps each takes: what iterating this row costs.
+func (r rowRef[T]) span() int {
+	if r.sparse {
+		return len(r.idx)
+	}
+	return len(r.b)
+}
+
+// each visits the stored entries in ascending index order.
+func (r rowRef[T]) each(fn func(j int, x T)) {
+	if r.sparse {
+		for k, j := range r.idx {
+			fn(j, r.x[k])
+		}
+		return
+	}
+	for j, ok := range r.b {
+		if ok {
+			fn(j, r.dx[j])
+		}
+	}
+}
+
+// entries returns the stored entries as sorted arrays: the compressed ones
+// when valid (aliasing storage — read only), a fresh compaction otherwise.
+func (r rowRef[T]) entries() ([]int, []T) {
+	if r.sparse {
+		return r.idx, r.x
+	}
+	return compactLanes(r.b, r.dx, max(r.nvals, 0))
 }

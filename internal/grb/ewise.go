@@ -1,5 +1,7 @@
 package grb
 
+import mathbits "math/bits"
+
 // Element-wise operations of Table I: eWiseAdd (set union of patterns) and
 // eWiseMult (set intersection).
 
@@ -43,6 +45,115 @@ func mergeIntersect[A, B, C any](ai []int, ax []A, bi []int, bx []B, mul BinaryO
 	}
 }
 
+// probeCost is what one get on r costs, in units of one merge step.
+func probeCost[T any](r rowRef[T]) int {
+	if r.b != nil {
+		return 1
+	}
+	return 1 + mathbits.Len(uint(len(r.idx)))
+}
+
+// ewiseRow computes one output row of an element-wise operation: the
+// intersection of the operands' patterns under both, or with union set
+// their union, onlyA/onlyB supplying the value where one side is missing.
+// rm is the row's mask view when the mask is positive (a complemented mask
+// passes nil): it bounds the output pattern, so it may drive the loop.
+//
+// The row is computed by the cheapest of: merging the operands' sorted
+// entries (today's kernel, and the only choice for an unmasked union),
+// walking one operand and probing the other (intersection only), or
+// walking the mask's admitted positions and probing both — a probe being
+// O(1) on dense lanes and a binary search otherwise. Every route applies
+// the operator to the same operands at the same positions in ascending
+// order, so the choice never changes a result; a mask-driven row merely
+// omits entries the write rule would have discarded.
+func ewiseRow[A, B, T any](ra rowRef[A], rb rowRef[B], rm *maskVec, union bool,
+	both BinaryOp[A, B, T], onlyA func(A) T, onlyB func(B) T, oi *[]int, ox *[]T) {
+	const (
+		byMerge = iota
+		byA
+		byB
+		byMask
+	)
+	costA, costB := probeCost(ra), probeCost(rb)
+	best, by := ra.span()+rb.span(), byMerge
+	if rm != nil {
+		if c := len(rm.idx) * (costA + costB); c < best {
+			best, by = c, byMask
+		}
+	}
+	if !union {
+		if c := ra.span() * costB; c < best {
+			best, by = c, byA
+		}
+		if c := rb.span() * costA; c < best {
+			by = byB
+		}
+	}
+	switch by {
+	case byA:
+		ra.each(func(j int, a A) {
+			if b, ok := rb.get(j); ok {
+				*oi = append(*oi, j)
+				*ox = append(*ox, both(a, b))
+			}
+		})
+	case byB:
+		rb.each(func(j int, b B) {
+			if a, ok := ra.get(j); ok {
+				*oi = append(*oi, j)
+				*ox = append(*ox, both(a, b))
+			}
+		})
+	case byMask:
+		*oi = make([]int, 0, len(rm.idx))
+		*ox = make([]T, 0, len(rm.idx))
+		for t, j := range rm.idx {
+			if rm.val != nil && !rm.val[t] {
+				continue
+			}
+			a, okA := ra.get(j)
+			b, okB := rb.get(j)
+			switch {
+			case okA && okB:
+				*oi = append(*oi, j)
+				*ox = append(*ox, both(a, b))
+			case union && okA:
+				*oi = append(*oi, j)
+				*ox = append(*ox, onlyA(a))
+			case union && okB:
+				*oi = append(*oi, j)
+				*ox = append(*ox, onlyB(b))
+			}
+		}
+	default:
+		ai, ax := ra.entries()
+		bi, bx := rb.entries()
+		if union {
+			mergeUnion(ai, ax, bi, bx, both, onlyA, onlyB, oi, ox)
+		} else {
+			mergeIntersect(ai, ax, bi, bx, both, oi, ox)
+		}
+	}
+}
+
+// positiveRowMask returns row i's mask view when mm can drive an
+// element-wise row (it is present and not complemented), else nil.
+func positiveRowMask(mm *maskMat, i int) *maskVec {
+	if mm == nil || mm.comp {
+		return nil
+	}
+	return mm.rowMask(i)
+}
+
+// positiveMask is positiveRowMask for a vector mask.
+func positiveMask[M any](mask *Vector[M], d descValues) *maskVec {
+	if mask == nil || d.Comp {
+		return nil
+	}
+	return newMaskVec(mask, d)
+}
+
 // rowView returns the sorted entries of major index r, empty if none.
 func rowView[T any](c *cs[T], r int) ([]int, []T) {
 	k, ok := c.findMajor(r)
@@ -59,6 +170,40 @@ func orientedCSR[T any](a *Matrix[T], tran bool) *cs[T] {
 		return a.materializedCSC()
 	}
 	return a.materializedCSR()
+}
+
+// matRef is a matrix operand in row-major orientation over every form
+// that is currently valid: compressed storage c, dense storage d, or both.
+type matRef[T any] struct {
+	c *cs[T]
+	d *bm[T]
+}
+
+// rowsRef completes a's pending work and returns its rows (those of aᵀ
+// when tran is set, which only the column-major cache can supply) without
+// converting between forms.
+func rowsRef[T any](a *Matrix[T], tran bool) matRef[T] {
+	if tran {
+		return matRef[T]{c: a.materializedCSC()}
+	}
+	a.settle()
+	r := matRef[T]{d: a.cachedBitmap()}
+	if !a.csrStale {
+		r.c = a.csr
+	}
+	return r
+}
+
+func (m matRef[T]) row(i int) rowRef[T] {
+	r := rowRef[T]{nvals: -1}
+	if m.c != nil {
+		r.idx, r.x = rowView(m.c, i)
+		r.sparse, r.nvals = true, len(r.idx)
+	}
+	if m.d != nil {
+		r.b, r.dx = m.d.row(i)
+	}
+	return r
 }
 
 // unionRows returns the sorted union of the stored major indices of two
@@ -114,12 +259,11 @@ func EWiseAddMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T
 	if c.nr != nr || c.nc != nc {
 		return opErrorf("eWiseAdd", ErrDimensionMismatch, "C is %d×%d, want %d×%d", c.nr, c.nc, nr, nc)
 	}
-	ca := orientedCSR(a, d.TranA)
-	cb := orientedCSR(b, d.TranB)
+	if mask != nil && (mask.nr != nr || mask.nc != nc) {
+		return opErrorf("eWiseAdd", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, nr, nc)
+	}
 	id := Identity[T]()
-	z := ewiseCS(ca, cb, nr, nc, func(ai []int, ax []T, bi []int, bx []T, oi *[]int, ox *[]T) {
-		mergeUnion(ai, ax, bi, bx, add, id, id, oi, ox)
-	})
+	z := ewiseRows(rowsRef(a, d.TranA), rowsRef(b, d.TranB), newMaskMat(mask, d), nr, nc, true, add, id, id)
 	return writeMatrixResult(c, mask, accum, z, d)
 }
 
@@ -137,31 +281,25 @@ func EWiseMultMatrix[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum Binary
 	if c.nr != nr || c.nc != nc {
 		return opErrorf("eWiseMult", ErrDimensionMismatch, "C is %d×%d, want %d×%d", c.nr, c.nc, nr, nc)
 	}
-	ca := orientedCSR(a, d.TranA)
-	cb := orientedCSR(b, d.TranB)
-	z := ewiseCS2(ca, cb, nr, nc, func(ai []int, ax []A, bi []int, bx []B, oi *[]int, ox *[]T) {
-		mergeIntersect(ai, ax, bi, bx, mul, oi, ox)
-	})
+	if mask != nil && (mask.nr != nr || mask.nc != nc) {
+		return opErrorf("eWiseMult", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, nr, nc)
+	}
+	z := ewiseRows(rowsRef(a, d.TranA), rowsRef(b, d.TranB), newMaskMat(mask, d), nr, nc, false, mul, nil, nil)
 	return writeMatrixResult(c, mask, accum, z, d)
 }
 
-// ewiseCS runs a row-merge kernel over same-typed operands in parallel.
-func ewiseCS[T any](ca, cb *cs[T], nr, nc int, merge func(ai []int, ax []T, bi []int, bx []T, oi *[]int, ox *[]T)) *cs[T] {
-	return ewiseCS2[T, T, T](ca, cb, nr, nc, merge)
-}
-
-// ewiseCS2 is the mixed-type general form.
-func ewiseCS2[A, B, T any](ca *cs[A], cb *cs[B], nr, nc int, merge func(ai []int, ax []A, bi []int, bx []B, oi *[]int, ox *[]T)) *cs[T] {
-	hyper := ca.h != nil || cb.h != nil
-	if hyper {
-		rows := unionRows(ca, cb)
+// ewiseRows runs ewiseRow over every row that can hold output, in
+// parallel. Hypersparse operands restrict the sweep to their stored rows;
+// an operand held only densely has no row list, so all rows are visited.
+func ewiseRows[A, B, T any](ma matRef[A], mb matRef[B], mm *maskMat, nr, nc int, union bool,
+	both BinaryOp[A, B, T], onlyA func(A) T, onlyB func(B) T) *cs[T] {
+	if ma.c != nil && mb.c != nil && (ma.c.h != nil || mb.c.h != nil) {
+		rows := unionRows(ma.c, mb.c)
 		staging := newRowSlices[T](len(rows))
 		parallelRanges(len(rows), 64, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				r := rows[k]
-				ai, ax := rowView(ca, r)
-				bi, bx := rowView(cb, r)
-				merge(ai, ax, bi, bx, &staging.idx[k], &staging.val[k])
+				ewiseRow(ma.row(r), mb.row(r), positiveRowMask(mm, r), union, both, onlyA, onlyB, &staging.idx[k], &staging.val[k])
 			}
 		})
 		return staging.stitch(nr, nc, rows)
@@ -169,9 +307,7 @@ func ewiseCS2[A, B, T any](ca *cs[A], cb *cs[B], nr, nc int, merge func(ai []int
 	staging := newRowSlices[T](nr)
 	parallelRanges(nr, 256, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			ai, ax := ca.vec(r)
-			bi, bx := cb.vec(r)
-			merge(ai, ax, bi, bx, &staging.idx[r], &staging.val[r])
+			ewiseRow(ma.row(r), mb.row(r), positiveRowMask(mm, r), union, both, onlyA, onlyB, &staging.idx[r], &staging.val[r])
 		}
 	})
 	return staging.stitch(nr, nc, nil)
@@ -193,14 +329,12 @@ func EWiseUnionMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T,
 	if c.nr != nr || c.nc != nc {
 		return opErrorf("eWiseUnion", ErrDimensionMismatch, "C is %d×%d, want %d×%d", c.nr, c.nc, nr, nc)
 	}
-	ca := orientedCSR(a, d.TranA)
-	cb := orientedCSR(b, d.TranB)
-	z := ewiseCS(ca, cb, nr, nc, func(ai []int, ax []T, bi []int, bx []T, oi *[]int, ox *[]T) {
-		mergeUnion(ai, ax, bi, bx, add,
-			func(x T) T { return add(x, beta) },
-			func(y T) T { return add(alpha, y) },
-			oi, ox)
-	})
+	if mask != nil && (mask.nr != nr || mask.nc != nc) {
+		return opErrorf("eWiseUnion", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, nr, nc)
+	}
+	z := ewiseRows(rowsRef(a, d.TranA), rowsRef(b, d.TranB), newMaskMat(mask, d), nr, nc, true, add,
+		func(x T) T { return add(x, beta) },
+		func(y T) T { return add(alpha, y) })
 	return writeMatrixResult(c, mask, accum, z, d)
 }
 
@@ -213,12 +347,13 @@ func EWiseUnionVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T,
 	if u.n != v.n || w.n != u.n {
 		return opErrorf("eWiseUnion", ErrDimensionMismatch, "w is %d, u is %d, v is %d", w.n, u.n, v.n)
 	}
+	if mask != nil && mask.n != w.n {
+		return opErrorf("eWiseUnion", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
+	}
 	d := desc.get()
-	ui, ux := u.materialized()
-	vi, vx := v.materialized()
 	var zi []int
 	var zx []T
-	mergeUnion(ui, ux, vi, vx, add,
+	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), true, add,
 		func(x T) T { return add(x, beta) },
 		func(y T) T { return add(alpha, y) },
 		&zi, &zx)
@@ -233,13 +368,14 @@ func EWiseAddVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T
 	if u.n != v.n || w.n != u.n {
 		return opErrorf("eWiseAdd", ErrDimensionMismatch, "w is %d, u is %d, v is %d", w.n, u.n, v.n)
 	}
+	if mask != nil && mask.n != w.n {
+		return opErrorf("eWiseAdd", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
+	}
 	d := desc.get()
-	ui, ux := u.materialized()
-	vi, vx := v.materialized()
 	var zi []int
 	var zx []T
 	id := Identity[T]()
-	mergeUnion(ui, ux, vi, vx, add, id, id, &zi, &zx)
+	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), true, add, id, id, &zi, &zx)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 
@@ -252,11 +388,12 @@ func EWiseMultVector[A, B, T, M any](w *Vector[T], mask *Vector[M], accum Binary
 	if u.n != v.n || w.n != u.n {
 		return opErrorf("eWiseMult", ErrDimensionMismatch, "w is %d, u is %d, v is %d", w.n, u.n, v.n)
 	}
+	if mask != nil && mask.n != w.n {
+		return opErrorf("eWiseMult", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
+	}
 	d := desc.get()
-	ui, ux := u.materialized()
-	vi, vx := v.materialized()
 	var zi []int
 	var zx []T
-	mergeIntersect(ui, ux, vi, vx, mul, &zi, &zx)
+	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), false, mul, nil, nil, &zi, &zx)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }

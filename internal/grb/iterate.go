@@ -38,9 +38,9 @@ func (a *Matrix[T]) IterateRow(i int, fn func(j int, x T) bool) error {
 // Iterate calls fn for every stored entry in index order, stopping early
 // if fn returns false.
 func (v *Vector[T]) Iterate(fn func(i int, x T) bool) {
-	v.Wait()
-	for k, i := range v.idx {
-		if !fn(i, v.x[k]) {
+	idx, x := v.materialized()
+	for k, i := range idx {
+		if !fn(i, x[k]) {
 			return
 		}
 	}

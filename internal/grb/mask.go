@@ -1,39 +1,70 @@
 package grb
 
-import "sort"
+import (
+	mathbits "math/bits"
+	"sort"
+)
 
 // maskVec is a type-erased view of a vector used as a write mask. The nil
 // pointer admits every index. By default the mask is structural (a stored
 // entry admits the index); bool-valued masks with value semantics also
 // require the stored value to be true. Comp inverts the admission.
+//
+// A dense-held mask is probed on its dense lanes in O(1). Its sorted
+// pattern is held as well unless the mask is complemented: a complement is
+// only ever probed, never enumerated, so the `levels`/`paths` masks of a
+// traversal — written in place every level — are never recompacted.
 type maskVec struct {
 	n    int
-	idx  []int
-	val  []bool // nil means every stored entry counts as true
+	idx  []int  // sorted stored indices; nil for a complemented dense-held mask
+	val  []bool // parallel to idx; nil means every stored entry counts as true
 	comp bool
+	// db[i] reports a stored entry at i and dv[i] its truth value (nil dv:
+	// every stored entry is true); both nil unless the mask is dense-held.
+	db, dv []bool
+	// nstored is the stored-entry count, -1 for a matrix row known only by
+	// its dense lanes.
+	nstored int
 }
 
-// newMaskVec builds a mask view over m, materializing it first. A nil m
-// yields a nil view (no mask). When the descriptor requests value
+// newMaskVec builds a mask view over m, completing its pending work first.
+// A nil m yields a nil view (no mask). When the descriptor requests value
 // semantics and M is bool, stored values are honoured.
 func newMaskVec[M any](m *Vector[M], d descValues) *maskVec {
 	if m == nil {
 		return nil
 	}
-	idx, xs := m.materialized()
-	mv := &maskVec{n: m.n, idx: idx, comp: d.Comp}
-	if d.MaskValue {
-		if bs, ok := any(xs).([]bool); ok {
-			mv.val = bs
+	r := m.ref()
+	mv := &maskVec{n: m.n, comp: d.Comp, nstored: r.nvals}
+	if r.b != nil {
+		mv.db = r.b
+		if d.MaskValue {
+			mv.dv, _ = any(r.dx).([]bool)
 		}
+		if d.Comp {
+			return mv
+		}
+	}
+	idx, xs := m.materialized()
+	mv.idx = idx
+	if d.MaskValue {
+		mv.val, _ = any(xs).([]bool)
 	}
 	return mv
 }
 
-// allowed reports whether index i may be written. O(log nvals).
+// allowed reports whether index i may be written: O(1) on dense lanes,
+// O(log nvals) otherwise.
 func (m *maskVec) allowed(i int) bool {
 	if m == nil {
 		return true
+	}
+	if m.db != nil {
+		in := m.db[i]
+		if in && m.dv != nil {
+			in = m.dv[i]
+		}
+		return in != m.comp
 	}
 	pos := sort.SearchInts(m.idx, i)
 	in := pos < len(m.idx) && m.idx[pos] == i
@@ -49,6 +80,9 @@ func (m *maskVec) cursor() func(i int) bool {
 	if m == nil {
 		return func(int) bool { return true }
 	}
+	if m.db != nil {
+		return m.allowed
+	}
 	k := 0
 	return func(i int) bool {
 		for k < len(m.idx) && m.idx[k] < i {
@@ -62,53 +96,22 @@ func (m *maskVec) cursor() func(i int) bool {
 	}
 }
 
-// bitmap scatters the mask into a dense admission bitmap of length n.
-func (m *maskVec) bitmap(n int) []bool {
-	b := make([]bool, n)
-	if m == nil {
-		for i := range b {
-			b[i] = true
-		}
-		return b
+// tester returns an admission test for about k queries in ascending order:
+// O(1) probes on dense lanes, otherwise whichever of a cursor walk
+// (O(nvals) in total) and binary search (O(log nvals) per query) is
+// cheaper — so filtering a small result through a large sparse mask costs
+// what the result does.
+func (m *maskVec) tester(k int) func(i int) bool {
+	if m != nil && m.db == nil && k*mathbits.Len(uint(len(m.idx))) < len(m.idx) {
+		return m.allowed
 	}
-	for k, i := range m.idx {
-		t := true
-		if m.val != nil {
-			t = m.val[k]
-		}
-		b[i] = t
-	}
-	if m.comp {
-		for i := range b {
-			b[i] = !b[i]
-		}
-	}
-	return b
-}
-
-// countAllowed returns how many of the n indices are admitted.
-func (m *maskVec) countAllowed(n int) int {
-	if m == nil {
-		return n
-	}
-	stored := 0
-	if m.val == nil {
-		stored = len(m.idx)
-	} else {
-		for _, t := range m.val {
-			if t {
-				stored++
-			}
-		}
-	}
-	if m.comp {
-		return n - stored
-	}
-	return stored
+	return m.cursor()
 }
 
 // maskMat is a type-erased row-oriented view of a matrix used as a write
-// mask. The nil pointer admits every position.
+// mask. The nil pointer admits every position. Like maskVec it carries the
+// dense lanes of a dense-held mask, and omits the compressed pattern when
+// such a mask is complemented.
 type maskMat struct {
 	nr, nc int
 	// row returns the admitted column pattern of row i: sorted column
@@ -118,6 +121,9 @@ type maskMat struct {
 	// majors lists the stored row indices (ascending).
 	majors func() []int
 	comp   bool
+	// db and dv are the nr·nc dense lanes (see maskVec), nil unless the
+	// mask is dense-held; row and majors are nil when only they are held.
+	db, dv []bool
 }
 
 // iterate visits every stored mask position with its admission value
@@ -135,44 +141,50 @@ func (m *maskMat) iterate(fn func(i, j int, admit bool)) {
 	}
 }
 
-// newMaskMat builds a mask view over m (materializing it). Value semantics
-// are honoured for bool matrices when requested by the descriptor.
+// newMaskMat builds a mask view over m (completing its pending work).
+// Value semantics are honoured for bool matrices when requested by the
+// descriptor.
 func newMaskMat[M any](m *Matrix[M], d descValues) *maskMat {
 	if m == nil {
 		return nil
 	}
-	c := m.materializedCSR()
-	valued := false
-	var bx []bool
-	if d.MaskValue {
-		if bs, ok := any(c.x).([]bool); ok {
-			valued, bx = true, bs
+	m.settle()
+	mm := &maskMat{nr: m.nr, nc: m.nc, comp: d.Comp}
+	if v := m.cachedBitmap(); v != nil {
+		mm.db = v.b
+		if d.MaskValue {
+			mm.dv, _ = any(v.x).([]bool)
+		}
+		if d.Comp {
+			return mm
 		}
 	}
-	return &maskMat{
-		nr: m.nr, nc: m.nc,
-		comp: d.Comp,
-		row: func(i int) ([]int, []bool) {
-			k, ok := c.findMajor(i)
-			if !ok {
-				return nil, nil
-			}
-			lo, hi := c.p[k], c.p[k+1]
-			if valued {
-				return c.i[lo:hi], bx[lo:hi]
-			}
-			return c.i[lo:hi], nil
-		},
-		majors: func() []int {
-			out := make([]int, 0, c.nvecs())
-			for k := 0; k < c.nvecs(); k++ {
-				if c.p[k+1] > c.p[k] {
-					out = append(out, c.majorOf(k))
-				}
-			}
-			return out
-		},
+	c := m.materializedCSR()
+	var bx []bool
+	if d.MaskValue {
+		bx, _ = any(c.x).([]bool)
 	}
+	mm.row = func(i int) ([]int, []bool) {
+		k, ok := c.findMajor(i)
+		if !ok {
+			return nil, nil
+		}
+		lo, hi := c.p[k], c.p[k+1]
+		if bx != nil {
+			return c.i[lo:hi], bx[lo:hi]
+		}
+		return c.i[lo:hi], nil
+	}
+	mm.majors = func() []int {
+		out := make([]int, 0, c.nvecs())
+		for k := 0; k < c.nvecs(); k++ {
+			if c.p[k+1] > c.p[k] {
+				out = append(out, c.majorOf(k))
+			}
+		}
+		return out
+	}
+	return mm
 }
 
 // rowMask returns the admission view of one row of the matrix mask.
@@ -180,6 +192,16 @@ func (m *maskMat) rowMask(i int) *maskVec {
 	if m == nil {
 		return nil
 	}
-	idx, val := m.row(i)
-	return &maskVec{n: m.nc, idx: idx, val: val, comp: m.comp}
+	mv := &maskVec{n: m.nc, comp: m.comp, nstored: -1}
+	if m.db != nil {
+		mv.db = m.db[i*m.nc : (i+1)*m.nc]
+		if m.dv != nil {
+			mv.dv = m.dv[i*m.nc : (i+1)*m.nc]
+		}
+	}
+	if m.row != nil {
+		mv.idx, mv.val = m.row(i)
+		mv.nstored = len(mv.idx)
+	}
+	return mv
 }

@@ -21,13 +21,14 @@ const (
 	// represented, O(nvals) memory, so matrices of enormous dimension can
 	// be created as long as nvals << nrows (paper §II-A).
 	FormatHyper
-	// FormatBitmap additionally maintains a dense bitmap view (a presence
-	// flag plus a value slot for every position, O(nrows·ncols) memory)
-	// next to the compressed storage, giving kernels O(1) random access —
-	// the layout that wins for dense frontiers and small dense blocks.
-	// Honored only while nrows·ncols is within bitmapMaxCells; the
-	// compressed structure remains canonical, so serialization, export,
-	// and the store's snapshot frames are unchanged by this format.
+	// FormatBitmap holds the matrix in dense form (a presence flag plus a
+	// value slot for every position, O(nrows·ncols) memory) whatever its
+	// fill, giving kernels O(1) random access and the write rule an
+	// in-place path — the layout that wins for dense frontiers and small
+	// dense blocks. Honored only while nrows·ncols is within
+	// bitmapMaxCells; the compressed structure is rebuilt on demand, so
+	// serialization, export, and the store's snapshot frames are unchanged
+	// by this format.
 	FormatBitmap
 )
 
@@ -118,11 +119,15 @@ type tuple[T any] struct {
 type Matrix[T any] struct {
 	nr, nc int
 	format Format
-	csr    *cs[T] // primary storage, row-major; never nil after init
+	csr    *cs[T] // row-major compressed form; nil while csrStale
 	csc    *cs[T] // column-major cache; nil when stale
 	cscMu  sync.Mutex
-	bmp    *bm[T] // dense bitmap view cache; nil when stale or ineligible
-	bmpMu  sync.Mutex
+	// bmp is the dense form (bitmap.go) or nil. While it exists every
+	// mutation goes to it; csrStale then says the compressed form is out
+	// of date (and released) until materializedCSR recompacts it.
+	bmp      *bm[T]
+	bmpMu    sync.Mutex
+	csrStale bool
 
 	pend   []tuple[T]
 	pendOp func(T, T) T // nil means "last value wins"
@@ -163,16 +168,29 @@ func (a *Matrix[T]) Ncols() int { return a.nc }
 // Nvals returns the number of stored entries, forcing pending work to
 // complete first.
 func (a *Matrix[T]) Nvals() int {
-	c := a.materializedCSR()
-	return c.nvals()
+	a.settle()
+	return a.nvalsSettled()
+}
+
+// nvalsSettled reads the entry count off whichever form is authoritative.
+// Pending work must already be complete.
+func (a *Matrix[T]) nvalsSettled() int {
+	if a.csrStale {
+		return a.bmp.nvals
+	}
+	return a.csr.nvals()
 }
 
 // SetFormat selects the storage layout, converting immediately when the
 // matrix has no pending work (otherwise at the next materialization).
 func (a *Matrix[T]) SetFormat(f Format) {
 	a.format = f
+	if a.cachedBitmap() != nil {
+		a.Wait() // a dense-held matrix converts through its compressed form
+		a.bmp = nil
+	}
 	if a.nzomb == 0 && len(a.pend) == 0 {
-		a.maybeConvertFormat()
+		a.normalizeCSR()
 	}
 }
 
@@ -180,7 +198,7 @@ func (a *Matrix[T]) SetFormat(f Format) {
 func (a *Matrix[T]) Clear() {
 	a.csr = emptyCS[T](a.nr, a.nc, a.format == FormatHyper)
 	a.csc = nil
-	a.bmp = nil
+	a.bmp, a.csrStale = nil, false
 	a.pend = nil
 	a.pendOp = nil
 	a.nzomb = 0
@@ -188,8 +206,13 @@ func (a *Matrix[T]) Clear() {
 
 // Dup returns a deep copy.
 func (a *Matrix[T]) Dup() *Matrix[T] {
-	a.Wait()
-	b := &Matrix[T]{nr: a.nr, nc: a.nc, format: a.format, csr: a.csr.clone()}
+	a.settle()
+	b := &Matrix[T]{nr: a.nr, nc: a.nc, format: a.format, csrStale: a.csrStale}
+	if a.csrStale {
+		b.bmp = a.bmp.clone()
+	} else {
+		b.csr = a.csr.clone()
+	}
 	return b
 }
 
@@ -217,7 +240,6 @@ func (a *Matrix[T]) SetElement(i, j int, x T) error {
 	}
 	a.pend = append(a.pend, tuple[T]{i, j, x})
 	a.csc = nil
-	a.bmp = nil
 	return nil
 }
 
@@ -275,7 +297,6 @@ func (a *Matrix[T]) SetElements(is, js []int, xs []T, dup BinaryOp[T, T, T]) err
 		a.pend = append(a.pend, tuple[T]{is[k], js[k], xs[k]})
 	}
 	a.csc = nil
-	a.bmp = nil
 	return nil
 }
 
@@ -289,7 +310,6 @@ func (a *Matrix[T]) accumElement(i, j int, x T, op func(T, T) T) {
 	a.pendOp = op
 	a.pend = append(a.pend, tuple[T]{i, j, x})
 	a.csc = nil
-	a.bmp = nil
 }
 
 // MergeElement buffers a(i,j) ← op(a(i,j), x) (or a(i,j)=x if absent)
@@ -313,7 +333,13 @@ func (a *Matrix[T]) RemoveElement(i, j int) error {
 		return ErrIndexOutOfBounds
 	}
 	if len(a.pend) > 0 {
-		a.Wait()
+		a.settle()
+	}
+	if a.bmp != nil {
+		a.bmp.del(i*a.nc + j)
+		a.markCSRStale()
+		a.maybeDemote()
+		return nil
 	}
 	c := a.csr
 	k, ok := c.findMajor(i)
@@ -326,7 +352,6 @@ func (a *Matrix[T]) RemoveElement(i, j int) error {
 		c.i[pos] = ^j // flip: zombie
 		a.nzomb++
 		a.csc = nil
-		a.bmp = nil
 	}
 	return nil
 }
@@ -338,13 +363,14 @@ func (a *Matrix[T]) GetElement(i, j int) (T, error) {
 	if i < 0 || i >= a.nr || j < 0 || j >= a.nc {
 		return zero, ErrIndexOutOfBounds
 	}
-	c := a.materializedCSR()
+	a.settle()
 	if v := a.cachedBitmap(); v != nil { // O(1) random access, the bitmap's specialty
 		if v.b[i*v.nc+j] {
 			return v.x[i*v.nc+j], nil
 		}
 		return zero, ErrNoValue
 	}
+	c := a.materializedCSR()
 	k, ok := c.findMajor(i)
 	if !ok {
 		return zero, ErrNoValue
@@ -363,12 +389,26 @@ func (a *Matrix[T]) Pending() (tuples, zombies int) {
 	return len(a.pend), a.nzomb
 }
 
-// Wait forces all pending work to complete: zombies are reclaimed and
-// pending tuples assembled in a single O(n + e + p log p) pass. With an
-// observer installed, each non-trivial assembly emits an op record; the
-// no-pending early return stays allocation-free either way (it is on the
-// hot path of every whole-matrix operation).
+// Wait forces all pending work to complete — zombies are reclaimed and
+// pending tuples assembled in a single O(n + e + p log p) pass — and
+// recompacts the compressed form when the dense one was written last, so
+// that every later read is a pure load and the matrix can be shared by
+// concurrent readers.
 func (a *Matrix[T]) Wait() {
+	a.settle()
+	if a.csrStale {
+		a.csr = bmToCS(a.bmp)
+		a.csrStale = false
+		a.normalizeCSR()
+	}
+}
+
+// settle completes pending work in whichever form is authoritative,
+// without converting between forms — what every dense-aware path calls
+// instead of Wait. With an observer installed, each non-trivial assembly
+// emits an op record; the no-pending early return stays allocation-free
+// either way (it is on the hot path of every whole-matrix operation).
+func (a *Matrix[T]) settle() {
 	if a.nzomb == 0 && len(a.pend) == 0 {
 		return
 	}
@@ -383,10 +423,44 @@ func (a *Matrix[T]) Wait() {
 	ob.Op(obs.OpRecord{
 		Op: "wait", Kernel: "assemble",
 		Rows: a.nr, Cols: a.nc,
-		NnzOut:  a.csr.nvals(),
+		NnzOut:  a.nvalsSettled(),
 		Pending: pending, Zombies: zombies,
 		DurNanos: ob.Now() - t0,
 	})
+}
+
+// setCSR installs freshly built compressed storage, which becomes the only
+// form: the caches are dropped and the layout normalized.
+func (a *Matrix[T]) setCSR(c *cs[T]) {
+	a.csr, a.csrStale = c, false
+	a.csc = nil
+	a.bmp = nil
+	a.normalizeCSR()
+}
+
+// markCSRStale records an in-place write to the dense form: the compressed
+// storage is out of date and released.
+func (a *Matrix[T]) markCSRStale() {
+	a.csr, a.csrStale = nil, true
+	a.csc = nil
+}
+
+// writableDense returns the dense form, promoting a settled
+// compressed-only matrix when the promotion rule holds, or nil: for an
+// in-place write, and (under bmpMu) as bitmapView's read cache.
+func (a *Matrix[T]) writableDense() *bm[T] {
+	if a.bmp == nil && a.denseWantedAt(a.csr.nvals()) {
+		a.bmp = csToBM(a.csr)
+	}
+	return a.bmp
+}
+
+// maybeDemote drops a dense form the promotion rule no longer justifies.
+func (a *Matrix[T]) maybeDemote() {
+	if a.bmp != nil && !a.denseWantedAt(a.bmp.nvals) {
+		a.Wait()
+		a.bmp = nil
+	}
 }
 
 // assemble is Wait's worker: it must only run with pending work present.
@@ -398,6 +472,15 @@ func (a *Matrix[T]) assemble() {
 	a.pendOp = nil
 	nz := a.nzomb
 	a.nzomb = 0
+
+	if d := a.bmp; d != nil {
+		for _, t := range combinePending(sortPendingTuples(pend), op) {
+			d.put(t.i*d.nc+t.j, t.x, op)
+		}
+		a.markCSRStale()
+		a.maybeDemote()
+		return
+	}
 
 	// Fast path: assembling pending tuples into an empty matrix is
 	// exactly a Build — this is what makes "a sequence of e SetElement
@@ -417,31 +500,12 @@ func (a *Matrix[T]) assemble() {
 		if err != nil {
 			panic("grb: internal assembly error")
 		}
-		a.csr = c
-		a.csc = nil
-		a.maybeConvertFormat()
+		a.setCSR(c)
 		return
 	}
 
 	// Sort pending tuples by (i,j), stable so that later updates win.
-	pend = sortPendingTuples(pend)
-	// Combine duplicate pending tuples.
-	if len(pend) > 1 {
-		w := 0
-		for r := 1; r < len(pend); r++ {
-			if pend[r].i == pend[w].i && pend[r].j == pend[w].j {
-				if op != nil {
-					pend[w].x = op(pend[w].x, pend[r].x)
-				} else {
-					pend[w].x = pend[r].x
-				}
-			} else {
-				w++
-				pend[w] = pend[r]
-			}
-		}
-		pend = pend[:w+1]
-	}
+	pend = combinePending(sortPendingTuples(pend), op)
 
 	est := old.nvals() - nz + len(pend)
 	ni := make([]int, 0, est)
@@ -535,23 +599,42 @@ func (a *Matrix[T]) assemble() {
 		}
 	}
 
-	a.csr = &cs[T]{nmajor: old.nmajor, nminor: old.nminor, p: np, h: nh, i: ni, x: nx}
-	a.csc = nil
-	a.maybeConvertFormat()
+	a.setCSR(&cs[T]{nmajor: old.nmajor, nminor: old.nminor, p: np, h: nh, i: ni, x: nx})
 }
 
-// maybeConvertFormat moves between standard and hypersparse CSR according
-// to the configured format and, for FormatAuto, the fill heuristic. It
-// also drops the bitmap view — every caller has just replaced the
-// canonical storage — leaving bitmapView to rebuild it lazily on demand.
-func (a *Matrix[T]) maybeConvertFormat() {
-	a.bmp = nil
+// combinePending folds runs of sorted pending tuples that share a position
+// into one, left to right: op combines them, nil op keeps the last.
+func combinePending[T any](pend []tuple[T], op func(T, T) T) []tuple[T] {
+	if len(pend) < 2 {
+		return pend
+	}
+	w := 0
+	for r := 1; r < len(pend); r++ {
+		if pend[r].i == pend[w].i && pend[r].j == pend[w].j {
+			if op != nil {
+				pend[w].x = op(pend[w].x, pend[r].x)
+			} else {
+				pend[w].x = pend[r].x
+			}
+		} else {
+			w++
+			pend[w] = pend[r]
+		}
+	}
+	return pend[:w+1]
+}
+
+// normalizeCSR moves the compressed form between standard and hypersparse
+// layout according to the configured format and, for FormatAuto, the fill
+// heuristic — a pure function of the content, so a matrix recompacted from
+// its dense form serializes to the same bytes as its compressed twin.
+func (a *Matrix[T]) normalizeCSR() {
 	c := a.csr
 	switch a.format {
 	case FormatCSR, FormatBitmap:
-		// The bitmap view rides on standard CSR: bitmap-eligible matrices
-		// are small (≤ bitmapMaxCells cells) and dense, the opposite of
-		// the hypersparse regime.
+		// A dense-held matrix recompacts to standard CSR: dense-eligible
+		// matrices are small (≤ bitmapMaxCells cells) and dense, the
+		// opposite of the hypersparse regime.
 		if c.h != nil {
 			a.csr = hyperToStandard(c)
 		}
@@ -617,19 +700,15 @@ func (a *Matrix[T]) Build(is, js []int, xs []T, dup BinaryOp[T, T, T]) error {
 			return opErrorf("build", ErrIndexOutOfBounds, "tuple (%d,%d), matrix is %d×%d", is[k], js[k], a.nr, a.nc)
 		}
 	}
-	// Build requires an empty matrix; staleness is unobservable because the
-	// stored-entry read is paired with the pending-buffer check, and the
-	// raw csr read is safe because every format keeps csr canonical.
-	if a.csr.nvals() != 0 || len(a.pend) > 0 { //grblint:ignore pending-tuples,format-invariants: read paired with pend check; csr is canonical in every format
+	// Build requires an empty matrix (buffered updates count as content).
+	if len(a.pend) > 0 || a.Nvals() != 0 {
 		return opErrorf("build", ErrInvalidValue, "matrix is not empty")
 	}
 	c, err := assembleCS(a.nr, a.nc, is, js, xs, dup)
 	if err != nil {
 		return err
 	}
-	a.csr = c
-	a.csc = nil
-	a.maybeConvertFormat()
+	a.setCSR(c)
 	return nil
 }
 
@@ -673,7 +752,7 @@ func sortPendingTuples[T any](pend []tuple[T]) []tuple[T] {
 
 // assembleCS sorts tuples by (major, minor), combines duplicates, and
 // compresses them into hypersparse form (standard form is derived later by
-// maybeConvertFormat if appropriate). The tuple sort — the dominant cost
+// normalizeCSR if appropriate). The tuple sort — the dominant cost
 // of batch build — runs as a parallel chunk sort plus multiway merge,
 // keeping §II-A's "as fast as batch build" property at scale.
 func assembleCS[T any](nmajor, nminor int, is, js []int, xs []T, dup BinaryOp[T, T, T]) (*cs[T], error) {

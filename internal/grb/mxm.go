@@ -1,6 +1,10 @@
 package grb
 
-import "lagraph/internal/obs"
+import (
+	"sort"
+
+	"lagraph/internal/obs"
+)
 
 // MxM: C⟨M⟩ ⊙= A ⊕.⊗ B, with the three kernel families of §II-A:
 //
@@ -86,7 +90,8 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 		z = mxmGustavson(ca, cb, s, mm, ar, bc, st)
 		kernel = "gustavson"
 	}
-	err := writeMatrixResult(c, mask, accum, z, d)
+	nnzOut := z.nvals() // before the write: the adopt route compacts z in place
+	route, err := writeMatrixRouted(c, mask, accum, z, d)
 	if ob != nil && err == nil {
 		// The saxpy-family estimate pads each stored A row by one; the
 		// exact multiply count is the estimate minus that padding. Dot
@@ -100,8 +105,8 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 		ob.Op(obs.OpRecord{
 			Op: "mxm", Kernel: kernel, Policy: policy,
 			Rows: ar, Cols: bc,
-			NnzA: ca.nvals(), NnzB: nnzB, NnzOut: z.nvals(),
-			Masked:   mask != nil,
+			NnzA: ca.nvals(), NnzB: nnzB, NnzOut: nnzOut,
+			Masked: mask != nil, Write: route,
 			EstFlops: st.estFlops, ActFlops: act,
 			Chunks: st.chunks, MaxChunkFlops: st.maxChunkFlops,
 			DurNanos: ob.Now() - t0,
@@ -163,9 +168,10 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 	staging := newRowSlices[T](nvec)
 	flops := func(k int) int { return saxpyFlops(ca, cb, k) }
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
-		val := make([]T, nc)
-		seen := make([]bool, nc)
-		var touched []int
+		sc := getScratch[T](nc)
+		defer putScratch(sc)
+		val, seen, touched := sc.val, sc.seen, sc.touched
+		defer func() { sc.touched = touched }()
 		for k := lo; k < hi; k++ {
 			ai, ax := ca.vec(k)
 			if len(ai) == 0 {
@@ -211,7 +217,7 @@ func emitMasked[T any](oi *[]int, ox *[]T, touched []int, val []T, mm *maskMat, 
 		}
 		return
 	}
-	allowed := mm.rowMask(row).cursor()
+	allowed := mm.rowMask(row).tester(len(touched))
 	for _, j := range touched {
 		if allowed(j) {
 			*oi = append(*oi, j)
@@ -297,7 +303,7 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 // mxmDotBitmap is mxmDot with B held as a dense bitmap: each dot product
 // walks only A's row and probes Beff(k,j) in O(1) instead of merging two
 // sorted index lists — the win grows with B's fill (exactly when the
-// bitmap view exists). tranB selects the probe orientation: Beff(k,j) is
+// dense form exists). tranB selects the probe orientation: Beff(k,j) is
 // cell (k,j) of the bitmap untransposed and cell (j,k) transposed (the
 // L·Uᵀ orientation of triangle counting, whose probes are contiguous).
 // Probes ascend in k like sparseDot's merge, and the terminal early exit
@@ -379,19 +385,37 @@ func mxmDotBitmap[A, B, T any](ca *cs[A], vb *bm[B], tranB bool, s Semiring[A, B
 	return stitchByA(staging, ca, nr, nc)
 }
 
+// dotGallopRatio is the length ratio beyond which sparseDot stops stepping
+// through the longer vector and binary-searches it instead.
+const dotGallopRatio = 8
+
 // sparseDot merges two sorted sparse vectors under the semiring, stopping
 // early once the additive monoid reaches a terminal value (§II-A's early
-// exit; the reason a "pull" BFS step is cheap).
+// exit; the reason a "pull" BFS step is cheap). When one side is much
+// longer (a whole BFS level against one lattice row) its cursor gallops
+// to each index of the shorter side instead of stepping, O(short·log long)
+// rather than O(short + long); matches are met in the same ascending
+// order either way, so the result is bitwise the same.
 func sparseDot[A, B, T any](ai []int, ax []A, bi []int, bx []B, s Semiring[A, B, T]) (T, bool) {
 	var acc T
 	found := false
+	gallopA := len(ai) > dotGallopRatio*len(bi)
+	gallopB := len(bi) > dotGallopRatio*len(ai)
 	u, v := 0, 0
 	for u < len(ai) && v < len(bi) {
 		switch {
 		case ai[u] < bi[v]:
-			u++
+			if gallopA {
+				u += sort.SearchInts(ai[u:], bi[v])
+			} else {
+				u++
+			}
 		case bi[v] < ai[u]:
-			v++
+			if gallopB {
+				v += sort.SearchInts(bi[v:], ai[u])
+			} else {
+				v++
+			}
 		default:
 			p := s.Mul(ax[u], bx[v])
 			if found {

@@ -104,7 +104,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 		zi, zx = vxmPush(u, ca, s, mv, ac, st)
 	}
 	nnzOut := len(zi)
-	err := writeVectorResult(w, mask, accum, zi, zx, d)
+	route, err := writeVectorRouted(w, mask, accum, zi, zx, d)
 	if ob != nil && err == nil {
 		// Push work estimates pad each frontier entry by one, so the
 		// exact multiply count is recoverable; pull rows exit early on
@@ -118,7 +118,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 			Op: op, Kernel: kernel, Policy: policy,
 			Rows: ar, Cols: ac,
 			NnzA: nnzA, NnzB: nnzU, NnzOut: nnzOut,
-			Masked:   mask != nil,
+			Masked: mask != nil, Write: route,
 			EstFlops: st.estFlops, ActFlops: act,
 			Chunks: st.chunks, MaxChunkFlops: st.maxChunkFlops,
 			DurNanos: ob.Now() - t0,
@@ -132,7 +132,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 // outputs), push otherwise.
 func chooseDirection[U, A any](u *Vector[U], a *Matrix[A], d descValues, mv *maskVec, outDim int) Direction {
 	un := u.Nvals()
-	if mv != nil && !mv.comp && mv.val == nil && len(mv.idx) < outDim/d.PushPullRatio {
+	if mv != nil && !mv.comp && mv.val == nil && mv.nstored < outDim/d.PushPullRatio {
 		// A sparse positive mask bounds the pull work tightly.
 		return DirPull
 	}
@@ -167,7 +167,7 @@ type sparsePart[T any] struct {
 // scattered concurrently (each worker reusing one accumulator) and merged
 // with a k-way pass.
 func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
-	ui, ux := u.materialized()
+	ui, ux := u.ref().entries()
 	useHash := outDim >= hyperThresholdDim*hyperRatio
 	deg := func(t int) int {
 		rk, ok := ca.findMajor(ui[t])
@@ -187,9 +187,9 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 		if useHash {
 			parts[0].i, parts[0].x = scatterRowsHash(ui, ux, ca, s)
 		} else {
-			val := make([]T, outDim)
-			seen := make([]bool, outDim)
-			parts[0].i, parts[0].x = scatterRowsDense(ui, ux, ca, s, val, seen)
+			sc := getScratch[T](outDim)
+			parts[0].i, parts[0].x = scatterRowsDense(ui, ux, ca, s, sc)
+			putScratch(sc)
 		}
 	} else {
 		w := workers()
@@ -202,11 +202,10 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 		for g := 0; g < w; g++ {
 			go func() {
 				defer wg.Done()
-				var val []T
-				var seen []bool
+				var sc *denseScratch[T]
 				if !useHash {
-					val = make([]T, outDim)
-					seen = make([]bool, outDim)
+					sc = getScratch[T](outDim)
+					defer putScratch(sc)
 				}
 				for {
 					c := int(next.Add(1)) - 1
@@ -217,7 +216,7 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 					if useHash {
 						parts[c].i, parts[c].x = scatterRowsHash(ui[lo:hi], ux[lo:hi], ca, s)
 					} else {
-						parts[c].i, parts[c].x = scatterRowsDense(ui[lo:hi], ux[lo:hi], ca, s, val, seen)
+						parts[c].i, parts[c].x = scatterRowsDense(ui[lo:hi], ux[lo:hi], ca, s, sc)
 					}
 				}
 			}()
@@ -229,27 +228,15 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 	if nchunks > 1 {
 		zi, zx = mergeAddParts(parts, s.Add)
 	}
-	if mv == nil {
-		return zi, zx
-	}
-	oi := zi[:0]
-	ox := zx[:0]
-	allowed := mv.cursor()
-	for t, j := range zi {
-		if allowed(j) {
-			oi = append(oi, j)
-			ox = append(ox, zx[t])
-		}
-	}
-	return oi, ox
+	return filterAdmitted(zi, zx, mv)
 }
 
 // scatterRowsDense accumulates the selected rows of one frontier chunk
-// into the caller-owned dense accumulator (reused across chunks by each
-// worker) and extracts the touched entries sorted, clearing the
-// accumulator behind itself.
-func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], val []T, seen []bool) ([]int, []T) {
-	var touched []int
+// into the caller's pooled dense accumulator (reused across chunks by each
+// worker) and extracts the touched entries sorted into fresh exact-size
+// arrays, clearing the accumulator behind itself.
+func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], sc *denseScratch[T]) ([]int, []T) {
+	val, seen, touched := sc.val, sc.seen, sc.touched[:0]
 	for t, k := range ui {
 		rk, ok := ca.findMajor(k)
 		if !ok {
@@ -272,12 +259,15 @@ func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A,
 		}
 	}
 	sort.Ints(touched)
+	zi := make([]int, len(touched))
 	zx := make([]T, len(touched))
 	for t, j := range touched {
+		zi[t] = j
 		zx[t] = val[j]
 		seen[j] = false
 	}
-	return touched, zx
+	sc.touched = touched
+	return zi, zx
 }
 
 // scatterRowsHash is the O(chunk flops)-memory scatter used when the
@@ -367,16 +357,32 @@ const pullWorkQuantum = 1 << 12
 // partitioning; columns are partitioned at equal-degree boundaries (hub
 // columns of a power-law graph otherwise serialize the sweep).
 func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
-	ud, uok := u.dense()
+	// u is probed once per matrix entry: straight off its dense lanes when
+	// it has them, otherwise off a pooled scratch it is scattered into.
+	ur := u.ref()
+	uok, ud := ur.b, ur.dx
+	if uok == nil {
+		sc := getScratch[U](u.n)
+		defer func() {
+			for _, i := range ur.idx {
+				sc.seen[i] = false
+			}
+			putScratch(sc)
+		}()
+		for k, i := range ur.idx {
+			sc.seen[i], sc.val[i] = true, ur.x[k]
+		}
+		uok, ud = sc.seen, sc.val
+	}
 
 	// The admitted output set.
 	var targets []int
 	if mv != nil && !mv.comp && mv.val == nil {
 		targets = mv.idx
 	} else if mv != nil {
-		bm := mv.bitmap(outDim)
-		for j, ok := range bm {
-			if ok {
+		allowed := mv.cursor()
+		for j := 0; j < outDim; j++ {
+			if allowed(j) {
 				targets = append(targets, j)
 			}
 		}

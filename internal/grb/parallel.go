@@ -358,3 +358,42 @@ func (r *rowSlices[T]) stitch(nmajor, nminor int, rows []int) *cs[T] {
 	}
 	return &cs[T]{nmajor: nmajor, nminor: nminor, p: p, h: h, i: ni, x: nx}
 }
+
+// denseScratch is a dimension-sized accumulator for the scatter kernels
+// (push vxm, Gustavson mxm, the pull kernel's view of a sparse u): val[j]
+// is meaningful only where seen[j] is set, and touched lists the set
+// positions. Kernels clear seen behind themselves, so a pooled scratch is
+// always handed out clean and reuse never costs a memclr — on a
+// high-diameter traversal that is one n-sized allocation per level saved.
+type denseScratch[T any] struct {
+	val     []T
+	seen    []bool
+	touched []int
+}
+
+// scratchPools maps an element type (keyed by its typed nil pointer) to
+// the sync.Pool of its *denseScratch.
+var scratchPools sync.Map
+
+func scratchPool[T any]() *sync.Pool {
+	key := any((*T)(nil))
+	if p, ok := scratchPools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := scratchPools.LoadOrStore(key, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// getScratch returns a clean scratch of dimension n.
+func getScratch[T any](n int) *denseScratch[T] {
+	if sc, _ := scratchPool[T]().Get().(*denseScratch[T]); sc != nil && cap(sc.seen) >= n {
+		sc.val, sc.seen = sc.val[:n], sc.seen[:n]
+		return sc
+	}
+	return &denseScratch[T]{val: make([]T, n), seen: make([]bool, n)}
+}
+
+// putScratch returns a scratch whose seen lane the caller has cleared.
+func putScratch[T any](sc *denseScratch[T]) {
+	scratchPool[T]().Put(sc)
+}

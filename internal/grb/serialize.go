@@ -15,9 +15,9 @@ const serialVersion = 1
 
 // matrixWire is the serialized form of a Matrix. The payload is always the
 // canonical compressed-sparse arrays regardless of the matrix's runtime
-// format — a bitmap-formatted matrix serializes its CSR and rebuilds the
-// bitmap view lazily on the other side — so every format shares one wire
-// layout. Format records the owner's format preference; gob omits zero
+// format or form — a dense-held matrix recompacts and serializes its CSR,
+// and rebuilds the dense form lazily on the other side — so every format
+// shares one wire layout. Format records the owner's format preference; gob omits zero
 // fields, so images written before the field existed decode as FormatAuto.
 type matrixWire[T any] struct {
 	Version      int
@@ -138,8 +138,8 @@ func SerializeVector[T any](w io.Writer, v *Vector[T]) error {
 	if v == nil {
 		return opError("serialize", ErrUninitialized)
 	}
-	v.Wait()
-	img := vectorWire[T]{Version: serialVersion, N: v.n, Idx: v.idx, X: v.x}
+	idx, x := v.materialized()
+	img := vectorWire[T]{Version: serialVersion, N: v.n, Idx: idx, X: x}
 	return gob.NewEncoder(w).Encode(img)
 }
 

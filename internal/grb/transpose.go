@@ -2,7 +2,9 @@ package grb
 
 import "sort"
 
-// materializedCSR completes pending work and returns the row-major storage.
+// materializedCSR completes pending work and returns the row-major
+// compressed storage, recompacting it first if the dense form was written
+// last.
 func (a *Matrix[T]) materializedCSR() *cs[T] {
 	a.Wait()
 	return a.csr

@@ -7,12 +7,20 @@ import (
 )
 
 // Vector is an opaque GraphBLAS vector of dimension n holding entries of
-// type T. Entries are stored sparsely (sorted index list plus values);
-// single-element mutations buffer as pending tuples like Matrix.
+// type T. Entries are stored sparsely (sorted index list plus values) or,
+// once the write rule has promoted the vector, densely (bitmap.go states
+// the two-form protocol); single-element mutations buffer as pending
+// tuples like Matrix.
 type Vector[T any] struct {
 	n   int
 	idx []int // sorted; zombie entries flipped (^i)
 	x   []T
+
+	// dn is the dense form (a 1×n bm) or nil. While it exists every
+	// mutation goes to it; stale then says idx/x are out of date (and
+	// released) until materialized() recompacts them.
+	dn    *bm[T]
+	stale bool
 
 	pend   []tuple[T] // j field unused
 	pendOp func(T, T) T
@@ -41,14 +49,14 @@ func (v *Vector[T]) Size() int { return v.n }
 
 // Nvals returns the number of stored entries, forcing pending work first.
 func (v *Vector[T]) Nvals() int {
-	v.Wait()
-	return len(v.idx)
+	return v.ref().nvals
 }
 
 // Clear removes all entries.
 func (v *Vector[T]) Clear() {
 	v.idx = v.idx[:0]
 	v.x = v.x[:0]
+	v.dn, v.stale = nil, false
 	v.pend = nil
 	v.pendOp = nil
 	v.nzomb = 0
@@ -56,12 +64,16 @@ func (v *Vector[T]) Clear() {
 
 // Dup returns a deep copy.
 func (v *Vector[T]) Dup() *Vector[T] {
-	v.Wait()
-	return &Vector[T]{
-		n:   v.n,
-		idx: append([]int(nil), v.idx...),
-		x:   append([]T(nil), v.x...),
+	v.settle()
+	w := &Vector[T]{n: v.n, stale: v.stale}
+	if !v.stale {
+		w.idx = append([]int(nil), v.idx...)
+		w.x = append([]T(nil), v.x...)
 	}
+	if v.dn != nil {
+		w.dn = v.dn.clone()
+	}
+	return w
 }
 
 // SetElement stores v(i) = x as a pending tuple.
@@ -106,7 +118,13 @@ func (v *Vector[T]) RemoveElement(i int) error {
 		return ErrIndexOutOfBounds
 	}
 	if len(v.pend) > 0 {
-		v.Wait()
+		v.settle()
+	}
+	if v.dn != nil {
+		v.dn.del(i)
+		v.sparseStale()
+		v.maybeDemote()
+		return nil
 	}
 	pos := searchFlipped(v.idx, i)
 	if pos < len(v.idx) && v.idx[pos] == i { // live entry (zombies are negative)
@@ -137,10 +155,8 @@ func (v *Vector[T]) GetElement(i int) (T, error) {
 	if i < 0 || i >= v.n {
 		return zero, ErrIndexOutOfBounds
 	}
-	v.Wait()
-	pos := sort.SearchInts(v.idx, i)
-	if pos < len(v.idx) && v.idx[pos] == i {
-		return v.x[pos], nil
+	if x, ok := v.ref().get(i); ok {
+		return x, nil
 	}
 	return zero, ErrNoValue
 }
@@ -148,10 +164,24 @@ func (v *Vector[T]) GetElement(i int) (T, error) {
 // Pending reports buffered updates and zombies. Diagnostic.
 func (v *Vector[T]) Pending() (tuples, zombies int) { return len(v.pend), v.nzomb }
 
-// Wait assembles pending tuples and reclaims zombies. With an observer
-// installed, each non-trivial assembly emits an op record; the no-pending
-// early return stays allocation-free either way.
+// Wait assembles pending tuples, reclaims zombies and completes the
+// compressed form when the dense one was written last, so that every later
+// read — of either form — is a pure load and the vector can be shared by
+// concurrent readers.
 func (v *Vector[T]) Wait() {
+	v.settle()
+	if v.stale {
+		v.idx, v.x = compactLanes(v.dn.b, v.dn.x, v.dn.nvals)
+		v.stale = false
+	}
+}
+
+// settle completes pending work in whichever form is authoritative,
+// without converting between forms — what every dense-aware path calls
+// instead of Wait. With an observer installed, each non-trivial assembly
+// emits an op record; the no-pending early return stays allocation-free
+// either way.
+func (v *Vector[T]) settle() {
 	if v.nzomb == 0 && len(v.pend) == 0 {
 		return
 	}
@@ -166,10 +196,54 @@ func (v *Vector[T]) Wait() {
 	ob.Op(obs.OpRecord{
 		Op: "wait", Kernel: "assemble",
 		Rows:    v.n,
-		NnzOut:  len(v.idx),
+		NnzOut:  v.ref().nvals,
 		Pending: pending, Zombies: zombies,
 		DurNanos: ob.Now() - t0,
 	})
+}
+
+// ref completes pending work and returns the vector as a rowRef over every
+// form that is currently valid.
+func (v *Vector[T]) ref() rowRef[T] {
+	v.settle()
+	r := rowRef[T]{nvals: len(v.idx)}
+	if !v.stale {
+		r.idx, r.x, r.sparse = v.idx, v.x, true
+	}
+	if v.dn != nil {
+		r.b, r.dx, r.nvals = v.dn.b, v.dn.x, v.dn.nvals
+	}
+	return r
+}
+
+// setSparse replaces the contents with freshly built compressed arrays,
+// which become the only form.
+func (v *Vector[T]) setSparse(idx []int, x []T) {
+	v.idx, v.x = idx, x
+	v.dn, v.stale = nil, false
+}
+
+// sparseStale records an in-place write to the dense form: the compressed
+// arrays are out of date and released.
+func (v *Vector[T]) sparseStale() {
+	v.idx, v.x, v.stale = nil, nil, true
+}
+
+// writableDense returns the dense form for an in-place write, promoting a
+// settled compressed-only vector when the promotion rule holds, or nil.
+func (v *Vector[T]) writableDense() *bm[T] {
+	if v.dn == nil && denseWanted(bitmapCells(1, v.n), len(v.idx)) {
+		v.dn = entriesToBM(v.n, v.idx, v.x)
+	}
+	return v.dn
+}
+
+// maybeDemote drops a dense form the promotion rule no longer justifies.
+func (v *Vector[T]) maybeDemote() {
+	if v.dn != nil && !denseWanted(bitmapCells(1, v.n), v.dn.nvals) {
+		v.Wait()
+		v.dn = nil
+	}
 }
 
 // assemble is Wait's worker: it must only run with pending work present.
@@ -196,6 +270,15 @@ func (v *Vector[T]) assemble() {
 			}
 		}
 		pend = pend[:w+1]
+	}
+
+	if v.dn != nil {
+		for _, t := range pend {
+			v.dn.put(t.i, t.x, op)
+		}
+		v.sparseStale()
+		v.maybeDemote()
+		return
 	}
 
 	ni := make([]int, 0, len(v.idx)+len(pend))
@@ -240,7 +323,7 @@ func (v *Vector[T]) Build(is []int, xs []T, dup BinaryOp[T, T, T]) error {
 	}
 	// Build requires an empty vector; staleness is unobservable because the
 	// stored-entry read is paired with the pending-buffer check.
-	if len(v.idx) != 0 || len(v.pend) > 0 { //grblint:ignore pending-tuples: read paired with pend check
+	if len(v.pend) > 0 || v.ref().nvals != 0 {
 		return opErrorf("build", ErrInvalidValue, "vector is not empty")
 	}
 	for _, i := range is {
@@ -268,14 +351,14 @@ func (v *Vector[T]) Build(is []int, xs []T, dup BinaryOp[T, T, T]) error {
 		nx = append(nx, xs[k])
 		last = is[k]
 	}
-	v.idx, v.x = ni, nx
+	v.setSparse(ni, nx)
 	return nil
 }
 
 // ExtractTuples returns the stored entries as parallel slices.
 func (v *Vector[T]) ExtractTuples() (is []int, xs []T) {
-	v.Wait()
-	return append([]int(nil), v.idx...), append([]T(nil), v.x...)
+	idx, x := v.materialized()
+	return append([]int(nil), idx...), append([]T(nil), x...)
 }
 
 // ImportSparse wraps a sorted index list and values as a Vector in O(1),
@@ -299,10 +382,9 @@ func ImportSparse[T any](n int, idx []int, x []T, trusted bool) (*Vector[T], err
 // ExportSparse removes the index and value slices from the vector in O(1),
 // handing ownership to the caller; the vector is emptied.
 func (v *Vector[T]) ExportSparse() (n int, idx []int, x []T) {
-	v.Wait()
-	n, idx, x = v.n, v.idx, v.x
-	v.idx, v.x = nil, nil
-	return
+	idx, x = v.materialized()
+	v.setSparse(nil, nil)
+	return v.n, idx, x
 }
 
 // DenseVector creates a vector with entries at every index, copying xs.
@@ -322,12 +404,11 @@ func (v *Vector[T]) materialized() ([]int, []T) {
 
 // dense scatters the vector into a fresh dense slice plus presence flags.
 func (v *Vector[T]) dense() ([]T, []bool) {
-	v.Wait()
 	xs := make([]T, v.n)
 	ok := make([]bool, v.n)
-	for k, i := range v.idx {
-		xs[i] = v.x[k]
+	v.ref().each(func(i int, x T) {
+		xs[i] = x
 		ok[i] = true
-	}
+	})
 	return xs, ok
 }

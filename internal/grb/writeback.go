@@ -10,14 +10,111 @@ package grb
 //     exists;
 //   - positions not admitted keep their previous C value, unless Replace
 //     is set, in which case they are deleted.
+//
+// The rule is applied output-sensitively, by the cheapest of three routes:
+//
+//   - adopt: when C is empty, or with no accumulator and either no mask or
+//     Replace, nothing of the old C survives — C becomes Z filtered by the
+//     mask, O(nnz(Z));
+//   - in place: when C is (or by the promotion rule becomes) dense-held,
+//     admitted Z entries are scattered into its dense lanes and, with no
+//     accumulator, admitted positions Z left empty are cleared by a walk
+//     over the positive mask's pattern — O(nnz(Z) + nnz(M)), independent
+//     of nnz(C). The route is closed when deletions would need a sweep of
+//     C itself: no accumulator under a complemented mask, or an
+//     accumulator under a mask with Replace; and when the mask is C;
+//   - merge: otherwise, the two-pointer merge of C and Z into fresh
+//     compressed arrays, O(nnz(C) + nnz(Z)).
+//
+// Z is owned by the call: its arrays may be adopted by C.
+
+// The route a write took, as mxm/vxm op records report it.
+const (
+	routeAdopt   = "adopt"
+	routeInPlace = "inplace"
+	routeMerge   = "merge"
+)
+
+// inPlaceRoute reports whether the in-place route is open. comp is the
+// mask's complement flag, meaningless when masked is false.
+func inPlaceRoute(hasAccum, masked, comp, replace bool) bool {
+	if hasAccum {
+		return !(masked && replace)
+	}
+	return masked && !comp && !replace
+}
+
+// scatterRow applies the in-place route to one dense row (dn's cells
+// base..base+n) given the row's result entries and mask view.
+func scatterRow[T any](dn *bm[T], base int, zi []int, zx []T, mv *maskVec, accum BinaryOp[T, T, T]) {
+	if accum != nil {
+		allowed := mv.tester(len(zi))
+		for k, i := range zi {
+			if allowed(i) {
+				dn.put(base+i, zx[k], accum)
+			}
+		}
+		return
+	}
+	// Positive mask, no accumulator: every admitted position takes Z's
+	// entry or loses its own.
+	k := 0
+	for t, i := range mv.idx {
+		if mv.val != nil && !mv.val[t] {
+			continue
+		}
+		for k < len(zi) && zi[k] < i {
+			k++
+		}
+		if k < len(zi) && zi[k] == i {
+			dn.put(base+i, zx[k], nil)
+		} else {
+			dn.del(base + i)
+		}
+	}
+}
+
+// filterAdmitted compacts (zi, zx) in place to the entries mv admits.
+func filterAdmitted[T any](zi []int, zx []T, mv *maskVec) ([]int, []T) {
+	if mv == nil {
+		return zi, zx
+	}
+	allowed := mv.tester(len(zi))
+	oi, ox := zi[:0], zx[:0]
+	for k, i := range zi {
+		if allowed(i) {
+			oi = append(oi, i)
+			ox = append(ox, zx[k])
+		}
+	}
+	return oi, ox
+}
 
 // writeVectorResult applies the write rule to vector w given result entries
 // (zidx, zx) sorted ascending.
 func writeVectorResult[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], zidx []int, zx []T, d descValues) error {
+	_, err := writeVectorRouted(w, mask, accum, zidx, zx, d)
+	return err
+}
+
+// writeVectorRouted is writeVectorResult reporting the route it took.
+func writeVectorRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], zidx []int, zx []T, d descValues) (string, error) {
 	if mask != nil && mask.n != w.n {
-		return opErrorf("write", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
+		return "", opErrorf("write", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	mv := newMaskVec(mask, d)
+	if w.ref().nvals == 0 || (accum == nil && (mv == nil || d.Replace)) {
+		w.setSparse(filterAdmitted(zidx, zx, mv))
+		return routeAdopt, nil
+	}
+	if inPlaceRoute(accum != nil, mv != nil, d.Comp, d.Replace) && any(mask) != any(w) {
+		if dn := w.writableDense(); dn != nil {
+			scatterRow(dn, 0, zidx, zx, mv, accum)
+			w.sparseStale()
+			w.maybeDemote()
+			return routeInPlace, nil
+		}
+	}
 	widx, wx := w.materialized()
 	allowed := mv.cursor()
 
@@ -66,29 +163,82 @@ func writeVectorResult[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T
 			k++
 		}
 	}
-	w.idx, w.x = ni, nx
-	return nil
+	w.setSparse(ni, nx)
+	return routeMerge, nil
+}
+
+// filterAdmittedCS compacts z in place to the entries mm admits, keeping
+// its layout (and the hypersparse no-empty-vector invariant).
+func filterAdmittedCS[T any](z *cs[T], mm *maskMat) *cs[T] {
+	if mm == nil {
+		return z
+	}
+	p := make([]int, 1, len(z.p))
+	var h []int
+	if z.h != nil {
+		h = make([]int, 0, len(z.h))
+	}
+	w := 0
+	for k := 0; k < z.nvecs(); k++ {
+		row := z.majorOf(k)
+		zi, zx := z.vec(k)
+		allowed := mm.rowMask(row).tester(len(zi))
+		for t, j := range zi {
+			if allowed(j) {
+				z.i[w], z.x[w] = j, zx[t]
+				w++
+			}
+		}
+		if z.h == nil {
+			p = append(p, w)
+		} else if w > p[len(p)-1] {
+			p = append(p, w)
+			h = append(h, row)
+		}
+	}
+	return &cs[T]{nmajor: z.nmajor, nminor: z.nminor, p: p, h: h, i: z.i[:w], x: z.x[:w]}
 }
 
 // writeMatrixResult applies the write rule to matrix c given the computed
 // result z in row-major compressed form.
 func writeMatrixResult[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], d descValues) error {
+	_, err := writeMatrixRouted(c, mask, accum, z, d)
+	return err
+}
+
+// writeMatrixRouted is writeMatrixResult reporting the route it took.
+func writeMatrixRouted[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], d descValues) (string, error) {
 	if z.nmajor != c.nr || z.nminor != c.nc {
-		return opErrorf("write", ErrDimensionMismatch, "result is %d×%d, C is %d×%d", z.nmajor, z.nminor, c.nr, c.nc)
+		return "", opErrorf("write", ErrDimensionMismatch, "result is %d×%d, C is %d×%d", z.nmajor, z.nminor, c.nr, c.nc)
 	}
 	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return opErrorf("write", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, c.nr, c.nc)
+		return "", opErrorf("write", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, c.nr, c.nc)
 	}
 	mm := newMaskMat(mask, d)
-	old := c.materializedCSR()
-
-	// Fast path: no mask, no accumulator → adopt z wholesale.
-	if mm == nil && accum == nil {
-		c.csr = z
-		c.csc = nil
-		c.maybeConvertFormat()
-		return nil
+	if c.Nvals() == 0 || (accum == nil && (mm == nil || d.Replace)) {
+		c.setCSR(filterAdmittedCS(z, mm))
+		return routeAdopt, nil
 	}
+	if inPlaceRoute(accum != nil, mm != nil, d.Comp, d.Replace) && any(mask) != any(c) {
+		if dn := c.writableDense(); dn != nil {
+			if accum != nil {
+				for k := 0; k < z.nvecs(); k++ {
+					row := z.majorOf(k)
+					zi, zx := z.vec(k)
+					scatterRow(dn, row*c.nc, zi, zx, mm.rowMask(row), accum)
+				}
+			} else {
+				for _, row := range mm.majors() {
+					zi, zx := rowView(z, row)
+					scatterRow(dn, row*c.nc, zi, zx, mm.rowMask(row), nil)
+				}
+			}
+			c.markCSRStale()
+			c.maybeDemote()
+			return routeInPlace, nil
+		}
+	}
+	old := c.materializedCSR()
 
 	est := old.nvals() + z.nvals()
 	ni := make([]int, 0, est)
@@ -213,8 +363,6 @@ func writeMatrixResult[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T
 		}
 	}
 
-	c.csr = &cs[T]{nmajor: c.nr, nminor: c.nc, p: np, h: nh, i: ni, x: nx}
-	c.csc = nil
-	c.maybeConvertFormat()
-	return nil
+	c.setCSR(&cs[T]{nmajor: c.nr, nminor: c.nc, p: np, h: nh, i: ni, x: nx})
+	return routeMerge, nil
 }

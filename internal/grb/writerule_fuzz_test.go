@@ -1,0 +1,200 @@
+package grb_test
+
+// The in-place write route against the merge route, and a Vector's
+// mutation history against the mimic. One byte-coded program drives four
+// holders of the same logical vector through the same history:
+//
+//   - dense: a Vector re-held densely before every step, so pending
+//     tuples, removals and the write rule all land on the dense form;
+//   - plain: a Vector left to the promotion rule;
+//   - merged: a 1×n Matrix in FormatCSR, which forbids the dense form, so
+//     every one of its writes takes the merge (or adopt) route;
+//   - want: the dense mimic (§II-A's methodology, extended from single
+//     operations to histories).
+//
+// After every step all four must agree in value and pattern.
+
+import (
+	"math/rand"
+	"testing"
+
+	"lagraph/internal/grb"
+	"lagraph/internal/grb/ref"
+)
+
+// progReader hands out program bytes, zeros once they run out.
+type progReader struct {
+	b []byte
+	p int
+}
+
+func (r *progReader) next() int {
+	if r.p >= len(r.b) {
+		r.p++
+		return 0
+	}
+	v := int(r.b[r.p])
+	r.p++
+	return v
+}
+
+func (r *progReader) done() bool { return r.p >= len(r.b) }
+
+// runWriteProgram interprets prog and fails on the first disagreement.
+func runWriteProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	r := &progReader{b: prog}
+	n := 1 + r.next()%24
+	dense := grb.MustVector[int64](n)
+	plain := grb.MustVector[int64](n)
+	merged := grb.MustMatrix[int64](1, n)
+	merged.SetFormat(grb.FormatCSR)
+	want := ref.NewVec[int64](n)
+	plus := grb.Plus[int64]()
+	ident := func(x int64) int64 { return x }
+
+	// operand draws a z vector (or mask values) of a few entries.
+	draw := func() (idx []int, xs []int64) {
+		cnt := r.next() % (n + 1)
+		seen := map[int]bool{}
+		for k := 0; k < cnt; k++ {
+			i := r.next() % n
+			if seen[i] {
+				continue
+			}
+			seen[i] = true
+			idx = append(idx, i)
+			xs = append(xs, int64(r.next()%7)-3)
+		}
+		return
+	}
+
+	for step := 0; !r.done() && step < 64; step++ {
+		grb.HoldDense(dense)
+		op := r.next() % 8
+		switch op {
+		case 0: // SetElement
+			i, x := r.next()%n, int64(r.next()%7)-3
+			_ = dense.SetElement(i, x)
+			_ = plain.SetElement(i, x)
+			_ = merged.SetElement(0, i, x)
+			want.Val[i], want.Set[i] = x, true
+		case 1: // RemoveElement
+			i := r.next() % n
+			_ = dense.RemoveElement(i)
+			_ = plain.RemoveElement(i)
+			_ = merged.RemoveElement(0, i)
+			want.Set[i] = false
+		case 2: // MergeElement
+			i, x := r.next()%n, int64(r.next()%7)-3
+			_ = dense.MergeElement(i, x, plus)
+			_ = plain.MergeElement(i, x, plus)
+			_ = merged.MergeElement(0, i, x, plus)
+			if want.Set[i] {
+				want.Val[i] += x
+			} else {
+				want.Val[i], want.Set[i] = x, true
+			}
+		case 3: // Wait: completes both forms
+			dense.Wait()
+			plain.Wait()
+			merged.Wait()
+		case 4: // Dup: the copy carries the authoritative form
+			dense = dense.Dup()
+			plain = plain.Dup()
+			merged = merged.Dup()
+		default: // the write rule: w⟨mask⟩ ⊙= z, and the scalar assign
+			kind := r.next() % 5
+			d := grb.Descriptor{Comp: kind == 2 || kind == 4, MaskValue: kind >= 3, Replace: r.next()%2 == 1}
+			var accum grb.BinaryOp[int64, int64, int64]
+			if r.next()%2 == 1 {
+				accum = plus
+			}
+			var maskV *grb.Vector[bool]
+			var maskM *grb.Matrix[bool]
+			var maskR *ref.Vec[bool]
+			if kind != 0 {
+				mi, mx := draw()
+				maskV, maskM, maskR = grb.MustVector[bool](n), grb.MustMatrix[bool](1, n), ref.NewVec[bool](n)
+				for k, i := range mi {
+					b := mx[k] > 0
+					_ = maskV.SetElement(i, b)
+					_ = maskM.SetElement(0, i, b)
+					maskR.Val[i], maskR.Set[i] = b, true
+				}
+				if r.next()%2 == 1 {
+					grb.HoldDense(maskV)
+				}
+			}
+			if op == 7 { // w⟨mask⟩ ⊙= scalar over all of w
+				s := int64(r.next()%7) - 3
+				all := ref.NewVec[int64](n)
+				allM := grb.MustMatrix[int64](1, n)
+				for i := 0; i < n; i++ {
+					all.Val[i], all.Set[i] = s, true
+					_ = allM.SetElement(0, i, s)
+				}
+				must(t, grb.AssignVectorScalar(dense, maskV, accum, s, grb.All, &d))
+				must(t, grb.AssignVectorScalar(plain, maskV, accum, s, grb.All, &d))
+				must(t, grb.AssignMatrix(merged, maskM, accum, allM, grb.All, grb.All, &d))
+				ref.AssignVec(want, maskR, accum, all, nil, refDesc(d))
+				break
+			}
+			zi, zx := draw()
+			zV, zM, zR := grb.MustVector[int64](n), grb.MustMatrix[int64](1, n), ref.NewVec[int64](n)
+			for k, i := range zi {
+				_ = zV.SetElement(i, zx[k])
+				_ = zM.SetElement(0, i, zx[k])
+				zR.Val[i], zR.Set[i] = zx[k], true
+			}
+			must(t, grb.ApplyVector(dense, maskV, accum, ident, zV, &d))
+			must(t, grb.ApplyVector(plain, maskV, accum, ident, zV, &d))
+			must(t, grb.ApplyMatrix(merged, maskM, accum, ident, zM, &d))
+			ref.ApplyVec(want, maskR, accum, ident, zR, refDesc(d))
+		}
+		eqVec(t, dense, want)
+		eqVec(t, plain, want)
+		if dm, _ := merged.Forms(); dm {
+			t.Fatalf("step %d: the FormatCSR twin took the dense form", step)
+		}
+		row := grb.MustVector[int64](n)
+		must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, merged, grb.All, 0, grb.DescT0))
+		eqVec(t, row, want)
+		mustSerializeLikeTwinVec(t, dense)
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzWriteRuleInPlace searches for a history on which the in-place route
+// (or pending tuples, removals and zombies applied to a dense vector)
+// disagrees with the merge route or the mimic.
+func FuzzWriteRuleInPlace(f *testing.F) {
+	f.Add([]byte{7, 0, 1, 5, 0, 2, 6, 5, 1, 0, 1, 3, 0, 4, 1, 2, 2, 3, 1, 3, 5})
+	f.Add([]byte{15, 5, 0, 0, 1, 9, 1, 4, 2, 6, 5, 3, 1, 0, 4, 1, 4, 0, 2, 3, 3, 1, 2, 5, 7, 2, 0, 1, 0, 6})
+	f.Add([]byte{3, 2, 1, 4, 2, 1, 5, 1, 1, 6, 4, 1, 1, 2, 0, 1, 3, 7, 3, 1, 0, 2, 1, 4, 1, 5})
+	f.Add([]byte{23, 7, 1, 0, 0, 12, 3, 5, 6, 2, 1, 1, 20, 0, 4, 1, 6, 2, 9, 5, 10, 4, 1, 3, 1, 2, 0, 0, 3, 4})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			return
+		}
+		runWriteProgram(t, prog)
+	})
+}
+
+// TestVectorMutationHistoryVsMimic runs seeded random histories through
+// the same interpreter on every `go test`: insert / remove / accumulate /
+// wait / dup / masked writes, compared with the mimic after every step.
+func TestVectorMutationHistoryVsMimic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1604))
+	for trial := 0; trial < 400; trial++ {
+		prog := make([]byte, 40+rng.Intn(160))
+		rng.Read(prog)
+		runWriteProgram(t, prog)
+	}
+}

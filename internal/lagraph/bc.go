@@ -23,55 +23,25 @@ func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error
 	}
 
 	plusFirst := grb.Semiring[float64, float64, float64]{Add: grb.PlusMonoid[float64](), Mul: grb.First[float64, float64]()}
-
-	// paths(s,i): number of shortest paths from sources[s] to i.
-	// frontier(s,i): paths discovered at the current depth.
-	paths := grb.MustMatrix[float64](ns, n)
-	frontier := grb.MustMatrix[float64](ns, n)
-	for s, src := range sources {
-		_ = paths.SetElement(s, src, 1)
-		_ = frontier.SetElement(s, src, 1)
-	}
-
-	// levels[d] is the pattern of the depth-d wavefront.
-	var levels []*grb.Matrix[float64]
-	levels = append(levels, frontier.Dup())
-
-	// Forward sweep.
-	for depth := 0; ; depth++ {
-		next := grb.MustMatrix[float64](ns, n)
-		// next⟨¬paths,replace⟩ = frontier ⊕.⊗ A
-		if err := grb.MxM(next, paths, nil, plusFirst, frontier, g.A, grb.DescRC); err != nil {
-			return nil, err
-		}
-		if next.Nvals() == 0 {
-			break
-		}
-		// paths += next
-		if err := grb.EWiseAddMatrix[float64, bool](paths, nil, nil, grb.Plus[float64](), paths, next, nil); err != nil {
-			return nil, err
-		}
-		frontier = next
-		levels = append(levels, frontier.Dup())
+	paths, levels, err := bcForward(g, sources, plusFirst)
+	if err != nil {
+		return nil, err
 	}
 
 	// Backward sweep: delta(s,i) accumulates the dependency of i on s's
 	// shortest-path DAG.
 	delta := grb.MustMatrix[float64](ns, n)
 	depDiv := func(d, sigma float64) float64 { return (1 + d) / sigma }
+	dT1R := &grb.Descriptor{TranB: true, Replace: true}
 	for d := len(levels) - 1; d >= 1; d-- {
-		// w⟨levels[d],replace⟩ = (1 + delta) ./ paths
+		// w⟨levels[d],replace⟩ = (1 + delta) ./ paths, a vertex with no
+		// dependency yet standing at delta = 0.
 		w := grb.MustMatrix[float64](ns, n)
-		deltaDense, err := withZeros(delta, ns, n)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseMultMatrix(w, levels[d], nil, depDiv, deltaDense, paths, grb.DescR); err != nil {
+		if err := grb.EWiseUnionMatrix(w, levels[d], nil, depDiv, delta, 0, paths, 1, grb.DescR); err != nil {
 			return nil, err
 		}
 		// t⟨levels[d-1],replace⟩ = w ⊕.⊗ Aᵀ
 		t := grb.MustMatrix[float64](ns, n)
-		dT1R := &grb.Descriptor{TranB: true, Replace: true}
 		if err := grb.MxM(t, levels[d-1], nil, plusFirst, w, g.A, dT1R); err != nil {
 			return nil, err
 		}
@@ -99,24 +69,33 @@ func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error
 	return out, nil
 }
 
-// withZeros returns a copy of m densified with explicit zeros, so that
-// element-wise intersections against it behave like dense arithmetic.
-func withZeros(m *grb.Matrix[float64], nr, nc int) (*grb.Matrix[float64], error) {
-	dense := grb.MustMatrix[float64](nr, nc)
-	is := make([]int, 0, nr*nc)
-	js := make([]int, 0, nr*nc)
-	xs := make([]float64, nr*nc)
-	for i := 0; i < nr; i++ {
-		for j := 0; j < nc; j++ {
-			is = append(is, i)
-			js = append(js, j)
+// bcForward is the forward sweep: a batched BFS from every source that
+// counts shortest paths. paths(s,i) is the number of shortest paths from
+// sources[s] to i; levels[d] holds the depth-d wavefront (the paths
+// discovered at that depth).
+func bcForward(g *Graph, sources []int, plusFirst grb.Semiring[float64, float64, float64]) (paths *grb.Matrix[float64], levels []*grb.Matrix[float64], err error) {
+	ns, n := len(sources), g.N()
+	paths = grb.MustMatrix[float64](ns, n)
+	frontier := grb.MustMatrix[float64](ns, n)
+	for s, src := range sources {
+		_ = paths.SetElement(s, src, 1)
+		_ = frontier.SetElement(s, src, 1)
+	}
+	levels = append(levels, frontier)
+	for {
+		next := grb.MustMatrix[float64](ns, n)
+		// next⟨¬paths,replace⟩ = frontier ⊕.⊗ A
+		if err := grb.MxM(next, paths, nil, plusFirst, frontier, g.A, grb.DescRC); err != nil {
+			return nil, nil, err
 		}
+		if next.Nvals() == 0 {
+			return paths, levels, nil
+		}
+		// paths += next
+		if err := grb.AssignMatrix[float64, bool](paths, nil, grb.Plus[float64](), next, grb.All, grb.All, nil); err != nil {
+			return nil, nil, err
+		}
+		frontier = next
+		levels = append(levels, frontier)
 	}
-	if err := dense.Build(is, js, xs, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.EWiseAddMatrix[float64, bool](dense, nil, nil, grb.Plus[float64](), dense, m, nil); err != nil {
-		return nil, err
-	}
-	return dense, nil
 }

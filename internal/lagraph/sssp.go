@@ -93,7 +93,42 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 
 	t := grb.MustVector[float64](n) // tentative distances
 	_ = t.SetElement(src, 0)
+	// unsettled holds, entry for entry equal to t, the tentative distances
+	// at or beyond the current bucket: the reached vertices still to
+	// settle. Buckets are drawn from it, so a bucket costs what the band of
+	// unsettled vertices does, not a sweep of t.
+	unsettled := t.Dup()
+
 	minPlus := grb.MinPlus[float64]()
+	minOp := grb.MinOp[float64]()
+	notLess := func(cand, cur float64) bool { return cand >= cur }
+	// descVC writes through the complement of a value mask, descRVC with
+	// replace.
+	descVC := &grb.Descriptor{Comp: true, MaskValue: true}
+	descRVC := &grb.Descriptor{Replace: true, Comp: true, MaskValue: true}
+
+	// relax folds the candidate distances tNew = from min.+ edges into t
+	// and unsettled. stale marks the candidates that improve nothing — the
+	// exact test of Sridhar et al.: a candidate counts only if it is
+	// strictly less than the distance it replaces (a vertex reached for the
+	// first time has no entry in t, so none in stale).
+	relax := func(from *grb.Vector[float64], edges *grb.Matrix[float64]) (tNew *grb.Vector[float64], stale *grb.Vector[bool], err error) {
+		tNew = grb.MustVector[float64](n)
+		if err = grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, nil); err != nil {
+			return
+		}
+		// stale⟨tNew⟩ = tNew ≥ t
+		stale = grb.MustVector[bool](n)
+		if err = grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, t, nil); err != nil {
+			return
+		}
+		// t min= tNew;  unsettled⟨¬stale⟩ min= tNew
+		if err = grb.AssignVector(t, (*grb.Vector[bool])(nil), minOp, tNew, grb.All, nil); err != nil {
+			return
+		}
+		err = grb.AssignVector(unsettled, stale, minOp, tNew, grb.All, descVC)
+		return
+	}
 
 	for step := 0; ; step++ {
 		if err := cfg.canceled(); err != nil {
@@ -101,53 +136,42 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 		}
 		lo := float64(step) * delta
 		hi := lo + delta
-		// tBucket: tentative distances inside the current bucket.
 		inBucket := func(x float64, _, _ int) bool { return x >= lo && x < hi }
+		// tReq: the bucket members whose light edges are still to relax.
 		tReq := grb.MustVector[float64](n)
-		if err := grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, t, nil); err != nil {
+		if err := grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, unsettled, nil); err != nil {
 			return nil, err
 		}
 		bucketSize := tReq.Nvals()
+		if bucketSize == 0 {
+			continue // unsettled is non-empty: a later bucket holds it
+		}
 		var t0 int64
 		if ob != nil {
 			t0 = ob.Now()
 		}
-		if bucketSize == 0 {
-			// Any vertex left beyond this bucket?
-			remaining := grb.MustVector[float64](n)
-			if err := grb.SelectVector[float64, bool](remaining, nil, nil, grb.ValueGE(hi), t, nil); err != nil {
+		// Relax light edges until no bucket member moves.
+		members := grb.MustVector[bool](n) // every vertex the bucket has held
+		for tReq.Nvals() > 0 {
+			if err := grb.AssignVectorScalar(members, tReq, nil, true, grb.All, nil); err != nil {
 				return nil, err
 			}
-			if remaining.Nvals() == 0 {
-				return t, nil
-			}
-			continue
-		}
-		// Relax light edges to a fixed point within the bucket.
-		for inner := 0; inner < n; inner++ {
-			// tNew = tReq min.+ light, folded into t.
-			before := snapshotSum(t)
-			if err := grb.VxM(t, (*grb.Vector[bool])(nil), grb.MinOp[float64](), minPlus, tReq, light, nil); err != nil {
+			tNew, stale, err := relax(tReq, light)
+			if err != nil {
 				return nil, err
 			}
-			// Next inner frontier: bucket members whose distance changed
-			// into this bucket.
-			if err := grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, t, grb.DescR); err != nil {
+			// tReq⟨¬stale,replace⟩ = tNew(inBucket): the members that moved.
+			if err := grb.SelectVector(tReq, stale, nil, inBucket, tNew, descRVC); err != nil {
 				return nil, err
-			}
-			if snapshotSum(t) == before {
-				break
 			}
 		}
-		// Settle the bucket: relax heavy edges once from all bucket
-		// members.
-		if err := grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, t, grb.DescR); err != nil {
+		// Settle the bucket: relax heavy edges once from all its members,
+		// at their final distances.
+		if err := grb.EWiseMultVector[float64, bool, float64, bool](tReq, nil, nil, grb.First[float64, bool](), t, members, nil); err != nil {
 			return nil, err
 		}
-		if tReq.Nvals() > 0 {
-			if err := grb.VxM(t, (*grb.Vector[bool])(nil), grb.MinOp[float64](), minPlus, tReq, heavy, nil); err != nil {
-				return nil, err
-			}
+		if _, _, err := relax(tReq, heavy); err != nil {
+			return nil, err
 		}
 		if ob != nil {
 			ob.Iter(obs.IterRecord{
@@ -156,26 +180,15 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 				DurNanos: ob.Now() - t0,
 			})
 		}
-		// Termination: every remaining tentative distance below hi is
-		// settled; stop when nothing at or beyond hi remains.
-		remaining := grb.MustVector[float64](n)
-		if err := grb.SelectVector[float64, bool](remaining, nil, nil, grb.ValueGE(hi), t, nil); err != nil {
+		// Every tentative distance below hi is now final; stop when nothing
+		// at or beyond hi is left.
+		if err := grb.SelectVector[float64, bool](unsettled, nil, nil, grb.ValueGE(hi), unsettled, nil); err != nil {
 			return nil, err
 		}
-		if remaining.Nvals() == 0 {
+		if unsettled.Nvals() == 0 {
 			return t, nil
 		}
 	}
-}
-
-// snapshotSum is a cheap fixed-point detector: the (finite) distance sum
-// is strictly decreasing under relaxation.
-func snapshotSum(v *grb.Vector[float64]) float64 {
-	s, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), v)
-	if err != nil {
-		return math.NaN()
-	}
-	return s*1e6 + float64(v.Nvals())
 }
 
 // APSP computes all-pairs shortest paths by (min,+) repeated squaring:

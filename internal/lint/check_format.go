@@ -4,26 +4,31 @@ import (
 	"go/ast"
 )
 
-// formatInvariantsCheck enforces the storage-format abstraction: with
-// multiple runtime formats (standard CSR, hypersparse, the dense bitmap
-// view) hanging off one Matrix, the raw storage fields csr/csc/bmp are
-// coherent only through the dispatch accessors — materializedCSR,
-// materializedCSC, bitmapView, cachedBitmap — which complete pending
-// work, take the cache mutexes, and honor the configured format. A direct
-// field read anywhere else sees whichever representation happened to be
-// cached last and silently breaks the formats-are-interchangeable
-// contract the conformance tests pin.
+// formatInvariantsCheck enforces the storage-format abstraction. A Matrix
+// holds a compressed form (standard or hypersparse csr, the csc cache) and
+// possibly a dense one (bmp); a Vector holds compressed arrays (idx/x) and
+// possibly a dense form (dn). Whichever form was written last is
+// authoritative and the other may be stale (Matrix.csrStale, Vector.stale
+// — a stale compressed form is released, so reading it is a nil
+// dereference at best and old data at worst). The raw fields are coherent
+// only through the dispatch accessors — materializedCSR, materializedCSC,
+// bitmapView, cachedBitmap, rowsRef for a Matrix; materialized and ref for
+// a Vector — which complete pending work, take the cache mutexes, rebuild
+// a stale side and honor the configured format. A direct field read
+// anywhere else sees whichever representation happened to be current and
+// silently breaks the forms-are-interchangeable contract the conformance
+// tests pin.
 //
 // Unlike pending-tuples (positional, exported functions only), this check
 // is unconditional and covers every function: even after a Wait, raw
 // field access bypasses the format dispatch. Writes are exempt — cache
-// invalidation (a.bmp = nil) and storage replacement are how mutation
+// invalidation (a.csc = nil) and storage replacement are how mutation
 // sites participate in the protocol — as are the accessors and format
 // machinery themselves, listed in formatExempt.
 func formatInvariantsCheck() *Check {
 	return &Check{
 		Name: "format-invariants",
-		Doc:  "reads of Matrix storage fields must go through the format-dispatch accessors",
+		Doc:  "reads of Matrix and Vector storage fields must go through the format-dispatch accessors",
 		Applies: func(p *Package) bool {
 			return p.Name == "grb"
 		},
@@ -31,11 +36,10 @@ func formatInvariantsCheck() *Check {
 	}
 }
 
-// formatFields are the Matrix storage fields owned by the format layer.
-var formatFields = map[string]bool{
-	"csr": true,
-	"csc": true,
-	"bmp": true,
+// formatFields are the storage fields owned by the format layer, by type.
+var formatFields = map[string]map[string]bool{
+	"Matrix": {"csr": true, "csc": true, "bmp": true, "csrStale": true},
+	"Vector": {"idx": true, "x": true, "dn": true, "stale": true},
 }
 
 // formatExempt lists the functions that ARE the format layer: accessors,
@@ -47,17 +51,27 @@ var formatExempt = map[string]bool{
 	"materializedCSC": true,
 	"Materialize":     true,
 	"bitmapView":      true,
-	"bitmapWanted":    true,
 	"cachedBitmap":    true,
 	"orientedCSR":     true,
 	"orientedCSC":     true,
-	// Format management and assembly.
-	"Wait":               true,
-	"assemble":           true,
-	"maybeConvertFormat": true,
-	"SetFormat":          true,
-	"Clear":              true,
-	"Dup":                true,
+	"rowsRef":         true,
+	"nvalsSettled":    true,
+	"materialized":    true,
+	"ref":             true,
+	// Format management and assembly: the two-form protocol itself.
+	"Wait":          true,
+	"settle":        true,
+	"assemble":      true,
+	"normalizeCSR":  true,
+	"setCSR":        true,
+	"markCSRStale":  true,
+	"setSparse":     true,
+	"sparseStale":   true,
+	"writableDense": true,
+	"maybeDemote":   true,
+	"SetFormat":     true,
+	"Clear":         true,
+	"Dup":           true,
 	// Element-level mutators: flip zombies / buffer tuples against the
 	// canonical storage and reset the caches in the same breath.
 	"SetElement":    true,
@@ -81,15 +95,17 @@ func runFormatInvariants(p *Package, r *Reporter) {
 				if writes[sel] {
 					return true
 				}
-				if !formatFields[sel.Sel.Name] {
+				recv := namedRecvType(p, sel)
+				if !formatFields[recv][sel.Sel.Name] {
 					return true
 				}
-				if namedRecvType(p, sel) != "Matrix" {
-					return true
+				accessors := "materializedCSR/materializedCSC/bitmapView/cachedBitmap/rowsRef"
+				if recv == "Vector" {
+					accessors = "materialized/ref"
 				}
 				r.Reportf(sel.Pos(),
-					"%s reads Matrix.%s directly; use the format-dispatch accessor (materializedCSR/materializedCSC/bitmapView/cachedBitmap)",
-					fd.Name.Name, sel.Sel.Name)
+					"%s reads %s.%s directly; use the format-dispatch accessor (%s)",
+					fd.Name.Name, recv, sel.Sel.Name, accessors)
 				return true
 			})
 		}

@@ -8,10 +8,10 @@ import (
 
 // pendingTuplesCheck enforces the non-blocking execution model's reading
 // rule: an exported Matrix/Vector operation must complete pending work
-// (Wait, or one of the materialized* helpers that call it) before it reads
-// compressed-sparse internals. Pending tuples and zombies make csr/csc and
-// the vector index/value slices stale; reading them without assembly
-// silently returns pre-update state.
+// (Wait, settle, or one of the accessors that call them) before it reads
+// storage internals. Pending tuples and zombies make csr/csc/bmp and the
+// vector's index/value slices and dense form stale; reading them without
+// assembly silently returns pre-update state.
 //
 // The analysis is positional within one function body: the first read of a
 // guarded field must appear after some call to a sanitizing method. That
@@ -30,16 +30,20 @@ func pendingTuplesCheck() *Check {
 }
 
 // sanitizers are the methods and helpers that force pending work to
-// completion before handing out storage: Wait itself, the materialized*
-// accessors that call it, and the oriented* wrappers kernels use to pick
-// a storage orientation (both of which materialize).
+// completion before handing out storage: Wait and settle themselves, the
+// materialized*/ref accessors that call them, and the oriented*/rowsRef
+// wrappers kernels use to pick a storage orientation (all of which
+// settle).
 var sanitizers = map[string]bool{
 	"Wait":            true,
+	"settle":          true,
 	"materialized":    true,
+	"ref":             true,
 	"materializedCSR": true,
 	"materializedCSC": true,
 	"orientedCSR":     true,
 	"orientedCSC":     true,
+	"rowsRef":         true,
 }
 
 // guardedFields maps a named type to the selector names whose access
@@ -51,8 +55,8 @@ var guardedFields = map[string]map[string]bool{
 		"nvals": true, "nvecs": true, "vec": true,
 		"majorOf": true, "findMajor": true,
 	},
-	"Matrix": {"csr": true, "csc": true},
-	"Vector": {"idx": true, "x": true},
+	"Matrix": {"csr": true, "csc": true, "bmp": true, "csrStale": true},
+	"Vector": {"idx": true, "x": true, "dn": true, "stale": true},
 }
 
 // pendingExempt lists exported methods that are themselves part of the

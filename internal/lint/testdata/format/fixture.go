@@ -19,10 +19,11 @@ type bm struct {
 
 // Matrix mimics the multi-format holder.
 type Matrix struct {
-	csr  *cs
-	csc  *cs
-	bmp  *bm
-	pend []int
+	csr      *cs
+	csc      *cs
+	bmp      *bm
+	csrStale bool
+	pend     []int
 }
 
 // Wait assembles pending work (exempt: format machinery).
@@ -78,6 +79,55 @@ func (a *Matrix) goodInvalidation(c *cs) {
 	a.csr = c
 	a.csc = nil
 	a.bmp = nil
+}
+
+// badStaleProbe decides for itself which form is current instead of asking
+// an accessor to rebuild the stale one.
+func (a *Matrix) badStaleProbe() bool {
+	return a.csrStale // WANT format-invariants
+}
+
+// markCSRStale is part of the two-form protocol (exempt): an in-place
+// write to the dense form releases the compressed one.
+func (a *Matrix) markCSRStale() {
+	if a.bmp != nil {
+		a.csr, a.csrStale = nil, true
+	}
+}
+
+// Vector mimics the two-form vector: compressed arrays plus a dense form,
+// either of which may be the stale one.
+type Vector struct {
+	idx   []int
+	x     []float64
+	dn    *bm
+	stale bool
+}
+
+// materialized is the blessed compressed-form accessor (exempt): it
+// rebuilds idx/x when the dense form was written last.
+func (v *Vector) materialized() ([]int, []float64) {
+	if v.stale {
+		v.idx, v.x, v.stale = nil, nil, false
+	}
+	return v.idx, v.x
+}
+
+// badVectorCompressedRead reads the compressed arrays directly: after an
+// in-place write they are a stale (released) cache.
+func (v *Vector) badVectorCompressedRead() int {
+	return len(v.idx) // WANT format-invariants
+}
+
+// badVectorDenseRead reads the dense store outside the accessors.
+func (v *Vector) badVectorDenseRead() bool {
+	return v.dn != nil && !v.stale // WANT format-invariants // WANT format-invariants
+}
+
+// goodVectorAccessor goes through the dispatch accessor.
+func (v *Vector) goodVectorAccessor() int {
+	idx, _ := v.materialized()
+	return len(idx)
 }
 
 // goodIgnored documents a deliberate bypass with a directive.

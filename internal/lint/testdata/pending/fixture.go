@@ -75,25 +75,43 @@ func (a *Matrix) GoodOrientedHelper() int {
 	return ca.nvals()
 }
 
-// Vector mimics the sparse vector.
+// Vector mimics the two-form vector.
 type Vector struct {
 	idx  []int
 	x    []float64
+	dn   []float64
 	pend []int
 }
 
 // Wait assembles the vector's pending work.
 func (v *Vector) Wait() { v.pend = nil }
 
+// settle assembles pending work without converting between forms.
+func (v *Vector) settle() { v.pend = nil }
+
 // BadVectorRead reads the index slice without assembly.
 func (v *Vector) BadVectorRead() int {
-	return len(v.idx) // WANT pending-tuples
+	return len(v.idx) // WANT pending-tuples // WANT format-invariants
 }
 
-// GoodVectorRead assembles first.
+// BadDenseRead reads the dense form with pending tuples outstanding: they
+// are applied to it at assembly, so it is as stale as the index slice.
+func (v *Vector) BadDenseRead() int {
+	return len(v.dn) // WANT pending-tuples // WANT format-invariants
+}
+
+// GoodVectorRead assembles first. As with GoodNvals the raw read still
+// trips format-invariants (the real package uses materialized or ref).
 func (v *Vector) GoodVectorRead() int {
 	v.Wait()
-	return len(v.idx)
+	return len(v.idx) // WANT format-invariants
+}
+
+// GoodSettledRead sanitizes through settle, which dense-aware paths call
+// instead of Wait.
+func (v *Vector) GoodSettledRead() int {
+	v.settle()
+	return len(v.dn) // WANT format-invariants
 }
 
 // GoodAnnotated demonstrates a justified suppression: it reads nvals but

@@ -58,6 +58,11 @@ type OpRecord struct {
 	NnzB   int  `json:"nnz_b,omitempty"`
 	NnzOut int  `json:"nnz_out,omitempty"`
 	Masked bool `json:"masked,omitempty"`
+	// Write is the route the output write rule took for an mxm/vxm/mxv:
+	// "adopt" (the result replaced the output whole), "inplace" (scattered
+	// into a dense-held output) or "merge" (merged into fresh compressed
+	// arrays).
+	Write string `json:"write,omitempty"`
 	// EstFlops is the work estimate the scheduler partitioned by (the
 	// same weight function workChunks saw). ActFlops is the exact
 	// multiply count where the kernel can derive it from operand
