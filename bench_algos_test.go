@@ -309,3 +309,47 @@ func BenchmarkAblation_WriteRuleInPlace_On(b *testing.B) {
 func BenchmarkAblation_WriteRuleInPlace_Off(b *testing.B) {
 	benchWriteRuleInPlace(b, grb.FormatCSR)
 }
+
+// The dense-result-route ablation (A5): one FastSV iteration's
+// `f = min(f, mngp)` over 16 384 vertices, both operands holding every
+// entry. On: vectors, whose element-wise kernel is one pass over pooled
+// lanes that f then adopts. Off: the same operation on 1×n matrices in
+// FormatCSR, which forbids the dense form, so it runs the sorted-merge
+// kernel into fresh index and value arrays — what every full-vector grb
+// call cost before the route.
+func BenchmarkAblation_DenseResultRoute_On(b *testing.B) {
+	const n = 1 << 14
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	f, mngp := grb.DenseVector(ids), grb.DenseVector(ids)
+	minOp := grb.MinOp[int64]()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := grb.EWiseAddVector[int64, bool](f, nil, nil, minOp, f, mngp, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblation_DenseResultRoute_Off(b *testing.B) {
+	const n = 1 << 14
+	f, mngp := grb.MustMatrix[int64](1, n), grb.MustMatrix[int64](1, n)
+	for _, m := range []*grb.Matrix[int64]{f, mngp} {
+		m.SetFormat(grb.FormatCSR)
+		for j := 0; j < n; j++ {
+			_ = m.SetElement(0, j, int64(j))
+		}
+		m.Wait()
+	}
+	minOp := grb.MinOp[int64]()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := grb.EWiseAddMatrix[int64, bool](f, nil, nil, minOp, f, mngp, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -68,8 +68,31 @@ func ApplyIndexVector[A, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp
 		return opErrorf("apply", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
-	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), true, func(x A, i int) (T, bool) { return f(x, i, 0), true })
+	fn := func(x A, i int) (T, bool) { return f(x, i, 0), true }
+	if z := unaryLanes(u, mask, d, fn); z != nil {
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
+	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), true, fn)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
+}
+
+// unaryLanes is unaryRow on the dense result route: a dense-eligible
+// operand under a mask that leaves the route open is mapped through f into
+// pooled lanes the caller owns, by a pass over its own lanes or a scatter
+// of its entries. A nil return means the route is closed.
+func unaryLanes[A, T, M any](u *Vector[A], mask *Vector[M], d descValues, f func(x A, i int) (T, bool)) *bm[T] {
+	ru := u.ref()
+	if !ru.denseEligible(u.n) || !laneMaskOpen(mask, d) {
+		return nil
+	}
+	z := getLanes[T](u.n)
+	ru.each(func(i int, x A) {
+		if y, ok := f(x, i); ok {
+			z.b[i], z.x[i] = true, y
+			z.nvals++
+		}
+	})
+	return z
 }
 
 // unaryRow maps the entries of one operand row through f, keeping those f
@@ -163,7 +186,11 @@ func SelectVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 		return opErrorf("select", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
-	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), false, func(x T, i int) (T, bool) { return x, keep(x, i, 0) })
+	fn := func(x T, i int) (T, bool) { return x, keep(x, i, 0) }
+	if z := unaryLanes(u, mask, d, fn); z != nil {
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
+	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), false, fn)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 

@@ -24,6 +24,13 @@ func AssignVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 		return opErrorf("assign", ErrDimensionMismatch, "u is %d, region is %d", u.n, un)
 	}
 	d := desc.get()
+
+	// With no index list the region is all of w, and w⟨m⟩ ⊙= u is the
+	// plain write rule on a copy of u (the rule owns its z and may adopt
+	// it): exactly what extracting all of u is.
+	if idx == nil {
+		return ExtractVector(w, mask, accum, u, All, desc)
+	}
 	ui, ux := u.materialized()
 
 	// Fast path: small dense updates buffer as pending tuples instead of
@@ -38,12 +45,6 @@ func AssignVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 			}
 		}
 		return nil
-	}
-
-	// With no index list the region is all of w: the plain write rule, on
-	// a copy of u's entries (the rule owns its z and may adopt it).
-	if idx == nil {
-		return writeVectorResult(w, mask, accum, append([]int(nil), ui...), append([]T(nil), ux...), d)
 	}
 
 	// General path: expand u into w-shaped z over the region, then apply
@@ -92,6 +93,19 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 		return opErrorf("assign", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
+
+	// Over all of w the scalar is a full Z under the plain write rule. With
+	// no mask or a complemented one the admitted set can only be found by
+	// visiting every position, so Z is n lanes on the dense result route
+	// rather than a 0..n-1 list; a positive mask *is* the admitted set, and
+	// the path below costs what it holds.
+	if idx == nil && bitmapCells(1, w.n) >= 0 && (mask == nil || d.Comp) {
+		z := fullLanes[T](w.n)
+		for j := range z.x {
+			z.x[j] = s
+		}
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
 	mv := newMaskVec(mask, d)
 
 	// Enumerate admitted positions in the region.

@@ -33,7 +33,12 @@ import "sort"
 //     which is what makes mutating it in place safe: compressed arrays are
 //     shared by pointer all over the package (c.csr = z, Import/Export,
 //     the Graph caches) and are therefore never written after they are
-//     built.
+//     built. The one hand-over is a vector op's own result: on the dense
+//     result route (writeback.go) Z is computed into lanes the call owns
+//     until the write rule installs them as w.dn, and the lanes w held
+//     before go back, cleared, to the scratch pool (getLanes/release) —
+//     after every read of them, which is why an operand or mask that is
+//     also the output is safe.
 //
 // Promotion is lazy and a pure function of (cells, nvals): the write rule
 // builds the dense form of its output when denseWanted holds and the write
@@ -193,9 +198,38 @@ func (a *Matrix[T]) cachedBitmap() *bm[T] {
 	return v
 }
 
+// getLanes returns an empty 1×n dense form drawn from the scratch pool
+// (parallel.go): a vector's lanes and the scatter kernels' accumulators are
+// the same two n-sized arrays, so a steady-state iteration recycles them
+// instead of allocating.
+func getLanes[T any](n int) *bm[T] {
+	sc := getScratch[T](n)
+	return &bm[T]{nr: 1, nc: n, b: sc.seen, x: sc.val}
+}
+
+// release returns v's lanes, cleared, to the scratch pool. The caller must
+// be their only holder: no rowRef, maskVec or other view of them may be
+// read afterwards.
+func (v *bm[T]) release() {
+	clear(v.b)
+	putScratch(&denseScratch[T]{val: v.x, seen: v.b})
+	v.b, v.x, v.nvals = nil, nil, 0
+}
+
+// fullLanes is getLanes with an entry at every position; the caller fills
+// in the values.
+func fullLanes[T any](n int) *bm[T] {
+	v := getLanes[T](n)
+	for j := range v.b {
+		v.b[j] = true
+	}
+	v.nvals = n
+	return v
+}
+
 // entriesToBM expands a vector's sorted entries into its 1×n dense form.
 func entriesToBM[T any](n int, idx []int, x []T) *bm[T] {
-	v := newBM[T](1, n)
+	v := getLanes[T](n)
 	v.nvals = len(idx)
 	for k, i := range idx {
 		v.b[i], v.x[i] = true, x[k]
@@ -244,6 +278,55 @@ func (r rowRef[T]) get(j int) (T, bool) {
 		return r.x[pos], true
 	}
 	return zero, false
+}
+
+// denseEligible reports whether the dense result route reads this
+// dimension-n vector operand by lanes: it is dense-held, or the promotion
+// rule says a write would make it so.
+func (r rowRef[T]) denseEligible(n int) bool {
+	return r.b != nil || denseWanted(bitmapCells(1, n), r.nvals)
+}
+
+// lanes returns the operand's presence and value lanes: its own when it is
+// dense-held, otherwise a pooled scratch of dimension n its entries are
+// scattered into, which the caller hands back through unlanes.
+func (r rowRef[T]) lanes(n int) ([]bool, []T, *denseScratch[T]) {
+	if r.b != nil {
+		return r.b, r.dx, nil
+	}
+	sc := getScratch[T](n)
+	for k, i := range r.idx {
+		sc.seen[i], sc.val[i] = true, r.x[k]
+	}
+	return sc.seen, sc.val, sc
+}
+
+// copyLanes returns the operand's entries in fresh pooled lanes the caller
+// owns.
+func (r rowRef[T]) copyLanes(n int) *bm[T] {
+	z := getLanes[T](n)
+	z.nvals = r.nvals
+	if r.b != nil {
+		copy(z.b, r.b)
+		copy(z.x, r.dx)
+		return z
+	}
+	for k, i := range r.idx {
+		z.b[i], z.x[i] = true, r.x[k]
+	}
+	return z
+}
+
+// unlanes cleans and returns the scratch lanes handed out (nil when the
+// operand was read off its own).
+func (r rowRef[T]) unlanes(sc *denseScratch[T]) {
+	if sc == nil {
+		return
+	}
+	for _, i := range r.idx {
+		sc.seen[i] = false
+	}
+	putScratch(sc)
 }
 
 // span is the number of steps each takes: what iterating this row costs.

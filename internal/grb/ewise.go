@@ -137,6 +137,51 @@ func ewiseRow[A, B, T any](ra rowRef[A], rb rowRef[B], rm *maskVec, union bool,
 	}
 }
 
+// ewiseLanes is ewiseRow on the dense result route: both operands are read
+// by lanes (a sparse-held one through a pooled scratch) and the row is one
+// pass over the n positions into pooled lanes the caller owns — the same
+// operator on the same operands at every position, no index list. The
+// route is open when the mask leaves it open and the result cannot fall
+// far below the operands' fill: one dense-eligible operand of a union,
+// both of an intersection. A nil return means it is closed.
+func ewiseLanes[A, B, T, M any](u *Vector[A], v *Vector[B], mask *Vector[M], d descValues, union bool,
+	both BinaryOp[A, B, T], onlyA func(A) T, onlyB func(B) T) *bm[T] {
+	n := u.n
+	ra, rb := u.ref(), v.ref()
+	ea, eb := ra.denseEligible(n), rb.denseEligible(n)
+	if open := ea && eb || union && (ea || eb); !open || !laneMaskOpen(mask, d) {
+		return nil
+	}
+	ab, ax, sa := ra.lanes(n)
+	bb, bx, sb := rb.lanes(n)
+	var z *bm[T]
+	if ra.nvals == n && rb.nvals == n {
+		z = fullLanes[T](n)
+		for j := range z.x {
+			z.x[j] = both(ax[j], bx[j])
+		}
+	} else {
+		z = getLanes[T](n)
+		for j := range z.x {
+			switch {
+			case ab[j] && bb[j]:
+				z.x[j] = both(ax[j], bx[j])
+			case union && ab[j]:
+				z.x[j] = onlyA(ax[j])
+			case union && bb[j]:
+				z.x[j] = onlyB(bx[j])
+			default:
+				continue
+			}
+			z.b[j] = true
+			z.nvals++
+		}
+	}
+	ra.unlanes(sa)
+	rb.unlanes(sb)
+	return z
+}
+
 // positiveRowMask returns row i's mask view when mm can drive an
 // element-wise row (it is present and not complemented), else nil.
 func positiveRowMask(mm *maskMat, i int) *maskVec {
@@ -351,12 +396,14 @@ func EWiseUnionVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T,
 		return opErrorf("eWiseUnion", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
+	onlyU := func(x T) T { return add(x, beta) }
+	onlyV := func(y T) T { return add(alpha, y) }
+	if z := ewiseLanes(u, v, mask, d, true, add, onlyU, onlyV); z != nil {
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
 	var zi []int
 	var zx []T
-	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), true, add,
-		func(x T) T { return add(x, beta) },
-		func(y T) T { return add(alpha, y) },
-		&zi, &zx)
+	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), true, add, onlyU, onlyV, &zi, &zx)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 
@@ -372,9 +419,12 @@ func EWiseAddVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T
 		return opErrorf("eWiseAdd", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
+	id := Identity[T]()
+	if z := ewiseLanes(u, v, mask, d, true, add, id, id); z != nil {
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
 	var zi []int
 	var zx []T
-	id := Identity[T]()
 	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), true, add, id, id, &zi, &zx)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
@@ -392,6 +442,9 @@ func EWiseMultVector[A, B, T, M any](w *Vector[T], mask *Vector[M], accum Binary
 		return opErrorf("eWiseMult", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
+	if z := ewiseLanes[A, B, T](u, v, mask, d, false, mul, nil, nil); z != nil {
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
 	var zi []int
 	var zx []T
 	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), false, mul, nil, nil, &zi, &zx)

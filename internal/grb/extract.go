@@ -110,28 +110,34 @@ func ExtractVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T,
 		return opErrorf("extract", ErrDimensionMismatch, "w is %d, region is %d", w.n, on)
 	}
 	d := desc.get()
-	ui, ux := u.materialized()
-	var zi []int
-	var zx []T
-	if idx == nil {
-		zi = append(zi, ui...)
-		zx = append(zx, ux...)
-	} else {
-		type ent struct {
-			i int
-			x T
+	ru := u.ref()
+	// Dense result route: a dense-eligible u is gathered into pooled lanes
+	// in the order of the index list — a lane copy for All, an O(1) probe
+	// per index when u has lanes — with no search and no sort.
+	if ru.denseEligible(u.n) && bitmapCells(1, on) >= 0 && laneMaskOpen(mask, d) {
+		if idx == nil {
+			return writeVectorLanes(w, mask, accum, ru.copyLanes(on), d)
 		}
-		var tmp []ent
+		z := getLanes[T](on)
 		for t, src := range idx {
-			pos := sort.SearchInts(ui, src)
-			if pos < len(ui) && ui[pos] == src {
-				tmp = append(tmp, ent{t, ux[pos]})
+			if x, ok := ru.get(src); ok {
+				z.b[t], z.x[t] = true, x
+				z.nvals++
 			}
 		}
-		sort.Slice(tmp, func(a, b int) bool { return tmp[a].i < tmp[b].i })
-		for _, e := range tmp {
-			zi = append(zi, e.i)
-			zx = append(zx, e.x)
+		return writeVectorLanes(w, mask, accum, z, d)
+	}
+	if idx == nil {
+		zi, zx := u.ExtractTuples()
+		return writeVectorResult(w, mask, accum, zi, zx, d)
+	}
+	// Output positions ascend with t, so z is built sorted.
+	var zi []int
+	var zx []T
+	for t, src := range idx {
+		if x, ok := ru.get(src); ok {
+			zi = append(zi, t)
+			zx = append(zx, x)
 		}
 	}
 	return writeVectorResult(w, mask, accum, zi, zx, d)

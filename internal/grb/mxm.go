@@ -1,6 +1,7 @@
 package grb
 
 import (
+	mathbits "math/bits"
 	"sort"
 
 	"lagraph/internal/obs"
@@ -198,14 +199,40 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 					}
 				}
 			}
-			sortDedupIndices(touched) // sort; already unique
-			emitMasked(&staging.idx[k], &staging.val[k], touched, val, mm, row)
+			if !emitByMask(&staging.idx[k], &staging.val[k], touched, val, seen, mm, row) {
+				sortDedupIndices(touched) // sort; already unique
+				emitMasked(&staging.idx[k], &staging.val[k], touched, val, mm, row)
+			}
 			for _, j := range touched {
 				seen[j] = false
 			}
 		}
 	})
 	return stitchByA(staging, ca, nr, nc)
+}
+
+// emitByMask emits the accumulated row in the order a positive mask's
+// sorted row already has, probing seen for each admitted column, instead of
+// sorting the touched columns only to filter most of them away — whenever
+// that walk is shorter than the sort, a pure function of the operands. The
+// same accumulated values leave in the same ascending order either way. It
+// reports false (nothing emitted) when the sort is the way to go: no mask,
+// a complemented one, or a mask row longer than the sort's work.
+func emitByMask[T any](oi *[]int, ox *[]T, touched []int, val []T, seen []bool, mm *maskMat, row int) bool {
+	if mm == nil || mm.comp {
+		return false
+	}
+	mi, mval := mm.row(row)
+	if len(mi) > len(touched)*mathbits.Len(uint(len(touched))) {
+		return false
+	}
+	for t, j := range mi {
+		if seen[j] && (mval == nil || mval[t]) {
+			*oi = append(*oi, j)
+			*ox = append(*ox, val[j])
+		}
+	}
+	return true
 }
 
 // emitMasked appends the accumulated row, filtered by the row's mask.

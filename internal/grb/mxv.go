@@ -90,6 +90,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 
 	var zi []int
 	var zx []T
+	var zd *bm[T] // the pull kernel's result when it swept every output
 	var nnzA int
 	switch kernel {
 	case "pull":
@@ -97,14 +98,21 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 		// matrix in column-major order (columns of A = rows of Aᵀ).
 		caT := orientedCSC(a, d.TranA)
 		nnzA = caT.nvals()
-		zi, zx = vxmPull(u, caT, s, mv, ac, st)
+		zi, zx, zd = vxmPull(u, caT, s, mv, ac, st)
 	default:
 		ca := orientedCSR(a, d.TranA)
 		nnzA = ca.nvals()
 		zi, zx = vxmPush(u, ca, s, mv, ac, st)
 	}
 	nnzOut := len(zi)
-	route, err := writeVectorRouted(w, mask, accum, zi, zx, d)
+	var route string
+	var err error
+	if zd != nil {
+		nnzOut = zd.nvals
+		route, err = writeVectorLanesRouted(w, mask, accum, zd, d)
+	} else {
+		route, err = writeVectorRouted(w, mask, accum, zi, zx, d)
+	}
 	if ob != nil && err == nil {
 		// Push work estimates pad each frontier entry by one, so the
 		// exact multiply count is recoverable; pull rows exit early on
@@ -353,47 +361,23 @@ const pullWorkQuantum = 1 << 12
 // vxmPull computes z(j) = u·A(:,j) for each admitted output j, with early
 // exit on terminal monoids. caT is the column-major view of the effective
 // matrix, so caT's major vectors are the columns of A. Outputs are staged
-// per column and compacted in order, so results are independent of the
-// partitioning; columns are partitioned at equal-degree boundaries (hub
-// columns of a power-law graph otherwise serialize the sweep).
-func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
+// per column, so results are independent of the partitioning; columns are
+// partitioned at equal-degree boundaries (hub columns of a power-law graph
+// otherwise serialize the sweep).
+//
+// With no mask, or a mask that can only be probed (complemented and
+// dense-held), every column is a candidate and the staging area is indexed
+// by column: it *is* the result's dense lanes, returned as zd for the
+// write rule's dense arms instead of being compacted. Under an enumerable
+// mask the admitted columns are staged and compacted into (zi, zx).
+func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) (zi []int, zx []T, zd *bm[T]) {
 	// u is probed once per matrix entry: straight off its dense lanes when
 	// it has them, otherwise off a pooled scratch it is scattered into.
 	ur := u.ref()
-	uok, ud := ur.b, ur.dx
-	if uok == nil {
-		sc := getScratch[U](u.n)
-		defer func() {
-			for _, i := range ur.idx {
-				sc.seen[i] = false
-			}
-			putScratch(sc)
-		}()
-		for k, i := range ur.idx {
-			sc.seen[i], sc.val[i] = true, ur.x[k]
-		}
-		uok, ud = sc.seen, sc.val
-	}
+	uok, ud, usc := ur.lanes(u.n)
+	defer ur.unlanes(usc)
 
-	// The admitted output set.
-	var targets []int
-	if mv != nil && !mv.comp && mv.val == nil {
-		targets = mv.idx
-	} else if mv != nil {
-		allowed := mv.cursor()
-		for j := 0; j < outDim; j++ {
-			if allowed(j) {
-				targets = append(targets, j)
-			}
-		}
-	}
-
-	dotCol := func(j int) (T, bool) {
-		var zero T
-		ck, ok := caT.findMajor(j)
-		if !ok {
-			return zero, false
-		}
+	dotCol := func(ck int) (T, bool) {
 		ci, cx := caT.vec(ck)
 		var acc T
 		found := false
@@ -415,44 +399,83 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 		}
 		return acc, found
 	}
-	colDeg := func(j int) int {
-		ck, ok := caT.findMajor(j)
-		if !ok {
-			return 1
-		}
-		return caT.p[ck+1] - caT.p[ck] + 1
+
+	if caT.h == nil && bitmapCells(1, outDim) >= 0 && (mv == nil || (mv.comp && mv.db != nil)) {
+		zd = getLanes[T](outDim)
+		var nvals atomic.Int64
+		weight := func(j int) int { return caT.p[j+1] - caT.p[j] + 1 }
+		parallelWorkObs(outDim, pullWorkQuantum, weight, st, func(lo, hi int) {
+			cnt := 0
+			for j := lo; j < hi; j++ {
+				if !mv.allowed(j) {
+					continue
+				}
+				if v, ok := dotCol(j); ok {
+					zd.x[j], zd.b[j] = v, true
+					cnt++
+				}
+			}
+			nvals.Add(int64(cnt))
+		})
+		zd.nvals = int(nvals.Load())
+		return nil, nil, zd
 	}
 
+	// The admitted output set.
+	var targets []int
+	if mv != nil && !mv.comp && mv.val == nil {
+		targets = mv.idx
+	} else if mv != nil {
+		allowed := mv.cursor()
+		for j := 0; j < outDim; j++ {
+			if allowed(j) {
+				targets = append(targets, j)
+			}
+		}
+	}
+
+	// Staging slot t holds column colOf(t), found at major position
+	// majorOf(t) (-1: not stored).
 	var n int
-	var colOf func(t int) int
-	var weight func(t int) int
+	var colOf, majorOf func(t int) int
 	if targets != nil {
 		n = len(targets)
 		colOf = func(t int) int { return targets[t] }
-		weight = func(t int) int { return colDeg(targets[t]) }
+		majorOf = func(t int) int {
+			if ck, ok := caT.findMajor(targets[t]); ok {
+				return ck
+			}
+			return -1
+		}
 	} else {
 		// No mask: sweep all stored columns.
 		n = caT.nvecs()
-		colOf = func(t int) int { return caT.majorOf(t) }
-		weight = func(t int) int { return caT.p[t+1] - caT.p[t] + 1 }
+		colOf = caT.majorOf
+		majorOf = func(t int) int { return t }
+	}
+	weight := func(t int) int {
+		ck := majorOf(t)
+		if ck < 0 {
+			return 1
+		}
+		return caT.p[ck+1] - caT.p[ck] + 1
 	}
 	vals := make([]T, n)
 	found := make([]bool, n)
 	parallelWorkObs(n, pullWorkQuantum, weight, st, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			if v, ok := dotCol(colOf(t)); ok {
-				vals[t] = v
-				found[t] = true
+			if ck := majorOf(t); ck >= 0 {
+				vals[t], found[t] = dotCol(ck)
 			}
 		}
 	})
-	zi := make([]int, 0, n)
-	zx := make([]T, 0, n)
+	zi = make([]int, 0, n)
+	zx = make([]T, 0, n)
 	for t := 0; t < n; t++ {
 		if found[t] {
 			zi = append(zi, colOf(t))
 			zx = append(zx, vals[t])
 		}
 	}
-	return zi, zx
+	return zi, zx, nil
 }

@@ -17,6 +17,7 @@ package grb_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lagraph/internal/gen"
@@ -106,5 +107,53 @@ func TestDisabledObserverWaitZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { v.Wait() }); n != 0 {
 		t.Errorf("no-pending Vector.Wait allocates %.1f per call with observation disabled", n)
+	}
+}
+
+// TestDenseRouteWriteRecorded: an unmasked pull whose result clears the
+// promotion bar reports the write route "dense" (the kernel's lanes became
+// the output) and is what obs.Counters.Bitmap counts; the same kernel
+// accumulating into that output reports "inplace", and a result below the
+// bar comes back compacted under "adopt".
+func TestDenseRouteWriteRecorded(t *testing.T) {
+	const n = 64
+	a := grb.MustMatrix[float64](n, n)
+	for i := 0; i < n; i++ {
+		_ = a.SetElement(i, (i+1)%n, 1)
+	}
+	a.Wait()
+	thin := grb.MustMatrix[float64](n, n)
+	_ = thin.SetElement(3, 5, 1)
+	thin.Wait()
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	u := grb.DenseVector(ones)
+	pull := &grb.Descriptor{Dir: grb.DirPull}
+
+	tr, counters := obs.NewTrace(0), &obs.Counters{}
+	for _, ob := range []obs.Observer{tr, counters} {
+		prev := obs.Set(ob)
+		w := grb.MustVector[float64](n)
+		must(t, grb.MxV(w, (*grb.Vector[bool])(nil), nil, grb.PlusTimes[float64](), a, u, pull))
+		must(t, grb.MxV(w, (*grb.Vector[bool])(nil), grb.Plus[float64](), grb.PlusTimes[float64](), a, u, pull))
+		must(t, grb.MxV(grb.MustVector[float64](n), (*grb.Vector[bool])(nil), nil, grb.PlusTimes[float64](), thin, u, pull))
+		obs.Set(prev)
+		if dense, _ := w.Forms(); !dense {
+			t.Fatal("a full pull result is not dense-held")
+		}
+	}
+	var routes []string
+	for _, op := range tr.Ops() {
+		if op.Op == "mxv" {
+			routes = append(routes, op.Write)
+		}
+	}
+	if want := []string{"dense", "inplace", "adopt"}; !slices.Equal(routes, want) {
+		t.Fatalf("write routes %v, want %v", routes, want)
+	}
+	if got := counters.Snapshot().Bitmap; got != 1 {
+		t.Fatalf("Counters.Bitmap = %d after one dense-route write", got)
 	}
 }

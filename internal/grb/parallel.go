@@ -91,13 +91,18 @@ func workChunks(n int, weight func(k int) int, quantum, maxChunks int) []int {
 	if maxChunks < 1 {
 		maxChunks = 1
 	}
-	prefix := make([]int, n+1)
+	// The prefix sums are scratch: pooled, so that partitioning an n-column
+	// sweep allocates nothing proportional to n.
+	buf, _ := prefixPool.Get().(*[]int)
+	if buf == nil || cap(*buf) < n+1 {
+		buf = new([]int)
+		*buf = make([]int, n+1)
+	}
+	defer prefixPool.Put(buf)
+	prefix := (*buf)[:n+1]
+	prefix[0] = 0
 	for k := 0; k < n; k++ {
-		w := weight(k)
-		if w < 0 {
-			w = 0
-		}
-		prefix[k+1] = prefix[k] + w
+		prefix[k+1] = prefix[k] + max(weight(k), 0)
 	}
 	total := prefix[n]
 	if quantum < 1 {
@@ -129,6 +134,9 @@ func workChunks(n int, weight func(k int) int, quantum, maxChunks int) []int {
 	bounds = append(bounds, n)
 	return bounds
 }
+
+// prefixPool holds workChunks' prefix-sum buffers.
+var prefixPool sync.Pool
 
 // runChunks executes fn once per chunk of bounds, dynamically scheduled:
 // workers pull the next chunk index from an atomic counter, so a worker
@@ -365,6 +373,8 @@ func (r *rowSlices[T]) stitch(nmajor, nminor int, rows []int) *cs[T] {
 // positions. Kernels clear seen behind themselves, so a pooled scratch is
 // always handed out clean and reuse never costs a memclr — on a
 // high-diameter traversal that is one n-sized allocation per level saved.
+// The same pool supplies the lanes of dense vector results (getLanes) and
+// takes back, cleared, the ones a vector gives up (bm.release).
 type denseScratch[T any] struct {
 	val     []T
 	seen    []bool
@@ -386,7 +396,7 @@ func scratchPool[T any]() *sync.Pool {
 
 // getScratch returns a clean scratch of dimension n.
 func getScratch[T any](n int) *denseScratch[T] {
-	if sc, _ := scratchPool[T]().Get().(*denseScratch[T]); sc != nil && cap(sc.seen) >= n {
+	if sc, _ := scratchPool[T]().Get().(*denseScratch[T]); sc != nil && cap(sc.seen) >= n && cap(sc.val) >= n {
 		sc.val, sc.seen = sc.val[:n], sc.seen[:n]
 		return sc
 	}

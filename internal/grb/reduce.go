@@ -96,13 +96,28 @@ func ReduceVectorToScalar[T any](mon Monoid[T], u *Vector[T]) (T, error) {
 	if u == nil || mon.Op == nil {
 		return zero, opError("reduce", ErrUninitialized)
 	}
-	_, ux := u.materialized()
+	// Stored entries fold in ascending index order whichever form holds
+	// them — the same association, so the same bits — and a dense-held
+	// vector is read off its lanes rather than compacted to be read.
+	r := u.ref()
 	acc := mon.Identity
-	for _, x := range ux {
+	if r.sparse {
+		for _, x := range r.x {
+			if mon.Terminal != nil && mon.Terminal(acc) {
+				break
+			}
+			acc = mon.Op(acc, x)
+		}
+		return acc, nil
+	}
+	for j, ok := range r.b {
+		if !ok {
+			continue
+		}
 		if mon.Terminal != nil && mon.Terminal(acc) {
 			break
 		}
-		acc = mon.Op(acc, x)
+		acc = mon.Op(acc, r.dx[j])
 	}
 	return acc, nil
 }

@@ -615,3 +615,483 @@ func TestDenseHeldLifecycle(t *testing.T) {
 		}
 	})
 }
+
+// routeOp is one vector operation the dense result route covers, in both
+// implementations. u and v are its operands (v unused by unary ops); the
+// mimic side gets copies taken before the call, so the grb side may alias.
+type routeOp struct {
+	name string
+	// square says the output has the operands' dimension, so w may alias
+	// an operand; binary that v is read.
+	square, binary bool
+	outN           func(n int) int
+	grb            func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, v *grb.Vector[int64]) error
+	ref            func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, v *ref.Vec[int64])
+}
+
+// viaWriteRule applies the mimic's write rule to a precomputed z (a
+// whole-vector assign is exactly that), for ops the mimic does not have.
+func viaWriteRule(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, z *ref.Vec[int64]) {
+	ref.AssignVec(w, mask, accum, z, nil, d)
+}
+
+func routeOps(n int, rng *rand.Rand) []routeOp {
+	plus, times := grb.Plus[int64](), grb.Times[int64]()
+	minus := grb.Minus[int64]()
+	neg := func(x int64) int64 { return -x }
+	plusIdx := func(x int64, i, _ int) int64 { return x + int64(i) }
+	same := func(n int) int { return n }
+	// An index list with duplicates and omissions, longer than n.
+	gather := make([]int, n+5)
+	for t := range gather {
+		gather[t] = rng.Intn(n)
+	}
+	a := randMatrix(rng, n, n, 0.2)
+	const scalar = int64(7)
+	return []routeOp{
+		{"eWiseAdd", true, true, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, v *grb.Vector[int64]) error {
+				return grb.EWiseAddVector(w, mask, accum, plus, u, v, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, v *ref.Vec[int64]) {
+				ref.EWiseAddVec(w, mask, accum, plus, u, v, d)
+			}},
+		{"eWiseMult", true, true, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, v *grb.Vector[int64]) error {
+				return grb.EWiseMultVector(w, mask, accum, times, u, v, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, v *ref.Vec[int64]) {
+				ref.EWiseMultVec(w, mask, accum, times, u, v, d)
+			}},
+		{"eWiseUnion", true, true, same, // a non-commutative op with distinct fills
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, v *grb.Vector[int64]) error {
+				return grb.EWiseUnionVector(w, mask, accum, minus, u, 100, v, 1000, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, v *ref.Vec[int64]) {
+				z := ref.NewVec[int64](u.N)
+				for i := 0; i < u.N; i++ {
+					if !u.Set[i] && !v.Set[i] {
+						continue
+					}
+					x, y := int64(100), int64(1000)
+					if u.Set[i] {
+						x = u.Val[i]
+					}
+					if v.Set[i] {
+						y = v.Val[i]
+					}
+					z.Val[i], z.Set[i] = x-y, true
+				}
+				viaWriteRule(w, mask, accum, d, z)
+			}},
+		{"apply", true, false, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				return grb.ApplyVector(w, mask, accum, neg, u, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				ref.ApplyVec(w, mask, accum, neg, u, d)
+			}},
+		{"applyIndex", true, false, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				return grb.ApplyIndexVector(w, mask, accum, plusIdx, u, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				z := ref.NewVec[int64](u.N)
+				for i := 0; i < u.N; i++ {
+					if u.Set[i] {
+						z.Val[i], z.Set[i] = u.Val[i]+int64(i), true
+					}
+				}
+				viaWriteRule(w, mask, accum, d, z)
+			}},
+		{"select", true, false, same, // keeps about half: a dense operand may give a sparse result
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				return grb.SelectVector(w, mask, accum, grb.ValueGT[int64](0), u, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				ref.SelectVec(w, mask, accum, grb.ValueGT[int64](0), u, d)
+			}},
+		{"extract/all", true, false, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				return grb.ExtractVector(w, mask, accum, u, grb.All, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				ref.ExtractVec(w, mask, accum, u, nil, d)
+			}},
+		{"extract/duplicates", false, false, func(int) int { return len(gather) },
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				return grb.ExtractVector(w, mask, accum, u, gather, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				ref.ExtractVec(w, mask, accum, u, gather, d)
+			}},
+		{"assign/all", true, false, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				return grb.AssignVector(w, mask, accum, u, grb.All, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				ref.AssignVec(w, mask, accum, u, nil, d)
+			}},
+		{"assign/scalar", true, false, same,
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, _, _ *grb.Vector[int64]) error {
+				return grb.AssignVectorScalar(w, mask, accum, scalar, grb.All, d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				z := ref.NewVec[int64](u.N)
+				for i := range z.Val {
+					z.Val[i], z.Set[i] = scalar, true
+				}
+				viaWriteRule(w, mask, accum, d, z)
+			}},
+		{"mxv/pull", true, false, same, // the pull kernel's staging lanes are the result
+			func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+				dd := *d
+				dd.Dir = grb.DirPull
+				return grb.MxV(w, mask, accum, grb.PlusTimes[int64](), a, u, &dd)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+				ref.MxV(w, mask, accum, grb.PlusTimes[int64](), ref.FromMatrix(a), u, d)
+			}},
+	}
+}
+
+// fullVector has an entry at every index.
+func fullVector(rng *rand.Rand, n int) *grb.Vector[int64] {
+	v := grb.MustVector[int64](n)
+	for i := 0; i < n; i++ {
+		_ = v.SetElement(i, int64(rng.Intn(9)-4))
+	}
+	v.Wait()
+	return v
+}
+
+// mustHoldLikePromotionRule fails when a vector no test hook forced into
+// the dense form holds it below the promotion bar: a sparse result must
+// come back sparse whatever route computed it.
+func mustHoldLikePromotionRule(t *testing.T, label string, w *grb.Vector[int64]) {
+	t.Helper()
+	if dense, _ := w.Forms(); dense && w.Nvals()*8 < w.Size() {
+		t.Fatalf("%s: %d of %d entries held densely, below the 12.5 %% bar", label, w.Nvals(), w.Size())
+	}
+}
+
+// TestConformanceDenseResultRoute drives every operation of the dense
+// result route across the boundary that selects it: operands, output and
+// mask each sparse-held or dense-held, and each below the promotion bar
+// (thin), above it (half) or full, so that the lane kernels, the kernels
+// they stand in for and all three write arms run under every mask, with
+// and without an accumulator, against the mimic.
+func TestConformanceDenseResultRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1701))
+	plus := grb.Plus[int64]()
+	fills := []struct {
+		name string
+		mk   func(n int) *grb.Vector[int64]
+	}{
+		{"thin", func(n int) *grb.Vector[int64] { return randVector(rng, n, 0.06) }},
+		{"half", func(n int) *grb.Vector[int64] { return randVector(rng, n, 0.7) }},
+		{"full", func(n int) *grb.Vector[int64] { return fullVector(rng, n) }},
+	}
+	operandFills := [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 1}, {2, 2}}
+	forms := []bool{false, true}
+	n := 48 + rng.Intn(40)
+	for _, op := range routeOps(n, rng) {
+		on := op.outN(n)
+		for _, of := range operandFills {
+			if !op.binary && of[0] != of[1] {
+				continue
+			}
+			u0, v0 := fills[of[0]].mk(n), fills[of[1]].mk(n)
+			for wf, wInit := range []*grb.Vector[int64]{grb.MustVector[int64](on), randVector(rng, on, 0.06), randVector(rng, on, 0.7)} {
+				for mf, mask := range []*grb.Vector[bool]{randBoolVector(rng, on, 0.05), randBoolVector(rng, on, 0.6)} {
+					for _, wc := range writeCases() {
+						if !wc.useMask && mf > 0 {
+							continue
+						}
+						for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, plus} {
+							want := ref.FromVector(wInit)
+							var rm *ref.Vec[bool]
+							if wc.useMask {
+								rm = ref.FromVector(mask)
+							}
+							op.ref(want, rm, accum, refDesc(wc.desc), ref.FromVector(u0), ref.FromVector(v0))
+							for _, wd := range forms {
+								for _, md := range forms {
+									if !wc.useMask && md {
+										continue
+									}
+									for _, ud := range forms {
+										for _, vd := range forms {
+											if vd && !op.binary {
+												continue
+											}
+											label := fmt.Sprintf("%s/u=%s,v=%s,w=%d,m=%d/%s/accum=%v/w%v m%v u%v v%v", op.name,
+												fills[of[0]].name, fills[of[1]].name, wf, mf, wc.name, accum != nil, wd, md, ud, vd)
+											w := heldV(wInit, wd)
+											var gm *grb.Vector[bool]
+											if wc.useMask {
+												gm = heldV(mask, md)
+											}
+											d := wc.desc
+											if err := op.grb(w, gm, accum, &d, heldV(u0, ud), heldV(v0, vd)); err != nil {
+												t.Fatalf("%s: %v", label, err)
+											}
+											if !vecMatches(w, want) {
+												t.Fatalf("%s: result differs from the mimic", label)
+											}
+											if !wd {
+												mustHoldLikePromotionRule(t, label, w)
+											}
+											mustSerializeLikeTwinVec(t, w)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// vecMatches is eqVec as a predicate, so a product of cases can name the
+// failing one.
+func vecMatches(got *grb.Vector[int64], want *ref.Vec[int64]) bool {
+	is, xs := got.ExtractTuples()
+	n := 0
+	for _, set := range want.Set {
+		if set {
+			n++
+		}
+	}
+	if got.Size() != want.N || len(is) != n {
+		return false
+	}
+	for k, i := range is {
+		if !want.Set[i] || want.Val[i] != xs[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDenseResultRouteAliasing: the output is also an operand (FastSV's
+// f = min(f, g)) or both. The lanes an output gives up when it adopts a
+// result go back to the pool, so every read of them must have happened
+// first.
+func TestDenseResultRouteAliasing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1702))
+	plus := grb.Plus[int64]()
+	for trial := 0; trial < 3; trial++ {
+		n := 40 + rng.Intn(40)
+		mask := randBoolVector(rng, n, 0.5)
+		for _, op := range routeOps(n, rng) {
+			if !op.square {
+				continue
+			}
+			for _, fill := range []float64{0.06, 0.7} {
+				w0, o0 := randVector(rng, n, fill), randVector(rng, n, 0.7)
+				for _, wc := range writeCases() {
+					for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, plus} {
+						for _, dense := range []bool{false, true} {
+							for _, alias := range []string{"w=u", "w=v", "w=u=v"} {
+								label := fmt.Sprintf("t%d/%s/fill=%.2f/%s/accum=%v/dense=%v/%s", trial, op.name, fill, wc.name, accum != nil, dense, alias)
+								w := heldV(w0, dense)
+								u, v := heldV(o0, dense), heldV(o0, !dense)
+								ru, rv := ref.FromVector(o0), ref.FromVector(o0)
+								if alias != "w=v" {
+									u, ru = w, ref.FromVector(w0)
+								}
+								if alias != "w=u" {
+									v, rv = w, ref.FromVector(w0)
+								}
+								var gm *grb.Vector[bool]
+								var rm *ref.Vec[bool]
+								if wc.useMask {
+									gm, rm = heldV(mask, !dense), ref.FromVector(mask)
+								}
+								want := ref.FromVector(w0)
+								op.ref(want, rm, accum, refDesc(wc.desc), ru, rv)
+								d := wc.desc
+								if err := op.grb(w, gm, accum, &d, u, v); err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								if !vecMatches(w, want) {
+									t.Fatalf("%s: result differs from the mimic", label)
+								}
+								mustSerializeLikeTwinVec(t, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseResultRouteOutputIsMask: w⟨w⟩ and w⟨¬w⟩ — the mask's lanes are
+// the ones the output is about to give up or be written through.
+func TestDenseResultRouteOutputIsMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(1703))
+	plus := grb.Plus[int64]()
+	neg := func(x int64) int64 { return -x }
+	for trial := 0; trial < 6; trial++ {
+		n := 40 + rng.Intn(40)
+		a := randMatrix(rng, n, n, 0.2)
+		w0 := randVector(rng, n, []float64{0.06, 0.7}[trial%2])
+		u0, v0 := randVector(rng, n, 0.7), fullVector(rng, n)
+		ops := []struct {
+			name string
+			grb  func(w *grb.Vector[int64], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, v *grb.Vector[int64]) error
+			ref  func(w, mask *ref.Vec[int64], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, v *ref.Vec[int64])
+		}{
+			{"eWiseAdd",
+				func(w *grb.Vector[int64], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, v *grb.Vector[int64]) error {
+					return grb.EWiseAddVector(w, w, accum, plus, u, v, d)
+				},
+				func(w, mask *ref.Vec[int64], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, v *ref.Vec[int64]) {
+					ref.EWiseAddVec(w, mask, accum, plus, u, v, d)
+				}},
+			{"apply",
+				func(w *grb.Vector[int64], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+					return grb.ApplyVector(w, w, accum, neg, u, d)
+				},
+				func(w, mask *ref.Vec[int64], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+					ref.ApplyVec(w, mask, accum, neg, u, d)
+				}},
+			{"extract/all",
+				func(w *grb.Vector[int64], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, _, v *grb.Vector[int64]) error {
+					return grb.ExtractVector(w, w, accum, v, grb.All, d)
+				},
+				func(w, mask *ref.Vec[int64], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, _, v *ref.Vec[int64]) {
+					ref.ExtractVec(w, mask, accum, v, nil, d)
+				}},
+			{"assign/scalar",
+				func(w *grb.Vector[int64], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, _, _ *grb.Vector[int64]) error {
+					return grb.AssignVectorScalar(w, w, accum, 7, grb.All, d)
+				},
+				func(w, mask *ref.Vec[int64], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, _, _ *ref.Vec[int64]) {
+					z := ref.NewVec[int64](w.N)
+					for i := range z.Val {
+						z.Val[i], z.Set[i] = 7, true
+					}
+					ref.AssignVec(w, mask, accum, z, nil, d)
+				}},
+			{"mxv/pull",
+				func(w *grb.Vector[int64], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, u, _ *grb.Vector[int64]) error {
+					dd := *d
+					dd.Dir = grb.DirPull
+					return grb.MxV(w, w, accum, grb.PlusTimes[int64](), a, u, &dd)
+				},
+				func(w, mask *ref.Vec[int64], accum grb.BinaryOp[int64, int64, int64], d ref.Desc, u, _ *ref.Vec[int64]) {
+					ref.MxV(w, mask, accum, grb.PlusTimes[int64](), ref.FromMatrix(a), u, d)
+				}},
+		}
+		for _, op := range ops {
+			for _, comp := range []bool{false, true} {
+				for _, replace := range []bool{false, true} {
+					for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, plus} {
+						for _, dense := range []bool{false, true} {
+							label := fmt.Sprintf("t%d/%s/comp=%v/replace=%v/accum=%v/dense=%v", trial, op.name, comp, replace, accum != nil, dense)
+							d := grb.Descriptor{Comp: comp, Replace: replace}
+							w := heldV(w0, dense)
+							want := ref.FromVector(w0)
+							op.ref(want, ref.FromVector(w0), accum, refDesc(d), ref.FromVector(u0), ref.FromVector(v0))
+							if err := op.grb(w, accum, &d, heldV(u0, dense), heldV(v0, dense)); err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if !vecMatches(w, want) {
+								t.Fatalf("%s: result differs from the mimic", label)
+							}
+							mustSerializeLikeTwinVec(t, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseHeldElementWrites interleaves SetElement, MergeElement and
+// RemoveElement on a dense-held vector. With nothing buffered each is an
+// O(1) write in place; behind buffered tuples (a small region assign
+// leaves some) it must queue, or it would overtake them. The mimic is
+// compared after every step, reductions are read off both forms, and a
+// sparse twin fed the same history must serialize to the same bytes.
+func TestDenseHeldElementWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(1704))
+	plus := grb.Plus[int64]()
+	sum := func(v *grb.Vector[int64]) int64 {
+		s, err := grb.ReduceVectorToScalar(grb.PlusMonoid[int64](), v)
+		must(t, err)
+		return s
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 16 + rng.Intn(48)
+		init := randVector(rng, n, 0.6)
+		v, twin, want := heldV(init, true), init.Dup(), ref.FromVector(init)
+		twinM := grb.MustMatrix[int64](1, n) // FormatCSR: no dense form, ever
+		twinM.SetFormat(grb.FormatCSR)
+		is, xs := init.ExtractTuples()
+		for k, i := range is {
+			must(t, twinM.SetElement(0, i, xs[k]))
+		}
+		for step := 0; step < 40; step++ {
+			i, x := rng.Intn(n), int64(rng.Intn(9)-4)
+			dense, _ := v.Forms() // every step starts with nothing buffered
+			op := rng.Intn(5)
+			switch op {
+			case 0:
+				must(t, v.SetElement(i, x))
+				must(t, twin.SetElement(i, x))
+				must(t, twinM.SetElement(0, i, x))
+				want.Val[i], want.Set[i] = x, true
+			case 1:
+				must(t, v.MergeElement(i, x, plus))
+				must(t, twin.MergeElement(i, x, plus))
+				must(t, twinM.MergeElement(0, i, x, plus))
+				if want.Set[i] {
+					x += want.Val[i]
+				}
+				want.Val[i], want.Set[i] = x, true
+			case 2:
+				must(t, v.RemoveElement(i))
+				must(t, twin.RemoveElement(i))
+				must(t, twinM.RemoveElement(0, i))
+				want.Set[i], want.Val[i] = false, 0
+			case 3: // a small accumulating region assign buffers tuples; a
+				// write to the same index must then queue behind them
+				idx := uniqueIdx(rng, n, 1+rng.Intn(3))
+				u := fullVector(rng, len(idx))
+				must(t, grb.AssignVector(v, (*grb.Vector[bool])(nil), plus, u, idx, nil))
+				must(t, grb.AssignVector(twin, (*grb.Vector[bool])(nil), plus, u, idx, nil))
+				ref.AssignVec(want, (*ref.Vec[bool])(nil), plus, ref.FromVector(u), idx, ref.Desc{})
+				_, ux := u.ExtractTuples()
+				for k, target := range idx {
+					must(t, twinM.MergeElement(0, target, ux[k], plus))
+				}
+				must(t, v.MergeElement(idx[0], x, plus))
+				must(t, twin.MergeElement(idx[0], x, plus))
+				must(t, twinM.MergeElement(0, idx[0], x, plus))
+				want.Val[idx[0]] += x
+				if buffered, _ := v.Pending(); buffered != len(idx)+1 {
+					t.Fatalf("trial %d step %d: %d tuples buffered after a %d-element region assign and one write behind it", trial, step, buffered, len(idx))
+				}
+			default:
+				if got, w := sum(v), sum(twin); got != w {
+					t.Fatalf("trial %d step %d: sum off the lanes %d, off the entries %d", trial, step, got, w)
+				}
+			}
+			if buffered, _ := v.Pending(); dense && op < 3 && buffered != 0 {
+				t.Fatalf("trial %d step %d: an element write to a dense-held vector with nothing buffered left %d pending tuples", trial, step, buffered)
+			}
+			eqVec(t, v, want)
+			eqVec(t, twin, want)
+		}
+		mustSerializeLikeTwinVec(t, v)
+		row := grb.MustVector[int64](n)
+		must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, twinM, grb.All, 0, grb.DescT0))
+		eqVec(t, row, want)
+	}
+}

@@ -56,7 +56,7 @@ func (v *Vector[T]) Nvals() int {
 func (v *Vector[T]) Clear() {
 	v.idx = v.idx[:0]
 	v.x = v.x[:0]
-	v.dn, v.stale = nil, false
+	v.dropDense()
 	v.pend = nil
 	v.pendOp = nil
 	v.nzomb = 0
@@ -76,10 +76,16 @@ func (v *Vector[T]) Dup() *Vector[T] {
 	return w
 }
 
-// SetElement stores v(i) = x as a pending tuple.
+// SetElement stores v(i) = x: in place when v is dense-held with nothing
+// buffered, as a pending tuple otherwise.
 func (v *Vector[T]) SetElement(i int, x T) error {
 	if i < 0 || i >= v.n {
 		return ErrIndexOutOfBounds
+	}
+	if dn := v.settledDense(); dn != nil {
+		dn.put(i, x, nil)
+		v.sparseStale()
+		return nil
 	}
 	if v.pendOp != nil {
 		v.Wait()
@@ -97,10 +103,14 @@ func (v *Vector[T]) accumElement(i int, x T, op func(T, T) T) {
 	v.pend = append(v.pend, tuple[T]{i: i, x: x})
 }
 
-// MergeElement buffers v(i) ← op(v(i), x) (or v(i)=x if absent) through
-// the pending-tuple mechanism: a long gather-scatter sequence costs
-// O(p log p) at the next materialization. All buffered updates must share
-// one operator; switching forces assembly.
+// MergeElement computes v(i) ← op(v(i), x) (or v(i)=x if absent). On a
+// dense-held vector with nothing buffered it is an O(1) update in place —
+// a gather-scatter over n elements costs n, as RemoveElement already does.
+// Otherwise it goes through the pending-tuple mechanism: a long sequence
+// costs O(p log p) at the next materialization, all buffered updates must
+// share one operator (switching forces assembly), and updates to one index
+// are combined with each other before they meet the stored value, which
+// equals the in-place order for an associative op.
 func (v *Vector[T]) MergeElement(i int, x T, op BinaryOp[T, T, T]) error {
 	if i < 0 || i >= v.n {
 		return ErrIndexOutOfBounds
@@ -108,8 +118,23 @@ func (v *Vector[T]) MergeElement(i int, x T, op BinaryOp[T, T, T]) error {
 	if op == nil {
 		return ErrUninitialized
 	}
+	if dn := v.settledDense(); dn != nil {
+		dn.put(i, x, op)
+		v.sparseStale()
+		return nil
+	}
 	v.accumElement(i, x, op)
 	return nil
+}
+
+// settledDense returns the dense form when an element write may go
+// straight to it: it exists and no pending tuple is waiting to be ordered
+// before that write. Nil otherwise.
+func (v *Vector[T]) settledDense() *bm[T] {
+	if len(v.pend) > 0 {
+		return nil
+	}
+	return v.dn
 }
 
 // RemoveElement deletes v(i) if present (zombie tagging).
@@ -220,7 +245,35 @@ func (v *Vector[T]) ref() rowRef[T] {
 // which become the only form.
 func (v *Vector[T]) setSparse(idx []int, x []T) {
 	v.idx, v.x = idx, x
+	v.dropDense()
+}
+
+// dropDense gives up the dense form, returning its lanes to the pool. The
+// compressed arrays must already hold the contents.
+func (v *Vector[T]) dropDense() {
+	if v.dn != nil {
+		v.dn.release()
+	}
 	v.dn, v.stale = nil, false
+}
+
+// adoptLanes makes z — lanes the calling op owns — the vector's contents:
+// as its dense form when the promotion rule wants one for that many
+// entries, compacted to the sorted form (and z released) otherwise, so a
+// sparse result never stays in lanes; it reports which. Pending work must
+// be complete; the lanes v held before are released, so every read of them
+// (v as an operand or mask of the same op) must already have happened.
+func (v *Vector[T]) adoptLanes(z *bm[T]) (dense bool) {
+	if !denseWanted(bitmapCells(1, v.n), z.nvals) {
+		idx, x := compactLanes(z.b, z.x, z.nvals)
+		z.release()
+		v.setSparse(idx, x)
+		return false
+	}
+	v.dropDense()
+	v.dn = z
+	v.sparseStale()
+	return true
 }
 
 // sparseStale records an in-place write to the dense form: the compressed
@@ -242,7 +295,7 @@ func (v *Vector[T]) writableDense() *bm[T] {
 func (v *Vector[T]) maybeDemote() {
 	if v.dn != nil && !denseWanted(bitmapCells(1, v.n), v.dn.nvals) {
 		v.Wait()
-		v.dn = nil
+		v.dropDense()
 	}
 }
 
@@ -355,9 +408,15 @@ func (v *Vector[T]) Build(is []int, xs []T, dup BinaryOp[T, T, T]) error {
 	return nil
 }
 
-// ExtractTuples returns the stored entries as parallel slices.
+// ExtractTuples returns the stored entries as parallel slices. A vector
+// whose dense form was written last is compacted straight into them: its
+// compressed form stays unbuilt rather than being built to be copied.
 func (v *Vector[T]) ExtractTuples() (is []int, xs []T) {
-	idx, x := v.materialized()
+	r := v.ref()
+	idx, x := r.entries()
+	if !r.sparse {
+		return idx, x
+	}
 	return append([]int(nil), idx...), append([]T(nil), x...)
 }
 
@@ -387,8 +446,14 @@ func (v *Vector[T]) ExportSparse() (n int, idx []int, x []T) {
 	return v.n, idx, x
 }
 
-// DenseVector creates a vector with entries at every index, copying xs.
+// DenseVector creates a vector with entries at every index, copying xs. It
+// is born dense-held when the dimension allows a dense form at all.
 func DenseVector[T any](xs []T) *Vector[T] {
+	if bitmapCells(1, len(xs)) >= 0 {
+		dn := fullLanes[T](len(xs))
+		copy(dn.x, xs)
+		return &Vector[T]{n: len(xs), dn: dn, stale: true}
+	}
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i

@@ -27,12 +27,29 @@ package grb
 //     compressed arrays, O(nnz(C) + nnz(Z)).
 //
 // Z is owned by the call: its arrays may be adopted by C.
+//
+// A vector op whose operands are dense-held — or by the promotion rule
+// would be — computes Z as 1×n dense lanes drawn from the scratch pool
+// instead of sorted arrays (the dense result route: one pass over the
+// lanes, no index list, no append, no merge), and the rule has the
+// matching arms for such a Z (writeVectorLanes):
+//
+//   - adopt, under the same condition: Z is filtered in place by the mask
+//     and its lanes become w's dense form; the lanes w held go back to the
+//     pool. A filtered Z below the promotion bar is compacted to the sorted
+//     form first, so sparse traffic never stays in lanes;
+//   - in place: when w is (or by the promotion rule becomes) dense-held,
+//     one sweep of the lanes applies mask, accumulator and Replace at every
+//     position — Z already cost O(n), so no case needs to be closed except
+//     the mask being w itself;
+//   - otherwise Z is compacted and takes the merge route above.
 
 // The route a write took, as mxm/vxm op records report it.
 const (
 	routeAdopt   = "adopt"
 	routeInPlace = "inplace"
 	routeMerge   = "merge"
+	routeDense   = "dense" // dense-route Z adopted as the output's lanes
 )
 
 // inPlaceRoute reports whether the in-place route is open. comp is the
@@ -165,6 +182,69 @@ func writeVectorRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T
 	}
 	w.setSparse(ni, nx)
 	return routeMerge, nil
+}
+
+// laneMaskOpen reports whether a write mask leaves the dense result route
+// open: a positive mask holding fewer entries than the promotion bar bounds
+// the output below it, and the mask-driven kernels are output-sensitive
+// where a lane pass is not.
+func laneMaskOpen[M any](mask *Vector[M], d descValues) bool {
+	return mask == nil || d.Comp || mask.ref().denseEligible(mask.n)
+}
+
+// writeVectorLanes applies the write rule to w given the result as dense
+// lanes z, which the call owns: they end up as w's dense form or back in
+// the pool.
+func writeVectorLanes[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], z *bm[T], d descValues) error {
+	_, err := writeVectorLanesRouted(w, mask, accum, z, d)
+	return err
+}
+
+// writeVectorLanesRouted is writeVectorLanes reporting the route it took.
+func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], z *bm[T], d descValues) (string, error) {
+	if mask != nil && mask.n != w.n {
+		z.release()
+		return "", opErrorf("write", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
+	}
+	mv := newMaskVec(mask, d)
+	if w.ref().nvals == 0 || (accum == nil && (mv == nil || d.Replace)) {
+		if mv != nil {
+			allowed := mv.cursor()
+			for j, ok := range z.b {
+				if ok && !allowed(j) {
+					z.del(j)
+				}
+			}
+		}
+		if w.adoptLanes(z) {
+			return routeDense, nil
+		}
+		return routeAdopt, nil
+	}
+	if any(mask) != any(w) {
+		if dn := w.writableDense(); dn != nil {
+			allowed := mv.cursor()
+			for j, ok := range z.b {
+				switch {
+				case !allowed(j):
+					if d.Replace {
+						dn.del(j)
+					}
+				case ok:
+					dn.put(j, z.x[j], accum)
+				case accum == nil:
+					dn.del(j)
+				}
+			}
+			z.release()
+			w.sparseStale()
+			w.maybeDemote()
+			return routeInPlace, nil
+		}
+	}
+	zidx, zx := compactLanes(z.b, z.x, z.nvals)
+	z.release()
+	return writeVectorRouted(w, mask, accum, zidx, zx, d)
 }
 
 // filterAdmittedCS compacts z in place to the entries mm admits, keeping

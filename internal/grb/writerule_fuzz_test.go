@@ -198,3 +198,149 @@ func TestVectorMutationHistoryVsMimic(t *testing.T) {
 		runWriteProgram(t, prog)
 	}
 }
+
+// runRouteProgram interprets prog as one operation of the dense result
+// route — operands, output and mask drawn at a fill on either side of the
+// promotion bar — and runs it through four implementations: vectors
+// re-held densely (lane kernels, dense write arms), vectors left to the
+// promotion rule, 1×n matrices in FormatCSR (which forbids the dense form,
+// so the same operation takes the sorted-merge kernels and the merge
+// route) and the mimic. All four must agree in value and pattern, and the
+// two vectors must serialize to the bytes of a never-dense twin.
+func runRouteProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	r := &progReader{b: prog}
+	n := 8 + r.next()%56
+	// draw fills a vector holder, its matrix twin and its mimic at one of
+	// three fills: below the promotion bar, above it, full.
+	draw := func() (*grb.Vector[int64], *grb.Matrix[int64], *ref.Vec[int64]) {
+		v, m, rv := grb.MustVector[int64](n), grb.MustMatrix[int64](1, n), ref.NewVec[int64](n)
+		m.SetFormat(grb.FormatCSR)
+		every := []int{16, 2, 1}[r.next()%3]
+		for i := 0; i < n; i++ {
+			if every > 1 && r.next()%every != 0 {
+				continue
+			}
+			x := int64(r.next()%7) - 3
+			_ = v.SetElement(i, x)
+			_ = m.SetElement(0, i, x)
+			rv.Val[i], rv.Set[i] = x, true
+		}
+		return v, m, rv
+	}
+	u, uM, uR := draw()
+	v, vM, vR := draw()
+	plain, merged, want := draw()
+	dense := plain.Dup()
+
+	kind := r.next() % 5
+	d := grb.Descriptor{Comp: kind == 2 || kind == 4, MaskValue: kind >= 3, Replace: r.next()%2 == 1}
+	var accum grb.BinaryOp[int64, int64, int64]
+	if r.next()%2 == 1 {
+		accum = grb.Plus[int64]()
+	}
+	var maskV *grb.Vector[bool]
+	var maskM *grb.Matrix[bool]
+	var maskR *ref.Vec[bool]
+	if kind != 0 {
+		maskV, maskM, maskR = grb.MustVector[bool](n), grb.MustMatrix[bool](1, n), ref.NewVec[bool](n)
+		every := []int{16, 2}[r.next()%2]
+		for i := 0; i < n; i++ {
+			if r.next()%every == 0 {
+				b := r.next()%2 == 1
+				_ = maskV.SetElement(i, b)
+				_ = maskM.SetElement(0, i, b)
+				maskR.Val[i], maskR.Set[i] = b, true
+			}
+		}
+	}
+	hold := func(x *grb.Vector[int64]) *grb.Vector[int64] {
+		x = x.Dup()
+		grb.HoldDense(x)
+		return x
+	}
+	grb.HoldDense(dense)
+	var maskD *grb.Vector[bool]
+	if maskV != nil {
+		maskD = maskV.Dup()
+		grb.HoldDense(maskD)
+	}
+	minus := grb.Minus[int64]()
+	neg := func(x int64) int64 { return -x }
+	rd := refDesc(d)
+	switch r.next() % 6 {
+	case 0:
+		must(t, grb.EWiseAddVector(dense, maskD, accum, minus, hold(u), hold(v), &d))
+		must(t, grb.EWiseAddVector(plain, maskV, accum, minus, u, v, &d))
+		must(t, grb.EWiseAddMatrix(merged, maskM, accum, minus, uM, vM, &d))
+		ref.EWiseAddVec(want, maskR, accum, minus, uR, vR, rd)
+	case 1:
+		must(t, grb.EWiseMultVector(dense, maskD, accum, minus, hold(u), hold(v), &d))
+		must(t, grb.EWiseMultVector(plain, maskV, accum, minus, u, v, &d))
+		must(t, grb.EWiseMultMatrix(merged, maskM, accum, minus, uM, vM, &d))
+		ref.EWiseMultVec(want, maskR, accum, minus, uR, vR, rd)
+	case 2:
+		must(t, grb.ApplyVector(dense, maskD, accum, neg, hold(u), &d))
+		must(t, grb.ApplyVector(plain, maskV, accum, neg, u, &d))
+		must(t, grb.ApplyMatrix(merged, maskM, accum, neg, uM, &d))
+		ref.ApplyVec(want, maskR, accum, neg, uR, rd)
+	case 3:
+		keep := grb.ValueGT[int64](0)
+		must(t, grb.SelectVector(dense, maskD, accum, keep, hold(u), &d))
+		must(t, grb.SelectVector(plain, maskV, accum, keep, u, &d))
+		must(t, grb.SelectMatrix(merged, maskM, accum, keep, uM, &d))
+		ref.SelectVec(want, maskR, accum, keep, uR, rd)
+	case 4: // gather with duplicates
+		idx := make([]int, n)
+		for t := range idx {
+			idx[t] = r.next() % n
+		}
+		must(t, grb.ExtractVector(dense, maskD, accum, hold(u), idx, &d))
+		must(t, grb.ExtractVector(plain, maskV, accum, u, idx, &d))
+		must(t, grb.ExtractMatrix(merged, maskM, accum, uM, []int{0}, idx, &d))
+		ref.ExtractVec(want, maskR, accum, uR, idx, rd)
+	default:
+		must(t, grb.AssignVector(dense, maskD, accum, hold(u), grb.All, &d))
+		must(t, grb.AssignVector(plain, maskV, accum, u, grb.All, &d))
+		must(t, grb.AssignMatrix(merged, maskM, accum, uM, grb.All, grb.All, &d))
+		ref.AssignVec(want, maskR, accum, uR, nil, rd)
+	}
+	eqVec(t, dense, want)
+	eqVec(t, plain, want)
+	if dm, _ := merged.Forms(); dm {
+		t.Fatal("the FormatCSR twin took the dense form")
+	}
+	row := grb.MustVector[int64](n)
+	must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, merged, grb.All, 0, grb.DescT0))
+	eqVec(t, row, want)
+	if dp, _ := plain.Forms(); dp && plain.Nvals()*8 < n {
+		t.Fatalf("%d of %d entries held densely by the promotion rule", plain.Nvals(), n)
+	}
+	mustSerializeLikeTwinVec(t, dense)
+	mustSerializeLikeTwinVec(t, plain)
+}
+
+// FuzzDenseResultRoute searches for an operation on which the dense result
+// route disagrees with the merge route or the mimic.
+func FuzzDenseResultRoute(f *testing.F) {
+	f.Add([]byte{40, 1, 2, 0, 1, 3, 2, 1, 1, 4, 0, 1, 1, 0, 5, 2, 3, 1, 1, 0})
+	f.Add([]byte{9, 2, 5, 5, 5, 5, 5, 5, 5, 5, 5, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 3, 1, 0, 4, 4})
+	f.Add([]byte{63, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 1024 {
+			return
+		}
+		runRouteProgram(t, prog)
+	})
+}
+
+// TestDenseResultRouteVsMergeRoute runs seeded random operations through
+// the same interpreter on every `go test`.
+func TestDenseResultRouteVsMergeRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1705))
+	for trial := 0; trial < 1500; trial++ {
+		prog := make([]byte, 200+rng.Intn(500))
+		rng.Read(prog)
+		runRouteProgram(t, prog)
+	}
+}

@@ -90,21 +90,16 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 
 		// Aggressive hooking onto parents-of-parents: f(f(i)) ← min(...).
 		// Gather-scatter through the tuple interface (the C formulation
-		// uses GrB_extract with f as the index vector).
-		fi, fx := f.ExtractTuples()
+		// uses GrB_extract with f as the index vector). fx is a snapshot
+		// and min is associative, commutative and idempotent, so the
+		// updates merge straight into f in any order.
+		_, fx := f.ExtractTuples()
 		idx := make([]int, len(fx))
-		for k := range fx {
-			idx[k] = int(fx[k])
-		}
-		_ = fi
-		upd := grb.MustVector[int64](n)
 		minOp := grb.MinOp[int64]()
-		for k, p := range idx {
-			// upd(p) ← min(upd(p), f(i)) for each i with f(i)=p.
-			_ = upd.MergeElement(p, fx[k], minOp)
-		}
-		if err := grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, upd, nil); err != nil {
-			return nil, err
+		for k := range fx {
+			// f(p) ← min(f(p), f(i)) for each i with f(i)=p.
+			idx[k] = int(fx[k])
+			_ = f.MergeElement(idx[k], fx[k], minOp)
 		}
 
 		// Shortcutting: f(i) ← f(f(i)); compute the new grandparent.
@@ -116,7 +111,10 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 			return nil, err
 		}
 
-		stable := vectorsEqual(gp, newGP)
+		stable, err := isEqual(gp, newGP)
+		if err != nil {
+			return nil, err
+		}
 		if ob != nil {
 			ob.Iter(obs.IterRecord{
 				Algo: "cc-fastsv", Iter: iter + 1,
@@ -133,19 +131,24 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 	return nil, ErrNoConvergence
 }
 
-// vectorsEqual compares two vectors by value and pattern.
-func vectorsEqual(a, b *grb.Vector[int64]) bool {
-	ai, ax := a.ExtractTuples()
-	bi, bx := b.ExtractTuples()
-	if len(ai) != len(bi) {
-		return false
+// isEqual reports whether two vectors have the same pattern and values
+// (the paper's LAGraph_isequal utility, §IV): equal entry counts, then an
+// eWiseMult with == over the common pattern, which must cover both and
+// reduce to true under logical and.
+func isEqual(a, b *grb.Vector[int64]) (bool, error) {
+	if a.Size() != b.Size() || a.Nvals() != b.Nvals() {
+		return false, nil
 	}
-	for k := range ai {
-		if ai[k] != bi[k] || ax[k] != bx[k] {
-			return false
-		}
+	same := grb.MustVector[bool](a.Size())
+	defer same.Clear() // GrB_free: the temporary's storage goes back to grb
+	eq := func(x, y int64) bool { return x == y }
+	if err := grb.EWiseMultVector[int64, int64, bool, bool](same, nil, nil, eq, a, b, nil); err != nil {
+		return false, err
 	}
-	return true
+	if same.Nvals() != a.Nvals() {
+		return false, nil
+	}
+	return grb.ReduceVectorToScalar(grb.LAndMonoid(), same)
 }
 
 // ConnectedComponentsLabelProp iterates l ← min(l, min-neighbour(l))
@@ -173,7 +176,9 @@ func ConnectedComponentsLabelProp(g *Graph, opts ...Option) (*grb.Vector[int64],
 				return nil, err
 			}
 		}
-		if vectorsEqual(prev, l) {
+		if same, err := isEqual(prev, l); err != nil {
+			return nil, err
+		} else if same {
 			return l, nil
 		}
 	}

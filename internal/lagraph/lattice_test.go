@@ -187,3 +187,121 @@ func TestTraversalWorkScalesWithFrontier(t *testing.T) {
 		}
 	}
 }
+
+// TestFullVectorIterationAllocatesNothingPerVertex is the work gate for the
+// full-vector pipelines. Every intermediate of a PageRank or FastSV
+// iteration has all n entries; on the dense result route each grb call is a
+// pass over pooled lanes, so what an iteration allocates is what the
+// algorithm's own text asks for (FastSV's ExtractTuples snapshot and index
+// list, the per-iteration vectors it creates and drops), not a merge's
+// worth of fresh index and value arrays per call. Bytes per iteration per
+// vertex is a count: ~290 (PageRank) and ~640 (FastSV) before the route.
+func TestFullVectorIterationAllocatesNothingPerVertex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops entries at random: lanes are reallocated and the bytes stop being a count")
+	}
+	const maxBytesPerVertex = 64.0
+	for _, side := range []int{64, latticeSide} {
+		g := unweightedLattice(side)
+		g.A.Materialize()
+		g.OutDegree().Wait()
+		n := float64(g.N())
+		var prIters, ccIters int
+		pr := totalAlloc(func() {
+			res, err := PageRankWith(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prIters = res.Iterations
+		})
+		cc := totalAlloc(func() {
+			res, err := ConnectedComponentsWith(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ccIters = res.Iterations
+		})
+		for _, k := range []struct {
+			name  string
+			bytes float64
+			iters int
+		}{{"PageRank", pr, prIters}, {"FastSV", cc, ccIters}} {
+			per := k.bytes / float64(k.iters) / n
+			t.Logf("%d×%d %-8s %9.0f B in %2d iterations: %.1f B per iteration per vertex", side, side, k.name, k.bytes, k.iters, per)
+			if per > maxBytesPerVertex {
+				t.Errorf("%s on the %d×%d lattice allocates %.1f bytes per iteration per vertex (limit %.0f): some grb call is rebuilding an n-entry result instead of passing over lanes",
+					k.name, side, side, per, maxBytesPerVertex)
+			}
+		}
+	}
+}
+
+// TestFastSVClosedForms: connected components at benchmark size have
+// answers by construction. The lattice is one component whose smallest id
+// is 0; k disjoint paths are k components, each labelled by the smallest
+// id on its path.
+func TestFastSVClosedForms(t *testing.T) {
+	components := func(g *Graph) (int, []int64) {
+		t.Helper()
+		labels, err := ConnectedComponentsFastSV(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, xs := labels.ExtractTuples()
+		if len(is) != g.N() {
+			t.Fatalf("%d of %d vertices labelled", len(is), g.N())
+		}
+		return CountComponents(labels), xs
+	}
+	count, xs := components(unweightedLattice(latticeSide))
+	if count != 1 {
+		t.Fatalf("%d components on the lattice, want 1", count)
+	}
+	for v, l := range xs {
+		if l != 0 {
+			t.Fatalf("lattice vertex %d labelled %d, want 0", v, l)
+		}
+	}
+
+	const k, length = latticeSide, latticeSide // 128 paths of 128 vertices
+	e := &gen.EdgeList{N: k * length}
+	for p := 0; p < k; p++ {
+		for i := 0; i+1 < length; i++ {
+			u := p*length + i
+			e.Src, e.Dst, e.W = append(e.Src, u, u+1), append(e.Dst, u+1, u), append(e.W, 1, 1)
+		}
+	}
+	count, xs = components(FromEdgeList(e, Undirected))
+	if count != k {
+		t.Fatalf("%d components on %d disjoint paths", count, k)
+	}
+	for v, l := range xs {
+		if want := int64(v / length * length); l != want {
+			t.Fatalf("vertex %d on path %d labelled %d, want the path's smallest id %d", v, v/length, l, want)
+		}
+	}
+}
+
+// TestPageRankCycleClosedForm: on a cycle every vertex has degree 2, the
+// uniform vector is the fixed point, and the power iteration from 1/n
+// stops after one sweep with every rank 1/n.
+func TestPageRankCycleClosedForm(t *testing.T) {
+	n := latticeSide * latticeSide
+	g := FromEdgeList(gen.Ring(n, gen.Config{Undirected: true}), Undirected)
+	res, err := PageRankWith(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Iterations != 1 {
+		t.Fatalf("converged=%v after %d iterations, want 1", res.Converged, res.Iterations)
+	}
+	is, xs := res.Rank.ExtractTuples()
+	if len(is) != n {
+		t.Fatalf("%d of %d vertices ranked", len(is), n)
+	}
+	for v, x := range xs {
+		if math.Abs(x-1/float64(n)) > 1e-15 {
+			t.Fatalf("rank(%d) = %v, want 1/n = %v", v, x, 1/float64(n))
+		}
+	}
+}

@@ -8,6 +8,8 @@ package lagraph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"sync"
 	"testing"
 
 	"lagraph/internal/gen"
@@ -58,6 +60,141 @@ func TestTracedBFSBitwiseIdentical(t *testing.T) {
 				c.name, len(got), len(base))
 		}
 	}
+}
+
+// TestTracedFullVectorKernelsBitwiseIdentical: PageRank and FastSV run
+// every iteration on the dense result route — pooled lanes, the pull
+// kernel writing its result lanes from several workers. Ranks, labels and
+// iteration counts must not depend on the worker count or on an observer,
+// on a skewed graph and on the lattice.
+func TestTracedFullVectorKernelsBitwiseIdentical(t *testing.T) {
+	kernels := []struct {
+		name string
+		run  func(g *Graph) (*bytes.Buffer, int, error)
+	}{
+		{"pagerank", func(g *Graph) (*bytes.Buffer, int, error) {
+			res, err := PageRankWith(g)
+			if err != nil {
+				return nil, 0, err
+			}
+			return tupleBytes(res.Rank), res.Iterations, nil
+		}},
+		{"cc-fastsv", func(g *Graph) (*bytes.Buffer, int, error) {
+			res, err := ConnectedComponentsWith(g)
+			if err != nil {
+				return nil, 0, err
+			}
+			return tupleBytes(res.Labels), res.Iterations, nil
+		}},
+	}
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"powerlaw", powerLawGraph(1<<11, 1<<15, 83)},
+		{"lattice", unweightedLattice(48)},
+	}
+	for _, gr := range graphs {
+		for _, k := range kernels {
+			var base []byte
+			var baseIters int
+			for _, c := range []struct {
+				name   string
+				p      int
+				traced bool
+			}{{"p1 untraced", 1, false}, {"p1 traced", 1, true}, {"p8 untraced", 8, false}, {"p8 traced", 8, true}} {
+				var tr *obs.Trace
+				if c.traced {
+					tr = obs.NewTrace(0)
+				}
+				prev := obs.Set(obsOrNil(tr))
+				prevP := grb.SetParallelism(c.p)
+				buf, iters, err := k.run(gr.g)
+				grb.SetParallelism(prevP)
+				obs.Set(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base, baseIters = buf.Bytes(), iters
+					continue
+				}
+				if iters != baseIters || !bytes.Equal(buf.Bytes(), base) {
+					t.Errorf("%s on %s, %s: %d iterations and %d bytes differ from p1 untraced (%d iterations, %d bytes)",
+						k.name, gr.name, c.name, iters, buf.Len(), baseIters, len(base))
+				}
+				if c.traced && len(tr.Iters()) != iters {
+					t.Errorf("%s on %s, %s: %d iteration records for %d iterations", k.name, gr.name, c.name, len(tr.Iters()), iters)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentFullVectorKernelsShareLanes: queries running at once on one
+// graph draw their result lanes from one pool and hand them back as their
+// outputs adopt new ones. A lane released while anything still reads it, or
+// handed out dirty, shows up as a wrong answer here (and as a report under
+// -race).
+func TestConcurrentFullVectorKernelsShareLanes(t *testing.T) {
+	g := powerLawGraph(1<<10, 1<<14, 85)
+	g.A.Materialize()
+	g.OutDegree().Wait()
+	rank := func() []byte {
+		res, err := PageRankWith(g)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		return tupleBytes(res.Rank).Bytes()
+	}
+	labels := func() []byte {
+		res, err := ConnectedComponentsWith(g)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		return tupleBytes(res.Labels).Bytes()
+	}
+	wantRank, wantLabels := rank(), labels()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				if (w+i)%2 == 0 {
+					if !bytes.Equal(rank(), wantRank) {
+						t.Errorf("worker %d round %d: PageRank differs from the serial run", w, i)
+					}
+				} else if !bytes.Equal(labels(), wantLabels) {
+					t.Errorf("worker %d round %d: FastSV labels differ from the serial run", w, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// tupleBytes is a vector's entries as fixed-width bytes. (Not
+// grb.SerializeVector: gob numbers types in the order a process first
+// encodes them, and the golden frames pin the order the suite had.)
+func tupleBytes[T any](v *grb.Vector[T]) *bytes.Buffer {
+	var buf bytes.Buffer
+	is, xs := v.ExtractTuples()
+	for k, i := range is {
+		_ = binary.Write(&buf, binary.LittleEndian, int64(i))
+		_ = binary.Write(&buf, binary.LittleEndian, xs[k])
+	}
+	return &buf
+}
+
+// obsOrNil keeps a nil *Trace from becoming a non-nil Observer.
+func obsOrNil(tr *obs.Trace) obs.Observer {
+	if tr == nil {
+		return nil
+	}
+	return tr
 }
 
 // TestPowerLawBFSTraceSwitch: on a skewed graph the auto-directed BFS

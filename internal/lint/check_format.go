@@ -12,8 +12,9 @@ import (
 // — a stale compressed form is released, so reading it is a nil
 // dereference at best and old data at worst). The raw fields are coherent
 // only through the dispatch accessors — materializedCSR, materializedCSC,
-// bitmapView, cachedBitmap, rowsRef for a Matrix; materialized and ref for
-// a Vector — which complete pending work, take the cache mutexes, rebuild
+// bitmapView, cachedBitmap, rowsRef for a Matrix; materialized, ref and
+// settledDense for a Vector — which complete pending work (settledDense:
+// refuse while any is outstanding), take the cache mutexes, rebuild
 // a stale side and honor the configured format. A direct field read
 // anywhere else sees whichever representation happened to be current and
 // silently breaks the forms-are-interchangeable contract the conformance
@@ -58,6 +59,7 @@ var formatExempt = map[string]bool{
 	"nvalsSettled":    true,
 	"materialized":    true,
 	"ref":             true,
+	"settledDense":    true,
 	// Format management and assembly: the two-form protocol itself.
 	"Wait":          true,
 	"settle":        true,
@@ -69,6 +71,8 @@ var formatExempt = map[string]bool{
 	"sparseStale":   true,
 	"writableDense": true,
 	"maybeDemote":   true,
+	"dropDense":     true,
+	"adoptLanes":    true,
 	"SetFormat":     true,
 	"Clear":         true,
 	"Dup":           true,
@@ -101,7 +105,7 @@ func runFormatInvariants(p *Package, r *Reporter) {
 				}
 				accessors := "materializedCSR/materializedCSC/bitmapView/cachedBitmap/rowsRef"
 				if recv == "Vector" {
-					accessors = "materialized/ref"
+					accessors = "materialized/ref/settledDense"
 				}
 				r.Reportf(sel.Pos(),
 					"%s reads %s.%s directly; use the format-dispatch accessor (%s)",

@@ -33,12 +33,14 @@ func pendingTuplesCheck() *Check {
 // completion before handing out storage: Wait and settle themselves, the
 // materialized*/ref accessors that call them, and the oriented*/rowsRef
 // wrappers kernels use to pick a storage orientation (all of which
-// settle).
+// settle) — and settledDense, which hands out the dense form only when
+// nothing is pending against it.
 var sanitizers = map[string]bool{
 	"Wait":            true,
 	"settle":          true,
 	"materialized":    true,
 	"ref":             true,
+	"settledDense":    true,
 	"materializedCSR": true,
 	"materializedCSC": true,
 	"orientedCSR":     true,

@@ -124,6 +124,36 @@ func (v *Vector) badVectorDenseRead() bool {
 	return v.dn != nil && !v.stale // WANT format-invariants // WANT format-invariants
 }
 
+// settledDense is the blessed probe for an immediate element write
+// (exempt): the dense form, unless pending tuples must be ordered first.
+func (v *Vector) settledDense() *bm {
+	return v.dn
+}
+
+// adoptLanes is part of the two-form protocol (exempt): an op's dense
+// result replaces the vector's own dense form.
+func (v *Vector) adoptLanes(z *bm) {
+	if v.dn != nil {
+		v.dn.b = nil
+	}
+	v.dn, v.idx, v.x, v.stale = z, nil, nil, true
+}
+
+// goodMergeElement writes in place through the probe.
+func (v *Vector) goodMergeElement(i int, x float64) {
+	if dn := v.settledDense(); dn != nil {
+		dn.b[i], dn.x[i] = true, x
+	}
+}
+
+// badMergeElement decides from the raw field that the dense form may be
+// written, skipping the pending-tuple check the probe makes.
+func (v *Vector) badMergeElement(i int, x float64) {
+	if v.dn != nil { // WANT format-invariants
+		v.dn.x[i] = x // WANT format-invariants
+	}
+}
+
 // goodVectorAccessor goes through the dispatch accessor.
 func (v *Vector) goodVectorAccessor() int {
 	idx, _ := v.materialized()

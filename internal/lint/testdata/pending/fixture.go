@@ -114,6 +114,31 @@ func (v *Vector) GoodSettledRead() int {
 	return len(v.dn) // WANT format-invariants
 }
 
+// settledDense hands out the dense form only when nothing is pending.
+func (v *Vector) settledDense() []float64 {
+	if len(v.pend) > 0 {
+		return nil
+	}
+	return v.dn
+}
+
+// BadMergeElement updates the dense form in place without asking whether
+// buffered tuples must be applied first.
+func (v *Vector) BadMergeElement(i int, x float64) {
+	if v.dn != nil { // WANT pending-tuples // WANT format-invariants
+		v.dn[i] += x // WANT format-invariants
+	}
+}
+
+// GoodMergeElement goes through the pending-aware probe.
+func (v *Vector) GoodMergeElement(i int, x float64) {
+	if dn := v.settledDense(); dn != nil {
+		dn[i] += x
+		return
+	}
+	v.pend = append(v.pend, i)
+}
+
 // GoodAnnotated demonstrates a justified suppression: it reads nvals but
 // pairs it with a pending-length test, so staleness cannot be observed.
 func (a *Matrix) GoodAnnotated() bool {

@@ -60,8 +60,9 @@ type OpRecord struct {
 	Masked bool `json:"masked,omitempty"`
 	// Write is the route the output write rule took for an mxm/vxm/mxv:
 	// "adopt" (the result replaced the output whole), "inplace" (scattered
-	// into a dense-held output) or "merge" (merged into fresh compressed
-	// arrays).
+	// into a dense-held output), "merge" (merged into fresh compressed
+	// arrays) or "dense" (the kernel's dense result lanes became the
+	// output's dense form: adopt with no index list ever built).
 	Write string `json:"write,omitempty"`
 	// EstFlops is the work estimate the scheduler partitioned by (the
 	// same weight function workChunks saw). ActFlops is the exact

@@ -44,8 +44,8 @@ func TestCountersAggregate(t *testing.T) {
 	c.Op(OpRecord{Op: "mxm", Kernel: "gustavson", EstFlops: 100, NnzOut: 7, DurNanos: 5})
 	c.Op(OpRecord{Op: "mxm", Kernel: "dot", EstFlops: 50, NnzOut: 3})
 	c.Op(OpRecord{Op: "vxm", Kernel: "push", EstFlops: 10, NnzOut: 2})
-	c.Op(OpRecord{Op: "vxm", Kernel: "pull", EstFlops: 20, NnzOut: 1})
-	c.Op(OpRecord{Op: "mxm", Kernel: "heap", EstFlops: 30, NnzOut: 4})
+	c.Op(OpRecord{Op: "vxm", Kernel: "pull", EstFlops: 20, NnzOut: 1, Write: "dense"})
+	c.Op(OpRecord{Op: "mxm", Kernel: "heap", EstFlops: 30, NnzOut: 4, Write: "adopt"})
 	c.Op(OpRecord{Op: "wait", Kernel: "assemble", Pending: 12, Zombies: 3})
 	c.Iter(IterRecord{Algo: "bfs", Iter: 1})
 	c.Iter(IterRecord{Algo: "bfs", Iter: 2})
@@ -55,6 +55,9 @@ func TestCountersAggregate(t *testing.T) {
 	}
 	if d.Gustavson != 1 || d.Dot != 1 || d.Heap != 1 || d.Push != 1 || d.Pull != 1 {
 		t.Fatalf("kernel counts = %+v", d)
+	}
+	if d.Bitmap != 1 {
+		t.Fatalf("dense-route writes = %d, want the one record with Write \"dense\"", d.Bitmap)
 	}
 	if d.EstFlops != 210 || d.NnzOut != 17 || d.Pending != 12 || d.Zombies != 3 || d.DurNanos != 5 {
 		t.Fatalf("aggregates = %+v", d)

@@ -27,7 +27,11 @@ type Counters struct {
 	Heap      atomic.Int64
 	Push      atomic.Int64
 	Pull      atomic.Int64
-	Bitmap    atomic.Int64 // the bitmap-view kernel: "dot-bitmap" mxm
+
+	// Bitmap counts writes whose result took the dense route end to end:
+	// computed as dense lanes and adopted as the output's dense (bitmap)
+	// form, OpRecord.Write == "dense".
+	Bitmap atomic.Int64
 }
 
 // Now implements Observer via the package clock.
@@ -39,10 +43,13 @@ func (c *Counters) Op(r OpRecord) {
 	c.EstFlops.Add(r.EstFlops)
 	c.NnzOut.Add(int64(r.NnzOut))
 	c.DurNanos.Add(r.DurNanos)
+	if r.Write == "dense" {
+		c.Bitmap.Add(1)
+	}
 	switch r.Kernel {
 	case "gustavson":
 		c.Gustavson.Add(1)
-	case "dot":
+	case "dot", "dot-bitmap":
 		c.Dot.Add(1)
 	case "heap":
 		c.Heap.Add(1)
@@ -50,8 +57,6 @@ func (c *Counters) Op(r OpRecord) {
 		c.Push.Add(1)
 	case "pull":
 		c.Pull.Add(1)
-	case "dot-bitmap":
-		c.Bitmap.Add(1)
 	case "assemble":
 		c.Waits.Add(1)
 		c.Pending.Add(int64(r.Pending))

@@ -615,6 +615,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	} {
 		p("lagraphd_grb_kernel_ops_total{kernel=%q} %d\n", kv.kernel, kv.n)
 	}
+	p("# HELP lagraphd_grb_bitmap_writes_total Kernel results computed as dense lanes and adopted as the output's dense form (write route \"dense\").\n# TYPE lagraphd_grb_bitmap_writes_total counter\n")
+	p("lagraphd_grb_bitmap_writes_total %d\n", cs.Bitmap)
 
 	p("# HELP lagraphd_incremental_queries_total Incremental-capable query runs by how they were answered.\n# TYPE lagraphd_incremental_queries_total counter\n")
 	p("lagraphd_incremental_queries_total{mode=\"warm\"} %d\n", s.incWarm.Load())
