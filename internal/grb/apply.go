@@ -146,7 +146,10 @@ func SelectMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 	}
 	ca := orientedCSR(a, d.TranA)
 	staging := newRowSlices[T](ca.nvecs())
-	parallelRanges(ca.nvecs(), 64, func(lo, hi int) {
+	// Chunks carry equal entries, not equal rows (a degree-sorted operand
+	// keeps every hub in its last rows).
+	rowLen := func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }
+	parallelWork(ca.nvecs(), mxmWorkQuantum, rowLen, func(lo, hi int) {
 		// One slab per chunk, sized by the chunk's input: the kept entries
 		// of each row are a capped window of it, not an allocation.
 		si := make([]int, 0, ca.p[hi]-ca.p[lo])

@@ -3,6 +3,8 @@ package grb
 import (
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +14,12 @@ import (
 // row list is strictly ascending, each row's column indices are strictly
 // ascending with monotone row pointers, and duplicate combination agrees
 // bitwise with a naive map-based oracle that folds duplicates in input
-// order (the same association assembleCS's stable (i,j,k) sort fixes).
+// order (the same association assembleCS's stable (i,j,k) order fixes).
+// Assembly has two routes to that order — counting passes and a comparison
+// sort, chosen by countingPays — so every input runs both and their
+// structures must be the same bits, under duplicate operators where order
+// shows (First, Second, Minus), under nil (duplicates are an error on both),
+// and through the dispatcher at a dimension that forces the sort.
 
 // fuzzTuples decodes the fuzzer's byte stream into a bounded tuple batch.
 func fuzzTuples(data []byte) (nmajor, nminor int, is, js []int, xs []float64) {
@@ -109,16 +116,103 @@ func FuzzAssembleCS(f *testing.F) {
 			}
 		}
 
-		// dup=nil must reject exactly the batches that contain duplicates.
-		_, err = assembleCS(nmajor, nminor, is, js, xs, nil)
+		// Both routes, every duplicate semantics: the same structure, and
+		// dup=nil rejecting exactly the batches that contain duplicates.
+		counted, sorted := countingOrder(nmajor, nminor, is, js), comparisonOrder(is, js)
 		hasDup := len(oracle) < len(is)
-		if hasDup && !errors.Is(err, ErrInvalidValue) {
-			t.Fatalf("dup=nil on duplicated input: err=%v, want ErrInvalidValue", err)
+		for _, dup := range []struct {
+			name string
+			op   BinaryOp[float64, float64, float64]
+		}{{"plus", Plus[float64]()}, {"first", First[float64, float64]()}, {"second", Second[float64, float64]()}, {"minus", Minus[float64]()}, {"nil", nil}} {
+			a, errA := compressOrdered(nmajor, nminor, counted, is, js, xs, dup.op)
+			b, errB := compressOrdered(nmajor, nminor, sorted, is, js, xs, dup.op)
+			if dup.op == nil && hasDup {
+				if !errors.Is(errA, ErrInvalidValue) || !errors.Is(errB, ErrInvalidValue) {
+					t.Fatalf("dup=nil on duplicated input: counting err=%v, sort err=%v, want ErrInvalidValue", errA, errB)
+				}
+				continue
+			}
+			if errA != nil || errB != nil {
+				t.Fatalf("dup=%s: counting err=%v, sort err=%v", dup.name, errA, errB)
+			}
+			if !sameCS(a, b) {
+				t.Fatalf("dup=%s: counting route built %+v, comparison sort %+v", dup.name, a, b)
+			}
+			if dup.name == "plus" && !sameCS(a, c) {
+				t.Fatalf("assembleCS built %+v, its counting route %+v", c, a)
+			}
 		}
-		if !hasDup && err != nil {
-			t.Fatalf("dup=nil on duplicate-free input: %v", err)
+
+		// The same tuples with every row index scaled into a dimension that
+		// dwarfs the batch go through the dispatcher's comparison route and
+		// must come out as the same rows, relabeled.
+		const stride = 1 << 14
+		if countingPays(len(is), nmajor*stride, nminor) {
+			t.Fatalf("countingPays(%d, %d, %d): the batch cannot pay for that sweep", len(is), nmajor*stride, nminor)
+		}
+		scaled := make([]int, len(is))
+		for k, i := range is {
+			scaled[k] = i * stride
+		}
+		wide, err := assembleCS(nmajor*stride, nminor, scaled, js, xs, Minus[float64]())
+		if err != nil {
+			t.Fatalf("assembleCS at dimension %d: %v", nmajor*stride, err)
+		}
+		narrow, _ := compressOrdered(nmajor, nminor, counted, is, js, xs, Minus[float64]())
+		for k := range narrow.h {
+			narrow.h[k] *= stride
+		}
+		narrow.nmajor *= stride
+		if !sameCS(wide, narrow) {
+			t.Fatalf("dimension %d built %+v, want %+v", nmajor*stride, wide, narrow)
 		}
 	})
+}
+
+// sameCS reports whether two structures are the same bits.
+func sameCS(a, b *cs[float64]) bool {
+	return a.nmajor == b.nmajor && a.nminor == b.nminor &&
+		slices.Equal(a.p, b.p) && slices.Equal(a.h, b.h) && slices.Equal(a.i, b.i) &&
+		slices.EqualFunc(a.x, b.x, func(x, y float64) bool { return bits(x) == bits(y) })
+}
+
+// TestSmallBatchAssemblyStaysOBatch pins the assembly rule's small side: a
+// 64-tuple batch into a 2¹⁶-dimension matrix is ordered by the comparison
+// sort — sweeping two 65 536-cell count arrays for it would cost a thousand
+// times the batch — while a bulk load of a graph counts. The allocation
+// bound is the observable: the counting route's count array alone is
+// 512 KiB at this dimension.
+func TestSmallBatchAssemblyStaysOBatch(t *testing.T) {
+	const dim, batch = 1 << 16, 64
+	if countingPays(batch, dim, dim) {
+		t.Fatalf("countingPays(%d, %d, %d) = true: a small batch would sweep the dimensions", batch, dim, dim)
+	}
+	if !countingPays(425456, 1<<14, 1<<14) {
+		t.Fatal("countingPays rejects the RMAT-14 bulk load")
+	}
+	if countingPays(1000, 1<<40, 1<<40) {
+		t.Fatal("countingPays accepts a hypersparse dimension")
+	}
+	a := MustMatrix[float64](dim, dim)
+	is, js, xs := make([]int, batch), make([]int, batch), make([]float64, batch)
+	var before, after runtime.MemStats
+	for round := 0; round < 2; round++ { // into an empty matrix, then into a non-empty one
+		for k := range is {
+			is[k], js[k], xs[k] = (k*7919+round)%dim, (k*104729)%dim, float64(k)
+		}
+		if err := a.SetElements(is, js, xs, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		a.Wait()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("round %d: assembling %d tuples into a %d-dimension matrix allocated %d bytes, want O(batch)", round, batch, dim, got)
+		}
+	}
+	if a.Nvals() != 2*batch {
+		t.Fatalf("nvals %d, want %d", a.Nvals(), 2*batch)
+	}
 }
 
 func bits(x float64) uint64 { return math.Float64bits(x) }

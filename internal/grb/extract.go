@@ -8,8 +8,8 @@ import "sort"
 // All is the nil index list standing for "all indices, in order".
 var All []int = nil
 
-// resolveIndices returns the index list, expanding All to 0..n-1 (lazily:
-// a nil return means identity of length n).
+// checkIndices reports the first index of idx outside [0, n). A nil list
+// (All) has none.
 func checkIndices(op string, idx []int, n int) error {
 	for _, i := range idx {
 		if i < 0 || i >= n {
@@ -21,6 +21,11 @@ func checkIndices(op string, idx []int, n int) error {
 
 // ExtractMatrix computes C⟨M⟩ ⊙= A(I,J): C(r,c) = A(I[r], J[c]). Nil I or
 // J means all rows/columns. Duplicate indices are permitted.
+//
+// An injective J takes the permuting route (extractPermuted) while
+// countingPays accepts the two index spaces it sweeps, A's width and C's
+// height; a J with duplicates, or dimensions that dwarf the work, maps
+// columns through a hash table and sorts each gathered row.
 func ExtractMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], a *Matrix[T], rows, cols []int, desc *Descriptor) error {
 	if c == nil || a == nil {
 		return opError("extract", ErrUninitialized)
@@ -48,6 +53,12 @@ func ExtractMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T,
 	}
 	ca := orientedCSR(a, d.TranA)
 
+	if cols != nil && countingPays(len(cols)+ca.nvals(), ac, onr) {
+		if inv := inverseIndex(cols, ac); inv != nil {
+			return writeMatrixResult(c, mask, accum, extractPermuted(ca, rows, inv, onr, onc), d)
+		}
+	}
+
 	// Map each source column to its (possibly several) output positions.
 	var colTargets map[int][]int
 	if cols != nil {
@@ -58,6 +69,12 @@ func ExtractMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T,
 	}
 
 	staging := newRowSlices[T](onr)
+	srcRow := func(r int) int {
+		if rows != nil {
+			return rows[r]
+		}
+		return r
+	}
 	gatherRow := func(out, src int) {
 		si, sx := rowView(ca, src)
 		if cols == nil {
@@ -81,17 +98,133 @@ func ExtractMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T,
 			staging.val[out] = append(staging.val[out], e.x)
 		}
 	}
-	parallelRanges(onr, 64, func(lo, hi int) {
+	// Chunks carry equal entries, not equal rows: a degree-sorted operand
+	// keeps every hub in its last rows.
+	rowLen := func(r int) int {
+		si, _ := rowView(ca, srcRow(r))
+		return len(si) + 1
+	}
+	parallelWork(onr, mxmWorkQuantum, rowLen, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			src := r
-			if rows != nil {
-				src = rows[r]
-			}
-			gatherRow(r, src)
+			gatherRow(r, srcRow(r))
 		}
 	})
 	z := staging.stitch(onr, onc, nil)
 	return writeMatrixResult(c, mask, accum, z, d)
+}
+
+// inverseIndex returns inv with inv[cols[t]] = t and -1 elsewhere, or nil
+// when cols repeats an index.
+func inverseIndex(cols []int, n int) []int {
+	inv := make([]int, n)
+	for j := range inv {
+		inv[j] = -1
+	}
+	for t, j := range cols {
+		if inv[j] >= 0 {
+			return nil
+		}
+		inv[j] = t
+	}
+	return inv
+}
+
+// extractBlockEntries is how many entries extractPermuted buckets at a time
+// (at least; never fewer than the output has columns, so that sweeping the
+// column buckets stays O(1) per entry): small enough that a block's buckets
+// stay in cache while entries drop into them in no particular order.
+const extractBlockEntries = 1 << 14
+
+// extractPermuted computes Z(r, inv[j]) = A(rows[r], j) over the columns
+// inv maps (inv[j] ≥ 0; inv is injective there) without sorting, by two
+// bucket passes over the entries of a block of consecutive output rows:
+// walking the block's rows in ascending order, each entry drops into the
+// bucket of its output column, which leaves every column's entries in row
+// order; walking those buckets in column order, each entry drops into its
+// row, which leaves every row of Z in column order — whatever the
+// permutation does to the row lengths. Blocks are independent and write
+// disjoint ranges of Z, so they run concurrently.
+func extractPermuted[T any](ca *cs[T], rows, inv []int, onr, onc int) *cs[T] {
+	// With All rows only the stored vectors are walked.
+	nsrc := onr
+	if rows == nil {
+		nsrc = ca.nvecs()
+	}
+	src := func(r int) (out int, si []int, sx []T) {
+		if rows == nil {
+			si, sx = ca.vec(r)
+			return ca.majorOf(r), si, sx
+		}
+		si, sx = rowView(ca, rows[r])
+		return r, si, sx
+	}
+	z := &cs[T]{nmajor: onr, nminor: onc, p: make([]int, onr+1)}
+	kept := make([]int, nsrc) // entries of source slot r that inv keeps
+	for r := 0; r < nsrc; r++ {
+		out, si, _ := src(r)
+		for _, j := range si {
+			if inv[j] >= 0 {
+				kept[r]++
+			}
+		}
+		z.p[out+1] = kept[r]
+	}
+	for r := 0; r < onr; r++ {
+		z.p[r+1] += z.p[r]
+	}
+	z.i = make([]int, z.p[onr])
+	z.x = make([]T, z.p[onr])
+	next := append([]int(nil), z.p[:onr]...)
+
+	block := max(onc, extractBlockEntries)
+	parallelWork(nsrc, block, func(r int) int { return kept[r] + 1 }, func(lo, hi int) {
+		colStart := make([]int, onc+1)
+		var byColRow []int
+		var byColVal []T
+		for lo < hi {
+			// The block: rows [lo, mid), about `block` entries.
+			mid, entries := lo+1, kept[lo]
+			for mid < hi && entries+kept[mid] <= block {
+				entries += kept[mid]
+				mid++
+			}
+			if cap(byColRow) < entries {
+				byColRow, byColVal = make([]int, entries), make([]T, entries)
+			}
+			clear(colStart)
+			for r := lo; r < mid; r++ {
+				_, si, _ := src(r)
+				for _, j := range si {
+					if t := inv[j]; t >= 0 {
+						colStart[t+1]++
+					}
+				}
+			}
+			for t := 0; t < onc; t++ {
+				colStart[t+1] += colStart[t]
+			}
+			for r := lo; r < mid; r++ {
+				out, si, sx := src(r)
+				for u, j := range si {
+					if t := inv[j]; t >= 0 {
+						byColRow[colStart[t]], byColVal[colStart[t]] = out, sx[u]
+						colStart[t]++
+					}
+				}
+			}
+			// colStart[t] is now the end of bucket t, the start of t+1.
+			q := 0
+			for t := 0; t < onc; t++ {
+				for ; q < colStart[t]; q++ {
+					r := byColRow[q]
+					z.i[next[r]], z.x[next[r]] = t, byColVal[q]
+					next[r]++
+				}
+			}
+			lo = mid
+		}
+	})
+	return z
 }
 
 // ExtractVector computes w⟨m⟩ ⊙= u(I).

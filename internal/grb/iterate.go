@@ -35,6 +35,18 @@ func (a *Matrix[T]) IterateRow(i int, fn func(j int, x T) bool) error {
 	return nil
 }
 
+// RowIndices returns the column indices of row i's stored entries, in
+// ascending order — a row's length and, by one binary search, its split at
+// any column, without a callback per entry. The slice is a view of the
+// matrix's storage: read-only, and valid until the matrix is next modified.
+func (a *Matrix[T]) RowIndices(i int) ([]int, error) {
+	if i < 0 || i >= a.nr {
+		return nil, opErrorf("rowIndices", ErrIndexOutOfBounds, "row %d, bound %d", i, a.nr)
+	}
+	ci, _ := rowView(a.materializedCSR(), i)
+	return ci, nil
+}
+
 // Iterate calls fn for every stored entry in index order, stopping early
 // if fn returns false.
 func (v *Vector[T]) Iterate(fn func(i int, x T) bool) {

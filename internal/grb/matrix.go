@@ -474,7 +474,7 @@ func (a *Matrix[T]) assemble() {
 	a.nzomb = 0
 
 	if d := a.bmp; d != nil {
-		for _, t := range combinePending(sortPendingTuples(pend), op) {
+		for _, t := range combinePending(sortPendingTuples(pend, a.nr, a.nc), op) {
 			d.put(t.i*d.nc+t.j, t.x, op)
 		}
 		a.markCSRStale()
@@ -505,7 +505,7 @@ func (a *Matrix[T]) assemble() {
 	}
 
 	// Sort pending tuples by (i,j), stable so that later updates win.
-	pend = combinePending(sortPendingTuples(pend), op)
+	pend = combinePending(sortPendingTuples(pend, a.nr, a.nc), op)
 
 	est := old.nvals() - nz + len(pend)
 	ni := make([]int, 0, est)
@@ -712,52 +712,65 @@ func (a *Matrix[T]) Build(is, js []int, xs []T, dup BinaryOp[T, T, T]) error {
 	return nil
 }
 
-// sortPendingTuples orders pend by (i, j) with original order preserved on
-// ties (later updates win when duplicates combine left-to-right). Large
-// batches are chunk-sorted concurrently and k-way merged; the index
-// tiebreak makes the order total, so the result is identical at any
-// parallelism.
-func sortPendingTuples[T any](pend []tuple[T]) []tuple[T] {
-	if len(pend) <= 1 {
-		return pend
-	}
-	if len(pend) < parallelSortThreshold || workers() <= 1 {
-		sort.SliceStable(pend, func(u, v int) bool {
-			if pend[u].i != pend[v].i {
-				return pend[u].i < pend[v].i
-			}
-			return pend[u].j < pend[v].j
-		})
-		return pend
-	}
-	perm := make([]int, len(pend))
-	for k := range perm {
-		perm[k] = k
-	}
-	parallelSortPerm(perm, func(a, b int) bool {
-		if pend[a].i != pend[b].i {
-			return pend[a].i < pend[b].i
-		}
-		if pend[a].j != pend[b].j {
-			return pend[a].j < pend[b].j
-		}
-		return a < b
-	})
-	sorted := make([]tuple[T], len(pend))
-	for k, idx := range perm {
-		sorted[k] = pend[idx]
-	}
-	return sorted
+// countingRatio bounds the counting assembly route: it runs only while the
+// dimensions it must sweep stay within this multiple of the tuple count.
+const countingRatio = 4
+
+// countingPays reports whether n tuples indexed into an nmajor×nminor space
+// are ordered by the counting route — O(n + nmajor + nminor), no comparison
+// — or by the comparison sort, O(n log n) whatever the dimensions. A pure
+// function of the three sizes: a bulk load of a graph counts, while a
+// 64-tuple ingest batch into a scale-13 graph and a hypersparse matrix of
+// enormous dimension sort, staying O(batch) and O(nvals).
+func countingPays(n, nmajor, nminor int) bool {
+	return nmajor/countingRatio+nminor/countingRatio <= n
 }
 
-// assembleCS sorts tuples by (major, minor), combines duplicates, and
-// compresses them into hypersparse form (standard form is derived later by
-// normalizeCSR if appropriate). The tuple sort — the dominant cost
-// of batch build — runs as a parallel chunk sort plus multiway merge,
-// keeping §II-A's "as fast as batch build" property at scale.
-func assembleCS[T any](nmajor, nminor int, is, js []int, xs []T, dup BinaryOp[T, T, T]) (*cs[T], error) {
+// tupleOrder returns the permutation that visits tuples (is[k], js[k]) in
+// (major, minor, k) order — a strict total order, so both routes return
+// the same permutation and duplicates stay in input order.
+func tupleOrder(nmajor, nminor int, is, js []int) []int {
+	if countingPays(len(is), nmajor, nminor) {
+		return countingOrder(nmajor, nminor, is, js)
+	}
+	return comparisonOrder(is, js)
+}
+
+// countingOrder is tupleOrder by two stable counting passes, least
+// significant key first: by minor index, then by major.
+func countingOrder(nmajor, nminor int, is, js []int) []int {
 	n := len(is)
+	next := make([]int, max(nmajor, nminor)+1)
+	for _, j := range js {
+		next[j+1]++
+	}
+	for j := 0; j < nminor; j++ {
+		next[j+1] += next[j]
+	}
+	byMinor := make([]int, n)
+	for k, j := range js {
+		byMinor[next[j]] = k
+		next[j]++
+	}
+	clear(next)
+	for _, i := range is {
+		next[i+1]++
+	}
+	for i := 0; i < nmajor; i++ {
+		next[i+1] += next[i]
+	}
 	perm := make([]int, n)
+	for _, k := range byMinor {
+		perm[next[is[k]]] = k
+		next[is[k]]++
+	}
+	return perm
+}
+
+// comparisonOrder is tupleOrder by comparison sort: a parallel chunk sort
+// plus multiway merge, identical at any parallelism.
+func comparisonOrder(is, js []int) []int {
+	perm := make([]int, len(is))
 	for k := range perm {
 		perm[k] = k
 	}
@@ -770,7 +783,53 @@ func assembleCS[T any](nmajor, nminor int, is, js []int, xs []T, dup BinaryOp[T,
 		}
 		return a < b
 	})
+	return perm
+}
 
+// sortPendingTuples orders pend by (i, j) with original order preserved on
+// ties (later updates win when duplicates combine left-to-right), by the
+// route countingPays names for an nr×nc matrix. A small batch sorts in
+// place; either way the order is total, so the result is identical at any
+// parallelism.
+func sortPendingTuples[T any](pend []tuple[T], nr, nc int) []tuple[T] {
+	if len(pend) <= 1 {
+		return pend
+	}
+	if !countingPays(len(pend), nr, nc) && (len(pend) < parallelSortThreshold || workers() <= 1) {
+		sort.SliceStable(pend, func(u, v int) bool {
+			if pend[u].i != pend[v].i {
+				return pend[u].i < pend[v].i
+			}
+			return pend[u].j < pend[v].j
+		})
+		return pend
+	}
+	is := make([]int, len(pend))
+	js := make([]int, len(pend))
+	for k, t := range pend {
+		is[k], js[k] = t.i, t.j
+	}
+	sorted := make([]tuple[T], len(pend))
+	for k, idx := range tupleOrder(nr, nc, is, js) {
+		sorted[k] = pend[idx]
+	}
+	return sorted
+}
+
+// assembleCS orders tuples by (major, minor), combines duplicates, and
+// compresses them into hypersparse form (standard form is derived later by
+// normalizeCSR if appropriate). Ordering the tuples is the dominant cost of
+// batch build; tupleOrder makes it a pass over the entries whenever the
+// dimensions allow, keeping §II-A's "as fast as batch build" property at
+// scale.
+func assembleCS[T any](nmajor, nminor int, is, js []int, xs []T, dup BinaryOp[T, T, T]) (*cs[T], error) {
+	return compressOrdered(nmajor, nminor, tupleOrder(nmajor, nminor, is, js), is, js, xs, dup)
+}
+
+// compressOrdered compresses tuples visited in the (major, minor, k) order
+// perm gives, folding duplicates left to right with dup (nil: an error).
+func compressOrdered[T any](nmajor, nminor int, perm, is, js []int, xs []T, dup BinaryOp[T, T, T]) (*cs[T], error) {
+	n := len(perm)
 	pi := make([]int, 0, n)
 	px := make([]T, 0, n)
 	rows := make([]int, 0, 64) // distinct major ids, ascending

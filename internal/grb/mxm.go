@@ -142,8 +142,9 @@ func chooseMxM[A any](ca *cs[A], mm *maskMat, outRows, outCols int) MxMMethod {
 	return MxMGustavson
 }
 
-// mxmWorkQuantum is the minimum estimated flop count before the saxpy and
-// heap kernels spin up worker goroutines.
+// mxmWorkQuantum is the minimum estimated work — flops for the mxm
+// kernels, entries for the row-wise structural ops (kronecker, extract,
+// select) — before a kernel spins up worker goroutines.
 const mxmWorkQuantum = 1 << 12
 
 // saxpyFlops estimates the work of A's stored row k under Gustavson or the
@@ -164,21 +165,47 @@ func saxpyFlops[A, B any](ca *cs[A], cb *cs[B], k int) int {
 // mxmGustavson computes Z = A·B row-wise with a dense accumulator, rows
 // partitioned at equal-flop boundaries and dynamically scheduled so hub
 // rows don't serialize the kernel.
+//
+// Under a positive mask a row goes mask-first: the mask row is scattered
+// into a mark lane before the multiply, only admitted columns accumulate,
+// and the row leaves in the mask's own (sorted) order — no store for a
+// product the mask discards, no touched list, no sort. A row whose mask row
+// is empty admits nothing and is skipped. The route is taken while the mask
+// row is no longer than sorting the row's products could cost, |M(i,:)| ≤
+// f·bitlen(f) with f the row's flop estimate — a pure function of the
+// operands; past it (a near-dense mask over a short row) the row is
+// accumulated whole, sorted and filtered, as it is with no mask or a
+// complemented one. Either way the same products meet in the same order.
 func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
 	nvec := ca.nvecs()
 	staging := newRowSlices[T](nvec)
 	flops := func(k int) int { return saxpyFlops(ca, cb, k) }
+	maskFirst := mm != nil && !mm.comp
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		sc := getScratch[T](nc)
 		defer putScratch(sc)
 		val, seen, touched := sc.val, sc.seen, sc.touched
 		defer func() { sc.touched = touched }()
+		var mark []uint8
+		if maskFirst {
+			mark = sc.marks(nc)
+		}
 		for k := lo; k < hi; k++ {
 			ai, ax := ca.vec(k)
 			if len(ai) == 0 {
 				continue
 			}
 			row := ca.majorOf(k)
+			if maskFirst {
+				mi, mval := mm.row(row)
+				if len(mi) == 0 {
+					continue
+				}
+				if f := flops(k); len(mi) <= f*mathbits.Len(uint(f)) {
+					staging.idx[k], staging.val[k] = saxpyRowMasked(ai, ax, cb, s, mi, mval, mark, val)
+					continue
+				}
+			}
 			touched = touched[:0]
 			for t := range ai {
 				bk, ok := cb.findMajor(ai[t])
@@ -199,10 +226,8 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 					}
 				}
 			}
-			if !emitByMask(&staging.idx[k], &staging.val[k], touched, val, seen, mm, row) {
-				sortDedupIndices(touched) // sort; already unique
-				emitMasked(&staging.idx[k], &staging.val[k], touched, val, mm, row)
-			}
+			sortDedupIndices(touched) // sort; already unique
+			emitMasked(&staging.idx[k], &staging.val[k], touched, val, mm, row)
 			for _, j := range touched {
 				seen[j] = false
 			}
@@ -211,28 +236,56 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 	return stitchByA(staging, ca, nr, nc)
 }
 
-// emitByMask emits the accumulated row in the order a positive mask's
-// sorted row already has, probing seen for each admitted column, instead of
-// sorting the touched columns only to filter most of them away — whenever
-// that walk is shorter than the sort, a pure function of the operands. The
-// same accumulated values leave in the same ascending order either way. It
-// reports false (nothing emitted) when the sort is the way to go: no mask,
-// a complemented one, or a mask row longer than the sort's work.
-func emitByMask[T any](oi *[]int, ox *[]T, touched []int, val []T, seen []bool, mm *maskMat, row int) bool {
-	if mm == nil || mm.comp {
-		return false
-	}
-	mi, mval := mm.row(row)
-	if len(mi) > len(touched)*mathbits.Len(uint(len(touched))) {
-		return false
-	}
+// The states of a mark-lane cell during one mask-first row; the lane is
+// all markClosed between rows.
+const (
+	markClosed = iota // not admitted by the mask row
+	markOpen          // admitted, no product yet
+	markFilled        // admitted and accumulating in val
+)
+
+// saxpyRowMasked computes one mask-first Gustavson row: (mi, mval) is the
+// positive mask row (mval nil for a structural mask), mark a clean lane it
+// leaves clean.
+func saxpyRowMasked[A, B, T any](ai []int, ax []A, cb *cs[B], s Semiring[A, B, T], mi []int, mval []bool, mark []uint8, val []T) ([]int, []T) {
 	for t, j := range mi {
-		if seen[j] && (mval == nil || mval[t]) {
-			*oi = append(*oi, j)
-			*ox = append(*ox, val[j])
+		if mval == nil || mval[t] {
+			mark[j] = markOpen
 		}
 	}
-	return true
+	for t := range ai {
+		bk, ok := cb.findMajor(ai[t])
+		if !ok {
+			continue
+		}
+		bi, bx := cb.vec(bk)
+		av := ax[t]
+		for u, j := range bi {
+			switch mark[j] {
+			case markOpen:
+				val[j] = s.Mul(av, bx[u])
+				mark[j] = markFilled
+			case markFilled:
+				val[j] = s.Add.Op(val[j], s.Mul(av, bx[u]))
+			}
+		}
+	}
+	// What is left of the mask row bounds what is left of the output row:
+	// one allocation at the first entry instead of a growth sequence, none
+	// for a row that stays empty.
+	var zi []int
+	var zx []T
+	for t, j := range mi {
+		if mark[j] == markFilled {
+			if zi == nil {
+				zi, zx = make([]int, 0, len(mi)-t), make([]T, 0, len(mi)-t)
+			}
+			zi = append(zi, j)
+			zx = append(zx, val[j])
+		}
+		mark[j] = markClosed
+	}
+	return zi, zx
 }
 
 // emitMasked appends the accumulated row, filtered by the row's mask.

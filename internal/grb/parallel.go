@@ -379,6 +379,16 @@ type denseScratch[T any] struct {
 	val     []T
 	seen    []bool
 	touched []int
+	mark    []uint8 // mask-first Gustavson's admission lane (marks)
+}
+
+// marks returns the scratch's n-cell mark lane, all zero: like seen, its
+// user clears it behind itself.
+func (sc *denseScratch[T]) marks(n int) []uint8 {
+	if cap(sc.mark) < n {
+		sc.mark = make([]uint8, n)
+	}
+	return sc.mark[:n]
 }
 
 // scratchPools maps an element type (keyed by its typed nil pointer) to

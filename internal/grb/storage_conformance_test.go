@@ -17,6 +17,7 @@ import (
 
 	"lagraph/internal/grb"
 	"lagraph/internal/grb/ref"
+	"lagraph/internal/obs"
 )
 
 // storageCase says which of an operation's objects are dense-held.
@@ -1093,5 +1094,120 @@ func TestDenseHeldElementWrites(t *testing.T) {
 		row := grb.MustVector[int64](n)
 		must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, twinM, grb.All, 0, grb.DescT0))
 		eqVec(t, row, want)
+	}
+}
+
+// TestGustavsonMaskFirstMatchesSortEmit pins the two row routes of the
+// Gustavson kernel to each other and to the mimic. Under a positive mask a
+// row is computed mask-first; with no mask it is accumulated whole, sorted
+// and emitted. So C⟨M⟩ ⊙= A·B forced through Gustavson must equal, bit for
+// bit, the unmasked Gustavson product written through the same mask,
+// accumulator and descriptor by the write rule alone — on float64 operands
+// with full mantissas, where a product met in another order would show.
+func TestGustavsonMaskFirstMatchesSortEmit(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	m, k, n := 40, 36, 44
+	emptyRows := randBoolMatrix(rng, m, n, 0.3)
+	for i := 0; i < m; i += 2 { // every other mask row admits nothing
+		for j := 0; j < n; j++ {
+			_ = emptyRows.RemoveElement(i, j)
+		}
+	}
+	emptyRows.Wait()
+	// A mask row far longer than the products of the A row it filters: the
+	// row route falls back to accumulate-sort-filter even though the mask is
+	// positive.
+	full := grb.MustMatrix[bool](m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			_ = full.SetElement(i, j, true)
+		}
+	}
+	full.Wait()
+	cases := []struct {
+		name         string
+		mask         *grb.Matrix[bool]
+		desc         grb.Descriptor
+		density      float64 // of A
+		hyperA       bool
+		accumReplace bool
+	}{
+		{name: "structural", mask: randBoolMatrix(rng, m, n, 0.3), density: 0.3},
+		{name: "value-with-stored-false", mask: randBoolMatrix(rng, m, n, 0.5), desc: grb.Descriptor{MaskValue: true}, density: 0.3},
+		{name: "empty-mask-rows", mask: emptyRows, density: 0.3},
+		{name: "complemented", mask: randBoolMatrix(rng, m, n, 0.3), desc: grb.Descriptor{Comp: true}, density: 0.3},
+		{name: "mask-row-dwarfs-products", mask: full, density: 0.03},
+		{name: "hypersparse-A", mask: randBoolMatrix(rng, m, n, 0.3), density: 0.1, hyperA: true},
+		{name: "accum+replace", mask: randBoolMatrix(rng, m, n, 0.3), desc: grb.Descriptor{Replace: true}, density: 0.3, accumReplace: true},
+		{name: "value+accum", mask: randBoolMatrix(rng, m, n, 0.5), desc: grb.Descriptor{MaskValue: true}, density: 0.3, accumReplace: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ai, bi := randMatrix(rng, m, k, tc.density), randMatrix(rng, k, n, 0.3)
+			af, bf := randMatrixF64(rng, m, k, tc.density), randMatrixF64(rng, k, n, 0.3)
+			if tc.hyperA {
+				ai, af = inFormat(ai, grb.FormatHyper), inFormat(af, grb.FormatHyper)
+			}
+			c0i, c0f := randMatrix(rng, m, n, 0.2), randMatrixF64(rng, m, n, 0.2)
+			var accI grb.BinaryOp[int64, int64, int64]
+			var accF grb.BinaryOp[float64, float64, float64]
+			if tc.accumReplace {
+				accI, accF = grb.Plus[int64](), grb.Plus[float64]()
+			}
+			d := tc.desc
+			d.Method = grb.MxMGustavson
+
+			trace := obs.NewTrace(8)
+			restore := obs.Set(trace)
+			gotI := c0i.Dup()
+			err := grb.MxM(gotI, tc.mask, accI, grb.PlusTimes[int64](), ai, bi, &d)
+			obs.Set(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.FromMatrix(c0i)
+			ref.MxM(want, ref.FromMatrix(tc.mask), accI, grb.PlusTimes[int64](), ref.FromMatrix(ai), ref.FromMatrix(bi), refDesc(d))
+			eqMat(t, gotI, want)
+
+			// The op record does not tell the row routes apart, and the
+			// flop estimate is the unmasked kernel's.
+			plain := grb.MustMatrix[int64](m, n)
+			restore = obs.Set(trace)
+			err = grb.MxM[int64, int64, int64, bool](plain, nil, nil, grb.PlusTimes[int64](), ai, bi, &grb.Descriptor{Method: grb.MxMGustavson})
+			obs.Set(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Into an empty C the write rule keeps what the mask admits of
+			// Z: a kernel that applied the mask exactly emitted no more.
+			fresh := grb.MustMatrix[int64](m, n)
+			restore = obs.Set(trace)
+			err = grb.MxM(fresh, tc.mask, nil, grb.PlusTimes[int64](), ai, bi, &d)
+			obs.Set(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := trace.Ops()
+			if len(ops) != 3 || ops[0].Kernel != "gustavson" || ops[0].EstFlops != ops[1].EstFlops || ops[0].ActFlops != ops[1].ActFlops {
+				t.Fatalf("op records %+v: want gustavson records with equal flop counts", ops)
+			}
+			if ops[2].NnzOut != fresh.Nvals() {
+				t.Fatalf("kernel emitted %d entries, the mask admits %d of them", ops[2].NnzOut, fresh.Nvals())
+			}
+
+			gotF := c0f.Dup()
+			if err := grb.MxM(gotF, tc.mask, accF, grb.PlusTimes[float64](), af, bf, &d); err != nil {
+				t.Fatal(err)
+			}
+			z := grb.MustMatrix[float64](m, n)
+			if err := grb.MxM[float64, float64, float64, bool](z, nil, nil, grb.PlusTimes[float64](), af, bf, &grb.Descriptor{Method: grb.MxMGustavson}); err != nil {
+				t.Fatal(err)
+			}
+			viaWrite := c0f.Dup()
+			if err := grb.ApplyMatrix(viaWrite, tc.mask, accF, grb.Identity[float64](), z, &tc.desc); err != nil {
+				t.Fatal(err)
+			}
+			mustIdenticalMat(t, "mask-first vs sort-emit", gotF, viaWrite)
+		})
 	}
 }

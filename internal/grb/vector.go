@@ -308,7 +308,7 @@ func (v *Vector[T]) assemble() {
 	v.nzomb = 0
 
 	if len(pend) > 1 {
-		pend = sortPendingTuples(pend) // j is zero throughout: orders by i, stable
+		pend = sortPendingTuples(pend, v.n, 1) // j is zero throughout: orders by i, stable
 		w := 0
 		for r := 1; r < len(pend); r++ {
 			if pend[r].i == pend[w].i {

@@ -1,7 +1,8 @@
 package lagraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/obs"
@@ -147,8 +148,8 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (int64, error) {
 	}
 
 	// Trace the resolved plan: method and presort are runtime decisions
-	// when the caller passed TCAuto / TCSortAuto, and BENCH_2's selection
-	// audit reads them back from here.
+	// when the caller passed TCAuto / TCSortAuto, and a trace is the only
+	// place they can be read back.
 	if ob := cfg.observer(); ob != nil {
 		sorted := "unsorted"
 		if dir > 0 {
@@ -216,20 +217,13 @@ func tcResolvePresort(a *grb.Matrix[int64], method TCMethod, presort TCPresort) 
 // entry k of row i's strict lower triangle replays L(k,:), whose length
 // is d₋(k); k appears as such an inner index d₊(k) times).
 func tcNaturalWork(a *grb.Matrix[int64]) (work, total int64) {
-	is, js, _ := a.ExtractTuples()
-	n := a.Nrows()
-	dlo := make([]int32, n)
-	dhi := make([]int32, n)
-	for k := range is {
-		if js[k] < is[k] {
-			dlo[is[k]]++
-		} else if js[k] > is[k] {
-			dhi[is[k]]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		work += int64(dlo[v]) * int64(dhi[v])
-		total += int64(dlo[v]) + int64(dhi[v])
+	for v := 0; v < a.Nrows(); v++ {
+		// a is off-diagonal, so one binary search splits the sorted row
+		// into its below- and above-diagonal parts.
+		row, _ := a.RowIndices(v) // v < nrows: cannot fail
+		lo, _ := slices.BinarySearch(row, v)
+		work += int64(lo) * int64(len(row)-lo)
+		total += int64(len(row))
 	}
 	return work, total
 }
@@ -237,39 +231,25 @@ func tcNaturalWork(a *grb.Matrix[int64]) (work, total int64) {
 // tcPermuteByDegree relabels the graph's vertices by degree (dir > 0
 // ascending, dir < 0 descending), breaking ties on the original index so
 // the permutation — and therefore every downstream kernel input — is
-// deterministic. The triangle count is invariant under relabeling, so
-// the permuted matrix simply replaces the original.
+// deterministic. The relabeled graph is A(P,P), LAGraph's own formulation;
+// the triangle count is invariant under relabeling, so it simply replaces
+// the original.
 func tcPermuteByDegree(a *grb.Matrix[int64], dir int) (*grb.Matrix[int64], error) {
 	n := a.Nrows()
-	is, js, xs := a.ExtractTuples()
 	deg := make([]int, n)
-	for _, i := range is {
-		deg[i]++
-	}
 	perm := make([]int, n) // perm[newIdx] = oldIdx
-	for i := range perm {
-		perm[i] = i
+	for v := range perm {
+		row, _ := a.RowIndices(v) // v < n: cannot fail
+		deg[v], perm[v] = len(row), v
 	}
-	sort.Slice(perm, func(u, v int) bool {
-		du, dv := deg[perm[u]], deg[perm[v]]
-		if du != dv {
-			if dir > 0 {
-				return du < dv
-			}
-			return du > dv
+	slices.SortFunc(perm, func(u, v int) int {
+		if c := cmp.Compare(deg[u], deg[v]); c != 0 {
+			return c * dir
 		}
-		return perm[u] < perm[v]
+		return cmp.Compare(u, v)
 	})
-	pinv := make([]int, n) // pinv[oldIdx] = newIdx
-	for newI, oldI := range perm {
-		pinv[oldI] = newI
-	}
-	for k := range is {
-		is[k] = pinv[is[k]]
-		js[k] = pinv[js[k]]
-	}
 	p := grb.MustMatrix[int64](n, n)
-	if err := p.Build(is, js, xs, grb.Second[int64, int64]()); err != nil {
+	if err := grb.ExtractMatrix[int64, bool](p, nil, nil, a, perm, perm, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -308,7 +288,7 @@ func tcCount(a *grb.Matrix[int64], method TCMethod) (int64, error) {
 		return total / 2, nil
 
 	case TCSandiaLL:
-		l, _, err := trilTriu(a)
+		l, err := tcTriangle(a, grb.Tril[int64](-1))
 		if err != nil {
 			return 0, err
 		}
@@ -319,7 +299,7 @@ func tcCount(a *grb.Matrix[int64], method TCMethod) (int64, error) {
 		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
 
 	case TCSandiaUU:
-		_, u, err := trilTriu(a)
+		u, err := tcTriangle(a, grb.Triu[int64](1))
 		if err != nil {
 			return 0, err
 		}
@@ -360,15 +340,23 @@ func tcCount(a *grb.Matrix[int64], method TCMethod) (int64, error) {
 	return 0, ErrBadArgument
 }
 
-// trilTriu splits a into strict lower and strict upper triangles.
-func trilTriu(a *grb.Matrix[int64]) (l, u *grb.Matrix[int64], err error) {
+// tcTriangle selects one strict triangle of a: Tril(-1) or Triu(1).
+func tcTriangle(a *grb.Matrix[int64], keep grb.IndexUnaryOp[int64, bool]) (*grb.Matrix[int64], error) {
 	n := a.Nrows()
-	l = grb.MustMatrix[int64](n, n)
-	u = grb.MustMatrix[int64](n, n)
-	if err := grb.SelectMatrix[int64, bool](l, nil, nil, grb.Tril[int64](-1), a, nil); err != nil {
+	t := grb.MustMatrix[int64](n, n)
+	if err := grb.SelectMatrix[int64, bool](t, nil, nil, keep, a, nil); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// trilTriu splits a into strict lower and strict upper triangles, for the
+// formulations that read both.
+func trilTriu(a *grb.Matrix[int64]) (l, u *grb.Matrix[int64], err error) {
+	if l, err = tcTriangle(a, grb.Tril[int64](-1)); err != nil {
 		return nil, nil, err
 	}
-	if err := grb.SelectMatrix[int64, bool](u, nil, nil, grb.Triu[int64](1), a, nil); err != nil {
+	if u, err = tcTriangle(a, grb.Triu[int64](1)); err != nil {
 		return nil, nil, err
 	}
 	return l, u, nil

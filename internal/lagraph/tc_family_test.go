@@ -200,3 +200,75 @@ func TestTriangleCountPresortDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTriangleCountKnownAnswers: triangle counts that are known without
+// running anything. K_n has C(n,3) triangles; a tree and the lattice (which
+// is bipartite) have none; and on a skewed graph of benchmark shape every
+// formulation under every presort — each combination of kernel, mask
+// orientation and relabeling — must land on the dense baseline's count.
+func TestTriangleCountKnownAnswers(t *testing.T) {
+	cfg := gen.Config{Undirected: true, Seed: 7}
+	for _, k := range []struct {
+		name string
+		g    *Graph
+		want int64
+	}{
+		{"K256", FromEdgeList(gen.Complete(256, cfg), Undirected), 256 * 255 * 254 / 6},
+		{"tree-16384", FromEdgeList(gen.Tree(1<<14, cfg), Undirected), 0},
+		{"lattice-128x128", FromEdgeList(gen.Grid2D(128, 128, cfg), Undirected), 0},
+	} {
+		for _, p := range tcAllPresorts {
+			got, err := TriangleCount(k.g, TCAuto, WithPresort(p.p))
+			if err != nil || got != k.want {
+				t.Errorf("%s auto/%s: %d triangles (%v), want %d", k.name, p.name, got, err, k.want)
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("the RMAT-12 method × presort sweep is skipped in -short mode")
+	}
+	g := rmatGraph(t, 12, 8, 99, true)
+	want := baseline.TriangleCount(baseline.FromMatrix(g.A.Dup()))
+	for _, m := range tcAllMethods {
+		for _, p := range tcAllPresorts {
+			got, err := TriangleCount(g, m.m, WithPresort(p.p))
+			if err != nil || got != want {
+				t.Errorf("RMAT-12 %s/%s: %d triangles (%v), want %d", m.name, p.name, got, err, want)
+			}
+		}
+	}
+}
+
+// TestTriangleCountPrepAllocatesPerEntry is the work gate for everything
+// TriangleCount does around its multiply: selecting the off-diagonal part
+// and one triangle, estimating the natural ordering's work, relabeling by
+// degree. Each is a pass over the stored entries, so the bytes one call
+// allocates per entry is a count that does not depend on the host: ~127
+// with the prep as passes, ~230 when the work estimate and the relabeling
+// each exported every tuple, the relabeling re-sorted them through Build,
+// and both triangles were selected for a method that reads one.
+func TestTriangleCountPrepAllocatesPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the bytes stop being a count")
+	}
+	const maxBytesPerEntry = 160.0 // 1.25 × the 125–129 measured
+	g := rmatGraph(t, 12, 8, 99, true)
+	g.PatternInt64().Wait()
+	trace := obs.NewTrace(4)
+	if _, err := TriangleCount(g, TCAuto, WithObserver(trace)); err != nil {
+		t.Fatal(err)
+	}
+	if plan := trace.Iters()[0].Dir; plan != "sandia-ll/sorted-ascending" {
+		t.Fatalf("plan %q: the gate needs a graph the auto presort relabels", plan)
+	}
+	bytes := totalAlloc(func() {
+		if _, err := TriangleCount(g, TCAuto); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := bytes / float64(g.NEdges())
+	t.Logf("TriangleCount(TCAuto) on RMAT-12: %.0f B for %d entries: %.1f B per entry", bytes, g.NEdges(), per)
+	if per > maxBytesPerEntry {
+		t.Errorf("TriangleCount allocates %.1f bytes per stored entry (limit %.0f): some preparation step is materializing tuples or re-sorting instead of passing over rows", per, maxBytesPerEntry)
+	}
+}
