@@ -131,7 +131,9 @@ func unaryRow[A, T any](ru rowRef[A], rm *maskVec, total bool, f func(x A, i int
 
 // SelectMatrix computes C⟨M⟩ ⊙= A(keep), retaining only the entries for
 // which keep(a, i, j) is true. tril, triu, value filters and diagonal
-// extraction are all instances.
+// extraction are all instances. keep must be a function of its arguments
+// alone: it is asked about an entry once to size the result and, in a row
+// kept only in part, once more to fill it.
 func SelectMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], keep IndexUnaryOp[T, bool], a *Matrix[T], desc *Descriptor) error {
 	if c == nil || a == nil || keep == nil {
 		return opError("select", ErrUninitialized)
@@ -145,34 +147,61 @@ func SelectMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 		return opErrorf("select", ErrDimensionMismatch, "C is %d×%d, A is %d×%d", c.nr, c.nc, ar, ac)
 	}
 	ca := orientedCSR(a, d.TranA)
-	staging := newRowSlices[T](ca.nvecs())
-	// Chunks carry equal entries, not equal rows (a degree-sorted operand
-	// keeps every hub in its last rows).
+	nv := ca.nvecs()
+	// Count, prefix-sum, fill: two passes over A straight into exact-size
+	// arrays, both under chunks that carry equal entries, not equal rows (a
+	// degree-sorted operand keeps every hub in its last rows).
 	rowLen := func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }
-	parallelWork(ca.nvecs(), mxmWorkQuantum, rowLen, func(lo, hi int) {
-		// One slab per chunk, sized by the chunk's input: the kept entries
-		// of each row are a capped window of it, not an allocation.
-		si := make([]int, 0, ca.p[hi]-ca.p[lo])
-		sx := make([]T, 0, ca.p[hi]-ca.p[lo])
+	zp := make([]int, nv+1)
+	parallelWork(nv, mxmWorkQuantum, rowLen, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			row := ca.majorOf(k)
 			ci, cx := ca.vec(k)
-			from := len(si)
-			for t := range ci {
-				if keep(cx[t], row, ci[t]) {
-					si = append(si, ci[t])
-					sx = append(sx, cx[t])
+			kept := 0
+			for t, j := range ci {
+				if keep(cx[t], row, j) {
+					kept++
 				}
 			}
-			staging.idx[k] = si[from:len(si):len(si)]
-			staging.val[k] = sx[from:len(sx):len(sx)]
+			zp[k+1] = kept
 		}
 	})
-	var z *cs[T]
+	for k := 0; k < nv; k++ {
+		zp[k+1] += zp[k]
+	}
+	zi, zx := make([]int, zp[nv]), make([]T, zp[nv])
+	parallelWork(nv, mxmWorkQuantum, rowLen, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			ci, cx := ca.vec(k)
+			oi, ox := zi[zp[k]:zp[k+1]], zx[zp[k]:zp[k+1]]
+			switch len(oi) {
+			case 0:
+			case len(ci): // kept whole
+				copy(oi, ci)
+				copy(ox, cx)
+			default:
+				row := ca.majorOf(k)
+				w := 0
+				for t, j := range ci {
+					if keep(cx[t], row, j) {
+						oi[w], ox[w] = j, cx[t]
+						w++
+					}
+				}
+			}
+		}
+	})
+	z := &cs[T]{nmajor: ar, nminor: ac, p: zp, i: zi, x: zx}
 	if ca.h != nil {
-		z = staging.stitch(ar, ac, ca.h)
-	} else {
-		z = staging.stitch(ar, ac, nil)
+		// Hypersparse: the rows that kept nothing leave the row list.
+		z.h = make([]int, 0, nv)
+		z.p = make([]int, 1, nv+1)
+		for k := 0; k < nv; k++ {
+			if zp[k+1] > zp[k] {
+				z.h = append(z.h, ca.h[k])
+				z.p = append(z.p, zp[k+1])
+			}
+		}
 	}
 	return writeMatrixResult(c, mask, accum, z, d)
 }

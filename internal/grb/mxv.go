@@ -2,7 +2,6 @@ package grb
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"lagraph/internal/obs"
@@ -90,7 +89,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 
 	var zi []int
 	var zx []T
-	var zd *bm[T] // the pull kernel's result when it swept every output
+	var zd *bm[T] // the result as dense lanes, when the kernel built it so
 	var nnzA int
 	switch kernel {
 	case "pull":
@@ -102,7 +101,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	default:
 		ca := orientedCSR(a, d.TranA)
 		nnzA = ca.nvals()
-		zi, zx = vxmPush(u, ca, s, mv, ac, st)
+		zi, zx, zd = vxmPush(u, ca, s, mv, ac, st)
 	}
 	nnzOut := len(zi)
 	var route string
@@ -153,7 +152,7 @@ func chooseDirection[U, A any](u *Vector[U], a *Matrix[A], d descValues, mv *mas
 // Push-kernel chunking: the frontier is cut at equal-flop boundaries once
 // the estimated work passes pushWorkQuantum, into at most pushMaxChunks
 // pieces. The chunk boundaries depend only on the input — never on the
-// worker count — and chunk partials are always merged in chunk order, so
+// worker count — and chunk partials are always folded in chunk order, so
 // the result is bitwise identical at any parallelism level (association of
 // a non-commutative-rounding Add is fixed by the chunking, not by the
 // scheduler).
@@ -162,21 +161,23 @@ const (
 	pushMaxChunks   = 64
 )
 
-// sparsePart is one chunk's partial result: indices sorted ascending.
-type sparsePart[T any] struct {
-	i []int
-	x []T
-}
-
 // vxmPush computes z = uᵀ·A by scattering each selected row of A
-// (Gustavson over a single "row": SpMSpV). Memory: a dense accumulator
-// when the output dimension is modest, a hash accumulator in the
-// hypersparse regime. Large frontiers are split into flop-balanced chunks
-// scattered concurrently (each worker reusing one accumulator) and merged
-// with a k-way pass.
-func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) ([]int, []T) {
+// (Gustavson over a single "row": SpMSpV) into one accumulator: a pooled
+// dense one when the output dimension is modest (pushDense), a hash map in
+// the hypersparse regime (pushHash). Either way the kernel costs its
+// products: the accumulator is unordered while it is built, and order is
+// established once, at the end, by whatever the result's size makes
+// cheapest.
+//
+//   - A dense accumulator whose touched cells reach the promotion bar of
+//     outDim *is* the result's lanes: it is returned as zd for the write
+//     rule's dense arms, which apply the mask in the one sweep they make
+//     anyway — no index list, no sort, no copy.
+//   - Below the bar the touched list is sorted and the cells emitted as
+//     (zi, zx), through the mask.
+//   - A hash accumulator's keys are sorted, likewise.
+func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) (zi []int, zx []T, zd *bm[T]) {
 	ui, ux := u.ref().entries()
-	useHash := outDim >= hyperThresholdDim*hyperRatio
 	deg := func(t int) int {
 		rk, ok := ca.findMajor(ui[t])
 		if !ok {
@@ -185,65 +186,82 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 		return ca.p[rk+1] - ca.p[rk] + 1
 	}
 	bounds := workChunks(len(ui), deg, pushWorkQuantum, pushMaxChunks)
-	nchunks := len(bounds) - 1
 	if st != nil {
 		st.fill(bounds, deg) // read-only: never perturbs the bounds
 	}
-
-	parts := make([]sparsePart[T], nchunks)
-	if nchunks <= 1 {
-		if useHash {
-			parts[0].i, parts[0].x = scatterRowsHash(ui, ux, ca, s)
-		} else {
-			sc := getScratch[T](outDim)
-			parts[0].i, parts[0].x = scatterRowsDense(ui, ux, ca, s, sc)
-			putScratch(sc)
-		}
+	if outDim >= hyperThresholdDim*hyperRatio {
+		zi, zx = pushHash(ui, ux, ca, s, bounds)
 	} else {
-		w := workers()
-		if w > nchunks {
-			w = nchunks
+		acc := pushDense(ui, ux, ca, s, outDim, bounds)
+		if denseWanted(bitmapCells(1, outDim), len(acc.touched)) {
+			return nil, nil, &bm[T]{nr: 1, nc: outDim, b: acc.seen, x: acc.val, nvals: len(acc.touched)}
 		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				var sc *denseScratch[T]
-				if !useHash {
-					sc = getScratch[T](outDim)
-					defer putScratch(sc)
-				}
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= nchunks {
-						return
-					}
-					lo, hi := bounds[c], bounds[c+1]
-					if useHash {
-						parts[c].i, parts[c].x = scatterRowsHash(ui[lo:hi], ux[lo:hi], ca, s)
-					} else {
-						parts[c].i, parts[c].x = scatterRowsDense(ui[lo:hi], ux[lo:hi], ca, s, sc)
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		sort.Ints(acc.touched)
+		zi, zx = acc.handOver()
+		putScratch(acc)
 	}
-
-	zi, zx := parts[0].i, parts[0].x
-	if nchunks > 1 {
-		zi, zx = mergeAddParts(parts, s.Add)
-	}
-	return filterAdmitted(zi, zx, mv)
+	zi, zx = filterAdmitted(zi, zx, mv)
+	return zi, zx, nil
 }
 
-// scatterRowsDense accumulates the selected rows of one frontier chunk
-// into the caller's pooled dense accumulator (reused across chunks by each
-// worker) and extracts the touched entries sorted into fresh exact-size
-// arrays, clearing the accumulator behind itself.
-func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], sc *denseScratch[T]) ([]int, []T) {
+// pushDense scatters the frontier into a pooled dense accumulator the
+// caller owns: seen/val hold the result, touched lists its cells in no
+// particular order. A chunked frontier is scattered concurrently, each
+// chunk into a pooled accumulator of its own that it hands over as its
+// touched cells, unsorted; the partials are then folded into the result
+// strictly in chunk order — chunk 0's contribution to a cell first — which
+// is the association that makes chunked push deterministic.
+func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], outDim int, bounds []int) *denseScratch[T] {
+	acc := getScratch[T](outDim)
+	nchunks := len(bounds) - 1
+	if nchunks <= 1 {
+		scatterRowsDense(ui, ux, ca, s, acc)
+		return acc
+	}
+	type part struct {
+		i []int
+		x []T
+	}
+	parts := make([]part, nchunks)
+	runChunks(bounds, func(c, lo, hi int) {
+		// The pool hands a worker back the accumulator it just returned.
+		sc := getScratch[T](outDim)
+		scatterRowsDense(ui[lo:hi], ux[lo:hi], ca, s, sc)
+		parts[c].i, parts[c].x = sc.handOver()
+		putScratch(sc)
+	})
+	val, seen, touched := acc.val, acc.seen, acc.touched[:0]
+	for _, p := range parts {
+		for t, j := range p.i {
+			if !seen[j] {
+				seen[j], val[j] = true, p.x[t]
+				touched = append(touched, j)
+			} else if s.Add.Terminal == nil || !s.Add.Terminal(val[j]) {
+				val[j] = s.Add.Op(val[j], p.x[t])
+			}
+		}
+	}
+	acc.touched = touched
+	return acc
+}
+
+// handOver returns the accumulator's touched cells, in touched order, as
+// fresh exact-size arrays, clearing the accumulator behind itself.
+func (sc *denseScratch[T]) handOver() ([]int, []T) {
+	zi := make([]int, len(sc.touched))
+	zx := make([]T, len(sc.touched))
+	for t, j := range sc.touched {
+		zi[t], zx[t] = j, sc.val[j]
+		sc.seen[j] = false
+	}
+	sc.touched = sc.touched[:0]
+	return zi, zx
+}
+
+// scatterRowsDense accumulates the selected rows of one frontier chunk into
+// a clean dense accumulator, listing in sc.touched each cell as it is first
+// reached.
+func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], sc *denseScratch[T]) {
 	val, seen, touched := sc.val, sc.seen, sc.touched[:0]
 	for t, k := range ui {
 		rk, ok := ca.findMajor(k)
@@ -266,21 +284,50 @@ func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A,
 			}
 		}
 	}
-	sort.Ints(touched)
-	zi := make([]int, len(touched))
-	zx := make([]T, len(touched))
-	for t, j := range touched {
-		zi[t] = j
-		zx[t] = val[j]
-		seen[j] = false
-	}
 	sc.touched = touched
+}
+
+// pushHash is pushDense with O(flops)-memory accumulators, used when the
+// output dimension is enormous (hypersparse regime): each chunk scatters
+// into a map of its own, the maps are folded into the first in chunk order,
+// and its keys are sorted once.
+func pushHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], bounds []int) ([]int, []T) {
+	parts := make([]map[int]T, len(bounds)-1)
+	runChunks(bounds, func(c, lo, hi int) {
+		parts[c] = scatterRowsHash(ui[lo:hi], ux[lo:hi], ca, s)
+	})
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		// A chunk holds each output once, so whatever order its keys come
+		// in, an output's contributions still meet in chunk order.
+		for _, j := range mapKeys(p) {
+			if old, ok := acc[j]; !ok {
+				acc[j] = p[j]
+			} else if s.Add.Terminal == nil || !s.Add.Terminal(old) {
+				acc[j] = s.Add.Op(old, p[j])
+			}
+		}
+	}
+	zi := mapKeys(acc)
+	sort.Ints(zi)
+	zx := make([]T, len(zi))
+	for t, j := range zi {
+		zx[t] = acc[j]
+	}
 	return zi, zx
 }
 
-// scatterRowsHash is the O(chunk flops)-memory scatter used when the
-// output dimension is enormous (hypersparse regime).
-func scatterRowsHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T]) ([]int, []T) {
+// mapKeys returns m's keys, in no particular order.
+func mapKeys[T any](m map[int]T) []int {
+	keys := make([]int, 0, len(m))
+	for j := range m {
+		keys = append(keys, j)
+	}
+	return keys
+}
+
+// scatterRowsHash is scatterRowsDense into a fresh map.
+func scatterRowsHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T]) map[int]T {
 	acc := make(map[int]T)
 	for t, k := range ui {
 		rk, ok := ca.findMajor(k)
@@ -301,57 +348,7 @@ func scatterRowsHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, 
 			}
 		}
 	}
-	zi := make([]int, 0, len(acc))
-	for j := range acc {
-		zi = append(zi, j)
-	}
-	sort.Ints(zi)
-	zx := make([]T, len(zi))
-	for t, j := range zi {
-		zx[t] = acc[j]
-	}
-	return zi, zx
-}
-
-// mergeAddParts k-way merges sorted chunk partials, combining entries that
-// appear in several chunks with the additive monoid, strictly in chunk
-// order (chunk 0's contribution first): the fixed association that makes
-// chunked push deterministic.
-func mergeAddParts[T any](parts []sparsePart[T], add Monoid[T]) ([]int, []T) {
-	heads := make([]int, len(parts))
-	total := 0
-	for _, p := range parts {
-		total += len(p.i)
-	}
-	zi := make([]int, 0, total)
-	zx := make([]T, 0, total)
-	for {
-		best := -1
-		for c := range parts {
-			if heads[c] == len(parts[c].i) {
-				continue
-			}
-			if best < 0 || parts[c].i[heads[c]] < parts[best].i[heads[best]] {
-				best = c
-			}
-		}
-		if best < 0 {
-			return zi, zx
-		}
-		j := parts[best].i[heads[best]]
-		acc := parts[best].x[heads[best]]
-		heads[best]++
-		for c := best + 1; c < len(parts); c++ {
-			if heads[c] < len(parts[c].i) && parts[c].i[heads[c]] == j {
-				if add.Terminal == nil || !add.Terminal(acc) {
-					acc = add.Op(acc, parts[c].x[heads[c]])
-				}
-				heads[c]++
-			}
-		}
-		zi = append(zi, j)
-		zx = append(zx, acc)
-	}
+	return acc
 }
 
 // pullWorkQuantum is the minimum estimated flop count before the pull

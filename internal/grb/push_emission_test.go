@@ -1,0 +1,278 @@
+package grb_test
+
+// Conformance of the push kernel's emission routes against the dense
+// mimic. The kernel's regime is a function of two numbers — the estimated
+// work (one chunk below seqFallbackWork = 1<<16, then work/8192 chunks, at
+// most 64 and at most one per frontier entry) and the result's size against
+// the promotion bar of the output dimension (8·nvals ≥ n: the accumulator
+// is handed over as lanes; below it the touched list is sorted) — so the
+// inputs here are built to land exactly on either side of each boundary,
+// and the op record is asked which side they landed on.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"lagraph/internal/grb"
+	"lagraph/internal/grb/ref"
+	"lagraph/internal/obs"
+)
+
+// pushGeometry is a frontier × matrix pair whose push costs exactly work
+// estimated flops and emits exactly span outputs into dimension n.
+type pushGeometry struct {
+	name         string
+	n, span      int
+	work         int
+	split        bool // the first two rows hold the upper and lower half of the support
+	wantChunks   int
+	wantLanes    bool
+	withVariants bool // also run the mask × accumulator table
+}
+
+// build returns the m×n matrix and the all-rows frontier of g. The support
+// S is a random span-subset of the columns; every row holds S whole, except
+// the two half rows of a split geometry (which leave the touched list
+// unsorted: upper half first) and a last, shorter row that brings the
+// estimated work — Σ(deg+1) — to g.work exactly.
+func (g pushGeometry) build(rng *rand.Rand) (*grb.Matrix[int64], *grb.Vector[int64]) {
+	support := rng.Perm(g.n)[:g.span]
+	var rows [][]int
+	left := g.work
+	add := func(cols []int) {
+		rows = append(rows, cols)
+		left -= len(cols) + 1
+	}
+	if g.split {
+		upper, lower := []int{}, []int{}
+		for _, j := range support {
+			if j >= g.n/2 {
+				upper = append(upper, j)
+			} else {
+				lower = append(lower, j)
+			}
+		}
+		add(upper)
+		add(lower)
+	}
+	for left > g.span {
+		add(support)
+	}
+	if left > 0 {
+		add(support[:left-1])
+	}
+	if left != 0 {
+		panic(fmt.Sprintf("%s: work off by %d", g.name, left))
+	}
+	var is, js []int
+	var xs []int64
+	for i, cols := range rows {
+		for _, j := range cols {
+			is, js, xs = append(is, i), append(js, j), append(xs, int64(rng.Intn(9)-4))
+		}
+	}
+	a := grb.MustMatrix[int64](len(rows), g.n)
+	if err := a.Build(is, js, xs, nil); err != nil {
+		panic(err)
+	}
+	u := grb.MustVector[int64](len(rows))
+	for i := range rows {
+		_ = u.SetElement(i, int64(1+rng.Intn(4)))
+	}
+	u.Wait()
+	return a, u
+}
+
+func pushGeometries() []pushGeometry {
+	const fallback, quantum, maxChunks = 1 << 16, 1 << 13, 64
+	var out []pushGeometry
+	for _, w := range []struct {
+		name   string
+		work   int
+		chunks int
+	}{
+		{"one-chunk", fallback - 1, 1},
+		{"first-chunked", fallback, fallback / quantum},
+		{"63-chunks", maxChunks*quantum - 1, maxChunks - 1},
+		{"64-chunks", maxChunks * quantum, maxChunks},
+		{"capped", maxChunks*quantum + quantum, maxChunks},
+	} {
+		// 8·2047 = 16376: at n = 16376 the result is on the bar, one more
+		// column puts it below.
+		for _, bar := range []struct {
+			name  string
+			n     int
+			lanes bool
+		}{{"below-bar", 16377, false}, {"on-bar", 16376, true}} {
+			out = append(out, pushGeometry{
+				name: w.name + "/" + bar.name, n: bar.n, span: 2047, work: w.work, split: true,
+				wantChunks: w.chunks, wantLanes: bar.lanes,
+				withVariants: w.chunks == 1 || w.chunks == maxChunks-1,
+			})
+		}
+	}
+	// Two chunks need a two-entry frontier carrying 1<<16 flops: two full
+	// rows of the widest dimension the dense accumulator serves.
+	out = append(out, pushGeometry{name: "two-chunks", n: 32767, span: 32767, work: fallback, wantChunks: 2, wantLanes: true, withVariants: true})
+	return out
+}
+
+func TestConformancePushEmission(t *testing.T) {
+	push := grb.Descriptor{Dir: grb.DirPush}
+	for _, g := range pushGeometries() {
+		t.Run(g.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(g.work + g.n)))
+			a, u := g.build(rng)
+			ra, ru := ref.FromMatrix(a), ref.FromVector(u)
+
+			// Into an empty w, unmasked: the op record names the regime.
+			trace := obs.NewTrace(4)
+			restore := obs.Set(trace)
+			w := grb.MustVector[int64](g.n)
+			err := grb.VxM[int64, int64, int64, bool](w, nil, nil, grb.PlusTimes[int64](), u, a, &push)
+			obs.Set(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.NewVec[int64](g.n)
+			ref.VxM[int64, int64, int64, bool](want, nil, nil, grb.PlusTimes[int64](), ru, ra, refDesc(push))
+			eqVec(t, w, want)
+			op := trace.Ops()[0]
+			if op.Kernel != "push" || op.Chunks != g.wantChunks || op.NnzOut != g.span || op.EstFlops != int64(g.work) {
+				t.Fatalf("op record %+v: want push over %d chunks, %d flops, %d outputs", op, g.wantChunks, g.work, g.span)
+			}
+			if lanes := op.Write == "dense"; lanes != g.wantLanes {
+				t.Fatalf("write route %q: accumulator handed over as lanes = %v, want %v", op.Write, lanes, g.wantLanes)
+			}
+			if dense, _ := w.Forms(); dense != g.wantLanes {
+				t.Fatalf("result dense-held = %v, want %v", dense, g.wantLanes)
+			}
+
+			// The same product as A'·u, MxV's spelling of it.
+			at := grb.MustMatrix[int64](g.n, a.Nrows())
+			if err := grb.Transpose[int64, bool](at, nil, nil, a, nil); err != nil {
+				t.Fatal(err)
+			}
+			wm := grb.MustVector[int64](g.n)
+			if err := grb.MxV[int64, int64, int64, bool](wm, nil, nil, grb.PlusTimes[int64](), at, u, &push); err != nil {
+				t.Fatal(err)
+			}
+			eqVec(t, wm, want)
+
+			if !g.withVariants {
+				return
+			}
+			mask := randVector(rng, g.n, 0.5)
+			w0 := randVector(rng, g.n, 0.3)
+			for _, mc := range maskCases() {
+				for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
+					for _, held := range []bool{false, true} {
+						d := mc.desc
+						d.Dir = grb.DirPush
+						var gm *grb.Vector[int64]
+						var rm *ref.Vec[int64]
+						if mc.useMask {
+							gm, rm = heldV(mask, held), ref.FromVector(mask)
+						}
+						got := heldV(w0, held)
+						if err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, a, &d); err != nil {
+							t.Fatal(err)
+						}
+						want := ref.FromVector(w0)
+						ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
+						if !vecMatches(got, want) {
+							t.Fatalf("%s, accum %v, dense-held %v: differs from the mimic", mc.name, accum != nil, held)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConformancePushTerminalAndHash covers the two accumulators the
+// geometry table does not: a terminal monoid (lor stops folding at true,
+// in the scatter and in the chunk fold alike) and the hash accumulator of
+// the hypersparse regime, both over enough work to be chunked.
+func TestConformancePushTerminalAndHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(1906))
+
+	t.Run("lor-land", func(t *testing.T) {
+		const m, n = 600, 900
+		a := randBoolMatrix(rng, m, n, 0.2) // 108k entries: chunked
+		u := randBoolVector(rng, m, 0.9)
+		mask := randBoolVector(rng, n, 0.4)
+		for _, mc := range maskCases() {
+			d := mc.desc
+			d.Dir = grb.DirPush
+			d.MaskValue = true
+			var gm *grb.Vector[bool]
+			var rm *ref.Vec[bool]
+			if mc.useMask {
+				gm, rm = mask, ref.FromVector(mask)
+			}
+			trace := obs.NewTrace(4)
+			restore := obs.Set(trace)
+			w := grb.MustVector[bool](n)
+			err := grb.VxM(w, gm, nil, grb.LorLand(), u, a, &d)
+			obs.Set(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op := trace.Ops()[0]; op.Kernel != "push" || op.Chunks < 2 {
+				t.Fatalf("op record %+v: want a chunked push", op)
+			}
+			want := ref.NewVec[bool](n)
+			ref.VxM(want, rm, nil, grb.LorLand(), ref.FromVector(u), ref.FromMatrix(a), refDesc(d))
+			wi, wx := w.ExtractTuples()
+			k := 0
+			for j := 0; j < n; j++ {
+				if !want.Set[j] {
+					continue
+				}
+				if k >= len(wi) || wi[k] != j || wx[k] != want.Val[j] {
+					t.Fatalf("%s: entry %d differs from the mimic", mc.name, j)
+				}
+				k++
+			}
+			if k != len(wi) {
+				t.Fatalf("%s: %d entries, the mimic has %d", mc.name, len(wi), k)
+			}
+		}
+	})
+
+	t.Run("hash", func(t *testing.T) {
+		const m, n = 128, 40000 // n ≥ 32768: the hash accumulator
+		a := randMatrix(rng, m, n, 0.03)
+		u := randVector(rng, m, 2)
+		mask := randVector(rng, n, 0.5)
+		w0 := randVector(rng, n, 0.2)
+		ra, ru := ref.FromMatrix(a), ref.FromVector(u)
+		for _, mc := range maskCases() {
+			for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
+				d := mc.desc
+				d.Dir = grb.DirPush
+				var gm *grb.Vector[int64]
+				var rm *ref.Vec[int64]
+				if mc.useMask {
+					gm, rm = mask, ref.FromVector(mask)
+				}
+				trace := obs.NewTrace(4)
+				restore := obs.Set(trace)
+				got := w0.Dup()
+				err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, a, &d)
+				obs.Set(restore)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if op := trace.Ops()[0]; op.Kernel != "push" || op.Chunks < 2 {
+					t.Fatalf("op record %+v: want a chunked push", op)
+				}
+				want := ref.FromVector(w0)
+				ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
+				eqVec(t, got, want)
+			}
+		}
+	})
+}

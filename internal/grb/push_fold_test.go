@@ -1,0 +1,216 @@
+package grb
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// The push kernel's association, stated independently of it: within a chunk
+// an output's products are added in frontier order; across chunks the
+// partials are added in chunk order, chunk 0's first. pushFoldReference is
+// that sentence over maps — what mergeAddParts fixed before the fold
+// replaced it — and every emission route must reproduce it bit for bit.
+func pushFoldReference(ui []int, ux []float64, ca *cs[float64], bounds []int) ([]int, []float64) {
+	acc := map[int]float64{}
+	for c := 0; c+1 < len(bounds); c++ {
+		part := map[int]float64{}
+		for t := bounds[c]; t < bounds[c+1]; t++ {
+			rk, ok := ca.findMajor(ui[t])
+			if !ok {
+				continue
+			}
+			ri, rx := ca.vec(rk)
+			for p, j := range ri {
+				if old, ok := part[j]; ok {
+					part[j] = old + ux[t]*rx[p]
+				} else {
+					part[j] = ux[t] * rx[p]
+				}
+			}
+		}
+		for j, x := range part {
+			if old, ok := acc[j]; ok {
+				acc[j] = old + x
+			} else {
+				acc[j] = x
+			}
+		}
+	}
+	zi := make([]int, 0, len(acc))
+	for j := range acc {
+		zi = append(zi, j)
+	}
+	sort.Ints(zi)
+	zx := make([]float64, len(zi))
+	for t, j := range zi {
+		zx[t] = acc[j]
+	}
+	return zi, zx
+}
+
+func sameBits(ai []int, ax []float64, bi []int, bx []float64) bool {
+	if len(ai) != len(bi) {
+		return false
+	}
+	for k := range ai {
+		if ai[k] != bi[k] || math.Float64bits(ax[k]) != math.Float64bits(bx[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// cancelling are values whose sums depend on the order they are taken in.
+var cancelling = []float64{1e16, -1e16, 1, -1, 0.1, 3, 1e-8, -0.3}
+
+// TestPushFoldAssociation: PlusTimes[float64] over cancellation-prone
+// values, chunked, is bitwise the reference association at 1 and at 8
+// workers — on both emission routes (a result below the promotion bar is
+// sort-emitted, one above it handed over as lanes) and in the hash regime.
+func TestPushFoldAssociation(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		n, support int
+	}{
+		{"sort-emit", 2000, 240},
+		{"lanes", 2000, 2000},
+		{"hash", hyperThresholdDim * hyperRatio, 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.support)))
+			support := rng.Perm(tc.n)[:tc.support]
+			const m, deg = 400, 200
+			var is, js []int
+			var xs []float64
+			for i := 0; i < m; i++ {
+				for _, k := range rng.Perm(tc.support)[:deg] {
+					is, js, xs = append(is, i), append(js, support[k]), append(xs, cancelling[rng.Intn(len(cancelling))])
+				}
+			}
+			a := MustMatrix[float64](m, tc.n)
+			if err := a.Build(is, js, xs, nil); err != nil {
+				t.Fatal(err)
+			}
+			u := MustVector[float64](m)
+			for i := 0; i < m; i++ {
+				_ = u.SetElement(i, cancelling[rng.Intn(len(cancelling))])
+			}
+			ui, ux := u.materialized()
+			ca := a.materializedCSR()
+			bounds := workChunks(len(ui), func(t int) int { return deg + 1 }, pushWorkQuantum, pushMaxChunks)
+			if len(bounds) < 3 {
+				t.Fatalf("%d chunks: the input does not reach the fold", len(bounds)-1)
+			}
+			wi, wx := pushFoldReference(ui, ux, ca, bounds)
+			// The input must tell associations apart, or the test proves
+			// nothing: taken as one chunk the sums differ.
+			if oi, ox := pushFoldReference(ui, ux, ca, []int{0, len(ui)}); sameBits(wi, wx, oi, ox) {
+				t.Fatal("the chunked and the unchunked association agree on this input")
+			}
+			for _, p := range []int{1, 8} {
+				atParallelism(p, func() {
+					w := MustVector[float64](tc.n)
+					if err := VxM(w, (*Vector[bool])(nil), nil, PlusTimes[float64](), u, a, &Descriptor{Dir: DirPush}); err != nil {
+						t.Fatal(err)
+					}
+					if lanes := w.dn != nil; lanes != (tc.name == "lanes") {
+						t.Fatalf("P=%d: result dense-held = %v", p, lanes)
+					}
+					gi, gx := w.ExtractTuples()
+					if !sameBits(gi, gx, wi, wx) {
+						t.Fatalf("P=%d: result differs from the chunk-order association", p)
+					}
+				})
+			}
+		})
+	}
+}
+
+// runPushEmission builds a matrix, a frontier and a chunking from prog and
+// checks that the two ways of putting a dense push accumulator in order —
+// sorting its touched list, sweeping its presence lane — emit the same
+// (zi, zx), bit for bit, and that both are the reference association.
+func runPushEmission(t *testing.T, prog []byte) {
+	if len(prog) < 4 {
+		return
+	}
+	n := 8 + int(prog[0])%56
+	m := 1 + int(prog[1])%24
+	cuts := int(prog[2]) % 8
+	prog = prog[3:]
+	next := func() int {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return int(b)
+	}
+	a := MustMatrix[float64](m, n)
+	u := MustVector[float64](m)
+	for i := 0; i < m; i++ {
+		if next()%4 != 0 {
+			_ = u.SetElement(i, cancelling[next()%len(cancelling)])
+		}
+	}
+	bounds := []int{0}
+	nu := u.Nvals()
+	for c := 0; c < cuts; c++ {
+		if b := next() % (nu + 1); b > bounds[len(bounds)-1] {
+			bounds = append(bounds, b)
+		}
+	}
+	if bounds[len(bounds)-1] != nu || len(bounds) == 1 {
+		bounds = append(bounds, nu)
+	}
+	for len(prog) > 0 {
+		_ = a.SetElement(next()%m, next()%n, cancelling[next()%len(cancelling)])
+	}
+	ui, ux := u.materialized()
+	ca := a.materializedCSR()
+	s := PlusTimes[float64]()
+
+	acc := pushDense(ui, ux, ca, s, n, bounds)
+	sweepI, sweepX := compactLanes(acc.seen, acc.val, len(acc.touched))
+	sort.Ints(acc.touched)
+	sortI, sortX := acc.handOver()
+	for j, set := range acc.seen {
+		if set {
+			t.Fatalf("cell %d left set in a scratch going back to the pool", j)
+		}
+	}
+	putScratch(acc)
+	if !sameBits(sortI, sortX, sweepI, sweepX) {
+		t.Fatalf("sort-emit %v %v, sweep-emit %v %v", sortI, sortX, sweepI, sweepX)
+	}
+	if wi, wx := pushFoldReference(ui, ux, ca, bounds); !sameBits(sortI, sortX, wi, wx) {
+		t.Fatalf("chunks %v: emitted %v %v, the chunk-order association gives %v %v", bounds, sortI, sortX, wi, wx)
+	}
+}
+
+// FuzzPushEmission searches for an input on which the push kernel's two
+// emission routes, or its chunk fold and the stated association, disagree.
+func FuzzPushEmission(f *testing.F) {
+	f.Add([]byte{12, 3, 2, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 1, 4, 1, 2, 1, 4, 1, 2, 3, 5})
+	f.Add([]byte{40, 20, 7, 5, 1, 5, 0, 5, 1, 5, 0, 3, 9, 14, 2, 0, 7, 0, 1, 7, 1, 2, 7, 2, 3, 7, 3})
+	f.Add([]byte{0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 2048 {
+			return
+		}
+		runPushEmission(t, prog)
+	})
+}
+
+// TestPushEmissionRoutesAgree runs seeded random programs through the
+// fuzzer's body on every `go test`.
+func TestPushEmissionRoutesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1907))
+	for trial := 0; trial < 400; trial++ {
+		prog := make([]byte, 4+rng.Intn(600))
+		rng.Read(prog)
+		runPushEmission(t, prog)
+	}
+}

@@ -1,6 +1,7 @@
 package lagraph
 
 import (
+	"fmt"
 	"math"
 
 	"lagraph/internal/grb"
@@ -65,7 +66,8 @@ func SSSP(g *Graph, src int, opts ...Option) (*grb.Vector[float64], error) {
 	if delta == 0 {
 		delta = 2
 	}
-	if delta <= 0 {
+	// Written so that NaN fails it too; +Inf would put bucket 0 at 0·Inf.
+	if !(delta > 0) || math.IsInf(delta, 1) {
 		return nil, ErrBadArgument
 	}
 	return ssspDelta(g, src, delta, &cfg)
@@ -106,6 +108,13 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 	// replace.
 	descVC := &grb.Descriptor{Comp: true, MaskValue: true}
 	descRVC := &grb.Descriptor{Replace: true, Comp: true, MaskValue: true}
+	// Relaxations name their direction. The product is an unmasked min.+
+	// with no terminal value, so a pull has nothing to skip: it costs
+	// nnz(edges) per call, plus a transpose of a matrix built by this very
+	// call, where the pushes of a whole query sum to about nnz(A). BFS and
+	// BC leave the choice to grb, whose density switch assumes a mask or a
+	// terminal that lets a dense-frontier pull stop early.
+	descPush := &grb.Descriptor{Dir: grb.DirPush}
 
 	// relax folds the candidate distances tNew = from min.+ edges into t
 	// and unsettled. stale marks the candidates that improve nothing — the
@@ -114,7 +123,7 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 	// first time has no entry in t, so none in stale).
 	relax := func(from *grb.Vector[float64], edges *grb.Matrix[float64]) (tNew *grb.Vector[float64], stale *grb.Vector[bool], err error) {
 		tNew = grb.MustVector[float64](n)
-		if err = grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, nil); err != nil {
+		if err = grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, descPush); err != nil {
 			return
 		}
 		// stale⟨tNew⟩ = tNew ≥ t
@@ -130,13 +139,15 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 		return
 	}
 
-	for step := 0; ; step++ {
+	// Bucket step is [step·delta, step·delta + delta). Everything in
+	// unsettled is at or beyond the previous bucket's upper bound, so a
+	// bucket's members are the unsettled distances below its own.
+	for step := 0; ; {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		lo := float64(step) * delta
-		hi := lo + delta
-		inBucket := func(x float64, _, _ int) bool { return x >= lo && x < hi }
+		hi := float64(step)*delta + delta
+		inBucket := func(x float64, _, _ int) bool { return x < hi }
 		// tReq: the bucket members whose light edges are still to relax.
 		tReq := grb.MustVector[float64](n)
 		if err := grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, unsettled, nil); err != nil {
@@ -144,7 +155,17 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 		}
 		bucketSize := tReq.Nvals()
 		if bucketSize == 0 {
-			continue // unsettled is non-empty: a later bucket holds it
+			// unsettled is non-empty, so a later bucket holds its minimum:
+			// go there, not through every empty bucket in between.
+			m, err := grb.ReduceVectorToScalar(grb.MinMonoid[float64](), unsettled)
+			if err != nil {
+				return nil, err
+			}
+			var ok bool
+			if step, ok = bucketOf(m, delta); !ok {
+				return nil, fmt.Errorf("%w: delta %g cannot resolve distances near %g", ErrBadArgument, delta, m)
+			}
+			continue
 		}
 		var t0 int64
 		if ob != nil {
@@ -188,7 +209,28 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 		if unsettled.Nvals() == 0 {
 			return t, nil
 		}
+		step++
 	}
+}
+
+// bucketOf returns the first bucket [k·delta, k·delta + delta) whose upper
+// bound exceeds m, computed exactly as ssspDelta computes it. It reports
+// false when delta is below the spacing of float64 around m — consecutive
+// bucket bounds then round to one value, and no bucket can hold m.
+func bucketOf(m, delta float64) (int, bool) {
+	q := math.Floor(m / delta)
+	if !(q < 1<<52) {
+		return 0, false
+	}
+	// The quotient is off by at most one bucket either way.
+	k := int(q)
+	for k > 0 && m < float64(k-1)*delta+delta {
+		k--
+	}
+	for m >= float64(k)*delta+delta {
+		k++
+	}
+	return k, true
 }
 
 // APSP computes all-pairs shortest paths by (min,+) repeated squaring:

@@ -243,15 +243,17 @@ func TestTriangleCountKnownAnswers(t *testing.T) {
 // TriangleCount does around its multiply: selecting the off-diagonal part
 // and one triangle, estimating the natural ordering's work, relabeling by
 // degree. Each is a pass over the stored entries, so the bytes one call
-// allocates per entry is a count that does not depend on the host: ~127
-// with the prep as passes, ~230 when the work estimate and the relabeling
-// each exported every tuple, the relabeling re-sorted them through Build,
-// and both triangles were selected for a method that reads one.
+// allocates per entry is a count that does not depend on the host: ~85
+// with the prep as passes and each select a count and a fill into
+// exact-size arrays, ~127 when a select staged its rows in a slab and
+// stitched them, ~230 when the work estimate and the relabeling each
+// exported every tuple, the relabeling re-sorted them through Build, and
+// both triangles were selected for a method that reads one.
 func TestTriangleCountPrepAllocatesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the bytes stop being a count")
 	}
-	const maxBytesPerEntry = 160.0 // 1.25 × the 125–129 measured
+	const maxBytesPerEntry = 108.0 // 1.25 × the 84–87 measured
 	g := rmatGraph(t, 12, 8, 99, true)
 	g.PatternInt64().Wait()
 	trace := obs.NewTrace(4)

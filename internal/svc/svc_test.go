@@ -369,3 +369,33 @@ func TestInlineMMIOLoad(t *testing.T) {
 		t.Fatalf("triangles = %v, want 1", qr.Result["triangles"])
 	}
 }
+
+// TestSSSPTinyDeltaOverHTTP: the query endpoint forwards any positive
+// delta. A bucket width far below the edge weights used to walk every
+// empty bucket between two distances — ~10¹³ of them here — until the
+// deadline answered 504; it now costs one bucket per distinct distance and
+// returns the distances of the default width. A width below the spacing of
+// float64 at those distances is the caller's mistake: 400, not a spin.
+func TestSSSPTinyDeltaOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if code := post(t, ts.URL+"/v1/graphs", map[string]any{
+		"name": "w", "undirected": true,
+		"generator": map[string]any{"kind": "rmat", "scale": 7, "edge_factor": 8, "seed": 7, "min_weight": 1, "max_weight": 10},
+	}, nil); code != http.StatusCreated {
+		t.Fatalf("load: status %d", code)
+	}
+	var want, got QueryResponse
+	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1}, &want); code != http.StatusOK {
+		t.Fatalf("sssp: status %d", code)
+	}
+	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1, "delta": 1e-12, "timeout_ms": 5000}, &got); code != http.StatusOK {
+		t.Fatalf("sssp with delta 1e-12: status %d", code)
+	}
+	if got.Checksum == "" || got.Checksum != want.Checksum {
+		t.Fatalf("delta 1e-12 checksum %q, default delta %q", got.Checksum, want.Checksum)
+	}
+	var eb errorBody
+	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1, "delta": 1e-300, "timeout_ms": 5000}, &eb); code != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+		t.Fatalf("delta 1e-300: status %d code %q, want 400 bad_request", code, eb.Error.Code)
+	}
+}
