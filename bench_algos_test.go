@@ -353,3 +353,66 @@ func BenchmarkAblation_DenseResultRoute_Off(b *testing.B) {
 		}
 	}
 }
+
+// The masked-mxm direction ablation (A6): the masked products of one batched
+// BC from 4 sources on an undirected RMAT-13 — every forward level's
+// `next⟨¬visited⟩ = frontier ⊕.⊗ A` and every backward level's
+// `t⟨levels[d-1]⟩ = levels[d] ⊕.⊗ Aᵀ`, operands rebuilt from BFS depths,
+// without the accumulations between them. Cost leaves the direction to
+// MxMAuto's estimates; Polarity forces what the mask's polarity alone used
+// to pick — Gustavson under the complemented mask, dot under the positive
+// one (the dot both arms share scatters long rows, so the pair isolates the
+// choice of direction, not the cost of a dot).
+func benchMxMDirection(b *testing.B, polarity bool) {
+	g := lagraph.FromEdgeList(gen.RMAT(13, 16, gen.Config{Seed: 7, Undirected: true, NoSelfLoops: true}), lagraph.Undirected)
+	sources := []int{3, 1000, 5000, 8000}
+	ns, n := len(sources), g.N()
+	depths, err := lagraph.MSBFSLevels(g, sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	is, js, ds := depths.ExtractTuples()
+	var front, visited []*grb.Matrix[float64]
+	for k := range is {
+		for len(front) <= int(ds[k]) {
+			front = append(front, grb.MustMatrix[float64](ns, n))
+			visited = append(visited, grb.MustMatrix[float64](ns, n))
+		}
+		_ = front[ds[k]].SetElement(is[k], js[k], 1)
+	}
+	// A pair reached at depth d is visited at every later depth too.
+	for k := range is {
+		for d := int(ds[k]); d < len(visited); d++ {
+			_ = visited[d].SetElement(is[k], js[k], 1)
+		}
+	}
+	for d := range front {
+		front[d].Wait()
+		visited[d].Wait()
+	}
+	forward := grb.Descriptor{Replace: true, Comp: true}
+	backward := grb.Descriptor{Replace: true, TranB: true}
+	if polarity {
+		forward.Method, backward.Method = grb.MxMGustavson, grb.MxMDot
+	}
+	plusFirst := grb.PlusFirst[float64]()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for d := range front {
+			next := grb.MustMatrix[float64](ns, n)
+			if err := grb.MxM(next, visited[d], nil, plusFirst, front[d], g.A, &forward); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for d := len(front) - 1; d >= 1; d-- {
+			t := grb.MustMatrix[float64](ns, n)
+			if err := grb.MxM(t, front[d-1], nil, plusFirst, front[d], g.A, &backward); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkAblation_MxMDirection_Cost(b *testing.B)     { benchMxMDirection(b, false) }
+func BenchmarkAblation_MxMDirection_Polarity(b *testing.B) { benchMxMDirection(b, true) }

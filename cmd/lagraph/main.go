@@ -345,7 +345,7 @@ func cmdRun(args []string) error {
 		for s := 0; s < *k && s < g.N(); s++ {
 			sources = append(sources, (*src+s)%g.N())
 		}
-		bc, err := lagraph.BetweennessCentrality(g, sources)
+		bc, err := lagraph.BetweennessCentrality(g, sources, opts...)
 		if err != nil {
 			return err
 		}

@@ -6,9 +6,9 @@ package grb
 type MxMMethod int
 
 const (
-	// MxMAuto picks a kernel from the operand shapes: dot for small or
-	// heavily masked outputs, heap for extremely sparse operands,
-	// Gustavson otherwise.
+	// MxMAuto picks a kernel from the operands: heap for extremely sparse
+	// operands and Gustavson otherwise, or — under a mask — the dot method
+	// when its work estimate is below theirs.
 	MxMAuto MxMMethod = iota
 	// MxMGustavson forces row-wise saxpy accumulation (CSR·CSR).
 	MxMGustavson

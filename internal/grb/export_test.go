@@ -41,3 +41,15 @@ func (a *Matrix[T]) Forms() (dense, compressedStale bool) {
 	a.settle()
 	return a.bmp != nil, a.csrStale
 }
+
+// DotScatters is mxmDot's scatter bar.
+var DotScatters = dotScatters
+
+// MxMPricing reports what MxMAuto's cost rule decides for C⟨M⟩ = A ⊕.⊗ B
+// under desc: whether the dot direction runs, and whether the pull had to
+// be priced to decide it.
+func MxMPricing[A, B, M any](mask *Matrix[M], a *Matrix[A], b *Matrix[B], desc *Descriptor) (pull, priced bool) {
+	d := desc.get()
+	_, bc := orientedDims(b, d.TranB)
+	return pullIsCheaper(orientedCSR(a, d.TranA), b, d.TranB, newMaskMat(mask, d), bc)
+}

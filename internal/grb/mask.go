@@ -205,3 +205,42 @@ func (m *maskMat) rowMask(i int) *maskVec {
 	}
 	return mv
 }
+
+// visits is the number of column positions eachAdmitted steps through for
+// row i, known without reading the row: the stored entries of a positive
+// mask's row, every column otherwise. Each visit is at least one step of a
+// kernel that enumerates its outputs, so this is the floor of what such a
+// kernel costs on the row.
+func (m *maskMat) visits(i, nc int) int {
+	if m == nil || m.comp {
+		return nc
+	}
+	mi, _ := m.row(i)
+	return len(mi)
+}
+
+// eachAdmitted calls fn, in ascending order, with every column of row i the
+// mask admits: a positive mask's true entries, the columns a complemented
+// mask does not hold, every column under no mask.
+func (m *maskMat) eachAdmitted(i, nc int, fn func(j int)) {
+	switch {
+	case m == nil:
+		for j := 0; j < nc; j++ {
+			fn(j)
+		}
+	case m.comp:
+		allowed := m.rowMask(i).cursor()
+		for j := 0; j < nc; j++ {
+			if allowed(j) {
+				fn(j)
+			}
+		}
+	default:
+		mi, mv := m.row(i)
+		for t, j := range mi {
+			if mv == nil || mv[t] {
+				fn(j)
+			}
+		}
+	}
+}

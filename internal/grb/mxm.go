@@ -10,14 +10,18 @@ import (
 // MxM: C⟨M⟩ ⊙= A ⊕.⊗ B, with the three kernel families of §II-A:
 //
 //   - Gustavson's method: row-wise saxpy with a dense accumulator; the
-//     general-purpose kernel.
-//   - The dot-product method: C(i,j) = A(i,:)·B(:,j); superior when a
-//     sparse mask limits the output pattern (triangle counting) and when
-//     the additive monoid has a terminal value (early exit).
+//     general-purpose kernel, and the push direction of a masked product —
+//     it costs the products A's entries select, whatever the mask admits.
+//   - The dot-product method: C(i,j) = A(i,:)·B(:,j); the pull direction —
+//     it costs the columns of B the mask admits, whatever A selects, and
+//     stops a dot early when the additive monoid has a terminal value.
 //   - The heap method: a k-way merge of the B rows selected by each A row;
 //     wins when rows of A are very short, and never allocates an
 //     output-dimension-sized accumulator (so it also serves hypersparse
 //     outputs).
+//
+// All three meet the products of one output in ascending inner index, so
+// which of them runs changes what a product costs, never its bits.
 
 // MxM computes C⟨M⟩ ⊙= A ⊕.⊗ B.
 func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], s Semiring[A, B, T], a *Matrix[A], b *Matrix[B], desc *Descriptor) error {
@@ -25,14 +29,8 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 		return opError("mxm", ErrUninitialized)
 	}
 	d := desc.get()
-	ar, ac := a.nr, a.nc
-	if d.TranA {
-		ar, ac = ac, ar
-	}
-	br, bc := b.nr, b.nc
-	if d.TranB {
-		br, bc = bc, br
-	}
+	ar, ac := orientedDims(a, d.TranA)
+	br, bc := orientedDims(b, d.TranB)
 	if ac != br {
 		return opErrorf("mxm", ErrDimensionMismatch, "A is %d×%d, B is %d×%d", ar, ac, br, bc)
 	}
@@ -49,8 +47,7 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	method := d.Method
 	policy := "forced"
 	if method == MxMAuto {
-		method = chooseMxM(ca, mm, ar, bc)
-		policy = "static"
+		method, policy = chooseMxM(ca, b, d.TranB, mm, bc)
 	}
 
 	// Observation guard: one atomic load; st stays nil (and the kernels
@@ -116,6 +113,41 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	return err
 }
 
+// MxMDirection reports the direction MxM takes for C⟨M⟩ ⊙= A ⊕.⊗ B under
+// desc: DirPull when the dot method runs, DirPush when a saxpy kernel
+// (Gustavson or heap) does. It asks the chooser MxM itself consults — a
+// pure function of the operands and the descriptor — so an algorithm can
+// put the direction of the step it is about to take in its iteration
+// record. Operands MxM would reject yield DirAuto.
+func MxMDirection[A, B, M any](mask *Matrix[M], a *Matrix[A], b *Matrix[B], desc *Descriptor) Direction {
+	if a == nil || b == nil {
+		return DirAuto
+	}
+	d := desc.get()
+	ar, ac := orientedDims(a, d.TranA)
+	br, bc := orientedDims(b, d.TranB)
+	if ac != br || (mask != nil && (mask.nr != ar || mask.nc != bc)) {
+		return DirAuto
+	}
+	method := d.Method
+	if method == MxMAuto {
+		method, _ = chooseMxM(orientedCSR(a, d.TranA), b, d.TranB, newMaskMat(mask, d), bc)
+	}
+	if method == MxMDot {
+		return DirPull
+	}
+	return DirPush
+}
+
+// orientedDims returns the shape of the effective operand: a's, or aᵀ's
+// when tran is set.
+func orientedDims[T any](a *Matrix[T], tran bool) (nr, nc int) {
+	if tran {
+		return a.nc, a.nr
+	}
+	return a.nr, a.nc
+}
+
 // orientedCSC returns the column-major view of the effective operand: for
 // a transposed operand that is simply its row-major storage.
 func orientedCSC[T any](a *Matrix[T], tran bool) *cs[T] {
@@ -125,21 +157,90 @@ func orientedCSC[T any](a *Matrix[T], tran bool) *cs[T] {
 	return a.materializedCSC()
 }
 
-// chooseMxM picks a kernel: dot when a non-complemented mask restricts the
-// output to a small pattern; heap when A's rows are very short and the
-// output dimension is large; Gustavson otherwise.
-func chooseMxM[A any](ca *cs[A], mm *maskMat, outRows, outCols int) MxMMethod {
-	if mm != nil && !mm.comp {
-		return MxMDot
-	}
+// chooseMxM picks a kernel and names the policy that picked it. With no
+// mask the choice is static: heap when A's rows are very short and the
+// output dimension is large, Gustavson otherwise. Under a mask that saxpy
+// kernel is the push direction of a push–pull pair whose pull is the dot
+// method, and the cheaper of the two by pullIsCheaper's estimates runs
+// (policy "cost") — whichever way the mask is polarised.
+func chooseMxM[A, B any](ca *cs[A], b *Matrix[B], tranB bool, mm *maskMat, outCols int) (MxMMethod, string) {
+	push := MxMGustavson
 	nv := ca.nvals()
-	if nv > 0 && outCols >= hyperThresholdDim*hyperRatio {
-		return MxMHeap // avoid O(outCols) accumulators per worker
+	switch {
+	case nv > 0 && outCols >= hyperThresholdDim*hyperRatio:
+		push = MxMHeap // avoid O(outCols) accumulators per worker
+	case ca.nvecs() > 0 && nv/ca.nvecs() <= 2 && outCols > 4096:
+		push = MxMHeap
 	}
-	if ca.nvecs() > 0 && nv/max(ca.nvecs(), 1) <= 2 && outCols > 4096 {
-		return MxMHeap
+	if mm == nil {
+		return push, "static"
 	}
-	return MxMGustavson
+	if pull, _ := pullIsCheaper(ca, b, tranB, mm, outCols); pull {
+		return MxMDot, "cost"
+	}
+	return push, "cost"
+}
+
+// pullIsCheaper prices both directions of a masked product and reports
+// whether the dot kernels' estimate (Σ pullRowCost) is below the saxpy
+// kernels' (Σ saxpyFlops) — the weights those kernels partition by, so the
+// op record's EstFlops is the estimate that won.
+//
+// Pricing never costs more than the direction it picks. Push is priced
+// first, in O(nnz(A)), which a push pays anyway. A pull visits every column
+// position its mask makes it enumerate — the stored entries of a positive
+// mask's row, all nc columns under a complemented one — so the count of
+// those visits, known without reading the mask, is a floor on it: a push at
+// or under the floor is taken there and then (priced false), which is how a
+// small frontier under a complemented `visited` mask stays O(frontier).
+// Only a push above the floor pays for the walk over the admitted outputs
+// that prices the pull, a walk no longer than the floor, abandoned at the
+// first row that takes the pull past the push.
+func pullIsCheaper[A, B any](ca *cs[A], b *Matrix[B], tranB bool, mm *maskMat, nc int) (cheaper, priced bool) {
+	cb := orientedCSR(b, tranB)
+	push, floor := 0, 0
+	for k := 0; k < ca.nvecs(); k++ {
+		push += saxpyFlops(ca, cb, k)
+		floor++
+		if la := ca.p[k+1] - ca.p[k]; la > 0 {
+			floor += la + mm.visits(ca.majorOf(k), nc)
+		}
+	}
+	if push <= floor {
+		return false, false
+	}
+	var cbT *cs[B] // nil: B holds the dense form and the dots probe it
+	if b.bitmapView() == nil {
+		cbT = orientedCSC(b, tranB)
+	}
+	pull := 0
+	for k := 0; k < ca.nvecs() && pull < push; k++ {
+		pull += pullRowCost(ca, k, mm, nc, cbT)
+	}
+	return pull < push, true
+}
+
+// pullRowCost estimates the work of A's stored row k under the dot
+// kernels: one step per column position the mask makes them visit, the row
+// itself (scattered once into a lane, or walked once per bitmap dot), and
+// the probes of each admitted dot — the length of B's column for a
+// compressed B (cbT, its column-major view), of A's row for a bitmap B
+// (cbT nil), which is probed at each of the row's entries instead.
+func pullRowCost[A, B any](ca *cs[A], k int, mm *maskMat, nc int, cbT *cs[B]) int {
+	la := ca.p[k+1] - ca.p[k]
+	if la == 0 {
+		return 1
+	}
+	row := ca.majorOf(k)
+	cost := 1 + la + mm.visits(row, nc)
+	mm.eachAdmitted(row, nc, func(j int) {
+		if cbT == nil {
+			cost += la
+		} else if bk, ok := cbT.findMajor(j); ok {
+			cost += cbT.p[bk+1] - cbT.p[bk]
+		}
+	})
+	return cost
 }
 
 // mxmWorkQuantum is the minimum estimated work — flops for the mxm
@@ -315,69 +416,102 @@ func stitchByA[A, T any](staging *rowSlices[T], ca *cs[A], nr, nc int) *cs[T] {
 	return staging.stitch(nr, nc, nil)
 }
 
-// mxmDot computes Z = A·B with dot products, iterating only positions
-// admitted by the mask when one is present (and not complemented). cbT is
-// the column-major view of B, i.e. rows of Bᵀ.
+// mxmDot computes Z = A·B with dot products over the positions the mask
+// admits. cbT is the column-major view of B, i.e. rows of Bᵀ.
+//
+// A row of A that is long against B's columns (dotScatters) is scattered
+// once into a pooled lane, at its first admitted dot, and each of its dots
+// walks B's column probing the lane in O(1) — |B(:,j)| steps instead of a
+// binary search of the row per entry of the column; the lane is cleared
+// behind the row. Shorter rows merge (sparseDot). Either form meets the
+// matches of a dot in ascending inner index, so they produce the same bits.
 func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
 	nvec := ca.nvecs()
 	staging := newRowSlices[T](nvec)
-	useMaskPattern := mm != nil && !mm.comp
-	// Per-row work ≈ admitted outputs × merge length; the mask row size is
-	// the dominant skew on masked products (triangle counting).
-	flops := func(k int) int {
-		ai, _ := ca.vec(k)
-		if len(ai) == 0 {
-			return 1
-		}
-		outs := nc
-		if useMaskPattern {
-			mi, _ := mm.row(ca.majorOf(k))
-			outs = len(mi)
-		}
-		return 1 + outs*(len(ai)+1)
-	}
+	flops := func(k int) int { return pullRowCost(ca, k, mm, nc, cbT) }
+	nnzB, ncolsB, inner := cbT.nvals(), cbT.nvecs(), ca.nminor
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
+		var lane *denseScratch[A] // drawn at the chunk's first scattered row
 		for k := lo; k < hi; k++ {
 			ai, ax := ca.vec(k)
 			if len(ai) == 0 {
 				continue
 			}
-			row := ca.majorOf(k)
-			dot := func(j int) {
+			long := dotScatters(len(ai), nnzB, ncolsB, inner)
+			scattered := false
+			mm.eachAdmitted(ca.majorOf(k), nc, func(j int) {
 				bk, ok := cbT.findMajor(j)
 				if !ok {
 					return
 				}
 				bi, bx := cbT.vec(bk)
-				acc, any := sparseDot(ai, ax, bi, bx, s)
+				var acc T
+				var any bool
+				if long && len(bi) > 0 {
+					if !scattered {
+						if lane == nil {
+							lane = getScratch[A](inner)
+						}
+						for t, i := range ai {
+							lane.seen[i], lane.val[i] = true, ax[t]
+						}
+						scattered = true
+					}
+					acc, any = laneDot(lane.seen, lane.val, bi, bx, s)
+				} else {
+					acc, any = sparseDot(ai, ax, bi, bx, s)
+				}
 				if any {
 					staging.idx[k] = append(staging.idx[k], j)
 					staging.val[k] = append(staging.val[k], acc)
 				}
-			}
-			if useMaskPattern {
-				mi, mv := mm.row(row)
-				for t, j := range mi {
-					if mv != nil && !mv[t] {
-						continue
-					}
-					dot(j)
-				}
-			} else if mm != nil { // complemented mask: all j not admitted... i.e. admitted by comp view
-				allowed := mm.rowMask(row).cursor()
-				for j := 0; j < nc; j++ {
-					if allowed(j) {
-						dot(j)
-					}
-				}
-			} else {
-				for j := 0; j < nc; j++ {
-					dot(j)
+			})
+			if scattered {
+				for _, i := range ai {
+					lane.seen[i] = false
 				}
 			}
 		}
+		if lane != nil {
+			putScratch(lane)
+		}
 	})
 	return stitchByA(staging, ca, nr, nc)
+}
+
+// dotScatters is mxmDot's scatter bar: a row of la entries is scattered
+// when it is longer than dotGallopRatio average columns of B (nnzB entries
+// in ncolsB stored columns) — the lengths at which sparseDot would stop
+// merging and binary-search the row — and the inner dimension is below the
+// hypersparse regime, where an inner-dimension lane is not affordable (the
+// bar at which vxmPush moves from pushDense to pushHash).
+func dotScatters(la, nnzB, ncolsB, inner int) bool {
+	return inner < hyperThresholdDim*hyperRatio && la*ncolsB > dotGallopRatio*nnzB
+}
+
+// laneDot is one dot product whose left operand is held as lanes: it walks
+// the right operand's entries (bi, bx) and probes (seen, val) at each in
+// O(1), stopping early once the additive monoid reaches a terminal value.
+// Matches are met in ascending index order, as sparseDot meets them.
+func laneDot[A, B, T any](seen []bool, val []A, bi []int, bx []B, s Semiring[A, B, T]) (T, bool) {
+	var acc T
+	found := false
+	for t, i := range bi {
+		if !seen[i] {
+			continue
+		}
+		p := s.Mul(val[i], bx[t])
+		if found {
+			acc = s.Add.Op(acc, p)
+		} else {
+			acc = p
+			found = true
+		}
+		if s.Add.Terminal != nil && s.Add.Terminal(acc) {
+			return acc, true
+		}
+	}
+	return acc, found
 }
 
 // mxmDotBitmap is mxmDot with B held as a dense bitmap: each dot product
@@ -391,27 +525,14 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 func mxmDotBitmap[A, B, T any](ca *cs[A], vb *bm[B], tranB bool, s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
 	nvec := ca.nvecs()
 	staging := newRowSlices[T](nvec)
-	useMaskPattern := mm != nil && !mm.comp
-	flops := func(k int) int {
-		ai, _ := ca.vec(k)
-		if len(ai) == 0 {
-			return 1
-		}
-		outs := nc
-		if useMaskPattern {
-			mi, _ := mm.row(ca.majorOf(k))
-			outs = len(mi)
-		}
-		return 1 + outs*(len(ai)+1)
-	}
+	flops := func(k int) int { return pullRowCost[A, B](ca, k, mm, nc, nil) }
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			ai, ax := ca.vec(k)
 			if len(ai) == 0 {
 				continue
 			}
-			row := ca.majorOf(k)
-			dot := func(j int) {
+			mm.eachAdmitted(ca.majorOf(k), nc, func(j int) {
 				var acc T
 				found := false
 				for t := range ai {
@@ -439,27 +560,7 @@ func mxmDotBitmap[A, B, T any](ca *cs[A], vb *bm[B], tranB bool, s Semiring[A, B
 					staging.idx[k] = append(staging.idx[k], j)
 					staging.val[k] = append(staging.val[k], acc)
 				}
-			}
-			if useMaskPattern {
-				mi, mv := mm.row(row)
-				for t, j := range mi {
-					if mv != nil && !mv[t] {
-						continue
-					}
-					dot(j)
-				}
-			} else if mm != nil {
-				allowed := mm.rowMask(row).cursor()
-				for j := 0; j < nc; j++ {
-					if allowed(j) {
-						dot(j)
-					}
-				}
-			} else {
-				for j := 0; j < nc; j++ {
-					dot(j)
-				}
-			}
+			})
 		}
 	})
 	return stitchByA(staging, ca, nr, nc)
@@ -521,6 +622,13 @@ type heapEntry[B any] struct {
 	bi  []int
 	bx  []B
 	src int // index into A's row (for the multiplier)
+}
+
+// before orders the merge by column, and cursors on one column by their
+// place in A's row: an output's products meet in ascending inner index, the
+// order Gustavson and the dots meet them in.
+func (e heapEntry[B]) before(o heapEntry[B]) bool {
+	return e.col < o.col || (e.col == o.col && e.src < o.src)
 }
 
 // mxmHeap computes Z = A·B one row at a time by merging the selected rows
@@ -600,10 +708,10 @@ func siftDown[B any](h []heapEntry[B], i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && h[l].col < h[small].col {
+		if l < len(h) && h[l].before(h[small]) {
 			small = l
 		}
-		if r < len(h) && h[r].col < h[small].col {
+		if r < len(h) && h[r].before(h[small]) {
 			small = r
 		}
 		if small == i {

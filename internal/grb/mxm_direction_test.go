@@ -1,0 +1,425 @@
+package grb_test
+
+// The two directions of a masked mxm against the dense mimic. Under a mask
+// MxMAuto runs the cheaper of the saxpy kernels (push) and the dot kernels
+// (pull) by the estimates the kernels themselves partition by, and the dot
+// kernel scatters a row of A that is long against B's columns instead of
+// searching it. None of that may change a bit: every product of one output
+// is met in ascending inner index whichever kernel meets it. So each case
+// here runs forced dot, forced Gustavson and MxMAuto at 1 and 8 workers,
+// compares all of them with the mimic bit for bit, and checks that the op
+// record of the automatic run carries the smaller of the two forced runs'
+// estimates under the policy "cost".
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"lagraph/internal/grb"
+	"lagraph/internal/grb/ref"
+	"lagraph/internal/obs"
+)
+
+// eqMatBits fails the test unless got and want agree in pattern and, bit
+// for bit, in value.
+func eqMatBits[T comparable](t *testing.T, label string, got *grb.Matrix[T], want *ref.Mat[T]) {
+	t.Helper()
+	is, js, xs := got.ExtractTuples()
+	n := 0
+	for i := range want.Set {
+		for j := range want.Set[i] {
+			if want.Set[i][j] {
+				n++
+			}
+		}
+	}
+	if len(is) != n {
+		t.Fatalf("%s: %d entries, want %d", label, len(is), n)
+	}
+	for k := range is {
+		i, j := is[k], js[k]
+		if !want.Set[i][j] || !bitIdentical(xs[k], want.Val[i][j]) {
+			t.Fatalf("%s: (%d,%d) = %v, want %v (stored %v)", label, i, j, xs[k], want.Val[i][j], want.Set[i][j])
+		}
+	}
+}
+
+// dirCase is one masked product: c0⟨mask⟩ ⊙= a ⊕.⊗ b under d, the mask
+// dense-held when heldMask is set.
+type dirCase[T comparable] struct {
+	s        grb.Semiring[T, T, T]
+	accum    grb.BinaryOp[T, T, T]
+	a, b, c0 *grb.Matrix[T]
+	mask     *grb.Matrix[bool]
+	heldMask bool
+	d        grb.Descriptor
+}
+
+// check runs the case through every method at both worker counts and
+// returns the op records of the eight-worker runs by method name.
+func (tc dirCase[T]) check(t *testing.T, label string) map[string]obs.OpRecord {
+	t.Helper()
+	want := ref.FromMatrix(tc.c0)
+	ref.MxM(want, ref.FromMatrix(tc.mask), tc.accum, tc.s, ref.FromMatrix(tc.a), ref.FromMatrix(tc.b), refDesc(tc.d))
+	var auto string
+	var recs map[string]obs.OpRecord
+	for _, p := range []int{1, 8} {
+		prev := grb.SetParallelism(p)
+		recs = map[string]obs.OpRecord{}
+		for _, m := range []struct {
+			name   string
+			method grb.MxMMethod
+		}{{"dot", grb.MxMDot}, {"gustavson", grb.MxMGustavson}, {"auto", grb.MxMAuto}} {
+			d := tc.d
+			d.Method = m.method
+			got := tc.c0.Dup()
+			trace := obs.NewTrace(4)
+			restore := obs.Set(trace)
+			err := grb.MxM(got, heldM(tc.mask, tc.heldMask), tc.accum, tc.s, tc.a, tc.b, &d)
+			obs.Set(restore)
+			if err != nil {
+				grb.SetParallelism(prev)
+				t.Fatalf("%s %s P=%d: %v", label, m.name, p, err)
+			}
+			eqMatBits(t, fmt.Sprintf("%s %s P=%d", label, m.name, p), got, want)
+			mustSerializeLikeTwin(t, got)
+			ops := trace.Ops()
+			recs[m.name] = ops[len(ops)-1]
+		}
+		grb.SetParallelism(prev)
+		// The automatic run carries the smaller estimate, and a tie goes to
+		// the push.
+		rec, push, pull := recs["auto"], recs["gustavson"].EstFlops, recs["dot"].EstFlops
+		gotPull := rec.Kernel == "dot" || rec.Kernel == "dot-bitmap"
+		if rec.Policy != "cost" || rec.EstFlops != min(push, pull) || gotPull != (pull < push) {
+			t.Fatalf("%s P=%d: auto ran %s under policy %q with estimate %d; forced dot estimates %d, forced gustavson %d",
+				label, p, rec.Kernel, rec.Policy, rec.EstFlops, pull, push)
+		}
+		if auto != "" && auto != rec.Kernel {
+			t.Fatalf("%s: auto ran %s at one worker and %s at eight", label, auto, rec.Kernel)
+		}
+		auto = rec.Kernel
+	}
+	return recs
+}
+
+// cancelling draws values whose float64 sums depend on their association:
+// a large pair that cancels around small terms.
+func cancelling(rng *rand.Rand) float64 {
+	return []float64{1e16, -1e16, 1, 3, 0.1, -0.3, 7e-9}[rng.Intn(7)]
+}
+
+// randMatrixOf builds an nr×nc matrix of about density·nr·nc entries drawn
+// from val (later duplicates overwrite earlier ones).
+func randMatrixOf[T any](rng *rand.Rand, nr, nc int, density float64, val func(*rand.Rand) T) *grb.Matrix[T] {
+	a := grb.MustMatrix[T](nr, nc)
+	for k := int(density * float64(nr) * float64(nc)); k > 0; k-- {
+		_ = a.SetElement(rng.Intn(nr), rng.Intn(nc), val(rng))
+	}
+	a.Wait()
+	return a
+}
+
+// operandShape returns the stored shape of an operand whose effective
+// (post-transpose) shape is nr×nc.
+func operandShape(nr, nc int, tran bool) (int, int) {
+	if tran {
+		return nc, nr
+	}
+	return nr, nc
+}
+
+// directionTable runs the descriptor table — polarity × held mask × Replace
+// × accumulator × TranA × TranB, or polarity alone when full is unset — on
+// operands of effective shape (m×k)·(k×n), handing each case's op records
+// to visit.
+func directionTable[T comparable](t *testing.T, name string, rng *rand.Rand, m, k, n int, densA, densB, densM float64, full bool,
+	s grb.Semiring[T, T, T], plus grb.BinaryOp[T, T, T], val func(*rand.Rand) T, visit func(label string, recs map[string]obs.OpRecord)) {
+	bools := []bool{false, true}
+	only := []bool{false}
+	opt := func() []bool {
+		if full {
+			return bools
+		}
+		return only
+	}
+	for _, comp := range bools {
+		for _, held := range opt() {
+			for _, replace := range opt() {
+				for _, withAccum := range opt() {
+					for _, tranA := range opt() {
+						for _, tranB := range opt() {
+							ar, ac := operandShape(m, k, tranA)
+							br, bc := operandShape(k, n, tranB)
+							tc := dirCase[T]{
+								s:        s,
+								a:        randMatrixOf(rng, ar, ac, densA, val),
+								b:        randMatrixOf(rng, br, bc, densB, val),
+								c0:       randMatrixOf(rng, m, n, 0.2, val),
+								mask:     randBoolMatrix(rng, m, n, densM),
+								heldMask: held,
+								d:        grb.Descriptor{Comp: comp, Replace: replace, TranA: tranA, TranB: tranB},
+							}
+							if withAccum {
+								tc.accum = plus
+							}
+							label := fmt.Sprintf("%s comp=%v held=%v replace=%v accum=%v tranA=%v tranB=%v", name, comp, held, replace, withAccum, tranA, tranB)
+							visit(label, tc.check(t, label))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestConformanceMxMDirections(t *testing.T) {
+	plusTimes := grb.PlusTimes[float64]()
+	minPlus := grb.MinPlus[float64]()
+	lorLand := grb.LorLand()
+	small := func(rng *rand.Rand) float64 { return float64(rng.Intn(9) - 4) }
+	truth := func(rng *rand.Rand) bool { return rng.Intn(3) > 0 }
+
+	// Small operands, the whole descriptor table. The mask is sparse against
+	// a dense-ish A in one geometry and the reverse in the next, so each
+	// direction wins somewhere under each polarity; B is under the dense
+	// form's fill bar in the first two (the compressed dot) and over it in
+	// the third (the bitmap dot).
+	t.Run("table", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2001))
+		used := map[string]int{}
+		count := func(_ string, recs map[string]obs.OpRecord) { used[recs["auto"].Kernel]++ }
+		for _, g := range []struct {
+			name                string
+			densA, densB, densM float64
+		}{{"sparse-mask", 0.5, 0.08, 0.05}, {"dense-mask", 0.05, 0.08, 0.9}, {"bitmap-B", 0.5, 0.3, 0.05}} {
+			directionTable(t, g.name+"/plus.times", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, plusTimes, grb.Plus[float64](), cancelling, count)
+			directionTable(t, g.name+"/min.plus", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, minPlus, grb.Plus[float64](), small, count)
+			directionTable(t, g.name+"/lor.land", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, lorLand, grb.LOr(), truth, count)
+		}
+		t.Logf("MxMAuto ran %v", used)
+		if used["gustavson"] == 0 || used["dot"] == 0 || used["dot-bitmap"] == 0 {
+			t.Fatalf("MxMAuto ran %v over the table: every kernel must win somewhere", used)
+		}
+	})
+
+	// Enough estimated work that both directions are cut into chunks at
+	// eight workers (seqFallbackWork = 1<<16), over rows of A (≈ 115 entries)
+	// far beyond the scatter bar of B's ≈ 5-entry columns: each chunk draws
+	// and returns a lane of its own.
+	t.Run("chunked", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2002))
+		chunked := func(label string, recs map[string]obs.OpRecord) {
+			if recs["dot"].Kernel != "dot" || recs["dot"].Chunks < 2 || recs["gustavson"].Chunks < 2 {
+				t.Fatalf("%s: %s in %d chunks, gustavson in %d; want the compressed dot and both chunked",
+					label, recs["dot"].Kernel, recs["dot"].Chunks, recs["gustavson"].Chunks)
+			}
+		}
+		directionTable(t, "plus.times", rng, 96, 256, 512, 0.6, 0.02, 0.3, false, plusTimes, grb.Plus[float64](), cancelling, chunked)
+		directionTable(t, "lor.land", rng, 96, 256, 512, 0.6, 0.02, 0.3, false, lorLand, grb.LOr(), truth, chunked)
+	})
+
+	// Rows of A on either side of the scatter bar. Every column of B holds
+	// exactly 4 entries, so the bar (dotGallopRatio = 8 average columns)
+	// sits between 32 and 33 entries; the rows of A hold 0, 1, 31, 32, 33,
+	// 34 and all 64.
+	t.Run("scatter-bar", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2003))
+		const inner, n = 64, 40
+		if grb.DotScatters(32, 4*n, n, inner) || !grb.DotScatters(33, 4*n, n, inner) {
+			t.Fatal("the scatter bar is not between 32 and 33 entries against 4-entry columns")
+		}
+		lens := []int{0, 1, 31, 32, 33, 34, inner}
+		a := grb.MustMatrix[float64](len(lens), inner)
+		for i, l := range lens {
+			for _, j := range rng.Perm(inner)[:l] {
+				_ = a.SetElement(i, j, cancelling(rng))
+			}
+		}
+		a.Wait()
+		b := grb.MustMatrix[float64](inner, n)
+		for j := 0; j < n; j++ {
+			for _, i := range rng.Perm(inner)[:4] {
+				_ = b.SetElement(i, j, cancelling(rng))
+			}
+		}
+		b.Wait()
+		for _, comp := range []bool{false, true} {
+			tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: grb.MustMatrix[float64](len(lens), n),
+				mask: randBoolMatrix(rng, len(lens), n, 0.5), d: grb.Descriptor{Comp: comp}}
+			tc.check(t, fmt.Sprintf("comp=%v", comp))
+		}
+	})
+
+	// An inner dimension in the hypersparse regime never scatters: no lane
+	// of that length is drawn, whatever the row's length.
+	t.Run("hypersparse-inner", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2004))
+		const inner, m, n = 1 << 15, 5, 6
+		if grb.DotScatters(inner, 1, n, inner) || !grb.DotScatters(inner, 1, n, inner-1) {
+			t.Fatal("the scatter bar must close at an inner dimension of 1<<15")
+		}
+		a := randMatrixOf(rng, m, inner, 0.01, cancelling)
+		b := randMatrixOf(rng, inner, n, 0.0005, cancelling)
+		for _, comp := range []bool{false, true} {
+			tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: randMatrixOf(rng, m, n, 0.3, cancelling),
+				mask: randBoolMatrix(rng, m, n, 0.5), d: grb.Descriptor{Comp: comp, Replace: true}}
+			tc.check(t, fmt.Sprintf("comp=%v", comp))
+		}
+	})
+
+	// Mask rows that admit nothing, and an A with no stored row at all.
+	t.Run("empty", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2005))
+		const m, k, n = 12, 30, 16
+		mask := randBoolMatrix(rng, m, n, 0.4)
+		for i := 0; i < m; i += 2 {
+			for j := 0; j < n; j++ {
+				_ = mask.RemoveElement(i, j)
+			}
+		}
+		mask.Wait()
+		b := randMatrixOf(rng, k, n, 0.3, cancelling)
+		for _, comp := range []bool{false, true} {
+			for _, a := range []*grb.Matrix[float64]{randMatrixOf(rng, m, k, 0.4, cancelling), grb.MustMatrix[float64](m, k)} {
+				tc := dirCase[float64]{s: plusTimes, accum: grb.Plus[float64](), a: a, b: b, c0: randMatrixOf(rng, m, n, 0.3, cancelling),
+					mask: mask, d: grb.Descriptor{Comp: comp}}
+				tc.check(t, fmt.Sprintf("comp=%v nvals(A)=%d", comp, a.Nvals()))
+			}
+		}
+	})
+}
+
+// TestMxMPricingIsBoundedByThePush: a push at or under the floor of the
+// pull — the column positions the mask makes a dot kernel visit — is taken
+// without pricing the pull, so a small frontier under a complemented,
+// dense-held `visited` mask never sweeps it; a frontier whose push exceeds
+// the floor pays for the sweep and may pull.
+func TestMxMPricingIsBoundedByThePush(t *testing.T) {
+	const side = 48
+	n := side * side
+	lattice := grb.MustMatrix[float64](n, n)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := r*side + c
+			if c+1 < side {
+				_ = lattice.SetElement(v, v+1, 1)
+				_ = lattice.SetElement(v+1, v, 1)
+			}
+			if r+1 < side {
+				_ = lattice.SetElement(v, v+side, 1)
+				_ = lattice.SetElement(v+side, v, 1)
+			}
+		}
+	}
+	lattice.Wait()
+	visited := grb.MustMatrix[bool](1, n)
+	for v := 0; v < n/2; v++ {
+		_ = visited.SetElement(0, v, true)
+	}
+	visited.Wait()
+	if !grb.HoldDenseMatrix(visited) {
+		t.Fatal("mask beyond the dense cap")
+	}
+	frontier := func(width int) *grb.Matrix[float64] {
+		f := grb.MustMatrix[float64](1, n)
+		for v := n / 2; v < n/2+width; v++ {
+			_ = f.SetElement(0, v, 1)
+		}
+		f.Wait()
+		return f
+	}
+	// 48 entries of degree ≤ 4: the push is under 5·48+1, the floor is n+49.
+	if pull, priced := grb.MxMPricing(visited, frontier(side), lattice, grb.DescRC); pull || priced {
+		t.Fatalf("a %d-entry frontier under a complemented mask: pull %v, priced %v; want a push taken unpriced", side, pull, priced)
+	}
+	// Half the lattice: the push (≈ 5·n/2) exceeds the floor (n/2 + n), and
+	// the pull — n visits, n/2 entries, the 4-entry columns of the unvisited
+	// half — costs more than that push.
+	if pull, priced := grb.MxMPricing(visited, frontier(n/2), lattice, grb.DescRC); pull || !priced {
+		t.Fatalf("a %d-entry frontier under a complemented mask: pull %v, priced %v; want a priced push", n/2, pull, priced)
+	}
+	// Under the positive mask of a backward step the floor is the mask row.
+	if pull, priced := grb.MxMPricing(visited, frontier(1), lattice, grb.DescR); pull || priced {
+		t.Fatalf("a 1-entry frontier under a %d-entry positive mask: pull %v, priced %v; want a push taken unpriced", n/2, pull, priced)
+	}
+	one := grb.MustMatrix[bool](1, n)
+	_ = one.SetElement(0, n/2+side, true)
+	one.Wait()
+	if pull, priced := grb.MxMPricing(one, frontier(n/2), lattice, grb.DescR); !pull || !priced {
+		t.Fatalf("a %d-entry frontier under a 1-entry positive mask: pull %v, priced %v; want a priced pull", n/2, pull, priced)
+	}
+}
+
+// runDirectionProgram interprets prog as one masked product — shapes,
+// operands, mask, descriptor, semiring — and runs it through both forced
+// directions and MxMAuto against the mimic.
+func runDirectionProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	r := &progReader{b: prog}
+	m, k, n := 1+r.next()%10, 1+r.next()%20, 1+r.next()%10
+	flags := r.next()
+	d := grb.Descriptor{Comp: flags&1 != 0, Replace: flags&2 != 0, TranA: flags&4 != 0, TranB: flags&8 != 0, MaskValue: flags&16 != 0}
+	withAccum, held := flags&32 != 0, flags&64 != 0
+	ar, ac := operandShape(m, k, d.TranA)
+	br, bc := operandShape(k, n, d.TranB)
+	draw := func(nr, nc int, set func(i, j, v int)) {
+		for cnt := r.next() % (nr*nc + 1); cnt > 0; cnt-- {
+			set(r.next()%nr, r.next()%nc, r.next())
+		}
+	}
+	mask := grb.MustMatrix[bool](m, n)
+	draw(m, n, func(i, j, v int) { _ = mask.SetElement(i, j, v%3 > 0) })
+	mask.Wait()
+	label := fmt.Sprintf("%d×%d×%d %+v accum=%v held=%v", m, k, n, d, withAccum, held)
+	if flags&128 != 0 {
+		a, b, c0 := grb.MustMatrix[bool](ar, ac), grb.MustMatrix[bool](br, bc), grb.MustMatrix[bool](m, n)
+		draw(ar, ac, func(i, j, v int) { _ = a.SetElement(i, j, v%3 > 0) })
+		draw(br, bc, func(i, j, v int) { _ = b.SetElement(i, j, v%3 > 0) })
+		draw(m, n, func(i, j, v int) { _ = c0.SetElement(i, j, v%2 > 0) })
+		tc := dirCase[bool]{s: grb.LorLand(), a: a, b: b, c0: c0, mask: mask, heldMask: held, d: d}
+		if withAccum {
+			tc.accum = grb.LOr()
+		}
+		tc.check(t, label)
+		return
+	}
+	vals := []float64{1e16, -1e16, 1, 3, 0.1, -0.3, 7e-9}
+	a, b, c0 := grb.MustMatrix[float64](ar, ac), grb.MustMatrix[float64](br, bc), grb.MustMatrix[float64](m, n)
+	draw(ar, ac, func(i, j, v int) { _ = a.SetElement(i, j, vals[v%7]) })
+	draw(br, bc, func(i, j, v int) { _ = b.SetElement(i, j, vals[v%7]) })
+	draw(m, n, func(i, j, v int) { _ = c0.SetElement(i, j, vals[v%7]) })
+	tc := dirCase[float64]{s: grb.PlusTimes[float64](), a: a, b: b, c0: c0, mask: mask, heldMask: held, d: d}
+	if r.next()%2 == 1 {
+		tc.s = grb.MinPlus[float64]()
+	}
+	if withAccum {
+		tc.accum = grb.Plus[float64]()
+	}
+	tc.check(t, label)
+}
+
+func FuzzMxMDirection(f *testing.F) {
+	f.Add([]byte{5, 12, 6, 0, 9, 0, 0, 1, 1, 1, 2, 2, 40, 0, 0, 3, 1, 1, 0, 2, 2, 5, 11, 0, 1, 2, 1, 3, 4, 2, 5, 1, 0, 0, 1})
+	f.Add([]byte{8, 19, 9, 1 | 2 | 32, 30, 0, 0, 1, 1, 1, 2, 2, 2, 0, 3, 1, 4, 4, 2, 60, 1, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{3, 7, 4, 4 | 8 | 64, 5, 0, 0, 1, 1, 1, 2, 2, 2, 0, 15, 1, 2, 3, 4, 5, 6, 0, 1, 2, 0, 1, 2, 6, 6, 6, 6, 2, 2, 2, 1})
+	f.Add([]byte{9, 4, 9, 128 | 1 | 16, 70, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 1, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 1024 {
+			return
+		}
+		runDirectionProgram(t, prog)
+	})
+}
+
+// TestMxMDirectionProgramsVsMimic runs seeded random products through the
+// fuzz interpreter on every `go test`.
+func TestMxMDirectionProgramsVsMimic(t *testing.T) {
+	rng := rand.New(rand.NewSource(2006))
+	for trial := 0; trial < 300; trial++ {
+		prog := make([]byte, 60+rng.Intn(400))
+		rng.Read(prog)
+		runDirectionProgram(t, prog)
+	}
+}

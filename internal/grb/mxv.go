@@ -376,25 +376,7 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 
 	dotCol := func(ck int) (T, bool) {
 		ci, cx := caT.vec(ck)
-		var acc T
-		found := false
-		for t := range ci {
-			i := ci[t]
-			if !uok[i] {
-				continue
-			}
-			p := s.Mul(ud[i], cx[t])
-			if found {
-				acc = s.Add.Op(acc, p)
-			} else {
-				acc = p
-				found = true
-			}
-			if s.Add.Terminal != nil && s.Add.Terminal(acc) {
-				return acc, true
-			}
-		}
-		return acc, found
+		return laneDot(uok, ud, ci, cx, s)
 	}
 
 	if caT.h == nil && bitmapCells(1, outDim) >= 0 && (mv == nil || (mv.comp && mv.db != nil)) {

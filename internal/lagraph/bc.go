@@ -5,12 +5,28 @@ import "lagraph/internal/grb"
 // Betweenness centrality (§V, [2]) in the batched Brandes formulation of
 // the Combinatorial BLAS / LAGraph: a batch of sources is processed as
 // one ns×n frontier matrix, so every BFS wavefront and every dependency
-// accumulation is a masked matrix-matrix multiply.
+// accumulation is a masked matrix-matrix multiply — and grb takes each in
+// the cheaper of its two directions (DESIGN.md, "A masked mxm takes the
+// cheaper direction"), level by level, as LAGraph's later BC chooses push
+// or pull per level.
+//
+// The forward sweep hands grb `frontier ⊕.⊗ A` under ¬paths: a push
+// scatters the rows of A the frontier selects (g.A's own storage), a pull
+// walks the columns of A the mask still admits. The backward sweep hands
+// it `w ⊕.⊗ Aᵀ` under levels[d-1]: a pull walks rows of A, a push scatters
+// columns of A. Both column views are g.A's one cached CSC — the view a
+// direction-optimized BFS's pull step builds — so neither sweep transposes
+// anything of its own.
 
 // BetweennessCentrality computes the (unnormalized, directed-pair) BC
 // contribution of the given batch of source vertices. Passing every
-// vertex as a source yields exact betweenness.
-func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error) {
+// vertex as a source yields exact betweenness. The context of WithContext
+// is checked before every level of both sweeps, and an observer receives
+// one "bc" IterRecord per level of each: the depth, the wavefront's entry
+// count and the direction grb took.
+func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector[float64], error) {
+	cfg := newOptions(opts)
+	ob := cfg.observer()
 	n := g.N()
 	ns := len(sources)
 	if ns == 0 {
@@ -23,7 +39,7 @@ func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error
 	}
 
 	plusFirst := grb.Semiring[float64, float64, float64]{Add: grb.PlusMonoid[float64](), Mul: grb.First[float64, float64]()}
-	paths, levels, err := bcForward(g, sources, plusFirst)
+	paths, levels, err := bcForward(g, sources, plusFirst, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -34,6 +50,9 @@ func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error
 	depDiv := func(d, sigma float64) float64 { return (1 + d) / sigma }
 	dT1R := &grb.Descriptor{TranB: true, Replace: true}
 	for d := len(levels) - 1; d >= 1; d-- {
+		if err := cfg.canceled(); err != nil {
+			return nil, err
+		}
 		// w⟨levels[d],replace⟩ = (1 + delta) ./ paths, a vertex with no
 		// dependency yet standing at delta = 0.
 		w := grb.MustMatrix[float64](ns, n)
@@ -42,7 +61,7 @@ func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error
 		}
 		// t⟨levels[d-1],replace⟩ = w ⊕.⊗ Aᵀ
 		t := grb.MustMatrix[float64](ns, n)
-		if err := grb.MxM(t, levels[d-1], nil, plusFirst, w, g.A, dT1R); err != nil {
+		if err := batchStep(ob, "bc", d, t, levels[d-1], plusFirst, w, g.A, dT1R); err != nil {
 			return nil, err
 		}
 		// delta⟨levels[d-1]⟩ += t ⊗ paths
@@ -72,8 +91,11 @@ func BetweennessCentrality(g *Graph, sources []int) (*grb.Vector[float64], error
 // bcForward is the forward sweep: a batched BFS from every source that
 // counts shortest paths. paths(s,i) is the number of shortest paths from
 // sources[s] to i; levels[d] holds the depth-d wavefront (the paths
-// discovered at that depth).
-func bcForward(g *Graph, sources []int, plusFirst grb.Semiring[float64, float64, float64]) (paths *grb.Matrix[float64], levels []*grb.Matrix[float64], err error) {
+// discovered at that depth). It folds the caller's options itself: the
+// lattice tests run it alone.
+func bcForward(g *Graph, sources []int, plusFirst grb.Semiring[float64, float64, float64], opts ...Option) (paths *grb.Matrix[float64], levels []*grb.Matrix[float64], err error) {
+	cfg := newOptions(opts)
+	ob := cfg.observer()
 	ns, n := len(sources), g.N()
 	paths = grb.MustMatrix[float64](ns, n)
 	frontier := grb.MustMatrix[float64](ns, n)
@@ -83,9 +105,12 @@ func bcForward(g *Graph, sources []int, plusFirst grb.Semiring[float64, float64,
 	}
 	levels = append(levels, frontier)
 	for {
+		if err := cfg.canceled(); err != nil {
+			return nil, nil, err
+		}
 		next := grb.MustMatrix[float64](ns, n)
 		// next⟨¬paths,replace⟩ = frontier ⊕.⊗ A
-		if err := grb.MxM(next, paths, nil, plusFirst, frontier, g.A, grb.DescRC); err != nil {
+		if err := batchStep(ob, "bc", len(levels), next, paths, plusFirst, frontier, g.A, grb.DescRC); err != nil {
 			return nil, nil, err
 		}
 		if next.Nvals() == 0 {

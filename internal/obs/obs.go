@@ -44,8 +44,10 @@ type OpRecord struct {
 	// "assemble" for Wait.
 	Kernel string `json:"kernel,omitempty"`
 	// Policy records how Kernel was chosen when the op had a choice:
-	// "forced" (the caller pinned a method through the descriptor) or
-	// "static" (the built-in heuristic decided from the operands). Empty
+	// "forced" (the caller pinned a method through the descriptor),
+	// "static" (the built-in heuristic decided from the operands' shapes)
+	// or "cost" (a masked mxm: the cheaper of its push and pull
+	// directions by the work estimates, the winner's in EstFlops). Empty
 	// for ops with no method choice.
 	Policy string `json:"policy,omitempty"`
 	// Rows and Cols are the output dimensions.
