@@ -49,35 +49,36 @@ func AssignVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 
 	// General path: expand u into w-shaped z over the region, then apply
 	// the write rule restricted to the region.
-	type ent struct {
-		i int
-		x T
+	if mask != nil && mask.n != w.n {
+		return opErrorf("assign", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
-	tmp := make([]ent, 0, len(idx))
-	region := make(map[int]struct{}, un)
-	ud, uok := u.dense()
-	for t, target := range idx {
-		region[target] = struct{}{}
-		if uok[t] {
-			tmp = append(tmp, ent{target, ud[t]})
-		}
-	}
-	sort.Slice(tmp, func(a, b int) bool { return tmp[a].i < tmp[b].i })
-	zi := make([]int, len(tmp))
-	zx := make([]T, len(tmp))
-	for k, e := range tmp {
-		zi[k], zx[k] = e.i, e.x
-	}
-	inRegion := func(i int) bool {
-		_, ok := region[i]
-		return ok
-	}
-	return writeVectorRegion(w, mask, accum, zi, zx, inRegion, d)
+	zi, zx := expandOver(u, idx)
+	mergeVector(w, newMaskVec(mask, d), accum, zi, zx, regionSet(idx), d.Replace)
+	return nil
 }
 
-// pendingFastPathMax bounds the assign sizes routed through pending
-// tuples.
-const pendingFastPathMax = 256
+// expandOver returns u's entries moved to the positions idx names — u(t)
+// lands at idx[t] — sorted by position; a nil idx names every position, so
+// the entries are u's own (read only).
+func expandOver[T any](u *Vector[T], idx []int) ([]int, []T) {
+	if idx == nil {
+		return u.materialized()
+	}
+	ud, uok := u.dense()
+	from := make([]int, 0, len(idx))
+	for t := range idx {
+		if uok[t] {
+			from = append(from, t)
+		}
+	}
+	sort.Slice(from, func(a, b int) bool { return idx[from[a]] < idx[from[b]] })
+	zi := make([]int, len(from))
+	zx := make([]T, len(from))
+	for k, t := range from {
+		zi[k], zx[k] = idx[t], ud[t]
+	}
+	return zi, zx
+}
 
 // AssignVectorScalar computes w(I)⟨m⟩ ⊙= s: every admitted position in the
 // region receives the scalar. This is the `levels[frontier] = depth` step
@@ -111,22 +112,16 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 	// Enumerate admitted positions in the region.
 	var zi []int
 	switch {
-	case idx == nil && mv == nil:
-		zi = make([]int, w.n)
-		for i := range zi {
-			zi[i] = i
-		}
-	case idx == nil && !mv.comp && mv.val == nil:
+	case idx == nil && mv != nil && !mv.comp && mv.val == nil:
 		zi = mv.idx // read only below: neither route keeps or edits zi
-	case idx == nil:
+	case idx == nil && mv != nil:
 		for i := 0; i < w.n; i++ {
 			if mv.allowed(i) {
 				zi = append(zi, i)
 			}
 		}
 	default:
-		zi = append(zi, idx...)
-		zi = sortDedupIndices(zi)
+		zi = regionList(idx, w.n)
 		if mv != nil {
 			keep := zi[:0]
 			for _, i := range zi {
@@ -137,13 +132,21 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 			zi = keep
 		}
 	}
-	// The scalar fills every admitted region position, so within the
-	// masked region there are no deletions; outside the region nothing
-	// changes — unless Replace sweeps the unadmitted rest of a whole-vector
-	// region. Without that sweep a dense-held w takes the scalar in place,
-	// O(admitted positions); otherwise the merge is direct.
+	// The scalar fills every admitted region position, so an admitted
+	// position never loses its entry, and outside the region nothing
+	// changes: the only deletions are Replace's, of the region positions a
+	// mask rejects, and they need the merge under the real mask and region.
 	w.settle()
-	if !(d.Replace && idx == nil && mv != nil) && any(mask) != any(w) {
+	if d.Replace && mv != nil {
+		mergeVector(w, mv, accum, zi, filled(len(zi), s), regionSet(idx), true)
+		return nil
+	}
+	// Without them the write folds z — the scalar at exactly the admitted
+	// region positions — into w: in place when w is dense-held, O(admitted
+	// positions); otherwise as the merge with no mask and no region, under
+	// which an entry z does not cover stays because there is an accumulator
+	// (Second, z's value wins, when the caller gave none).
+	if any(mask) != any(w) {
 		if dn := w.writableDense(); dn != nil {
 			for _, i := range zi {
 				dn.put(i, s, accum)
@@ -152,111 +155,20 @@ func AssignVectorScalar[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[
 			return nil
 		}
 	}
-	zx := make([]T, len(zi))
-	for k := range zx {
-		zx[k] = s
+	if accum == nil {
+		accum = Second[T, T]()
 	}
-	widx, wx := w.materialized()
-	ni := make([]int, 0, len(widx)+len(zi))
-	nx := make([]T, 0, len(widx)+len(zi))
-	sc, k := 0, 0
-	for sc < len(widx) || k < len(zi) {
-		switch {
-		case k >= len(zi) || (sc < len(widx) && widx[sc] < zi[k]):
-			// Untouched existing entry; Replace deletes entries outside
-			// the admitted set only if they fall inside the region.
-			drop := false
-			if d.Replace {
-				if idx == nil {
-					drop = mv != nil && !mv.allowed(widx[sc])
-				} else {
-					// in-region check via sorted zi is insufficient
-					// (entry may be region-but-not-admitted); accept the
-					// conservative interpretation: only admitted
-					// positions are rewritten.
-					drop = false
-				}
-			}
-			if !drop {
-				ni = append(ni, widx[sc])
-				nx = append(nx, wx[sc])
-			}
-			sc++
-		case sc >= len(widx) || zi[k] < widx[sc]:
-			ni = append(ni, zi[k])
-			nx = append(nx, zx[k])
-			k++
-		default:
-			v := zx[k]
-			if accum != nil {
-				v = accum(wx[sc], zx[k])
-			}
-			ni = append(ni, widx[sc])
-			nx = append(nx, v)
-			sc++
-			k++
-		}
-	}
-	w.setSparse(ni, nx)
+	mergeVector(w, nil, accum, zi, filled(len(zi), s), nil, false)
 	return nil
 }
 
-// writeVectorRegion applies the write rule restricted to a region:
-// positions outside the region always keep their previous value.
-func writeVectorRegion[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], zidx []int, zx []T, inRegion func(int) bool, d descValues) error {
-	if mask != nil && mask.n != w.n {
-		return opErrorf("assign", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
+// filled returns n copies of s.
+func filled[T any](n int, s T) []T {
+	xs := make([]T, n)
+	for k := range xs {
+		xs[k] = s
 	}
-	mv := newMaskVec(mask, d)
-	widx, wx := w.materialized()
-	allowed := mv.cursor()
-
-	ni := make([]int, 0, len(zidx)+len(widx))
-	nx := make([]T, 0, len(zidx)+len(widx))
-	s, k := 0, 0
-	for s < len(widx) || k < len(zidx) {
-		haveW := s < len(widx)
-		haveZ := k < len(zidx)
-		switch {
-		case haveW && (!haveZ || widx[s] < zidx[k]):
-			i := widx[s]
-			keep := true
-			if inRegion(i) && allowed(i) {
-				keep = accum != nil // admitted, z missing: delete unless accumulating
-			} else if inRegion(i) && d.Replace {
-				keep = false
-			}
-			if keep {
-				ni = append(ni, i)
-				nx = append(nx, wx[s])
-			}
-			s++
-		case haveZ && (!haveW || zidx[k] < widx[s]):
-			i := zidx[k]
-			if allowed(i) {
-				ni = append(ni, i)
-				nx = append(nx, zx[k])
-			}
-			k++
-		default:
-			i := widx[s]
-			if allowed(i) {
-				v := zx[k]
-				if accum != nil {
-					v = accum(wx[s], zx[k])
-				}
-				ni = append(ni, i)
-				nx = append(nx, v)
-			} else if !d.Replace || !inRegion(i) {
-				ni = append(ni, i)
-				nx = append(nx, wx[s])
-			}
-			s++
-			k++
-		}
-	}
-	w.setSparse(ni, nx)
-	return nil
+	return xs
 }
 
 // AssignMatrix computes C(I,J)⟨M⟩ ⊙= A, with nil index lists meaning all
@@ -319,9 +231,7 @@ func AssignMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 		return err
 	}
 
-	rowRegion := regionSet(rows, c.nr)
-	colRegion := regionSet(cols, c.nc)
-	return writeMatrixRegion(c, mask, accum, z, rowRegion, colRegion, d)
+	return writeMatrixRegion(c, mask, accum, z, rows, cols, d)
 }
 
 // AssignMatrixScalar computes C(I,J)⟨M⟩ ⊙= s over every admitted region
@@ -361,35 +271,15 @@ func AssignMatrixScalar[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[
 		return writeMatrixResult(c, mask, accum, z, d)
 	}
 
-	rset := rows
-	if rset == nil {
-		rset = make([]int, c.nr)
-		for i := range rset {
-			rset[i] = i
-		}
-	} else {
-		rset = sortDedupIndices(append([]int(nil), rset...))
-	}
-	cset := cols
-	if cset == nil {
-		cset = make([]int, c.nc)
-		for j := range cset {
-			cset[j] = j
-		}
-	} else {
-		cset = sortDedupIndices(append([]int(nil), cset...))
-	}
+	rset, cset := regionList(rows, c.nr), regionList(cols, c.nc)
 
 	is := make([]int, 0, len(rset)*len(cset))
 	js := make([]int, 0, len(rset)*len(cset))
 	xs := make([]T, 0, len(rset)*len(cset))
 	for _, i := range rset {
-		var rm *maskVec
-		if mm != nil {
-			rm = mm.rowMask(i)
-		}
+		rm := mm.rowMask(i) // nil, admitting everything, under no mask
 		for _, j := range cset {
-			if rm == nil || rm.allowed(j) {
+			if rm.allowed(j) {
 				is = append(is, i)
 				js = append(js, j)
 				xs = append(xs, s)
@@ -401,14 +291,30 @@ func AssignMatrixScalar[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[
 		return err
 	}
 	// As with the vector scalar assign, the scalar fills every admitted
-	// region position; the mask has already been applied to z.
-	return writeMatrixRegion[T, bool](c, nil, accum, z, regionSet(rows, c.nr), regionSet(cols, c.nc), d)
+	// region position; the region rule still needs the mask, to tell a region
+	// position z left empty because the mask rejects it (kept, or deleted
+	// under Replace) from an admitted one (there is none).
+	return writeMatrixRegion(c, mask, accum, z, rows, cols, d)
 }
 
-// regionSet returns a membership test for an index list (nil = everything).
-func regionSet(idx []int, n int) func(int) bool {
+// regionList returns the distinct positions an index list names, ascending,
+// in a fresh slice: 0..n-1 for a nil list, which means everything.
+func regionList(idx []int, n int) []int {
+	if idx != nil {
+		return sortDedupIndices(append([]int(nil), idx...))
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// regionSet returns the membership test of an index list as mergeRow takes
+// it: nil for a nil list, which means everything.
+func regionSet(idx []int) func(int) bool {
 	if idx == nil {
-		return func(int) bool { return true }
+		return nil
 	}
 	set := make(map[int]struct{}, len(idx))
 	for _, i := range idx {
@@ -420,120 +326,12 @@ func regionSet(idx []int, n int) func(int) bool {
 	}
 }
 
-// writeMatrixRegion is writeMatrixResult restricted to a row×column
-// region: positions outside it always keep their previous value.
-func writeMatrixRegion[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], rowIn, colIn func(int) bool, d descValues) error {
+// writeMatrixRegion is writeMatrixResult restricted to the rows × cols
+// region (nil: all): positions outside it always keep their previous value.
+func writeMatrixRegion[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], rows, cols []int, d descValues) error {
 	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
 		return opErrorf("assign", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, c.nr, c.nc)
 	}
-	mm := newMaskMat(mask, d)
-	old := c.materializedCSR()
-
-	ni := make([]int, 0, old.nvals()+z.nvals())
-	nx := make([]T, 0, old.nvals()+z.nvals())
-	np := make([]int, 1, c.nr+2)
-	var nh []int
-	hyper := old.h != nil && z.h != nil
-	if hyper {
-		np = np[:1]
-	}
-
-	emit := func(row int, oi []int, ox []T, zi []int, zx []T) {
-		inRow := rowIn(row)
-		var allowed func(int) bool
-		if mm == nil {
-			allowed = func(int) bool { return true }
-		} else {
-			allowed = mm.rowMask(row).cursor()
-		}
-		s, k := 0, 0
-		for s < len(oi) || k < len(zi) {
-			haveW := s < len(oi)
-			haveZ := k < len(zi)
-			switch {
-			case haveW && (!haveZ || oi[s] < zi[k]):
-				j := oi[s]
-				keep := true
-				if inRow && colIn(j) {
-					if allowed(j) {
-						keep = accum != nil
-					} else if d.Replace {
-						keep = false
-					}
-				}
-				if keep {
-					ni = append(ni, j)
-					nx = append(nx, ox[s])
-				}
-				s++
-			case haveZ && (!haveW || zi[k] < oi[s]):
-				j := zi[k]
-				if allowed(j) {
-					ni = append(ni, j)
-					nx = append(nx, zx[k])
-				}
-				k++
-			default:
-				j := oi[s]
-				if allowed(j) {
-					v := zx[k]
-					if accum != nil {
-						v = accum(ox[s], zx[k])
-					}
-					ni = append(ni, j)
-					nx = append(nx, v)
-				} else if !d.Replace || !(inRow && colIn(j)) {
-					ni = append(ni, j)
-					nx = append(nx, ox[s])
-				}
-				s++
-				k++
-			}
-		}
-	}
-
-	ok, zk := 0, 0
-	for ok < old.nvecs() || zk < z.nvecs() {
-		var row int
-		switch {
-		case ok >= old.nvecs():
-			row = z.majorOf(zk)
-		case zk >= z.nvecs():
-			row = old.majorOf(ok)
-		default:
-			row = min(old.majorOf(ok), z.majorOf(zk))
-		}
-		var oi, zi []int
-		var ox, zx []T
-		if ok < old.nvecs() && old.majorOf(ok) == row {
-			oi, ox = old.vec(ok)
-			ok++
-		}
-		if zk < z.nvecs() && z.majorOf(zk) == row {
-			zi, zx = z.vec(zk)
-			zk++
-		}
-		if !hyper {
-			for len(np)-1 < row {
-				np = append(np, len(ni))
-			}
-		}
-		before := len(ni)
-		emit(row, oi, ox, zi, zx)
-		if hyper {
-			if len(ni) > before {
-				nh = append(nh, row)
-				np = append(np, len(ni))
-			}
-		} else {
-			np = append(np, len(ni))
-		}
-	}
-	if !hyper {
-		for len(np)-1 < c.nr {
-			np = append(np, len(ni))
-		}
-	}
-	c.setCSR(&cs[T]{nmajor: c.nr, nminor: c.nc, p: np, h: nh, i: ni, x: nx})
+	mergeMatrix(c, newMaskMat(mask, d), accum, z, regionSet(rows), regionSet(cols), d.Replace)
 	return nil
 }

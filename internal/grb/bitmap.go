@@ -43,10 +43,11 @@ import "sort"
 // Promotion is lazy and a pure function of (cells, nvals): the write rule
 // builds the dense form of its output when denseWanted holds and the write
 // would otherwise need a merge; assembly demotes when it no longer holds.
-// A matrix read by the dot mxm gets the same form built as a cache by
-// bitmapView. vxm/mxv never sweep a dense matrix operand: measured across
-// fills from 50% to 100% the compressed pull kernel wins in both
-// orientations (EXPERIMENTS.md).
+// No kernel reads a dense matrix operand by its lanes: vxm/mxv measured
+// across fills from 50% to 100% have the compressed pull kernel winning in
+// both orientations, and the dot mxm's probing variant bought at best 1.08×
+// and ran on no workload (EXPERIMENTS.md), so a dense-held operand is read
+// through its compressed form.
 type bm[T any] struct {
 	nr, nc int
 	// b[i*nc+j] reports whether (i,j) holds a stored entry; x[i*nc+j] is
@@ -55,34 +56,6 @@ type bm[T any] struct {
 	x []T
 	// nvals counts the set flags.
 	nvals int
-}
-
-// Dense eligibility: an object takes the dense form only when it is small
-// enough that a dense array is affordable and dense enough that it pays.
-// FormatBitmap forces it whenever the cell count is representable (the
-// cap still applies — a 2^40-dimension bitmap is not a storage format, it
-// is an OOM).
-const (
-	// bitmapMaxCells caps nr*nc for any dense form (bools + values for
-	// 2^22 cells of float64 ≈ 36 MiB, the outer edge of "cheap").
-	bitmapMaxCells = 1 << 22
-	// bitmapDenRatio selects the dense form when nvals ≥ nr*nc/bitmapDenRatio,
-	// i.e. at ≥ 12.5% fill compressed indices are pure overhead.
-	bitmapDenRatio = 8
-)
-
-// bitmapCells returns nr*nc if it is within the bitmap cap, or -1 when the
-// product is too large (or would overflow).
-func bitmapCells(nr, nc int) int {
-	if nr <= 0 || nc <= 0 || nr > bitmapMaxCells || nc > bitmapMaxCells/nr {
-		return -1
-	}
-	return nr * nc
-}
-
-// denseWanted is the promotion rule: cells is bitmapCells' answer.
-func denseWanted(cells, nvals int) bool {
-	return cells >= 0 && nvals*bitmapDenRatio >= cells
 }
 
 func newBM[T any](nr, nc int) *bm[T] {
@@ -162,19 +135,6 @@ func bmToCS[T any](v *bm[T]) *cs[T] {
 	return c
 }
 
-// bitmapView completes pending work and returns the dense form, building
-// and caching it on first use — the exact protocol of materializedCSC, so
-// a fully-materialized matrix can be shared by concurrent readers. It
-// returns nil when the matrix is not dense-eligible (FormatCSR /
-// FormatHyper, too many cells, or FormatAuto below the density bar);
-// callers fall back to compressed kernels on nil.
-func (a *Matrix[T]) bitmapView() *bm[T] {
-	a.settle()
-	a.bmpMu.Lock()
-	defer a.bmpMu.Unlock()
-	return a.writableDense()
-}
-
 // denseWantedAt is the promotion rule under the configured format: whether
 // a matrix of these dimensions holding nvals entries takes the dense form.
 func (a *Matrix[T]) denseWantedAt(nvals int) bool {
@@ -192,10 +152,7 @@ func (a *Matrix[T]) denseWantedAt(nvals int) bool {
 // without triggering a build — the probe every dense-aware path starts
 // from. Pending work must already be complete.
 func (a *Matrix[T]) cachedBitmap() *bm[T] {
-	a.bmpMu.Lock()
-	v := a.bmp
-	a.bmpMu.Unlock()
-	return v
+	return a.bmp
 }
 
 // getLanes returns an empty 1×n dense form drawn from the scratch pool

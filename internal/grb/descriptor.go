@@ -53,37 +53,17 @@ type Descriptor struct {
 	Method MxMMethod
 	// Dir hints the MxV/VxM traversal direction.
 	Dir Direction
-	// PushPullRatio overrides the DirAuto switch threshold: pull is chosen
-	// when nvals(input) > dim/PushPullRatio. Zero means the default.
-	PushPullRatio int
 }
 
-// descValues is the resolved, nil-safe view of a Descriptor.
-type descValues struct {
-	TranA, TranB  bool
-	Replace       bool
-	Comp          bool
-	MaskValue     bool
-	Method        MxMMethod
-	Dir           Direction
-	PushPullRatio int
-}
-
-const defaultPushPullRatio = 16
+// descValues is the resolved, nil-safe view of a Descriptor: the nil
+// descriptor reads as all defaults.
+type descValues = Descriptor
 
 func (d *Descriptor) get() descValues {
 	if d == nil {
-		return descValues{PushPullRatio: defaultPushPullRatio}
+		return descValues{}
 	}
-	v := descValues{
-		TranA: d.TranA, TranB: d.TranB,
-		Replace: d.Replace, Comp: d.Comp, MaskValue: d.MaskValue,
-		Method: d.Method, Dir: d.Dir, PushPullRatio: d.PushPullRatio,
-	}
-	if v.PushPullRatio <= 0 {
-		v.PushPullRatio = defaultPushPullRatio
-	}
-	return v
+	return *d
 }
 
 // Common descriptors, named after their C API counterparts.

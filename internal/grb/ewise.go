@@ -1,7 +1,5 @@
 package grb
 
-import mathbits "math/bits"
-
 // Element-wise operations of Table I: eWiseAdd (set union of patterns) and
 // eWiseMult (set intersection).
 
@@ -43,14 +41,6 @@ func mergeIntersect[A, B, C any](ai []int, ax []A, bi []int, bx []B, mul BinaryO
 			k++
 		}
 	}
-}
-
-// probeCost is what one get on r costs, in units of one merge step.
-func probeCost[T any](r rowRef[T]) int {
-	if r.b != nil {
-		return 1
-	}
-	return 1 + mathbits.Len(uint(len(r.idx)))
 }
 
 // ewiseRow computes one output row of an element-wise operation: the

@@ -129,12 +129,6 @@ func inverseIndex(cols []int, n int) []int {
 	return inv
 }
 
-// extractBlockEntries is how many entries extractPermuted buckets at a time
-// (at least; never fewer than the output has columns, so that sweeping the
-// column buckets stays O(1) per entry): small enough that a block's buckets
-// stay in cache while entries drop into them in no particular order.
-const extractBlockEntries = 1 << 14
-
 // extractPermuted computes Z(r, inv[j]) = A(rows[r], j) over the columns
 // inv maps (inv[j] ≥ 0; inv is injective there) without sorting, by two
 // bucket passes over the entries of a block of consecutive output rows:

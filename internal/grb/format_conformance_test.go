@@ -112,8 +112,9 @@ func bitIdentical[T comparable](a, b T) bool {
 }
 
 // TestFormatConformanceMxM pins that every MxM method yields identical
-// bits whatever format either operand is stored in — including the
-// dot-bitmap kernel that a bitmap-formatted B upgrades the dot method to.
+// bits whatever format either operand is stored in, and that the format
+// never changes which kernel a forced method runs: a bitmap-formatted B
+// under the dot method is read through its compressed columns.
 func TestFormatConformanceMxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	methods := []struct {
@@ -152,10 +153,17 @@ func TestFormatConformanceMxM(t *testing.T) {
 					for _, fb := range allFormats {
 						label := fmt.Sprintf("t%d/%s/masked=%v/a=%s/b=%s", trial, method.name, masked, fa.name, fb.name)
 						cI := grb.MustMatrix[int64](m, n)
-						if err := grb.MxM(cI, gm, nil, grb.PlusTimes[int64](), inFormat(ai, fa.f), inFormat(bi, fb.f), &d); err != nil {
+						trace := obs.NewTrace(4)
+						restore := obs.Set(trace)
+						err := grb.MxM(cI, gm, nil, grb.PlusTimes[int64](), inFormat(ai, fa.f), inFormat(bi, fb.f), &d)
+						obs.Set(restore)
+						if err != nil {
 							t.Fatal(err)
 						}
 						mustIdenticalMat(t, label+"/int64", cI, baseI)
+						if ops := trace.Ops(); ops[len(ops)-1].Kernel != method.name {
+							t.Fatalf("%s: forced %s ran kernel %q", label, method.name, ops[len(ops)-1].Kernel)
+						}
 						cF := grb.MustMatrix[float64](m, n)
 						if err := grb.MxM[float64, float64, float64, int64](cF, nil, nil, grb.PlusTimes[float64](), inFormat(af, fa.f), inFormat(bf, fb.f), &d); err != nil {
 							t.Fatal(err)

@@ -118,12 +118,4 @@ func TestNamedDescriptors(t *testing.T) {
 	if v.TranA || v.TranB || v.Replace || v.Comp || v.MaskValue {
 		t.Error("nil descriptor defaults")
 	}
-	if v.PushPullRatio != defaultPushPullRatio {
-		t.Error("default ratio")
-	}
-	// Explicit ratio survives.
-	v2 := (&Descriptor{PushPullRatio: 4}).get()
-	if v2.PushPullRatio != 4 {
-		t.Error("explicit ratio")
-	}
 }

@@ -1,7 +1,5 @@
 package grb
 
-import "sort"
-
 // Iteration and inner products: zero-copy access patterns that LAGraph
 // algorithms use to avoid materializing tuple slices.
 
@@ -134,88 +132,13 @@ func AssignMatrixRow[T, M any](c *Matrix[T], mask *Vector[M], accum BinaryOp[T, 
 	d := desc.get()
 	mv := newMaskVec(mask, d)
 
-	// Build the replacement row as a dense-sparse merge.
-	ui, ux := u.materialized()
-	var tmp []ent2[T]
-	region := map[int]struct{}{}
-	if cols == nil {
-		for k := range ui {
-			tmp = append(tmp, ent2[T]{ui[k], ux[k]})
-		}
-	} else {
-		ud, uok := u.dense()
-		for t, target := range cols {
-			region[target] = struct{}{}
-			if uok[t] {
-				tmp = append(tmp, ent2[T]{target, ud[t]})
-			}
-		}
-		sort.Slice(tmp, func(a, b int) bool { return tmp[a].j < tmp[b].j })
-	}
-
-	inRegion := func(j int) bool {
-		if cols == nil {
-			return true
-		}
-		_, ok := region[j]
-		return ok
-	}
-
-	// Merge into the existing row.
+	// The row's result over the region, merged into the existing row.
+	zi, zx := expandOver(u, cols)
 	oi, ox := rowView(c.materializedCSR(), i)
-	allowed := mv.cursor()
-	var ni []int
-	var nx []T
-	s, k := 0, 0
-	for s < len(oi) || k < len(tmp) {
-		haveO := s < len(oi)
-		haveZ := k < len(tmp)
-		switch {
-		case haveO && (!haveZ || oi[s] < tmp[k].j):
-			j := oi[s]
-			keep := true
-			if inRegion(j) && allowed(j) {
-				keep = accum != nil
-			} else if inRegion(j) && d.Replace {
-				keep = false
-			}
-			if keep {
-				ni = append(ni, j)
-				nx = append(nx, ox[s])
-			}
-			s++
-		case haveZ && (!haveO || tmp[k].j < oi[s]):
-			if allowed(tmp[k].j) {
-				ni = append(ni, tmp[k].j)
-				nx = append(nx, tmp[k].x)
-			}
-			k++
-		default:
-			j := oi[s]
-			if allowed(j) {
-				v := tmp[k].x
-				if accum != nil {
-					v = accum(ox[s], tmp[k].x)
-				}
-				ni = append(ni, j)
-				nx = append(nx, v)
-			} else if !d.Replace || !inRegion(j) {
-				ni = append(ni, j)
-				nx = append(nx, ox[s])
-			}
-			s++
-			k++
-		}
-	}
+	ni, nx := mergeRow(nil, nil, oi, ox, zi, zx, mv.mergeCursor(), regionSet(cols), accum, d.Replace)
 
 	// Rewrite row i through the tuple interface (single-row surgery).
 	return c.replaceRow(i, ni, nx)
-}
-
-// ent2 is the (column, value) pair used by AssignMatrixRow.
-type ent2[T any] struct {
-	j int
-	x T
 }
 
 // replaceRow substitutes the entries of one row.

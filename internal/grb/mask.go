@@ -1,9 +1,6 @@
 package grb
 
-import (
-	mathbits "math/bits"
-	"sort"
-)
+import "sort"
 
 // maskVec is a type-erased view of a vector used as a write mask. The nil
 // pointer admits every index. By default the mask is structural (a stored
@@ -102,7 +99,7 @@ func (m *maskVec) cursor() func(i int) bool {
 // cheaper — so filtering a small result through a large sparse mask costs
 // what the result does.
 func (m *maskVec) tester(k int) func(i int) bool {
-	if m != nil && m.db == nil && k*mathbits.Len(uint(len(m.idx))) < len(m.idx) {
+	if m != nil && m.db == nil && searchBeatsWalk(k, len(m.idx)) {
 		return m.allowed
 	}
 	return m.cursor()

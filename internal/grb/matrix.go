@@ -32,14 +32,6 @@ const (
 	FormatBitmap
 )
 
-// hyperThresholdDim is the minimum dimension before FormatAuto considers
-// hypersparse storage, and hyperRatio the maximum fraction of non-empty
-// rows for which hypersparse is chosen.
-const (
-	hyperThresholdDim = 4096
-	hyperRatio        = 8 // hypersparse if non-empty rows < nrows/hyperRatio
-)
-
 // cs is a compressed-sparse structure in one orientation: row-major when
 // used as CSR, column-major when used as CSC. "Major" is the compressed
 // dimension (rows for CSR), "minor" the index dimension.
@@ -126,7 +118,6 @@ type Matrix[T any] struct {
 	// mutation goes to it; csrStale then says the compressed form is out
 	// of date (and released) until materializedCSR recompacts it.
 	bmp      *bm[T]
-	bmpMu    sync.Mutex
 	csrStale bool
 
 	pend   []tuple[T]
@@ -445,9 +436,8 @@ func (a *Matrix[T]) markCSRStale() {
 	a.csc = nil
 }
 
-// writableDense returns the dense form, promoting a settled
-// compressed-only matrix when the promotion rule holds, or nil: for an
-// in-place write, and (under bmpMu) as bitmapView's read cache.
+// writableDense returns the dense form for an in-place write, promoting a
+// settled compressed-only matrix when the promotion rule holds, or nil.
 func (a *Matrix[T]) writableDense() *bm[T] {
 	if a.bmp == nil && a.denseWantedAt(a.csr.nvals()) {
 		a.bmp = csToBM(a.csr)
@@ -710,20 +700,6 @@ func (a *Matrix[T]) Build(is, js []int, xs []T, dup BinaryOp[T, T, T]) error {
 	}
 	a.setCSR(c)
 	return nil
-}
-
-// countingRatio bounds the counting assembly route: it runs only while the
-// dimensions it must sweep stay within this multiple of the tuple count.
-const countingRatio = 4
-
-// countingPays reports whether n tuples indexed into an nmajor×nminor space
-// are ordered by the counting route — O(n + nmajor + nminor), no comparison
-// — or by the comparison sort, O(n log n) whatever the dimensions. A pure
-// function of the three sizes: a bulk load of a graph counts, while a
-// 64-tuple ingest batch into a scale-13 graph and a hypersparse matrix of
-// enormous dimension sort, staying O(batch) and O(nvals).
-func countingPays(n, nmajor, nminor int) bool {
-	return nmajor/countingRatio+nminor/countingRatio <= n
 }
 
 // tupleOrder returns the permutation that visits tuples (is[k], js[k]) in

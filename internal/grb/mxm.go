@@ -1,7 +1,6 @@
 package grb
 
 import (
-	mathbits "math/bits"
 	"sort"
 
 	"lagraph/internal/obs"
@@ -65,18 +64,10 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	var nnzB int
 	switch method {
 	case MxMDot:
-		if vb := b.bitmapView(); vb != nil {
-			// Bitmap B turns each dot's sorted merge into O(1) cell
-			// probes per A entry — and skips building the CSC cache.
-			nnzB = vb.nvals
-			z = mxmDotBitmap(ca, vb, d.TranB, s, mm, ar, bc, st)
-			kernel = "dot-bitmap"
-		} else {
-			cbT := orientedCSC(b, d.TranB)
-			nnzB = cbT.nvals()
-			z = mxmDot(ca, cbT, s, mm, ar, bc, st)
-			kernel = "dot"
-		}
+		cbT := orientedCSC(b, d.TranB)
+		nnzB = cbT.nvals()
+		z = mxmDot(ca, cbT, s, mm, ar, bc, st)
+		kernel = "dot"
 	case MxMHeap:
 		cb := orientedCSR(b, d.TranB)
 		nnzB = cb.nvals()
@@ -93,9 +84,8 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	if ob != nil && err == nil {
 		// The saxpy-family estimate pads each stored A row by one; the
 		// exact multiply count is the estimate minus that padding. Dot
-		// rows (compressed or bitmap) exit early on terminal monoids, so
-		// their actual work is unknowable without per-iteration counting
-		// — reported as 0.
+		// rows exit early on terminal monoids, so their actual work is
+		// unknowable without per-iteration counting — reported as 0.
 		var act int64
 		if method != MxMDot {
 			act = st.estFlops - int64(ca.nvecs())
@@ -157,112 +147,6 @@ func orientedCSC[T any](a *Matrix[T], tran bool) *cs[T] {
 	return a.materializedCSC()
 }
 
-// chooseMxM picks a kernel and names the policy that picked it. With no
-// mask the choice is static: heap when A's rows are very short and the
-// output dimension is large, Gustavson otherwise. Under a mask that saxpy
-// kernel is the push direction of a push–pull pair whose pull is the dot
-// method, and the cheaper of the two by pullIsCheaper's estimates runs
-// (policy "cost") — whichever way the mask is polarised.
-func chooseMxM[A, B any](ca *cs[A], b *Matrix[B], tranB bool, mm *maskMat, outCols int) (MxMMethod, string) {
-	push := MxMGustavson
-	nv := ca.nvals()
-	switch {
-	case nv > 0 && outCols >= hyperThresholdDim*hyperRatio:
-		push = MxMHeap // avoid O(outCols) accumulators per worker
-	case ca.nvecs() > 0 && nv/ca.nvecs() <= 2 && outCols > 4096:
-		push = MxMHeap
-	}
-	if mm == nil {
-		return push, "static"
-	}
-	if pull, _ := pullIsCheaper(ca, b, tranB, mm, outCols); pull {
-		return MxMDot, "cost"
-	}
-	return push, "cost"
-}
-
-// pullIsCheaper prices both directions of a masked product and reports
-// whether the dot kernels' estimate (Σ pullRowCost) is below the saxpy
-// kernels' (Σ saxpyFlops) — the weights those kernels partition by, so the
-// op record's EstFlops is the estimate that won.
-//
-// Pricing never costs more than the direction it picks. Push is priced
-// first, in O(nnz(A)), which a push pays anyway. A pull visits every column
-// position its mask makes it enumerate — the stored entries of a positive
-// mask's row, all nc columns under a complemented one — so the count of
-// those visits, known without reading the mask, is a floor on it: a push at
-// or under the floor is taken there and then (priced false), which is how a
-// small frontier under a complemented `visited` mask stays O(frontier).
-// Only a push above the floor pays for the walk over the admitted outputs
-// that prices the pull, a walk no longer than the floor, abandoned at the
-// first row that takes the pull past the push.
-func pullIsCheaper[A, B any](ca *cs[A], b *Matrix[B], tranB bool, mm *maskMat, nc int) (cheaper, priced bool) {
-	cb := orientedCSR(b, tranB)
-	push, floor := 0, 0
-	for k := 0; k < ca.nvecs(); k++ {
-		push += saxpyFlops(ca, cb, k)
-		floor++
-		if la := ca.p[k+1] - ca.p[k]; la > 0 {
-			floor += la + mm.visits(ca.majorOf(k), nc)
-		}
-	}
-	if push <= floor {
-		return false, false
-	}
-	var cbT *cs[B] // nil: B holds the dense form and the dots probe it
-	if b.bitmapView() == nil {
-		cbT = orientedCSC(b, tranB)
-	}
-	pull := 0
-	for k := 0; k < ca.nvecs() && pull < push; k++ {
-		pull += pullRowCost(ca, k, mm, nc, cbT)
-	}
-	return pull < push, true
-}
-
-// pullRowCost estimates the work of A's stored row k under the dot
-// kernels: one step per column position the mask makes them visit, the row
-// itself (scattered once into a lane, or walked once per bitmap dot), and
-// the probes of each admitted dot — the length of B's column for a
-// compressed B (cbT, its column-major view), of A's row for a bitmap B
-// (cbT nil), which is probed at each of the row's entries instead.
-func pullRowCost[A, B any](ca *cs[A], k int, mm *maskMat, nc int, cbT *cs[B]) int {
-	la := ca.p[k+1] - ca.p[k]
-	if la == 0 {
-		return 1
-	}
-	row := ca.majorOf(k)
-	cost := 1 + la + mm.visits(row, nc)
-	mm.eachAdmitted(row, nc, func(j int) {
-		if cbT == nil {
-			cost += la
-		} else if bk, ok := cbT.findMajor(j); ok {
-			cost += cbT.p[bk+1] - cbT.p[bk]
-		}
-	})
-	return cost
-}
-
-// mxmWorkQuantum is the minimum estimated work — flops for the mxm
-// kernels, entries for the row-wise structural ops (kronecker, extract,
-// select) — before a kernel spins up worker goroutines.
-const mxmWorkQuantum = 1 << 12
-
-// saxpyFlops estimates the work of A's stored row k under Gustavson or the
-// heap method: the summed degrees of the B rows it selects. On power-law
-// graphs this varies by orders of magnitude across rows, which is why the
-// kernels partition by it rather than by row count.
-func saxpyFlops[A, B any](ca *cs[A], cb *cs[B], k int) int {
-	ai, _ := ca.vec(k)
-	f := 1
-	for _, j := range ai {
-		if bk, ok := cb.findMajor(j); ok {
-			f += cb.p[bk+1] - cb.p[bk]
-		}
-	}
-	return f
-}
-
 // mxmGustavson computes Z = A·B row-wise with a dense accumulator, rows
 // partitioned at equal-flop boundaries and dynamically scheduled so hub
 // rows don't serialize the kernel.
@@ -302,7 +186,7 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 				if len(mi) == 0 {
 					continue
 				}
-				if f := flops(k); len(mi) <= f*mathbits.Len(uint(f)) {
+				if maskFirstPays(len(mi), flops(k)) {
 					staging.idx[k], staging.val[k] = saxpyRowMasked(ai, ax, cb, s, mi, mval, mark, val)
 					continue
 				}
@@ -479,16 +363,6 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 	return stitchByA(staging, ca, nr, nc)
 }
 
-// dotScatters is mxmDot's scatter bar: a row of la entries is scattered
-// when it is longer than dotGallopRatio average columns of B (nnzB entries
-// in ncolsB stored columns) — the lengths at which sparseDot would stop
-// merging and binary-search the row — and the inner dimension is below the
-// hypersparse regime, where an inner-dimension lane is not affordable (the
-// bar at which vxmPush moves from pushDense to pushHash).
-func dotScatters(la, nnzB, ncolsB, inner int) bool {
-	return inner < hyperThresholdDim*hyperRatio && la*ncolsB > dotGallopRatio*nnzB
-}
-
 // laneDot is one dot product whose left operand is held as lanes: it walks
 // the right operand's entries (bi, bx) and probes (seen, val) at each in
 // O(1), stopping early once the additive monoid reaches a terminal value.
@@ -513,62 +387,6 @@ func laneDot[A, B, T any](seen []bool, val []A, bi []int, bx []B, s Semiring[A, 
 	}
 	return acc, found
 }
-
-// mxmDotBitmap is mxmDot with B held as a dense bitmap: each dot product
-// walks only A's row and probes Beff(k,j) in O(1) instead of merging two
-// sorted index lists — the win grows with B's fill (exactly when the
-// dense form exists). tranB selects the probe orientation: Beff(k,j) is
-// cell (k,j) of the bitmap untransposed and cell (j,k) transposed (the
-// L·Uᵀ orientation of triangle counting, whose probes are contiguous).
-// Probes ascend in k like sparseDot's merge, and the terminal early exit
-// is preserved, so results are bitwise identical to the compressed dot.
-func mxmDotBitmap[A, B, T any](ca *cs[A], vb *bm[B], tranB bool, s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
-	nvec := ca.nvecs()
-	staging := newRowSlices[T](nvec)
-	flops := func(k int) int { return pullRowCost[A, B](ca, k, mm, nc, nil) }
-	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			ai, ax := ca.vec(k)
-			if len(ai) == 0 {
-				continue
-			}
-			mm.eachAdmitted(ca.majorOf(k), nc, func(j int) {
-				var acc T
-				found := false
-				for t := range ai {
-					var cell int
-					if tranB {
-						cell = j*vb.nc + ai[t]
-					} else {
-						cell = ai[t]*vb.nc + j
-					}
-					if !vb.b[cell] {
-						continue
-					}
-					p := s.Mul(ax[t], vb.x[cell])
-					if found {
-						acc = s.Add.Op(acc, p)
-					} else {
-						acc = p
-						found = true
-					}
-					if s.Add.Terminal != nil && s.Add.Terminal(acc) {
-						break
-					}
-				}
-				if found {
-					staging.idx[k] = append(staging.idx[k], j)
-					staging.val[k] = append(staging.val[k], acc)
-				}
-			})
-		}
-	})
-	return stitchByA(staging, ca, nr, nc)
-}
-
-// dotGallopRatio is the length ratio beyond which sparseDot stops stepping
-// through the longer vector and binary-searches it instead.
-const dotGallopRatio = 8
 
 // sparseDot merges two sorted sparse vectors under the semiring, stopping
 // early once the additive monoid reaches a terminal value (§II-A's early

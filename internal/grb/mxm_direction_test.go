@@ -91,7 +91,7 @@ func (tc dirCase[T]) check(t *testing.T, label string) map[string]obs.OpRecord {
 		// The automatic run carries the smaller estimate, and a tie goes to
 		// the push.
 		rec, push, pull := recs["auto"], recs["gustavson"].EstFlops, recs["dot"].EstFlops
-		gotPull := rec.Kernel == "dot" || rec.Kernel == "dot-bitmap"
+		gotPull := rec.Kernel == "dot"
 		if rec.Policy != "cost" || rec.EstFlops != min(push, pull) || gotPull != (pull < push) {
 			t.Fatalf("%s P=%d: auto ran %s under policy %q with estimate %d; forced dot estimates %d, forced gustavson %d",
 				label, p, rec.Kernel, rec.Policy, rec.EstFlops, pull, push)
@@ -184,8 +184,7 @@ func TestConformanceMxMDirections(t *testing.T) {
 	// Small operands, the whole descriptor table. The mask is sparse against
 	// a dense-ish A in one geometry and the reverse in the next, so each
 	// direction wins somewhere under each polarity; B is under the dense
-	// form's fill bar in the first two (the compressed dot) and over it in
-	// the third (the bitmap dot).
+	// form's fill bar in the first two and over it in the third.
 	t.Run("table", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2001))
 		used := map[string]int{}
@@ -199,7 +198,7 @@ func TestConformanceMxMDirections(t *testing.T) {
 			directionTable(t, g.name+"/lor.land", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, lorLand, grb.LOr(), truth, count)
 		}
 		t.Logf("MxMAuto ran %v", used)
-		if used["gustavson"] == 0 || used["dot"] == 0 || used["dot-bitmap"] == 0 {
+		if used["gustavson"] == 0 || used["dot"] == 0 {
 			t.Fatalf("MxMAuto ran %v over the table: every kernel must win somewhere", used)
 		}
 	})

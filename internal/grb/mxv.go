@@ -44,10 +44,7 @@ func MxV[A, U, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T],
 // observation; d carries resolved descriptor values (MxV arrives with
 // TranA already flipped).
 func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], s Semiring[U, A, T], u *Vector[U], a *Matrix[A], d descValues) error {
-	ar, ac := a.nr, a.nc
-	if d.TranA {
-		ar, ac = ac, ar
-	}
+	ar, ac := orientedDims(a, d.TranA)
 	if u.n != ar || w.n != ac {
 		return opErrorf(op, ErrDimensionMismatch, "u is %d, A is %d×%d, w is %d", u.n, ar, ac, w.n)
 	}
@@ -61,18 +58,13 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	// the operands. Both kernels accumulate each output in ascending
 	// input-index order, so the choice can never change results — only
 	// speed.
+	dir, policy := d.Dir, "forced"
+	if dir == DirAuto {
+		dir, policy = chooseDirection(u, mv, ac), "static"
+	}
 	kernel := "push"
-	policy := "forced"
-	switch d.Dir {
-	case DirPull:
+	if dir == DirPull {
 		kernel = "pull"
-	case DirPush:
-		kernel = "push"
-	default:
-		policy = "static"
-		if chooseDirection(u, a, d, mv, ac) == DirPull {
-			kernel = "pull"
-		}
 	}
 
 	// Observation guard: one atomic load; st stays nil (and the kernels
@@ -134,32 +126,26 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	return err
 }
 
-// chooseDirection implements the GraphBLAST switch: pull when the input
-// vector is dense relative to its dimension (or the mask admits few
-// outputs), push otherwise.
-func chooseDirection[U, A any](u *Vector[U], a *Matrix[A], d descValues, mv *maskVec, outDim int) Direction {
-	un := u.Nvals()
-	if mv != nil && !mv.comp && mv.val == nil && mv.nstored < outDim/d.PushPullRatio {
-		// A sparse positive mask bounds the pull work tightly.
-		return DirPull
+// VxMDirection reports the direction VxM takes for w⟨m⟩ ⊙= uᵀ ⊕.⊗ A under
+// desc: the one desc forces, or the one the DirAuto switch picks. It asks
+// the chooser VxM itself consults — a pure function of the operands and the
+// descriptor — so an algorithm can put the direction of the step it is
+// about to take in its iteration record. Operands VxM would reject yield
+// DirAuto.
+func VxMDirection[U, A, M any](mask *Vector[M], u *Vector[U], a *Matrix[A], desc *Descriptor) Direction {
+	if u == nil || a == nil {
+		return DirAuto
 	}
-	if un > u.n/d.PushPullRatio {
-		return DirPull
+	d := desc.get()
+	ar, ac := orientedDims(a, d.TranA)
+	if u.n != ar || (mask != nil && mask.n != ac) {
+		return DirAuto
 	}
-	return DirPush
+	if d.Dir != DirAuto {
+		return d.Dir
+	}
+	return chooseDirection(u, newMaskVec(mask, d), ac)
 }
-
-// Push-kernel chunking: the frontier is cut at equal-flop boundaries once
-// the estimated work passes pushWorkQuantum, into at most pushMaxChunks
-// pieces. The chunk boundaries depend only on the input — never on the
-// worker count — and chunk partials are always folded in chunk order, so
-// the result is bitwise identical at any parallelism level (association of
-// a non-commutative-rounding Add is fixed by the chunking, not by the
-// scheduler).
-const (
-	pushWorkQuantum = 1 << 13
-	pushMaxChunks   = 64
-)
 
 // vxmPush computes z = uᵀ·A by scattering each selected row of A
 // (Gustavson over a single "row": SpMSpV) into one accumulator: a pooled
@@ -186,9 +172,7 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 		return ca.p[rk+1] - ca.p[rk] + 1
 	}
 	bounds := workChunks(len(ui), deg, pushWorkQuantum, pushMaxChunks)
-	if st != nil {
-		st.fill(bounds, deg) // read-only: never perturbs the bounds
-	}
+	st.fill(bounds, deg) // read-only: never perturbs the bounds
 	if outDim >= hyperThresholdDim*hyperRatio {
 		zi, zx = pushHash(ui, ux, ca, s, bounds)
 	} else {
@@ -350,10 +334,6 @@ func scatterRowsHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, 
 	}
 	return acc
 }
-
-// pullWorkQuantum is the minimum estimated flop count before the pull
-// kernel spins up worker goroutines.
-const pullWorkQuantum = 1 << 12
 
 // vxmPull computes z(j) = u·A(:,j) for each admitted output j, with early
 // exit on terminal monoids. caT is the column-major view of the effective

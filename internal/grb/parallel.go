@@ -176,39 +176,12 @@ func runChunks(bounds []int, fn func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// seqFallbackWork is the estimated-flop total below which the partitioner
-// refuses to create chunks at all, regardless of quantum: spawning workers
-// for an operation this small costs more in goroutine dispatch and chunk
-// merging than the operation itself (the source of the BENCH_1 small-op
-// regressions). Serial execution of a sub-threshold op is also exactly the
-// chunk-order fold of its would-be chunks, so results are unchanged.
-const seqFallbackWork = 1 << 16
-
-// workOversubscribe is how many chunks parallelWork creates per worker.
-// Finer chunks let the dynamic scheduler absorb estimation error (the
-// weight function is an estimate, not a measurement) at the cost of a
-// little scheduling overhead.
-const workOversubscribe = 4
-
 // parallelWork runs fn over [0,n) split at equal-weight boundaries and
 // dynamically scheduled: the flop-balanced counterpart of parallelRanges.
 // quantum is the minimum total weight worth spinning up goroutines for.
 // fn must be safe for concurrent invocation on disjoint ranges.
 func parallelWork(n, quantum int, weight func(k int) int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := workers()
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	bounds := workChunks(n, weight, quantum, w*workOversubscribe)
-	if len(bounds) <= 2 {
-		fn(0, n)
-		return
-	}
-	runChunks(bounds, func(_, lo, hi int) { fn(lo, hi) })
+	parallelWorkObs(n, quantum, weight, nil, fn)
 }
 
 // kernelStats is the scheduler's contribution to an op record: how much
@@ -224,10 +197,14 @@ type kernelStats struct {
 	maxChunkFlops int64 // heaviest chunk's estimated weight
 }
 
-// fill computes per-chunk weight sums for bounds. It re-walks the weight
-// function (an extra O(n) on the traced path only) rather than threading
-// state through workChunks, keeping the untraced partitioner untouched.
+// fill computes per-chunk weight sums for bounds; on a nil st it does
+// nothing. It re-walks the weight function (an extra O(n) on the traced
+// path only) rather than threading state through workChunks, keeping the
+// untraced partitioner untouched.
 func (st *kernelStats) fill(bounds []int, weight func(k int) int) {
+	if st == nil {
+		return
+	}
 	st.chunks += len(bounds) - 1
 	for c := 0; c < len(bounds)-1; c++ {
 		var sum int64
@@ -246,35 +223,22 @@ func (st *kernelStats) fill(bounds []int, weight func(k int) int) {
 }
 
 // parallelWorkObs is parallelWork plus optional observation: with st nil
-// it is exactly parallelWork (same branches, same bounds, no extra work);
-// with st non-nil it additionally fills st from the partition it runs.
+// it records nothing (same branches, same bounds, no extra work); with st
+// non-nil it additionally fills st from the partition it runs.
 func parallelWorkObs(n, quantum int, weight func(k int) int, st *kernelStats, fn func(lo, hi int)) {
-	if st == nil {
-		parallelWork(n, quantum, weight, fn)
-		return
-	}
 	if n <= 0 {
 		return
 	}
-	w := workers()
-	if w <= 1 {
-		st.fill([]int{0, n}, weight)
-		fn(0, n)
-		return
+	if w := workers(); w > 1 {
+		if bounds := workChunks(n, weight, quantum, w*workOversubscribe); len(bounds) > 2 {
+			st.fill(bounds, weight)
+			runChunks(bounds, func(_, lo, hi int) { fn(lo, hi) })
+			return
+		}
 	}
-	bounds := workChunks(n, weight, quantum, w*workOversubscribe)
-	if len(bounds) <= 2 {
-		st.fill([]int{0, n}, weight)
-		fn(0, n)
-		return
-	}
-	st.fill(bounds, weight)
-	runChunks(bounds, func(_, lo, hi int) { fn(lo, hi) })
+	st.fill([]int{0, n}, weight)
+	fn(0, n)
 }
-
-// parallelSortThreshold is the slice length below which parallelSortPerm
-// sorts serially; goroutine and merge overhead dominate under it.
-const parallelSortThreshold = 1 << 13
 
 // parallelSortPerm sorts perm by less, which must define a strict total
 // order (callers break ties on the original index, which also makes the

@@ -276,3 +276,41 @@ func TestConformancePushTerminalAndHash(t *testing.T) {
 		}
 	})
 }
+
+// TestVxMDirectionIsTheKernels asks VxMDirection for the direction of a
+// product and then runs it: the answer is the kernel the op record names,
+// under each rule of the DirAuto switch and under a forced direction.
+func TestVxMDirectionIsTheKernels(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(2302))
+	a := randMatrix(rng, n, n, 0.2)
+	sparse, dense := randVector(rng, n, 0.04), randVector(rng, n, 0.6)
+	fewOutputs := grb.MustVector[bool](n)
+	_ = fewOutputs.SetElement(3, true)
+	_ = fewOutputs.SetElement(40, true)
+	for _, tc := range []struct {
+		name string
+		u    *grb.Vector[int64]
+		mask *grb.Vector[bool]
+		d    grb.Descriptor
+		want grb.Direction
+	}{
+		{"sparse frontier", sparse, nil, grb.Descriptor{}, grb.DirPush},
+		{"dense frontier", dense, nil, grb.Descriptor{}, grb.DirPull},
+		{"sparse positive mask", sparse, fewOutputs, grb.Descriptor{}, grb.DirPull},
+		{"sparse complemented mask", sparse, fewOutputs, grb.Descriptor{Comp: true}, grb.DirPush},
+		{"forced push", dense, nil, grb.Descriptor{Dir: grb.DirPush}, grb.DirPush},
+		{"forced pull", sparse, nil, grb.Descriptor{Dir: grb.DirPull}, grb.DirPull},
+	} {
+		got := grb.VxMDirection(tc.mask, tc.u, a, &tc.d)
+		trace := obs.NewTrace(4)
+		restore := obs.Set(trace)
+		err := grb.VxM(grb.MustVector[int64](n), tc.mask, nil, grb.PlusTimes[int64](), tc.u, a, &tc.d)
+		obs.Set(restore)
+		must(t, err)
+		kernel := map[grb.Direction]string{grb.DirPush: "push", grb.DirPull: "pull"}[got]
+		if op := trace.Ops()[0]; got != tc.want || op.Kernel != kernel {
+			t.Errorf("%s: VxMDirection = %v, want %v; the product ran %q", tc.name, got, tc.want, op.Kernel)
+		}
+	}
+}

@@ -25,7 +25,7 @@ func ReduceMatrixToVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryO
 	// compact in order (a hub row no longer serializes the reduction).
 	vals := make([]T, nvec)
 	nonempty := make([]bool, nvec)
-	parallelWork(nvec, 1<<12, func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }, func(lo, hi int) {
+	parallelWork(nvec, mxmWorkQuantum, func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			if ca.p[k+1] == ca.p[k] {
 				continue
@@ -68,7 +68,7 @@ func ReduceMatrixToScalar[T any](mon Monoid[T], a *Matrix[T]) (T, error) {
 	// Chunk boundaries depend only on n (never the worker count), and
 	// partials fold in chunk order, so the reduction is deterministic at
 	// any parallelism even for rounding-sensitive monoids.
-	bounds := workChunks(n, func(int) int { return 1 }, 1<<14, pushMaxChunks)
+	bounds := workChunks(n, func(int) int { return 1 }, reduceChunkEntries, pushMaxChunks)
 	partial := make([]T, len(bounds)-1)
 	runChunks(bounds, func(b, lo, hi int) {
 		acc := mon.Identity

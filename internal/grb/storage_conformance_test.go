@@ -105,6 +105,34 @@ func heldV[T any](v *grb.Vector[T], dense bool) *grb.Vector[T] {
 	return w
 }
 
+// fullMat returns the mimic of an nr×nc matrix holding s everywhere.
+func fullMat(nr, nc int, s int64) *ref.Mat[int64] {
+	a := ref.NewMat[int64](nr, nc)
+	for i := range a.Val {
+		for j := range a.Val[i] {
+			a.Val[i][j], a.Set[i][j] = s, true
+		}
+	}
+	return a
+}
+
+// maskRow returns row i of a matrix mask as the vector mask a row assign
+// takes, held in the form the matrix is.
+func maskRow(mask *grb.Matrix[bool], i int) (*grb.Vector[bool], error) {
+	if mask == nil {
+		return nil, nil
+	}
+	dense, _ := mask.Forms()
+	v := grb.MustVector[bool](mask.Ncols())
+	if err := grb.ExtractMatrixRow(v, (*grb.Vector[bool])(nil), nil, mask, i, grb.All, nil); err != nil {
+		return nil, err
+	}
+	if dense {
+		grb.HoldDense(v)
+	}
+	return v, nil
+}
+
 // matOp is one matrix-output operation in both implementations.
 type matOp struct {
 	name string
@@ -138,6 +166,44 @@ func TestConformanceStorageFormsMatrix(t *testing.T) {
 		sr, sc := 1+rng.Intn(m), 1+rng.Intn(n)
 		sub := randMatrix(rng, sr, sc, 0.6)
 		subRows, subCols := uniqueIdx(rng, m, sr), uniqueIdx(rng, n, sc)
+		// Operands of the scalar and row assigns, from a generator of their
+		// own so the rows above keep the inputs they always had.
+		rng2 := rand.New(rand.NewSource(2300 + int64(trial)))
+		const scalar = int64(7)
+		rowI := rng2.Intn(m)
+		rowU, rowSub := randVector(rng2, n, 0.5), randVector(rng2, sc, 0.6)
+		scalarAssign := func(name string, rows, cols []int) matOp {
+			rr, rc := m, n
+			if rows != nil {
+				rr = len(rows)
+			}
+			if cols != nil {
+				rc = len(cols)
+			}
+			return matOp{name, m, n,
+				func(c *grb.Matrix[int64], mask *grb.Matrix[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, _ bool) error {
+					return grb.AssignMatrixScalar(c, mask, accum, scalar, rows, cols, d)
+				},
+				func(c *ref.Mat[int64], mask *ref.Mat[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
+					ref.Assign(c, mask, accum, fullMat(rr, rc, scalar), rows, cols, d)
+				}}
+		}
+		rowAssign := func(name string, u *grb.Vector[int64], cols []int) matOp {
+			return matOp{name, m, n,
+				func(c *grb.Matrix[int64], mask *grb.Matrix[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, dense bool) error {
+					rm, err := maskRow(mask, rowI)
+					if err != nil {
+						return err
+					}
+					return grb.AssignMatrixRow(c, rm, accum, heldV(u, dense), rowI, cols, d)
+				},
+				func(c *ref.Mat[int64], mask *ref.Mat[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
+					ur := ref.FromVector(u)
+					a := ref.NewMat[int64](1, ur.N)
+					a.Val[0], a.Set[0] = ur.Val, ur.Set
+					ref.Assign(c, mask, accum, a, []int{rowI}, cols, d)
+				}}
+		}
 		ops := []matOp{
 			{"mxm", m, n,
 				func(c *grb.Matrix[int64], mask *grb.Matrix[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, dense bool) error {
@@ -209,6 +275,12 @@ func TestConformanceStorageFormsMatrix(t *testing.T) {
 				func(c *ref.Mat[int64], mask *ref.Mat[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
 					ref.Assign(c, mask, accum, ref.FromMatrix(sub), subRows, subCols, d)
 				}},
+			scalarAssign("assign/scalar-all", grb.All, grb.All),
+			scalarAssign("assign/scalar-region", subRows, subCols),
+			scalarAssign("assign/scalar-region-rows", subRows, grb.All),
+			scalarAssign("assign/scalar-region-cols", grb.All, subCols),
+			rowAssign("assign/row", rowU, grb.All),
+			rowAssign("assign/row-region", rowSub, subCols),
 		}
 		cInit := randMatrix(rng, m, n, 0.4)
 		mask := randBoolMatrix(rng, m, n, 0.5)
@@ -369,6 +441,17 @@ func TestConformanceStorageFormsVector(t *testing.T) {
 				},
 				func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
 					ref.AssignVec(w, mask, accum, allScalar, nil, d)
+				}},
+			{"assign/scalar-region", n,
+				func(w *grb.Vector[int64], mask *grb.Vector[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, _ bool) error {
+					return grb.AssignVectorScalar(w, mask, accum, scalar, subIdx, d)
+				},
+				func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
+					region := ref.NewVec[int64](sn)
+					for i := range region.Val {
+						region.Val[i], region.Set[i] = scalar, true
+					}
+					ref.AssignVec(w, mask, accum, region, subIdx, d)
 				}},
 		}
 		for _, op := range ops {

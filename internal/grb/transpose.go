@@ -35,10 +35,6 @@ func (a *Matrix[T]) Materialize() {
 	a.materializedCSC()
 }
 
-// transposeParallelMin is the entry count above which transposeCS runs the
-// two-pass parallel bucket transpose instead of the serial one.
-const transposeParallelMin = 1 << 14
-
 // transposeCS returns the same entries with major and minor swapped. For
 // standard targets it uses an O(nvals + nminor) bucket pass — parallelized
 // as the classic two-pass transpose (per-chunk column counts → prefix sum

@@ -307,23 +307,8 @@ func (v *Vector[T]) assemble() {
 	v.pendOp = nil
 	v.nzomb = 0
 
-	if len(pend) > 1 {
-		pend = sortPendingTuples(pend, v.n, 1) // j is zero throughout: orders by i, stable
-		w := 0
-		for r := 1; r < len(pend); r++ {
-			if pend[r].i == pend[w].i {
-				if op != nil {
-					pend[w].x = op(pend[w].x, pend[r].x)
-				} else {
-					pend[w].x = pend[r].x
-				}
-			} else {
-				w++
-				pend[w] = pend[r]
-			}
-		}
-		pend = pend[:w+1]
-	}
+	// j is zero throughout: orders by i, stable, then folds each index's run.
+	pend = combinePending(sortPendingTuples(pend, v.n, 1), op)
 
 	if v.dn != nil {
 		for _, t := range pend {

@@ -24,9 +24,18 @@ package grb
 //     C itself: no accumulator under a complemented mask, or an
 //     accumulator under a mask with Replace; and when the mask is C;
 //   - merge: otherwise, the two-pointer merge of C and Z into fresh
-//     compressed arrays, O(nnz(C) + nnz(Z)).
+//     compressed arrays, O(nnz(C) + nnz(Z)) — mergeRow, the one place the
+//     rule's sentence above is written out position by position.
 //
 // Z is owned by the call: its arrays may be adopted by C.
+//
+// Assign restricts the rule to a region I×J: positions outside it always
+// keep their previous value. That is the same rule with one more test, so
+// it is the same merge given a region predicate (assign.go); the plain
+// rule is the region rule whose region is the whole output, predicate nil.
+// Only the merge route takes a region: this file's adopt and in-place
+// routes are open to whole-output writes alone (the scalar assign keeps an
+// in-place arm of its own, for the one case with no deletion to make).
 //
 // A vector op whose operands are dense-held — or by the promotion rule
 // would be — computes Z as 1×n dense lanes drawn from the scratch pool
@@ -51,15 +60,6 @@ const (
 	routeMerge   = "merge"
 	routeDense   = "dense" // dense-route Z adopted as the output's lanes
 )
-
-// inPlaceRoute reports whether the in-place route is open. comp is the
-// mask's complement flag, meaningless when masked is false.
-func inPlaceRoute(hasAccum, masked, comp, replace bool) bool {
-	if hasAccum {
-		return !(masked && replace)
-	}
-	return masked && !comp && !replace
-}
 
 // scatterRow applies the in-place route to one dense row (dn's cells
 // base..base+n) given the row's result entries and mask view.
@@ -132,64 +132,89 @@ func writeVectorRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T
 			return routeInPlace, nil
 		}
 	}
-	widx, wx := w.materialized()
-	allowed := mv.cursor()
+	mergeVector(w, mv, accum, zidx, zx, nil, d.Replace)
+	return routeMerge, nil
+}
 
-	ni := make([]int, 0, len(zidx)+len(widx))
-	nx := make([]T, 0, len(zidx)+len(widx))
-	s, k := 0, 0 // cursors into w and z
-	for s < len(widx) || k < len(zidx) {
-		var i int
-		haveW := s < len(widx)
-		haveZ := k < len(zidx)
+// mergeVector takes the merge route on w: its entries and z's, merged under
+// mv and an optional region predicate into fresh arrays.
+func mergeVector[T any](w *Vector[T], mv *maskVec, accum BinaryOp[T, T, T], zi []int, zx []T, inRegion func(int) bool, replace bool) {
+	wi, wx := w.materialized()
+	ni := make([]int, 0, len(wi)+len(zi))
+	nx := make([]T, 0, len(wi)+len(zi))
+	w.setSparse(mergeRow(ni, nx, wi, wx, zi, zx, mv.mergeCursor(), inRegion, accum, replace))
+}
+
+// mergeCursor is the mask as mergeRow takes it: cursor, or nil for no mask.
+func (m *maskVec) mergeCursor() func(int) bool {
+	if m == nil {
+		return nil
+	}
+	return m.cursor()
+}
+
+// mergeRow appends to (ni, nx) the row the write rule makes of a previous
+// row (oi, ox) and a result row (zi, zx), both sorted ascending. At each
+// position one of three holds:
+//
+//   - outside the region (inRegion nil: the region is the whole row) the
+//     previous entry stays and z is not looked at;
+//   - admitted by the mask (allowed nil: no mask, every position is), the
+//     position takes z's entry — combined with the previous one through
+//     accum when both exist — and where z has none the previous entry
+//     survives only under an accumulator;
+//   - not admitted, the previous entry stays unless replace is set.
+//
+// allowed is the mask's cursor (maskVec.cursor: queried in ascending
+// order), asked about in-region positions only.
+func mergeRow[T any](ni []int, nx []T, oi []int, ox []T, zi []int, zx []T, allowed, inRegion func(int) bool, accum BinaryOp[T, T, T], replace bool) ([]int, []T) {
+	s, k := 0, 0
+	for s < len(oi) || k < len(zi) {
+		// The rule at the next position, by which of the two rows hold it.
 		switch {
-		case haveW && (!haveZ || widx[s] < zidx[k]):
-			i = widx[s]
-			if allowed(i) {
-				// admitted, z missing: deletion unless accumulating
-				if accum != nil {
-					ni = append(ni, i)
-					nx = append(nx, wx[s])
+		case k == len(zi) || (s < len(oi) && oi[s] < zi[k]):
+			// Only the previous row: it stays outside the region, under an
+			// accumulator where admitted, and short of Replace where not.
+			j, keep := oi[s], true
+			if inRegion == nil || inRegion(j) {
+				if allowed == nil || allowed(j) {
+					keep = accum != nil
+				} else {
+					keep = !replace
 				}
-			} else if !d.Replace {
-				ni = append(ni, i)
-				nx = append(nx, wx[s])
+			}
+			if keep {
+				ni = append(ni, j)
+				nx = append(nx, ox[s])
 			}
 			s++
-		case haveZ && (!haveW || zidx[k] < widx[s]):
-			i = zidx[k]
-			if allowed(i) {
-				ni = append(ni, i)
+		case s == len(oi) || zi[k] < oi[s]:
+			// Only z: taken where the region and the mask admit it.
+			if j := zi[k]; (inRegion == nil || inRegion(j)) && (allowed == nil || allowed(j)) {
+				ni = append(ni, j)
 				nx = append(nx, zx[k])
 			}
 			k++
-		default: // both present at the same index
-			i = widx[s]
-			if allowed(i) {
-				v := zx[k]
-				if accum != nil {
-					v = accum(wx[s], zx[k])
+		default:
+			// Both: z's entry, through the accumulator, where admitted; else
+			// the previous one, as above.
+			j, v, keep := oi[s], ox[s], true
+			if inRegion == nil || inRegion(j) {
+				if allowed != nil && !allowed(j) {
+					keep = !replace
+				} else if v = zx[k]; accum != nil {
+					v = accum(ox[s], zx[k])
 				}
-				ni = append(ni, i)
+			}
+			if keep {
+				ni = append(ni, j)
 				nx = append(nx, v)
-			} else if !d.Replace {
-				ni = append(ni, i)
-				nx = append(nx, wx[s])
 			}
 			s++
 			k++
 		}
 	}
-	w.setSparse(ni, nx)
-	return routeMerge, nil
-}
-
-// laneMaskOpen reports whether a write mask leaves the dense result route
-// open: a positive mask holding fewer entries than the promotion bar bounds
-// the output below it, and the mask-driven kernels are output-sensitive
-// where a lane pass is not.
-func laneMaskOpen[M any](mask *Vector[M], d descValues) bool {
-	return mask == nil || d.Comp || mask.ref().denseEligible(mask.n)
+	return ni, nx
 }
 
 // writeVectorLanes applies the write rule to w given the result as dense
@@ -318,131 +343,73 @@ func writeMatrixRouted[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T
 			return routeInPlace, nil
 		}
 	}
-	old := c.materializedCSR()
+	mergeMatrix(c, mm, accum, z, nil, nil, d.Replace)
+	return routeMerge, nil
+}
 
+// mergeMatrix takes the merge route on c: its rows and z's, merged under mm
+// and an optional rowIn × colIn region (nil: every row, every column).
+func mergeMatrix[T any](c *Matrix[T], mm *maskMat, accum BinaryOp[T, T, T], z *cs[T], rowIn, colIn func(int) bool, replace bool) {
+	c.setCSR(mergeRows(c.materializedCSR(), z, func(row int, ni []int, nx []T, oi []int, ox []T, zi []int, zx []T) ([]int, []T) {
+		inRegion := colIn
+		if rowIn != nil && !rowIn(row) {
+			inRegion = func(int) bool { return false }
+		}
+		return mergeRow(ni, nx, oi, ox, zi, zx, mm.rowMask(row).mergeCursor(), inRegion, accum, replace)
+	}))
+}
+
+// mergeRows walks the union of the stored rows of old and z — either may be
+// hypersparse — in ascending row order, and has merge append each row's
+// result to (ni, nx) given the row's entries in old and in z (nil where a
+// side does not store the row). The result is hypersparse when both inputs
+// are, and then stores no empty row; otherwise it is standard, with the
+// rows neither side stores closed empty.
+func mergeRows[T any](old, z *cs[T], merge func(row int, ni []int, nx []T, oi []int, ox []T, zi []int, zx []T) ([]int, []T)) *cs[T] {
 	est := old.nvals() + z.nvals()
 	ni := make([]int, 0, est)
 	nx := make([]T, 0, est)
-	var np, nh []int
 	hyper := old.h != nil && z.h != nil
+	var np, nh []int
 	if hyper {
-		np = append(np, 0)
+		np = []int{0}
 	} else {
-		np = make([]int, 1, c.nr+1)
+		np = make([]int, 1, old.nmajor+1)
 	}
-
-	// Row iterators over possibly-hypersparse old and z.
 	ok, zk := 0, 0
-	emit := func(row int, oi []int, ox []T, zi []int, zx []T) {
-		var rm *maskVec
-		if mm != nil {
-			rm = mm.rowMask(row)
-		}
-		allowed := rm.cursor()
-		if mm == nil {
-			allowed = func(int) bool { return true }
-		}
-		s, k := 0, 0
-		for s < len(oi) || k < len(zi) {
-			haveW := s < len(oi)
-			haveZ := k < len(zi)
-			switch {
-			case haveW && (!haveZ || oi[s] < zi[k]):
-				j := oi[s]
-				if allowed(j) {
-					if accum != nil {
-						ni = append(ni, j)
-						nx = append(nx, ox[s])
-					}
-				} else if !d.Replace {
-					ni = append(ni, j)
-					nx = append(nx, ox[s])
-				}
-				s++
-			case haveZ && (!haveW || zi[k] < oi[s]):
-				j := zi[k]
-				if allowed(j) {
-					ni = append(ni, j)
-					nx = append(nx, zx[k])
-				}
-				k++
-			default:
-				j := oi[s]
-				if allowed(j) {
-					v := zx[k]
-					if accum != nil {
-						v = accum(ox[s], zx[k])
-					}
-					ni = append(ni, j)
-					nx = append(nx, v)
-				} else if !d.Replace {
-					ni = append(ni, j)
-					nx = append(nx, ox[s])
-				}
-				s++
-				k++
-			}
-		}
-	}
-
-	closeRow := func(row int) {
-		if hyper {
-			if len(ni) > np[len(np)-1] {
-				nh = append(nh, row)
-				np = append(np, len(ni))
-			}
-		} else {
-			np = append(np, len(ni))
-		}
-	}
-
-	rowOf := func(cs *cs[T], k int) (int, bool) {
-		if k >= cs.nvecs() {
-			return 0, false
-		}
-		return cs.majorOf(k), true
-	}
-
-	for {
-		ro, hasO := rowOf(old, ok)
-		rz, hasZ := rowOf(z, zk)
-		if !hasO && !hasZ {
-			break
-		}
+	for ok < old.nvecs() || zk < z.nvecs() {
 		var row int
 		switch {
-		case !hasO:
-			row = rz
-		case !hasZ:
-			row = ro
+		case ok == old.nvecs():
+			row = z.majorOf(zk)
+		case zk == z.nvecs():
+			row = old.majorOf(ok)
 		default:
-			row = min(ro, rz)
+			row = min(old.majorOf(ok), z.majorOf(zk))
 		}
 		var oi, zi []int
 		var ox, zx []T
-		if hasO && ro == row {
+		if ok < old.nvecs() && old.majorOf(ok) == row {
 			oi, ox = old.vec(ok)
 			ok++
 		}
-		if hasZ && rz == row {
+		if zk < z.nvecs() && z.majorOf(zk) == row {
 			zi, zx = z.vec(zk)
 			zk++
 		}
-		if !hyper {
-			// close empty rows up to 'row'
-			for len(np)-1 < row {
-				np = append(np, len(ni))
-			}
+		for !hyper && len(np)-1 < row {
+			np = append(np, len(ni)) // the empty rows before this one
 		}
-		emit(row, oi, ox, zi, zx)
-		closeRow(row)
-	}
-	if !hyper {
-		for len(np)-1 < c.nr {
+		ni, nx = merge(row, ni, nx, oi, ox, zi, zx)
+		if !hyper {
+			np = append(np, len(ni))
+		} else if len(ni) > np[len(np)-1] {
+			nh = append(nh, row)
 			np = append(np, len(ni))
 		}
 	}
-
-	c.setCSR(&cs[T]{nmajor: c.nr, nminor: c.nc, p: np, h: nh, i: ni, x: nx})
-	return routeMerge, nil
+	for !hyper && len(np)-1 < old.nmajor {
+		np = append(np, len(ni))
+	}
+	return &cs[T]{nmajor: old.nmajor, nminor: old.nminor, p: np, h: nh, i: ni, x: nx}
 }

@@ -103,7 +103,7 @@ func runWriteProgram(t *testing.T, prog []byte) {
 			dense = dense.Dup()
 			plain = plain.Dup()
 			merged = merged.Dup()
-		default: // the write rule: w⟨mask⟩ ⊙= z, and the scalar assign
+		default: // the write rule: w⟨mask⟩ ⊙= z, and the assigns
 			kind := r.next() % 5
 			d := grb.Descriptor{Comp: kind == 2 || kind == 4, MaskValue: kind >= 3, Replace: r.next()%2 == 1}
 			var accum grb.BinaryOp[int64, int64, int64]
@@ -126,18 +126,40 @@ func runWriteProgram(t *testing.T, prog []byte) {
 					grb.HoldDense(maskV)
 				}
 			}
-			if op == 7 { // w⟨mask⟩ ⊙= scalar over all of w
-				s := int64(r.next()%7) - 3
-				all := ref.NewVec[int64](n)
-				allM := grb.MustMatrix[int64](1, n)
-				for i := 0; i < n; i++ {
-					all.Val[i], all.Set[i] = s, true
-					_ = allM.SetElement(0, i, s)
+			if op >= 6 { // assign over a drawn region, or all of w
+				// idx is the region (nil: all of w), rows × idx the same one
+				// on the twin, and u the operand over it: a drawn vector for
+				// the assign step, the scalar everywhere for the scalar one.
+				var idx, rows []int
+				un := n
+				if r.next()%2 == 1 {
+					drawn, _ := draw()
+					idx, rows, un = append([]int{}, drawn...), []int{0}, len(drawn) // never nil: an empty region is not All
 				}
-				must(t, grb.AssignVectorScalar(dense, maskV, accum, s, grb.All, &d))
-				must(t, grb.AssignVectorScalar(plain, maskV, accum, s, grb.All, &d))
-				must(t, grb.AssignMatrix(merged, maskM, accum, allM, grb.All, grb.All, &d))
-				ref.AssignVec(want, maskR, accum, all, nil, refDesc(d))
+				s := int64(r.next()%7) - 3
+				uV, uM, uR := grb.MustVector[int64](un), grb.MustMatrix[int64](1, un), ref.NewVec[int64](un)
+				for i := 0; i < un; i++ {
+					x := s
+					if op == 6 {
+						if r.next()%2 == 0 {
+							continue
+						}
+						x = int64(r.next()%7) - 3
+					}
+					_ = uV.SetElement(i, x)
+					_ = uM.SetElement(0, i, x)
+					uR.Val[i], uR.Set[i] = x, true
+				}
+				if op == 6 {
+					must(t, grb.AssignVector(dense, maskV, accum, uV, idx, &d))
+					must(t, grb.AssignVector(plain, maskV, accum, uV, idx, &d))
+					must(t, grb.AssignMatrix(merged, maskM, accum, uM, rows, idx, &d))
+				} else {
+					must(t, grb.AssignVectorScalar(dense, maskV, accum, s, idx, &d))
+					must(t, grb.AssignVectorScalar(plain, maskV, accum, s, idx, &d))
+					must(t, grb.AssignMatrixScalar(merged, maskM, accum, s, rows, idx, &d))
+				}
+				ref.AssignVec(want, maskR, accum, uR, idx, refDesc(d))
 				break
 			}
 			zi, zx := draw()

@@ -81,11 +81,6 @@ func BFSLevels(g *Graph, src int, opts ...Option) (*grb.Vector[int32], error) {
 		if nf == 0 {
 			break
 		}
-		dir := resolveDir(&cfg, nf, n)
-		if cfg.Stats != nil {
-			cfg.Stats.FrontierSizes = append(cfg.Stats.FrontierSizes, nf)
-			cfg.Stats.Directions = append(cfg.Stats.Directions, dir)
-		}
 		var t0 int64
 		if ob != nil {
 			t0 = ob.Now()
@@ -93,7 +88,15 @@ func BFSLevels(g *Graph, src int, opts ...Option) (*grb.Vector[int32], error) {
 		if err := grb.AssignVectorScalar(levels, frontier, nil, depth, grb.All, nil); err != nil {
 			return nil, err
 		}
-		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir, PushPullRatio: cfg.PushPullRatio}
+		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir}
+		var dir grb.Direction // asked for only when someone records it
+		if ob != nil || cfg.Stats != nil {
+			dir = grb.VxMDirection(levels, frontier, g.A, d)
+		}
+		if cfg.Stats != nil {
+			cfg.Stats.FrontierSizes = append(cfg.Stats.FrontierSizes, nf)
+			cfg.Stats.Directions = append(cfg.Stats.Directions, dir)
+		}
 		if err := grb.VxM(frontier, levels, nil, logical, frontier, g.A, d); err != nil {
 			return nil, err
 		}
@@ -110,23 +113,6 @@ func BFSLevels(g *Graph, src int, opts ...Option) (*grb.Vector[int32], error) {
 		cfg.Stats.Depth = int(depth)
 	}
 	return levels, nil
-}
-
-// resolveDir mirrors the DirAuto choice of grb.chooseDirection for
-// statistics and trace recording: the library switches to pull once the
-// frontier is dense relative to the vertex count.
-func resolveDir(cfg *Options, nf, n int) grb.Direction {
-	if cfg.Dir != grb.DirAuto {
-		return cfg.Dir
-	}
-	ratio := cfg.PushPullRatio
-	if ratio <= 0 {
-		ratio = 16
-	}
-	if nf > n/ratio {
-		return grb.DirPull
-	}
-	return grb.DirPush
 }
 
 // BFSParents computes the BFS parent vector: parents(i) is the vertex
@@ -157,13 +143,16 @@ func BFSParents(g *Graph, src int, opts ...Option) (*grb.Vector[int64], error) {
 			break
 		}
 		iter++
-		dir := resolveDir(&cfg, nf, n)
 		var t0 int64
 		if ob != nil {
 			t0 = ob.Now()
 		}
 		// frontier⟨¬parents,replace⟩ = frontier ⊕.⊗ A
-		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir, PushPullRatio: cfg.PushPullRatio}
+		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir}
+		var dir grb.Direction
+		if ob != nil {
+			dir = grb.VxMDirection(parents, frontier, g.A, d)
+		}
 		if err := grb.VxM(frontier, parents, nil, anyFirst, frontier, g.A, d); err != nil {
 			return nil, err
 		}
@@ -210,7 +199,6 @@ func BFSBoth(g *Graph, src int, opts ...Option) (*grb.Vector[int32], *grb.Vector
 		if nf == 0 {
 			break
 		}
-		dir := resolveDir(&cfg, nf, n)
 		var t0 int64
 		if ob != nil {
 			t0 = ob.Now()
@@ -218,7 +206,11 @@ func BFSBoth(g *Graph, src int, opts ...Option) (*grb.Vector[int32], *grb.Vector
 		if err := grb.AssignVectorScalar(levels, frontier, nil, depth, grb.All, nil); err != nil {
 			return nil, nil, err
 		}
-		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir, PushPullRatio: cfg.PushPullRatio}
+		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir}
+		var dir grb.Direction
+		if ob != nil {
+			dir = grb.VxMDirection(parents, frontier, g.A, d)
+		}
 		if err := grb.VxM(frontier, parents, nil, anyFirst, frontier, g.A, d); err != nil {
 			return nil, nil, err
 		}

@@ -157,7 +157,7 @@ func TestBFSStatsDirectionSwitch(t *testing.T) {
 	// with push and switch to pull at the hump.
 	g := rmatGraph(t, 11, 16, 7, true)
 	var stats BFSStats
-	if _, err := BFSLevels(g, 0, WithStats(&stats), WithPushPullRatio(16)); err != nil {
+	if _, err := BFSLevels(g, 0, WithStats(&stats)); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Depth < 2 {

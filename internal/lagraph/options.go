@@ -37,9 +37,6 @@ type Options struct {
 	Observer obs.Observer
 	// Dir forces push or pull traversal (DirAuto switches adaptively).
 	Dir grb.Direction
-	// PushPullRatio overrides the frontier-density threshold at which
-	// DirAuto switches from push to pull; 0 selects the grb default.
-	PushPullRatio int
 	// Stats, when non-nil, receives per-iteration BFS statistics.
 	Stats *BFSStats
 	// Method selects the TriangleCount formulation when MethodSet is
@@ -149,12 +146,6 @@ func WithObserver(ob obs.Observer) Option {
 // (DirAuto, the default, switches adaptively).
 func WithDirection(d grb.Direction) Option {
 	return func(o *Options) { o.Dir = d }
-}
-
-// WithPushPullRatio overrides the frontier-density threshold at which
-// DirAuto switches from push to pull.
-func WithPushPullRatio(r int) Option {
-	return func(o *Options) { o.PushPullRatio = r }
 }
 
 // WithContext bounds the algorithm by ctx: each iteration starts only

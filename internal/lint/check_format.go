@@ -12,7 +12,7 @@ import (
 // — a stale compressed form is released, so reading it is a nil
 // dereference at best and old data at worst). The raw fields are coherent
 // only through the dispatch accessors — materializedCSR, materializedCSC,
-// bitmapView, cachedBitmap, rowsRef for a Matrix; materialized, ref and
+// cachedBitmap, rowsRef for a Matrix; materialized, ref and
 // settledDense for a Vector — which complete pending work (settledDense:
 // refuse while any is outstanding), take the cache mutexes, rebuild
 // a stale side and honor the configured format. A direct field read
@@ -51,7 +51,6 @@ var formatExempt = map[string]bool{
 	"materializedCSR": true,
 	"materializedCSC": true,
 	"Materialize":     true,
-	"bitmapView":      true,
 	"cachedBitmap":    true,
 	"orientedCSR":     true,
 	"orientedCSC":     true,
@@ -103,7 +102,7 @@ func runFormatInvariants(p *Package, r *Reporter) {
 				if !formatFields[recv][sel.Sel.Name] {
 					return true
 				}
-				accessors := "materializedCSR/materializedCSC/bitmapView/cachedBitmap/rowsRef"
+				accessors := "materializedCSR/materializedCSC/cachedBitmap/rowsRef"
 				if recv == "Vector" {
 					accessors = "materialized/ref/settledDense"
 				}

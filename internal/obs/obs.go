@@ -40,7 +40,7 @@ type OpRecord struct {
 	// Op is the entry point: "mxm", "vxm", "mxv", "wait".
 	Op string `json:"op"`
 	// Kernel is the compute strategy the op selected: "gustavson",
-	// "dot", "heap", "dot-bitmap" for mxm; "push", "pull" for vxm/mxv;
+	// "dot", "heap" for mxm; "push", "pull" for vxm/mxv;
 	// "assemble" for Wait.
 	Kernel string `json:"kernel,omitempty"`
 	// Policy records how Kernel was chosen when the op had a choice:

@@ -49,7 +49,7 @@ func (c *Counters) Op(r OpRecord) {
 	switch r.Kernel {
 	case "gustavson":
 		c.Gustavson.Add(1)
-	case "dot", "dot-bitmap":
+	case "dot":
 		c.Dot.Add(1)
 	case "heap":
 		c.Heap.Add(1)
