@@ -416,3 +416,53 @@ func benchMxMDirection(b *testing.B, polarity bool) {
 
 func BenchmarkAblation_MxMDirection_Cost(b *testing.B)     { benchMxMDirection(b, false) }
 func BenchmarkAblation_MxMDirection_Polarity(b *testing.B) { benchMxMDirection(b, true) }
+
+// The visible-operators ablation (A7): one product of each shape on an
+// undirected RMAT-13, multiplied by a constructor's tagged semiring
+// (Tagged: the inline loops of internal/grb/mono.go) and by its
+// literal-built twin, which carries no tag and so calls Mul, Add.Op and
+// Add.Terminal per product (Literal) — the same kernel, direction and
+// chunking either way. mxv is one PageRank sweep, `w = Aᵀ plus.second out`
+// (a pull); mxm is SandiaLL's `C⟨L⟩ = L plus.pair L` (mask-first Gustavson).
+func benchVisibleOperators(b *testing.B, tagged bool) {
+	_, g, _ := benchGraphs()
+	n := g.N()
+	plusSecond, plusPair := grb.PlusSecond[float64](), grb.PlusPair[int64, int64, int64]()
+	if !tagged {
+		plusSecond = grb.Semiring[float64, float64, float64]{Add: grb.PlusMonoid[float64](), Mul: grb.Second[float64, float64]()}
+		plusPair = grb.Semiring[int64, int64, int64]{Add: grb.PlusMonoid[int64](), Mul: grb.Pair[int64, int64, int64]()}
+	}
+	b.Run("mxv", func(b *testing.B) {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = 1 / float64(n)
+		}
+		u, w := grb.DenseVector(out), grb.MustVector[float64](n)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := grb.MxV(w, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, u, grb.DescT0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NEdges()), "ns/product")
+	})
+	b.Run("mxm", func(b *testing.B) {
+		l := grb.MustMatrix[int64](n, n)
+		if err := grb.SelectMatrix[int64, bool](l, nil, nil, grb.Tril[int64](-1), g.PatternInt64(), nil); err != nil {
+			b.Fatal(err)
+		}
+		l.Wait()
+		gustavson := &grb.Descriptor{Method: grb.MxMGustavson}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := grb.MustMatrix[int64](n, n)
+			if err := grb.MxM(c, l, nil, plusPair, l, l, gustavson); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkAblation_VisibleOperators_Tagged(b *testing.B)  { benchVisibleOperators(b, true) }
+func BenchmarkAblation_VisibleOperators_Literal(b *testing.B) { benchVisibleOperators(b, false) }

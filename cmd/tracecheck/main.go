@@ -69,6 +69,15 @@ func main() {
 	}
 
 	fmt.Printf("trace ok: %d ops, %d iters", len(doc.Ops), len(iters))
+	tagged := map[string]int{}
+	for _, op := range doc.Ops {
+		if op.Ops != "" {
+			tagged[op.Ops]++
+		}
+	}
+	if len(tagged) > 0 {
+		fmt.Printf(", inline operators %v", tagged)
+	}
 	if doc.DroppedOps > 0 || doc.DroppedIters > 0 {
 		fmt.Printf(" (ring dropped %d ops, %d iters)", doc.DroppedOps, doc.DroppedIters)
 	}

@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -279,11 +280,9 @@ func (a *Matrix[T]) SetElements(is, js []int, xs []T, dup BinaryOp[T, T, T]) err
 		}
 		a.pendOp = dup
 	}
-	if cap(a.pend)-len(a.pend) < len(is) {
-		grown := make([]tuple[T], len(a.pend), len(a.pend)+len(is))
-		copy(grown, a.pend)
-		a.pend = grown
-	}
+	// Amortised growth (an exact fit would copy everything buffered on every
+	// batch, O(pending) per call and quadratic over a journal replay).
+	a.pend = slices.Grow(a.pend, len(is))
 	for k := range is {
 		a.pend = append(a.pend, tuple[T]{is[k], js[k], xs[k]})
 	}

@@ -1,0 +1,304 @@
+package grb
+
+// The inner loops of the product kernels, twice. A looper is everything the
+// pull dot, the Gustavson rows and the dense push do per product; a
+// Semiring is one by calling its closures — Mul (under MxV, through the
+// argument-swapping wrapper), Add.Op and Add.Terminal, three indirect calls
+// around one + or <. For the semirings the built-in constructors tag
+// (opsTag, types.go), over float64 and int64 — the element types the GAP
+// kernels multiply in — monoOps is the same looper with the arithmetic
+// written out over E Number, so it compiles inline. Each of its loops keeps
+// its generic twin's association exactly: the first product assigned, the
+// rest folded in the same order, min spelt `y < x` with its terminal exit.
+// A tagged semiring and its literal-built twin therefore agree bitwise, and
+// a positional multiplier (first, second, pair) never loads the operand it
+// ignores.
+//
+// The heap mxm, the hash push and sparseDot multiply through the closures
+// whatever the tag: a census of both bench/e2e workloads puts under 0.4 %
+// of any kernel's products there.
+
+// looper is a semiring's inner loops over left values []L, right values
+// []R and results []T.
+type looper[L, R, T any] interface {
+	// dot is one dot product whose left operand is held as lanes (seen, lx)
+	// and whose right is the entries [lo, hi) of (ri, rx): it probes the
+	// lanes at each ri[q], meeting matches in ascending index, and stops
+	// early once the additive monoid reaches a terminal value.
+	dot(seen []bool, lx []L, ri []int, rx []R, lo, hi int) (T, bool)
+	// scatter folds the products of entries [lo, hi) of (li, lx) — frontier
+	// entries, or a row of A — with the major vectors of c they select into
+	// a dense accumulator (seen, val), appending to touched each cell first
+	// reached; with exit set (a push) it leaves a cell alone once it holds a
+	// terminal value.
+	scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int, exit bool) []int
+	// marked folds the products of a row (li, lx) of A with the rows of c it
+	// selects into the cells a mask-first row's mark lane opens.
+	marked(li []int, lx []L, c *cs[R], mark []uint8, val []T)
+	// fold merges one push chunk's partial (pi, px) into the accumulator.
+	fold(pi []int, px []T, seen []bool, val []T, touched []int) []int
+}
+
+// loopsOf returns the loops a kernel multiplies with: the tagged ones when s
+// is tagged and L, R and T are all the float64 or int64 they exist for (st
+// is then told which, for the op record), s's own otherwise.
+func loopsOf[L, R, T any](s *Semiring[L, R, T], st *kernelStats) looper[L, R, T] {
+	if s.ops != opsGeneric {
+		m, ok := any(&monoFloat64[s.ops]).(looper[L, R, T])
+		if !ok {
+			m, ok = any(&monoInt64[s.ops]).(looper[L, R, T])
+		}
+		if ok {
+			if st != nil {
+				st.ops = s.ops
+			}
+			return m
+		}
+	}
+	return s
+}
+
+func (s *Semiring[L, R, T]) dot(seen []bool, lx []L, ri []int, rx []R, lo, hi int) (acc T, found bool) {
+	for q := lo; q < hi; q++ {
+		i := ri[q]
+		if !seen[i] {
+			continue
+		}
+		p := s.Mul(lx[i], rx[q])
+		if found {
+			acc = s.Add.Op(acc, p)
+		} else {
+			acc, found = p, true
+		}
+		if s.Add.Terminal != nil && s.Add.Terminal(acc) {
+			return acc, true
+		}
+	}
+	return acc, found
+}
+
+func (s *Semiring[L, R, T]) scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int, exit bool) []int {
+	exit = exit && s.Add.Terminal != nil
+	for t := lo; t < hi; t++ {
+		k, ok := c.findMajor(li[t])
+		if !ok {
+			continue
+		}
+		ri, rx := c.vec(k)
+		lv := lx[t]
+		for q, j := range ri {
+			if !seen[j] {
+				seen[j], val[j] = true, s.Mul(lv, rx[q])
+				touched = append(touched, j)
+			} else if !exit || !s.Add.Terminal(val[j]) {
+				val[j] = s.Add.Op(val[j], s.Mul(lv, rx[q]))
+			}
+		}
+	}
+	return touched
+}
+
+func (s *Semiring[L, R, T]) marked(li []int, lx []L, c *cs[R], mark []uint8, val []T) {
+	for t := range li {
+		k, ok := c.findMajor(li[t])
+		if !ok {
+			continue
+		}
+		ri, rx := c.vec(k)
+		lv := lx[t]
+		for q, j := range ri {
+			switch mark[j] {
+			case markOpen:
+				mark[j], val[j] = markFilled, s.Mul(lv, rx[q])
+			case markFilled:
+				val[j] = s.Add.Op(val[j], s.Mul(lv, rx[q]))
+			}
+		}
+	}
+}
+
+func (s *Semiring[L, R, T]) fold(pi []int, px []T, seen []bool, val []T, touched []int) []int {
+	for t, j := range pi {
+		if !seen[j] {
+			seen[j], val[j] = true, px[t]
+			touched = append(touched, j)
+		} else if s.Add.Terminal == nil || !s.Add.Terminal(val[j]) {
+			val[j] = s.Add.Op(val[j], px[t])
+		}
+	}
+	return touched
+}
+
+// monoOps is a tagged semiring over element type E: which operand values
+// make a product, and which monoid folds them.
+type monoOps[E Number] struct {
+	left, right bool // the multiplier reads its left, its right operand: first, second, pair (neither), plus (both)
+	min         bool // the monoid is min and lo its terminal value; otherwise plus, which has none
+	lo          E
+}
+
+// monoTable resolves every tag over E, indexed by tag.
+func monoTable[E Number]() (t [len(opsNames)]monoOps[E]) {
+	for tag := opsPlusFirst; int(tag) < len(t); tag++ {
+		t[tag] = monoOps[E]{
+			left:  tag == opsPlusFirst || tag == opsMinFirst || tag == opsMinPlus,
+			right: tag == opsPlusSecond || tag == opsMinSecond || tag == opsMinPlus,
+			min:   tag >= opsMinFirst, lo: minVal[E](),
+		}
+	}
+	return t
+}
+
+var (
+	monoFloat64 = monoTable[float64]()
+	monoInt64   = monoTable[int64]()
+)
+
+// rowProduct resolves the products of l[t] with right values r[lo:hi]: a
+// multiplier that ignores its right operand has one, c, for the whole
+// vector (rr is nil); otherwise product q is rr[q], plus c when the
+// multiplier reads both.
+func (m monoOps[E]) rowProduct(l []E, t int, r []E, lo, hi int) (c E, rr []E) {
+	c = 1
+	if m.left {
+		c = l[t]
+	}
+	if m.right {
+		rr = r[lo:hi]
+	}
+	return c, rr
+}
+
+// product is the multiplier applied to l[p] and r[q].
+func (m monoOps[E]) product(l []E, p int, r []E, q int) E {
+	switch {
+	case m.left && m.right:
+		return l[p] + r[q]
+	case m.left:
+		return l[p]
+	case m.right:
+		return r[q]
+	}
+	return 1
+}
+
+// add is the monoid's operator, spelt as PlusMonoid and MinMonoid spell it.
+func (m monoOps[E]) add(x, y E) E {
+	if !m.min {
+		return x + y
+	}
+	if y < x {
+		return y
+	}
+	return x
+}
+
+func (mp *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E, found bool) {
+	m := *mp
+	q := lo
+	for ; q < hi && !seen[ri[q]]; q++ {
+	}
+	if q == hi {
+		return acc, false
+	}
+	acc = m.product(l, ri[q], r, q)
+	if !m.min {
+		for q++; q < hi; q++ {
+			if i := ri[q]; seen[i] {
+				acc += m.product(l, i, r, q)
+			}
+		}
+		return acc, true
+	}
+	for q++; q < hi && acc != m.lo; q++ {
+		if i := ri[q]; seen[i] {
+			if p := m.product(l, i, r, q); p < acc {
+				acc = p
+			}
+		}
+	}
+	return acc, true
+}
+
+// scatter exits whatever exit says: folding into min's terminal changes
+// nothing.
+func (m *monoOps[E]) scatter(li []int, l []E, lo, hi int, c *cs[E], seen []bool, val []E, touched []int, _ bool) []int {
+	for t := lo; t < hi; t++ {
+		if k, ok := c.findMajor(li[t]); ok {
+			touched = m.scatterRow(l, t, c.i, c.x, c.p[k], c.p[k+1], seen, val, touched)
+		}
+	}
+	return touched
+}
+
+// scatterRow is scatter's loop for one left entry, l[t], and the entries
+// [lo, hi) of (ri, r).
+func (m monoOps[E]) scatterRow(l []E, t int, ri []int, r []E, lo, hi int, seen []bool, val []E, touched []int) []int {
+	c, rr := m.rowProduct(l, t, r, lo, hi)
+	if rr == nil {
+		for _, j := range ri[lo:hi] {
+			if !seen[j] {
+				seen[j], val[j] = true, c
+				touched = append(touched, j)
+			} else if !m.min || val[j] != m.lo {
+				val[j] = m.add(val[j], c)
+			}
+		}
+		return touched
+	}
+	for q, j := range ri[lo:hi] {
+		p := rr[q]
+		if m.left {
+			p = c + p
+		}
+		if !seen[j] {
+			seen[j], val[j] = true, p
+			touched = append(touched, j)
+		} else if !m.min || val[j] != m.lo {
+			val[j] = m.add(val[j], p)
+		}
+	}
+	return touched
+}
+
+func (m *monoOps[E]) marked(li []int, l []E, c *cs[E], mark []uint8, val []E) {
+	for t := range li {
+		if k, ok := c.findMajor(li[t]); ok {
+			m.markedRow(l, t, c.i, c.x, c.p[k], c.p[k+1], mark, val)
+		}
+	}
+}
+
+func (m monoOps[E]) markedRow(l []E, t int, ri []int, r []E, lo, hi int, mark []uint8, val []E) {
+	c, rr := m.rowProduct(l, t, r, lo, hi)
+	if rr == nil {
+		for _, j := range ri[lo:hi] {
+			switch mark[j] {
+			case markOpen:
+				mark[j], val[j] = markFilled, c
+			case markFilled:
+				val[j] = m.add(val[j], c)
+			}
+		}
+		return
+	}
+	for q, j := range ri[lo:hi] {
+		p := rr[q]
+		if m.left {
+			p = c + p
+		}
+		switch mark[j] {
+		case markOpen:
+			mark[j], val[j] = markFilled, p
+		case markFilled:
+			val[j] = m.add(val[j], p)
+		}
+	}
+}
+
+// A chunk partial folds as one more row whose products are its values:
+// scatter under the second multiplier.
+func (m *monoOps[E]) fold(pi []int, px []E, seen []bool, val []E, touched []int) []int {
+	second := monoOps[E]{right: true, min: m.min, lo: m.lo}
+	return second.scatterRow(nil, 0, pi, px, 0, len(pi), seen, val, touched)
+}

@@ -91,7 +91,7 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 			act = st.estFlops - int64(ca.nvecs())
 		}
 		ob.Op(obs.OpRecord{
-			Op: "mxm", Kernel: kernel, Policy: policy,
+			Op: "mxm", Kernel: kernel, Policy: policy, Ops: st.ops.String(),
 			Rows: ar, Cols: bc,
 			NnzA: ca.nvals(), NnzB: nnzB, NnzOut: nnzOut,
 			Masked: mask != nil, Write: route,
@@ -166,6 +166,7 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 	staging := newRowSlices[T](nvec)
 	flops := func(k int) int { return saxpyFlops(ca, cb, k) }
 	maskFirst := mm != nil && !mm.comp
+	lp := loopsOf(&s, st)
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		sc := getScratch[T](nc)
 		defer putScratch(sc)
@@ -187,30 +188,11 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 					continue
 				}
 				if maskFirstPays(len(mi), flops(k)) {
-					staging.idx[k], staging.val[k] = saxpyRowMasked(ai, ax, cb, s, mi, mval, mark, val)
+					staging.idx[k], staging.val[k] = saxpyRowMasked(ai, ax, cb, lp, mi, mval, mark, val)
 					continue
 				}
 			}
-			touched = touched[:0]
-			for t := range ai {
-				bk, ok := cb.findMajor(ai[t])
-				if !ok {
-					continue
-				}
-				bi, bx := cb.vec(bk)
-				av := ax[t]
-				for u := range bi {
-					j := bi[u]
-					p := s.Mul(av, bx[u])
-					if seen[j] {
-						val[j] = s.Add.Op(val[j], p)
-					} else {
-						seen[j] = true
-						val[j] = p
-						touched = append(touched, j)
-					}
-				}
-			}
+			touched = lp.scatter(ai, ax, 0, len(ai), cb, seen, val, touched[:0], false)
 			sortDedupIndices(touched) // sort; already unique
 			emitMasked(&staging.idx[k], &staging.val[k], touched, val, mm, row)
 			for _, j := range touched {
@@ -232,29 +214,13 @@ const (
 // saxpyRowMasked computes one mask-first Gustavson row: (mi, mval) is the
 // positive mask row (mval nil for a structural mask), mark a clean lane it
 // leaves clean.
-func saxpyRowMasked[A, B, T any](ai []int, ax []A, cb *cs[B], s Semiring[A, B, T], mi []int, mval []bool, mark []uint8, val []T) ([]int, []T) {
+func saxpyRowMasked[A, B, T any](ai []int, ax []A, cb *cs[B], lp looper[A, B, T], mi []int, mval []bool, mark []uint8, val []T) ([]int, []T) {
 	for t, j := range mi {
 		if mval == nil || mval[t] {
 			mark[j] = markOpen
 		}
 	}
-	for t := range ai {
-		bk, ok := cb.findMajor(ai[t])
-		if !ok {
-			continue
-		}
-		bi, bx := cb.vec(bk)
-		av := ax[t]
-		for u, j := range bi {
-			switch mark[j] {
-			case markOpen:
-				val[j] = s.Mul(av, bx[u])
-				mark[j] = markFilled
-			case markFilled:
-				val[j] = s.Add.Op(val[j], s.Mul(av, bx[u]))
-			}
-		}
-	}
+	lp.marked(ai, ax, cb, mark, val)
 	// What is left of the mask row bounds what is left of the output row:
 	// one allocation at the first entry instead of a growth sequence, none
 	// for a row that stays empty.
@@ -314,6 +280,7 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 	staging := newRowSlices[T](nvec)
 	flops := func(k int) int { return pullRowCost(ca, k, mm, nc, cbT) }
 	nnzB, ncolsB, inner := cbT.nvals(), cbT.nvecs(), ca.nminor
+	lp := loopsOf(&s, st)
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		var lane *denseScratch[A] // drawn at the chunk's first scattered row
 		for k := lo; k < hi; k++ {
@@ -341,7 +308,7 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 						}
 						scattered = true
 					}
-					acc, any = laneDot(lane.seen, lane.val, bi, bx, s)
+					acc, any = lp.dot(lane.seen, lane.val, cbT.i, cbT.x, cbT.p[bk], cbT.p[bk+1])
 				} else {
 					acc, any = sparseDot(ai, ax, bi, bx, s)
 				}
@@ -361,31 +328,6 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 		}
 	})
 	return stitchByA(staging, ca, nr, nc)
-}
-
-// laneDot is one dot product whose left operand is held as lanes: it walks
-// the right operand's entries (bi, bx) and probes (seen, val) at each in
-// O(1), stopping early once the additive monoid reaches a terminal value.
-// Matches are met in ascending index order, as sparseDot meets them.
-func laneDot[A, B, T any](seen []bool, val []A, bi []int, bx []B, s Semiring[A, B, T]) (T, bool) {
-	var acc T
-	found := false
-	for t, i := range bi {
-		if !seen[i] {
-			continue
-		}
-		p := s.Mul(val[i], bx[t])
-		if found {
-			acc = s.Add.Op(acc, p)
-		} else {
-			acc = p
-			found = true
-		}
-		if s.Add.Terminal != nil && s.Add.Terminal(acc) {
-			return acc, true
-		}
-	}
-	return acc, found
 }
 
 // sparseDot merges two sorted sparse vectors under the semiring, stopping

@@ -13,6 +13,7 @@ package grb_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,10 +46,61 @@ func eqMatBits[T comparable](t *testing.T, label string, got *grb.Matrix[T], wan
 	}
 }
 
+// taggedTwin is a semiring the kernels run as visible arithmetic (the
+// constructor tagged it; internal/grb/mono.go) beside its literal-built
+// twin, which carries no tag and so runs the generic loops: the conformance
+// twin of every tagged loop. name is what op records call the tagged one.
+type taggedTwin[T comparable] struct {
+	name            string
+	tagged, literal grb.Semiring[T, T, T]
+}
+
+func taggedTwins[T grb.Number]() []taggedTwin[T] {
+	type sr = grb.Semiring[T, T, T]
+	plus, min := grb.PlusMonoid[T](), grb.MinMonoid[T]()
+	return []taggedTwin[T]{
+		{"plus.first", grb.PlusFirst[T](), sr{Add: plus, Mul: grb.First[T, T]()}},
+		{"plus.second", grb.PlusSecond[T](), sr{Add: plus, Mul: grb.Second[T, T]()}},
+		{"plus.pair", grb.PlusPair[T, T, T](), sr{Add: plus, Mul: grb.Pair[T, T, T]()}},
+		{"min.first", grb.MinFirst[T](), sr{Add: min, Mul: grb.First[T, T]()}},
+		{"min.second", grb.MinSecond[T](), sr{Add: min, Mul: grb.Second[T, T]()}},
+		{"min.plus", grb.MinPlus[T](), sr{Add: min, Mul: grb.Plus[T]()}},
+	}
+}
+
+// wantOps is the Ops an op record must carry after a kernel with tagged
+// loops multiplied by tw.tagged: the tag's name over float64 and int64, the
+// element types those loops exist for, nothing over any other.
+func (tw taggedTwin[T]) wantOps() string {
+	switch any(*new(T)).(type) {
+	case float64, int64:
+		return tw.name
+	}
+	return ""
+}
+
+// sameWork reports an error unless the tagged run and its twin's did the
+// same work — kernel, policy, estimate, chunking, output, write route — and
+// differ only in the operators they name: a tag changes what a product
+// costs, never which products are made.
+func (tw taggedTwin[T]) sameWork(tagged, literal obs.OpRecord) error {
+	if tagged.Ops != tw.wantOps() || literal.Ops != "" {
+		return fmt.Errorf("tagged ran operators %q (want %q), its literal twin %q (want none)", tagged.Ops, tw.wantOps(), literal.Ops)
+	}
+	tagged.Ops, tagged.DurNanos, literal.DurNanos = "", 0, 0
+	if tagged != literal {
+		return fmt.Errorf("tagged run recorded %+v, its literal twin %+v", tagged, literal)
+	}
+	return nil
+}
+
 // dirCase is one masked product: c0⟨mask⟩ ⊙= a ⊕.⊗ b under d, the mask
-// dense-held when heldMask is set.
+// dense-held when heldMask is set. With twin set, s is twin.tagged and every
+// run is repeated with twin.literal, which must give the same bits by the
+// same work.
 type dirCase[T comparable] struct {
 	s        grb.Semiring[T, T, T]
+	twin     *taggedTwin[T]
 	accum    grb.BinaryOp[T, T, T]
 	a, b, c0 *grb.Matrix[T]
 	mask     *grb.Matrix[bool]
@@ -86,6 +138,23 @@ func (tc dirCase[T]) check(t *testing.T, label string) map[string]obs.OpRecord {
 			mustSerializeLikeTwin(t, got)
 			ops := trace.Ops()
 			recs[m.name] = ops[len(ops)-1]
+			if tc.twin != nil {
+				lit := tc.c0.Dup()
+				trace := obs.NewTrace(4)
+				restore := obs.Set(trace)
+				err := grb.MxM(lit, heldM(tc.mask, tc.heldMask), tc.accum, tc.twin.literal, tc.a, tc.b, &d)
+				obs.Set(restore)
+				if err != nil {
+					grb.SetParallelism(prev)
+					t.Fatalf("%s %s P=%d literal twin: %v", label, m.name, p, err)
+				}
+				eqMatBits(t, fmt.Sprintf("%s %s P=%d literal twin", label, m.name, p), lit, want)
+				ops := trace.Ops()
+				if err := tc.twin.sameWork(recs[m.name], ops[len(ops)-1]); err != nil {
+					grb.SetParallelism(prev)
+					t.Fatalf("%s %s P=%d: %v", label, m.name, p, err)
+				}
+			}
 		}
 		grb.SetParallelism(prev)
 		// The automatic run carries the smaller estimate, and a tie goes to
@@ -133,9 +202,10 @@ func operandShape(nr, nc int, tran bool) (int, int) {
 // directionTable runs the descriptor table — polarity × held mask × Replace
 // × accumulator × TranA × TranB, or polarity alone when full is unset — on
 // operands of effective shape (m×k)·(k×n), handing each case's op records
-// to visit.
+// to visit. A non-nil twin (whose tagged semiring s then is) has every run
+// repeated by its literal.
 func directionTable[T comparable](t *testing.T, name string, rng *rand.Rand, m, k, n int, densA, densB, densM float64, full bool,
-	s grb.Semiring[T, T, T], plus grb.BinaryOp[T, T, T], val func(*rand.Rand) T, visit func(label string, recs map[string]obs.OpRecord)) {
+	s grb.Semiring[T, T, T], plus grb.BinaryOp[T, T, T], val func(*rand.Rand) T, visit func(label string, recs map[string]obs.OpRecord), twin *taggedTwin[T]) {
 	bools := []bool{false, true}
 	only := []bool{false}
 	opt := func() []bool {
@@ -159,6 +229,7 @@ func directionTable[T comparable](t *testing.T, name string, rng *rand.Rand, m, 
 								c0:       randMatrixOf(rng, m, n, 0.2, val),
 								mask:     randBoolMatrix(rng, m, n, densM),
 								heldMask: held,
+								twin:     twin,
 								d:        grb.Descriptor{Comp: comp, Replace: replace, TranA: tranA, TranB: tranB},
 							}
 							if withAccum {
@@ -193,13 +264,46 @@ func TestConformanceMxMDirections(t *testing.T) {
 			name                string
 			densA, densB, densM float64
 		}{{"sparse-mask", 0.5, 0.08, 0.05}, {"dense-mask", 0.05, 0.08, 0.9}, {"bitmap-B", 0.5, 0.3, 0.05}} {
-			directionTable(t, g.name+"/plus.times", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, plusTimes, grb.Plus[float64](), cancelling, count)
-			directionTable(t, g.name+"/min.plus", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, minPlus, grb.Plus[float64](), small, count)
-			directionTable(t, g.name+"/lor.land", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, lorLand, grb.LOr(), truth, count)
+			directionTable(t, g.name+"/plus.times", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, plusTimes, grb.Plus[float64](), cancelling, count, nil)
+			directionTable(t, g.name+"/min.plus", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, minPlus, grb.Plus[float64](), small, count, nil)
+			directionTable(t, g.name+"/lor.land", rng, 14, 40, 18, g.densA, g.densB, g.densM, true, lorLand, grb.LOr(), truth, count, nil)
 		}
 		t.Logf("MxMAuto ran %v", used)
 		if used["gustavson"] == 0 || used["dot"] == 0 {
 			t.Fatalf("MxMAuto ran %v over the table: every kernel must win somewhere", used)
+		}
+	})
+
+	// Every tagged constructor beside its literal-built twin, the whole
+	// descriptor table each: plus.* over sums that depend on their order,
+	// min.* over NaN, ±Inf and −0 (where `y < x` and the terminal exit must
+	// agree with the closures) and over int64 down to MinInt64, the terminal
+	// itself; then the int32 and uint8 instantiations, which have no tagged
+	// loop and must say so.
+	t.Run("tagged-twins", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2007))
+		nop := func(string, map[string]obs.OpRecord) {}
+		special := func(rng *rand.Rand) float64 {
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1, -2.5, 3}[rng.Intn(8)]
+		}
+		extreme := func(rng *rand.Rand) int64 {
+			return []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, -1, 0, 1, 7}[rng.Intn(7)]
+		}
+		for _, tw := range taggedTwins[float64]() {
+			val := cancelling
+			if tw.name[:3] == "min" {
+				val = special
+			}
+			directionTable(t, tw.name+"/float64", rng, 9, 24, 11, 0.4, 0.15, 0.4, true, tw.tagged, grb.Plus[float64](), val, nop, &tw)
+		}
+		for _, tw := range taggedTwins[int64]() {
+			directionTable(t, tw.name+"/int64", rng, 9, 24, 11, 0.4, 0.15, 0.4, true, tw.tagged, grb.Plus[int64](), extreme, nop, &tw)
+		}
+		for _, tw := range taggedTwins[int32]() {
+			directionTable(t, tw.name+"/int32", rng, 9, 24, 11, 0.4, 0.15, 0.4, false, tw.tagged, grb.Plus[int32](), func(rng *rand.Rand) int32 { return int32(rng.Intn(9) - 4) }, nop, &tw)
+		}
+		for _, tw := range taggedTwins[uint8]() {
+			directionTable(t, tw.name+"/uint8", rng, 9, 24, 11, 0.4, 0.15, 0.4, false, tw.tagged, grb.Plus[uint8](), func(rng *rand.Rand) uint8 { return uint8(rng.Intn(9)) }, nop, &tw)
 		}
 	})
 
@@ -215,8 +319,11 @@ func TestConformanceMxMDirections(t *testing.T) {
 					label, recs["dot"].Kernel, recs["dot"].Chunks, recs["gustavson"].Chunks)
 			}
 		}
-		directionTable(t, "plus.times", rng, 96, 256, 512, 0.6, 0.02, 0.3, false, plusTimes, grb.Plus[float64](), cancelling, chunked)
-		directionTable(t, "lor.land", rng, 96, 256, 512, 0.6, 0.02, 0.3, false, lorLand, grb.LOr(), truth, chunked)
+		directionTable(t, "plus.times", rng, 96, 256, 512, 0.6, 0.02, 0.3, false, plusTimes, grb.Plus[float64](), cancelling, chunked, nil)
+		directionTable(t, "lor.land", rng, 96, 256, 512, 0.6, 0.02, 0.3, false, lorLand, grb.LOr(), truth, chunked, nil)
+		for _, tw := range taggedTwins[float64]() {
+			directionTable(t, tw.name, rng, 96, 256, 512, 0.6, 0.02, 0.3, false, tw.tagged, grb.Plus[float64](), cancelling, chunked, &tw)
+		}
 	})
 
 	// Rows of A on either side of the scatter bar. Every column of B holds
@@ -392,6 +499,11 @@ func runDirectionProgram(t *testing.T, prog []byte) {
 	tc := dirCase[float64]{s: grb.PlusTimes[float64](), a: a, b: b, c0: c0, mask: mask, heldMask: held, d: d}
 	if r.next()%2 == 1 {
 		tc.s = grb.MinPlus[float64]()
+	}
+	if pick := r.next() % 8; pick >= 2 {
+		// One more program bit: a tagged constructor beside its literal twin.
+		tw := taggedTwins[float64]()[pick-2]
+		tc.s, tc.twin = tw.tagged, &tw
 	}
 	if withAccum {
 		tc.accum = grb.Plus[float64]()

@@ -33,6 +33,7 @@ func MxV[A, U, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T],
 	swapped := Semiring[U, A, T]{
 		Add: s.Add,
 		Mul: func(x U, y A) T { return s.Mul(y, x) },
+		ops: s.ops.swapped(),
 	}
 	d := desc.get()
 	d.TranA = !d.TranA
@@ -113,8 +114,12 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 		if kernel == "push" {
 			act = st.estFlops - int64(nnzU)
 		}
+		ops := st.ops
+		if op == "mxv" {
+			ops = ops.swapped() // back to the caller's spelling
+		}
 		ob.Op(obs.OpRecord{
-			Op: op, Kernel: kernel, Policy: policy,
+			Op: op, Kernel: kernel, Policy: policy, Ops: ops.String(),
 			Rows: ar, Cols: ac,
 			NnzA: nnzA, NnzB: nnzU, NnzOut: nnzOut,
 			Masked: mask != nil, Write: route,
@@ -176,7 +181,7 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 	if outDim >= hyperThresholdDim*hyperRatio {
 		zi, zx = pushHash(ui, ux, ca, s, bounds)
 	} else {
-		acc := pushDense(ui, ux, ca, s, outDim, bounds)
+		acc := pushDense(ui, ux, ca, s, outDim, bounds, st)
 		if denseWanted(bitmapCells(1, outDim), len(acc.touched)) {
 			return nil, nil, &bm[T]{nr: 1, nc: outDim, b: acc.seen, x: acc.val, nvals: len(acc.touched)}
 		}
@@ -195,11 +200,12 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 // touched cells, unsorted; the partials are then folded into the result
 // strictly in chunk order — chunk 0's contribution to a cell first — which
 // is the association that makes chunked push deterministic.
-func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], outDim int, bounds []int) *denseScratch[T] {
+func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], outDim int, bounds []int, st *kernelStats) *denseScratch[T] {
 	acc := getScratch[T](outDim)
+	lp := loopsOf(&s, st)
 	nchunks := len(bounds) - 1
 	if nchunks <= 1 {
-		scatterRowsDense(ui, ux, ca, s, acc)
+		acc.touched = lp.scatter(ui, ux, 0, len(ui), ca, acc.seen, acc.val, acc.touched[:0], true)
 		return acc
 	}
 	type part struct {
@@ -210,22 +216,14 @@ func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], ou
 	runChunks(bounds, func(c, lo, hi int) {
 		// The pool hands a worker back the accumulator it just returned.
 		sc := getScratch[T](outDim)
-		scatterRowsDense(ui[lo:hi], ux[lo:hi], ca, s, sc)
+		sc.touched = lp.scatter(ui, ux, lo, hi, ca, sc.seen, sc.val, sc.touched[:0], true)
 		parts[c].i, parts[c].x = sc.handOver()
 		putScratch(sc)
 	})
-	val, seen, touched := acc.val, acc.seen, acc.touched[:0]
+	acc.touched = acc.touched[:0]
 	for _, p := range parts {
-		for t, j := range p.i {
-			if !seen[j] {
-				seen[j], val[j] = true, p.x[t]
-				touched = append(touched, j)
-			} else if s.Add.Terminal == nil || !s.Add.Terminal(val[j]) {
-				val[j] = s.Add.Op(val[j], p.x[t])
-			}
-		}
+		acc.touched = lp.fold(p.i, p.x, acc.seen, acc.val, acc.touched)
 	}
-	acc.touched = touched
 	return acc
 }
 
@@ -240,35 +238,6 @@ func (sc *denseScratch[T]) handOver() ([]int, []T) {
 	}
 	sc.touched = sc.touched[:0]
 	return zi, zx
-}
-
-// scatterRowsDense accumulates the selected rows of one frontier chunk into
-// a clean dense accumulator, listing in sc.touched each cell as it is first
-// reached.
-func scatterRowsDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], sc *denseScratch[T]) {
-	val, seen, touched := sc.val, sc.seen, sc.touched[:0]
-	for t, k := range ui {
-		rk, ok := ca.findMajor(k)
-		if !ok {
-			continue
-		}
-		ri, rx := ca.vec(rk)
-		uv := ux[t]
-		for p := range ri {
-			j := ri[p]
-			if seen[j] {
-				if s.Add.Terminal != nil && s.Add.Terminal(val[j]) {
-					continue
-				}
-				val[j] = s.Add.Op(val[j], s.Mul(uv, rx[p]))
-			} else {
-				seen[j] = true
-				val[j] = s.Mul(uv, rx[p])
-				touched = append(touched, j)
-			}
-		}
-	}
-	sc.touched = touched
 }
 
 // pushHash is pushDense with O(flops)-memory accumulators, used when the
@@ -354,10 +323,8 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 	uok, ud, usc := ur.lanes(u.n)
 	defer ur.unlanes(usc)
 
-	dotCol := func(ck int) (T, bool) {
-		ci, cx := caT.vec(ck)
-		return laneDot(uok, ud, ci, cx, s)
-	}
+	lp := loopsOf(&s, st)
+	dotCol := func(ck int) (T, bool) { return lp.dot(uok, ud, caT.i, caT.x, caT.p[ck], caT.p[ck+1]) }
 
 	if caT.h == nil && bitmapCells(1, outDim) >= 0 && (mv == nil || (mv.comp && mv.db != nil)) {
 		zd = getLanes[T](outDim)

@@ -192,9 +192,10 @@ func parallelWork(n, quantum int, weight func(k int) int, fn func(lo, hi int)) {
 // boundaries — and therefore never changes results (the chunk-order
 // merges fix the reduction association).
 type kernelStats struct {
-	estFlops      int64 // total estimated weight across all chunks
-	chunks        int   // number of chunks the partitioner produced
-	maxChunkFlops int64 // heaviest chunk's estimated weight
+	estFlops      int64  // total estimated weight across all chunks
+	chunks        int    // number of chunks the partitioner produced
+	maxChunkFlops int64  // heaviest chunk's estimated weight
+	ops           opsTag // the tagged loops the kernel ran (mono.go); zero: generic
 }
 
 // fill computes per-chunk weight sums for bounds; on a nil st it does

@@ -11,8 +11,9 @@ import (
 // an output's products are added in frontier order; across chunks the
 // partials are added in chunk order, chunk 0's first. pushFoldReference is
 // that sentence over maps — what mergeAddParts fixed before the fold
-// replaced it — and every emission route must reproduce it bit for bit.
-func pushFoldReference(ui []int, ux []float64, ca *cs[float64], bounds []int) ([]int, []float64) {
+// replaced it — and every emission route must reproduce it bit for bit. It
+// multiplies and adds through s's closures, whatever loops s is tagged for.
+func pushFoldReference(ui []int, ux []float64, ca *cs[float64], bounds []int, s Semiring[float64, float64, float64]) ([]int, []float64) {
 	acc := map[int]float64{}
 	for c := 0; c+1 < len(bounds); c++ {
 		part := map[int]float64{}
@@ -24,15 +25,15 @@ func pushFoldReference(ui []int, ux []float64, ca *cs[float64], bounds []int) ([
 			ri, rx := ca.vec(rk)
 			for p, j := range ri {
 				if old, ok := part[j]; ok {
-					part[j] = old + ux[t]*rx[p]
+					part[j] = s.Add.Op(old, s.Mul(ux[t], rx[p]))
 				} else {
-					part[j] = ux[t] * rx[p]
+					part[j] = s.Mul(ux[t], rx[p])
 				}
 			}
 		}
 		for j, x := range part {
 			if old, ok := acc[j]; ok {
-				acc[j] = old + x
+				acc[j] = s.Add.Op(old, x)
 			} else {
 				acc[j] = x
 			}
@@ -65,10 +66,29 @@ func sameBits(ai []int, ax []float64, bi []int, bx []float64) bool {
 // cancelling are values whose sums depend on the order they are taken in.
 var cancelling = []float64{1e16, -1e16, 1, -1, 0.1, 3, 1e-8, -0.3}
 
-// TestPushFoldAssociation: PlusTimes[float64] over cancellation-prone
+// pushSemirings are the semirings the push tests multiply by: PlusTimes,
+// which no loop is tagged for, then each tagged constructor followed by its
+// literal-built twin (the generic loops' run of the same arithmetic).
+func pushSemirings() []Semiring[float64, float64, float64] {
+	type sr = Semiring[float64, float64, float64]
+	plus, min := PlusMonoid[float64](), MinMonoid[float64]()
+	first, second, pair := First[float64, float64](), Second[float64, float64](), Pair[float64, float64, float64]()
+	return []sr{
+		PlusTimes[float64](),
+		PlusFirst[float64](), {Add: plus, Mul: first},
+		PlusSecond[float64](), {Add: plus, Mul: second},
+		PlusPair[float64, float64, float64](), {Add: plus, Mul: pair},
+		MinFirst[float64](), {Add: min, Mul: first},
+		MinSecond[float64](), {Add: min, Mul: second},
+		MinPlus[float64](), {Add: min, Mul: Plus[float64]()},
+	}
+}
+
+// TestPushFoldAssociation: every push semiring over cancellation-prone
 // values, chunked, is bitwise the reference association at 1 and at 8
 // workers — on both emission routes (a result below the promotion bar is
-// sort-emitted, one above it handed over as lanes) and in the hash regime.
+// sort-emitted, one above it handed over as lanes) and in the hash regime,
+// which has no tagged loop.
 func TestPushFoldAssociation(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -103,26 +123,30 @@ func TestPushFoldAssociation(t *testing.T) {
 			if len(bounds) < 3 {
 				t.Fatalf("%d chunks: the input does not reach the fold", len(bounds)-1)
 			}
-			wi, wx := pushFoldReference(ui, ux, ca, bounds)
-			// The input must tell associations apart, or the test proves
-			// nothing: taken as one chunk the sums differ.
-			if oi, ox := pushFoldReference(ui, ux, ca, []int{0, len(ui)}); sameBits(wi, wx, oi, ox) {
-				t.Fatal("the chunked and the unchunked association agree on this input")
-			}
-			for _, p := range []int{1, 8} {
-				atParallelism(p, func() {
-					w := MustVector[float64](tc.n)
-					if err := VxM(w, (*Vector[bool])(nil), nil, PlusTimes[float64](), u, a, &Descriptor{Dir: DirPush}); err != nil {
-						t.Fatal(err)
-					}
-					if lanes := w.dn != nil; lanes != (tc.name == "lanes") {
-						t.Fatalf("P=%d: result dense-held = %v", p, lanes)
-					}
-					gi, gx := w.ExtractTuples()
-					if !sameBits(gi, gx, wi, wx) {
-						t.Fatalf("P=%d: result differs from the chunk-order association", p)
-					}
-				})
+			for k, s := range pushSemirings() {
+				wi, wx := pushFoldReference(ui, ux, ca, bounds, s)
+				// The input must tell associations apart, or the test proves
+				// nothing: taken as one chunk the sums differ. (A sum of
+				// ones, and a minimum, are the same in any order.)
+				oi, ox := pushFoldReference(ui, ux, ca, []int{0, len(ui)}, s)
+				if k < 5 && sameBits(wi, wx, oi, ox) {
+					t.Fatalf("semiring %d: the chunked and the unchunked association agree on this input", k)
+				}
+				for _, p := range []int{1, 8} {
+					atParallelism(p, func() {
+						w := MustVector[float64](tc.n)
+						if err := VxM(w, (*Vector[bool])(nil), nil, s, u, a, &Descriptor{Dir: DirPush}); err != nil {
+							t.Fatal(err)
+						}
+						if lanes := w.dn != nil; lanes != (tc.name == "lanes") {
+							t.Fatalf("semiring %d P=%d: result dense-held = %v", k, p, lanes)
+						}
+						gi, gx := w.ExtractTuples()
+						if !sameBits(gi, gx, wi, wx) {
+							t.Fatalf("semiring %d P=%d: result differs from the chunk-order association", k, p)
+						}
+					})
+				}
 			}
 		})
 	}
@@ -139,6 +163,9 @@ func runPushEmission(t *testing.T, prog []byte) {
 	n := 8 + int(prog[0])%56
 	m := 1 + int(prog[1])%24
 	cuts := int(prog[2]) % 8
+	// One more program bit: PlusTimes, a tagged constructor, or its twin.
+	semirings := pushSemirings()
+	s := semirings[int(prog[2])/8%len(semirings)]
 	prog = prog[3:]
 	next := func() int {
 		if len(prog) == 0 {
@@ -170,9 +197,8 @@ func runPushEmission(t *testing.T, prog []byte) {
 	}
 	ui, ux := u.materialized()
 	ca := a.materializedCSR()
-	s := PlusTimes[float64]()
 
-	acc := pushDense(ui, ux, ca, s, n, bounds)
+	acc := pushDense(ui, ux, ca, s, n, bounds, nil)
 	sweepI, sweepX := compactLanes(acc.seen, acc.val, len(acc.touched))
 	sort.Ints(acc.touched)
 	sortI, sortX := acc.handOver()
@@ -185,7 +211,7 @@ func runPushEmission(t *testing.T, prog []byte) {
 	if !sameBits(sortI, sortX, sweepI, sweepX) {
 		t.Fatalf("sort-emit %v %v, sweep-emit %v %v", sortI, sortX, sweepI, sweepX)
 	}
-	if wi, wx := pushFoldReference(ui, ux, ca, bounds); !sameBits(sortI, sortX, wi, wx) {
+	if wi, wx := pushFoldReference(ui, ux, ca, bounds, s); !sameBits(sortI, sortX, wi, wx) {
 		t.Fatalf("chunks %v: emitted %v %v, the chunk-order association gives %v %v", bounds, sortI, sortX, wi, wx)
 	}
 }

@@ -12,6 +12,7 @@ package grb_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -150,6 +151,129 @@ type vecOp struct {
 	ref  func(w *ref.Vec[int64], mask *ref.Vec[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc)
 }
 
+// withExtremes overwrites about a third of v's entries with int64's least
+// and greatest values: min's terminal and its identity.
+func withExtremes(rng *rand.Rand, v *grb.Vector[int64]) *grb.Vector[int64] {
+	w := v.Dup()
+	is, _ := w.ExtractTuples()
+	for _, i := range is {
+		if x := rng.Intn(6); x < 2 {
+			_ = w.SetElement(i, []int64{math.MinInt64, math.MaxInt64}[x])
+		}
+	}
+	w.Wait()
+	return w
+}
+
+func withExtremesM(rng *rand.Rand, a *grb.Matrix[int64]) *grb.Matrix[int64] {
+	b := a.Dup()
+	is, js, _ := b.ExtractTuples()
+	for k := range is {
+		if x := rng.Intn(6); x < 2 {
+			_ = b.SetElement(is[k], js[k], []int64{math.MinInt64, math.MaxInt64}[x])
+		}
+	}
+	b.Wait()
+	return b
+}
+
+// twinned runs one product into w with tw.tagged at one worker and at eight
+// and with tw.literal, each from w's initial state: all three must leave the
+// same bits, and the twins must have done the same work to get them. w ends
+// as the eight-worker tagged run left it, for the table to hold against the
+// mimic; that run's op record is returned.
+func twinned[T comparable](tw taggedTwin[T], w *grb.Vector[T], run func(w *grb.Vector[T], s grb.Semiring[T, T, T]) error) (obs.OpRecord, error) {
+	traced := func(w *grb.Vector[T], s grb.Semiring[T, T, T], p int) (obs.OpRecord, error) {
+		defer grb.SetParallelism(grb.SetParallelism(p))
+		trace := obs.NewTrace(4)
+		defer obs.Set(obs.Set(trace))
+		if err := run(w, s); err != nil {
+			return obs.OpRecord{}, err
+		}
+		ops := trace.Ops()
+		return ops[len(ops)-1], nil
+	}
+	serial, literal := w.Dup(), w.Dup()
+	if _, err := traced(serial, tw.tagged, 1); err != nil {
+		return obs.OpRecord{}, err
+	}
+	rec, err := traced(w, tw.tagged, 8)
+	if err != nil {
+		return rec, err
+	}
+	lrec, err := traced(literal, tw.literal, 8)
+	if err != nil {
+		return rec, err
+	}
+	wi, wx := w.ExtractTuples()
+	for _, other := range []*grb.Vector[T]{serial, literal} {
+		oi, ox := other.ExtractTuples()
+		if len(oi) != len(wi) {
+			return rec, fmt.Errorf("%s: %d entries tagged at eight workers, %d at one or by the literal twin", tw.name, len(wi), len(oi))
+		}
+		for k := range wi {
+			if oi[k] != wi[k] || !bitIdentical(ox[k], wx[k]) {
+				return rec, fmt.Errorf("%s: entry %d is %v tagged at eight workers, %v at one or by the literal twin", tw.name, wi[k], wx[k], ox[k])
+			}
+		}
+	}
+	return rec, tw.sameWork(rec, lrec)
+}
+
+// twinVecOps is the vector table's rows for one tagged semiring: VxM and MxV
+// (whose argument swap must map the tag, not lose it), pushed and pulled,
+// MxV also against a transposed operand. um and u are vectors over a's rows
+// and columns.
+func twinVecOps(tw taggedTwin[int64], um, u *grb.Vector[int64], a *grb.Matrix[int64]) []vecOp {
+	type (
+		vec   = *grb.Vector[int64]
+		mask  = *grb.Vector[bool]
+		accum = grb.BinaryOp[int64, int64, int64]
+	)
+	m, n := a.Nrows(), a.Ncols()
+	row := func(name string, size int, dir grb.Direction, tranA bool,
+		product func(w vec, mask mask, accum accum, s grb.Semiring[int64, int64, int64], dense bool, d *grb.Descriptor) error,
+		mimic func(w *ref.Vec[int64], mask *ref.Vec[bool], accum accum, d ref.Desc)) vecOp {
+		return vecOp{name + "/" + tw.name, size,
+			func(w vec, mask mask, accum accum, d *grb.Descriptor, dense bool) error {
+				dd := *d
+				dd.Dir, dd.TranA = dir, tranA
+				_, err := twinned(tw, w, func(w vec, s grb.Semiring[int64, int64, int64]) error {
+					return product(w, mask, accum, s, dense, &dd)
+				})
+				return err
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum accum, d ref.Desc) {
+				d.TranA = tranA
+				mimic(w, mask, accum, d)
+			}}
+	}
+	vxm := func(w vec, mask mask, accum accum, s grb.Semiring[int64, int64, int64], dense bool, d *grb.Descriptor) error {
+		return grb.VxM(w, mask, accum, s, heldV(um, dense), a, d)
+	}
+	vxmMimic := func(w *ref.Vec[int64], mask *ref.Vec[bool], accum accum, d ref.Desc) {
+		ref.VxM(w, mask, accum, tw.literal, ref.FromVector(um), ref.FromMatrix(a), d)
+	}
+	return []vecOp{
+		row("vxm/push", n, grb.DirPush, false, vxm, vxmMimic),
+		row("vxm/pull", n, grb.DirPull, false, vxm, vxmMimic),
+		row("mxv/pull", m, grb.DirPull, false,
+			func(w vec, mask mask, accum accum, s grb.Semiring[int64, int64, int64], dense bool, d *grb.Descriptor) error {
+				return grb.MxV(w, mask, accum, s, a, heldV(u, dense), d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum accum, d ref.Desc) {
+				ref.MxV(w, mask, accum, tw.literal, ref.FromMatrix(a), ref.FromVector(u), d)
+			}),
+		row("mxv/push-tranA", n, grb.DirPush, true,
+			func(w vec, mask mask, accum accum, s grb.Semiring[int64, int64, int64], dense bool, d *grb.Descriptor) error {
+				return grb.MxV(w, mask, accum, s, a, heldV(um, dense), d)
+			},
+			func(w *ref.Vec[int64], mask *ref.Vec[bool], accum accum, d ref.Desc) {
+				ref.MxV(w, mask, accum, tw.literal, ref.FromMatrix(a), ref.FromVector(um), d)
+			}),
+	}
+}
+
 func TestConformanceStorageFormsMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
 	plus, times := grb.Plus[int64](), grb.Times[int64]()
@@ -281,6 +405,18 @@ func TestConformanceStorageFormsMatrix(t *testing.T) {
 			scalarAssign("assign/scalar-region-cols", grb.All, subCols),
 			rowAssign("assign/row", rowU, grb.All),
 			rowAssign("assign/row-region", rowSub, subCols),
+		}
+		// Every tagged constructor's mxm, whichever kernel MxMAuto picks; the
+		// twin comparison is mxm_direction_test.go's.
+		xleft, xright := withExtremesM(rng2, left), withExtremesM(rng2, right)
+		for _, tw := range taggedTwins[int64]() {
+			ops = append(ops, matOp{"mxm/" + tw.name, m, n,
+				func(c *grb.Matrix[int64], mask *grb.Matrix[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, dense bool) error {
+					return grb.MxM(c, mask, accum, tw.tagged, heldM(xleft, dense), heldM(xright, dense), d)
+				},
+				func(c *ref.Mat[int64], mask *ref.Mat[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
+					ref.MxM(c, mask, accum, tw.literal, ref.FromMatrix(xleft), ref.FromMatrix(xright), d)
+				}})
 		}
 		cInit := randMatrix(rng, m, n, 0.4)
 		mask := randBoolMatrix(rng, m, n, 0.5)
@@ -454,6 +590,14 @@ func TestConformanceStorageFormsVector(t *testing.T) {
 					ref.AssignVec(w, mask, accum, region, subIdx, d)
 				}},
 		}
+		// Every tagged constructor beside its literal twin, over operands that
+		// reach int64's extremes, from a generator of their own so the rows
+		// above keep the inputs they always had.
+		rng2 := rand.New(rand.NewSource(2400 + int64(trial)))
+		xum, xu, xa := withExtremes(rng2, um), withExtremes(rng2, u), withExtremesM(rng2, a)
+		for _, tw := range taggedTwins[int64]() {
+			ops = append(ops, twinVecOps(tw, xum, xu, xa)...)
+		}
 		for _, op := range ops {
 			wInit := randVector(rng, op.n, 0.4)
 			mask := randBoolVector(rng, op.n, 0.5)
@@ -483,6 +627,67 @@ func TestConformanceStorageFormsVector(t *testing.T) {
 							mustSerializeLikeTwinVec(t, w)
 						})
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestTaggedTwinsChunkedVector is the vector tables' twin rows at a size
+// whose work is cut into chunks at eight workers, over float64: plus.* on
+// sums that depend on their order, min.* on NaN, ±Inf and −0. The literal
+// twin — the generic loops the tables above hold to the mimic — is the
+// reference.
+func TestTaggedTwinsChunkedVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(2401))
+	const n, deg = 4096, 24
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1, -2.5, 3}
+	for _, tw := range taggedTwins[float64]() {
+		val := func() float64 { return cancelling(rng) }
+		if tw.name[:3] == "min" {
+			val = func() float64 { return special[rng.Intn(len(special))] }
+		}
+		a := grb.MustMatrix[float64](n, n)
+		for i := 0; i < n; i++ {
+			for _, j := range rng.Perm(n)[:deg] {
+				_ = a.SetElement(i, j, val())
+			}
+		}
+		a.Wait()
+		u := grb.MustVector[float64](n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) > 0 {
+				_ = u.SetElement(i, val())
+			}
+		}
+		u.Wait()
+		mask := randBoolVector(rng, n, 0.5)
+		for _, masked := range []bool{false, true} {
+			for _, c := range []struct {
+				name string
+				d    grb.Descriptor
+				mxv  bool
+			}{
+				{"vxm/push", grb.Descriptor{Dir: grb.DirPush}, false},
+				{"vxm/pull", grb.Descriptor{Dir: grb.DirPull}, false},
+				{"mxv/pull", grb.Descriptor{Dir: grb.DirPull}, true},
+				{"mxv/push-tranA", grb.Descriptor{Dir: grb.DirPush, TranA: true}, true},
+			} {
+				var gm *grb.Vector[bool]
+				if masked {
+					gm, c.d.Comp = heldV(mask, true), true
+				}
+				rec, err := twinned(tw, grb.MustVector[float64](n), func(w *grb.Vector[float64], s grb.Semiring[float64, float64, float64]) error {
+					if c.mxv {
+						return grb.MxV(w, gm, nil, s, a, u, &c.d)
+					}
+					return grb.VxM(w, gm, nil, s, u, a, &c.d)
+				})
+				if err != nil {
+					t.Fatalf("%s %s masked=%v: %v", tw.name, c.name, masked, err)
+				}
+				if rec.Chunks < 2 {
+					t.Fatalf("%s %s masked=%v: %d chunks at eight workers; the input does not reach the chunked kernel", tw.name, c.name, masked, rec.Chunks)
 				}
 			}
 		}

@@ -88,11 +88,44 @@ type Monoid[T any] struct {
 }
 
 // Semiring pairs an additive Monoid with a multiplicative BinaryOp, the
-// ⊕.⊗ of the GraphBLAS math specification.
+// ⊕.⊗ of the GraphBLAS math specification. Build a custom one as a
+// composite literal; do not reassign Add or Mul on a value a built-in
+// constructor returned, which the kernels may multiply by name.
 type Semiring[A, B, C any] struct {
 	Add Monoid[C]
 	Mul BinaryOp[A, B, C]
+
+	// ops names the pair when a built-in constructor made it: the kernels
+	// then run the arithmetic itself (mono.go) instead of calling Add.Op
+	// and Mul per product. A composite literal leaves it zero.
+	ops opsTag
 }
+
+// opsTag names a built-in semiring whose operators the kernels can run as
+// visible arithmetic. The zero tag is "whatever Add and Mul say": the
+// generic loops.
+type opsTag uint8
+
+const (
+	opsGeneric opsTag = iota
+	opsPlusFirst
+	opsPlusSecond
+	opsPlusPair
+	opsMinFirst
+	opsMinSecond
+	opsMinPlus
+)
+
+// opsNames are the tags as op records spell them (obs.OpRecord.Ops);
+// opsSwapped maps each to the tag of the same semiring with its multiplier's
+// arguments exchanged, as MxV runs it: first and second trade places.
+var (
+	opsNames   = [...]string{"", "plus.first", "plus.second", "plus.pair", "min.first", "min.second", "min.plus"}
+	opsSwapped = [...]opsTag{opsGeneric, opsPlusSecond, opsPlusFirst, opsPlusPair, opsMinSecond, opsMinFirst, opsMinPlus}
+)
+
+func (t opsTag) String() string  { return opsNames[t] }
+func (t opsTag) swapped() opsTag { return opsSwapped[t] }
 
 //
 // Built-in unary operators.
@@ -290,7 +323,7 @@ func PlusTimes[T Number]() Semiring[T, T, T] {
 
 // MinPlus is the tropical semiring (min, +) of shortest paths.
 func MinPlus[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: Plus[T]()}
+	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: Plus[T](), ops: opsMinPlus}
 }
 
 // MaxPlus is the (max, +) semiring of critical paths.
@@ -317,28 +350,28 @@ func LorLand() Semiring[bool, bool, bool] {
 // PlusPair is the (+, pair) semiring that counts set intersections; the
 // triangle-counting semiring.
 func PlusPair[A, B any, C Number]() Semiring[A, B, C] {
-	return Semiring[A, B, C]{Add: PlusMonoid[C](), Mul: Pair[A, B, C]()}
+	return Semiring[A, B, C]{Add: PlusMonoid[C](), Mul: Pair[A, B, C](), ops: opsPlusPair}
 }
 
 // PlusFirst is the (+, first) semiring.
 func PlusFirst[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: PlusMonoid[T](), Mul: First[T, T]()}
+	return Semiring[T, T, T]{Add: PlusMonoid[T](), Mul: First[T, T](), ops: opsPlusFirst}
 }
 
 // PlusSecond is the (+, second) semiring.
 func PlusSecond[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: PlusMonoid[T](), Mul: Second[T, T]()}
+	return Semiring[T, T, T]{Add: PlusMonoid[T](), Mul: Second[T, T](), ops: opsPlusSecond}
 }
 
 // MinFirst is the (min, first) semiring: w = A min.first v selects the
 // smallest contributing row value, used by BFS parent computation.
 func MinFirst[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: First[T, T]()}
+	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: First[T, T](), ops: opsMinFirst}
 }
 
 // MinSecond is the (min, second) semiring.
 func MinSecond[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: Second[T, T]()}
+	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: Second[T, T](), ops: opsMinSecond}
 }
 
 // MaxSecond is the (max, second) semiring.

@@ -38,7 +38,7 @@ func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector
 		}
 	}
 
-	plusFirst := grb.Semiring[float64, float64, float64]{Add: grb.PlusMonoid[float64](), Mul: grb.First[float64, float64]()}
+	plusFirst := grb.PlusFirst[float64]()
 	paths, levels, err := bcForward(g, sources, plusFirst, opts...)
 	if err != nil {
 		return nil, err

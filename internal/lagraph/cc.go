@@ -57,7 +57,10 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 		f = f0.Dup()
 	}
 
-	minSecond := grb.Semiring[float64, int64, int64]{Add: grb.MinMonoid[int64](), Mul: grb.Second[float64, int64]()}
+	// min.second ignores the stored weight, so it multiplies by the cached
+	// int64 pattern: same structure, and the constructor's semiring is one
+	// grb runs as visible arithmetic (a literal over g.A would not be).
+	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
 
 	ob := cfg.observer()
 	gp := f.Dup() // grandparent
@@ -71,11 +74,11 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 		}
 		// mngp(i) = min over neighbours j of gp(j): stochastic hooking.
 		mngp := grb.MustVector[int64](n)
-		if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), nil, minSecond, g.A, gp, nil); err != nil {
+		if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), nil, minSecond, a, gp, nil); err != nil {
 			return nil, err
 		}
 		if g.Kind == Directed {
-			if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, g.A, gp, grb.DescT0); err != nil {
+			if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, gp, grb.DescT0); err != nil {
 				return nil, err
 			}
 		}
@@ -162,17 +165,17 @@ func ConnectedComponentsLabelProp(g *Graph, opts ...Option) (*grb.Vector[int64],
 		ids[i] = int64(i)
 	}
 	l := grb.DenseVector(ids)
-	minSecond := grb.Semiring[float64, int64, int64]{Add: grb.MinMonoid[int64](), Mul: grb.Second[float64, int64]()}
+	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
 	for iter := 0; iter <= n; iter++ {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
 		prev := l.Dup()
-		if err := grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, g.A, l, nil); err != nil {
+		if err := grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, l, nil); err != nil {
 			return nil, err
 		}
 		if g.Kind == Directed {
-			if err := grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, g.A, l, grb.DescT0); err != nil {
+			if err := grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, l, grb.DescT0); err != nil {
 				return nil, err
 			}
 		}

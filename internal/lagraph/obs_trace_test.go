@@ -240,3 +240,54 @@ func dirs(iters []obs.IterRecord) []string {
 	}
 	return out
 }
+
+// TestGAPKernelsRunVisibleOperators is the work gate for the tagged inner
+// loops (grb's mono.go): on a skewed graph and on a lattice, every product
+// PageRank, FastSV, TC, delta-stepping SSSP and batched BC make is recorded
+// under the semiring the algorithm spells — the op ran the inline loops, not
+// the closures — while level BFS, whose lor.first literal no constructor
+// can type, records none. A count of records, the same on any host.
+func TestGAPKernelsRunVisibleOperators(t *testing.T) {
+	cfg := gen.Config{Seed: 24, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"rmat-10", FromEdgeList(gen.RMAT(10, 8, cfg), Undirected)},
+		{"lattice-32", FromEdgeList(gen.Grid2D(32, 32, cfg), Undirected)},
+	} {
+		g, sources := tc.g, spreadSources(tc.g.N(), 4)
+		for _, k := range []struct {
+			algo, ops string
+			run       func() error
+		}{
+			{"pagerank", "plus.second", func() error { _, err := PageRankWith(g); return err }},
+			{"cc", "min.second", func() error { _, err := ConnectedComponentsFastSV(g); return err }},
+			{"tc", "plus.pair", func() error { _, err := TriangleCount(g, TCAuto); return err }},
+			{"sssp", "min.plus", func() error { _, err := SSSP(g, sources[0]); return err }},
+			{"bc", "plus.first", func() error { _, err := BetweennessCentrality(g, sources); return err }},
+			{"bfs", "", func() error { _, err := BFSLevels(g, sources[0]); return err }},
+		} {
+			trace := obs.NewTrace(1 << 14)
+			restore := obs.Set(trace)
+			err := k.run()
+			obs.Set(restore)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, k.algo, err)
+			}
+			products := 0
+			for _, op := range trace.Ops() {
+				if op.Op != "mxm" && op.Op != "vxm" && op.Op != "mxv" {
+					continue
+				}
+				products++
+				if op.Ops != k.ops {
+					t.Errorf("%s %s: %s/%s ran operators %q, want %q", tc.name, k.algo, op.Op, op.Kernel, op.Ops, k.ops)
+				}
+			}
+			if products == 0 {
+				t.Errorf("%s %s: no product op record", tc.name, k.algo)
+			}
+		}
+	}
+}

@@ -108,12 +108,13 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 	// replace.
 	descVC := &grb.Descriptor{Comp: true, MaskValue: true}
 	descRVC := &grb.Descriptor{Replace: true, Comp: true, MaskValue: true}
-	// Relaxations name their direction. The product is an unmasked min.+
-	// with no terminal value, so a pull has nothing to skip: it costs
-	// nnz(edges) per call, plus a transpose of a matrix built by this very
-	// call, where the pushes of a whole query sum to about nnz(A). BFS and
-	// BC leave the choice to grb, whose density switch assumes a mask or a
-	// terminal that lets a dense-frontier pull stop early.
+	// Relaxations name their direction. The product is an unmasked min.+,
+	// and min's terminal value is −Inf, which no finite distance reaches, so
+	// a pull has nothing to skip: it costs nnz(edges) per call, plus a
+	// transpose of a matrix built by this very call, where the pushes of a
+	// whole query sum to about nnz(A). BFS and BC leave the choice to grb,
+	// whose density switch assumes a mask or a terminal that lets a
+	// dense-frontier pull stop early.
 	descPush := &grb.Descriptor{Dir: grb.DirPush}
 
 	// relax folds the candidate distances tNew = from min.+ edges into t

@@ -50,6 +50,10 @@ type OpRecord struct {
 	// directions by the work estimates, the winner's in EstFlops). Empty
 	// for ops with no method choice.
 	Policy string `json:"policy,omitempty"`
+	// Ops names the built-in semiring whose operators an mxm/vxm/mxv ran
+	// as inline arithmetic ("plus.second", "min.plus", ...; grb's mono.go).
+	// Empty: the generic loops, which call the semiring's closures.
+	Ops string `json:"ops,omitempty"`
 	// Rows and Cols are the output dimensions.
 	Rows int `json:"rows,omitempty"`
 	Cols int `json:"cols,omitempty"`
