@@ -311,6 +311,63 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 }
 
+// TestConcurrentSSSPOnColdEntry: delta-stepping's light/heavy split is the
+// one graph property filled lazily under View's shared lock, not by warm.
+// Eight readers released together on a cold entry all miss it, build it
+// and store it; under -race that is the test of its publication, and every
+// distance vector must be bitwise the one a graph with no cache computes.
+func TestConcurrentSSSPOnColdEntry(t *testing.T) {
+	leakcheck.Check(t)
+	const readers = 8
+	weighted := func() *lagraph.Graph {
+		e := gen.RMAT(9, 8, gen.Config{Seed: 11, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10})
+		return lagraph.FromEdgeList(e, lagraph.Undirected)
+	}
+	digest := func(g *lagraph.Graph) (string, error) {
+		d, err := lagraph.SSSP(g, 3)
+		if err != nil {
+			return "", err
+		}
+		is, xs := d.ExtractTuples()
+		return fmt.Sprint(is, xs), nil
+	}
+	want, err := digest(weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := New().Add("g", weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	got := make([]string, readers)
+	errs := make([]error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			errs[r] = e.View(func(g *lagraph.Graph) error {
+				var err error
+				got[r], err = digest(g)
+				return err
+			})
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+	for r := range got {
+		if errs[r] != nil {
+			t.Fatalf("reader %d: %v", r, errs[r])
+		}
+		if got[r] != want {
+			t.Fatalf("reader %d: distances differ from an uncached run", r)
+		}
+	}
+}
+
 // TestSnapshotterVsReadersVsWriter is the persistence -race stress test:
 // a background snapshotter repeatedly serializes the entry while 8
 // readers query and 1 writer mutates. The durability contract under

@@ -120,7 +120,10 @@ func (e *Entry) Name() string { return e.name }
 // of the graph materialized: fn may run any read-only algorithm (and the
 // lazy property getters AT/OutDegree/InDegree/PatternInt64, which are
 // all warm cache hits) concurrently with other View calls. fn must not
-// mutate the graph; mutations go through Update.
+// mutate the graph; mutations go through Update. The one graph property
+// not warmed is delta-stepping's light/heavy split: the first SSSP of a
+// generation builds it here, under the shared lock, and lagraph publishes
+// it atomically so concurrent readers may race to build it.
 //
 //grblint:holdslock mu read
 func (e *Entry) View(fn func(g *lagraph.Graph) error) error {
@@ -348,7 +351,10 @@ func (e *Entry) warmNow() {
 	// 2. Graph property cache: transpose (directed only — undirected AT
 	// aliases A), degree vectors, int64 pattern, self-loop count. Each
 	// getter caches into g; materialize their own lazy state too so a
-	// reader's access is a pure load.
+	// reader's access is a pure load. The delta split is left to the first
+	// SSSP: every ingest leaves the entry cold and most reads are not
+	// SSSPs, so warming it would add two selects to each write-then-read
+	// for a kernel nobody asked for.
 	at := g.AT()
 	if at != g.A {
 		at.Materialize()

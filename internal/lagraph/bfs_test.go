@@ -191,16 +191,34 @@ func TestBFSBadSource(t *testing.T) {
 }
 
 func TestSSSPBellmanFordMatchesDijkstra(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
+	rmat := func(seed int64) *Graph {
 		e := gen.RMAT(8, 8, gen.Config{Seed: seed, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10})
-		g := FromEdgeList(e, Undirected)
-		bg := baseline.FromMatrix(g.A.Dup())
-		want := baseline.Dijkstra(bg, 0)
-		got, err := SSSPBellmanFord(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ssspMatch(t, got, want)
+		return FromEdgeList(e, Undirected)
+	}
+	// Vertex 4 sits at 1e15, where a float64 sum of the distances moves in
+	// steps of 0.125. Iteration 3 finds 0→2→3→1 and improves d(1) from 1 to
+	// 0.99, which that sum cannot see; d(5) = d(1) + 10 moves at iteration 4.
+	far := FromEdgeList(&gen.EdgeList{N: 6,
+		Src: []int{0, 0, 0, 2, 3, 1},
+		Dst: []int{4, 1, 2, 3, 1, 5},
+		W:   []float64{1e15, 1, 0.33, 0.33, 0.33, 10},
+	}, Directed)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"rmat-8 seed 1", rmat(1)},
+		{"rmat-8 seed 2", rmat(2)},
+		{"improvement below the sum's precision", far},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := baseline.Dijkstra(baseline.FromMatrix(tc.g.A.Dup()), 0)
+			got, err := SSSPBellmanFord(tc.g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ssspMatch(t, got, want)
+		})
 	}
 }
 

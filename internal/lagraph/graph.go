@@ -11,6 +11,7 @@ package lagraph
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
@@ -41,7 +42,9 @@ var (
 
 // Graph bundles a GraphBLAS adjacency matrix with cached derived
 // properties, in the style of the LAGraph_Graph object: the cache is
-// computed on demand and reused by the algorithms.
+// computed on demand and reused by the algorithms. A caller sharing the
+// graph between goroutines fills the plain fields first (catalog.Entry's
+// warm); the delta split, filled by concurrent readers, is atomic.
 type Graph struct {
 	// A is the (weighted) adjacency matrix; A(i,j) is the weight of edge
 	// i→j.
@@ -54,17 +57,50 @@ type Graph struct {
 	inDeg     *grb.Vector[int64]
 	nselfLoop int
 	selfOK    bool
+	split     atomic.Pointer[edgeSplit]
+}
+
+// edgeSplit is A split at delta: light holds the entries < delta, heavy
+// those ≥ delta. It is never modified after it is stored.
+type edgeSplit struct {
+	delta        float64
+	light, heavy *grb.Matrix[float64]
 }
 
 // InvalidateCache drops the cached derived properties (transpose,
-// pattern, degrees). Call it after mutating A directly; the algorithms
-// otherwise treat the adjacency as immutable, as LAGraph does.
+// pattern, degrees, self-loop count, the delta split). Call it after
+// mutating A directly; the algorithms otherwise treat the adjacency as
+// immutable, as LAGraph does.
 func (g *Graph) InvalidateCache() {
 	g.at = nil
 	g.pattern = nil
 	g.outDeg = nil
 	g.inDeg = nil
 	g.selfOK = false
+	g.split.Store(nil)
+}
+
+// deltaSplit returns A's light (< delta) and heavy (≥ delta) edges, the
+// two matrices delta-stepping relaxes. They are a pure function of (A,
+// delta), cached for one delta at a time. Concurrent callers that miss
+// each build the same halves and the last store wins; a record is stored
+// only once both halves are complete, so none is seen half-built.
+func (g *Graph) deltaSplit(delta float64) (light, heavy *grb.Matrix[float64], err error) {
+	if s := g.split.Load(); s != nil && s.delta == delta {
+		return s.light, s.heavy, nil
+	}
+	n := g.N()
+	light, heavy = grb.MustMatrix[float64](n, n), grb.MustMatrix[float64](n, n)
+	if err = grb.SelectMatrix[float64, bool](light, nil, nil, grb.ValueLT(delta), g.A, nil); err != nil {
+		return nil, nil, err
+	}
+	if err = grb.SelectMatrix[float64, bool](heavy, nil, nil, grb.ValueGE(delta), g.A, nil); err != nil {
+		return nil, nil, err
+	}
+	light.Wait()
+	heavy.Wait()
+	g.split.Store(&edgeSplit{delta: delta, light: light, heavy: heavy})
+	return light, heavy, nil
 }
 
 // NewGraph wraps an adjacency matrix. The matrix is adopted, not copied.

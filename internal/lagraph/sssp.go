@@ -12,8 +12,13 @@ import (
 // (min,+) semiring, and the delta-stepping formulation of Sridhar et
 // al. [32] used by LAGraph.
 
-// SSSPBellmanFord iterates d ← d min.+ (dᵀA) until the distance vector
-// reaches a fixed point. Edge weights must be non-negative (no negative
+// notLess marks a candidate distance that improves nothing — the exact test
+// of Sridhar et al.: a candidate counts only if it is strictly less than
+// the distance it replaces.
+func notLess(cand, cur float64) bool { return cand >= cur }
+
+// SSSPBellmanFord iterates d ← d min (d min.+ A) until no candidate
+// distance improves on d. Edge weights must be non-negative (no negative
 // cycle detection). Unreached vertices hold no entry.
 func SSSPBellmanFord(g *Graph, src int, opts ...Option) (*grb.Vector[float64], error) {
 	if err := g.checkSource(src); err != nil {
@@ -21,37 +26,40 @@ func SSSPBellmanFord(g *Graph, src int, opts ...Option) (*grb.Vector[float64], e
 	}
 	cfg := newOptions(opts)
 	ob := cfg.observer()
-	n := g.N()
-	d := grb.MustVector[float64](n)
+	d := grb.MustVector[float64](g.N())
 	_ = d.SetElement(src, 0)
-	minPlus := grb.MinPlus[float64]()
-	for iter := 0; iter < cfg.maxIter(n); iter++ {
+	for iter := 0; iter < cfg.maxIter(g.N()); iter++ {
 		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		prevN := d.Nvals()
-		prevSum, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), d)
-		if err != nil {
 			return nil, err
 		}
 		var t0 int64
 		if ob != nil {
 			t0 = ob.Now()
 		}
-		// d ← d min (d min.+ A)
-		if err := grb.VxM(d, (*grb.Vector[bool])(nil), grb.MinOp[float64](), minPlus, d, g.A, nil); err != nil {
+		// tNew = d min.+ A;  stale⟨tNew⟩ = tNew ≥ d
+		tNew := grb.MustVector[float64](g.N())
+		if err := grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, grb.MinPlus[float64](), d, g.A, nil); err != nil {
 			return nil, err
 		}
-		curSum, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), d)
-		if err != nil {
+		stale := grb.MustVector[bool](g.N())
+		if err := grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, d, nil); err != nil {
+			return nil, err
+		}
+		// better⟨¬stale⟩ = tNew: the candidates strictly below d or newly
+		// reached. None left is the fixed point, exactly.
+		better := grb.MustVector[float64](g.N())
+		if err := grb.AssignVector(better, stale, nil, tNew, grb.All, &grb.Descriptor{Comp: true, MaskValue: true}); err != nil {
 			return nil, err
 		}
 		if ob != nil {
-			ob.Iter(obs.IterRecord{Algo: "sssp-bf", Iter: iter + 1, Frontier: d.Nvals(),
-				Residual: math.Abs(curSum - prevSum), DurNanos: ob.Now() - t0})
+			ob.Iter(obs.IterRecord{Algo: "sssp-bf", Iter: iter + 1, Frontier: better.Nvals(), DurNanos: ob.Now() - t0})
 		}
-		if d.Nvals() == prevN && curSum == prevSum {
+		if better.Nvals() == 0 {
 			return d, nil
+		}
+		// d min= better
+		if err := grb.AssignVector(d, (*grb.Vector[bool])(nil), grb.MinOp[float64](), better, grb.All, nil); err != nil {
+			return nil, err
 		}
 	}
 	return d, nil
@@ -83,13 +91,8 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 	ob := cfg.observer()
 	n := g.N()
 
-	// Split the adjacency into light and heavy edge matrices.
-	light := grb.MustMatrix[float64](n, n)
-	heavy := grb.MustMatrix[float64](n, n)
-	if err := grb.SelectMatrix[float64, bool](light, nil, nil, grb.ValueLT(delta), g.A, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.SelectMatrix[float64, bool](heavy, nil, nil, grb.ValueGE(delta), g.A, nil); err != nil {
+	light, heavy, err := g.deltaSplit(delta)
+	if err != nil {
 		return nil, err
 	}
 
@@ -103,7 +106,6 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 
 	minPlus := grb.MinPlus[float64]()
 	minOp := grb.MinOp[float64]()
-	notLess := func(cand, cur float64) bool { return cand >= cur }
 	// descVC writes through the complement of a value mask, descRVC with
 	// replace.
 	descVC := &grb.Descriptor{Comp: true, MaskValue: true}
@@ -111,17 +113,16 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 	// Relaxations name their direction. The product is an unmasked min.+,
 	// and min's terminal value is −Inf, which no finite distance reaches, so
 	// a pull has nothing to skip: it costs nnz(edges) per call, plus a
-	// transpose of a matrix built by this very call, where the pushes of a
-	// whole query sum to about nnz(A). BFS and BC leave the choice to grb,
+	// transpose of the half of A it sweeps, where the pushes of a whole
+	// query sum to about nnz(A) — and a push only reads the halves, which
+	// concurrent queries share. BFS and BC leave the choice to grb,
 	// whose density switch assumes a mask or a terminal that lets a
 	// dense-frontier pull stop early.
 	descPush := &grb.Descriptor{Dir: grb.DirPush}
 
 	// relax folds the candidate distances tNew = from min.+ edges into t
-	// and unsettled. stale marks the candidates that improve nothing — the
-	// exact test of Sridhar et al.: a candidate counts only if it is
-	// strictly less than the distance it replaces (a vertex reached for the
-	// first time has no entry in t, so none in stale).
+	// and unsettled. stale marks the candidates notLess rejects (a vertex
+	// reached for the first time has no entry in t, so none in stale).
 	relax := func(from *grb.Vector[float64], edges *grb.Matrix[float64]) (tNew *grb.Vector[float64], stale *grb.Vector[bool], err error) {
 		tNew = grb.MustVector[float64](n)
 		if err = grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, descPush); err != nil {

@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -192,6 +193,47 @@ func TestEdgesDupPolicies(t *testing.T) {
 	post(t, ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "sssp", "src": 2}, &q2)
 	if q1.Checksum == "" || q1.Checksum != q2.Checksum {
 		t.Fatalf("sssp over accumulated weights not deterministic: %q vs %q", q1.Checksum, q2.Checksum)
+	}
+}
+
+// TestSSSPAfterEdgeCrossesDelta: an entry caches delta-stepping's
+// light/heavy split of its adjacency, so an upsert that moves an edge from
+// light to heavy (1.5 → 3.0 across the default width 2) must drop it. The
+// next query answers what a fresh server answers for the mutated graph:
+// d(1) goes from 1.5 (the direct edge) to 2 (via vertex 2).
+func TestSSSPAfterEdgeCrossesDelta(t *testing.T) {
+	const graph = "%%%%MatrixMarket matrix coordinate real general\n4 4 4\n1 2 %s\n1 3 1\n3 2 1\n2 4 1\n"
+	sssp := func(base string) QueryResponse {
+		t.Helper()
+		var q QueryResponse
+		if code := post(t, base+"/v1/graphs/d/query", map[string]any{"algo": "sssp", "src": 0}, &q); code != http.StatusOK || q.Checksum == "" {
+			t.Fatalf("sssp: status %d checksum %q", code, q.Checksum)
+		}
+		return q
+	}
+	load := func(base, w01 string) {
+		t.Helper()
+		if code := post(t, base+"/v1/graphs", map[string]any{"name": "d", "mmio": fmt.Sprintf(graph, w01)}, nil); code != http.StatusCreated {
+			t.Fatalf("load: status %d", code)
+		}
+	}
+	_, ts := newTestServer(t, Config{})
+	load(ts.URL, "1.5")
+	before := sssp(ts.URL)
+	if code, _ := postEdges(t, ts.URL, "d", map[string]any{
+		"dup":   "last", // replace the stored weight
+		"edges": []map[string]any{{"src": 0, "dst": 1, "weight": 3.0}},
+	}); code != http.StatusOK {
+		t.Fatalf("edges: status %d", code)
+	}
+	after := sssp(ts.URL)
+
+	_, fresh := newTestServer(t, Config{})
+	load(fresh.URL, "3.0")
+	want := sssp(fresh.URL)
+	if after.Checksum != want.Checksum || before.Checksum == want.Checksum {
+		t.Fatalf("sssp checksum %s before the upsert, %s after; a fresh server on the mutated graph answers %s (max distance %v after, want %v)",
+			before.Checksum, after.Checksum, want.Checksum, after.Result["max_distance"], want.Result["max_distance"])
 	}
 }
 

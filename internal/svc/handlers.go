@@ -451,7 +451,9 @@ func (s *Server) runQuery(ctx context.Context, e *catalog.Entry, req *QueryReque
 	if req.Damping > 0 {
 		opts = append(opts, lagraph.WithDamping(req.Damping))
 	}
-	if req.Delta > 0 {
+	// 0 is "default"; anything else, negatives included, is lagraph's to
+	// accept or reject (JSON carries no NaN or ±Inf).
+	if req.Delta != 0 {
 		opts = append(opts, lagraph.WithDelta(req.Delta))
 	}
 	var tr *obs.Trace

@@ -370,12 +370,13 @@ func TestInlineMMIOLoad(t *testing.T) {
 	}
 }
 
-// TestSSSPTinyDeltaOverHTTP: the query endpoint forwards any positive
+// TestSSSPTinyDeltaOverHTTP: the query endpoint forwards any non-zero
 // delta. A bucket width far below the edge weights used to walk every
 // empty bucket between two distances — ~10¹³ of them here — until the
 // deadline answered 504; it now costs one bucket per distinct distance and
 // returns the distances of the default width. A width below the spacing of
-// float64 at those distances is the caller's mistake: 400, not a spin.
+// float64 at those distances is the caller's mistake: 400, not a spin; so
+// is a negative one, which used to run the default width and answer 200.
 func TestSSSPTinyDeltaOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if code := post(t, ts.URL+"/v1/graphs", map[string]any{
@@ -384,18 +385,38 @@ func TestSSSPTinyDeltaOverHTTP(t *testing.T) {
 	}, nil); code != http.StatusCreated {
 		t.Fatalf("load: status %d", code)
 	}
-	var want, got QueryResponse
-	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1}, &want); code != http.StatusOK {
-		t.Fatalf("sssp: status %d", code)
+	var want QueryResponse
+	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1}, &want); code != http.StatusOK || want.Checksum == "" {
+		t.Fatalf("sssp: status %d checksum %q", code, want.Checksum)
 	}
-	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1, "delta": 1e-12, "timeout_ms": 5000}, &got); code != http.StatusOK {
-		t.Fatalf("sssp with delta 1e-12: status %d", code)
-	}
-	if got.Checksum == "" || got.Checksum != want.Checksum {
-		t.Fatalf("delta 1e-12 checksum %q, default delta %q", got.Checksum, want.Checksum)
-	}
-	var eb errorBody
-	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1, "delta": 1e-300, "timeout_ms": 5000}, &eb); code != http.StatusBadRequest || eb.Error.Code != "bad_request" {
-		t.Fatalf("delta 1e-300: status %d code %q, want 400 bad_request", code, eb.Error.Code)
+	// Each width replaces the entry's cached light/heavy split. A split made
+	// for a narrower width answers a wider one wrongly (its heavy half holds
+	// edges the query calls light), so 1e6 must not reuse the default's and
+	// the last query, back at the default, must not reuse 1e-300's.
+	for _, tc := range []struct {
+		delta float64
+		code  int
+	}{
+		{1e-12, http.StatusOK},
+		{1e6, http.StatusOK},
+		{1e-300, http.StatusBadRequest},
+		{-1, http.StatusBadRequest}, // not the default
+		{0, http.StatusOK},          // the default
+	} {
+		var got QueryResponse
+		var eb errorBody
+		out := any(&got)
+		if tc.code != http.StatusOK {
+			out = &eb
+		}
+		code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1, "delta": tc.delta, "timeout_ms": 5000}, out)
+		switch {
+		case code != tc.code:
+			t.Fatalf("delta %g: status %d, want %d", tc.delta, code, tc.code)
+		case code == http.StatusOK && got.Checksum != want.Checksum:
+			t.Fatalf("delta %g: checksum %q, default delta %q", tc.delta, got.Checksum, want.Checksum)
+		case code != http.StatusOK && eb.Error.Code != "bad_request":
+			t.Fatalf("delta %g: error code %q, want bad_request", tc.delta, eb.Error.Code)
+		}
 	}
 }
