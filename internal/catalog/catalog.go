@@ -1,9 +1,7 @@
 // Package catalog is the resident-graph registry of the service layer: a
 // named collection of lagraph.Graph objects, each wrapped in an Entry
-// that guards the graph's lazily computed cached properties (transpose
-// and column-oriented storage for pull kernels, degree vectors, pattern,
-// structural flags) behind a reader/writer locking protocol, so that many
-// concurrent queries can share one graph while ingestion mutates it.
+// that guards the graph behind a reader/writer locking protocol, so that
+// many concurrent queries can share one graph while ingestion mutates it.
 //
 // # Locking protocol
 //
@@ -14,19 +12,21 @@
 //  1. pending tuples and zombies (the non-blocking execution model):
 //     assembled by the next whole-object operation or Wait;
 //  2. the column-oriented (CSC) cache built on first use by pull/dot
-//     kernels (internally mutex-guarded, but built lazily);
-//  3. the Graph property cache (AT, degrees, pattern, self-loop count),
-//     computed on first use by whichever algorithm needs it.
+//     kernels (guarded by the matrix's own mutex);
+//  3. the Graph property cache (AT, degrees, pattern, self-loop count,
+//     symmetry, the delta split), computed on first use by whichever
+//     algorithm needs it and published atomically.
 //
-// An Entry therefore distinguishes a warmed graph — every lazy structure
-// materialized, safe for unlimited concurrent readers — from a cold one.
-// Readers enter through View, which warms the entry under the exclusive
-// lock if needed and then runs the caller with the read lock held.
-// Writers enter through Update, which holds the exclusive lock, and on
-// exit invalidates the property cache, assembles all pending work (the
+// Only the first needs the exclusive lock. An Entry therefore
+// distinguishes a warm graph — no pending tuples, safe for unlimited
+// concurrent readers, who build the other two as they ask — from a cold
+// one. Readers enter through View, which warms the entry under the
+// exclusive lock if needed and then runs the caller with the read lock
+// held. Writers enter through Update, which holds the exclusive lock, and
+// on exit invalidates the property cache, assembles all pending work (the
 // "Wait before publish" rule: a reader must never observe pending
-// tuples), bumps the generation counter, and marks the entry cold so the
-// next reader re-warms it.
+// tuples) and bumps the generation counter; Ingest leaves the assembly to
+// the next reader and marks the entry cold.
 package catalog
 
 import (
@@ -58,7 +58,7 @@ type Stats struct {
 	Views   int64 `json:"views"`   // read-locked query executions
 	Updates int64 `json:"updates"` // write-locked mutations
 	Ingests int64 `json:"ingests"` // streaming edge-batch mutations
-	Warms   int64 `json:"warms"`   // cold→warm property materializations
+	Warms   int64 `json:"warms"`   // cold→warm pending-tuple assemblies
 }
 
 // Catalog is a concurrency-safe name → Entry registry.

@@ -34,9 +34,9 @@ func (r Role) String() string {
 	}
 }
 
-// Properties is the cached, cheaply observable state of an entry: the
-// structural facts algorithms and operators keep asking for, computed
-// once per generation at warm time instead of per query.
+// Properties is the cheaply observable state of an entry: the structural
+// facts algorithms and operators keep asking for, computed once per
+// generation by the first reader that asks instead of per query.
 type Properties struct {
 	Name       string `json:"name"`
 	Directed   bool   `json:"directed"`
@@ -45,13 +45,15 @@ type Properties struct {
 	NSelfLoops int    `json:"nself_loops"`
 	Empty      bool   `json:"empty"`
 	// Symmetric reports structural+numerical symmetry of the adjacency;
-	// computed at warm time (one transpose + compare), then served from
-	// the cache until the next mutation.
+	// computed by the first Properties call of a generation (one
+	// transpose + compare), then cached on the graph until the next
+	// mutation.
 	Symmetric bool `json:"symmetric"`
 	// Generation counts mutations: it bumps on every Update, so clients
 	// can detect that cached derived data went stale.
 	Generation uint64 `json:"generation"`
-	// Warm reports whether the lazy caches are currently materialized.
+	// Warm reports whether the adjacency has no pending tuples, so that
+	// readers may share it.
 	Warm bool `json:"warm"`
 	// Role is the entry's cluster placement role ("primary" | "replica";
 	// empty on a single-node daemon, keeping pre-cluster responses
@@ -93,12 +95,6 @@ type Entry struct {
 	// replication-lag LSN is srcHead - jseq, clamped at zero.
 	srcHead atomic.Uint64
 
-	// warm-time flags (valid while warm is true, kept until next Update
-	// so Properties of a cold entry can still report the last-known
-	// values alongside Warm=false).
-	symmetric bool //grblint:guardedby mu
-	selfLoops int  //grblint:guardedby mu
-
 	// staged carries one Ingest callback's declared delta to the
 	// post-bump commit (see results.go).
 	staged *stagedDelta //grblint:guardedby mu
@@ -116,14 +112,13 @@ type Entry struct {
 // Name returns the registered name.
 func (e *Entry) Name() string { return e.name }
 
-// View runs fn with the entry's read lock held and every lazy structure
-// of the graph materialized: fn may run any read-only algorithm (and the
-// lazy property getters AT/OutDegree/InDegree/PatternInt64, which are
-// all warm cache hits) concurrently with other View calls. fn must not
-// mutate the graph; mutations go through Update. The one graph property
-// not warmed is delta-stepping's light/heavy split: the first SSSP of a
-// generation builds it here, under the shared lock, and lagraph publishes
-// it atomically so concurrent readers may race to build it.
+// View runs fn with the entry's read lock held and the adjacency's
+// pending tuples assembled: fn may run any read-only algorithm
+// concurrently with other View calls. The graph's cached properties (AT,
+// degrees, pattern, self-loops, symmetry, the delta split) are built here,
+// under the shared lock, by the first reader that asks; lagraph publishes
+// each atomically, so concurrent readers may race to build one. fn must
+// not mutate the graph; mutations go through Update.
 //
 //grblint:holdslock mu read
 func (e *Entry) View(fn func(g *lagraph.Graph) error) error {
@@ -146,6 +141,7 @@ func (e *Entry) View(fn func(g *lagraph.Graph) error) error {
 // e.g the matrix). On exit — success or error — the entry invalidates the
 // property cache, assembles all pending tuples (Wait before publish:
 // readers must never race a lazy assembly), and bumps the generation.
+// That assembly is all a warm does, so the entry is published warm.
 //
 //grblint:holdslock mu
 func (e *Entry) Update(fn func(g *lagraph.Graph) error) error {
@@ -158,7 +154,7 @@ func (e *Entry) Update(fn func(g *lagraph.Graph) error) error {
 	// Even a failed update may have mutated: always invalidate + publish.
 	e.g.InvalidateCache()
 	e.g.A.Wait()
-	e.warm = false
+	e.warm = true
 	e.gen.Add(1)
 	e.cat.updates.Add(1)
 	// An Update is an untracked mutation: cached results stay (stale),
@@ -264,9 +260,9 @@ func (e *Entry) SetJournalSeq(lsn uint64) { e.jseq.Store(lsn) }
 // batch ever applied). Lock-free, safe inside View callbacks.
 func (e *Entry) JournalSeq() uint64 { return e.jseq.Load() }
 
-// Properties returns the entry's cached structural facts. On a warm entry
-// this is lock-shared and touches no lazy state; on a cold entry it warms
-// first (the service's info endpoint doubles as a prefetch).
+// Properties returns the entry's structural facts. It runs under View's
+// shared lock: the self-loop count and the symmetry flag are the graph's
+// cached properties, built by the first call of a generation.
 func (e *Entry) Properties() Properties {
 	var p Properties
 	_ = e.View(func(g *lagraph.Graph) error {
@@ -275,9 +271,9 @@ func (e *Entry) Properties() Properties {
 			Directed:   g.Kind == lagraph.Directed,
 			N:          g.N(),
 			NEdges:     g.NEdges(),
-			NSelfLoops: e.selfLoops,
+			NSelfLoops: g.NSelfLoops(),
 			Empty:      g.NEdges() == 0,
-			Symmetric:  e.symmetric,
+			Symmetric:  g.IsSymmetric(),
 			Generation: e.gen.Load(),
 			Warm:       e.warm,
 			Role:       e.Role().String(),
@@ -337,34 +333,17 @@ func (e *Entry) Snapshot(w io.Writer) (SnapshotInfo, error) {
 	return info, err
 }
 
-// warmNow materializes every lazy structure under the exclusive lock.
+// warmNow assembles the adjacency's pending tuples under the exclusive
+// lock: the one lazy step that writes A itself. A's column form is built
+// under its own mutex and the graph's properties are published
+// atomically, so both are left to the reader that asks for them.
 func (e *Entry) warmNow() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.warm {
 		return // another reader warmed while we waited
 	}
-	g := e.g
-	// 1. Pending-tuple model: assemble buffered updates first, then build
-	// the column-oriented cache pull/dot kernels will want.
-	g.A.Materialize()
-	// 2. Graph property cache: transpose (directed only — undirected AT
-	// aliases A), degree vectors, int64 pattern, self-loop count. Each
-	// getter caches into g; materialize their own lazy state too so a
-	// reader's access is a pure load. The delta split is left to the first
-	// SSSP: every ingest leaves the entry cold and most reads are not
-	// SSSPs, so warming it would add two selects to each write-then-read
-	// for a kernel nobody asked for.
-	at := g.AT()
-	if at != g.A {
-		at.Materialize()
-	}
-	g.OutDegree().Wait()
-	g.InDegree().Wait()
-	g.PatternInt64().Materialize()
-	e.selfLoops = g.NSelfLoops()
-	// 3. Structural flags computed once per generation.
-	e.symmetric = g.NEdges() == 0 || g.IsSymmetric()
+	e.g.A.Wait()
 	e.warm = true
 	e.cat.warms.Add(1)
 }

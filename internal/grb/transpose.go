@@ -29,8 +29,8 @@ func (a *Matrix[T]) materializedCSC() *cs[T] {
 // tuples and zombies are assembled and the column-oriented cache is
 // built. After Materialize returns, read-only operations — including the
 // pull and dot kernels that want column access — never mutate the matrix,
-// so it can be shared by any number of concurrent readers. This is the
-// "Wait before publish" step of the catalog locking protocol.
+// so it can be shared by any number of concurrent readers. (Wait alone
+// suffices for that: the column-oriented cache is built under cscMu.)
 func (a *Matrix[T]) Materialize() {
 	a.materializedCSC()
 }

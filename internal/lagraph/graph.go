@@ -41,52 +41,83 @@ var (
 )
 
 // Graph bundles a GraphBLAS adjacency matrix with cached derived
-// properties, in the style of the LAGraph_Graph object: the cache is
-// computed on demand and reused by the algorithms. A caller sharing the
-// graph between goroutines fills the plain fields first (catalog.Entry's
-// warm); the delta split, filled by concurrent readers, is atomic.
+// properties, in the style of the LAGraph_Graph object: a property is
+// unknown until an algorithm asks for it, then kept until InvalidateCache.
+// Every property is published atomically (see cached), so goroutines
+// sharing a graph whose A has no pending tuples may read, and race to
+// build, any of them.
 type Graph struct {
 	// A is the (weighted) adjacency matrix; A(i,j) is the weight of edge
 	// i→j.
 	A    *grb.Matrix[float64]
 	Kind Kind
 
-	at        *grb.Matrix[float64]
-	pattern   *grb.Matrix[int64]
-	outDeg    *grb.Vector[int64]
-	inDeg     *grb.Vector[int64]
-	nselfLoop int
-	selfOK    bool
-	split     atomic.Pointer[edgeSplit]
+	at        cached[*grb.Matrix[float64]]
+	pattern   cached[*grb.Matrix[int64]]
+	outDeg    cached[*grb.Vector[int64]]
+	inDeg     cached[*grb.Vector[int64]]
+	nselfLoop cached[int]
+	symmetric cached[bool]
+	split     cached[edgeSplit]
 }
 
+// cached is one derived property of a Graph: an immutable value behind an
+// atomic pointer. The first caller that misses builds it, settles it and
+// stores it. Callers racing on a miss each build the same value (a pure
+// function of A), so the last store wins and none is seen half-built.
+type cached[T any] struct{ p atomic.Pointer[T] }
+
+func (c *cached[T]) get(build func() T) T {
+	if p := c.p.Load(); p != nil {
+		return *p
+	}
+	return c.store(build())
+}
+
+// store publishes v after assembling any pending work it holds: a reader
+// that found pending tuples would assemble them, a write.
+func (c *cached[T]) store(v T) T {
+	if s, ok := any(v).(interface{ Wait() }); ok {
+		s.Wait()
+	}
+	c.p.Store(&v)
+	return v
+}
+
+func (c *cached[T]) drop() { c.p.Store(nil) }
+
 // edgeSplit is A split at delta: light holds the entries < delta, heavy
-// those ≥ delta. It is never modified after it is stored.
+// those ≥ delta.
 type edgeSplit struct {
 	delta        float64
 	light, heavy *grb.Matrix[float64]
 }
 
+// Wait settles both halves, so cached.store publishes them together.
+func (s edgeSplit) Wait() {
+	s.light.Wait()
+	s.heavy.Wait()
+}
+
 // InvalidateCache drops the cached derived properties (transpose,
-// pattern, degrees, self-loop count, the delta split). Call it after
-// mutating A directly; the algorithms otherwise treat the adjacency as
-// immutable, as LAGraph does.
+// pattern, degrees, self-loop count, symmetry, the delta split). Call it
+// after mutating A directly; the algorithms otherwise treat the adjacency
+// as immutable, as LAGraph does.
 func (g *Graph) InvalidateCache() {
-	g.at = nil
-	g.pattern = nil
-	g.outDeg = nil
-	g.inDeg = nil
-	g.selfOK = false
-	g.split.Store(nil)
+	g.at.drop()
+	g.pattern.drop()
+	g.outDeg.drop()
+	g.inDeg.drop()
+	g.nselfLoop.drop()
+	g.symmetric.drop()
+	g.split.drop()
 }
 
 // deltaSplit returns A's light (< delta) and heavy (≥ delta) edges, the
-// two matrices delta-stepping relaxes. They are a pure function of (A,
-// delta), cached for one delta at a time. Concurrent callers that miss
-// each build the same halves and the last store wins; a record is stored
-// only once both halves are complete, so none is seen half-built.
+// two matrices delta-stepping relaxes, cached for one delta at a time: a
+// query at another delta replaces the split.
 func (g *Graph) deltaSplit(delta float64) (light, heavy *grb.Matrix[float64], err error) {
-	if s := g.split.Load(); s != nil && s.delta == delta {
+	if s := g.split.p.Load(); s != nil && s.delta == delta {
 		return s.light, s.heavy, nil
 	}
 	n := g.N()
@@ -97,9 +128,7 @@ func (g *Graph) deltaSplit(delta float64) (light, heavy *grb.Matrix[float64], er
 	if err = grb.SelectMatrix[float64, bool](heavy, nil, nil, grb.ValueGE(delta), g.A, nil); err != nil {
 		return nil, nil, err
 	}
-	light.Wait()
-	heavy.Wait()
-	g.split.Store(&edgeSplit{delta: delta, light: light, heavy: heavy})
+	g.split.store(edgeSplit{delta: delta, light: light, heavy: heavy})
 	return light, heavy, nil
 }
 
@@ -135,31 +164,19 @@ func (g *Graph) AT() *grb.Matrix[float64] {
 	if g.Kind == Undirected {
 		return g.A
 	}
-	if g.at == nil {
+	return g.at.get(func() *grb.Matrix[float64] {
 		at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
 		if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
 			panic(err)
 		}
-		g.at = at
-	}
-	return g.at
+		return at
+	})
 }
 
 // OutDegree returns the cached out-degree vector (number of stored entries
 // per row).
 func (g *Graph) OutDegree() *grb.Vector[int64] {
-	if g.outDeg == nil {
-		deg := grb.MustVector[int64](g.N())
-		ones := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
-		if err := grb.ApplyMatrix[float64, int64, bool](ones, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
-			panic(err)
-		}
-		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, nil); err != nil {
-			panic(err)
-		}
-		g.outDeg = deg
-	}
-	return g.outDeg
+	return g.outDeg.get(func() *grb.Vector[int64] { return g.degree(nil) })
 }
 
 // InDegree returns the cached in-degree vector.
@@ -167,54 +184,54 @@ func (g *Graph) InDegree() *grb.Vector[int64] {
 	if g.Kind == Undirected {
 		return g.OutDegree()
 	}
-	if g.inDeg == nil {
-		deg := grb.MustVector[int64](g.N())
-		ones := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
-		if err := grb.ApplyMatrix[float64, int64, bool](ones, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
-			panic(err)
-		}
-		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, grb.DescT0); err != nil {
-			panic(err)
-		}
-		g.inDeg = deg
+	return g.inDeg.get(func() *grb.Vector[int64] { return g.degree(grb.DescT0) })
+}
+
+// degree reduces the pattern's rows (desc nil) or columns (grb.DescT0).
+func (g *Graph) degree(desc *grb.Descriptor) *grb.Vector[int64] {
+	deg := grb.MustVector[int64](g.N())
+	if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), desc); err != nil {
+		panic(err)
 	}
-	return g.inDeg
+	return deg
 }
 
 // NSelfLoops counts diagonal entries (cached).
 func (g *Graph) NSelfLoops() int {
-	if !g.selfOK {
+	return g.nselfLoop.get(func() int {
 		d := grb.MustMatrix[float64](g.A.Nrows(), g.A.Ncols())
 		if err := grb.SelectMatrix[float64, bool](d, nil, nil, grb.Diag[float64](0), g.A, nil); err != nil {
 			panic(err)
 		}
-		g.nselfLoop = d.Nvals()
-		g.selfOK = true
-	}
-	return g.nselfLoop
+		return d.Nvals()
+	})
 }
 
-// IsSymmetric checks structural and numerical symmetry of the adjacency.
+// IsSymmetric reports structural and numerical symmetry of the adjacency
+// (cached). It is computed, never assumed from Kind: an undirected graph
+// adopts whatever matrix it is given.
 func (g *Graph) IsSymmetric() bool {
-	at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
-	if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
-		panic(err)
-	}
-	if at.Nvals() != g.A.Nvals() {
-		return false
-	}
-	eq := grb.MustMatrix[bool](g.A.Nrows(), g.A.Ncols())
-	if err := grb.EWiseMultMatrix[float64, float64, bool, bool](eq, nil, nil, grb.Eq[float64](), g.A, at, nil); err != nil {
-		panic(err)
-	}
-	if eq.Nvals() != g.A.Nvals() {
-		return false // patterns differ
-	}
-	allTrue, err := grb.ReduceMatrixToScalar(grb.LAndMonoid(), eq)
-	if err != nil {
-		return false
-	}
-	return allTrue
+	return g.symmetric.get(func() bool {
+		at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
+		if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
+			panic(err)
+		}
+		if at.Nvals() != g.A.Nvals() {
+			return false
+		}
+		eq := grb.MustMatrix[bool](g.A.Nrows(), g.A.Ncols())
+		if err := grb.EWiseMultMatrix[float64, float64, bool, bool](eq, nil, nil, grb.Eq[float64](), g.A, at, nil); err != nil {
+			panic(err)
+		}
+		if eq.Nvals() != g.A.Nvals() {
+			return false // patterns differ
+		}
+		allTrue, err := grb.ReduceMatrixToScalar(grb.LAndMonoid(), eq)
+		if err != nil {
+			return false
+		}
+		return allTrue
+	})
 }
 
 // requireUndirected returns ErrNotUndirected unless the graph is declared
@@ -291,13 +308,11 @@ func DegreeHistogram(g *Graph) []int {
 // 1 (int64), the form several §V algorithms start from. The result is
 // cached; callers must not mutate it.
 func (g *Graph) PatternInt64() *grb.Matrix[int64] {
-	if g.pattern == nil {
+	return g.pattern.get(func() *grb.Matrix[int64] {
 		p := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
 		if err := grb.ApplyMatrix[float64, int64, bool](p, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
 			panic(err)
 		}
-		p.Wait()
-		g.pattern = p
-	}
-	return g.pattern
+		return p
+	})
 }

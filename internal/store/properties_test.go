@@ -1,0 +1,138 @@
+package store
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"lagraph/internal/grb"
+	"lagraph/internal/lagraph"
+)
+
+// TestPropertyHistoryVsFreshGraph is the differential for the graph's
+// cached properties across a write history: seeded insert and remove
+// batches, under each dup policy, land through ApplyEdgeBatch in a catalog
+// entry, and after every batch each property read inside View must equal
+// the same property of a fresh graph built from a model of the edge set.
+// A property the batch failed to drop answers for an older generation.
+func TestPropertyHistoryVsFreshGraph(t *testing.T) {
+	const (
+		n       = 24
+		batches = 30
+		delta   = 2.0
+	)
+	combine := map[string]func(old, w float64) float64{
+		"last": func(_, w float64) float64 { return w },
+		"sum":  func(old, w float64) float64 { return old + w },
+		"min":  math.Min,
+		"max":  math.Max,
+	}
+	for _, kind := range []lagraph.Kind{lagraph.Directed, lagraph.Undirected} {
+		for d, dup := range []string{"last", "sum", "min", "max"} {
+			t.Run(fmt.Sprintf("%s/%s", kindName(kind), dup), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(10*d) + int64(kind)))
+				_, e := applyTestGraph(t, n, kind)
+				model := map[[2]int]float64{}
+				set := func(i, j int, w float64, remove bool) {
+					for _, k := range [][2]int{{i, j}, {j, i}} {
+						if old, ok := model[k]; remove {
+							delete(model, k)
+						} else if ok {
+							model[k] = combine[dup](old, w)
+						} else {
+							model[k] = w
+						}
+						if kind == lagraph.Directed || i == j {
+							return
+						}
+					}
+				}
+				for step := 0; step <= batches; step++ {
+					if step > 0 {
+						b := EdgeBatch{Name: "g", Dup: dup}
+						for k := 1 + rng.Intn(8); k > 0; k-- {
+							// Weights are multiples of 0.5 on both sides of
+							// delta, so sums are exact in any order.
+							op := EdgeOp{Remove: rng.Intn(3) == 0, Src: rng.Intn(n), Dst: rng.Intn(n)}
+							if !op.Remove {
+								op.Weight = float64(1+rng.Intn(8)) / 2
+							}
+							b.Ops = append(b.Ops, op)
+							set(op.Src, op.Dst, op.Weight, op.Remove)
+						}
+						if err := e.Ingest(func(g *lagraph.Graph) (bool, error) { return true, ApplyEdgeBatch(g, b) }); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want := graphProperties(t, modelGraph(t, n, kind, model), delta)
+					var got string
+					if err := e.View(func(g *lagraph.Graph) error {
+						got = graphProperties(t, g, delta)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("after batch %d:\n got %s\nwant %s", step, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+func kindName(k lagraph.Kind) string {
+	if k == lagraph.Directed {
+		return "directed"
+	}
+	return "undirected"
+}
+
+// modelGraph builds a graph with exactly the model's edges and no cache.
+func modelGraph(t *testing.T, n int, kind lagraph.Kind, model map[[2]int]float64) *lagraph.Graph {
+	t.Helper()
+	keys := make([][2]int, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		return keys[a][0] < keys[b][0] || keys[a][0] == keys[b][0] && keys[a][1] < keys[b][1]
+	})
+	is, js, xs := make([]int, len(keys)), make([]int, len(keys)), make([]float64, len(keys))
+	for k, key := range keys {
+		is[k], js[k], xs[k] = key[0], key[1], model[key]
+	}
+	a := grb.MustMatrix[float64](n, n)
+	if err := a.SetElements(is, js, xs, nil); err != nil {
+		t.Fatal(err)
+	}
+	g, err := lagraph.NewGraph(a, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// graphProperties renders every cached property of g, with values in
+// full: the transpose, both degree vectors, the pattern, the self-loop
+// count, symmetry, and (through SSSP from every vertex) the split at delta.
+func graphProperties(t *testing.T, g *lagraph.Graph, delta float64) string {
+	t.Helper()
+	ai, aj, ax := g.AT().ExtractTuples()
+	oi, ox := g.OutDegree().ExtractTuples()
+	ii, ix := g.InDegree().ExtractTuples()
+	pi, pj, px := g.PatternInt64().ExtractTuples()
+	s := fmt.Sprint("AT ", ai, aj, ax, " out ", oi, ox, " in ", ii, ix, " pattern ", pi, pj, px,
+		" loops ", g.NSelfLoops(), " symmetric ", g.IsSymmetric())
+	for src := 0; src < g.N(); src++ {
+		d, err := lagraph.SSSP(g, src, lagraph.WithDelta(delta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		di, dx := d.ExtractTuples()
+		s += fmt.Sprint(" sssp ", src, di, dx)
+	}
+	return s
+}

@@ -370,6 +370,42 @@ func TestInlineMMIOLoad(t *testing.T) {
 	}
 }
 
+// TestSymmetricIsComputedNotAssumed: an undirected load adopts its matrix
+// exactly as given, so "symmetric" must be measured, not read off the
+// kind. A general asymmetric and a skew-symmetric body loaded as
+// undirected both answer false; a graph whose ingest mirrors every edge
+// answers true.
+func TestSymmetricIsComputedNotAssumed(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ name, mm string }{
+		{"general", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1\n2 3 1\n"},
+		{"skew", "%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 2\n2 1 1\n3 2 2\n"},
+	} {
+		name, mm := tc.name, tc.mm
+		var p catalog.Properties
+		if code := post(t, ts.URL+"/v1/graphs", map[string]any{"name": name, "undirected": true, "mmio": mm}, &p); code != http.StatusCreated {
+			t.Fatalf("%s: load status %d", name, code)
+		}
+		if code := get(t, ts.URL+"/v1/graphs/"+name, &p); code != http.StatusOK || p.Directed || p.Symmetric {
+			t.Fatalf("%s: status %d, properties %+v: an undirected kind must not make it symmetric", name, code, p)
+		}
+	}
+
+	if code := post(t, ts.URL+"/v1/graphs", map[string]any{"name": "mirrored", "undirected": true,
+		"mmio": "%%MatrixMarket matrix coordinate real general\n4 4 0\n"}, nil); code != http.StatusCreated {
+		t.Fatalf("load: status %d", code)
+	}
+	if code, _ := postEdges(t, ts.URL, "mirrored", map[string]any{"edges": []map[string]any{
+		{"src": 0, "dst": 1, "weight": 2}, {"src": 3, "dst": 1, "weight": -1}, {"src": 2, "dst": 2},
+	}}); code != http.StatusOK {
+		t.Fatalf("edges: status %d", code)
+	}
+	var p catalog.Properties
+	if code := get(t, ts.URL+"/v1/graphs/mirrored", &p); code != http.StatusOK || !p.Symmetric || p.NEdges != 5 || p.NSelfLoops != 1 {
+		t.Fatalf("ingest-mirrored graph: status %d, properties %+v", code, p)
+	}
+}
+
 // TestSSSPTinyDeltaOverHTTP: the query endpoint forwards any non-zero
 // delta. A bucket width far below the edge weights used to walk every
 // empty bucket between two distances — ~10¹³ of them here — until the
