@@ -63,7 +63,10 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
 
 	ob := cfg.observer()
-	gp := f.Dup() // grandparent
+	// Workspaces, allocated once: gp (grandparent) and newGP swap roles
+	// each iteration, and every one but the returned f is cleared at exit.
+	gp, newGP, mngp := f.Dup(), grb.MustVector[int64](n), grb.MustVector[int64](n)
+	defer func() { gp.Clear(); newGP.Clear(); mngp.Clear() }()
 	for iter := 0; iter <= n; iter++ {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
@@ -73,7 +76,6 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 			t0 = ob.Now()
 		}
 		// mngp(i) = min over neighbours j of gp(j): stochastic hooking.
-		mngp := grb.MustVector[int64](n)
 		if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), nil, minSecond, a, gp, nil); err != nil {
 			return nil, err
 		}
@@ -95,9 +97,9 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 		// Gather-scatter through the tuple interface (the C formulation
 		// uses GrB_extract with f as the index vector). fx is a snapshot
 		// and min is associative, commutative and idempotent, so the
-		// updates merge straight into f in any order.
-		_, fx := f.ExtractTuples()
-		idx := make([]int, len(fx))
+		// updates merge straight into f in any order. The snapshot's index
+		// slice is the caller's, so it is overwritten into the gather list.
+		idx, fx := f.ExtractTuples()
 		minOp := grb.MinOp[int64]()
 		for k := range fx {
 			// f(p) ← min(f(p), f(i)) for each i with f(i)=p.
@@ -106,7 +108,6 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 		}
 
 		// Shortcutting: f(i) ← f(f(i)); compute the new grandparent.
-		newGP := grb.MustVector[int64](n)
 		if err := grb.ExtractVector[int64, bool](newGP, nil, nil, f, idx, nil); err != nil {
 			return nil, err
 		}
@@ -129,7 +130,7 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 		if stable {
 			return &CCResult{Labels: f, Iterations: iter + 1}, nil
 		}
-		gp = newGP
+		gp, newGP = newGP, gp
 	}
 	return nil, ErrNoConvergence
 }

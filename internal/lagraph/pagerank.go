@@ -48,15 +48,21 @@ func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*
 	n := g.N()
 	nf := float64(n)
 
-	// dOut(i) = out-degree; invOut(i) = damping / dOut(i) where dOut>0.
+	// dOut(i) = out-degree; invOut(i) = 1 / dOut(i) where dOut>0.
 	deg := g.OutDegree()
 	invOut := grb.MustVector[float64](n)
 	if err := grb.ApplyVector[int64, float64, bool](invOut, nil, nil,
 		func(d int64) float64 { return 1 / float64(d) }, deg, nil); err != nil {
 		return nil, err
 	}
-	// dangling mask: vertices with no out-edges.
-	danglingMask := deg // structural complement used below
+	// The dangling vertices (no out-edges), listed once, so each iteration
+	// gathers their rank instead of sweeping ¬deg over all n positions.
+	isDangling := grb.MustVector[bool](n)
+	if err := grb.AssignVectorScalar(isDangling, deg, nil, true, grb.All, grb.DescC); err != nil {
+		return nil, err
+	}
+	dangling, _ := isDangling.ExtractTuples()
+	isDangling.Clear()
 
 	var r *grb.Vector[float64]
 	if r0 == nil {
@@ -64,8 +70,14 @@ func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*
 	} else {
 		r = r0.Dup()
 	}
-	w := grb.MustVector[float64](n)
-	plusSecond := grb.PlusSecond[float64]()
+	// Workspaces, allocated once. r and t swap roles each iteration: t
+	// holds the previous rank, then |Δ|. The closure reads t at exit, after
+	// the swaps, so the returned r is never among the cleared.
+	t, out, w, dr := grb.MustVector[float64](n), grb.MustVector[float64](n), grb.MustVector[float64](n), grb.MustVector[float64](len(dangling))
+	defer func() { invOut.Clear(); t.Clear(); out.Clear(); w.Clear(); dr.Clear() }()
+	plusSecond, plus := grb.PlusSecond[float64](), grb.Plus[float64]()
+	scale := func(x float64) float64 { return damping * x }
+	absDiff := func(x, y float64) float64 { return math.Abs(x - y) }
 
 	for iter := 1; iter <= maxIter; iter++ {
 		if err := cfg.canceled(); err != nil {
@@ -75,18 +87,20 @@ func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*
 		if ob != nil {
 			t0 = ob.Now()
 		}
-		// Dangling mass this round.
-		dr := grb.MustVector[float64](n)
-		if err := grb.ExtractVector(dr, danglingMask, nil, r, grb.All, grb.DescC); err != nil {
-			return nil, err
-		}
-		danglingMass, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), dr)
-		if err != nil {
-			return nil, err
+		// Dangling mass this round, O(#dangling). grb reads an empty index
+		// list as All, so with no dangling vertex the gather is skipped.
+		var danglingMass float64
+		if len(dangling) > 0 {
+			err := grb.ExtractVector[float64, bool](dr, nil, nil, r, dangling, nil)
+			if err == nil {
+				danglingMass, err = grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), dr)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
 
 		// out(i) = r(i)/deg(i) for non-dangling vertices.
-		out := grb.MustVector[float64](n)
 		if err := grb.EWiseMultVector[float64, float64, float64, bool](out, nil, nil, grb.Times[float64](), r, invOut, nil); err != nil {
 			return nil, err
 		}
@@ -96,33 +110,27 @@ func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*
 		if err := grb.MxV(w, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, out, grb.DescT0); err != nil {
 			return nil, err
 		}
-		base := (1-damping)/nf + damping*danglingMass/nf
-		rNew := grb.DenseVector(constants(n, base))
-		if err := grb.EWiseAddVector[float64, bool](rNew, nil, nil, grb.Plus[float64](), rNew, scaled(w, damping, n), nil); err != nil {
+		// r ← base + damping·w with base = (1-damping)/n + damping·mass/n,
+		// in place over the previous-but-one rank.
+		r, t = t, r
+		if err := grb.AssignVectorScalar[float64, bool](r, nil, nil, (1-damping)/nf+damping*danglingMass/nf, grb.All, nil); err != nil {
+			return nil, err
+		}
+		if err := grb.ApplyVector[float64, float64, bool](r, nil, plus, scale, w, nil); err != nil {
 			return nil, err
 		}
 
-		// L1 distance ‖rNew - r‖₁.
-		diff := grb.MustVector[float64](n)
-		if err := grb.EWiseAddVector[float64, bool](diff, nil, nil, grb.Minus[float64](), rNew, r, nil); err != nil {
+		// L1 distance ‖r - t‖₁, as t ← |t - r| in one pass. Both are full, so
+		// eWiseAdd's one-sided arm, which would skip the abs, never runs.
+		if err := grb.EWiseAddVector[float64, bool](t, nil, nil, absDiff, t, r, nil); err != nil {
 			return nil, err
 		}
-		abs := grb.MustVector[float64](n)
-		if err := grb.ApplyVector[float64, float64, bool](abs, nil, nil, math.Abs, diff, nil); err != nil {
-			return nil, err
-		}
-		l1, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), abs)
+		l1, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), t)
 		if err != nil {
 			return nil, err
 		}
-		r = rNew
 		if ob != nil {
-			ob.Iter(obs.IterRecord{
-				Algo: "pagerank", Iter: iter,
-				Residual: l1,
-				Warm:     warm,
-				DurNanos: ob.Now() - t0,
-			})
+			ob.Iter(obs.IterRecord{Algo: "pagerank", Iter: iter, Residual: l1, Warm: warm, DurNanos: ob.Now() - t0})
 		}
 		if l1 < tol {
 			return &PageRankResult{Rank: r, Iterations: iter, Converged: true}, nil
@@ -137,15 +145,6 @@ func constants(n int, v float64) []float64 {
 		xs[i] = v
 	}
 	return xs
-}
-
-func scaled(v *grb.Vector[float64], f float64, n int) *grb.Vector[float64] {
-	w := grb.MustVector[float64](n)
-	if err := grb.ApplyVector[float64, float64, bool](w, nil, nil,
-		func(x float64) float64 { return f * x }, v, nil); err != nil {
-		panic(err)
-	}
-	return w
 }
 
 // TopK returns the indices of the k largest entries of a rank vector, in
