@@ -311,7 +311,7 @@ func cmdRun(args []string) error {
 			fmt.Printf("  #%d vertex %d  %.6f\n", rank+1, v, score)
 		}
 	case "tc":
-		c, err := lagraph.TriangleCount(g, lagraph.TCSandiaDot, opts...)
+		c, err := lagraph.TriangleCount(g, lagraph.TCAuto, opts...)
 		if err != nil {
 			return err
 		}

@@ -286,12 +286,14 @@ func filterAdmittedCS[T any](z *cs[T], mm *maskMat) *cs[T] {
 	w := 0
 	for k := 0; k < z.nvecs(); k++ {
 		row := z.majorOf(k)
-		zi, zx := z.vec(k)
-		allowed := mm.rowMask(row).tester(len(zi))
-		for t, j := range zi {
-			if allowed(j) {
-				z.i[w], z.x[w] = j, zx[t]
-				w++
+		// A row the product left empty admits nothing: it needs no mask view.
+		if zi, zx := z.vec(k); len(zi) > 0 {
+			allowed := mm.rowMask(row).tester(len(zi))
+			for t, j := range zi {
+				if allowed(j) {
+					z.i[w], z.x[w] = j, zx[t]
+					w++
+				}
 			}
 		}
 		if z.h == nil {

@@ -59,6 +59,7 @@ type Graph struct {
 	nselfLoop cached[int]
 	symmetric cached[bool]
 	split     cached[edgeSplit]
+	tri       cached[tcInput]
 }
 
 // cached is one derived property of a Graph: an immutable value behind an
@@ -111,6 +112,7 @@ func (g *Graph) InvalidateCache() {
 	g.nselfLoop.drop()
 	g.symmetric.drop()
 	g.split.drop()
+	g.tri.drop()
 }
 
 // deltaSplit returns A's light (< delta) and heavy (≥ delta) edges, the

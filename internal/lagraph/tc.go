@@ -121,14 +121,6 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (int64, error) {
 		return 0, ErrBadArgument
 	}
 
-	a := g.PatternInt64()
-	n := a.Nrows()
-	offDiag := grb.MustMatrix[int64](n, n)
-	if err := grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil); err != nil {
-		return 0, err
-	}
-	a = offDiag
-
 	if method == TCAuto {
 		// The saxpy LL formulation: on well-ordered graphs its masked
 		// Gustavson pass does exactly Σ d₋·d₊ work (the family's
@@ -139,12 +131,9 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (int64, error) {
 			presort = TCSortAuto
 		}
 	}
-	dir := tcResolvePresort(a, method, presort)
-	if dir != 0 {
-		var err error
-		if a, err = tcPermuteByDegree(a, dir); err != nil {
-			return 0, err
-		}
+	in, err := g.tcPrepared(method, presort)
+	if err != nil {
+		return 0, err
 	}
 
 	// Trace the resolved plan: method and presort are runtime decisions
@@ -152,21 +141,85 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (int64, error) {
 	// place they can be read back.
 	if ob := cfg.observer(); ob != nil {
 		sorted := "unsorted"
-		if dir > 0 {
+		if in.dir > 0 {
 			sorted = "sorted-ascending"
-		} else if dir < 0 {
+		} else if in.dir < 0 {
 			sorted = "sorted-descending"
 		}
 		ob.Iter(obs.IterRecord{
 			Algo: "tc", Iter: 1,
 			Dir:      tcMethodNames[method] + "/" + sorted,
-			Frontier: a.Nvals(),
+			Frontier: in.nvals,
 		})
 	}
 	if err := cfg.canceled(); err != nil {
 		return 0, err
 	}
-	return tcCount(a, method)
+	return tcCount(in)
+}
+
+// tcInput is what one concrete formulation multiplies: the off-diagonal
+// adjacency, relabeled by degree when the presort resolves to a
+// direction, reduced to the matrices the method reads (nil where it reads
+// none). It is cached on the Graph for one (method, presort) at a time.
+type tcInput struct {
+	method  TCMethod
+	presort TCPresort
+	dir     int // the resolved relabeling: +1 ascending, -1 descending, 0 none
+	nvals   int // entries of the prepared adjacency, as the tc trace reports them
+	a, l, u *grb.Matrix[int64]
+}
+
+// Wait settles every matrix the record holds, so cached.store publishes
+// them together.
+func (in tcInput) Wait() {
+	for _, m := range []*grb.Matrix[int64]{in.a, in.l, in.u} {
+		if m != nil {
+			m.Wait()
+		}
+	}
+}
+
+// tcPrepared returns the input a resolved method and presort count on,
+// cached for one (method, presort) at a time: a call with another pair
+// replaces it.
+func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (tcInput, error) {
+	if in := g.tri.p.Load(); in != nil && in.method == method && in.presort == presort {
+		return *in, nil
+	}
+	a := g.PatternInt64()
+	if g.NSelfLoops() > 0 {
+		offDiag := grb.MustMatrix[int64](a.Nrows(), a.Ncols())
+		if err := grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil); err != nil {
+			return tcInput{}, err
+		}
+		a = offDiag
+	}
+	in := tcInput{method: method, presort: presort, dir: tcResolvePresort(a, method, presort)}
+	var err error
+	if in.dir != 0 {
+		if a, err = tcPermuteByDegree(a, in.dir); err != nil {
+			return tcInput{}, err
+		}
+	}
+	in.nvals = a.Nvals()
+	switch method {
+	case TCBurkhardt:
+		in.a = a
+	case TCCohen:
+		in.a = a
+		in.l, in.u, err = trilTriu(a)
+	case TCSandiaLL:
+		in.l, err = tcTriangle(a, grb.Tril[int64](-1))
+	case TCSandiaUU:
+		in.u, err = tcTriangle(a, grb.Triu[int64](1))
+	default: // the dot pair reads both triangles
+		in.l, in.u, err = trilTriu(a)
+	}
+	if err != nil {
+		return tcInput{}, err
+	}
+	return g.tri.store(in), nil
 }
 
 // tcResolvePresort turns the requested presort into a concrete direction:
@@ -255,87 +308,39 @@ func tcPermuteByDegree(a *grb.Matrix[int64], dir int) (*grb.Matrix[int64], error
 	return p, nil
 }
 
-// tcCount runs one concrete formulation over the prepared off-diagonal
-// adjacency.
-func tcCount(a *grb.Matrix[int64], method TCMethod) (int64, error) {
-	n := a.Nrows()
-	plusPair := grb.PlusPair[int64, int64, int64]()
-	switch method {
+// tcCount runs one concrete formulation over its prepared input: one
+// masked multiply and its reduction.
+func tcCount(in tcInput) (int64, error) {
+	// count reduces C⟨M⟩ = A plus.pair B and divides by the number of times
+	// the formulation counts each triangle.
+	count := func(m, a, b *grb.Matrix[int64], d *grb.Descriptor, times int64) (int64, error) {
+		c := grb.MustMatrix[int64](m.Nrows(), m.Ncols())
+		if err := grb.MxM(c, m, nil, grb.PlusPair[int64, int64, int64](), a, b, d); err != nil {
+			return 0, err
+		}
+		total, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
+		if err != nil {
+			return 0, err
+		}
+		return total / times, nil
+	}
+	gustavson := &grb.Descriptor{Method: grb.MxMGustavson}
+	// The dot pair multiplies by a transposed triangle, whose rows are the
+	// other triangle's columns; the mask keeps the output pattern sparse.
+	dot := &grb.Descriptor{TranB: true, Method: grb.MxMDot}
+	switch in.method {
 	case TCBurkhardt:
-		c := grb.MustMatrix[int64](n, n)
-		if err := grb.MxM(c, a, nil, plusPair, a, a, nil); err != nil {
-			return 0, err
-		}
-		total, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
-		if err != nil {
-			return 0, err
-		}
-		return total / 6, nil
-
+		return count(in.a, in.a, in.a, nil, 6)
 	case TCCohen:
-		l, u, err := trilTriu(a)
-		if err != nil {
-			return 0, err
-		}
-		c := grb.MustMatrix[int64](n, n)
-		if err := grb.MxM(c, a, nil, plusPair, l, u, nil); err != nil {
-			return 0, err
-		}
-		total, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
-		if err != nil {
-			return 0, err
-		}
-		return total / 2, nil
-
+		return count(in.a, in.l, in.u, nil, 2)
 	case TCSandiaLL:
-		l, err := tcTriangle(a, grb.Tril[int64](-1))
-		if err != nil {
-			return 0, err
-		}
-		c := grb.MustMatrix[int64](n, n)
-		if err := grb.MxM(c, l, nil, plusPair, l, l, &grb.Descriptor{Method: grb.MxMGustavson}); err != nil {
-			return 0, err
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
-
+		return count(in.l, in.l, in.l, gustavson, 1)
 	case TCSandiaUU:
-		u, err := tcTriangle(a, grb.Triu[int64](1))
-		if err != nil {
-			return 0, err
-		}
-		c := grb.MustMatrix[int64](n, n)
-		if err := grb.MxM(c, u, nil, plusPair, u, u, &grb.Descriptor{Method: grb.MxMGustavson}); err != nil {
-			return 0, err
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
-
-	case TCSandiaDot:
-		l, u, err := trilTriu(a)
-		if err != nil {
-			return 0, err
-		}
-		// L·Uᵀ with the dot kernel: Uᵀ's rows are U's columns, and the
-		// mask L keeps the output pattern sparse.
-		c := grb.MustMatrix[int64](n, n)
-		d := &grb.Descriptor{TranB: true, Method: grb.MxMDot}
-		if err := grb.MxM(c, l, nil, plusPair, l, u, d); err != nil {
-			return 0, err
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
-
-	case TCSandiaULT:
-		l, u, err := trilTriu(a)
-		if err != nil {
-			return 0, err
-		}
-		// U·Lᵀ with the dot kernel, masked by U: the mirror image of
-		// SandiaLUT.
-		c := grb.MustMatrix[int64](n, n)
-		d := &grb.Descriptor{TranB: true, Method: grb.MxMDot}
-		if err := grb.MxM(c, u, nil, plusPair, u, l, d); err != nil {
-			return 0, err
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
+		return count(in.u, in.u, in.u, gustavson, 1)
+	case TCSandiaDot: // L·Uᵀ masked by L
+		return count(in.l, in.l, in.u, dot, 1)
+	case TCSandiaULT: // U·Lᵀ masked by U: the mirror image of SandiaLUT
+		return count(in.u, in.u, in.l, dot, 1)
 	}
 	return 0, ErrBadArgument
 }

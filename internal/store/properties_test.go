@@ -117,7 +117,8 @@ func modelGraph(t *testing.T, n int, kind lagraph.Kind, model map[[2]int]float64
 
 // graphProperties renders every cached property of g, with values in
 // full: the transpose, both degree vectors, the pattern, the self-loop
-// count, symmetry, and (through SSSP from every vertex) the split at delta.
+// count, symmetry, (through SSSP from every vertex) the split at delta,
+// and (through TriangleCount, undirected only) the prepared triangle.
 func graphProperties(t *testing.T, g *lagraph.Graph, delta float64) string {
 	t.Helper()
 	ai, aj, ax := g.AT().ExtractTuples()
@@ -133,6 +134,18 @@ func graphProperties(t *testing.T, g *lagraph.Graph, delta float64) string {
 		}
 		di, dx := d.ExtractTuples()
 		s += fmt.Sprint(" sssp ", src, di, dx)
+	}
+	if g.Kind == lagraph.Undirected {
+		// The prepared triangle is kept for one plan at a time. The explicit
+		// method replaces TCAuto's, and TCAuto's is read last, so the first
+		// read after the next batch hits a triangle the batch failed to drop.
+		for _, m := range []lagraph.TCMethod{lagraph.TCAuto, lagraph.TCSandiaDot, lagraph.TCAuto} {
+			c, err := lagraph.TriangleCount(g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s += fmt.Sprint(" tc ", m, c)
+		}
 	}
 	return s
 }

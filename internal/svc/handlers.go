@@ -499,7 +499,7 @@ func (s *Server) runQuery(ctx context.Context, e *catalog.Entry, req *QueryReque
 		case "cc":
 			return s.runIncAlgo(e, g, mode, ccAlgo(opts), resp)
 		case "tc":
-			c, err := lagraph.TriangleCount(g, lagraph.TCSandiaDot, opts...)
+			c, err := lagraph.TriangleCount(g, lagraph.TCAuto, opts...)
 			if err != nil {
 				return err
 			}
