@@ -79,8 +79,9 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 		z = mxmGustavson(ca, cb, s, mm, ar, bc, st)
 		kernel = "gustavson"
 	}
-	nnzOut := z.nvals() // before the write: the adopt route compacts z in place
-	route, err := writeMatrixRouted(c, mask, accum, z, d)
+	nnzOut := z.nvals()
+	// Every kernel emits only what mm admits.
+	route, err := writeMatrixRouted(c, mask, accum, z, true, d)
 	if ob != nil && err == nil {
 		// The saxpy-family estimate pads each stored A row by one; the
 		// exact multiply count is the estimate minus that padding. Dot
@@ -159,8 +160,11 @@ func orientedCSC[T any](a *Matrix[T], tran bool) *cs[T] {
 // row is no longer than sorting the row's products could cost, |M(i,:)| ≤
 // f·bitlen(f) with f the row's flop estimate — a pure function of the
 // operands; past it (a near-dense mask over a short row) the row is
-// accumulated whole, sorted and filtered, as it is with no mask or a
-// complemented one. Either way the same products meet in the same order.
+// accumulated whole, as it is with no mask or a complemented one: a mask
+// row with dense lanes is probed at each touched cell before the sort, a
+// compressed one walked after it, and the admitted cells leave in arrays of
+// their exact size. Either way the same products meet in the same order,
+// and the kernel emits only what the mask admits.
 func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
 	nvec := ca.nvecs()
 	staging := newRowSlices[T](nvec)
@@ -170,8 +174,6 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		sc := getScratch[T](nc)
 		defer putScratch(sc)
-		val, seen, touched := sc.val, sc.seen, sc.touched
-		defer func() { sc.touched = touched }()
 		var mark []uint8
 		if maskFirst {
 			mark = sc.marks(nc)
@@ -188,16 +190,14 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 					continue
 				}
 				if maskFirstPays(len(mi), flops(k)) {
-					staging.idx[k], staging.val[k] = saxpyRowMasked(ai, ax, cb, lp, mi, mval, mark, val)
+					staging.idx[k], staging.val[k] = saxpyRowMasked(ai, ax, cb, lp, mi, mval, mark, sc.val)
 					continue
 				}
 			}
-			touched = lp.scatter(ai, ax, 0, len(ai), cb, seen, val, touched[:0], false)
-			sortDedupIndices(touched) // sort; already unique
-			emitMasked(&staging.idx[k], &staging.val[k], touched, val, mm, row)
-			for _, j := range touched {
-				seen[j] = false
-			}
+			sc.touched = lp.scatter(ai, ax, 0, len(ai), cb, sc.seen, sc.val, sc.touched[:0], false)
+			rm := mm.rowMask(row)
+			sc.sortAdmitted(rm, sc.admitDense(rm))
+			staging.idx[k], staging.val[k] = sc.handOver()
 		}
 	})
 	return stitchByA(staging, ca, nr, nc)
@@ -237,24 +237,6 @@ func saxpyRowMasked[A, B, T any](ai []int, ax []A, cb *cs[B], lp looper[A, B, T]
 		mark[j] = markClosed
 	}
 	return zi, zx
-}
-
-// emitMasked appends the accumulated row, filtered by the row's mask.
-func emitMasked[T any](oi *[]int, ox *[]T, touched []int, val []T, mm *maskMat, row int) {
-	if mm == nil {
-		for _, j := range touched {
-			*oi = append(*oi, j)
-			*ox = append(*ox, val[j])
-		}
-		return
-	}
-	allowed := mm.rowMask(row).tester(len(touched))
-	for _, j := range touched {
-		if allowed(j) {
-			*oi = append(*oi, j)
-			*ox = append(*ox, val[j])
-		}
-	}
 }
 
 // stitchByA assembles staged rows using A's row structure (hypersparse A

@@ -84,6 +84,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	var zx []T
 	var zd *bm[T] // the result as dense lanes, when the kernel built it so
 	var nnzA int
+	admitted := true // the pull only ever computes admitted outputs
 	switch kernel {
 	case "pull":
 		// Pull: dot products over output positions; needs the effective
@@ -94,16 +95,16 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	default:
 		ca := orientedCSR(a, d.TranA)
 		nnzA = ca.nvals()
-		zi, zx, zd = vxmPush(u, ca, s, mv, ac, st)
+		zi, zx, zd, admitted = vxmPush(u, ca, s, mv, ac, st)
 	}
 	nnzOut := len(zi)
 	var route string
 	var err error
 	if zd != nil {
 		nnzOut = zd.nvals
-		route, err = writeVectorLanesRouted(w, mask, accum, zd, d)
+		route, err = writeVectorLanesRouted(w, mask, accum, zd, admitted, d)
 	} else {
-		route, err = writeVectorRouted(w, mask, accum, zi, zx, d)
+		route, err = writeVectorRouted(w, mask, accum, zi, zx, admitted, d)
 	}
 	if ob != nil && err == nil {
 		// Push work estimates pad each frontier entry by one, so the
@@ -158,16 +159,19 @@ func VxMDirection[U, A, M any](mask *Vector[M], u *Vector[U], a *Matrix[A], desc
 // the hypersparse regime (pushHash). Either way the kernel costs its
 // products: the accumulator is unordered while it is built, and order is
 // established once, at the end, by whatever the result's size makes
-// cheapest.
+// cheapest. admitted reports that z holds only what mv admits.
 //
-//   - A dense accumulator whose touched cells reach the promotion bar of
-//     outDim *is* the result's lanes: it is returned as zd for the write
-//     rule's dense arms, which apply the mask in the one sweep they make
-//     anyway — no index list, no sort, no copy.
-//   - Below the bar the touched list is sorted and the cells emitted as
-//     (zi, zx), through the mask.
-//   - A hash accumulator's keys are sorted, likewise.
-func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) (zi []int, zx []T, zd *bm[T]) {
+//   - A dense-held mask is probed at each touched cell of a dense
+//     accumulator in O(1) before anything else, so the bar check, the sort
+//     and the write rule see admitted cells only.
+//   - A dense accumulator whose cells reach the promotion bar of outDim *is*
+//     the result's lanes: it is returned as zd for the write rule's dense
+//     arms — no index list, no sort, no copy. Under a compressed mask it is
+//     not admitted: the write rule applies the mask in the sweep it makes.
+//   - Below the bar the touched list is sorted, walked against a compressed
+//     mask, and emitted as (zi, zx).
+//   - A hash accumulator's keys are sorted and filtered, likewise.
+func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) (zi []int, zx []T, zd *bm[T], admitted bool) {
 	ui, ux := u.ref().entries()
 	deg := func(t int) int {
 		rk, ok := ca.findMajor(ui[t])
@@ -180,17 +184,18 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 	st.fill(bounds, deg) // read-only: never perturbs the bounds
 	if outDim >= hyperThresholdDim*hyperRatio {
 		zi, zx = pushHash(ui, ux, ca, s, bounds)
-	} else {
-		acc := pushDense(ui, ux, ca, s, outDim, bounds, st)
-		if denseWanted(bitmapCells(1, outDim), len(acc.touched)) {
-			return nil, nil, &bm[T]{nr: 1, nc: outDim, b: acc.seen, x: acc.val, nvals: len(acc.touched)}
-		}
-		sort.Ints(acc.touched)
-		zi, zx = acc.handOver()
-		putScratch(acc)
+		zi, zx = filterAdmitted(zi, zx, mv)
+		return zi, zx, nil, true
 	}
-	zi, zx = filterAdmitted(zi, zx, mv)
-	return zi, zx, nil
+	acc := pushDense(ui, ux, ca, s, outDim, bounds, st)
+	admitted = acc.admitDense(mv)
+	if denseWanted(bitmapCells(1, outDim), len(acc.touched)) {
+		return nil, nil, &bm[T]{nr: 1, nc: outDim, b: acc.seen, x: acc.val, nvals: len(acc.touched)}, admitted
+	}
+	acc.sortAdmitted(mv, admitted)
+	zi, zx = acc.handOver()
+	putScratch(acc)
+	return zi, zx, nil, true
 }
 
 // pushDense scatters the frontier into a pooled dense accumulator the
@@ -225,6 +230,45 @@ func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], ou
 		acc.touched = lp.fold(p.i, p.x, acc.seen, acc.val, acc.touched)
 	}
 	return acc
+}
+
+// admitDense drops from the touched list the cells a dense-held mask
+// rejects, clearing them as it goes: one O(1) probe a cell, before the list
+// is counted or sorted. It reports whether the list is now admitted — with
+// no mask, trivially; with a compressed one, not yet (sortAdmitted walks it).
+func (sc *denseScratch[T]) admitDense(mv *maskVec) bool {
+	if mv == nil {
+		return true
+	}
+	if mv.db == nil {
+		return false
+	}
+	sc.keep(mv.allowed)
+	return true
+}
+
+// sortAdmitted sorts the touched list and, unless it is admitted already,
+// drops the cells a compressed mask rejects — a walk that wants the order.
+func (sc *denseScratch[T]) sortAdmitted(mv *maskVec, admitted bool) {
+	sort.Ints(sc.touched)
+	if !admitted {
+		sc.keep(mv.tester(len(sc.touched)))
+	}
+}
+
+// keep compacts the touched list to the cells allowed admits, in order,
+// clearing the others.
+func (sc *denseScratch[T]) keep(allowed func(int) bool) {
+	w := 0
+	for _, j := range sc.touched {
+		if allowed(j) {
+			sc.touched[w] = j
+			w++
+		} else {
+			sc.seen[j] = false
+		}
+	}
+	sc.touched = sc.touched[:w]
 }
 
 // handOver returns the accumulator's touched cells, in touched order, as
@@ -347,24 +391,23 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 		return nil, nil, zd
 	}
 
-	// The admitted output set.
-	var targets []int
-	if mv != nil && !mv.comp && mv.val == nil {
-		targets = mv.idx
-	} else if mv != nil {
-		allowed := mv.cursor()
-		for j := 0; j < outDim; j++ {
-			if allowed(j) {
-				targets = append(targets, j)
-			}
-		}
-	}
-
 	// Staging slot t holds column colOf(t), found at major position
 	// majorOf(t) (-1: not stored).
 	var n int
 	var colOf, majorOf func(t int) int
-	if targets != nil {
+	if mv != nil {
+		// The admitted output set, which may be empty: then nothing is
+		// computed.
+		targets := mv.idx
+		if mv.comp || mv.val != nil {
+			targets = nil
+			allowed := mv.cursor()
+			for j := 0; j < outDim; j++ {
+				if allowed(j) {
+					targets = append(targets, j)
+				}
+			}
+		}
 		n = len(targets)
 		colOf = func(t int) int { return targets[t] }
 		majorOf = func(t int) int {

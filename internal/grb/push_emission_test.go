@@ -29,6 +29,10 @@ type pushGeometry struct {
 	wantChunks   int
 	wantLanes    bool
 	withVariants bool // also run the mask × accumulator table
+	// barMask also runs the product into an empty w under a dense-held
+	// complemented mask holding this many outputs: enough to take the
+	// admitted cells below the bar the touched cells reach.
+	barMask int
 }
 
 // build returns the m×n matrix and the all-rows frontier of g. The support
@@ -115,6 +119,10 @@ func pushGeometries() []pushGeometry {
 	// Two chunks need a two-entry frontier carrying 1<<16 flops: two full
 	// rows of the widest dimension the dense accumulator serves.
 	out = append(out, pushGeometry{name: "two-chunks", n: 32767, span: 32767, work: fallback, wantChunks: 2, wantLanes: true, withVariants: true})
+	// On the bar by its touched cells, one output below it by its admitted
+	// ones (8·2046 < 16376): a traversal's ¬visited mask rejecting what the
+	// frontier reaches back into.
+	out = append(out, pushGeometry{name: "on-bar/admitted-below", n: 16376, span: 2047, work: fallback - 1, split: true, wantChunks: 1, wantLanes: true, barMask: 1})
 	return out
 }
 
@@ -160,29 +168,60 @@ func TestConformancePushEmission(t *testing.T) {
 			}
 			eqVec(t, wm, want)
 
+			if g.barMask > 0 {
+				outputs, _ := w.ExtractTuples()
+				mask := grb.MustVector[bool](g.n)
+				for _, j := range outputs[:g.barMask] {
+					_ = mask.SetElement(j, true)
+				}
+				comp := grb.Descriptor{Comp: true, Dir: grb.DirPush}
+				dm := heldV(mask, true)
+				trace := obs.NewTrace(4)
+				restore := obs.Set(trace)
+				got := grb.MustVector[int64](g.n)
+				err := grb.VxM(got, dm, nil, grb.PlusTimes[int64](), u, a, &comp)
+				obs.Set(restore)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.NewVec[int64](g.n)
+				ref.VxM(want, ref.FromVector(mask), nil, grb.PlusTimes[int64](), ru, ra, refDesc(comp))
+				eqVec(t, got, want)
+				if op := trace.Ops()[0]; op.Write != "adopt" || op.NnzOut != g.span-g.barMask {
+					t.Fatalf("op record %+v: want the %d admitted cells adopted below the bar", op, g.span-g.barMask)
+				}
+				if dense, _ := got.Forms(); dense {
+					t.Fatal("result below the bar is dense-held")
+				}
+			}
+
 			if !g.withVariants {
 				return
 			}
 			mask := randVector(rng, g.n, 0.5)
 			w0 := randVector(rng, g.n, 0.3)
-			for _, mc := range maskCases() {
-				for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
-					for _, held := range []bool{false, true} {
-						d := mc.desc
-						d.Dir = grb.DirPush
-						var gm *grb.Vector[int64]
-						var rm *ref.Vec[int64]
-						if mc.useMask {
-							gm, rm = heldV(mask, held), ref.FromVector(mask)
-						}
-						got := heldV(w0, held)
-						if err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, a, &d); err != nil {
-							t.Fatal(err)
-						}
-						want := ref.FromVector(w0)
-						ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
-						if !vecMatches(got, want) {
-							t.Fatalf("%s, accum %v, dense-held %v: differs from the mimic", mc.name, accum != nil, held)
+			// Into w0, and into an empty w: the write rule's adopt arm, which
+			// takes the kernel's admitted result as it is.
+			for _, into := range []*grb.Vector[int64]{w0, grb.MustVector[int64](g.n)} {
+				for _, mc := range maskCases() {
+					for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
+						for _, held := range []bool{false, true} {
+							d := mc.desc
+							d.Dir = grb.DirPush
+							var gm *grb.Vector[int64]
+							var rm *ref.Vec[int64]
+							if mc.useMask {
+								gm, rm = heldV(mask, held), ref.FromVector(mask)
+							}
+							got := heldV(into, held)
+							if err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, a, &d); err != nil {
+								t.Fatal(err)
+							}
+							want := ref.FromVector(into)
+							ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
+							if !vecMatches(got, want) {
+								t.Fatalf("%s, accum %v, dense-held %v, %d entries before: differs from the mimic", mc.name, accum != nil, held, into.Nvals())
+							}
 						}
 					}
 				}
@@ -311,6 +350,55 @@ func TestVxMDirectionIsTheKernels(t *testing.T) {
 		kernel := map[grb.Direction]string{grb.DirPush: "push", grb.DirPull: "pull"}[got]
 		if op := trace.Ops()[0]; got != tc.want || op.Kernel != kernel {
 			t.Errorf("%s: VxMDirection = %v, want %v; the product ran %q", tc.name, got, tc.want, op.Kernel)
+		}
+	}
+}
+
+// TestPullUnderAMaskAdmittingNothing: a pull computes the outputs its mask
+// admits, and a mask can admit none — an empty structural mask, which the
+// DirAuto switch sends to the pull as a sparse positive one, or a value
+// mask whose stored entries are all false. Then it computes nothing: no dot
+// is estimated, none is taken, and w is left empty.
+func TestPullUnderAMaskAdmittingNothing(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(2903))
+	a := randMatrix(rng, n, n, 0.2)
+	u := randVector(rng, n, 0.5)
+	empty := grb.MustVector[bool](n)
+	allFalse := grb.MustVector[bool](n)
+	for j := 0; j < n; j += 3 {
+		_ = allFalse.SetElement(j, false)
+	}
+	allFalse.Wait()
+	for _, tc := range []struct {
+		name string
+		mask *grb.Vector[bool]
+		d    grb.Descriptor
+	}{
+		{"empty structural mask", empty, grb.Descriptor{}},
+		{"all-false value mask", allFalse, grb.Descriptor{MaskValue: true, Dir: grb.DirPull}},
+	} {
+		for _, op := range []struct {
+			name string
+			run  func(w *grb.Vector[int64]) error
+		}{
+			{"vxm", func(w *grb.Vector[int64]) error {
+				return grb.VxM(w, tc.mask, nil, grb.PlusTimes[int64](), u, a, &tc.d)
+			}},
+			{"mxv", func(w *grb.Vector[int64]) error {
+				return grb.MxV(w, tc.mask, nil, grb.PlusTimes[int64](), a, u, &tc.d)
+			}},
+		} {
+			trace := obs.NewTrace(4)
+			restore := obs.Set(trace)
+			w := grb.MustVector[int64](n)
+			err := op.run(w)
+			obs.Set(restore)
+			must(t, err)
+			rec := trace.Ops()[0]
+			if w.Nvals() != 0 || rec.Kernel != "pull" || rec.EstFlops != 0 || rec.NnzOut != 0 {
+				t.Errorf("%s under an %s: %d entries, op record %+v; want an empty pull estimating 0 flops", op.name, tc.name, w.Nvals(), rec)
+			}
 		}
 	}
 }

@@ -152,12 +152,42 @@ func TestPushFoldAssociation(t *testing.T) {
 	}
 }
 
-// runPushEmission builds a matrix, a frontier and a chunking from prog and
-// checks that the two ways of putting a dense push accumulator in order —
-// sorting its touched list, sweeping its presence lane — emit the same
-// (zi, zx), bit for bit, and that both are the reference association.
+// pushMask decodes a program byte into a mask over n outputs, or nil: b%3
+// picks none, compressed or dense-held; b/3%2 structural or value; b/6%2
+// plain or complemented. Its entries and truth values are drawn from b and
+// n. admits is the mask's meaning, stated independently of maskVec.
+func pushMask(b, n int) (mv *maskVec, admits func(j int) bool) {
+	if b%3 == 0 {
+		return nil, func(int) bool { return true }
+	}
+	d := descValues{MaskValue: b/3%2 == 1, Comp: b/6%2 == 1}
+	rng := rand.New(rand.NewSource(int64(b*131 + n)))
+	m := MustVector[bool](n)
+	stored := make([]bool, n)
+	truth := make([]bool, n)
+	for j := 0; j < n; j++ {
+		if rng.Intn(2) == 0 {
+			stored[j], truth[j] = true, rng.Intn(3) != 0
+			_ = m.SetElement(j, truth[j])
+		}
+	}
+	if b%3 == 2 && !HoldDense(m) {
+		panic("mask beyond the dense cap")
+	}
+	return newMaskVec(m, d), func(j int) bool {
+		return (stored[j] && (!d.MaskValue || truth[j])) != d.Comp
+	}
+}
+
+// runPushEmission builds a matrix, a frontier, a chunking and a mask from
+// prog and checks that the two ways of putting a dense push accumulator in
+// order — sorting its touched list, sweeping its presence lane — emit the
+// same (zi, zx), bit for bit, and that both are the reference association;
+// that the admitted emission is the unmasked one filtered by the mask, with
+// every cell the mask rejected cleared before the scratch goes back to the
+// pool; and that vxmPush's result, lanes or arrays, is that emission too.
 func runPushEmission(t *testing.T, prog []byte) {
-	if len(prog) < 4 {
+	if len(prog) < 5 {
 		return
 	}
 	n := 8 + int(prog[0])%56
@@ -166,7 +196,8 @@ func runPushEmission(t *testing.T, prog []byte) {
 	// One more program bit: PlusTimes, a tagged constructor, or its twin.
 	semirings := pushSemirings()
 	s := semirings[int(prog[2])/8%len(semirings)]
-	prog = prog[3:]
+	mv, admits := pushMask(int(prog[3]), n)
+	prog = prog[4:]
 	next := func() int {
 		if len(prog) == 0 {
 			return 0
@@ -197,10 +228,20 @@ func runPushEmission(t *testing.T, prog []byte) {
 	}
 	ui, ux := u.materialized()
 	ca := a.materializedCSR()
+	filtered := func(zi []int, zx []float64) ([]int, []float64) {
+		var oi []int
+		var ox []float64
+		for k, j := range zi {
+			if admits(j) {
+				oi, ox = append(oi, j), append(ox, zx[k])
+			}
+		}
+		return oi, ox
+	}
 
 	acc := pushDense(ui, ux, ca, s, n, bounds, nil)
 	sweepI, sweepX := compactLanes(acc.seen, acc.val, len(acc.touched))
-	sort.Ints(acc.touched)
+	acc.sortAdmitted(mv, acc.admitDense(mv))
 	sortI, sortX := acc.handOver()
 	for j, set := range acc.seen {
 		if set {
@@ -208,20 +249,42 @@ func runPushEmission(t *testing.T, prog []byte) {
 		}
 	}
 	putScratch(acc)
-	if !sameBits(sortI, sortX, sweepI, sweepX) {
-		t.Fatalf("sort-emit %v %v, sweep-emit %v %v", sortI, sortX, sweepI, sweepX)
+	wi, wx := pushFoldReference(ui, ux, ca, bounds, s)
+	if !sameBits(sweepI, sweepX, wi, wx) {
+		t.Fatalf("chunks %v: swept %v %v, the chunk-order association gives %v %v", bounds, sweepI, sweepX, wi, wx)
 	}
-	if wi, wx := pushFoldReference(ui, ux, ca, bounds, s); !sameBits(sortI, sortX, wi, wx) {
-		t.Fatalf("chunks %v: emitted %v %v, the chunk-order association gives %v %v", bounds, sortI, sortX, wi, wx)
+	if fi, fx := filtered(sweepI, sweepX); !sameBits(sortI, sortX, fi, fx) {
+		t.Fatalf("admitted sort-emit %v %v, sweep-emit through the mask %v %v", sortI, sortX, fi, fx)
+	}
+
+	// The kernel itself, which chunks by its own rule: at these sizes one
+	// chunk.
+	zi, zx, zd, admitted := vxmPush(u, ca, s, mv, n, nil)
+	if zd != nil {
+		zi, zx = compactLanes(zd.b, zd.x, zd.nvals)
+		zd.release()
+	}
+	if !admitted {
+		zi, zx = filtered(zi, zx)
+	}
+	oi, ox := filtered(pushFoldReference(ui, ux, ca, []int{0, len(ui)}, s))
+	if !sameBits(zi, zx, oi, ox) {
+		t.Fatalf("vxmPush emitted %v %v (admitted %v), the masked association gives %v %v", zi, zx, admitted, oi, ox)
 	}
 }
 
 // FuzzPushEmission searches for an input on which the push kernel's two
 // emission routes, or its chunk fold and the stated association, disagree.
 func FuzzPushEmission(f *testing.F) {
-	f.Add([]byte{12, 3, 2, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 1, 4, 1, 2, 1, 4, 1, 2, 3, 5})
-	f.Add([]byte{40, 20, 7, 5, 1, 5, 0, 5, 1, 5, 0, 3, 9, 14, 2, 0, 7, 0, 1, 7, 1, 2, 7, 2, 3, 7, 3})
-	f.Add([]byte{0, 0, 0, 1})
+	// The first three seeds are unmasked (the fourth byte is 0); the rest
+	// repeat the first under a dense-held complemented mask, a compressed
+	// value mask and a dense-held complemented value mask.
+	f.Add([]byte{12, 3, 2, 0, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 1, 4, 1, 2, 1, 4, 1, 2, 3, 5})
+	f.Add([]byte{40, 20, 7, 0, 5, 1, 5, 0, 5, 1, 5, 0, 3, 9, 14, 2, 0, 7, 0, 1, 7, 1, 2, 7, 2, 3, 7, 3})
+	f.Add([]byte{0, 0, 0, 0, 1})
+	for _, mask := range []byte{8, 4, 11} {
+		f.Add([]byte{12, 3, 2, mask, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 1, 4, 1, 2, 1, 4, 1, 2, 3, 5})
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			return

@@ -418,6 +418,31 @@ func TestConformanceStorageFormsMatrix(t *testing.T) {
 					ref.MxM(c, mask, accum, tw.literal, ref.FromMatrix(xleft), ref.FromMatrix(xright), d)
 				}})
 		}
+		// Each forced kernel into an empty C, held in the form C is: the write
+		// rule's adopt arm, which takes the kernel's result as it is, so the
+		// kernel alone must have applied the mask.
+		for _, method := range []struct {
+			name string
+			m    grb.MxMMethod
+		}{{"gustavson", grb.MxMGustavson}, {"dot", grb.MxMDot}, {"heap", grb.MxMHeap}} {
+			ops = append(ops, matOp{"mxm/empty-C/" + method.name, m, n,
+				func(c *grb.Matrix[int64], mask *grb.Matrix[bool], accum grb.BinaryOp[int64, int64, int64], d *grb.Descriptor, dense bool) error {
+					held, _ := c.Forms()
+					c.Clear()
+					if held {
+						grb.HoldDenseMatrix(c)
+					}
+					dd := *d
+					dd.Method = method.m
+					return grb.MxM(c, mask, accum, grb.PlusTimes[int64](), heldM(left, dense), heldM(right, dense), &dd)
+				},
+				func(c *ref.Mat[int64], mask *ref.Mat[bool], accum grb.BinaryOp[int64, int64, int64], d ref.Desc) {
+					for i := range c.Set {
+						clear(c.Set[i])
+					}
+					ref.MxM(c, mask, accum, grb.PlusTimes[int64](), ref.FromMatrix(left), ref.FromMatrix(right), d)
+				}})
+		}
 		cInit := randMatrix(rng, m, n, 0.4)
 		mask := randBoolMatrix(rng, m, n, 0.5)
 		for _, op := range ops {

@@ -14,8 +14,11 @@ package grb
 // The rule is applied output-sensitively, by the cheapest of three routes:
 //
 //   - adopt: when C is empty, or with no accumulator and either no mask or
-//     Replace, nothing of the old C survives — C becomes Z filtered by the
-//     mask, O(nnz(Z));
+//     Replace, nothing of the old C survives — C becomes Z as the product
+//     kernel admitted it, or Z filtered by the mask for every other op,
+//     O(nnz(Z)). A product kernel (vxm, mxv, mxm) applies the mask inside
+//     itself, before it orders its output, and says so (admitted): the
+//     rule then takes Z as it is;
 //   - in place: when C is (or by the promotion rule becomes) dense-held,
 //     admitted Z entries are scattered into its dense lanes and, with no
 //     accumulator, admitted positions Z left empty are cleared by a walk
@@ -43,10 +46,11 @@ package grb
 // lanes, no index list, no append, no merge), and the rule has the
 // matching arms for such a Z (writeVectorLanes):
 //
-//   - adopt, under the same condition: Z is filtered in place by the mask
-//     and its lanes become w's dense form; the lanes w held go back to the
-//     pool. A filtered Z below the promotion bar is compacted to the sorted
-//     form first, so sparse traffic never stays in lanes;
+//   - adopt, under the same condition: Z, unless admitted, is filtered in
+//     place by the mask and its lanes become w's dense form; the lanes w
+//     held go back to the pool. A filtered Z below the promotion bar is
+//     compacted to the sorted form first, so sparse traffic never stays in
+//     lanes;
 //   - in place: when w is (or by the promotion rule becomes) dense-held,
 //     one sweep of the lanes applies mask, accumulator and Replace at every
 //     position — Z already cost O(n), so no case needs to be closed except
@@ -110,20 +114,24 @@ func filterAdmitted[T any](zi []int, zx []T, mv *maskVec) ([]int, []T) {
 // writeVectorResult applies the write rule to vector w given result entries
 // (zidx, zx) sorted ascending.
 func writeVectorResult[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], zidx []int, zx []T, d descValues) error {
-	_, err := writeVectorRouted(w, mask, accum, zidx, zx, d)
+	_, err := writeVectorRouted(w, mask, accum, zidx, zx, false, d)
 	return err
 }
 
-// writeVectorRouted is writeVectorResult reporting the route it took.
-func writeVectorRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], zidx []int, zx []T, d descValues) (string, error) {
+// writeVectorRouted is writeVectorResult reporting the route it took;
+// admitted says Z holds only what the mask admits.
+func writeVectorRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], zidx []int, zx []T, admitted bool, d descValues) (string, error) {
 	if mask != nil && mask.n != w.n {
 		return "", opErrorf("write", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
-	mv := newMaskVec(mask, d)
-	if w.ref().nvals == 0 || (accum == nil && (mv == nil || d.Replace)) {
-		w.setSparse(filterAdmitted(zidx, zx, mv))
+	if w.ref().nvals == 0 || (accum == nil && (mask == nil || d.Replace)) {
+		if !admitted {
+			zidx, zx = filterAdmitted(zidx, zx, newMaskVec(mask, d))
+		}
+		w.setSparse(zidx, zx)
 		return routeAdopt, nil
 	}
+	mv := newMaskVec(mask, d)
 	if inPlaceRoute(accum != nil, mv != nil, d.Comp, d.Replace) && any(mask) != any(w) {
 		if dn := w.writableDense(); dn != nil {
 			scatterRow(dn, 0, zidx, zx, mv, accum)
@@ -221,20 +229,20 @@ func mergeRow[T any](ni []int, nx []T, oi []int, ox []T, zi []int, zx []T, allow
 // lanes z, which the call owns: they end up as w's dense form or back in
 // the pool.
 func writeVectorLanes[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], z *bm[T], d descValues) error {
-	_, err := writeVectorLanesRouted(w, mask, accum, z, d)
+	_, err := writeVectorLanesRouted(w, mask, accum, z, false, d)
 	return err
 }
 
-// writeVectorLanesRouted is writeVectorLanes reporting the route it took.
-func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], z *bm[T], d descValues) (string, error) {
+// writeVectorLanesRouted is writeVectorLanes reporting the route it took;
+// admitted says z holds only what the mask admits.
+func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], z *bm[T], admitted bool, d descValues) (string, error) {
 	if mask != nil && mask.n != w.n {
 		z.release()
 		return "", opErrorf("write", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
-	mv := newMaskVec(mask, d)
-	if w.ref().nvals == 0 || (accum == nil && (mv == nil || d.Replace)) {
-		if mv != nil {
-			allowed := mv.cursor()
+	if w.ref().nvals == 0 || (accum == nil && (mask == nil || d.Replace)) {
+		if mask != nil && !admitted {
+			allowed := newMaskVec(mask, d).cursor()
 			for j, ok := range z.b {
 				if ok && !allowed(j) {
 					z.del(j)
@@ -248,7 +256,7 @@ func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum Binar
 	}
 	if any(mask) != any(w) {
 		if dn := w.writableDense(); dn != nil {
-			allowed := mv.cursor()
+			allowed := newMaskVec(mask, d).cursor()
 			for j, ok := range z.b {
 				switch {
 				case !allowed(j):
@@ -269,7 +277,7 @@ func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum Binar
 	}
 	zidx, zx := compactLanes(z.b, z.x, z.nvals)
 	z.release()
-	return writeVectorRouted(w, mask, accum, zidx, zx, d)
+	return writeVectorRouted(w, mask, accum, zidx, zx, admitted, d)
 }
 
 // filterAdmittedCS compacts z in place to the entries mm admits, keeping
@@ -309,23 +317,27 @@ func filterAdmittedCS[T any](z *cs[T], mm *maskMat) *cs[T] {
 // writeMatrixResult applies the write rule to matrix c given the computed
 // result z in row-major compressed form.
 func writeMatrixResult[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], d descValues) error {
-	_, err := writeMatrixRouted(c, mask, accum, z, d)
+	_, err := writeMatrixRouted(c, mask, accum, z, false, d)
 	return err
 }
 
-// writeMatrixRouted is writeMatrixResult reporting the route it took.
-func writeMatrixRouted[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], d descValues) (string, error) {
+// writeMatrixRouted is writeMatrixResult reporting the route it took;
+// admitted says z holds only what the mask admits.
+func writeMatrixRouted[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T], z *cs[T], admitted bool, d descValues) (string, error) {
 	if z.nmajor != c.nr || z.nminor != c.nc {
 		return "", opErrorf("write", ErrDimensionMismatch, "result is %d×%d, C is %d×%d", z.nmajor, z.nminor, c.nr, c.nc)
 	}
 	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
 		return "", opErrorf("write", ErrDimensionMismatch, "mask is %d×%d, C is %d×%d", mask.nr, mask.nc, c.nr, c.nc)
 	}
-	mm := newMaskMat(mask, d)
-	if c.Nvals() == 0 || (accum == nil && (mm == nil || d.Replace)) {
-		c.setCSR(filterAdmittedCS(z, mm))
+	if c.Nvals() == 0 || (accum == nil && (mask == nil || d.Replace)) {
+		if !admitted {
+			z = filterAdmittedCS(z, newMaskMat(mask, d))
+		}
+		c.setCSR(z)
 		return routeAdopt, nil
 	}
+	mm := newMaskMat(mask, d)
 	if inPlaceRoute(accum != nil, mm != nil, d.Comp, d.Replace) && any(mask) != any(c) {
 		if dn := c.writableDense(); dn != nil {
 			if accum != nil {

@@ -188,6 +188,41 @@ func TestTraversalWorkScalesWithFrontier(t *testing.T) {
 	}
 }
 
+// TestLatticeBFSAllocates is the work gate for a level's mask work on the
+// lattice: the push kernel probes the dense-held ¬levels mask at each
+// touched cell before it sorts, and the write rule adopts the admitted
+// result without filtering it again, or building a mask view to do so. A
+// repeat BFSLevels from the centre of the 128² lattice reads 949
+// allocations and 579–607 KB; it read 1 325 and 751–774 KB while the
+// kernel sorted every touched cell and the write rule re-filtered them.
+func TestLatticeBFSAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the allocations stop being a count")
+	}
+	const maxAllocs, maxKB = 1090, 700
+	g := unweightedLattice(latticeSide)
+	g.A.Materialize()
+	src := (latticeSide/2)*latticeSide + latticeSide/2
+	run := func() {
+		if _, err := BFSLevels(g, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Averaged over four calls: a collection that empties the scratch pool
+	// mid-call costs that call its lanes again.
+	const calls = 4
+	kb := totalAlloc(func() {
+		for i := 0; i < calls; i++ {
+			run()
+		}
+	}) / calls / 1024
+	allocs := testing.AllocsPerRun(calls, run)
+	t.Logf("a repeat BFSLevels on the 128² lattice: %.0f allocations, %.0f KB", allocs, kb)
+	if allocs > maxAllocs || kb > maxKB {
+		t.Errorf("a repeat BFSLevels on the lattice makes %.0f allocations and %.0f KB (limits %d, %d): a level sorts or filters cells the mask rejects", allocs, kb, maxAllocs, maxKB)
+	}
+}
+
 // TestFullVectorIterationAllocatesNothingPerVertex is the work gate for the
 // full-vector pipelines. Every intermediate of a PageRank or FastSV
 // iteration has all n entries; on the dense result route each grb call is a

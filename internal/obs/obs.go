@@ -58,8 +58,9 @@ type OpRecord struct {
 	Rows int `json:"rows,omitempty"`
 	Cols int `json:"cols,omitempty"`
 	// NnzA and NnzB are the stored-entry counts of the (oriented)
-	// operands; NnzOut counts the kernel's raw output before the mask /
-	// accumulate / replace write-back.
+	// operands; NnzOut counts the kernel's output — a product kernel's
+	// holds what its mask admits, unless it handed the write rule
+	// unfiltered lanes — before the accumulate / replace write-back.
 	NnzA   int  `json:"nnz_a,omitempty"`
 	NnzB   int  `json:"nnz_b,omitempty"`
 	NnzOut int  `json:"nnz_out,omitempty"`
