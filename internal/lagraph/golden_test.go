@@ -17,17 +17,22 @@ package lagraph_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/obs"
 	"lagraph/internal/store"
 )
 
@@ -266,5 +271,168 @@ func TestGolden(t *testing.T) {
 					name, len(serial), len(want))
 			}
 		})
+	}
+}
+
+// iterLog is an observer that keeps every IterRecord with its duration
+// zeroed: its clock never moves, and Iter clears DurNanos anyway, so what
+// it holds is a function of the algorithm's decisions alone.
+type iterLog struct {
+	mu    sync.Mutex
+	iters []obs.IterRecord
+}
+
+func (l *iterLog) Now() int64      { return 0 }
+func (l *iterLog) Op(obs.OpRecord) {}
+func (l *iterLog) Iter(r obs.IterRecord) {
+	r.DurNanos = 0
+	l.mu.Lock()
+	l.iters = append(l.iters, r)
+	l.mu.Unlock()
+}
+
+// iterCases maps a traced algorithm to a run that reports through the
+// observer it is given. Each runs on a fresh golden graph.
+func iterCases() map[string]func(g *lagraph.Graph, ob lagraph.Option) error {
+	sources := []int{0, 5, 77, 200}
+	prOpts := []lagraph.Option{lagraph.WithDamping(0.85), lagraph.WithTolerance(1e-9), lagraph.WithMaxIter(200)}
+	return map[string]func(g *lagraph.Graph, ob lagraph.Option) error{
+		"bfs-levels":  func(g *lagraph.Graph, ob lagraph.Option) error { _, err := lagraph.BFSLevels(g, 0, ob); return err },
+		"bfs-parents": func(g *lagraph.Graph, ob lagraph.Option) error { _, err := lagraph.BFSParents(g, 0, ob); return err },
+		"msbfs": func(g *lagraph.Graph, ob lagraph.Option) error {
+			_, err := lagraph.MSBFSLevels(g, sources, ob)
+			return err
+		},
+		"bc": func(g *lagraph.Graph, ob lagraph.Option) error {
+			_, err := lagraph.BetweennessCentrality(g, sources, ob)
+			return err
+		},
+		"sssp": func(g *lagraph.Graph, ob lagraph.Option) error { _, err := lagraph.SSSP(g, 0, ob); return err },
+		"sssp-bellman": func(g *lagraph.Graph, ob lagraph.Option) error {
+			_, err := lagraph.SSSPBellmanFord(g, 0, ob)
+			return err
+		},
+		"pagerank": func(g *lagraph.Graph, ob lagraph.Option) error {
+			_, err := lagraph.PageRankWith(g, append(prOpts, ob)...)
+			return err
+		},
+		"hits": func(g *lagraph.Graph, ob lagraph.Option) error { _, err := lagraph.HITSWith(g, ob); return err },
+		"cc-fastsv": func(g *lagraph.Graph, ob lagraph.Option) error {
+			_, err := lagraph.ConnectedComponentsWith(g, ob)
+			return err
+		},
+		"mis": func(g *lagraph.Graph, ob lagraph.Option) error { _, err := lagraph.MIS(g, 1, ob); return err },
+		"tc": func(g *lagraph.Graph, ob lagraph.Option) error {
+			_, err := lagraph.TriangleCount(g, lagraph.TCAuto, ob)
+			return err
+		},
+		"pagerank-warm": func(g *lagraph.Graph, ob lagraph.Option) error {
+			prior, err := lagraph.PageRankWith(g, prOpts...)
+			if err != nil {
+				return err
+			}
+			if _, err := goldenDelta(g); err != nil {
+				return err
+			}
+			_, err = lagraph.PageRankWarm(g, prior.Rank, append(prOpts, ob)...)
+			return err
+		},
+		// The repair bridges vertex 0 to the deepest vertex its BFS
+		// reached, so levels fall for rounds (goldenDelta moves none from 0).
+		"bfs-levels-incremental": func(g *lagraph.Graph, ob lagraph.Option) error {
+			prior, err := lagraph.BFSLevels(g, 0)
+			if err != nil {
+				return err
+			}
+			is, xs := prior.ExtractTuples()
+			far := 0
+			for k := range is {
+				if xs[k] > xs[far] {
+					far = k
+				}
+			}
+			if err := g.A.SetElements([]int{0, is[far]}, []int{is[far], 0}, []float64{1, 1}, nil); err != nil {
+				return err
+			}
+			g.InvalidateCache()
+			delta := &lagraph.Delta{AddSrc: []int{0}, AddDst: []int{is[far]}}
+			_, _, err = lagraph.IncrementalBFSLevels(g, 0, prior, delta, ob)
+			return err
+		},
+	}
+}
+
+// iterGraphs are the two fixtures the iteration records are pinned on: the
+// golden power-law graph, whose traversals end in three levels, and a
+// weighted 16×16 lattice, whose run for thirty.
+var iterGraphs = map[string]func(t testing.TB) *lagraph.Graph{
+	"powerlaw": goldenGraph,
+	"lattice": func(t testing.TB) *lagraph.Graph {
+		e := gen.Grid2D(16, 16, gen.Config{Seed: 42, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10})
+		g, err := lagraph.NewGraph(e.Matrix(), lagraph.Undirected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	},
+}
+
+// iterDigest runs one case on a fresh graph at parallelism p and returns
+// the SHA-256 of its IterRecord stream, JSON-encoded, with the record count.
+func iterDigest(t *testing.T, p int, graph func(testing.TB) *lagraph.Graph, run func(g *lagraph.Graph, ob lagraph.Option) error) string {
+	t.Helper()
+	prev := grb.SetParallelism(p)
+	defer grb.SetParallelism(prev)
+	var log iterLog
+	if err := run(graph(t), lagraph.WithObserver(&log)); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.iters) == 0 {
+		t.Fatal("no iteration records")
+	}
+	js, err := json.Marshal(log.iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x %d", sha256.Sum256(js), len(log.iters))
+}
+
+// TestGoldenIterRecords pins what every traced algorithm reports per
+// iteration — Iter, Frontier, Dir, Residual, Warm, with DurNanos zeroed —
+// as one digest per algorithm and fixture in
+// testdata/golden/iter-records.txt, the same
+// at SetParallelism(1) and SetParallelism(8). TestGolden pins results; this
+// pins the decisions a trace exposes. -update-golden rewrites the file.
+func TestGoldenIterRecords(t *testing.T) {
+	cases := iterCases()
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var lines []string
+	for _, name := range names {
+		for _, gname := range []string{"powerlaw", "lattice"} {
+			serial := iterDigest(t, 1, iterGraphs[gname], cases[name])
+			if parallel := iterDigest(t, 8, iterGraphs[gname], cases[name]); parallel != serial {
+				t.Errorf("%s on %s: iteration records differ between SetParallelism(1) and (8): %s vs %s", name, gname, serial, parallel)
+			}
+			lines = append(lines, name+"/"+gname+" "+serial)
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	path := filepath.Join("testdata", "golden", "iter-records.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("iteration records differ from %s; if the change is intentional, rerun with -update-golden\ngot:\n%swant:\n%s", path, got, want)
 	}
 }
