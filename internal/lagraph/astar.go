@@ -52,12 +52,9 @@ func (h *aHeap) Pop() interface{} {
 // AStar returns a shortest path from src to dst and its cost, or ok=false
 // if dst is unreachable. Edge weights must be non-negative.
 func AStar(g *Graph, src, dst int, h Heuristic) (path []int, cost float64, ok bool, err error) {
-	if err := g.checkSource(src); err != nil {
-		return nil, 0, false, err
-	}
-	if err := g.checkSource(dst); err != nil {
-		return nil, 0, false, err
-	}
+	defer catch(&err)
+	try(g.checkSource(src))
+	try(g.checkSource(dst))
 	if h == nil {
 		h = ZeroHeuristic
 	}
@@ -82,9 +79,7 @@ func AStar(g *Graph, src, dst int, h Heuristic) (path []int, cost float64, ok bo
 		}
 		// Neighbourhood expansion through the GraphBLAS: row u of A.
 		row.Clear()
-		if err := grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, g.A, grb.All, u, grb.DescT0); err != nil {
-			return nil, 0, false, err
-		}
+		try(grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, g.A, grb.All, u, grb.DescT0))
 		vi, vw := row.ExtractTuples()
 		for k, v := range vi {
 			nd := dist[u] + vw[k]

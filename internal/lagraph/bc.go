@@ -1,6 +1,9 @@
 package lagraph
 
-import "lagraph/internal/grb"
+import (
+	"lagraph/internal/grb"
+	"lagraph/internal/obs"
+)
 
 // Betweenness centrality (§V, [2]) in the batched Brandes formulation of
 // the Combinatorial BLAS / LAGraph: a batch of sources is processed as
@@ -24,9 +27,10 @@ import "lagraph/internal/grb"
 // is checked before every level of both sweeps, and an observer receives
 // one "bc" IterRecord per level of each: the depth, the wavefront's entry
 // count and the direction grb took.
-func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector[float64], error) {
+func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (_ *grb.Vector[float64], err error) {
+	defer catch(&err)
 	cfg := newOptions(opts)
-	ob := cfg.observer()
+	lp := cfg.loop("bc")
 	n := g.N()
 	ns := len(sources)
 	if ns == 0 {
@@ -40,9 +44,7 @@ func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector
 
 	plusFirst := grb.PlusFirst[float64]()
 	paths, levels, err := bcForward(g, sources, plusFirst, opts...)
-	if err != nil {
-		return nil, err
-	}
+	try(err)
 
 	// Backward sweep: delta(s,i) accumulates the dependency of i on s's
 	// shortest-path DAG.
@@ -50,31 +52,26 @@ func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector
 	depDiv := func(d, sigma float64) float64 { return (1 + d) / sigma }
 	dT1R := &grb.Descriptor{TranB: true, Replace: true}
 	for d := len(levels) - 1; d >= 1; d-- {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+		try(lp.next())
 		// w⟨levels[d],replace⟩ = (1 + delta) ./ paths, a vertex with no
 		// dependency yet standing at delta = 0.
 		w := grb.MustMatrix[float64](ns, n)
-		if err := grb.EWiseUnionMatrix(w, levels[d], nil, depDiv, delta, 0, paths, 1, grb.DescR); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseUnionMatrix(w, levels[d], nil, depDiv, delta, 0, paths, 1, grb.DescR))
 		// t⟨levels[d-1],replace⟩ = w ⊕.⊗ Aᵀ
 		t := grb.MustMatrix[float64](ns, n)
-		if err := batchStep(ob, "bc", d, t, levels[d-1], plusFirst, w, g.A, dT1R); err != nil {
-			return nil, err
+		rec := obs.IterRecord{Iter: d}
+		if lp.traced() {
+			rec.Frontier, rec.Dir = w.Nvals(), dirString(grb.MxMDirection(levels[d-1], w, g.A, dT1R))
 		}
+		try(grb.MxM(t, levels[d-1], nil, plusFirst, w, g.A, dT1R))
 		// delta⟨levels[d-1]⟩ += t ⊗ paths
-		if err := grb.EWiseMultMatrix(delta, levels[d-1], grb.Plus[float64](), grb.Times[float64](), t, paths, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseMultMatrix(delta, levels[d-1], grb.Plus[float64](), grb.Times[float64](), t, paths, nil))
+		lp.done(rec)
 	}
 
 	// bc(i) = Σ_s delta(s,i), excluding each source's own row entry.
 	bc := grb.MustVector[float64](n)
-	if err := grb.ReduceMatrixToVector[float64, bool](bc, nil, nil, grb.PlusMonoid[float64](), delta, grb.DescT0); err != nil {
-		return nil, err
-	}
+	try(grb.ReduceMatrixToVector[float64, bool](bc, nil, nil, grb.PlusMonoid[float64](), delta, grb.DescT0))
 	for s, src := range sources {
 		if v, err := delta.GetElement(s, src); err == nil && v != 0 {
 			_ = bc.MergeElement(src, -v, grb.Plus[float64]())
@@ -82,9 +79,7 @@ func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector
 	}
 	// Drop explicit zeros for a clean result.
 	out := grb.MustVector[float64](n)
-	if err := grb.SelectVector[float64, bool](out, nil, nil, grb.ValueNE(0.0), bc, nil); err != nil {
-		return nil, err
-	}
+	try(grb.SelectVector[float64, bool](out, nil, nil, grb.ValueNE(0.0), bc, nil))
 	return out, nil
 }
 
@@ -93,33 +88,33 @@ func BetweennessCentrality(g *Graph, sources []int, opts ...Option) (*grb.Vector
 // sources[s] to i; levels[d] holds the depth-d wavefront (the paths
 // discovered at that depth). It folds the caller's options itself: the
 // lattice tests run it alone.
-func bcForward(g *Graph, sources []int, plusFirst grb.Semiring[float64, float64, float64], opts ...Option) (paths *grb.Matrix[float64], levels []*grb.Matrix[float64], err error) {
+func bcForward(g *Graph, sources []int, plusFirst grb.Semiring[float64, float64, float64], opts ...Option) (_ *grb.Matrix[float64], _ []*grb.Matrix[float64], err error) {
+	defer catch(&err)
 	cfg := newOptions(opts)
-	ob := cfg.observer()
+	lp := cfg.loop("bc")
 	ns, n := len(sources), g.N()
-	paths = grb.MustMatrix[float64](ns, n)
-	frontier := grb.MustMatrix[float64](ns, n)
+	paths, frontier := grb.MustMatrix[float64](ns, n), grb.MustMatrix[float64](ns, n)
 	for s, src := range sources {
 		_ = paths.SetElement(s, src, 1)
 		_ = frontier.SetElement(s, src, 1)
 	}
-	levels = append(levels, frontier)
+	levels := []*grb.Matrix[float64]{frontier}
 	for {
-		if err := cfg.canceled(); err != nil {
-			return nil, nil, err
-		}
-		next := grb.MustMatrix[float64](ns, n)
+		try(lp.next())
 		// next⟨¬paths,replace⟩ = frontier ⊕.⊗ A
-		if err := batchStep(ob, "bc", len(levels), next, paths, plusFirst, frontier, g.A, grb.DescRC); err != nil {
-			return nil, nil, err
+		next := grb.MustMatrix[float64](ns, n)
+		rec := obs.IterRecord{Iter: len(levels)}
+		if lp.traced() {
+			rec.Frontier, rec.Dir = frontier.Nvals(), dirString(grb.MxMDirection(paths, frontier, g.A, grb.DescRC))
 		}
+		try(grb.MxM(next, paths, nil, plusFirst, frontier, g.A, grb.DescRC))
 		if next.Nvals() == 0 {
+			lp.done(rec)
 			return paths, levels, nil
 		}
 		// paths += next
-		if err := grb.AssignMatrix[float64, bool](paths, nil, grb.Plus[float64](), next, grb.All, grb.All, nil); err != nil {
-			return nil, nil, err
-		}
+		try(grb.AssignMatrix[float64, bool](paths, nil, grb.Plus[float64](), next, grb.All, grb.All, nil))
+		lp.done(rec)
 		frontier = next
 		levels = append(levels, frontier)
 	}

@@ -130,24 +130,33 @@ func TestBFSParentsValid(t *testing.T) {
 	}
 }
 
+// TestBFSBothConsistent: BFSLevels and BFSParents traverse the same graph
+// alike. They reach the same vertices, and every vertex but the source
+// sits one level below its parent.
 func TestBFSBothConsistent(t *testing.T) {
 	g := rmatGraph(t, 8, 6, 6, true)
-	levels, parents, err := BFSBoth(g, 0)
+	levels, err := BFSLevels(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := BFSLevels(g, 0)
+	parents, err := BFSParents(g, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if levels.Nvals() != l2.Nvals() || levels.Nvals() != parents.Nvals() {
-		t.Fatalf("nvals: both=%d levels=%d parents=%d", levels.Nvals(), l2.Nvals(), parents.Nvals())
 	}
 	li, lx := levels.ExtractTuples()
+	pi, px := parents.ExtractTuples()
+	if len(li) != len(pi) {
+		t.Fatalf("BFSLevels reaches %d vertices, BFSParents %d", len(li), len(pi))
+	}
 	for k, v := range li {
-		want, _ := l2.GetElement(v)
-		if lx[k] != want {
-			t.Fatalf("level mismatch at %d", v)
+		if pi[k] != v {
+			t.Fatalf("reached sets differ at entry %d: %d vs %d", k, v, pi[k])
+		}
+		if v == 0 {
+			continue
+		}
+		if lp, err := levels.GetElement(int(px[k])); err != nil || lp != lx[k]-1 {
+			t.Fatalf("vertex %d at level %d: parent %d at level %d (%v)", v, lx[k], px[k], lp, err)
 		}
 	}
 }

@@ -31,6 +31,38 @@ func TestCancellationAllAlgorithms(t *testing.T) {
 	cancel()
 	opt := WithContext(ctx)
 
+	// The warm starts need priors they accept, so that they reach their
+	// loops: full results, and for the BFS repair an inserted edge from the
+	// source to its deepest vertex, which lowers a level.
+	rank, err := PageRankWith(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := ConnectedComponentsWith(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridged := cancelGraph(t)
+	levels, err := BFSLevels(bridged, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, xs := levels.ExtractTuples()
+	far := 0
+	for k := range is {
+		if xs[k] > xs[far] {
+			far = k
+		}
+	}
+	if err := bridged.A.SetElements([]int{0, is[far]}, []int{is[far], 0}, []float64{1, 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	bridged.InvalidateCache()
+	bridge := &Delta{AddSrc: []int{0}, AddDst: []int{is[far]}}
+	if _, rounds, err := IncrementalBFSLevels(bridged, 0, levels, bridge); err != nil || rounds == 0 {
+		t.Fatalf("the bridge must give the repair rounds to run: %d rounds, %v", rounds, err)
+	}
+
 	runs := map[string]func() error{
 		"BFSLevels":     func() error { _, err := BFSLevels(g, 0, opt); return err },
 		"BFSParents":    func() error { _, err := BFSParents(g, 0, opt); return err },
@@ -44,6 +76,13 @@ func TestCancellationAllAlgorithms(t *testing.T) {
 		"TriangleCount": func() error { _, err := TriangleCount(g, TCSandiaDot, opt); return err },
 		"KTruss":        func() error { _, err := KTruss(g, 3, opt); return err },
 		"APSP":          func() error { _, err := APSP(g, opt); return err },
+		"CCWith":        func() error { _, err := ConnectedComponentsWith(g, opt); return err },
+		"PageRankWarm":  func() error { _, err := PageRankWarm(g, rank.Rank, opt); return err },
+		"IncrementalCC": func() error { _, err := IncrementalCC(g, cc.Labels, &Delta{}, opt); return err },
+		"IncrementalBFSLevels": func() error {
+			_, _, err := IncrementalBFSLevels(bridged, 0, levels, bridge, opt)
+			return err
+		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {

@@ -43,7 +43,8 @@ func ConnectedComponentsWith(g *Graph, opts ...Option) (*CCResult, error) {
 // identical in both modes, so cold results are bitwise unchanged by this
 // refactor and warm results converge to the same canonical min-id fixed
 // point.
-func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCResult, error) {
+func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (_ *CCResult, err error) {
+	defer catch(&err)
 	n := g.N()
 	// f: parent pointer vector, dense.
 	var f *grb.Vector[int64]
@@ -62,36 +63,22 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 	// grb runs as visible arithmetic (a literal over g.A would not be).
 	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
 
-	ob := cfg.observer()
+	lp := cfg.loop("cc-fastsv")
 	// Workspaces, allocated once: gp (grandparent) and newGP swap roles
 	// each iteration, and every one but the returned f is cleared at exit.
 	gp, newGP, mngp := f.Dup(), grb.MustVector[int64](n), grb.MustVector[int64](n)
 	defer func() { gp.Clear(); newGP.Clear(); mngp.Clear() }()
-	for iter := 0; iter <= n; iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
-		}
+	for iter := 1; iter <= n+1; iter++ {
+		try(lp.next())
 		// mngp(i) = min over neighbours j of gp(j): stochastic hooking.
-		if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), nil, minSecond, a, gp, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(mngp, (*grb.Vector[bool])(nil), nil, minSecond, a, gp, nil))
 		if g.Kind == Directed {
-			if err := grb.MxV(mngp, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, gp, grb.DescT0); err != nil {
-				return nil, err
-			}
+			try(grb.MxV(mngp, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, gp, grb.DescT0))
 		}
 
 		// Hooking: f(i) ← min(f(i), mngp(i), gp(i)).
-		if err := grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, mngp, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, gp, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, mngp, nil))
+		try(grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, gp, nil))
 
 		// Aggressive hooking onto parents-of-parents: f(f(i)) ← min(...).
 		// Gather-scatter through the tuple interface (the C formulation
@@ -108,27 +95,15 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 		}
 
 		// Shortcutting: f(i) ← f(f(i)); compute the new grandparent.
-		if err := grb.ExtractVector[int64, bool](newGP, nil, nil, f, idx, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, newGP, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ExtractVector[int64, bool](newGP, nil, nil, f, idx, nil))
+		try(grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, newGP, nil))
 
 		stable, err := isEqual(gp, newGP)
-		if err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			ob.Iter(obs.IterRecord{
-				Algo: "cc-fastsv", Iter: iter + 1,
-				Warm:     warm,
-				DurNanos: ob.Now() - t0,
-			})
-		}
+		try(err)
+		lp.done(obs.IterRecord{Iter: iter, Warm: warm})
 		// Converged when the grandparent vector is stable.
 		if stable {
-			return &CCResult{Labels: f, Iterations: iter + 1}, nil
+			return &CCResult{Labels: f, Iterations: iter}, nil
 		}
 		gp, newGP = newGP, gp
 	}
@@ -139,16 +114,15 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (*CCRe
 // (the paper's LAGraph_isequal utility, §IV): equal entry counts, then an
 // eWiseMult with == over the common pattern, which must cover both and
 // reduce to true under logical and.
-func isEqual(a, b *grb.Vector[int64]) (bool, error) {
+func isEqual(a, b *grb.Vector[int64]) (_ bool, err error) {
+	defer catch(&err)
 	if a.Size() != b.Size() || a.Nvals() != b.Nvals() {
 		return false, nil
 	}
 	same := grb.MustVector[bool](a.Size())
 	defer same.Clear() // GrB_free: the temporary's storage goes back to grb
 	eq := func(x, y int64) bool { return x == y }
-	if err := grb.EWiseMultVector[int64, int64, bool, bool](same, nil, nil, eq, a, b, nil); err != nil {
-		return false, err
-	}
+	try(grb.EWiseMultVector[int64, int64, bool, bool](same, nil, nil, eq, a, b, nil))
 	if same.Nvals() != a.Nvals() {
 		return false, nil
 	}
@@ -158,8 +132,10 @@ func isEqual(a, b *grb.Vector[int64]) (bool, error) {
 // ConnectedComponentsLabelProp iterates l ← min(l, min-neighbour(l))
 // until a fixed point: the simplest CC formulation, used as an
 // independent oracle.
-func ConnectedComponentsLabelProp(g *Graph, opts ...Option) (*grb.Vector[int64], error) {
+func ConnectedComponentsLabelProp(g *Graph, opts ...Option) (_ *grb.Vector[int64], err error) {
+	defer catch(&err)
 	cfg := newOptions(opts)
+	lp := cfg.loop("cc-labelprop")
 	n := g.N()
 	ids := make([]int64, n)
 	for i := range ids {
@@ -168,21 +144,15 @@ func ConnectedComponentsLabelProp(g *Graph, opts ...Option) (*grb.Vector[int64],
 	l := grb.DenseVector(ids)
 	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
 	for iter := 0; iter <= n; iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+		try(lp.next())
 		prev := l.Dup()
-		if err := grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, l, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, l, nil))
 		if g.Kind == Directed {
-			if err := grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, l, grb.DescT0); err != nil {
-				return nil, err
-			}
+			try(grb.MxV(l, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, l, grb.DescT0))
 		}
-		if same, err := isEqual(prev, l); err != nil {
-			return nil, err
-		} else if same {
+		same, err := isEqual(prev, l)
+		try(err)
+		if same {
 			return l, nil
 		}
 	}

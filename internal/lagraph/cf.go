@@ -30,7 +30,8 @@ type CFModel struct {
 //	E⟨pattern(R)⟩ = R − U·Vᵀ        (masked mxm)
 //	U += lr·(E·V − reg·U)
 //	V += lr·(Eᵀ·U − reg·V)
-func CollaborativeFiltering(r *grb.Matrix[float64], rank int, lr, reg float64, epochs int, seed int64) (*CFModel, error) {
+func CollaborativeFiltering(r *grb.Matrix[float64], rank int, lr, reg float64, epochs int, seed int64) (_ *CFModel, err error) {
+	defer catch(&err)
 	if r == nil {
 		return nil, grb.ErrUninitialized
 	}
@@ -52,73 +53,51 @@ func CollaborativeFiltering(r *grb.Matrix[float64], rank int, lr, reg float64, e
 		// E⟨R⟩ = U·Vᵀ restricted to observed entries, then E = R − E.
 		e := grb.MustMatrix[float64](nu, ni)
 		dT1 := &grb.Descriptor{TranB: true, Method: grb.MxMDot}
-		if err := grb.MxM(e, r, nil, plusTimes, u, v, dT1); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseMultMatrix[float64, float64, float64, bool](e, nil, nil,
-			grb.Minus[float64](), r, e, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(e, r, nil, plusTimes, u, v, dT1))
+		try(grb.EWiseMultMatrix[float64, float64, float64, bool](e, nil, nil,
+			grb.Minus[float64](), r, e, nil))
 		// RMSE over observed entries.
 		sq := grb.MustMatrix[float64](nu, ni)
-		if err := grb.ApplyMatrix[float64, float64, bool](sq, nil, nil,
-			func(x float64) float64 { return x * x }, e, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ApplyMatrix[float64, float64, bool](sq, nil, nil,
+			func(x float64) float64 { return x * x }, e, nil))
 		sse, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), sq)
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		model.RMSE = append(model.RMSE, math.Sqrt(sse/float64(nobs)))
 
 		// Gradient steps.
 		gu := grb.MustMatrix[float64](nu, rank)
-		if err := grb.MxM(gu, (*grb.Matrix[bool])(nil), nil, plusTimes, e, v, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(gu, (*grb.Matrix[bool])(nil), nil, plusTimes, e, v, nil))
 		gv := grb.MustMatrix[float64](ni, rank)
-		if err := grb.MxM(gv, (*grb.Matrix[bool])(nil), nil, plusTimes, e, u, grb.DescT0); err != nil {
-			return nil, err
-		}
-		if err := sgdStep(u, gu, lr, reg); err != nil {
-			return nil, err
-		}
-		if err := sgdStep(v, gv, lr, reg); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(gv, (*grb.Matrix[bool])(nil), nil, plusTimes, e, u, grb.DescT0))
+		try(sgdStep(u, gu, lr, reg))
+		try(sgdStep(v, gv, lr, reg))
 	}
 	return model, nil
 }
 
 // sgdStep applies x += lr*(g - reg*x) element-wise (x dense).
-func sgdStep(x, g *grb.Matrix[float64], lr, reg float64) error {
+func sgdStep(x, g *grb.Matrix[float64], lr, reg float64) (err error) {
+	defer catch(&err)
 	// x ← (1 - lr*reg)·x + lr·g
 	shrunk := grb.MustMatrix[float64](x.Nrows(), x.Ncols())
-	if err := grb.ApplyMatrix[float64, float64, bool](shrunk, nil, nil,
-		func(v float64) float64 { return (1 - lr*reg) * v }, x, nil); err != nil {
-		return err
-	}
+	try(grb.ApplyMatrix[float64, float64, bool](shrunk, nil, nil,
+		func(v float64) float64 { return (1 - lr*reg) * v }, x, nil))
 	scaledG := grb.MustMatrix[float64](g.Nrows(), g.Ncols())
-	if err := grb.ApplyMatrix[float64, float64, bool](scaledG, nil, nil,
-		func(v float64) float64 { return lr * v }, g, nil); err != nil {
-		return err
-	}
+	try(grb.ApplyMatrix[float64, float64, bool](scaledG, nil, nil,
+		func(v float64) float64 { return lr * v }, g, nil))
 	return grb.EWiseAddMatrix[float64, bool](x, nil, nil, grb.Plus[float64](), shrunk, scaledG, nil)
 }
 
 // Predict returns the model's rating estimate for (user, item).
-func (m *CFModel) Predict(user, item int) (float64, error) {
+func (m *CFModel) Predict(user, item int) (_ float64, err error) {
+	defer catch(&err)
 	rank := m.U.Ncols()
 	sum := 0.0
 	for f := 0; f < rank; f++ {
 		uf, err := m.U.GetElement(user, f)
-		if err != nil {
-			return 0, err
-		}
+		try(err)
 		vf, err := m.V.GetElement(item, f)
-		if err != nil {
-			return 0, err
-		}
+		try(err)
 		sum += uf * vf
 	}
 	return sum, nil

@@ -14,10 +14,9 @@ import (
 // (matrix squaring over (+,×)), inflation (element-wise power followed by
 // column normalization) and pruning, until the matrix reaches a fixed
 // point; clusters are the components of the attractor matrix.
-func MarkovClustering(g *Graph, inflation float64, prune float64, maxIter int) (*grb.Vector[int64], error) {
-	if err := g.requireUndirected(); err != nil {
-		return nil, err
-	}
+func MarkovClustering(g *Graph, inflation float64, prune float64, maxIter int) (_ *grb.Vector[int64], err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	if inflation <= 1 || maxIter <= 0 {
 		return nil, ErrBadArgument
 	}
@@ -26,44 +25,28 @@ func MarkovClustering(g *Graph, inflation float64, prune float64, maxIter int) (
 	// M ← A + I, column-normalized.
 	m := g.A.Dup()
 	for i := 0; i < n; i++ {
-		if err := m.SetElement(i, i, 1); err != nil {
-			return nil, err
-		}
+		try(m.SetElement(i, i, 1))
 	}
-	if err := normalizeColumns(m); err != nil {
-		return nil, err
-	}
+	try(normalizeColumns(m))
 
 	plusTimes := grb.PlusTimes[float64]()
 	for iter := 0; iter < maxIter; iter++ {
 		prev, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), squares(m))
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		// Expansion: M ← M².
 		m2 := grb.MustMatrix[float64](n, n)
-		if err := grb.MxM(m2, (*grb.Matrix[bool])(nil), nil, plusTimes, m, m, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(m2, (*grb.Matrix[bool])(nil), nil, plusTimes, m, m, nil))
 		// Inflation: element-wise power, then column normalization.
-		if err := grb.ApplyMatrix[float64, float64, bool](m2, nil, nil,
-			func(x float64) float64 { return math.Pow(x, inflation) }, m2, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ApplyMatrix[float64, float64, bool](m2, nil, nil,
+			func(x float64) float64 { return math.Pow(x, inflation) }, m2, nil))
 		// Pruning of tiny entries keeps the iteration sparse.
 		if prune > 0 {
-			if err := grb.SelectMatrix[float64, bool](m2, nil, nil, grb.ValueGT(prune), m2, grb.DescR); err != nil {
-				return nil, err
-			}
+			try(grb.SelectMatrix[float64, bool](m2, nil, nil, grb.ValueGT(prune), m2, grb.DescR))
 		}
-		if err := normalizeColumns(m2); err != nil {
-			return nil, err
-		}
+		try(normalizeColumns(m2))
 		m = m2
 		cur, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), squares(m))
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		if math.Abs(cur-prev) < 1e-9 {
 			break
 		}
@@ -73,9 +56,7 @@ func MarkovClustering(g *Graph, inflation float64, prune float64, maxIter int) (
 	// the smallest row that attracts it (connected components of the
 	// attractor pattern handles overlapping attractors).
 	gm, err := NewGraph(symmetrized(m), Undirected)
-	if err != nil {
-		return nil, err
-	}
+	try(err)
 	return ConnectedComponentsFastSV(gm)
 }
 
@@ -90,12 +71,11 @@ func squares(m *grb.Matrix[float64]) *grb.Matrix[float64] {
 }
 
 // normalizeColumns scales every column of m to sum 1.
-func normalizeColumns(m *grb.Matrix[float64]) error {
+func normalizeColumns(m *grb.Matrix[float64]) (err error) {
+	defer catch(&err)
 	n := m.Ncols()
 	colSum := grb.MustVector[float64](n)
-	if err := grb.ReduceMatrixToVector[float64, bool](colSum, nil, nil, grb.PlusMonoid[float64](), m, grb.DescT0); err != nil {
-		return err
-	}
+	try(grb.ReduceMatrixToVector[float64, bool](colSum, nil, nil, grb.PlusMonoid[float64](), m, grb.DescT0))
 	sums := colSum // captured
 	return grb.ApplyIndexMatrix(m, (*grb.Matrix[bool])(nil), nil,
 		func(x float64, _, j int) float64 {
@@ -121,7 +101,8 @@ func symmetrized(m *grb.Matrix[float64]) *grb.Matrix[float64] {
 // cluster that the plurality of its in-neighbours belong to, with ties
 // broken toward the smaller cluster id. Implemented as T = C ⊕.⊗ A over
 // (+, second-as-one) followed by a column argmax.
-func PeerPressure(g *Graph, maxIter int) (*grb.Vector[int64], error) {
+func PeerPressure(g *Graph, maxIter int) (_ *grb.Vector[int64], err error) {
+	defer catch(&err)
 	n := g.N()
 	if maxIter <= 0 {
 		return nil, ErrBadArgument
@@ -145,14 +126,10 @@ func PeerPressure(g *Graph, maxIter int) (*grb.Vector[int64], error) {
 			xs[i] = 1
 		}
 		c := grb.MustMatrix[float64](n, n)
-		if err := c.Build(is, js, xs, grb.Plus[float64]()); err != nil {
-			return nil, err
-		}
+		try(c.Build(is, js, xs, grb.Plus[float64]()))
 		// T(c,j) = Σ_i C(c,i)·A(i,j): votes for cluster c at vertex j.
 		t := grb.MustMatrix[float64](n, n)
-		if err := grb.MxM(t, (*grb.Matrix[bool])(nil), nil, plusSecond, c, g.A, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(t, (*grb.Matrix[bool])(nil), nil, plusSecond, c, g.A, nil))
 		// Column argmax with ties to the smaller cluster id.
 		next := make([]int64, n)
 		copy(next, cluster)

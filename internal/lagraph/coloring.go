@@ -14,10 +14,9 @@ import (
 // Coloring assigns a colour (1-based) to every vertex such that
 // neighbours differ, and returns the colour vector and the number of
 // colours used.
-func Coloring(g *Graph, seed int64) (*grb.Vector[int32], int, error) {
-	if err := g.requireUndirected(); err != nil {
-		return nil, 0, err
-	}
+func Coloring(g *Graph, seed int64) (_ *grb.Vector[int32], _ int, err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	n := g.N()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -44,42 +43,26 @@ func Coloring(g *Graph, seed int64) (*grb.Vector[int32], int, error) {
 		}
 		// Priorities restricted to uncoloured vertices.
 		p := grb.MustVector[float64](n)
-		if err := grb.ExtractVector(p, uncoloured, nil, prioVec, grb.All, nil); err != nil {
-			return nil, 0, err
-		}
+		try(grb.ExtractVector(p, uncoloured, nil, prioVec, grb.All, nil))
 		// nbMax(i) = max priority among uncoloured neighbours.
 		nbMax := grb.MustVector[float64](n)
-		if err := grb.MxV(nbMax, uncoloured, nil, maxSecond, g.A, p, nil); err != nil {
-			return nil, 0, err
-		}
+		try(grb.MxV(nbMax, uncoloured, nil, maxSecond, g.A, p, nil))
 		// winners: uncoloured vertices beating all uncoloured neighbours.
 		beats := grb.MustVector[bool](n)
-		if err := grb.EWiseMultVector[float64, float64, bool, bool](beats, nil, nil, grb.Gt[float64](), p, nbMax, nil); err != nil {
-			return nil, 0, err
-		}
-		if err := grb.SelectVector[bool, bool](beats, nil, nil, grb.ValueEQ(true), beats, nil); err != nil {
-			return nil, 0, err
-		}
+		try(grb.EWiseMultVector[float64, float64, bool, bool](beats, nil, nil, grb.Gt[float64](), p, nbMax, nil))
+		try(grb.SelectVector[bool, bool](beats, nil, nil, grb.ValueEQ(true), beats, nil))
 		winners := grb.MustVector[bool](n)
-		if err := grb.ExtractVector(winners, nbMax, nil, uncoloured, grb.All, grb.DescC); err != nil {
-			return nil, 0, err
-		}
-		if err := grb.EWiseAddVector[bool, bool](winners, nil, nil, grb.LOr(), winners, beats, nil); err != nil {
-			return nil, 0, err
-		}
+		try(grb.ExtractVector(winners, nbMax, nil, uncoloured, grb.All, grb.DescC))
+		try(grb.EWiseAddVector[bool, bool](winners, nil, nil, grb.LOr(), winners, beats, nil))
 		if winners.Nvals() == 0 {
 			// With distinct priorities some vertex always wins; guard
 			// against pathological ties anyway.
 			continue
 		}
 		// colour⟨winners⟩ = c; remove winners from the uncoloured pool.
-		if err := grb.AssignVectorScalar(colour, winners, nil, c, grb.All, nil); err != nil {
-			return nil, 0, err
-		}
+		try(grb.AssignVectorScalar(colour, winners, nil, c, grb.All, nil))
 		next := grb.MustVector[bool](n)
-		if err := grb.ExtractVector(next, winners, nil, uncoloured, grb.All, grb.DescC); err != nil {
-			return nil, 0, err
-		}
+		try(grb.ExtractVector(next, winners, nil, uncoloured, grb.All, grb.DescC))
 		uncoloured = next
 	}
 }

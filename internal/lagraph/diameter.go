@@ -11,25 +11,22 @@ import "lagraph/internal/grb"
 // containing start, together with the two endpoint vertices of the
 // realizing path.
 func PseudoDiameter(g *Graph, start int, maxSweeps int) (diameter int32, from, to int, err error) {
-	if err := g.checkSource(start); err != nil {
-		return 0, 0, 0, err
-	}
+	defer catch(&err)
+	try(g.checkSource(start))
 	if maxSweeps <= 0 {
 		maxSweeps = 8
 	}
-	from = start
+	// a sweeps from, b is the far end found; both stay local so an error
+	// returns zero endpoints.
+	a, b := start, 0
 	best := int32(-1)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		levels, err := BFSLevels(g, from)
-		if err != nil {
-			return 0, 0, 0, err
-		}
+		levels, err := BFSLevels(g, a)
+		try(err)
 		ecc, err := grb.ReduceVectorToScalar(grb.MaxMonoid[int32](), levels)
-		if err != nil {
-			return 0, 0, 0, err
-		}
+		try(err)
 		// Find a vertex at maximum level.
-		far := from
+		far := a
 		li, lx := levels.ExtractTuples()
 		for k := range li {
 			if lx[k] == ecc {
@@ -38,23 +35,22 @@ func PseudoDiameter(g *Graph, start int, maxSweeps int) (diameter int32, from, t
 			}
 		}
 		if ecc <= best {
-			return best, from, to, nil
+			return best, a, b, nil
 		}
 		best = ecc
-		to = far
+		b = far
 		if sweep+1 < maxSweeps {
-			from, to = far, from
+			a, b = far, a
 		}
 	}
-	return best, to, from, nil
+	return best, b, a, nil
 }
 
 // Eccentricity returns the BFS eccentricity of a vertex (the maximum
 // level of any reachable vertex).
-func Eccentricity(g *Graph, v int) (int32, error) {
+func Eccentricity(g *Graph, v int) (_ int32, err error) {
+	defer catch(&err)
 	levels, err := BFSLevels(g, v)
-	if err != nil {
-		return 0, err
-	}
+	try(err)
 	return grb.ReduceVectorToScalar(grb.MaxMonoid[int32](), levels)
 }

@@ -18,7 +18,8 @@ type DNNLayer struct {
 // DNNInference propagates the nfeatures×nneurons activation matrix y0
 // through the layers: y ← clamp(relu(y·W + bias), ymax). A ymax of 0
 // disables clamping.
-func DNNInference(y0 *grb.Matrix[float64], layers []DNNLayer, ymax float64) (*grb.Matrix[float64], error) {
+func DNNInference(y0 *grb.Matrix[float64], layers []DNNLayer, ymax float64) (_ *grb.Matrix[float64], err error) {
+	defer catch(&err)
 	if y0 == nil {
 		return nil, grb.ErrUninitialized
 	}
@@ -32,41 +33,33 @@ func DNNInference(y0 *grb.Matrix[float64], layers []DNNLayer, ymax float64) (*gr
 			return nil, grb.ErrDimensionMismatch
 		}
 		z := grb.MustMatrix[float64](y.Nrows(), layer.W.Ncols())
-		if err := grb.MxM(z, (*grb.Matrix[bool])(nil), nil, plusTimes, y, layer.W, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(z, (*grb.Matrix[bool])(nil), nil, plusTimes, y, layer.W, nil))
 		// Add the bias to active entries: z(i,j) += bias(j).
 		if layer.Bias != nil {
 			if layer.Bias.Size() != z.Ncols() {
 				return nil, grb.ErrDimensionMismatch
 			}
 			bias := layer.Bias
-			if err := grb.ApplyIndexMatrix(z, (*grb.Matrix[bool])(nil), nil,
+			try(grb.ApplyIndexMatrix(z, (*grb.Matrix[bool])(nil), nil,
 				func(x float64, _, j int) float64 {
 					b, err := bias.GetElement(j)
 					if err != nil {
 						return x
 					}
 					return x + b
-				}, z, nil); err != nil {
-				return nil, err
-			}
+				}, z, nil))
 		}
 		// ReLU: keep strictly positive activations.
-		if err := grb.SelectMatrix[float64, bool](z, nil, nil, grb.ValueGT(0.0), z, grb.DescR); err != nil {
-			return nil, err
-		}
+		try(grb.SelectMatrix[float64, bool](z, nil, nil, grb.ValueGT(0.0), z, grb.DescR))
 		// Clamp at ymax (the GraphChallenge saturation).
 		if ymax > 0 {
-			if err := grb.ApplyMatrix[float64, float64, bool](z, nil, nil,
+			try(grb.ApplyMatrix[float64, float64, bool](z, nil, nil,
 				func(x float64) float64 {
 					if x > ymax {
 						return ymax
 					}
 					return x
-				}, z, nil); err != nil {
-				return nil, err
-			}
+				}, z, nil))
 		}
 		y = z
 	}
@@ -76,18 +69,13 @@ func DNNInference(y0 *grb.Matrix[float64], layers []DNNLayer, ymax float64) (*gr
 // DNNCategories returns the rows of the final activation matrix that have
 // any surviving activation — the "categories" output of the
 // GraphChallenge benchmark.
-func DNNCategories(y *grb.Matrix[float64]) (*grb.Vector[bool], error) {
+func DNNCategories(y *grb.Matrix[float64]) (_ *grb.Vector[bool], err error) {
+	defer catch(&err)
 	rows := grb.MustVector[float64](y.Nrows())
-	if err := grb.ReduceMatrixToVector[float64, bool](rows, nil, nil, grb.PlusMonoid[float64](), y, nil); err != nil {
-		return nil, err
-	}
+	try(grb.ReduceMatrixToVector[float64, bool](rows, nil, nil, grb.PlusMonoid[float64](), y, nil))
 	cats := grb.MustVector[bool](y.Nrows())
-	if err := grb.ApplyVector[float64, bool, bool](cats, nil, nil,
-		func(x float64) bool { return x > 0 }, rows, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.SelectVector[bool, bool](cats, nil, nil, grb.ValueEQ(true), cats, grb.DescR); err != nil {
-		return nil, err
-	}
+	try(grb.ApplyVector[float64, bool, bool](cats, nil, nil,
+		func(x float64) bool { return x > 0 }, rows, nil))
+	try(grb.SelectVector[bool, bool](cats, nil, nil, grb.ValueEQ(true), cats, grb.DescR))
 	return cats, nil
 }

@@ -118,18 +118,15 @@ func (g *Graph) InvalidateCache() {
 // deltaSplit returns A's light (< delta) and heavy (≥ delta) edges, the
 // two matrices delta-stepping relaxes, cached for one delta at a time: a
 // query at another delta replaces the split.
-func (g *Graph) deltaSplit(delta float64) (light, heavy *grb.Matrix[float64], err error) {
+func (g *Graph) deltaSplit(delta float64) (_, _ *grb.Matrix[float64], err error) {
+	defer catch(&err)
 	if s := g.split.p.Load(); s != nil && s.delta == delta {
 		return s.light, s.heavy, nil
 	}
 	n := g.N()
-	light, heavy = grb.MustMatrix[float64](n, n), grb.MustMatrix[float64](n, n)
-	if err = grb.SelectMatrix[float64, bool](light, nil, nil, grb.ValueLT(delta), g.A, nil); err != nil {
-		return nil, nil, err
-	}
-	if err = grb.SelectMatrix[float64, bool](heavy, nil, nil, grb.ValueGE(delta), g.A, nil); err != nil {
-		return nil, nil, err
-	}
+	light, heavy := grb.MustMatrix[float64](n, n), grb.MustMatrix[float64](n, n)
+	try(grb.SelectMatrix[float64, bool](light, nil, nil, grb.ValueLT(delta), g.A, nil))
+	try(grb.SelectMatrix[float64, bool](heavy, nil, nil, grb.ValueGE(delta), g.A, nil))
 	g.split.store(edgeSplit{delta: delta, light: light, heavy: heavy})
 	return light, heavy, nil
 }

@@ -23,56 +23,33 @@ type HITSResult struct {
 // HITSWith computes hub and authority scores, stopping when the L1 change
 // of both vectors drops below the tolerance. Defaults: tolerance 1e-6,
 // at most 50 iterations.
-func HITSWith(g *Graph, opts ...Option) (*HITSResult, error) {
+func HITSWith(g *Graph, opts ...Option) (_ *HITSResult, err error) {
+	defer catch(&err)
 	cfg := newOptions(opts)
 	tol := cfg.tol(1e-6)
 	maxIter := cfg.maxIter(50)
-	ob := cfg.observer()
+	lp := cfg.loop("hits")
 	n := g.N()
 	hubs := grb.DenseVector(constants(n, 1/math.Sqrt(float64(n))))
 	auth := grb.DenseVector(constants(n, 1/math.Sqrt(float64(n))))
 	plusSecond := grb.PlusSecond[float64]()
 
 	for iter := 1; iter <= maxIter; iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
-		}
+		try(lp.next())
 		// a' = Aᵀ h (authorities collect from in-links).
 		newAuth := grb.MustVector[float64](n)
-		if err := grb.MxV(newAuth, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, hubs, grb.DescT0); err != nil {
-			return nil, err
-		}
-		if err := normalizeL2(newAuth, n); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(newAuth, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, hubs, grb.DescT0))
+		try(normalizeL2(newAuth, n))
 		// h' = A a' (hubs collect from out-links).
 		newHubs := grb.MustVector[float64](n)
-		if err := grb.MxV(newHubs, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, newAuth, nil); err != nil {
-			return nil, err
-		}
-		if err := normalizeL2(newHubs, n); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(newHubs, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, newAuth, nil))
+		try(normalizeL2(newHubs, n))
 		dh, err := l1diff(newHubs, hubs, n)
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		da, err := l1diff(newAuth, auth, n)
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		hubs, auth = newHubs, newAuth
-		if ob != nil {
-			ob.Iter(obs.IterRecord{
-				Algo: "hits", Iter: iter,
-				Residual: dh + da,
-				DurNanos: ob.Now() - t0,
-			})
-		}
+		lp.done(obs.IterRecord{Iter: iter, Residual: dh + da})
 		if dh+da < tol {
 			return &HITSResult{Hubs: hubs, Authorities: auth, Iterations: iter, Converged: true}, nil
 		}
@@ -81,16 +58,13 @@ func HITSWith(g *Graph, opts ...Option) (*HITSResult, error) {
 }
 
 // normalizeL2 scales v to unit Euclidean norm (no-op on a zero vector).
-func normalizeL2(v *grb.Vector[float64], n int) error {
+func normalizeL2(v *grb.Vector[float64], n int) (err error) {
+	defer catch(&err)
 	sq := grb.MustVector[float64](n)
-	if err := grb.ApplyVector[float64, float64, bool](sq, nil, nil,
-		func(x float64) float64 { return x * x }, v, nil); err != nil {
-		return err
-	}
+	try(grb.ApplyVector[float64, float64, bool](sq, nil, nil,
+		func(x float64) float64 { return x * x }, v, nil))
 	ss, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), sq)
-	if err != nil {
-		return err
-	}
+	try(err)
 	if ss == 0 {
 		return nil
 	}
@@ -100,14 +74,11 @@ func normalizeL2(v *grb.Vector[float64], n int) error {
 }
 
 // l1diff returns ‖u − v‖₁ over the union of patterns.
-func l1diff(u, v *grb.Vector[float64], n int) (float64, error) {
+func l1diff(u, v *grb.Vector[float64], n int) (_ float64, err error) {
+	defer catch(&err)
 	d := grb.MustVector[float64](n)
-	if err := grb.EWiseUnionVector[float64, bool](d, nil, nil, grb.Minus[float64](), u, 0, v, 0, nil); err != nil {
-		return 0, err
-	}
+	try(grb.EWiseUnionVector[float64, bool](d, nil, nil, grb.Minus[float64](), u, 0, v, 0, nil))
 	abs := grb.MustVector[float64](n)
-	if err := grb.ApplyVector[float64, float64, bool](abs, nil, nil, math.Abs, d, nil); err != nil {
-		return 0, err
-	}
+	try(grb.ApplyVector[float64, float64, bool](abs, nil, nil, math.Abs, d, nil))
 	return grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), abs)
 }

@@ -125,12 +125,11 @@ func PageRankWarm(g *Graph, prior *grb.Vector[float64], opts ...Option) (*PageRa
 // number of propagation rounds (0 when no inserted edge improved
 // anything). Deltas with removals or untracked windows return
 // ErrStalePrior.
-func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *Delta, opts ...Option) (*grb.Vector[int32], int, error) {
-	if err := g.checkSource(src); err != nil {
-		return nil, 0, err
-	}
+func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *Delta, opts ...Option) (_ *grb.Vector[int32], _ int, err error) {
+	defer catch(&err)
+	try(g.checkSource(src))
 	cfg := newOptions(opts)
-	ob := cfg.observer()
+	lp := cfg.loop("bfs")
 	n := g.N()
 	if prior == nil || prior.Size() != n {
 		return nil, 0, fmt.Errorf("%w: bfs prior missing or mis-sized", ErrStalePrior)
@@ -189,14 +188,8 @@ func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *De
 	minFirst := grb.Semiring[int32, float64, int32]{Add: grb.MinMonoid[int32](), Mul: grb.First[int32, float64]()}
 	iters := 0
 	for len(next) > 0 {
-		if err := cfg.canceled(); err != nil {
-			return nil, 0, err
-		}
+		try(lp.next())
 		iters++
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
-		}
 		// Frontier carries the improved vertices' new levels + 1: the
 		// value each proposes to its out-neighbours.
 		sort.Ints(next)
@@ -210,26 +203,16 @@ func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *De
 		}
 		next = next[:0]
 		fr, err := grb.ImportSparse(n, is, xs, true)
-		if err != nil {
-			return nil, 0, err
-		}
+		try(err)
 		// cand(j) = min over frontier vertices i with an edge i→j of
 		// lv(i)+1, pushed along edges like the full BFS's VxM.
 		cand := grb.MustVector[int32](n)
-		if err := grb.VxM(cand, (*grb.Vector[bool])(nil), nil, minFirst, fr, g.A, nil); err != nil {
-			return nil, 0, err
-		}
+		try(grb.VxM(cand, (*grb.Vector[bool])(nil), nil, minFirst, fr, g.A, nil))
 		cis, cxs := cand.ExtractTuples()
 		for k, v := range cis {
 			relax(v, cxs[k])
 		}
-		if ob != nil {
-			ob.Iter(obs.IterRecord{
-				Algo: "bfs", Iter: iters,
-				Frontier: frontierSize, Dir: "push", Warm: true,
-				DurNanos: ob.Now() - t0,
-			})
-		}
+		lp.done(obs.IterRecord{Iter: iters, Frontier: frontierSize, Dir: "push", Warm: true})
 	}
 
 	// Rebuild the sparse level vector; indices ascend, so the tuple
@@ -249,9 +232,7 @@ func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *De
 		}
 	}
 	out, err := grb.ImportSparse(n, ris, rxs, true)
-	if err != nil {
-		return nil, 0, err
-	}
+	try(err)
 	return out, iters, nil
 }
 

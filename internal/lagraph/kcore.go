@@ -8,10 +8,9 @@ import "lagraph/internal/grb"
 // a degree update — no explicit adjacency-list surgery.
 
 // KCore returns the core number of every vertex of an undirected graph.
-func KCore(g *Graph) (*grb.Vector[int64], error) {
-	if err := g.requireUndirected(); err != nil {
-		return nil, err
-	}
+func KCore(g *Graph) (_ *grb.Vector[int64], err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	n := g.N()
 	core := grb.MustVector[int64](n)
 
@@ -23,26 +22,20 @@ func KCore(g *Graph) (*grb.Vector[int64], error) {
 	k := int64(0)
 	for deg.Nvals() > 0 {
 		minDeg, err := grb.ReduceVectorToScalar(grb.MinMonoid[int64](), deg)
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		if minDeg > k {
 			k = minDeg
 		}
 		// Peel everything of remaining degree ≤ k until none is left.
 		for {
 			frontier := grb.MustVector[int64](n)
-			if err := grb.SelectVector[int64, bool](frontier, nil, nil,
-				func(d int64, _, _ int) bool { return d <= k }, deg, nil); err != nil {
-				return nil, err
-			}
+			try(grb.SelectVector[int64, bool](frontier, nil, nil,
+				func(d int64, _, _ int) bool { return d <= k }, deg, nil))
 			if frontier.Nvals() == 0 {
 				break
 			}
 			// core⟨frontier⟩ = k
-			if err := grb.AssignVectorScalar(core, frontier, nil, k, grb.All, nil); err != nil {
-				return nil, err
-			}
+			try(grb.AssignVectorScalar(core, frontier, nil, k, grb.All, nil))
 			// Remove the peeled vertices from deg.
 			fi, _ := frontier.ExtractTuples()
 			for _, v := range fi {
@@ -50,13 +43,9 @@ func KCore(g *Graph) (*grb.Vector[int64], error) {
 			}
 			// lost(i) = edges from i into the peeled set; deg⟨struct⟩ -= lost.
 			lost := grb.MustVector[int64](n)
-			if err := grb.MxV(lost, deg, nil, plusPair, g.A, frontier, nil); err != nil {
-				return nil, err
-			}
-			if err := grb.EWiseAddVector[int64, bool](deg, nil, nil,
-				grb.Minus[int64](), deg, lost, nil); err != nil {
-				return nil, err
-			}
+			try(grb.MxV(lost, deg, nil, plusPair, g.A, frontier, nil))
+			try(grb.EWiseAddVector[int64, bool](deg, nil, nil,
+				grb.Minus[int64](), deg, lost, nil))
 		}
 	}
 	return core, nil
@@ -64,11 +53,10 @@ func KCore(g *Graph) (*grb.Vector[int64], error) {
 
 // Coreness returns the largest k for which a non-empty k-core exists (the
 // graph's degeneracy).
-func Coreness(g *Graph) (int64, error) {
+func Coreness(g *Graph) (_ int64, err error) {
+	defer catch(&err)
 	core, err := KCore(g)
-	if err != nil {
-		return 0, err
-	}
+	try(err)
 	if core.Nvals() == 0 {
 		return 0, nil
 	}

@@ -25,10 +25,9 @@ type LocalClusterResult struct {
 // LocalCluster finds a low-conductance cluster around seed. alpha is the
 // teleport probability (typically 0.15) and eps the approximation
 // threshold (smaller = larger clusters; typically 1e-4).
-func LocalCluster(g *Graph, seed int, alpha, eps float64) (*LocalClusterResult, error) {
-	if err := g.checkSource(seed); err != nil {
-		return nil, err
-	}
+func LocalCluster(g *Graph, seed int, alpha, eps float64) (_ *LocalClusterResult, err error) {
+	defer catch(&err)
+	try(g.checkSource(seed))
 	if alpha <= 0 || alpha >= 1 || eps <= 0 {
 		return nil, ErrBadArgument
 	}
@@ -49,46 +48,32 @@ func LocalCluster(g *Graph, seed int, alpha, eps float64) (*LocalClusterResult, 
 	for iter := 0; iter < 100*n+1000; iter++ {
 		// active: vertices with r(i) >= eps*deg(i).
 		active := grb.MustVector[float64](n)
-		if err := grb.SelectVector[float64, bool](active, nil, nil,
-			func(x float64, i, _ int) bool { return x >= eps*degOf(i) }, r, nil); err != nil {
-			return nil, err
-		}
+		try(grb.SelectVector[float64, bool](active, nil, nil,
+			func(x float64, i, _ int) bool { return x >= eps*degOf(i) }, r, nil))
 		if active.Nvals() == 0 {
 			break
 		}
 		// p += alpha * r_active
 		scaledActive := grb.MustVector[float64](n)
-		if err := grb.ApplyVector[float64, float64, bool](scaledActive, nil, nil,
-			func(x float64) float64 { return alpha * x }, active, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector[float64, bool](p, nil, nil, grb.Plus[float64](), p, scaledActive, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ApplyVector[float64, float64, bool](scaledActive, nil, nil,
+			func(x float64) float64 { return alpha * x }, active, nil))
+		try(grb.EWiseAddVector[float64, bool](p, nil, nil, grb.Plus[float64](), p, scaledActive, nil))
 		// push mass: half of (1-alpha)·r stays, half spreads along edges
 		// (the lazy walk of ACL). spread(i) = (1-alpha)*r(i)/2/deg(i).
 		spread := grb.MustVector[float64](n)
-		if err := grb.ApplyIndexVector(spread, (*grb.Vector[bool])(nil), nil,
-			func(x float64, i, _ int) float64 { return (1 - alpha) * x / 2 / degOf(i) }, active, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ApplyIndexVector(spread, (*grb.Vector[bool])(nil), nil,
+			func(x float64, i, _ int) float64 { return (1 - alpha) * x / 2 / degOf(i) }, active, nil))
 		// r_active ← (1-alpha)*r/2 ; then r += spreadᵀ·A.
 		keep := grb.MustVector[float64](n)
-		if err := grb.ApplyVector[float64, float64, bool](keep, nil, nil,
-			func(x float64) float64 { return (1 - alpha) * x / 2 }, active, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ApplyVector[float64, float64, bool](keep, nil, nil,
+			func(x float64) float64 { return (1 - alpha) * x / 2 }, active, nil))
 		// Replace the active entries of r with 'keep'.
-		if err := grb.AssignVector(r, active, nil, keep, grb.All, nil); err != nil {
-			return nil, err
-		}
+		try(grb.AssignVector(r, active, nil, keep, grb.All, nil))
 		// r += spread ⊕.⊗ A: weight-agnostic propagation uses the degree
 		// fraction carried in 'spread', so multiply selects the spread
 		// value (first).
 		plusFirst := grb.Semiring[float64, float64, float64]{Add: grb.PlusMonoid[float64](), Mul: grb.First[float64, float64]()}
-		if err := grb.VxM(r, (*grb.Vector[bool])(nil), grb.Plus[float64](), plusFirst, spread, g.A, nil); err != nil {
-			return nil, err
-		}
+		try(grb.VxM(r, (*grb.Vector[bool])(nil), grb.Plus[float64](), plusFirst, spread, g.A, nil))
 	}
 
 	// Sweep cut: order vertices by p(i)/deg(i) and take the prefix of
@@ -114,9 +99,7 @@ func LocalCluster(g *Graph, seed int, alpha, eps float64) (*LocalClusterResult, 
 		// Edges to vertices already in the set reduce the cut; others
 		// increase it.
 		row := grb.MustVector[float64](n)
-		if err := grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, g.A, grb.All, c.v, grb.DescT0); err != nil {
-			return nil, err
-		}
+		try(grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, g.A, grb.All, c.v, grb.DescT0))
 		ri, _ := row.ExtractTuples()
 		for _, u := range ri {
 			if inSet[u] {

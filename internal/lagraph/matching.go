@@ -17,12 +17,14 @@ import (
 // biadjacency matrix a. It returns rowMate (for each matched row, its
 // column) and colMate (the reverse map).
 func BipartiteMatching(a *grb.Matrix[float64]) (rowMate, colMate *grb.Vector[int64], err error) {
+	defer catch(&err)
 	if a == nil {
 		return nil, nil, grb.ErrUninitialized
 	}
+	// rm and cm are the mates under construction, local so an error
+	// returns none.
 	nr, nc := a.Nrows(), a.Ncols()
-	rowMate = grb.MustVector[int64](nr)
-	colMate = grb.MustVector[int64](nc)
+	rm, cm := grb.MustVector[int64](nr), grb.MustVector[int64](nc)
 
 	// anyCol: for an unmatched row, pick any unmatched column neighbour.
 	// The frontier carries row ids; min tie-breaks column contention.
@@ -31,22 +33,18 @@ func BipartiteMatching(a *grb.Matrix[float64]) (rowMate, colMate *grb.Vector[int
 	for round := 0; round <= nr+nc; round++ {
 		// rows still unmatched, loaded with their ids.
 		unmatchedRows := grb.MustVector[int64](nr)
-		if err := grb.ApplyIndexVector(unmatchedRows, rowMate, nil,
-			func(_ int64, i, _ int) int64 { return int64(i) }, idVector(nr), grb.DescC); err != nil {
-			return nil, nil, err
-		}
+		try(grb.ApplyIndexVector(unmatchedRows, rm, nil,
+			func(_ int64, i, _ int) int64 { return int64(i) }, idVector(nr), grb.DescC))
 		if unmatchedRows.Nvals() == 0 {
-			return rowMate, colMate, nil
+			return rm, cm, nil
 		}
 		// proposals(j) = smallest unmatched row adjacent to column j,
 		// masked to unmatched columns.
 		proposals := grb.MustVector[int64](nc)
 		d := &grb.Descriptor{Comp: true, Replace: true}
-		if err := grb.VxM(proposals, colMate, nil, minFirst, unmatchedRows, a, d); err != nil {
-			return nil, nil, err
-		}
+		try(grb.VxM(proposals, cm, nil, minFirst, unmatchedRows, a, d))
 		if proposals.Nvals() == 0 {
-			return rowMate, colMate, nil // maximal: no augmenting edge
+			return rm, cm, nil // maximal: no augmenting edge
 		}
 		// Resolve row contention: a row may win several columns; keep
 		// the smallest column per row.
@@ -69,8 +67,8 @@ func BipartiteMatching(a *grb.Matrix[float64]) (rowMate, colMate *grb.Vector[int
 		sort.Slice(rows, func(a, b int) bool { return rows[a] < rows[b] })
 		for _, r := range rows {
 			c := won[r]
-			_ = rowMate.SetElement(int(r), int64(c))
-			_ = colMate.SetElement(c, r)
+			_ = rm.SetElement(int(r), int64(c))
+			_ = cm.SetElement(c, r)
 		}
 	}
 	return nil, nil, ErrNoConvergence

@@ -15,10 +15,9 @@ import (
 // algorithm: every candidate draws a score; vertices whose score beats
 // all neighbours' join the set; winners and their neighbours leave the
 // candidate pool.
-func MIS(g *Graph, seed int64, opts ...Option) (*grb.Vector[bool], error) {
-	if err := g.requireUndirected(); err != nil {
-		return nil, err
-	}
+func MIS(g *Graph, seed int64, opts ...Option) (_ *grb.Vector[bool], err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	cfg := newOptions(opts)
 	n := g.N()
 	rng := rand.New(rand.NewSource(seed))
@@ -32,18 +31,12 @@ func MIS(g *Graph, seed int64, opts ...Option) (*grb.Vector[bool], error) {
 	iset := grb.MustVector[bool](n)
 	maxSecond := grb.Semiring[float64, float64, float64]{Add: grb.MaxMonoid[float64](), Mul: grb.Second[float64, float64]()}
 
-	ob := cfg.observer()
-	for round := 0; round <= 2*n+64; round++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+	lp := cfg.loop("mis")
+	for round := 1; round <= 2*n+65; round++ {
+		try(lp.next())
 		nc := candidates.Nvals()
 		if nc == 0 {
 			return iset, nil
-		}
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
 		}
 		// score(i) = random / (1 + deg(i)) for candidates (degree-aware
 		// scores converge faster; Luby's classic analysis still applies).
@@ -58,58 +51,34 @@ func MIS(g *Graph, seed int64, opts ...Option) (*grb.Vector[bool], error) {
 		}
 		// nbMax(i) = max score among neighbours.
 		nbMax := grb.MustVector[float64](n)
-		if err := grb.MxV(nbMax, candidates, nil, maxSecond, g.A, score, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(nbMax, candidates, nil, maxSecond, g.A, score, nil))
 		// winners: candidates whose score beats every neighbour's.
 		winners := grb.MustVector[bool](n)
 		scoreBeats := grb.MustVector[bool](n)
 		// gt(i) = score(i) > nbMax(i) where both exist; candidates with
 		// no competing neighbour win automatically.
-		if err := grb.EWiseMultVector[float64, float64, bool, bool](scoreBeats, nil, nil, grb.Gt[float64](), score, nbMax, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseMultVector[float64, float64, bool, bool](scoreBeats, nil, nil, grb.Gt[float64](), score, nbMax, nil))
 		// winners = (candidates with no nbMax entry) ∪ (scoreBeats true).
-		if err := grb.ExtractVector(winners, nbMax, nil, candidates, grb.All, grb.DescC); err != nil {
-			return nil, err
-		}
-		if err := grb.SelectVector[bool, bool](scoreBeats, nil, nil, grb.ValueEQ(true), scoreBeats, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector[bool, bool](winners, nil, nil, grb.LOr(), winners, scoreBeats, nil); err != nil {
-			return nil, err
-		}
+		try(grb.ExtractVector(winners, nbMax, nil, candidates, grb.All, grb.DescC))
+		try(grb.SelectVector[bool, bool](scoreBeats, nil, nil, grb.ValueEQ(true), scoreBeats, nil))
+		try(grb.EWiseAddVector[bool, bool](winners, nil, nil, grb.LOr(), winners, scoreBeats, nil))
 		if winners.Nvals() == 0 {
 			continue // rare tie round; redraw
 		}
 		// iset ∪= winners.
-		if err := grb.EWiseAddVector[bool, bool](iset, nil, nil, grb.LOr(), iset, winners, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseAddVector[bool, bool](iset, nil, nil, grb.LOr(), iset, winners, nil))
 		// neighboursOfWinners, to be removed from candidacy.
 		lor := grb.Semiring[float64, bool, bool]{Add: grb.LOrMonoid(), Mul: grb.Second[float64, bool]()}
 		nbw := grb.MustVector[bool](n)
-		if err := grb.MxV(nbw, candidates, nil, lor, g.A, winners, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(nbw, candidates, nil, lor, g.A, winners, nil))
 		// candidates ← candidates \ (winners ∪ nbw): keep entries of
 		// candidates not present in either.
 		drop := grb.MustVector[bool](n)
-		if err := grb.EWiseAddVector[bool, bool](drop, nil, nil, grb.LOr(), winners, nbw, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseAddVector[bool, bool](drop, nil, nil, grb.LOr(), winners, nbw, nil))
 		next := grb.MustVector[bool](n)
-		if err := grb.ExtractVector(next, drop, nil, candidates, grb.All, grb.DescC); err != nil {
-			return nil, err
-		}
+		try(grb.ExtractVector(next, drop, nil, candidates, grb.All, grb.DescC))
 		candidates = next
-		if ob != nil {
-			ob.Iter(obs.IterRecord{
-				Algo: "mis", Iter: round + 1,
-				Frontier: nc,
-				DurNanos: ob.Now() - t0,
-			})
-		}
+		lp.done(obs.IterRecord{Iter: round, Frontier: nc})
 	}
 	return nil, ErrNoConvergence
 }

@@ -14,10 +14,9 @@ import (
 
 // Modularity scores a cluster labeling of an undirected graph. Edge
 // weights count as multiplicities.
-func Modularity(g *Graph, labels *grb.Vector[int64]) (float64, error) {
-	if err := g.requireUndirected(); err != nil {
-		return 0, err
-	}
+func Modularity(g *Graph, labels *grb.Vector[int64]) (_ float64, err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	if labels == nil {
 		return 0, grb.ErrUninitialized
 	}
@@ -25,9 +24,7 @@ func Modularity(g *Graph, labels *grb.Vector[int64]) (float64, error) {
 		return 0, grb.ErrDimensionMismatch
 	}
 	twoM, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), g.A)
-	if err != nil {
-		return 0, err
-	}
+	try(err)
 	if twoM == 0 {
 		return 0, nil
 	}
@@ -50,9 +47,7 @@ func Modularity(g *Graph, labels *grb.Vector[int64]) (float64, error) {
 
 	// Per-cluster weighted degree sums.
 	deg := grb.MustVector[float64](g.N())
-	if err := grb.ReduceMatrixToVector[float64, bool](deg, nil, nil, grb.PlusMonoid[float64](), g.A, nil); err != nil {
-		return 0, err
-	}
+	try(grb.ReduceMatrixToVector[float64, bool](deg, nil, nil, grb.PlusMonoid[float64](), g.A, nil))
 	clusterDeg := map[int64]float64{}
 	deg.Iterate(func(i int, d float64) bool {
 		if c, ok := labelOf[i]; ok {

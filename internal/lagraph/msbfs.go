@@ -18,9 +18,10 @@ import (
 // sources[s]; unreached pairs hold no entry. The context of WithContext is
 // checked before every level, and an observer receives one "msbfs"
 // IterRecord per level.
-func MSBFSLevels(g *Graph, sources []int, opts ...Option) (*grb.Matrix[int32], error) {
+func MSBFSLevels(g *Graph, sources []int, opts ...Option) (_ *grb.Matrix[int32], err error) {
+	defer catch(&err)
 	cfg := newOptions(opts)
-	ob := cfg.observer()
+	lp := cfg.loop("msbfs")
 	n := g.N()
 	ns := len(sources)
 	if ns == 0 {
@@ -37,54 +38,30 @@ func MSBFSLevels(g *Graph, sources []int, opts ...Option) (*grb.Matrix[int32], e
 		_ = frontier.SetElement(s, src, true)
 	}
 	logical := grb.Semiring[bool, float64, bool]{Add: grb.LOrMonoid(), Mul: grb.First[bool, float64]()}
-	depth := int32(0)
-	for frontier.Nvals() > 0 {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+	for depth := int32(0); frontier.Nvals() > 0; depth++ {
+		try(lp.next())
 		// levels⟨frontier⟩ = depth
-		if err := grb.AssignMatrixScalar(levels, frontier, nil, depth, grb.All, grb.All, nil); err != nil {
-			return nil, err
-		}
-		// frontier⟨¬levels,replace⟩ = frontier ⊕.⊗ A
+		try(grb.AssignMatrixScalar(levels, frontier, nil, depth, grb.All, grb.All, nil))
+		// frontier⟨¬levels,replace⟩ = frontier ⊕.⊗ A, in the direction
+		// grb chooses from the operands alone, so a trace can ask first.
 		next := grb.MustMatrix[bool](ns, n)
-		depth++
-		if err := batchStep(ob, "msbfs", int(depth), next, levels, logical, frontier, g.A, grb.DescRC); err != nil {
-			return nil, err
+		rec := obs.IterRecord{Iter: int(depth) + 1}
+		if lp.traced() {
+			rec.Frontier, rec.Dir = frontier.Nvals(), dirString(grb.MxMDirection(levels, frontier, g.A, grb.DescRC))
 		}
+		try(grb.MxM(next, levels, nil, logical, frontier, g.A, grb.DescRC))
+		lp.done(rec)
 		frontier = next
 	}
 	return levels, nil
 }
 
-// batchStep is one level of a batched traversal: c⟨mask⟩ = front ⊕.⊗ A
-// under desc, the direction left to grb. With an observer it emits the
-// level's IterRecord, asking grb which direction the step takes before
-// taking it (the choice is a function of the operands alone).
-func batchStep[T, M any](ob obs.Observer, algo string, depth int, c *grb.Matrix[T], mask *grb.Matrix[M], s grb.Semiring[T, float64, T], front *grb.Matrix[T], a *grb.Matrix[float64], desc *grb.Descriptor) error {
-	if ob == nil {
-		return grb.MxM(c, mask, nil, s, front, a, desc)
-	}
-	rec := obs.IterRecord{
-		Algo: algo, Iter: depth, Frontier: front.Nvals(),
-		Dir: dirString(grb.MxMDirection(mask, front, a, desc)),
-	}
-	t0 := ob.Now()
-	if err := grb.MxM(c, mask, nil, s, front, a, desc); err != nil {
-		return err
-	}
-	rec.DurNanos = ob.Now() - t0
-	ob.Iter(rec)
-	return nil
-}
-
 // ReachabilityCount returns, for each source in the batch, how many
 // vertices its BFS reaches (including itself).
-func ReachabilityCount(g *Graph, sources []int) ([]int, error) {
+func ReachabilityCount(g *Graph, sources []int) (_ []int, err error) {
+	defer catch(&err)
 	levels, err := MSBFSLevels(g, sources)
-	if err != nil {
-		return nil, err
-	}
+	try(err)
 	counts := make([]int, len(sources))
 	is, _, _ := levels.ExtractTuples()
 	for _, s := range is {

@@ -2,7 +2,6 @@ package lagraph
 
 import (
 	"context"
-	"fmt"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/obs"
@@ -75,15 +74,6 @@ func newOptions(opts []Option) Options {
 	return o
 }
 
-// observer resolves the effective observer: the per-call one if set,
-// otherwise the process-wide one (which is nil when tracing is off).
-func (o *Options) observer() obs.Observer {
-	if o.Observer != nil {
-		return o.Observer
-	}
-	return obs.Active()
-}
-
 // maxIter returns the iteration cap, with def as the algorithm default.
 func (o *Options) maxIter(def int) int {
 	if o.MaxIter > 0 {
@@ -98,22 +88,6 @@ func (o *Options) tol(def float64) float64 {
 		return o.Tol
 	}
 	return def
-}
-
-// canceled returns nil while the configured context (if any) is live, and
-// an error wrapping both grb.ErrCanceled and the context's own error once
-// it is done. Algorithm loops call it at the top of every iteration, so a
-// canceled request returns within one iteration of the cancellation.
-func (o *Options) canceled() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	select {
-	case <-o.Ctx.Done():
-		return fmt.Errorf("lagraph: %w: %w", grb.ErrCanceled, context.Cause(o.Ctx))
-	default:
-		return nil
-	}
 }
 
 // WithMaxIter caps the main iteration count.

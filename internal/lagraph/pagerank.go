@@ -34,7 +34,8 @@ func PageRankWith(g *Graph, opts ...Option) (*PageRankResult, error) {
 // and a cold answer by 2·damping·tol/(1-damping). The per-iteration op
 // sequence is identical in both modes — cold results are bitwise
 // unchanged by this refactor.
-func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*PageRankResult, error) {
+func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (_ *PageRankResult, err error) {
+	defer catch(&err)
 	damping := cfg.Damping
 	if damping == 0 {
 		damping = 0.85
@@ -44,23 +45,19 @@ func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*
 	}
 	tol := cfg.tol(1e-4)
 	maxIter := cfg.maxIter(100)
-	ob := cfg.observer()
+	lp := cfg.loop("pagerank")
 	n := g.N()
 	nf := float64(n)
 
 	// dOut(i) = out-degree; invOut(i) = 1 / dOut(i) where dOut>0.
 	deg := g.OutDegree()
 	invOut := grb.MustVector[float64](n)
-	if err := grb.ApplyVector[int64, float64, bool](invOut, nil, nil,
-		func(d int64) float64 { return 1 / float64(d) }, deg, nil); err != nil {
-		return nil, err
-	}
+	try(grb.ApplyVector[int64, float64, bool](invOut, nil, nil,
+		func(d int64) float64 { return 1 / float64(d) }, deg, nil))
 	// The dangling vertices (no out-edges), listed once, so each iteration
 	// gathers their rank instead of sweeping ¬deg over all n positions.
 	isDangling := grb.MustVector[bool](n)
-	if err := grb.AssignVectorScalar(isDangling, deg, nil, true, grb.All, grb.DescC); err != nil {
-		return nil, err
-	}
+	try(grb.AssignVectorScalar(isDangling, deg, nil, true, grb.All, grb.DescC))
 	dangling, _ := isDangling.ExtractTuples()
 	isDangling.Clear()
 
@@ -80,58 +77,34 @@ func pageRankFrom(g *Graph, r0 *grb.Vector[float64], warm bool, cfg *Options) (*
 	absDiff := func(x, y float64) float64 { return math.Abs(x - y) }
 
 	for iter := 1; iter <= maxIter; iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
-		}
+		try(lp.next())
 		// Dangling mass this round, O(#dangling). grb reads an empty index
 		// list as All, so with no dangling vertex the gather is skipped.
 		var danglingMass float64
 		if len(dangling) > 0 {
-			err := grb.ExtractVector[float64, bool](dr, nil, nil, r, dangling, nil)
-			if err == nil {
-				danglingMass, err = grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), dr)
-			}
-			if err != nil {
-				return nil, err
-			}
+			try(grb.ExtractVector[float64, bool](dr, nil, nil, r, dangling, nil))
+			danglingMass, err = grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), dr)
+			try(err)
 		}
 
 		// out(i) = r(i)/deg(i) for non-dangling vertices.
-		if err := grb.EWiseMultVector[float64, float64, float64, bool](out, nil, nil, grb.Times[float64](), r, invOut, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseMultVector[float64, float64, float64, bool](out, nil, nil, grb.Times[float64](), r, invOut, nil))
 		// w = Aᵀ ⊕.⊗ out (importance flows along in-edges). The
 		// plus.second semiring ignores the stored weight: PageRank is a
 		// structural algorithm.
-		if err := grb.MxV(w, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, out, grb.DescT0); err != nil {
-			return nil, err
-		}
+		try(grb.MxV(w, (*grb.Vector[bool])(nil), nil, plusSecond, g.A, out, grb.DescT0))
 		// r ← base + damping·w with base = (1-damping)/n + damping·mass/n,
 		// in place over the previous-but-one rank.
 		r, t = t, r
-		if err := grb.AssignVectorScalar[float64, bool](r, nil, nil, (1-damping)/nf+damping*danglingMass/nf, grb.All, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.ApplyVector[float64, float64, bool](r, nil, plus, scale, w, nil); err != nil {
-			return nil, err
-		}
+		try(grb.AssignVectorScalar[float64, bool](r, nil, nil, (1-damping)/nf+damping*danglingMass/nf, grb.All, nil))
+		try(grb.ApplyVector[float64, float64, bool](r, nil, plus, scale, w, nil))
 
 		// L1 distance ‖r - t‖₁, as t ← |t - r| in one pass. Both are full, so
 		// eWiseAdd's one-sided arm, which would skip the abs, never runs.
-		if err := grb.EWiseAddVector[float64, bool](t, nil, nil, absDiff, t, r, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseAddVector[float64, bool](t, nil, nil, absDiff, t, r, nil))
 		l1, err := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), t)
-		if err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			ob.Iter(obs.IterRecord{Algo: "pagerank", Iter: iter, Residual: l1, Warm: warm, DurNanos: ob.Now() - t0})
-		}
+		try(err)
+		lp.done(obs.IterRecord{Iter: iter, Residual: l1, Warm: warm})
 		if l1 < tol {
 			return &PageRankResult{Rank: r, Iterations: iter, Converged: true}, nil
 		}

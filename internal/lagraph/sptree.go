@@ -11,10 +11,9 @@ import "lagraph/internal/grb"
 // ShortestPathTree returns parents(v) = u for some edge u→v with
 // dist(u) + w(u,v) = dist(v); the source is its own parent. The smallest
 // qualifying u is chosen, making the result deterministic.
-func ShortestPathTree(g *Graph, src int, dist *grb.Vector[float64]) (*grb.Vector[int64], error) {
-	if err := g.checkSource(src); err != nil {
-		return nil, err
-	}
+func ShortestPathTree(g *Graph, src int, dist *grb.Vector[float64]) (_ *grb.Vector[int64], err error) {
+	defer catch(&err)
+	try(g.checkSource(src))
 	if dist == nil {
 		return nil, grb.ErrUninitialized
 	}

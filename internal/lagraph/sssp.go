@@ -17,50 +17,53 @@ import (
 // the distance it replaces.
 func notLess(cand, cur float64) bool { return cand >= cur }
 
+// The relaxations' operators, built once: a generic constructor allocates
+// its closures on every call.
+var (
+	minPlus = grb.MinPlus[float64]()
+	minOp   = grb.MinOp[float64]()
+)
+
+// descVC writes through the complement of a value mask.
+var descVC = &grb.Descriptor{Comp: true, MaskValue: true}
+
+// descPush names a relaxation's direction. The product is an unmasked
+// min.+, and min's terminal value is −Inf, which no finite distance
+// reaches, so a pull has nothing to skip: it costs nnz(edges) per call,
+// plus a transpose of the half of A it sweeps, where the pushes of a whole
+// query sum to about nnz(A) — and a push only reads the halves, which
+// concurrent queries share. BFS and BC leave the choice to grb, whose
+// density switch assumes a mask or a terminal that lets a dense-frontier
+// pull stop early.
+var descPush = &grb.Descriptor{Dir: grb.DirPush}
+
 // SSSPBellmanFord iterates d ← d min (d min.+ A) until no candidate
 // distance improves on d. Edge weights must be non-negative (no negative
 // cycle detection). Unreached vertices hold no entry.
-func SSSPBellmanFord(g *Graph, src int, opts ...Option) (*grb.Vector[float64], error) {
-	if err := g.checkSource(src); err != nil {
-		return nil, err
-	}
+func SSSPBellmanFord(g *Graph, src int, opts ...Option) (_ *grb.Vector[float64], err error) {
+	defer catch(&err)
+	try(g.checkSource(src))
 	cfg := newOptions(opts)
-	ob := cfg.observer()
+	lp := cfg.loop("sssp-bf")
 	d := grb.MustVector[float64](g.N())
 	_ = d.SetElement(src, 0)
-	for iter := 0; iter < cfg.maxIter(g.N()); iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
-		}
+	for iter := 1; iter <= cfg.maxIter(g.N()); iter++ {
+		try(lp.next())
 		// tNew = d min.+ A;  stale⟨tNew⟩ = tNew ≥ d
 		tNew := grb.MustVector[float64](g.N())
-		if err := grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, grb.MinPlus[float64](), d, g.A, nil); err != nil {
-			return nil, err
-		}
+		try(grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, d, g.A, nil))
 		stale := grb.MustVector[bool](g.N())
-		if err := grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, d, nil); err != nil {
-			return nil, err
-		}
+		try(grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, d, nil))
 		// better⟨¬stale⟩ = tNew: the candidates strictly below d or newly
 		// reached. None left is the fixed point, exactly.
 		better := grb.MustVector[float64](g.N())
-		if err := grb.AssignVector(better, stale, nil, tNew, grb.All, &grb.Descriptor{Comp: true, MaskValue: true}); err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			ob.Iter(obs.IterRecord{Algo: "sssp-bf", Iter: iter + 1, Frontier: better.Nvals(), DurNanos: ob.Now() - t0})
-		}
+		try(grb.AssignVector(better, stale, nil, tNew, grb.All, descVC))
+		lp.done(obs.IterRecord{Iter: iter, Frontier: better.Nvals()})
 		if better.Nvals() == 0 {
 			return d, nil
 		}
 		// d min= better
-		if err := grb.AssignVector(d, (*grb.Vector[bool])(nil), grb.MinOp[float64](), better, grb.All, nil); err != nil {
-			return nil, err
-		}
+		try(grb.AssignVector(d, (*grb.Vector[bool])(nil), minOp, better, grb.All, nil))
 	}
 	return d, nil
 }
@@ -84,17 +87,13 @@ func SSSP(g *Graph, src int, opts ...Option) (*grb.Vector[float64], error) {
 // ssspDelta is the delta-stepping core: vertices are processed in distance
 // buckets of width delta; light edges (< delta) are relaxed repeatedly
 // inside the bucket, heavy edges once per bucket.
-func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[float64], error) {
-	if err := g.checkSource(src); err != nil {
-		return nil, err
-	}
-	ob := cfg.observer()
+func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[float64], err error) {
+	defer catch(&err)
+	try(g.checkSource(src))
+	lp := cfg.loop("sssp")
 	n := g.N()
-
 	light, heavy, err := g.deltaSplit(delta)
-	if err != nil {
-		return nil, err
-	}
+	try(err)
 
 	t := grb.MustVector[float64](n) // tentative distances
 	_ = t.SetElement(src, 0)
@@ -103,116 +102,69 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (*grb.Vector[floa
 	// settle. Buckets are drawn from it, so a bucket costs what the band of
 	// unsettled vertices does, not a sweep of t.
 	unsettled := t.Dup()
-
-	minPlus := grb.MinPlus[float64]()
-	minOp := grb.MinOp[float64]()
-	// descVC writes through the complement of a value mask, descRVC with
-	// replace.
-	descVC := &grb.Descriptor{Comp: true, MaskValue: true}
 	descRVC := &grb.Descriptor{Replace: true, Comp: true, MaskValue: true}
-	// Relaxations name their direction. The product is an unmasked min.+,
-	// and min's terminal value is −Inf, which no finite distance reaches, so
-	// a pull has nothing to skip: it costs nnz(edges) per call, plus a
-	// transpose of the half of A it sweeps, where the pushes of a whole
-	// query sum to about nnz(A) — and a push only reads the halves, which
-	// concurrent queries share. BFS and BC leave the choice to grb,
-	// whose density switch assumes a mask or a terminal that lets a
-	// dense-frontier pull stop early.
-	descPush := &grb.Descriptor{Dir: grb.DirPush}
-
-	// relax folds the candidate distances tNew = from min.+ edges into t
-	// and unsettled. stale marks the candidates notLess rejects (a vertex
-	// reached for the first time has no entry in t, so none in stale).
-	relax := func(from *grb.Vector[float64], edges *grb.Matrix[float64]) (tNew *grb.Vector[float64], stale *grb.Vector[bool], err error) {
-		tNew = grb.MustVector[float64](n)
-		if err = grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, descPush); err != nil {
-			return
-		}
-		// stale⟨tNew⟩ = tNew ≥ t
-		stale = grb.MustVector[bool](n)
-		if err = grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, t, nil); err != nil {
-			return
-		}
-		// t min= tNew;  unsettled⟨¬stale⟩ min= tNew
-		if err = grb.AssignVector(t, (*grb.Vector[bool])(nil), minOp, tNew, grb.All, nil); err != nil {
-			return
-		}
-		err = grb.AssignVector(unsettled, stale, minOp, tNew, grb.All, descVC)
-		return
-	}
 
 	// Bucket step is [step·delta, step·delta + delta). Everything in
 	// unsettled is at or beyond the previous bucket's upper bound, so a
 	// bucket's members are the unsettled distances below its own.
 	for step := 0; ; {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+		try(lp.next())
 		hi := float64(step)*delta + delta
 		inBucket := func(x float64, _, _ int) bool { return x < hi }
 		// tReq: the bucket members whose light edges are still to relax.
 		tReq := grb.MustVector[float64](n)
-		if err := grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, unsettled, nil); err != nil {
-			return nil, err
-		}
+		try(grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, unsettled, nil))
 		bucketSize := tReq.Nvals()
 		if bucketSize == 0 {
 			// unsettled is non-empty, so a later bucket holds its minimum:
 			// go there, not through every empty bucket in between.
 			m, err := grb.ReduceVectorToScalar(grb.MinMonoid[float64](), unsettled)
-			if err != nil {
-				return nil, err
-			}
+			try(err)
 			var ok bool
 			if step, ok = bucketOf(m, delta); !ok {
 				return nil, fmt.Errorf("%w: delta %g cannot resolve distances near %g", ErrBadArgument, delta, m)
 			}
 			continue
 		}
-		var t0 int64
-		if ob != nil {
-			t0 = ob.Now()
-		}
 		// Relax light edges until no bucket member moves.
 		members := grb.MustVector[bool](n) // every vertex the bucket has held
 		for tReq.Nvals() > 0 {
-			if err := grb.AssignVectorScalar(members, tReq, nil, true, grb.All, nil); err != nil {
-				return nil, err
-			}
-			tNew, stale, err := relax(tReq, light)
-			if err != nil {
-				return nil, err
-			}
+			try(grb.AssignVectorScalar(members, tReq, nil, true, grb.All, nil))
+			tNew, stale, err := relaxDelta(t, unsettled, tReq, light)
+			try(err)
 			// tReq⟨¬stale,replace⟩ = tNew(inBucket): the members that moved.
-			if err := grb.SelectVector(tReq, stale, nil, inBucket, tNew, descRVC); err != nil {
-				return nil, err
-			}
+			try(grb.SelectVector(tReq, stale, nil, inBucket, tNew, descRVC))
 		}
 		// Settle the bucket: relax heavy edges once from all its members,
 		// at their final distances.
-		if err := grb.EWiseMultVector[float64, bool, float64, bool](tReq, nil, nil, grb.First[float64, bool](), t, members, nil); err != nil {
-			return nil, err
-		}
-		if _, _, err := relax(tReq, heavy); err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			ob.Iter(obs.IterRecord{
-				Algo: "sssp", Iter: step + 1,
-				Frontier: bucketSize,
-				DurNanos: ob.Now() - t0,
-			})
-		}
+		try(grb.EWiseMultVector[float64, bool, float64, bool](tReq, nil, nil, grb.First[float64, bool](), t, members, nil))
+		_, _, err = relaxDelta(t, unsettled, tReq, heavy)
+		try(err)
+		lp.done(obs.IterRecord{Iter: step + 1, Frontier: bucketSize})
 		// Every tentative distance below hi is now final; stop when nothing
 		// at or beyond hi is left.
-		if err := grb.SelectVector[float64, bool](unsettled, nil, nil, grb.ValueGE(hi), unsettled, nil); err != nil {
-			return nil, err
-		}
+		try(grb.SelectVector[float64, bool](unsettled, nil, nil, grb.ValueGE(hi), unsettled, nil))
 		if unsettled.Nvals() == 0 {
 			return t, nil
 		}
 		step++
 	}
+}
+
+// relaxDelta folds the candidate distances tNew = from min.+ edges into
+// delta-stepping's t and unsettled. stale marks the candidates notLess
+// rejects (a vertex reached for the first time has no entry in t, so none
+// in stale).
+func relaxDelta(t, unsettled, from *grb.Vector[float64], edges *grb.Matrix[float64]) (_ *grb.Vector[float64], _ *grb.Vector[bool], err error) {
+	defer catch(&err)
+	tNew, stale := grb.MustVector[float64](t.Size()), grb.MustVector[bool](t.Size())
+	try(grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, descPush))
+	// stale⟨tNew⟩ = tNew ≥ t
+	try(grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, t, nil))
+	// t min= tNew;  unsettled⟨¬stale⟩ min= tNew
+	try(grb.AssignVector(t, (*grb.Vector[bool])(nil), minOp, tNew, grb.All, nil))
+	try(grb.AssignVector(unsettled, stale, minOp, tNew, grb.All, descVC))
+	return tNew, stale, nil
 }
 
 // bucketOf returns the first bucket [k·delta, k·delta + delta) whose upper
@@ -239,38 +191,29 @@ func bucketOf(m, delta float64) (int, bool) {
 // D ← D min.+ D until a fixed point, starting from the adjacency with a
 // zero diagonal. O(n³ log n) worst case — intended for modest n, as in
 // the Solomonik-Buluç-Demmel formulation the paper cites [33].
-func APSP(g *Graph, opts ...Option) (*grb.Matrix[float64], error) {
+func APSP(g *Graph, opts ...Option) (_ *grb.Matrix[float64], err error) {
+	defer catch(&err)
 	cfg := newOptions(opts)
+	lp := cfg.loop("apsp")
 	n := g.N()
 	d := g.A.Dup()
 	// Zero diagonal: d(i,i) = 0.
 	for i := 0; i < n; i++ {
-		if err := d.SetElement(i, i, 0); err != nil {
-			return nil, err
-		}
+		try(d.SetElement(i, i, 0))
 	}
-	minPlus := grb.MinPlus[float64]()
 	maxIter := 1
 	for m := 1; m < n; m *= 2 {
 		maxIter++
 	}
 	for iter := 0; iter < maxIter; iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+		try(lp.next())
 		prev := d.Nvals()
 		sum, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), d)
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		// d ← d min (d min.+ d)
-		if err := grb.MxM(d, (*grb.Matrix[bool])(nil), grb.MinOp[float64](), minPlus, d, d, nil); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(d, (*grb.Matrix[bool])(nil), minOp, minPlus, d, d, nil))
 		sum2, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), d)
-		if err != nil {
-			return nil, err
-		}
+		try(err)
 		if d.Nvals() == prev && sum == sum2 {
 			break
 		}

@@ -21,64 +21,41 @@ type SubgraphCounts struct {
 
 // CountSubgraphs computes per-vertex wedge and triangle counts on an
 // undirected graph.
-func CountSubgraphs(g *Graph) (*SubgraphCounts, error) {
-	if err := g.requireUndirected(); err != nil {
-		return nil, err
-	}
+func CountSubgraphs(g *Graph) (_ *SubgraphCounts, err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	a := g.PatternInt64()
 	n := a.Nrows()
 	offDiag := grb.MustMatrix[int64](n, n)
-	if err := grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil); err != nil {
-		return nil, err
-	}
+	try(grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil))
 	a = offDiag
 
 	// C⟨A⟩ = A·A (plus.pair): C(i,j) = common neighbours of i and j for
 	// each edge (i,j). Row sums give 2·triangles(i).
 	c := grb.MustMatrix[int64](n, n)
-	if err := grb.MxM(c, a, nil, grb.PlusPair[int64, int64, int64](), a, a, nil); err != nil {
-		return nil, err
-	}
+	try(grb.MxM(c, a, nil, grb.PlusPair[int64, int64, int64](), a, a, nil))
 	rowSum := grb.MustVector[int64](n)
-	if err := grb.ReduceMatrixToVector[int64, bool](rowSum, nil, nil, grb.PlusMonoid[int64](), c, nil); err != nil {
-		return nil, err
-	}
+	try(grb.ReduceMatrixToVector[int64, bool](rowSum, nil, nil, grb.PlusMonoid[int64](), c, nil))
 	tri := grb.MustVector[int64](n)
-	if err := grb.ApplyVector[int64, int64, bool](tri, nil, nil,
-		func(x int64) int64 { return x / 2 }, rowSum, nil); err != nil {
-		return nil, err
-	}
+	try(grb.ApplyVector[int64, int64, bool](tri, nil, nil,
+		func(x int64) int64 { return x / 2 }, rowSum, nil))
 	// Drop explicit zeros (vertices on no triangle).
-	if err := grb.SelectVector[int64, bool](tri, nil, nil, grb.ValueNE(int64(0)), tri, grb.DescR); err != nil {
-		return nil, err
-	}
+	try(grb.SelectVector[int64, bool](tri, nil, nil, grb.ValueNE(int64(0)), tri, grb.DescR))
 
 	// Wedges from degrees.
 	deg := grb.MustVector[int64](n)
 	ones := grb.MustMatrix[int64](n, n)
-	if err := grb.ApplyMatrix[int64, int64, bool](ones, nil, nil, grb.One[int64, int64](), a, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, nil); err != nil {
-		return nil, err
-	}
+	try(grb.ApplyMatrix[int64, int64, bool](ones, nil, nil, grb.One[int64, int64](), a, nil))
+	try(grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, nil))
 	wedges := grb.MustVector[int64](n)
-	if err := grb.ApplyVector[int64, int64, bool](wedges, nil, nil,
-		func(d int64) int64 { return d * (d - 1) / 2 }, deg, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.SelectVector[int64, bool](wedges, nil, nil, grb.ValueNE(int64(0)), wedges, grb.DescR); err != nil {
-		return nil, err
-	}
+	try(grb.ApplyVector[int64, int64, bool](wedges, nil, nil,
+		func(d int64) int64 { return d * (d - 1) / 2 }, deg, nil))
+	try(grb.SelectVector[int64, bool](wedges, nil, nil, grb.ValueNE(int64(0)), wedges, grb.DescR))
 
 	totTri, err := grb.ReduceVectorToScalar(grb.PlusMonoid[int64](), tri)
-	if err != nil {
-		return nil, err
-	}
+	try(err)
 	totW, err := grb.ReduceVectorToScalar(grb.PlusMonoid[int64](), wedges)
-	if err != nil {
-		return nil, err
-	}
+	try(err)
 	return &SubgraphCounts{
 		Triangles:      tri,
 		Wedges:         wedges,
@@ -90,22 +67,19 @@ func CountSubgraphs(g *Graph) (*SubgraphCounts, error) {
 // ClusteringCoefficient returns the per-vertex local clustering
 // coefficient triangles(i)/wedges(i) and the global transitivity
 // 3·triangles/wedges.
-func ClusteringCoefficient(g *Graph) (*grb.Vector[float64], float64, error) {
+func ClusteringCoefficient(g *Graph) (_ *grb.Vector[float64], _ float64, err error) {
+	defer catch(&err)
 	sc, err := CountSubgraphs(g)
-	if err != nil {
-		return nil, 0, err
-	}
+	try(err)
 	n := g.N()
 	cc := grb.MustVector[float64](n)
-	if err := grb.EWiseMultVector[int64, int64, float64, bool](cc, nil, nil,
+	try(grb.EWiseMultVector[int64, int64, float64, bool](cc, nil, nil,
 		func(t, w int64) float64 {
 			if w == 0 {
 				return 0
 			}
 			return float64(t) / float64(w)
-		}, sc.Triangles, sc.Wedges, nil); err != nil {
-		return nil, 0, err
-	}
+		}, sc.Triangles, sc.Wedges, nil))
 	global := 0.0
 	if sc.TotalWedges > 0 {
 		global = 3 * float64(sc.TotalTriangles) / float64(sc.TotalWedges)

@@ -102,14 +102,14 @@ const tcSortWorkFactor = 4
 // TriangleCount counts the triangles of an undirected graph. method picks
 // the formulation (WithMethod overrides it, so callers using options can
 // pass TCAuto here); WithPresort selects the degree relabeling.
-func TriangleCount(g *Graph, method TCMethod, opts ...Option) (int64, error) {
-	if err := g.requireUndirected(); err != nil {
-		return 0, err
-	}
+func TriangleCount(g *Graph, method TCMethod, opts ...Option) (_ int64, err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	cfg := newOptions(opts)
-	if err := cfg.canceled(); err != nil {
-		return 0, err
-	}
+	// One pass of the loop: a cancellation check before the preparation
+	// and one before the multiply, and the plan's record.
+	lp := cfg.loop("tc")
+	try(lp.next())
 	if cfg.MethodSet {
 		method = cfg.Method
 	}
@@ -132,29 +132,21 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (int64, error) {
 		}
 	}
 	in, err := g.tcPrepared(method, presort)
-	if err != nil {
-		return 0, err
-	}
+	try(err)
 
 	// Trace the resolved plan: method and presort are runtime decisions
 	// when the caller passed TCAuto / TCSortAuto, and a trace is the only
 	// place they can be read back.
-	if ob := cfg.observer(); ob != nil {
+	if lp.traced() {
 		sorted := "unsorted"
 		if in.dir > 0 {
 			sorted = "sorted-ascending"
 		} else if in.dir < 0 {
 			sorted = "sorted-descending"
 		}
-		ob.Iter(obs.IterRecord{
-			Algo: "tc", Iter: 1,
-			Dir:      tcMethodNames[method] + "/" + sorted,
-			Frontier: in.nvals,
-		})
+		lp.done(obs.IterRecord{Iter: 1, Dir: tcMethodNames[method] + "/" + sorted, Frontier: in.nvals})
 	}
-	if err := cfg.canceled(); err != nil {
-		return 0, err
-	}
+	try(lp.next())
 	return tcCount(in)
 }
 
@@ -183,24 +175,21 @@ func (in tcInput) Wait() {
 // tcPrepared returns the input a resolved method and presort count on,
 // cached for one (method, presort) at a time: a call with another pair
 // replaces it.
-func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (tcInput, error) {
+func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (_ tcInput, err error) {
+	defer catch(&err)
 	if in := g.tri.p.Load(); in != nil && in.method == method && in.presort == presort {
 		return *in, nil
 	}
 	a := g.PatternInt64()
 	if g.NSelfLoops() > 0 {
 		offDiag := grb.MustMatrix[int64](a.Nrows(), a.Ncols())
-		if err := grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil); err != nil {
-			return tcInput{}, err
-		}
+		try(grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil))
 		a = offDiag
 	}
 	in := tcInput{method: method, presort: presort, dir: tcResolvePresort(a, method, presort)}
-	var err error
 	if in.dir != 0 {
-		if a, err = tcPermuteByDegree(a, in.dir); err != nil {
-			return tcInput{}, err
-		}
+		a, err = tcPermuteByDegree(a, in.dir)
+		try(err)
 	}
 	in.nvals = a.Nvals()
 	switch method {
@@ -216,9 +205,7 @@ func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (tcInput, error) 
 	default: // the dot pair reads both triangles
 		in.l, in.u, err = trilTriu(a)
 	}
-	if err != nil {
-		return tcInput{}, err
-	}
+	try(err)
 	return g.tri.store(in), nil
 }
 
@@ -287,7 +274,8 @@ func tcNaturalWork(a *grb.Matrix[int64]) (work, total int64) {
 // deterministic. The relabeled graph is A(P,P), LAGraph's own formulation;
 // the triangle count is invariant under relabeling, so it simply replaces
 // the original.
-func tcPermuteByDegree(a *grb.Matrix[int64], dir int) (*grb.Matrix[int64], error) {
+func tcPermuteByDegree(a *grb.Matrix[int64], dir int) (_ *grb.Matrix[int64], err error) {
+	defer catch(&err)
 	n := a.Nrows()
 	deg := make([]int, n)
 	perm := make([]int, n) // perm[newIdx] = oldIdx
@@ -302,68 +290,60 @@ func tcPermuteByDegree(a *grb.Matrix[int64], dir int) (*grb.Matrix[int64], error
 		return cmp.Compare(u, v)
 	})
 	p := grb.MustMatrix[int64](n, n)
-	if err := grb.ExtractMatrix[int64, bool](p, nil, nil, a, perm, perm, nil); err != nil {
-		return nil, err
-	}
+	try(grb.ExtractMatrix[int64, bool](p, nil, nil, a, perm, perm, nil))
 	return p, nil
 }
 
 // tcCount runs one concrete formulation over its prepared input: one
 // masked multiply and its reduction.
-func tcCount(in tcInput) (int64, error) {
-	// count reduces C⟨M⟩ = A plus.pair B and divides by the number of times
-	// the formulation counts each triangle.
-	count := func(m, a, b *grb.Matrix[int64], d *grb.Descriptor, times int64) (int64, error) {
-		c := grb.MustMatrix[int64](m.Nrows(), m.Ncols())
-		if err := grb.MxM(c, m, nil, grb.PlusPair[int64, int64, int64](), a, b, d); err != nil {
-			return 0, err
-		}
-		total, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
-		if err != nil {
-			return 0, err
-		}
-		return total / times, nil
-	}
+func tcCount(in tcInput) (_ int64, err error) {
+	defer catch(&err)
 	gustavson := &grb.Descriptor{Method: grb.MxMGustavson}
 	// The dot pair multiplies by a transposed triangle, whose rows are the
 	// other triangle's columns; the mask keeps the output pattern sparse.
 	dot := &grb.Descriptor{TranB: true, Method: grb.MxMDot}
+	// C⟨M⟩ = A plus.pair B, divided by the number of times the formulation
+	// counts each triangle.
+	var m, a, b *grb.Matrix[int64]
+	var d *grb.Descriptor
+	times := int64(1)
 	switch in.method {
 	case TCBurkhardt:
-		return count(in.a, in.a, in.a, nil, 6)
+		m, a, b, times = in.a, in.a, in.a, 6
 	case TCCohen:
-		return count(in.a, in.l, in.u, nil, 2)
+		m, a, b, times = in.a, in.l, in.u, 2
 	case TCSandiaLL:
-		return count(in.l, in.l, in.l, gustavson, 1)
+		m, a, b, d = in.l, in.l, in.l, gustavson
 	case TCSandiaUU:
-		return count(in.u, in.u, in.u, gustavson, 1)
+		m, a, b, d = in.u, in.u, in.u, gustavson
 	case TCSandiaDot: // L·Uᵀ masked by L
-		return count(in.l, in.l, in.u, dot, 1)
+		m, a, b, d = in.l, in.l, in.u, dot
 	case TCSandiaULT: // U·Lᵀ masked by U: the mirror image of SandiaLUT
-		return count(in.u, in.u, in.l, dot, 1)
+		m, a, b, d = in.u, in.u, in.l, dot
+	default:
+		return 0, ErrBadArgument
 	}
-	return 0, ErrBadArgument
+	c := grb.MustMatrix[int64](m.Nrows(), m.Ncols())
+	try(grb.MxM(c, m, nil, grb.PlusPair[int64, int64, int64](), a, b, d))
+	total, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), c)
+	try(err)
+	return total / times, nil
 }
 
 // tcTriangle selects one strict triangle of a: Tril(-1) or Triu(1).
 func tcTriangle(a *grb.Matrix[int64], keep grb.IndexUnaryOp[int64, bool]) (*grb.Matrix[int64], error) {
-	n := a.Nrows()
-	t := grb.MustMatrix[int64](n, n)
-	if err := grb.SelectMatrix[int64, bool](t, nil, nil, keep, a, nil); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t := grb.MustMatrix[int64](a.Nrows(), a.Ncols())
+	return t, grb.SelectMatrix[int64, bool](t, nil, nil, keep, a, nil)
 }
 
 // trilTriu splits a into strict lower and strict upper triangles, for the
 // formulations that read both.
-func trilTriu(a *grb.Matrix[int64]) (l, u *grb.Matrix[int64], err error) {
-	if l, err = tcTriangle(a, grb.Tril[int64](-1)); err != nil {
-		return nil, nil, err
-	}
-	if u, err = tcTriangle(a, grb.Triu[int64](1)); err != nil {
-		return nil, nil, err
-	}
+func trilTriu(a *grb.Matrix[int64]) (_, _ *grb.Matrix[int64], err error) {
+	defer catch(&err)
+	l, err := tcTriangle(a, grb.Tril[int64](-1))
+	try(err)
+	u, err := tcTriangle(a, grb.Triu[int64](1))
+	try(err)
 	return l, u, nil
 }
 
@@ -372,34 +352,26 @@ func trilTriu(a *grb.Matrix[int64]) (l, u *grb.Matrix[int64], err error) {
 // returns the truss adjacency with entries holding the per-edge support.
 // Formulation of Davis [36]: iterate C⟨C⟩ = C plus.pair C, then drop
 // edges with support < k-2.
-func KTruss(g *Graph, k int, opts ...Option) (*grb.Matrix[int64], error) {
-	if err := g.requireUndirected(); err != nil {
-		return nil, err
-	}
+func KTruss(g *Graph, k int, opts ...Option) (_ *grb.Matrix[int64], err error) {
+	defer catch(&err)
+	try(g.requireUndirected())
 	if k < 3 {
 		return nil, ErrBadArgument
 	}
 	cfg := newOptions(opts)
+	lp := cfg.loop("ktruss")
 	n := g.N()
 	c := grb.MustMatrix[int64](n, n)
-	if err := grb.SelectMatrix[int64, bool](c, nil, nil, grb.OffDiag[int64](), g.PatternInt64(), nil); err != nil {
-		return nil, err
-	}
+	try(grb.SelectMatrix[int64, bool](c, nil, nil, grb.OffDiag[int64](), g.PatternInt64(), nil))
 	support := int64(k - 2)
 	plusPair := grb.PlusPair[int64, int64, int64]()
 	for iter := 0; iter <= n; iter++ {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
+		try(lp.next())
 		// C⟨C,replace⟩ = C plus.pair C : support of every surviving edge.
 		z := grb.MustMatrix[int64](n, n)
-		if err := grb.MxM(z, c, nil, plusPair, c, c, grb.DescR); err != nil {
-			return nil, err
-		}
+		try(grb.MxM(z, c, nil, plusPair, c, c, grb.DescR))
 		// Keep edges with enough support.
-		if err := grb.SelectMatrix[int64, bool](z, nil, nil, grb.ValueGE(support), z, nil); err != nil {
-			return nil, err
-		}
+		try(grb.SelectMatrix[int64, bool](z, nil, nil, grb.ValueGE(support), z, nil))
 		if z.Nvals() == c.Nvals() {
 			// Also require identical pattern: counts equal suffices here
 			// because z's pattern is a subset of c's.

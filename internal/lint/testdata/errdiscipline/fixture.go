@@ -49,3 +49,64 @@ func GoodNoError(v *vec) {
 func GoodAnnotated(v *vec) {
 	v.SetElement(0, 1) //grblint:ignore error-discipline index 0 is always in range here
 }
+
+// The try/catch pair: try panics for the enclosing function's deferred
+// catch.
+type failure struct{ err error }
+
+func try(err error) {
+	if err != nil {
+		panic(failure{err})
+	}
+}
+
+func catch(err *error) {
+	if r := recover(); r != nil {
+		f, ok := r.(failure)
+		if !ok {
+			panic(r)
+		}
+		*err = f.err
+	}
+}
+
+// GoodTry hands its errors to its own deferred catch.
+func GoodTry(v *vec) (_ int, err error) {
+	defer catch(&err)
+	try(v.SetElement(0, 1))
+	n, err := pair()
+	try(err)
+	for i := 0; i < n; i++ {
+		try(step())
+	}
+	return n, nil
+}
+
+// BadTryUncaught has no catch to recover its try.
+func BadTryUncaught() error {
+	try(step()) // WANT error-discipline
+	return nil
+}
+
+// BadTryInLiteral defers catch, but the literal may run on another
+// goroutine.
+func BadTryInLiteral(apply func(func())) (err error) {
+	defer catch(&err)
+	apply(func() {
+		try(step()) // WANT error-discipline
+	})
+	return nil
+}
+
+// BadTryInGo panics on a goroutine no catch is on.
+func BadTryInGo() (err error) {
+	defer catch(&err)
+	go try(step()) // WANT error-discipline // WANT goroutine-lifecycle
+	return nil
+}
+
+// GoodCatchOnly may defer catch without calling try.
+func GoodCatchOnly() (err error) {
+	defer catch(&err)
+	return step()
+}

@@ -2,9 +2,12 @@ package lagraph_test
 
 // Table II reproduction test: the paper's point is that GraphBLAS
 // formulations are *compact* — comparable to or smaller than Ligra and
-// GraphIt. We assert our Go counts stay in that regime for BFS and SSSP,
-// and record local clustering (Go error handling and the sweep make it
-// longer; EXPERIMENTS.md discusses the delta).
+// GraphIt. The three Table II rows are bounded at the paper's GraphBLAS
+// column for BFS and SSSP; local clustering's sweep cut is plain Go the
+// paper's 45 lines do not count, so its bound sits above it
+// (EXPERIMENTS.md discusses the delta). Each GAP kernel is bounded at its
+// count when this gate was set, plus two, so the algorithm text cannot
+// drift the way Bellman-Ford's did (27 → 40) without a test saying so.
 
 import (
 	"testing"
@@ -20,23 +23,33 @@ func TestTableII_LinesOfCode(t *testing.T) {
 	byName := loccount.ByName(funcs)
 
 	cases := []struct {
-		fn    string
-		paper int // the GraphBLAS column of Table II
-		max   int // our acceptance bound
+		fns   []string // counted together
+		paper int      // the GraphBLAS column of Table II; 0 for a GAP kernel row
+		max   int      // our acceptance bound
 	}{
-		{"BFSLevelSimple", 25, 35},
-		{"SSSPBellmanFord", 25, 40},
-		{"LocalCluster", 45, 130},
+		{[]string{"BFSLevelSimple"}, 25, 18},
+		{[]string{"SSSPBellmanFord"}, 25, 25},
+		{[]string{"LocalCluster"}, 45, 90},
+		{[]string{"BFSLevels"}, 0, 38},
+		{[]string{"ssspDelta", "relaxDelta"}, 0, 56},
+		{[]string{"pageRankFrom"}, 0, 58},
+		{[]string{"fastSVFrom"}, 0, 45},
+		{[]string{"TriangleCount"}, 0, 38},
+		{[]string{"BetweennessCentrality"}, 0, 46},
 	}
 	for _, c := range cases {
-		got, ok := byName[c.fn]
-		if !ok {
-			t.Fatalf("function %s not found", c.fn)
+		got := 0
+		for _, fn := range c.fns {
+			n, ok := byName[fn]
+			if !ok {
+				t.Fatalf("function %s not found", fn)
+			}
+			got += n
 		}
 		if got == 0 || got > c.max {
-			t.Errorf("%s: %d lines (paper GraphBLAS column: %d; bound %d)", c.fn, got, c.paper, c.max)
+			t.Errorf("%v: %d lines (paper GraphBLAS column: %d; bound %d)", c.fns, got, c.paper, c.max)
 		}
-		t.Logf("%s: %d lines (paper: %d)", c.fn, got, c.paper)
+		t.Logf("%v: %d lines (paper: %d, bound %d)", c.fns, got, c.paper, c.max)
 	}
 
 	// The compactness ordering of Table II: local clustering is the
