@@ -7,12 +7,13 @@ package grb
 // around one + or <. For the semirings the built-in constructors tag
 // (opsTag, types.go), over float64 and int64 — the element types the GAP
 // kernels multiply in — monoOps is the same looper with the arithmetic
-// written out over E Number, so it compiles inline. Each of its loops keeps
-// its generic twin's association exactly: the first product assigned, the
-// rest folded in the same order, min spelt `y < x` with its terminal exit.
-// A tagged semiring and its literal-built twin therefore agree bitwise, and
-// a positional multiplier (first, second, pair) never loads the operand it
-// ignores.
+// written out over E Number. Its dot picks one loop per tag once a call, so
+// a pulled product is a lane probe and one + or <, nothing resolved per
+// product. Each of its loops keeps its generic twin's association exactly:
+// the first product assigned, the rest folded in the same order, min spelt
+// `y < x` with its terminal exit. A tagged semiring and its literal-built
+// twin therefore agree bitwise, and a positional multiplier (first, second,
+// pair) never loads the operand it ignores.
 //
 // The heap mxm, the hash push and sparseDot multiply through the closures
 // whatever the tag: a census of both bench/e2e workloads puts under 0.4 %
@@ -26,6 +27,10 @@ type looper[L, R, T any] interface {
 	// lanes at each ri[q], meeting matches in ascending index, and stops
 	// early once the additive monoid reaches a terminal value.
 	dot(seen []bool, lx []L, ri []int, rx []R, lo, hi int) (T, bool)
+	// pull is dot for each row j in [lo, hi) of c, a matrix that is not
+	// hypersparse, that mv admits: a found product lands in (zb, zx) at j.
+	// It returns how many did.
+	pull(seen []bool, lx []L, c *cs[R], lo, hi int, mv *maskVec, zb []bool, zx []T) int
 	// scatter folds the products of entries [lo, hi) of (li, lx) — frontier
 	// entries, or a row of A — with the major vectors of c they select into
 	// a dense accumulator (seen, val), appending to touched each cell first
@@ -75,6 +80,17 @@ func (s *Semiring[L, R, T]) dot(seen []bool, lx []L, ri []int, rx []R, lo, hi in
 		}
 	}
 	return acc, found
+}
+
+func (s *Semiring[L, R, T]) pull(seen []bool, lx []L, c *cs[R], lo, hi int, mv *maskVec, zb []bool, zx []T) (n int) {
+	for j := lo; j < hi; j++ {
+		if mv.allowed(j) {
+			if zx[j], zb[j] = s.dot(seen, lx, c.i, c.x, c.p[j], c.p[j+1]); zb[j] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func (s *Semiring[L, R, T]) scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int, exit bool) []int {
@@ -132,8 +148,9 @@ func (s *Semiring[L, R, T]) fold(pi []int, px []T, seen []bool, val []T, touched
 // monoOps is a tagged semiring over element type E: which operand values
 // make a product, and which monoid folds them.
 type monoOps[E Number] struct {
-	left, right bool // the multiplier reads its left, its right operand: first, second, pair (neither), plus (both)
-	min         bool // the monoid is min and lo its terminal value; otherwise plus, which has none
+	tag         opsTag // picks dot's loop
+	left, right bool   // the multiplier reads its left, its right operand: first, second, pair (neither), plus (both)
+	min         bool   // the monoid is min and lo its terminal value; otherwise plus, which has none
 	lo          E
 }
 
@@ -141,6 +158,7 @@ type monoOps[E Number] struct {
 func monoTable[E Number]() (t [len(opsNames)]monoOps[E]) {
 	for tag := opsPlusFirst; int(tag) < len(t); tag++ {
 		t[tag] = monoOps[E]{
+			tag:   tag,
 			left:  tag == opsPlusFirst || tag == opsMinFirst || tag == opsMinPlus,
 			right: tag == opsPlusSecond || tag == opsMinSecond || tag == opsMinPlus,
 			min:   tag >= opsMinFirst, lo: minVal[E](),
@@ -169,19 +187,6 @@ func (m monoOps[E]) rowProduct(l []E, t int, r []E, lo, hi int) (c E, rr []E) {
 	return c, rr
 }
 
-// product is the multiplier applied to l[p] and r[q].
-func (m monoOps[E]) product(l []E, p int, r []E, q int) E {
-	switch {
-	case m.left && m.right:
-		return l[p] + r[q]
-	case m.left:
-		return l[p]
-	case m.right:
-		return r[q]
-	}
-	return 1
-}
-
 // add is the monoid's operator, spelt as PlusMonoid and MinMonoid spell it.
 func (m monoOps[E]) add(x, y E) E {
 	if !m.min {
@@ -193,31 +198,70 @@ func (m monoOps[E]) add(x, y E) E {
 	return x
 }
 
-func (mp *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E, found bool) {
-	m := *mp
+func (m *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E, found bool) {
 	q := lo
 	for ; q < hi && !seen[ri[q]]; q++ {
 	}
 	if q == hi {
 		return acc, false
 	}
-	acc = m.product(l, ri[q], r, q)
-	if !m.min {
-		for q++; q < hi; q++ {
-			if i := ri[q]; seen[i] {
-				acc += m.product(l, i, r, q)
+	// The first match is i, at q. The rest are cut so that the compiler
+	// drops every bounds check but the lane probe's.
+	i, ri := ri[q], ri[q+1:hi]
+	l, rr := l[:len(seen)], r[q+1 : hi][:len(ri)]
+	switch m.tag {
+	case opsPlusFirst:
+		acc = l[i]
+		for _, i := range ri {
+			if seen[i] {
+				acc += l[i]
 			}
 		}
-		return acc, true
-	}
-	for q++; q < hi && acc != m.lo; q++ {
-		if i := ri[q]; seen[i] {
-			if p := m.product(l, i, r, q); p < acc {
-				acc = p
+	case opsPlusSecond:
+		acc = r[q]
+		for k, i := range ri {
+			if seen[i] {
+				acc += rr[k]
+			}
+		}
+	case opsPlusPair:
+		acc = 1
+		for _, i := range ri {
+			if seen[i] {
+				acc++
+			}
+		}
+	case opsMinFirst:
+		for acc, q = l[i], 0; q < len(ri) && acc != m.lo; q++ {
+			if i := ri[q]; seen[i] && l[i] < acc {
+				acc = l[i]
+			}
+		}
+	case opsMinSecond:
+		for acc, q = r[q], 0; q < len(ri) && acc != m.lo; q++ {
+			if seen[ri[q]] && rr[q] < acc {
+				acc = rr[q]
+			}
+		}
+	default: // min.plus
+		for acc, q = l[i]+r[q], 0; q < len(ri) && acc != m.lo; q++ {
+			if i := ri[q]; seen[i] && l[i]+rr[q] < acc {
+				acc = l[i] + rr[q]
 			}
 		}
 	}
 	return acc, true
+}
+
+func (m *monoOps[E]) pull(seen []bool, l []E, c *cs[E], lo, hi int, mv *maskVec, zb []bool, zx []E) (n int) {
+	for j := lo; j < hi; j++ {
+		if mv.allowed(j) {
+			if zx[j], zb[j] = m.dot(seen, l, c.i, c.x, c.p[j], c.p[j+1]); zb[j] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // scatter exits whatever exit says: folding into min's terminal changes

@@ -368,24 +368,16 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 	defer ur.unlanes(usc)
 
 	lp := loopsOf(&s, st)
-	dotCol := func(ck int) (T, bool) { return lp.dot(uok, ud, caT.i, caT.x, caT.p[ck], caT.p[ck+1]) }
-
 	if caT.h == nil && bitmapCells(1, outDim) >= 0 && (mv == nil || (mv.comp && mv.db != nil)) {
 		zd = getLanes[T](outDim)
+		bounds := []int{0, outDim}
+		if w := workers(); w > 1 {
+			bounds = rowChunks(caT.p, pullWorkQuantum, w*workOversubscribe)
+		}
+		st.fill(bounds, func(j int) int { return caT.p[j+1] - caT.p[j] + 1 })
 		var nvals atomic.Int64
-		weight := func(j int) int { return caT.p[j+1] - caT.p[j] + 1 }
-		parallelWorkObs(outDim, pullWorkQuantum, weight, st, func(lo, hi int) {
-			cnt := 0
-			for j := lo; j < hi; j++ {
-				if !mv.allowed(j) {
-					continue
-				}
-				if v, ok := dotCol(j); ok {
-					zd.x[j], zd.b[j] = v, true
-					cnt++
-				}
-			}
-			nvals.Add(int64(cnt))
+		runChunks(bounds, func(_, lo, hi int) {
+			nvals.Add(int64(lp.pull(uok, ud, caT, lo, hi, mv, zd.b, zd.x)))
 		})
 		zd.nvals = int(nvals.Load())
 		return nil, nil, zd
@@ -434,7 +426,7 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 	parallelWorkObs(n, pullWorkQuantum, weight, st, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			if ck := majorOf(t); ck >= 0 {
-				vals[t], found[t] = dotCol(ck)
+				vals[t], found[t] = lp.dot(uok, ud, caT.i, caT.x, caT.p[ck], caT.p[ck+1])
 			}
 		}
 	})

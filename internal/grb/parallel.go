@@ -88,9 +88,6 @@ func workChunks(n int, weight func(k int) int, quantum, maxChunks int) []int {
 	if n <= 0 {
 		return []int{0, 0}
 	}
-	if maxChunks < 1 {
-		maxChunks = 1
-	}
 	// The prefix sums are scratch: pooled, so that partitioning an n-column
 	// sweep allocates nothing proportional to n.
 	buf, _ := prefixPool.Get().(*[]int)
@@ -104,7 +101,24 @@ func workChunks(n int, weight func(k int) int, quantum, maxChunks int) []int {
 	for k := 0; k < n; k++ {
 		prefix[k+1] = prefix[k] + max(weight(k), 0)
 	}
-	total := prefix[n]
+	return splitPrefix(n, func(k int) int { return prefix[k] }, quantum, maxChunks)
+}
+
+// rowChunks is workChunks over the rows of row pointers p, each weighing its
+// entries plus one — a pull's weight, and a transpose's. That weight's
+// prefix sum at k is p[k]−p[0]+k, so the bounds are read straight off p: no
+// weight call a row, no prefix pass, no buffer.
+func rowChunks(p []int, quantum, maxChunks int) []int {
+	return splitPrefix(len(p)-1, func(k int) int { return p[k] - p[0] + k }, quantum, maxChunks)
+}
+
+// splitPrefix is workChunks' split of [0,n) given the weight prefix sum at
+// each k in [0, n].
+func splitPrefix(n int, prefix func(k int) int, quantum, maxChunks int) []int {
+	if maxChunks < 1 {
+		maxChunks = 1
+	}
+	total := prefix(n)
 	if quantum < 1 {
 		quantum = 1
 	}
@@ -125,7 +139,7 @@ func workChunks(n int, weight func(k int) int, quantum, maxChunks int) []int {
 	for c := 1; c < nchunks; c++ {
 		target := total / nchunks * c
 		// First index whose prefix exceeds the target.
-		b := sort.Search(n, func(k int) bool { return prefix[k+1] > target })
+		b := sort.Search(n, func(k int) bool { return prefix(k+1) > target })
 		if b <= bounds[len(bounds)-1] {
 			continue // a heavy element swallowed this boundary
 		}

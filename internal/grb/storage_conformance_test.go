@@ -662,14 +662,19 @@ func TestConformanceStorageFormsVector(t *testing.T) {
 // whose work is cut into chunks at eight workers, over float64: plus.* on
 // sums that depend on their order, min.* on NaN, ±Inf and −0. The literal
 // twin — the generic loops the tables above hold to the mimic — is the
-// reference.
+// reference. u is three-quarters full; full and dense-held (PageRank's and
+// FastSV's operand, on which every lane probe of a pull passes); and a
+// sixteenth full and sparse-held (a pull reads it through scratch lanes). For
+// the min tags, row and column 0 of A meet u so that min's terminal −Inf
+// arrives mid-row whichever operand the multiplier reads.
 func TestTaggedTwinsChunkedVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(2401))
 	const n, deg = 4096, 24
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1, -2.5, 3}
 	for _, tw := range taggedTwins[float64]() {
+		isMin := tw.name[:3] == "min"
 		val := func() float64 { return cancelling(rng) }
-		if tw.name[:3] == "min" {
+		if isMin {
 			val = func() float64 { return special[rng.Intn(len(special))] }
 		}
 		a := grb.MustMatrix[float64](n, n)
@@ -678,41 +683,62 @@ func TestTaggedTwinsChunkedVector(t *testing.T) {
 				_ = a.SetElement(i, j, val())
 			}
 		}
-		a.Wait()
-		u := grb.MustVector[float64](n)
+		u, full, sparse := grb.MustVector[float64](n), grb.MustVector[float64](n), grb.MustVector[float64](n)
 		for i := 0; i < n; i++ {
-			if rng.Intn(4) > 0 {
-				_ = u.SetElement(i, val())
+			x := val()
+			_ = full.SetElement(i, x)
+			if r := rng.Intn(16); r > 3 {
+				_ = u.SetElement(i, x)
+			} else if r == 0 {
+				_ = sparse.SetElement(i, x)
 			}
 		}
+		if isMin {
+			for k, x := range []float64{4, math.Inf(-1), math.NaN(), -1} {
+				_ = a.SetElement(k+1, 0, x+1)
+				_ = a.SetElement(0, k+1, x+1)
+				for _, v := range []*grb.Vector[float64]{u, full, sparse} {
+					_ = v.SetElement(k+1, x)
+				}
+			}
+		}
+		a.Wait()
 		u.Wait()
+		full = heldV(full, true)
+		sparse.Wait()
+		if dense, _ := sparse.Forms(); dense {
+			t.Fatal("the sparse u is dense-held")
+		}
 		mask := randBoolVector(rng, n, 0.5)
-		for _, masked := range []bool{false, true} {
-			for _, c := range []struct {
-				name string
-				d    grb.Descriptor
-				mxv  bool
-			}{
-				{"vxm/push", grb.Descriptor{Dir: grb.DirPush}, false},
-				{"vxm/pull", grb.Descriptor{Dir: grb.DirPull}, false},
-				{"mxv/pull", grb.Descriptor{Dir: grb.DirPull}, true},
-				{"mxv/push-tranA", grb.Descriptor{Dir: grb.DirPush, TranA: true}, true},
-			} {
-				var gm *grb.Vector[bool]
-				if masked {
-					gm, c.d.Comp = heldV(mask, true), true
-				}
-				rec, err := twinned(tw, grb.MustVector[float64](n), func(w *grb.Vector[float64], s grb.Semiring[float64, float64, float64]) error {
-					if c.mxv {
-						return grb.MxV(w, gm, nil, s, a, u, &c.d)
+		for _, u := range []*grb.Vector[float64]{u, full, sparse} {
+			for _, masked := range []bool{false, true} {
+				for _, c := range []struct {
+					name string
+					d    grb.Descriptor
+					mxv  bool
+				}{
+					{"vxm/push", grb.Descriptor{Dir: grb.DirPush}, false},
+					{"vxm/pull", grb.Descriptor{Dir: grb.DirPull}, false},
+					{"mxv/pull", grb.Descriptor{Dir: grb.DirPull}, true},
+					{"mxv/push-tranA", grb.Descriptor{Dir: grb.DirPush, TranA: true}, true},
+				} {
+					var gm *grb.Vector[bool]
+					if masked {
+						gm, c.d.Comp = heldV(mask, true), true
 					}
-					return grb.VxM(w, gm, nil, s, u, a, &c.d)
-				})
-				if err != nil {
-					t.Fatalf("%s %s masked=%v: %v", tw.name, c.name, masked, err)
-				}
-				if rec.Chunks < 2 {
-					t.Fatalf("%s %s masked=%v: %d chunks at eight workers; the input does not reach the chunked kernel", tw.name, c.name, masked, rec.Chunks)
+					rec, err := twinned(tw, grb.MustVector[float64](n), func(w *grb.Vector[float64], s grb.Semiring[float64, float64, float64]) error {
+						if c.mxv {
+							return grb.MxV(w, gm, nil, s, a, u, &c.d)
+						}
+						return grb.VxM(w, gm, nil, s, u, a, &c.d)
+					})
+					if err != nil {
+						t.Fatalf("%s %s masked=%v u=%d entries: %v", tw.name, c.name, masked, u.Nvals(), err)
+					}
+					// A push from the sparse u is too little work to chunk.
+					if rec.Chunks < 2 && (u != sparse || c.d.Dir == grb.DirPull) {
+						t.Fatalf("%s %s masked=%v u=%d entries: %d chunks at eight workers; the input does not reach the chunked kernel", tw.name, c.name, masked, u.Nvals(), rec.Chunks)
+					}
 				}
 			}
 		}

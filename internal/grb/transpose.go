@@ -85,8 +85,7 @@ func transposeCS[T any](c *cs[T]) *cs[T] {
 // are fully determined by the counts, so the output is identical to the
 // serial transpose regardless of worker count or scheduling.
 func transposeParallel[T any](c, t *cs[T]) {
-	nvec := c.nvecs()
-	bounds := workChunks(nvec, func(k int) int { return c.p[k+1] - c.p[k] + 1 }, 1, workers())
+	bounds := rowChunks(c.p, 1, workers())
 	nchunks := len(bounds) - 1
 	counts := make([][]int, nchunks)
 	runChunks(bounds, func(cx, lo, hi int) {

@@ -1,7 +1,9 @@
 package grb
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -347,6 +349,95 @@ func TestWorkChunksInvariants(t *testing.T) {
 	b := workChunks(50, func(int) int { return 0 }, 64, 16)
 	if len(b) != 2 || b[0] != 0 || b[1] != 50 {
 		t.Fatalf("zero-weight input should yield one chunk, got %v", b)
+	}
+}
+
+// TestRowChunksMatchWorkChunks: the bounds a pull reads off its row
+// pointers are the ones workChunks finds by weighing each row its entries
+// plus one — over empty rows, a single heavy row, totals either side of
+// seqFallbackWork, and row pointers that do not start at zero.
+func TestRowChunksMatchWorkChunks(t *testing.T) {
+	// uniform spreads total weight over n rows, the remainder on the last.
+	uniform := func(n, total int) []int {
+		counts := make([]int, n)
+		for k := range counts {
+			counts[k] = (total - n) / n
+		}
+		counts[n-1] += (total - n) % n
+		return counts
+	}
+	cases := map[string][]int{"no rows": nil, "all rows empty": make([]int, seqFallbackWork+3)}
+	gaps := uniform(4096, 1<<18)
+	for k := range gaps {
+		if k%3 != 0 {
+			gaps[k] = 0
+		}
+	}
+	cases["empty rows between full ones"] = gaps
+	heavy := uniform(100, 200)
+	heavy[40] = 100000
+	cases["one heavy row"] = heavy
+	for _, d := range []int{-1, 0, 1} {
+		cases[fmt.Sprintf("total seqFallbackWork%+d", d)] = uniform(1000, seqFallbackWork+d)
+	}
+	split := false
+	for name, counts := range cases {
+		for _, start := range []int{0, 7} {
+			p := make([]int, len(counts)+1)
+			p[0] = start
+			for k, c := range counts {
+				p[k+1] = p[k] + c
+			}
+			weight := func(k int) int { return p[k+1] - p[k] + 1 }
+			for _, quantum := range []int{1, pullWorkQuantum} {
+				for _, maxChunks := range []int{1, 8, 64} {
+					got, want := rowChunks(p, quantum, maxChunks), workChunks(len(counts), weight, quantum, maxChunks)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s from %d, quantum %d, %d chunks: rowChunks %v, workChunks %v", name, start, quantum, maxChunks, got, want)
+					}
+					split = split || len(got) > 2
+				}
+			}
+		}
+	}
+	if !split {
+		t.Fatal("no case was split into chunks")
+	}
+}
+
+// TestDensePullAllocates: an untraced dense pull — PageRank's mxv — makes
+// as many allocations at n = 16 384 as at n = 4 096, at one worker and
+// chunked at eight: none per row.
+func TestDensePullAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes allocation counts unrepeatable")
+	}
+	allocs := func(n, p int) float64 {
+		defer SetParallelism(SetParallelism(p))
+		rng := rand.New(rand.NewSource(int64(n)))
+		a := MustMatrix[float64](n, n)
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.Float64()
+			for k := 0; k < 40; k++ {
+				_ = a.SetElement(i, rng.Intn(n), 1)
+			}
+		}
+		a.Wait()
+		u, w := DenseVector(x), MustVector[float64](n)
+		plusSecond, pull := PlusSecond[float64](), &Descriptor{Dir: DirPull}
+		mxv := func() {
+			if err := MxV(w, (*Vector[bool])(nil), nil, plusSecond, a, u, pull); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mxv()
+		return testing.AllocsPerRun(20, mxv)
+	}
+	for _, p := range []int{1, 8} {
+		if small, large := allocs(4096, p), allocs(16384, p); small != large {
+			t.Errorf("P=%d: %.1f allocations a call at n = 4 096, %.1f at n = 16 384", p, small, large)
+		}
 	}
 }
 

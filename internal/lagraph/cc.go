@@ -38,11 +38,11 @@ func ConnectedComponentsWith(g *Graph, opts ...Option) (*CCResult, error) {
 
 // fastSVFrom runs the FastSV loop from an initial parent vector. f0 nil
 // selects the cold start f(i)=i; a warm start passes prior labels, whose
-// validity (every f0(i) names a vertex in i's component) the caller must
-// guarantee — see IncrementalCC. The op sequence per iteration is
-// identical in both modes, so cold results are bitwise unchanged by this
-// refactor and warm results converge to the same canonical min-id fixed
-// point.
+// validity (every f0(i) names a vertex in i's component, and none larger
+// than i) the caller must guarantee — see IncrementalCC. The op sequence
+// per iteration is identical in both modes, so cold results are bitwise
+// unchanged by this refactor and warm results converge to the same
+// canonical min-id fixed point.
 func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (_ *CCResult, err error) {
 	defer catch(&err)
 	n := g.N()
@@ -70,28 +70,24 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (_ *CC
 	defer func() { gp.Clear(); newGP.Clear(); mngp.Clear() }()
 	for iter := 1; iter <= n+1; iter++ {
 		try(lp.next())
-		// mngp(i) = min over neighbours j of gp(j): stochastic hooking.
+		// mngp(i) = min over neighbours j of gp(j).
 		try(grb.MxV(mngp, (*grb.Vector[bool])(nil), nil, minSecond, a, gp, nil))
 		if g.Kind == Directed {
 			try(grb.MxV(mngp, (*grb.Vector[bool])(nil), grb.MinOp[int64](), minSecond, a, gp, grb.DescT0))
 		}
 
-		// Hooking: f(i) ← min(f(i), mngp(i), gp(i)).
+		// Hooking: f(i) ← min(f(i), mngp(i), gp(i)). Zhang et al.'s
+		// stochastic hooking, f(f(i)) ← min(f(f(i)), mngp(i)), is omitted.
 		try(grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, mngp, nil))
 		try(grb.EWiseAddVector[int64, bool](f, nil, nil, grb.MinOp[int64](), f, gp, nil))
 
-		// Aggressive hooking onto parents-of-parents: f(f(i)) ← min(...).
-		// Gather-scatter through the tuple interface (the C formulation
-		// uses GrB_extract with f as the index vector). fx is a snapshot
-		// and min is associative, commutative and idempotent, so the
-		// updates merge straight into f in any order. The snapshot's index
-		// slice is the caller's, so it is overwritten into the gather list.
+		// The gather list of the shortcut below, idx(i) = f(i), read off a
+		// snapshot of f (the C formulation uses GrB_extract with f as the
+		// index vector). The snapshot's index slice is the caller's, so it
+		// is overwritten into the list.
 		idx, fx := f.ExtractTuples()
-		minOp := grb.MinOp[int64]()
 		for k := range fx {
-			// f(p) ← min(f(p), f(i)) for each i with f(i)=p.
 			idx[k] = int(fx[k])
-			_ = f.MergeElement(idx[k], fx[k], minOp)
 		}
 
 		// Shortcutting: f(i) ← f(f(i)); compute the new grandparent.

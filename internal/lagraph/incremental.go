@@ -83,12 +83,14 @@ func IncrementalCC(g *Graph, prior *grb.Vector[int64], delta *Delta, opts ...Opt
 	if !delta.InsertOnly() {
 		return nil, fmt.Errorf("%w: cc warm start needs a tracked insert-only delta", ErrStalePrior)
 	}
-	// Labels double as gather-scatter indices inside FastSV: range-check
-	// them so a corrupt prior cannot index out of bounds.
-	_, xs := prior.ExtractTuples()
-	for _, x := range xs {
-		if x < 0 || x >= int64(n) {
-			return nil, fmt.Errorf("%w: cc prior label %d out of range", ErrStalePrior, x)
+	// Labels double as gather indices inside FastSV: range-check them so a
+	// corrupt prior cannot index out of bounds. A min-id labelling never
+	// names a larger vertex, and FastSV only lowers a label, so a prior
+	// that does would converge away from the cold answer.
+	is, xs := prior.ExtractTuples()
+	for k, x := range xs {
+		if x < 0 || x > int64(is[k]) {
+			return nil, fmt.Errorf("%w: cc prior label %d of vertex %d out of range", ErrStalePrior, x, is[k])
 		}
 	}
 	return fastSVFrom(g, prior, true, &cfg)

@@ -125,6 +125,30 @@ func TestIncrementalCCRejectsUnusablePriors(t *testing.T) {
 	}
 }
 
+// TestIncrementalCCRejectsLargerLabel: on the single edge 0–1 the prior
+// [1, 1] is in range and names a vertex of each label's component, but a
+// warm start from it would keep it, where a cold run answers [0, 0].
+func TestIncrementalCCRejectsLargerLabel(t *testing.T) {
+	a := grb.MustMatrix[float64](2, 2)
+	_ = a.SetElement(0, 1, 1)
+	_ = a.SetElement(1, 0, 1)
+	g, err := lagraph.NewGraph(a, lagraph.Undirected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := lagraph.ConnectedComponentsFastSV(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, xs := cold.ExtractTuples(); xs[0] != 0 || xs[1] != 0 {
+		t.Fatalf("cold labels %v, want [0 0]", xs)
+	}
+	_, err = lagraph.IncrementalCC(g, grb.DenseVector([]int64{1, 1}), &lagraph.Delta{})
+	if !errors.Is(err, lagraph.ErrStalePrior) {
+		t.Fatalf("prior [1 1]: want ErrStalePrior, got %v", err)
+	}
+}
+
 func TestPageRankWarmEquivalence(t *testing.T) {
 	g := deltaGraph(t, lagraph.Directed)
 	opts := []lagraph.Option{lagraph.WithDamping(0.85), lagraph.WithTolerance(1e-8), lagraph.WithMaxIter(500)}

@@ -33,7 +33,7 @@ func TestTableII_LinesOfCode(t *testing.T) {
 		{[]string{"BFSLevels"}, 0, 38},
 		{[]string{"ssspDelta", "relaxDelta"}, 0, 56},
 		{[]string{"pageRankFrom"}, 0, 58},
-		{[]string{"fastSVFrom"}, 0, 45},
+		{[]string{"fastSVFrom"}, 0, 43},
 		{[]string{"TriangleCount"}, 0, 38},
 		{[]string{"BetweennessCentrality"}, 0, 46},
 	}
