@@ -272,88 +272,6 @@ func BenchmarkAblation_PendingGranularity(b *testing.B) {
 	}
 }
 
-// The write-rule ablation: one traversal level's `paths += frontier` — a
-// 256-entry update accumulated into a well-filled 1×16384 matrix — with the
-// in-place route open (FormatAuto promotes the output to the dense form and
-// scatters the update into it, O(nnz(update))) and closed (FormatCSR forbids
-// the dense form, so every write merges all of C into fresh arrays,
-// O(nnz(C))). The pair is the per-level cost difference DESIGN.md's "Storage
-// formats and kernel selection" describes.
-func benchWriteRuleInPlace(b *testing.B, f grb.Format) {
-	const n, frontier = 1 << 14, 256
-	paths := grb.MustMatrix[float64](1, n)
-	paths.SetFormat(f)
-	for j := 0; j < n; j += 2 {
-		_ = paths.SetElement(0, j, 1)
-	}
-	paths.Wait()
-	update := grb.MustMatrix[float64](1, n)
-	for k := 0; k < frontier; k++ {
-		_ = update.SetElement(0, (k*61)%n, 1)
-	}
-	update.Wait()
-	plus := grb.Plus[float64]()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := grb.AssignMatrix[float64, bool](paths, nil, plus, update, grb.All, grb.All, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_WriteRuleInPlace_On(b *testing.B) {
-	benchWriteRuleInPlace(b, grb.FormatAuto)
-}
-
-func BenchmarkAblation_WriteRuleInPlace_Off(b *testing.B) {
-	benchWriteRuleInPlace(b, grb.FormatCSR)
-}
-
-// The dense-result-route ablation (A5): one FastSV iteration's
-// `f = min(f, mngp)` over 16 384 vertices, both operands holding every
-// entry. On: vectors, whose element-wise kernel is one pass over pooled
-// lanes that f then adopts. Off: the same operation on 1×n matrices in
-// FormatCSR, which forbids the dense form, so it runs the sorted-merge
-// kernel into fresh index and value arrays — what every full-vector grb
-// call cost before the route.
-func BenchmarkAblation_DenseResultRoute_On(b *testing.B) {
-	const n = 1 << 14
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	f, mngp := grb.DenseVector(ids), grb.DenseVector(ids)
-	minOp := grb.MinOp[int64]()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := grb.EWiseAddVector[int64, bool](f, nil, nil, minOp, f, mngp, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_DenseResultRoute_Off(b *testing.B) {
-	const n = 1 << 14
-	f, mngp := grb.MustMatrix[int64](1, n), grb.MustMatrix[int64](1, n)
-	for _, m := range []*grb.Matrix[int64]{f, mngp} {
-		m.SetFormat(grb.FormatCSR)
-		for j := 0; j < n; j++ {
-			_ = m.SetElement(0, j, int64(j))
-		}
-		m.Wait()
-	}
-	minOp := grb.MinOp[int64]()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := grb.EWiseAddMatrix[int64, bool](f, nil, nil, minOp, f, mngp, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The masked-mxm direction ablation (A6): the masked products of one batched
 // BC from 4 sources on an undirected RMAT-13 — every forward level's
 // `next⟨¬visited⟩ = frontier ⊕.⊗ A` and every backward level's

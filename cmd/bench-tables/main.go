@@ -335,7 +335,6 @@ func c6() {
 	dHyper := timeIt(3, func() {
 		n := 1 << 40
 		a := grb.MustMatrix[float64](n, n)
-		a.SetFormat(grb.FormatHyper)
 		for k := range el.Src {
 			_ = a.SetElement(el.Src[k]<<20, el.Dst[k]<<20, el.W[k])
 		}
@@ -344,7 +343,6 @@ func c6() {
 	dStd := timeIt(3, func() {
 		n := 1 << 14
 		a := grb.MustMatrix[float64](n, n)
-		a.SetFormat(grb.FormatCSR)
 		for k := range el.Src {
 			_ = a.SetElement(el.Src[k], el.Dst[k], el.W[k])
 		}

@@ -147,7 +147,6 @@ func TestPipelineHypersparseRoundTrip(t *testing.T) {
 	// build hypersparse → algorithms on a compacted id space.
 	n := 1 << 35
 	a := grb.MustMatrix[float64](n, n)
-	a.SetFormat(grb.FormatHyper)
 	// A ring over scattered ids.
 	ids := make([]int, 64)
 	for k := range ids {

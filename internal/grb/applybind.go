@@ -118,7 +118,6 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	if nrows < 0 || ncols < 0 {
 		return opErrorf("resize", ErrInvalidValue, "want %d×%d", nrows, ncols)
 	}
-	old := a.materializedCSR()
 	is, js, xs := a.ExtractTuples()
 	w := 0
 	for k := range is {
@@ -129,7 +128,7 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	}
 	is, js, xs = is[:w], js[:w], xs[:w]
 	a.nr, a.nc = nrows, ncols
-	a.setCSR(emptyCS[T](nrows, ncols, old.h != nil))
+	a.setCSR(emptyCS[T](nrows, ncols))
 	if w > 0 {
 		return a.Build(is, js, xs, nil)
 	}

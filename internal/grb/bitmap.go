@@ -135,19 +135,6 @@ func bmToCS[T any](v *bm[T]) *cs[T] {
 	return c
 }
 
-// denseWantedAt is the promotion rule under the configured format: whether
-// a matrix of these dimensions holding nvals entries takes the dense form.
-func (a *Matrix[T]) denseWantedAt(nvals int) bool {
-	cells := bitmapCells(a.nr, a.nc)
-	switch a.format {
-	case FormatBitmap:
-		return cells >= 0
-	case FormatAuto:
-		return denseWanted(cells, nvals)
-	}
-	return false
-}
-
 // cachedBitmap returns the dense form if the matrix holds one, or nil,
 // without triggering a build — the probe every dense-aware path starts
 // from. Pending work must already be complete.

@@ -11,9 +11,10 @@ import mathbits "math/bits"
 // the table of these routes: the unit each prices in, the experiment that
 // set its constant, the ablation that shows its payoff.
 
-// hyperThresholdDim is the minimum dimension before FormatAuto considers
+// hyperThresholdDim is the minimum dimension before a matrix considers
 // hypersparse storage, and hyperRatio the maximum fraction of non-empty
-// rows for which hypersparse is chosen.
+// rows for which hypersparse is chosen; an empty matrix is hypersparse
+// from hyperThresholdDim·hyperRatio rows.
 const (
 	hyperThresholdDim = 4096
 	hyperRatio        = 8 // hypersparse if non-empty rows < nrows/hyperRatio
@@ -21,9 +22,6 @@ const (
 
 // Dense eligibility: an object takes the dense form only when it is small
 // enough that a dense array is affordable and dense enough that it pays.
-// FormatBitmap forces it whenever the cell count is representable (the
-// cap still applies — a 2^40-dimension bitmap is not a storage format, it
-// is an OOM).
 const (
 	// bitmapMaxCells caps nr*nc for any dense form (bools + values for
 	// 2^22 cells of float64 ≈ 36 MiB, the outer edge of "cheap").

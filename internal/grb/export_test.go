@@ -28,6 +28,18 @@ func HoldDenseMatrix[T any](a *Matrix[T]) bool {
 	return true
 }
 
+// HoldHyper converts a's current storage to the hypersparse layout, the
+// form the fill heuristic picks only for huge sparse matrices, so the hyper
+// paths can be driven at toy sizes. Nothing is pinned: the next operation
+// that rebuilds a's storage picks its layout by content again.
+func HoldHyper[T any](a *Matrix[T]) {
+	c := a.materializedCSR()
+	a.bmp = nil
+	if c.h == nil {
+		a.csr = standardToHyper(c)
+	}
+}
+
 // Forms reports whether v holds a dense form and whether its compressed
 // form is stale, after completing pending work.
 func (v *Vector[T]) Forms() (dense, compressedStale bool) {
@@ -41,6 +53,10 @@ func (a *Matrix[T]) Forms() (dense, compressedStale bool) {
 	a.settle()
 	return a.bmp != nil, a.csrStale
 }
+
+// BitmapMaxCells is the dense form's cell cap: a matrix with more cells
+// never takes the dense form.
+const BitmapMaxCells = bitmapMaxCells
 
 // DotScatters is mxmDot's scatter bar.
 var DotScatters = dotScatters

@@ -40,8 +40,8 @@ func TestConformanceExtractRoutes(t *testing.T) {
 		{name: "all-rows", a: small, rows: grb.All, cols: uniqueIdx(rng, 26, 26)},
 		{name: "all-cols", a: small, rows: uniqueIdx(rng, 30, 17), cols: grb.All},
 		{name: "all-all", a: small, rows: grb.All, cols: grb.All},
-		{name: "hypersparse-A", a: inFormat(randMatrix(rng, 30, 26, 0.04), grb.FormatHyper), rows: grb.All, cols: rng.Perm(26)},
-		{name: "hypersparse-A-row-list", a: inFormat(randMatrix(rng, 30, 26, 0.04), grb.FormatHyper), rows: rng.Perm(30), cols: rng.Perm(26)},
+		{name: "hypersparse-A", a: heldHyper(randMatrix(rng, 30, 26, 0.04)), rows: grb.All, cols: rng.Perm(26)},
+		{name: "hypersparse-A-row-list", a: heldHyper(randMatrix(rng, 30, 26, 0.04)), rows: rng.Perm(30), cols: rng.Perm(26)},
 		{name: "TranA", a: small, rows: uniqueIdx(rng, 26, 20), cols: uniqueIdx(rng, 30, 30), desc: grb.Descriptor{TranA: true}},
 		{name: "width-dwarfs-work", a: wide, rows: grb.All, cols: uniqueIdx(rng, 2048, 10)},
 		{name: "mask+accum", a: square, rows: rng.Perm(28), cols: rng.Perm(28), masked: true},

@@ -1,12 +1,12 @@
 package grb_test
 
-// Format conformance: the storage formats (standard CSR, hypersparse,
-// bitmap) are interchangeable views of one logical matrix, so every
-// kernel must produce bitwise-identical results regardless of which
-// format its operands are in, at any parallelism level, traced or
-// untraced. Float64 results are compared bit-for-bit — the kernels
-// accumulate each output in ascending input-index order precisely so
-// that dispatch (direction, method, format) can never change rounding.
+// Form conformance: the storage forms (standard CSR, hypersparse, dense)
+// are interchangeable holdings of one logical matrix, so every kernel must
+// produce bitwise-identical results regardless of which form its operands
+// are in, at any parallelism level, traced or untraced. Float64 results
+// are compared bit-for-bit — the kernels accumulate each output in
+// ascending input-index order precisely so that dispatch (direction,
+// method, form) can never change rounding.
 
 import (
 	"bytes"
@@ -19,20 +19,35 @@ import (
 	"lagraph/internal/obs"
 )
 
-// allFormats enumerates the storage formats under test.
-var allFormats = []struct {
-	name string
-	f    grb.Format
-}{
-	{"csr", grb.FormatCSR},
-	{"hyper", grb.FormatHyper},
-	{"bitmap", grb.FormatBitmap},
+// allForms names the storage forms under test. The toy operands here hold
+// the standard form by content; the other two are reached through the test
+// hooks.
+var allForms = []string{"standard", "hyper", "dense"}
+
+// inForm returns a deep copy of a held in the named form.
+func inForm[T any](a *grb.Matrix[T], form string) *grb.Matrix[T] {
+	switch form {
+	case "hyper":
+		return heldHyper(a)
+	case "dense":
+		return heldDense(a)
+	}
+	return a.Dup()
 }
 
-// inFormat returns a deep copy of a converted to format f.
-func inFormat[T any](a *grb.Matrix[T], f grb.Format) *grb.Matrix[T] {
+// heldHyper returns a deep copy of a converted to the hypersparse layout.
+func heldHyper[T any](a *grb.Matrix[T]) *grb.Matrix[T] {
 	b := a.Dup()
-	b.SetFormat(f)
+	grb.HoldHyper(b)
+	return b
+}
+
+// heldDense returns a deep copy of a in the dense-held state.
+func heldDense[T any](a *grb.Matrix[T]) *grb.Matrix[T] {
+	b := a.Dup()
+	if !grb.HoldDenseMatrix(b) {
+		panic("heldDense: matrix beyond the dense cell cap")
+	}
 	return b
 }
 
@@ -112,9 +127,9 @@ func bitIdentical[T comparable](a, b T) bool {
 }
 
 // TestFormatConformanceMxM pins that every MxM method yields identical
-// bits whatever format either operand is stored in, and that the format
-// never changes which kernel a forced method runs: a bitmap-formatted B
-// under the dot method is read through its compressed columns.
+// bits whatever form either operand is held in, and that the form never
+// changes which kernel a forced method runs: a dense-held B under the dot
+// method is read through its compressed columns.
 func TestFormatConformanceMxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	methods := []struct {
@@ -142,20 +157,20 @@ func TestFormatConformanceMxM(t *testing.T) {
 					gm = maskI
 				}
 				baseI := grb.MustMatrix[int64](m, n)
-				if err := grb.MxM(baseI, gm, nil, grb.PlusTimes[int64](), inFormat(ai, grb.FormatCSR), inFormat(bi, grb.FormatCSR), &d); err != nil {
+				if err := grb.MxM(baseI, gm, nil, grb.PlusTimes[int64](), ai, bi, &d); err != nil {
 					t.Fatal(err)
 				}
 				baseF := grb.MustMatrix[float64](m, n)
-				if err := grb.MxM[float64, float64, float64, int64](baseF, nil, nil, grb.PlusTimes[float64](), inFormat(af, grb.FormatCSR), inFormat(bf, grb.FormatCSR), &d); err != nil {
+				if err := grb.MxM[float64, float64, float64, int64](baseF, nil, nil, grb.PlusTimes[float64](), af, bf, &d); err != nil {
 					t.Fatal(err)
 				}
-				for _, fa := range allFormats {
-					for _, fb := range allFormats {
-						label := fmt.Sprintf("t%d/%s/masked=%v/a=%s/b=%s", trial, method.name, masked, fa.name, fb.name)
+				for _, fa := range allForms {
+					for _, fb := range allForms {
+						label := fmt.Sprintf("t%d/%s/masked=%v/a=%s/b=%s", trial, method.name, masked, fa, fb)
 						cI := grb.MustMatrix[int64](m, n)
 						trace := obs.NewTrace(4)
 						restore := obs.Set(trace)
-						err := grb.MxM(cI, gm, nil, grb.PlusTimes[int64](), inFormat(ai, fa.f), inFormat(bi, fb.f), &d)
+						err := grb.MxM(cI, gm, nil, grb.PlusTimes[int64](), inForm(ai, fa), inForm(bi, fb), &d)
 						obs.Set(restore)
 						if err != nil {
 							t.Fatal(err)
@@ -165,7 +180,7 @@ func TestFormatConformanceMxM(t *testing.T) {
 							t.Fatalf("%s: forced %s ran kernel %q", label, method.name, ops[len(ops)-1].Kernel)
 						}
 						cF := grb.MustMatrix[float64](m, n)
-						if err := grb.MxM[float64, float64, float64, int64](cF, nil, nil, grb.PlusTimes[float64](), inFormat(af, fa.f), inFormat(bf, fb.f), &d); err != nil {
+						if err := grb.MxM[float64, float64, float64, int64](cF, nil, nil, grb.PlusTimes[float64](), inForm(af, fa), inForm(bf, fb), &d); err != nil {
 							t.Fatal(err)
 						}
 						mustIdenticalMat(t, label+"/float64", cF, baseF)
@@ -176,9 +191,8 @@ func TestFormatConformanceMxM(t *testing.T) {
 	}
 }
 
-// TestFormatConformanceVxM pins the vxm kernels — push, pull, and the
-// bitmap pair a bitmap-formatted operand enables — to identical bits
-// across formats and forced directions.
+// TestFormatConformanceVxM pins the vxm kernels — push and pull — to
+// identical bits across operand forms and forced directions.
 func TestFormatConformanceVxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	dirs := []struct {
@@ -201,22 +215,22 @@ func TestFormatConformanceVxM(t *testing.T) {
 					gm = maskI
 				}
 				baseI := grb.MustVector[int64](n)
-				if err := grb.VxM(baseI, gm, nil, grb.PlusTimes[int64](), ui, inFormat(ai, grb.FormatCSR), &d); err != nil {
+				if err := grb.VxM(baseI, gm, nil, grb.PlusTimes[int64](), ui, ai, &d); err != nil {
 					t.Fatal(err)
 				}
 				baseF := grb.MustVector[float64](n)
-				if err := grb.VxM[float64, float64, float64, int64](baseF, nil, nil, grb.PlusTimes[float64](), uf, inFormat(af, grb.FormatCSR), &d); err != nil {
+				if err := grb.VxM[float64, float64, float64, int64](baseF, nil, nil, grb.PlusTimes[float64](), uf, af, &d); err != nil {
 					t.Fatal(err)
 				}
-				for _, fa := range allFormats {
-					label := fmt.Sprintf("t%d/%s/masked=%v/a=%s", trial, dir.name, masked, fa.name)
+				for _, fa := range allForms {
+					label := fmt.Sprintf("t%d/%s/masked=%v/a=%s", trial, dir.name, masked, fa)
 					wI := grb.MustVector[int64](n)
-					if err := grb.VxM(wI, gm, nil, grb.PlusTimes[int64](), ui, inFormat(ai, fa.f), &d); err != nil {
+					if err := grb.VxM(wI, gm, nil, grb.PlusTimes[int64](), ui, inForm(ai, fa), &d); err != nil {
 						t.Fatal(err)
 					}
 					mustIdenticalVec(t, label+"/int64", wI, baseI)
 					wF := grb.MustVector[float64](n)
-					if err := grb.VxM[float64, float64, float64, int64](wF, nil, nil, grb.PlusTimes[float64](), uf, inFormat(af, fa.f), &d); err != nil {
+					if err := grb.VxM[float64, float64, float64, int64](wF, nil, nil, grb.PlusTimes[float64](), uf, inForm(af, fa), &d); err != nil {
 						t.Fatal(err)
 					}
 					mustIdenticalVec(t, label+"/float64", wF, baseF)
@@ -226,7 +240,7 @@ func TestFormatConformanceVxM(t *testing.T) {
 	}
 }
 
-// TestFormatConformanceReduce pins reductions across formats.
+// TestFormatConformanceReduce pins reductions across forms.
 func TestFormatConformanceReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 6; trial++ {
@@ -234,33 +248,33 @@ func TestFormatConformanceReduce(t *testing.T) {
 		n := 8 + rng.Intn(32)
 		af := randMatrixF64(rng, m, n, 0.3)
 		baseV := grb.MustVector[float64](m)
-		if err := grb.ReduceMatrixToVector[float64, bool](baseV, nil, nil, grb.PlusMonoid[float64](), inFormat(af, grb.FormatCSR), nil); err != nil {
+		if err := grb.ReduceMatrixToVector[float64, bool](baseV, nil, nil, grb.PlusMonoid[float64](), af, nil); err != nil {
 			t.Fatal(err)
 		}
-		baseS, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), inFormat(af, grb.FormatCSR))
+		baseS, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), af)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fa := range allFormats {
-			a := inFormat(af, fa.f)
+		for _, fa := range allForms {
+			a := inForm(af, fa)
 			w := grb.MustVector[float64](m)
 			if err := grb.ReduceMatrixToVector[float64, bool](w, nil, nil, grb.PlusMonoid[float64](), a, nil); err != nil {
 				t.Fatal(err)
 			}
-			mustIdenticalVec(t, fmt.Sprintf("t%d/%s/vector", trial, fa.name), w, baseV)
+			mustIdenticalVec(t, fmt.Sprintf("t%d/%s/vector", trial, fa), w, baseV)
 			s, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[float64](), a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(s) != math.Float64bits(baseS) {
-				t.Fatalf("t%d/%s: scalar reduce %v, want %v", trial, fa.name, s, baseS)
+				t.Fatalf("t%d/%s: scalar reduce %v, want %v", trial, fa, s, baseS)
 			}
 		}
 	}
 }
 
 // TestFormatConformanceParallelism pins bitwise-identical results at
-// P=1 vs P=8 for every format (run under -race in CI).
+// P=1 vs P=8 for every form (run under -race in CI).
 func TestFormatConformanceParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	m, k, n := 40, 48, 44
@@ -268,51 +282,57 @@ func TestFormatConformanceParallelism(t *testing.T) {
 	bf := randMatrixF64(rng, k, n, 0.4)
 	uf := randVectorF64(rng, m, 0.7)
 	defer grb.SetParallelism(grb.SetParallelism(1))
-	for _, fa := range allFormats {
+	for _, fa := range allForms {
 		var mxmRes []*grb.Matrix[float64]
 		var vxmRes []*grb.Vector[float64]
 		for _, p := range []int{1, 8} {
 			grb.SetParallelism(p)
 			c := grb.MustMatrix[float64](m, n)
-			if err := grb.MxM[float64, float64, float64, bool](c, nil, nil, grb.PlusTimes[float64](), inFormat(af, fa.f), inFormat(bf, fa.f), nil); err != nil {
+			if err := grb.MxM[float64, float64, float64, bool](c, nil, nil, grb.PlusTimes[float64](), inForm(af, fa), inForm(bf, fa), nil); err != nil {
 				t.Fatal(err)
 			}
 			mxmRes = append(mxmRes, c)
 			w := grb.MustVector[float64](k)
-			if err := grb.VxM[float64, float64, float64, bool](w, nil, nil, grb.PlusTimes[float64](), uf, inFormat(af, fa.f), nil); err != nil {
+			if err := grb.VxM[float64, float64, float64, bool](w, nil, nil, grb.PlusTimes[float64](), uf, inForm(af, fa), nil); err != nil {
 				t.Fatal(err)
 			}
 			vxmRes = append(vxmRes, w)
 		}
-		mustIdenticalMat(t, fa.name+"/mxm P1 vs P8", mxmRes[1], mxmRes[0])
-		mustIdenticalVec(t, fa.name+"/vxm P1 vs P8", vxmRes[1], vxmRes[0])
+		mustIdenticalMat(t, fa+"/mxm P1 vs P8", mxmRes[1], mxmRes[0])
+		mustIdenticalVec(t, fa+"/vxm P1 vs P8", vxmRes[1], vxmRes[0])
 	}
 }
 
-// TestFormatSerializeRoundTrip pins that serialization is format-aware
-// and a fixed point: each format round-trips to the same tuples AND the
-// same bytes, so the restored matrix has the same format preference.
+// TestFormatSerializeRoundTrip pins that serialization is a fixed point
+// for each form — standard, hypersparse (reached by content: huge and
+// sparse) and dense-held: each round-trips to the same tuples AND the same
+// bytes.
 func TestFormatSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 4; trial++ {
-		a := randMatrixF64(rng, 8+rng.Intn(30), 8+rng.Intn(30), 0.3)
-		for _, fa := range allFormats {
-			b := inFormat(a, fa.f)
+		m, n := 8+rng.Intn(30), 8+rng.Intn(30)
+		forms := map[string]*grb.Matrix[float64]{
+			"standard": randMatrixF64(rng, m, n, 0.3),
+			"hyper":    randMatrixF64(rng, 1<<20, 1<<20, 1e-10),
+			"dense":    heldDense(randMatrixF64(rng, m, n, 0.3)),
+		}
+		for _, form := range allForms {
+			b := forms[form]
 			var buf bytes.Buffer
 			if err := grb.SerializeMatrix(&buf, b); err != nil {
 				t.Fatal(err)
 			}
 			c, err := grb.DeserializeMatrix[float64](bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatalf("%s: %v", fa.name, err)
+				t.Fatalf("%s: %v", form, err)
 			}
-			mustIdenticalMat(t, fa.name+"/tuples", c, b)
+			mustIdenticalMat(t, form+"/tuples", c, b)
 			var re bytes.Buffer
 			if err := grb.SerializeMatrix(&re, c); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-				t.Fatalf("%s: serialization is not a fixed point across the round trip", fa.name)
+				t.Fatalf("%s: serialization is not a fixed point across the round trip", form)
 			}
 		}
 	}
@@ -329,11 +349,11 @@ func TestFormatTracedIdenticalToUntraced(t *testing.T) {
 
 	run := func() (*grb.Matrix[float64], *grb.Vector[float64]) {
 		c := grb.MustMatrix[float64](m, n)
-		if err := grb.MxM[float64, float64, float64, bool](c, nil, nil, grb.PlusTimes[float64](), inFormat(af, grb.FormatBitmap), inFormat(bf, grb.FormatBitmap), nil); err != nil {
+		if err := grb.MxM[float64, float64, float64, bool](c, nil, nil, grb.PlusTimes[float64](), heldDense(af), heldDense(bf), nil); err != nil {
 			t.Fatal(err)
 		}
 		w := grb.MustVector[float64](k)
-		if err := grb.VxM[float64, float64, float64, bool](w, nil, nil, grb.PlusTimes[float64](), uf, inFormat(af, grb.FormatBitmap), nil); err != nil {
+		if err := grb.VxM[float64, float64, float64, bool](w, nil, nil, grb.PlusTimes[float64](), uf, heldDense(af), nil); err != nil {
 			t.Fatal(err)
 		}
 		return c, w

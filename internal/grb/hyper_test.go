@@ -12,13 +12,6 @@ import (
 	"lagraph/internal/grb/ref"
 )
 
-// hyperDup returns a copy of a forced into hypersparse storage.
-func hyperDup(a *grb.Matrix[int64]) *grb.Matrix[int64] {
-	b := a.Dup()
-	b.SetFormat(grb.FormatHyper)
-	return b
-}
-
 func TestHypersparseConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 6; trial++ {
@@ -28,7 +21,7 @@ func TestHypersparseConformance(t *testing.T) {
 		a := randMatrix(rng, m, k, 0.15)
 		b := randMatrix(rng, k, n, 0.15)
 		b2 := randMatrix(rng, m, k, 0.15)
-		ah, bh, b2h := hyperDup(a), hyperDup(b), hyperDup(b2)
+		ah, bh, b2h := heldHyper(a), heldHyper(b), heldHyper(b2)
 
 		t.Run(fmt.Sprintf("t%d/mxm", trial), func(t *testing.T) {
 			for _, method := range []grb.MxMMethod{grb.MxMGustavson, grb.MxMDot, grb.MxMHeap} {
@@ -111,7 +104,7 @@ func TestHypersparseConformance(t *testing.T) {
 			// Write rule with hyper old value and hyper z.
 			cInit := randMatrix(rng, m, k, 0.1)
 			mask := randMatrix(rng, m, k, 0.3)
-			c := hyperDup(cInit)
+			c := heldHyper(cInit)
 			if err := grb.ApplyMatrix(c, mask, grb.Plus[int64](), func(x int64) int64 { return 10 * x }, ah, &grb.Descriptor{Replace: true}); err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +117,6 @@ func TestHypersparseConformance(t *testing.T) {
 
 func TestHypersparseExtractTuplesOrder(t *testing.T) {
 	a := grb.MustMatrix[int64](1<<30, 1<<30)
-	a.SetFormat(grb.FormatHyper)
 	_ = a.SetElement(1<<29, 3, 1)
 	_ = a.SetElement(5, 1<<20, 2)
 	_ = a.SetElement(5, 2, 3)

@@ -17,7 +17,6 @@ func TestVxMHashAccumulatorPath(t *testing.T) {
 
 	small := MustMatrix[int64](m, m)
 	big := MustMatrix[int64](bigN, bigN)
-	big.SetFormat(FormatHyper)
 	for k := 0; k < 200; k++ {
 		i, j := rng.Intn(m), rng.Intn(m)
 		x := int64(rng.Intn(9) - 4)
@@ -62,7 +61,6 @@ func TestMxMHeapOnHugeOutput(t *testing.T) {
 	const m = 12
 	bigN := m * stride
 	a := MustMatrix[int64](bigN, bigN)
-	a.SetFormat(FormatHyper)
 	small := MustMatrix[int64](m, m)
 	rng := rand.New(rand.NewSource(82))
 	for k := 0; k < 60; k++ {
@@ -72,7 +70,6 @@ func TestMxMHeapOnHugeOutput(t *testing.T) {
 		_ = a.SetElement(i*stride, j*stride, x)
 	}
 	cBig := MustMatrix[int64](bigN, bigN)
-	cBig.SetFormat(FormatHyper)
 	if err := MxM[int64, int64, int64, bool](cBig, nil, nil, PlusTimes[int64](), a, a, nil); err != nil {
 		t.Fatal(err)
 	}

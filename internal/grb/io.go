@@ -40,7 +40,7 @@ func ImportCSR[T any](nrows, ncols int, p, i []int, x []T, trusted bool) (*Matri
 		}
 	}
 	return &Matrix[T]{
-		nr: nrows, nc: ncols, format: FormatCSR,
+		nr: nrows, nc: ncols,
 		csr: &cs[T]{nmajor: nrows, nminor: ncols, p: p, i: i, x: x},
 	}, nil
 }
@@ -57,7 +57,7 @@ func ImportHyperCSR[T any](nrows, ncols int, p, h, i []int, x []T, trusted bool)
 		}
 	}
 	return &Matrix[T]{
-		nr: nrows, nc: ncols, format: FormatHyper,
+		nr: nrows, nc: ncols,
 		csr: &cs[T]{nmajor: nrows, nminor: ncols, p: p, h: h, i: i, x: x},
 	}, nil
 }
@@ -78,7 +78,7 @@ func ImportCSC[T any](nrows, ncols int, p, i []int, x []T, trusted bool) (*Matri
 	}
 	csc := &cs[T]{nmajor: ncols, nminor: nrows, p: p, i: i, x: x}
 	return &Matrix[T]{
-		nr: nrows, nc: ncols, format: FormatCSR,
+		nr: nrows, nc: ncols,
 		csr: transposeCS(csc), csc: csc,
 	}, nil
 }

@@ -8,31 +8,6 @@ import (
 	"lagraph/internal/obs"
 )
 
-// Format selects the storage layout of a Matrix.
-type Format int
-
-const (
-	// FormatAuto lets the library choose between standard and hypersparse
-	// compressed-sparse-row storage based on the fill pattern.
-	FormatAuto Format = iota
-	// FormatCSR forces standard compressed sparse row storage: a pointer
-	// array of length nrows+1, O(nrows + nvals) memory.
-	FormatCSR
-	// FormatHyper forces hypersparse storage: only non-empty rows are
-	// represented, O(nvals) memory, so matrices of enormous dimension can
-	// be created as long as nvals << nrows (paper §II-A).
-	FormatHyper
-	// FormatBitmap holds the matrix in dense form (a presence flag plus a
-	// value slot for every position, O(nrows·ncols) memory) whatever its
-	// fill, giving kernels O(1) random access and the write rule an
-	// in-place path — the layout that wins for dense frontiers and small
-	// dense blocks. Honored only while nrows·ncols is within
-	// bitmapMaxCells; the compressed structure is rebuilt on demand, so
-	// serialization, export, and the store's snapshot frames are unchanged
-	// by this format.
-	FormatBitmap
-)
-
 // cs is a compressed-sparse structure in one orientation: row-major when
 // used as CSR, column-major when used as CSC. "Major" is the compressed
 // dimension (rows for CSR), "minor" the index dimension.
@@ -84,10 +59,11 @@ func (c *cs[T]) vec(k int) ([]int, []T) {
 	return c.i[lo:hi], c.x[lo:hi]
 }
 
-// emptyCS returns an empty structure with the requested orientation.
-func emptyCS[T any](nmajor, nminor int, hyper bool) *cs[T] {
+// emptyCS returns an empty structure, hypersparse when the major
+// dimension alone would make a standard pointer array the dominant cost.
+func emptyCS[T any](nmajor, nminor int) *cs[T] {
 	c := &cs[T]{nmajor: nmajor, nminor: nminor}
-	if hyper {
+	if nmajor >= hyperThresholdDim*hyperRatio {
 		c.p = []int{0}
 		c.h = []int{}
 	} else {
@@ -111,7 +87,6 @@ type tuple[T any] struct {
 // operation or an explicit Wait.
 type Matrix[T any] struct {
 	nr, nc int
-	format Format
 	csr    *cs[T] // row-major compressed form; nil while csrStale
 	csc    *cs[T] // column-major cache; nil when stale
 	cscMu  sync.Mutex
@@ -131,7 +106,7 @@ func NewMatrix[T any](nrows, ncols int) (*Matrix[T], error) {
 	if nrows < 0 || ncols < 0 {
 		return nil, opErrorf("newMatrix", ErrInvalidValue, "dims %d×%d", nrows, ncols)
 	}
-	return newMatrixRaw[T](nrows, ncols, FormatAuto), nil
+	return newMatrixRaw[T](nrows, ncols), nil
 }
 
 // MustMatrix is NewMatrix for static dimensions known to be valid.
@@ -143,12 +118,8 @@ func MustMatrix[T any](nrows, ncols int) *Matrix[T] {
 	return a
 }
 
-func newMatrixRaw[T any](nr, nc int, f Format) *Matrix[T] {
-	hyper := f == FormatHyper || (f == FormatAuto && nr >= hyperThresholdDim*hyperRatio)
-	return &Matrix[T]{
-		nr: nr, nc: nc, format: f,
-		csr: emptyCS[T](nr, nc, hyper),
-	}
+func newMatrixRaw[T any](nr, nc int) *Matrix[T] {
+	return &Matrix[T]{nr: nr, nc: nc, csr: emptyCS[T](nr, nc)}
 }
 
 // Nrows returns the number of rows.
@@ -173,22 +144,9 @@ func (a *Matrix[T]) nvalsSettled() int {
 	return a.csr.nvals()
 }
 
-// SetFormat selects the storage layout, converting immediately when the
-// matrix has no pending work (otherwise at the next materialization).
-func (a *Matrix[T]) SetFormat(f Format) {
-	a.format = f
-	if a.cachedBitmap() != nil {
-		a.Wait() // a dense-held matrix converts through its compressed form
-		a.bmp = nil
-	}
-	if a.nzomb == 0 && len(a.pend) == 0 {
-		a.normalizeCSR()
-	}
-}
-
 // Clear removes all entries, keeping the dimensions.
 func (a *Matrix[T]) Clear() {
-	a.csr = emptyCS[T](a.nr, a.nc, a.format == FormatHyper)
+	a.csr = emptyCS[T](a.nr, a.nc)
 	a.csc = nil
 	a.bmp, a.csrStale = nil, false
 	a.pend = nil
@@ -199,7 +157,7 @@ func (a *Matrix[T]) Clear() {
 // Dup returns a deep copy.
 func (a *Matrix[T]) Dup() *Matrix[T] {
 	a.settle()
-	b := &Matrix[T]{nr: a.nr, nc: a.nc, format: a.format, csrStale: a.csrStale}
+	b := &Matrix[T]{nr: a.nr, nc: a.nc, csrStale: a.csrStale}
 	if a.csrStale {
 		b.bmp = a.bmp.clone()
 	} else {
@@ -438,7 +396,7 @@ func (a *Matrix[T]) markCSRStale() {
 // writableDense returns the dense form for an in-place write, promoting a
 // settled compressed-only matrix when the promotion rule holds, or nil.
 func (a *Matrix[T]) writableDense() *bm[T] {
-	if a.bmp == nil && a.denseWantedAt(a.csr.nvals()) {
+	if a.bmp == nil && denseWanted(bitmapCells(a.nr, a.nc), a.csr.nvals()) {
 		a.bmp = csToBM(a.csr)
 	}
 	return a.bmp
@@ -446,7 +404,7 @@ func (a *Matrix[T]) writableDense() *bm[T] {
 
 // maybeDemote drops a dense form the promotion rule no longer justifies.
 func (a *Matrix[T]) maybeDemote() {
-	if a.bmp != nil && !a.denseWantedAt(a.bmp.nvals) {
+	if a.bmp != nil && !denseWanted(bitmapCells(a.nr, a.nc), a.bmp.nvals) {
 		a.Wait()
 		a.bmp = nil
 	}
@@ -614,38 +572,24 @@ func combinePending[T any](pend []tuple[T], op func(T, T) T) []tuple[T] {
 }
 
 // normalizeCSR moves the compressed form between standard and hypersparse
-// layout according to the configured format and, for FormatAuto, the fill
-// heuristic — a pure function of the content, so a matrix recompacted from
-// its dense form serializes to the same bytes as its compressed twin.
+// layout by the fill heuristic — a pure function of the content, so a
+// matrix recompacted from its dense form serializes to the same bytes as
+// its compressed twin.
 func (a *Matrix[T]) normalizeCSR() {
 	c := a.csr
-	switch a.format {
-	case FormatCSR, FormatBitmap:
-		// A dense-held matrix recompacts to standard CSR: dense-eligible
-		// matrices are small (≤ bitmapMaxCells cells) and dense, the
-		// opposite of the hypersparse regime.
-		if c.h != nil {
-			a.csr = hyperToStandard(c)
+	if c.h == nil && c.nmajor >= hyperThresholdDim {
+		nonEmpty := 0
+		for k := 0; k < c.nmajor; k++ {
+			if c.p[k+1] > c.p[k] {
+				nonEmpty++
+			}
 		}
-	case FormatHyper:
-		if c.h == nil {
+		if nonEmpty < c.nmajor/hyperRatio {
 			a.csr = standardToHyper(c)
 		}
-	case FormatAuto:
-		if c.h == nil && c.nmajor >= hyperThresholdDim {
-			nonEmpty := 0
-			for k := 0; k < c.nmajor; k++ {
-				if c.p[k+1] > c.p[k] {
-					nonEmpty++
-				}
-			}
-			if nonEmpty < c.nmajor/hyperRatio {
-				a.csr = standardToHyper(c)
-			}
-		} else if c.h != nil &&
-			(c.nmajor < hyperThresholdDim || c.nvecs() >= c.nmajor/hyperRatio) {
-			a.csr = hyperToStandard(c)
-		}
+	} else if c.h != nil &&
+		(c.nmajor < hyperThresholdDim || c.nvecs() >= c.nmajor/hyperRatio) {
+		a.csr = hyperToStandard(c)
 	}
 }
 

@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -239,7 +240,6 @@ func TestHypersparseFormat(t *testing.T) {
 	// standard CSR pointer array of n+1 = 2^40 entries would be absurd.
 	n := 1 << 40
 	a := MustMatrix[int](n, n)
-	a.SetFormat(FormatHyper)
 	for k := 0; k < 1000; k++ {
 		_ = a.SetElement(k*(1<<28), (k*7919)%n, k)
 	}
@@ -258,7 +258,6 @@ func TestHypersparseFormat(t *testing.T) {
 	}
 	// Transpose and reduce work without O(n) blowup.
 	at := MustMatrix[int](n, n)
-	at.SetFormat(FormatHyper)
 	if err := Transpose[int, bool](at, nil, nil, a, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +299,71 @@ func TestClearAndResizeBehaviour(t *testing.T) {
 	}
 	if a.Nrows() != 4 || a.Ncols() != 4 {
 		t.Fatal("clear must keep dimensions")
+	}
+}
+
+// TestClearKeepsHugeMatrixHypersparse: Clear rebuilds the empty structure
+// by the same content rule as NewMatrix, so clearing a matrix of enormous
+// dimension stays O(1) instead of allocating a 2^40+1 row-pointer array.
+func TestClearKeepsHugeMatrixHypersparse(t *testing.T) {
+	n := 1 << 40
+	a := MustMatrix[int](n, n)
+	if err := a.SetElement(n-1, 3, 7); err != nil {
+		t.Fatal(err)
+	}
+	a.Wait()
+	a.Clear()
+	if a.Nvals() != 0 {
+		t.Fatalf("nvals=%d after Clear", a.Nvals())
+	}
+	if a.csr.h == nil {
+		t.Fatal("Clear left a huge matrix in standard storage")
+	}
+	if err := a.SetElement(5, n-2, 9); err != nil {
+		t.Fatal(err)
+	}
+	a.Wait()
+	if v, err := a.GetElement(5, n-2); err != nil || v != 9 || a.Nvals() != 1 {
+		t.Fatalf("after Clear+SetElement: (%d, %v), nvals=%d", v, err, a.Nvals())
+	}
+}
+
+// TestImportedAndBuiltTwinsAlike: a matrix's storage form depends only on
+// its content, so an imported matrix and a built one holding the same
+// entries take the same form under the same write and serialize alike.
+func TestImportedAndBuiltTwinsAlike(t *testing.T) {
+	const n = 64
+	p, is, js, xs := []int{0, n}, make([]int, n), make([]int, n), make([]int64, n)
+	for j := range js {
+		js[j], xs[j] = j, int64(j)
+	}
+	imported, err := ImportCSR(1, n, p, append([]int(nil), js...), append([]int64(nil), xs...), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := MustMatrix[int64](1, n)
+	if err := built.Build(is, js, xs, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, twin := range []*Matrix[int64]{imported, built} {
+		if err := AssignMatrix[int64, bool](twin, nil, Plus[int64](), built.Dup(), All, All, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	di, si := imported.Forms()
+	db, sb := built.Forms()
+	if di != db || si != sb {
+		t.Fatalf("imported twin forms (dense=%v, stale=%v), built twin (dense=%v, stale=%v)", di, si, db, sb)
+	}
+	var bi, bb bytes.Buffer
+	if err := SerializeMatrix(&bi, imported); err != nil {
+		t.Fatal(err)
+	}
+	if err := SerializeMatrix(&bb, built); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bi.Bytes(), bb.Bytes()) {
+		t.Fatalf("imported twin serializes to %d bytes, built twin to %d, and they differ", bi.Len(), bb.Len())
 	}
 }
 
@@ -364,11 +428,11 @@ func TestQuickTransposeInvolution(t *testing.T) {
 		nr, nc := 64, 96
 		m := min(len(coords), len(vals))
 		a := MustMatrix[int64](nr, nc)
-		if hyper {
-			a.SetFormat(FormatHyper)
-		}
 		for k := 0; k < m; k++ {
 			_ = a.SetElement(int(coords[k])%nr, (int(coords[k])/7)%nc, int64(vals[k]))
+		}
+		if hyper {
+			HoldHyper(a)
 		}
 		at := MustMatrix[int64](nc, nr)
 		if err := Transpose[int64, bool](at, nil, nil, a, nil); err != nil {

@@ -81,8 +81,8 @@ func TestConformanceSelectMatrix(t *testing.T) {
 		{"positive", grb.ValueGT[int64](0)},
 		{"none", grb.ValueGT[int64](9)},
 	}
-	for _, form := range []grb.Format{grb.FormatCSR, grb.FormatHyper} {
-		op := inFormat(a, form)
+	for _, form := range []string{"standard", "hyper"} {
+		op := inForm(a, form)
 		for _, tran := range []bool{false, true} {
 			cr, cc := m, n
 			if tran {
@@ -132,7 +132,6 @@ func TestSelectMatrixHypersparseShape(t *testing.T) {
 	const m = 64
 	rng := rand.New(rand.NewSource(1909))
 	big := grb.MustMatrix[int64](m*stride, m*stride)
-	big.SetFormat(grb.FormatHyper)
 	small := grb.MustMatrix[int64](m, m)
 	for k := 0; k < 900; k++ {
 		i, j, x := rng.Intn(m), rng.Intn(m), int64(rng.Intn(9)-4)
@@ -145,7 +144,6 @@ func TestSelectMatrixHypersparseShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		cb := grb.MustMatrix[int64](m*stride, m*stride)
-		cb.SetFormat(grb.FormatHyper)
 		if err := grb.SelectMatrix[int64, bool](cb, nil, nil, keep, big, nil); err != nil {
 			t.Fatal(err)
 		}

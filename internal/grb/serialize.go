@@ -14,11 +14,13 @@ import (
 const serialVersion = 1
 
 // matrixWire is the serialized form of a Matrix. The payload is always the
-// canonical compressed-sparse arrays regardless of the matrix's runtime
-// format or form — a dense-held matrix recompacts and serializes its CSR,
-// and rebuilds the dense form lazily on the other side — so every format
-// shares one wire layout. Format records the owner's format preference; gob omits zero
-// fields, so images written before the field existed decode as FormatAuto.
+// canonical compressed-sparse arrays whatever the matrix's runtime form — a
+// dense-held matrix recompacts and serializes its CSR, and rebuilds the
+// dense form lazily on the other side — so every form shares one wire
+// layout. Format is read only: images from versions that let an owner pin a
+// storage layout carry it (1 standard, 2 hypersparse, 3 dense). The encoder
+// leaves it zero, which gob omits, so the bytes are those of an image that
+// never had the field.
 type matrixWire[T any] struct {
 	Version      int
 	NRows, NCols int
@@ -45,9 +47,8 @@ func SerializeMatrix[T any](w io.Writer, a *Matrix[T]) error {
 	img := matrixWire[T]{
 		Version: serialVersion,
 		NRows:   a.nr, NCols: a.nc,
-		Format: int(a.format),
-		Hyper:  c.h != nil,
-		P:      c.p, H: c.h, I: c.i, X: c.x,
+		Hyper: c.h != nil,
+		P:     c.p, H: c.h, I: c.i, X: c.x,
 	}
 	return gob.NewEncoder(w).Encode(img)
 }
@@ -75,7 +76,7 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 	if img.NRows < 0 || img.NCols < 0 || img.NRows+1 <= 0 {
 		return nil, opErrorf("deserialize", ErrCorrupt, "dims %d×%d", img.NRows, img.NCols)
 	}
-	if img.Format < int(FormatAuto) || img.Format > int(FormatBitmap) {
+	if img.Format < 0 || img.Format > 3 {
 		return nil, opErrorf("deserialize", ErrCorrupt, "unknown format %d", img.Format)
 	}
 	// Reject shape lies before the importer sees the arrays: the declared
@@ -84,12 +85,9 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 		return nil, opErrorf("deserialize", ErrCorrupt, "%d indices but %d values", len(img.I), len(img.X))
 	}
 	if img.Hyper {
-		// The serializer stores CSR- and bitmap-formatted matrices in
-		// standard layout (those formats force it), so a hyper payload
-		// claiming one is hostile — and restoring the claimed format would
-		// expand a tiny hyper image to a NRows+1 pointer array, letting
-		// 30 bytes of input demand an arbitrarily large allocation.
-		if f := Format(img.Format); f == FormatCSR || f == FormatBitmap {
+		// A pinned standard or dense layout was always written in standard
+		// layout, so a hyper payload claiming one is hostile.
+		if img.Format == 1 || img.Format == 3 {
 			return nil, opErrorf("deserialize", ErrCorrupt, "hyper payload with standard format %d", img.Format)
 		}
 		if img.P == nil && img.H == nil {
@@ -105,7 +103,7 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 		if err != nil {
 			return nil, opErrorf("deserialize", ErrCorrupt, "%v", err)
 		}
-		a.SetFormat(Format(img.Format))
+		a.normalizeCSR()
 		return a, nil
 	}
 	// gob omits empty slices; restore the pointer array shape, but never
@@ -129,7 +127,7 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 	if err != nil {
 		return nil, opErrorf("deserialize", ErrCorrupt, "%v", err)
 	}
-	a.SetFormat(Format(img.Format))
+	a.normalizeCSR()
 	return a, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -76,24 +77,35 @@ func FuzzDeserializeMatrix(f *testing.F) {
 	f.Add(gobBytes(f, hostileWire{Version: 99, NRows: 1, NCols: 1, P: []int{0, 0}}))
 	// Negative dimensions.
 	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: -1, NCols: 4, P: []int{0}}))
-	// Format-tagged seeds: one real serialization per storage format, so
-	// the fuzzer mutates from every format's wire shape.
-	for _, format := range []grb.Format{grb.FormatCSR, grb.FormatHyper, grb.FormatBitmap} {
-		b := a.Dup()
-		b.SetFormat(format)
+	// One real serialization per storage form, so the fuzzer mutates from
+	// every form's wire shape: standard (a itself, above), hypersparse (a's
+	// entries in a huge id space) and dense-held.
+	huge := grb.MustMatrix[int64](1<<30, 1<<30)
+	is, js, xs := a.ExtractTuples()
+	for k := range is {
+		is[k] <<= 20
+	}
+	if err := huge.Build(is, js, xs, nil); err != nil {
+		f.Fatal(err)
+	}
+	dense := a.Dup()
+	grb.HoldDenseMatrix(dense)
+	for _, m := range []*grb.Matrix[int64]{huge, dense} {
 		var buf bytes.Buffer
-		if err := grb.SerializeMatrix(&buf, b); err != nil {
+		if err := grb.SerializeMatrix(&buf, m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
-	// Format outside the known enum.
+	// Images from versions that pinned a layout, valid and hostile.
+	for _, img := range legacyImages {
+		f.Add(gobBytes(f, img.w))
+	}
+	// Format outside the legacy range.
 	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 2, NCols: 2, Format: 99, P: []int{0, 0, 0}}))
-	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 2, NCols: 2, Format: -1, P: []int{0, 0, 0}}))
-	// Hyper payload lying about a standard format: restoring the claimed
-	// format would expand to an NRows+1 pointer array.
-	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: int(grb.FormatCSR), Hyper: true, P: []int{0}, H: []int{}}))
-	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: int(grb.FormatBitmap), Hyper: true, P: []int{0}, H: []int{}}))
+	// Hyper payload lying about a standard layout, at a huge declared size.
+	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: 1, Hyper: true, P: []int{0}, H: []int{}}))
+	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: 3, Hyper: true, P: []int{0}, H: []int{}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := allocBytes()
@@ -173,4 +185,55 @@ func FuzzDeserializeVector(f *testing.F) {
 			t.Fatalf("accepted vector has impossible shape: size %d, %d values", w.Size(), w.Nvals())
 		}
 	})
+}
+
+// legacyImages are wire images as versions with a pinned storage layout
+// wrote them (Format 1 standard, 2 hypersparse, 3 dense), all holding the
+// 3×4 matrix {(0,1)=7, (1,3)=-2, (2,0)=5}, plus the ones a decoder must
+// still refuse: a Format outside 0..3, and a hyper payload claiming a
+// standard layout.
+var legacyImages = []struct {
+	name    string
+	w       hostileWire
+	corrupt bool
+}{
+	{name: "standard-as-1", w: legacyWire(1, false)},
+	{name: "standard-as-2", w: legacyWire(2, false)},
+	{name: "standard-as-3", w: legacyWire(3, false)},
+	{name: "hyper-as-2", w: legacyWire(2, true)},
+	{name: "standard-as-4", w: legacyWire(4, false), corrupt: true},
+	{name: "standard-as--1", w: legacyWire(-1, false), corrupt: true},
+	{name: "hyper-as-1", w: legacyWire(1, true), corrupt: true},
+	{name: "hyper-as-3", w: legacyWire(3, true), corrupt: true},
+}
+
+func legacyWire(format int, hyper bool) hostileWire {
+	w := hostileWire{Version: 1, NRows: 3, NCols: 4, Format: format, Hyper: hyper,
+		P: []int{0, 1, 2, 3}, I: []int{1, 3, 0}, X: []int64{7, -2, 5}}
+	if hyper {
+		w.H = []int{0, 1, 2}
+	}
+	return w
+}
+
+// TestDeserializeLegacyFormats pins decode compatibility: an image that
+// carries a pinned layout decodes to the same tuples as one that does not,
+// and the rejections of out-of-range and self-contradicting layouts stay.
+func TestDeserializeLegacyFormats(t *testing.T) {
+	for _, img := range legacyImages {
+		m, err := grb.DeserializeMatrix[int64](bytes.NewReader(gobBytes(t, img.w)))
+		if img.corrupt {
+			if !errors.Is(err, grb.ErrCorrupt) {
+				t.Errorf("%s: err = %v, want ErrCorrupt", img.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", img.name, err)
+		}
+		is, js, xs := m.ExtractTuples()
+		if got := fmt.Sprint(m.Nrows(), m.Ncols(), is, js, xs); got != "3 4 [0 1 2] [1 3 0] [7 -2 5]" {
+			t.Errorf("%s: decoded %s", img.name, got)
+		}
+	}
 }

@@ -36,7 +36,6 @@ func TestSerializeMatrixRoundTrip(t *testing.T) {
 func TestSerializeHypersparseRoundTrip(t *testing.T) {
 	n := 1 << 40
 	a := MustMatrix[int64](n, n)
-	a.SetFormat(FormatHyper)
 	_ = a.SetElement(1<<35, 7, 42)
 	_ = a.SetElement(3, 1<<30, 43)
 	var buf bytes.Buffer

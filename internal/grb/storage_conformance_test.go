@@ -880,17 +880,6 @@ func TestDenseHeldLifecycle(t *testing.T) {
 			t.Fatalf("vector after Clear+Build: (%d, %v)", x, err)
 		}
 	})
-	t.Run("set-format", func(t *testing.T) {
-		for _, f := range allFormats {
-			m := heldM(a, true)
-			_ = m.SetElement(0, 0, 11) // pending against the dense form
-			m.SetFormat(f.f)
-			want := ref.FromMatrix(a)
-			want.Val[0][0], want.Set[0][0] = 11, true
-			eqMat(t, m, want)
-			mustSerializeLikeTwin(t, inFormat(m, grb.FormatAuto))
-		}
-	})
 	t.Run("export-import", func(t *testing.T) {
 		w := heldV(v, true)
 		n, idx, x := w.ExportSparse()
@@ -1371,8 +1360,7 @@ func TestDenseHeldElementWrites(t *testing.T) {
 		n := 16 + rng.Intn(48)
 		init := randVector(rng, n, 0.6)
 		v, twin, want := heldV(init, true), init.Dup(), ref.FromVector(init)
-		twinM := grb.MustMatrix[int64](1, n) // FormatCSR: no dense form, ever
-		twinM.SetFormat(grb.FormatCSR)
+		twinM := wideTwin[int64]()
 		is, xs := init.ExtractTuples()
 		for k, i := range is {
 			must(t, twinM.SetElement(0, i, xs[k]))
@@ -1430,9 +1418,7 @@ func TestDenseHeldElementWrites(t *testing.T) {
 			eqVec(t, twin, want)
 		}
 		mustSerializeLikeTwinVec(t, v)
-		row := grb.MustVector[int64](n)
-		must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, twinM, grb.All, 0, grb.DescT0))
-		eqVec(t, row, want)
+		mustMatchWideTwin(t, twinM, want)
 	}
 }
 
@@ -1485,7 +1471,7 @@ func TestGustavsonMaskFirstMatchesSortEmit(t *testing.T) {
 			ai, bi := randMatrix(rng, m, k, tc.density), randMatrix(rng, k, n, 0.3)
 			af, bf := randMatrixF64(rng, m, k, tc.density), randMatrixF64(rng, k, n, 0.3)
 			if tc.hyperA {
-				ai, af = inFormat(ai, grb.FormatHyper), inFormat(af, grb.FormatHyper)
+				ai, af = heldHyper(ai), heldHyper(af)
 			}
 			c0i, c0f := randMatrix(rng, m, n, 0.2), randMatrixF64(rng, m, n, 0.2)
 			var accI grb.BinaryOp[int64, int64, int64]

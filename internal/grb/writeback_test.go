@@ -138,7 +138,7 @@ func TestMergeRowsHypersparse(t *testing.T) {
 			if !zHyper && len(got.p) != n+1 {
 				t.Fatalf("standard result has %d row pointers, want %d", len(got.p), n+1)
 			}
-			a := newMatrixRaw[int](n, n, FormatAuto)
+			a := newMatrixRaw[int](n, n)
 			a.setCSR(got)
 			c := a.csr
 			if !slices.Equal(c.h, wantRows) {

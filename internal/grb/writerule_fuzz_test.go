@@ -7,8 +7,10 @@ package grb_test
 //   - dense: a Vector re-held densely before every step, so pending
 //     tuples, removals and the write rule all land on the dense form;
 //   - plain: a Vector left to the promotion rule;
-//   - merged: a 1×n Matrix in FormatCSR, which forbids the dense form, so
-//     every one of its writes takes the merge (or adopt) route;
+//   - merged: the wide twin, a 1×(BitmapMaxCells+1) Matrix whose entries sit
+//     in its first n columns; past the dense cell cap it never takes the
+//     dense form, so every one of its writes takes the merge (or adopt)
+//     route;
 //   - want: the dense mimic (§II-A's methodology, extended from single
 //     operations to histories).
 //
@@ -47,8 +49,7 @@ func runWriteProgram(t *testing.T, prog []byte) {
 	n := 1 + r.next()%24
 	dense := grb.MustVector[int64](n)
 	plain := grb.MustVector[int64](n)
-	merged := grb.MustMatrix[int64](1, n)
-	merged.SetFormat(grb.FormatCSR)
+	merged := wideTwin[int64]()
 	want := ref.NewVec[int64](n)
 	plus := grb.Plus[int64]()
 	ident := func(x int64) int64 { return x }
@@ -115,7 +116,7 @@ func runWriteProgram(t *testing.T, prog []byte) {
 			var maskR *ref.Vec[bool]
 			if kind != 0 {
 				mi, mx := draw()
-				maskV, maskM, maskR = grb.MustVector[bool](n), grb.MustMatrix[bool](1, n), ref.NewVec[bool](n)
+				maskV, maskM, maskR = grb.MustVector[bool](n), wideTwin[bool](), ref.NewVec[bool](n)
 				for k, i := range mi {
 					b := mx[k] > 0
 					_ = maskV.SetElement(i, b)
@@ -127,14 +128,15 @@ func runWriteProgram(t *testing.T, prog []byte) {
 				}
 			}
 			if op >= 6 { // assign over a drawn region, or all of w
-				// idx is the region (nil: all of w), rows × idx the same one
+				// idx is the region (nil: all of w), rows × cols the same one
 				// on the twin, and u the operand over it: a drawn vector for
 				// the assign step, the scalar everywhere for the scalar one.
-				var idx, rows []int
-				un := n
+				var idx []int
+				rows, cols, un := []int{0}, firstN(n), n
 				if r.next()%2 == 1 {
 					drawn, _ := draw()
-					idx, rows, un = append([]int{}, drawn...), []int{0}, len(drawn) // never nil: an empty region is not All
+					idx = append([]int{}, drawn...) // never nil: an empty region is not All
+					cols, un = idx, len(idx)
 				}
 				s := int64(r.next()%7) - 3
 				uV, uM, uR := grb.MustVector[int64](un), grb.MustMatrix[int64](1, un), ref.NewVec[int64](un)
@@ -153,17 +155,17 @@ func runWriteProgram(t *testing.T, prog []byte) {
 				if op == 6 {
 					must(t, grb.AssignVector(dense, maskV, accum, uV, idx, &d))
 					must(t, grb.AssignVector(plain, maskV, accum, uV, idx, &d))
-					must(t, grb.AssignMatrix(merged, maskM, accum, uM, rows, idx, &d))
+					must(t, grb.AssignMatrix(merged, maskM, accum, uM, rows, cols, &d))
 				} else {
 					must(t, grb.AssignVectorScalar(dense, maskV, accum, s, idx, &d))
 					must(t, grb.AssignVectorScalar(plain, maskV, accum, s, idx, &d))
-					must(t, grb.AssignMatrixScalar(merged, maskM, accum, s, rows, idx, &d))
+					must(t, grb.AssignMatrixScalar(merged, maskM, accum, s, rows, cols, &d))
 				}
 				ref.AssignVec(want, maskR, accum, uR, idx, refDesc(d))
 				break
 			}
 			zi, zx := draw()
-			zV, zM, zR := grb.MustVector[int64](n), grb.MustMatrix[int64](1, n), ref.NewVec[int64](n)
+			zV, zM, zR := grb.MustVector[int64](n), wideTwin[int64](), ref.NewVec[int64](n)
 			for k, i := range zi {
 				_ = zV.SetElement(i, zx[k])
 				_ = zM.SetElement(0, i, zx[k])
@@ -176,14 +178,38 @@ func runWriteProgram(t *testing.T, prog []byte) {
 		}
 		eqVec(t, dense, want)
 		eqVec(t, plain, want)
-		if dm, _ := merged.Forms(); dm {
-			t.Fatalf("step %d: the FormatCSR twin took the dense form", step)
-		}
-		row := grb.MustVector[int64](n)
-		must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, merged, grb.All, 0, grb.DescT0))
-		eqVec(t, row, want)
+		mustMatchWideTwin(t, merged, want)
 		mustSerializeLikeTwinVec(t, dense)
 	}
+}
+
+// wideTwin returns an empty 1×(BitmapMaxCells+1) matrix: one column past
+// the dense cell cap, so it never takes the dense form. It stands in for
+// an n-vector by holding entries only in its first n columns.
+func wideTwin[T any]() *grb.Matrix[T] {
+	return grb.MustMatrix[T](1, grb.BitmapMaxCells+1)
+}
+
+// firstN returns the index list 0, 1, …, n-1.
+func firstN(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// mustMatchWideTwin fails unless the wide twin stayed compressed and its
+// first len(want) columns, read back through an index list, equal want.
+func mustMatchWideTwin(t *testing.T, twin *grb.Matrix[int64], want *ref.Vec[int64]) {
+	t.Helper()
+	if dense, _ := twin.Forms(); dense {
+		t.Fatal("the wide twin took the dense form")
+	}
+	n := len(want.Set)
+	row := grb.MustVector[int64](n)
+	must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, twin, firstN(n), 0, grb.DescT0))
+	eqVec(t, row, want)
 }
 
 func must(t *testing.T, err error) {
@@ -225,9 +251,9 @@ func TestVectorMutationHistoryVsMimic(t *testing.T) {
 // route — operands, output and mask drawn at a fill on either side of the
 // promotion bar — and runs it through four implementations: vectors
 // re-held densely (lane kernels, dense write arms), vectors left to the
-// promotion rule, 1×n matrices in FormatCSR (which forbids the dense form,
-// so the same operation takes the sorted-merge kernels and the merge
-// route) and the mimic. All four must agree in value and pattern, and the
+// promotion rule, wide twins (which never take the dense form, so the same
+// operation takes the sorted-merge kernels and the merge route) and the
+// mimic. All four must agree in value and pattern, and the
 // two vectors must serialize to the bytes of a never-dense twin.
 func runRouteProgram(t *testing.T, prog []byte) {
 	t.Helper()
@@ -236,8 +262,7 @@ func runRouteProgram(t *testing.T, prog []byte) {
 	// draw fills a vector holder, its matrix twin and its mimic at one of
 	// three fills: below the promotion bar, above it, full.
 	draw := func() (*grb.Vector[int64], *grb.Matrix[int64], *ref.Vec[int64]) {
-		v, m, rv := grb.MustVector[int64](n), grb.MustMatrix[int64](1, n), ref.NewVec[int64](n)
-		m.SetFormat(grb.FormatCSR)
+		v, m, rv := grb.MustVector[int64](n), wideTwin[int64](), ref.NewVec[int64](n)
 		every := []int{16, 2, 1}[r.next()%3]
 		for i := 0; i < n; i++ {
 			if every > 1 && r.next()%every != 0 {
@@ -265,7 +290,7 @@ func runRouteProgram(t *testing.T, prog []byte) {
 	var maskM *grb.Matrix[bool]
 	var maskR *ref.Vec[bool]
 	if kind != 0 {
-		maskV, maskM, maskR = grb.MustVector[bool](n), grb.MustMatrix[bool](1, n), ref.NewVec[bool](n)
+		maskV, maskM, maskR = grb.MustVector[bool](n), wideTwin[bool](), ref.NewVec[bool](n)
 		every := []int{16, 2}[r.next()%2]
 		for i := 0; i < n; i++ {
 			if r.next()%every == 0 {
@@ -319,7 +344,15 @@ func runRouteProgram(t *testing.T, prog []byte) {
 		}
 		must(t, grb.ExtractVector(dense, maskD, accum, hold(u), idx, &d))
 		must(t, grb.ExtractVector(plain, maskV, accum, u, idx, &d))
-		must(t, grb.ExtractMatrix(merged, maskM, accum, uM, []int{0}, idx, &d))
+		// The twin's output is wide, so it cannot be the 1×n extract
+		// result: it gathers z alone, then writes it through the same
+		// write rule as every other case.
+		zN := grb.MustMatrix[int64](1, n)
+		must(t, grb.ExtractMatrix[int64, bool](zN, nil, nil, uM, []int{0}, idx, nil))
+		zi, zj, zx := zN.ExtractTuples()
+		z := wideTwin[int64]()
+		must(t, z.Build(zi, zj, zx, nil))
+		must(t, grb.ApplyMatrix(merged, maskM, accum, func(x int64) int64 { return x }, z, &d))
 		ref.ExtractVec(want, maskR, accum, uR, idx, rd)
 	default:
 		must(t, grb.AssignVector(dense, maskD, accum, hold(u), grb.All, &d))
@@ -329,12 +362,7 @@ func runRouteProgram(t *testing.T, prog []byte) {
 	}
 	eqVec(t, dense, want)
 	eqVec(t, plain, want)
-	if dm, _ := merged.Forms(); dm {
-		t.Fatal("the FormatCSR twin took the dense form")
-	}
-	row := grb.MustVector[int64](n)
-	must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, merged, grb.All, 0, grb.DescT0))
-	eqVec(t, row, want)
+	mustMatchWideTwin(t, merged, want)
 	if dp, _ := plain.Forms(); dp && plain.Nvals()*8 < n {
 		t.Fatalf("%d of %d entries held densely by the promotion rule", plain.Nvals(), n)
 	}

@@ -72,7 +72,6 @@ var formatExempt = map[string]bool{
 	"maybeDemote":   true,
 	"dropDense":     true,
 	"adoptLanes":    true,
-	"SetFormat":     true,
 	"Clear":         true,
 	"Dup":           true,
 	// Element-level mutators: flip zombies / buffer tuples against the
