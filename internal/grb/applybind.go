@@ -1,5 +1,7 @@
 package grb
 
+import "sort"
+
 // Apply with a bound scalar operand — the GrB_apply overloads with a
 // BinaryOp and a scalar (first or second) from the v1.3 C API. LAGraph
 // algorithms use these constantly (scale a vector, compare against a
@@ -95,7 +97,7 @@ func MatrixDiag[T any](a *Matrix[T], k int) (*Vector[T], error) {
 			continue
 		}
 		ci, cx := c.vec(kk)
-		pos := searchFlipped(ci, j)
+		pos := sort.SearchInts(ci, j)
 		if pos < len(ci) && ci[pos] == j {
 			var t int
 			if k >= 0 {
@@ -142,7 +144,7 @@ func (v *Vector[T]) Resize(n int) error {
 		return opErrorf("resize", ErrInvalidValue, "want %d", n)
 	}
 	idx, x := v.materialized()
-	w := searchFlipped(idx, n) // sorted: the survivors are a prefix
+	w := sort.SearchInts(idx, n) // sorted: the survivors are a prefix
 	v.setSparse(idx[:w], x[:w])
 	v.n = n
 	return nil

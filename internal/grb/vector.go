@@ -22,7 +22,7 @@ type Vector[T any] struct {
 	dn    *bm[T]
 	stale bool
 
-	pend   []tuple[T] // j field unused
+	pend   []tuple[T] // in row 0: the index is j
 	pendOp func(T, T) T
 	nzomb  int
 }
@@ -90,7 +90,7 @@ func (v *Vector[T]) SetElement(i int, x T) error {
 	if v.pendOp != nil {
 		v.Wait()
 	}
-	v.pend = append(v.pend, tuple[T]{i: i, x: x})
+	v.pend = append(v.pend, tuple[T]{j: i, x: x})
 	return nil
 }
 
@@ -100,7 +100,7 @@ func (v *Vector[T]) accumElement(i int, x T, op func(T, T) T) {
 		v.Wait()
 	}
 	v.pendOp = op
-	v.pend = append(v.pend, tuple[T]{i: i, x: x})
+	v.pend = append(v.pend, tuple[T]{j: i, x: x})
 }
 
 // MergeElement computes v(i) ← op(v(i), x) (or v(i)=x if absent). On a
@@ -300,57 +300,35 @@ func (v *Vector[T]) maybeDemote() {
 }
 
 // assemble is Wait's worker: it must only run with pending work present.
+// A vector is a 1×n matrix, and assembles as Matrix.assemble does: one
+// sort, then one row merge.
 func (v *Vector[T]) assemble() {
-	pend := v.pend
+	z, fold := pendingCS(v.pend, v.pendOp, 1, v.n)
 	op := v.pendOp
 	v.pend = nil
 	v.pendOp = nil
+	nz := v.nzomb
 	v.nzomb = 0
 
-	// j is zero throughout: orders by i, stable, then folds each index's run.
-	pend = combinePending(sortPendingTuples(pend, v.n, 1), op)
-
 	if v.dn != nil {
-		for _, t := range pend {
-			v.dn.put(t.i, t.x, op)
+		for t, i := range z.i {
+			v.dn.put(i, z.x[t], op)
 		}
 		v.sparseStale()
 		v.maybeDemote()
 		return
 	}
-
-	ni := make([]int, 0, len(v.idx)+len(pend))
-	nx := make([]T, 0, len(v.idx)+len(pend))
-	s, pk := 0, 0
-	for s < len(v.idx) || pk < len(pend) {
-		for s < len(v.idx) && v.idx[s] < 0 { // zombie
-			s++
-		}
-		haveO := s < len(v.idx)
-		haveP := pk < len(pend)
-		switch {
-		case haveO && (!haveP || v.idx[s] < pend[pk].i):
-			ni = append(ni, v.idx[s])
-			nx = append(nx, v.x[s])
-			s++
-		case haveP && (!haveO || pend[pk].i < v.idx[s]):
-			ni = append(ni, pend[pk].i)
-			nx = append(nx, pend[pk].x)
-			pk++
-		case haveO && haveP:
-			val := pend[pk].x
-			if op != nil {
-				val = op(v.x[s], pend[pk].x)
-			}
-			ni = append(ni, v.idx[s])
-			nx = append(nx, val)
-			s++
-			pk++
-		default:
-			s = len(v.idx)
-		}
+	if len(v.idx) == 0 {
+		v.idx, v.x = z.i, z.x
+		return
 	}
-	v.idx, v.x = ni, nx
+	oi, ox := v.idx, v.x
+	if nz > 0 {
+		oi, ox = appendLive(nil, nil, oi, ox)
+	}
+	ni := make([]int, 0, len(oi)+len(z.i))
+	nx := make([]T, 0, len(oi)+len(z.i))
+	v.idx, v.x = mergeRow(ni, nx, oi, ox, z.i, z.x, nil, nil, fold, false)
 }
 
 // Build assembles a vector from coordinate tuples, combining duplicates
@@ -369,27 +347,11 @@ func (v *Vector[T]) Build(is []int, xs []T, dup BinaryOp[T, T, T]) error {
 			return opErrorf("build", ErrIndexOutOfBounds, "index %d, dim %d", i, v.n)
 		}
 	}
-	perm := make([]int, len(is))
-	for k := range perm {
-		perm[k] = k
+	c, err := assembleCS(1, v.n, make([]int, len(is)), is, xs, dup)
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return is[perm[a]] < is[perm[b]] })
-	ni := make([]int, 0, len(is))
-	nx := make([]T, 0, len(is))
-	last := -1
-	for _, k := range perm {
-		if is[k] == last {
-			if dup == nil {
-				return ErrInvalidValue
-			}
-			nx[len(nx)-1] = dup(nx[len(nx)-1], xs[k])
-			continue
-		}
-		ni = append(ni, is[k])
-		nx = append(nx, xs[k])
-		last = is[k]
-	}
-	v.setSparse(ni, nx)
+	v.setSparse(c.i, c.x)
 	return nil
 }
 

@@ -28,7 +28,10 @@ package grb
 //     accumulator under a mask with Replace; and when the mask is C;
 //   - merge: otherwise, the two-pointer merge of C and Z into fresh
 //     compressed arrays, O(nnz(C) + nnz(Z)) — mergeRow, the one place the
-//     rule's sentence above is written out position by position.
+//     rule's sentence above is written out position by position. With no
+//     mask and no region, the tail left when one row runs out is copied
+//     whole. Pending-tuple assembly is this merge too: the pending tuples
+//     are Z, unmasked, and their duplicate fold is the accumulator.
 //
 // Z is owned by the call: its arrays may be adopted by C.
 //
@@ -177,7 +180,11 @@ func (m *maskVec) mergeCursor() func(int) bool {
 // order), asked about in-region positions only.
 func mergeRow[T any](ni []int, nx []T, oi []int, ox []T, zi []int, zx []T, allowed, inRegion func(int) bool, accum BinaryOp[T, T, T], replace bool) ([]int, []T) {
 	s, k := 0, 0
+	plain := allowed == nil && inRegion == nil
 	for s < len(oi) || k < len(zi) {
+		if plain && (s == len(oi) || k == len(zi)) {
+			break // the tail is taken whole below
+		}
 		// The rule at the next position, by which of the two rows hold it.
 		switch {
 		case k == len(zi) || (s < len(oi) && oi[s] < zi[k]):
@@ -220,6 +227,15 @@ func mergeRow[T any](ni []int, nx []T, oi []int, ox []T, zi []int, zx []T, allow
 			}
 			s++
 			k++
+		}
+	}
+	if plain {
+		// With no mask and no region, once one row runs out the rest of the
+		// other is one append: z's always, the previous row's under an
+		// accumulator. At most one of the two is non-empty.
+		ni, nx = append(ni, zi[k:]...), append(nx, zx[k:]...)
+		if accum != nil {
+			ni, nx = append(ni, oi[s:]...), append(nx, ox[s:]...)
 		}
 	}
 	return ni, nx
@@ -376,9 +392,10 @@ func mergeMatrix[T any](c *Matrix[T], mm *maskMat, accum BinaryOp[T, T, T], z *c
 // mergeRows walks the union of the stored rows of old and z — either may be
 // hypersparse — in ascending row order, and has merge append each row's
 // result to (ni, nx) given the row's entries in old and in z (nil where a
-// side does not store the row). The result is hypersparse when both inputs
-// are, and then stores no empty row; otherwise it is standard, with the
-// rows neither side stores closed empty.
+// side does not store the row); a row empty on both sides is closed empty
+// without a call. The result is hypersparse when both inputs are, and then
+// stores no empty row; otherwise it is standard, with the rows neither side
+// stores closed empty.
 func mergeRows[T any](old, z *cs[T], merge func(row int, ni []int, nx []T, oi []int, ox []T, zi []int, zx []T) ([]int, []T)) *cs[T] {
 	est := old.nvals() + z.nvals()
 	ni := make([]int, 0, est)
@@ -386,7 +403,7 @@ func mergeRows[T any](old, z *cs[T], merge func(row int, ni []int, nx []T, oi []
 	hyper := old.h != nil && z.h != nil
 	var np, nh []int
 	if hyper {
-		np = []int{0}
+		np, nh = []int{0}, []int{}
 	} else {
 		np = make([]int, 1, old.nmajor+1)
 	}
@@ -414,7 +431,9 @@ func mergeRows[T any](old, z *cs[T], merge func(row int, ni []int, nx []T, oi []
 		for !hyper && len(np)-1 < row {
 			np = append(np, len(ni)) // the empty rows before this one
 		}
-		ni, nx = merge(row, ni, nx, oi, ox, zi, zx)
+		if len(oi) > 0 || len(zi) > 0 {
+			ni, nx = merge(row, ni, nx, oi, ox, zi, zx)
+		}
 		if !hyper {
 			np = append(np, len(ni))
 		} else if len(ni) > np[len(np)-1] {
