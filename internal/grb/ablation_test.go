@@ -6,6 +6,7 @@ package grb_test
 // which lies past the dense cell cap and so never takes the dense form.
 
 import (
+	"math"
 	"testing"
 
 	"lagraph/internal/grb"
@@ -97,3 +98,67 @@ func BenchmarkAblation_DenseResultRoute_Off(b *testing.B) {
 		b.Fatal("the wide twin took the dense form")
 	}
 }
+
+// The lane-arithmetic ablation (A8): one PageRank iteration on a 128×128
+// lattice — out = r ⊗ 1/deg, w = Aᵀ plus.second out, r = base, r += d·w,
+// t = |t − r|, ‖t‖₁ — with the built-in semiring and monoid (On: the dense
+// pull and the reduction run their tagged loops) against their
+// composite-literal twins (Off: the generic loops, which call Add.Op and
+// Mul per product and Op per reduced entry). The lane passes between them
+// call the iteration's own operators in both arms.
+func benchLaneArithmetic(b *testing.B, tagged bool) {
+	const side, damping = 128, 0.85
+	n := side * side
+	a := grb.MustMatrix[float64](n, n)
+	deg := make([]float64, n)
+	for i := 0; i < n; i++ {
+		r, c := i/side, i%side
+		for _, nb := range [][2]int{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
+			if nb[0] >= 0 && nb[0] < side && nb[1] >= 0 && nb[1] < side {
+				_ = a.SetElement(i, nb[0]*side+nb[1], 1)
+				deg[i]++
+			}
+		}
+	}
+	a.Wait()
+	rank := make([]float64, n)
+	for i := range deg {
+		deg[i], rank[i] = 1/deg[i], 1/float64(n)
+	}
+	plusSecond, sum := grb.PlusSecond[float64](), grb.PlusMonoid[float64]()
+	if !tagged {
+		sum = grb.Monoid[float64]{Op: sum.Op, Identity: sum.Identity}
+		plusSecond = grb.Semiring[float64, float64, float64]{Add: sum, Mul: grb.Second[float64, float64]()}
+	}
+	r, t, invOut := grb.DenseVector(rank), grb.DenseVector(rank), grb.DenseVector(deg)
+	out, w := grb.MustVector[float64](n), grb.MustVector[float64](n)
+	plus, times := grb.Plus[float64](), grb.Times[float64]()
+	scale := func(x float64) float64 { return damping * x }
+	absDiff := func(x, y float64) float64 { return math.Abs(x - y) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := grb.EWiseMultVector[float64, float64, float64, bool](out, nil, nil, times, r, invOut, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := grb.MxV(w, (*grb.Vector[bool])(nil), nil, plusSecond, a, out, grb.DescT0); err != nil {
+			b.Fatal(err)
+		}
+		r, t = t, r
+		if err := grb.AssignVectorScalar[float64, bool](r, nil, nil, (1-damping)/float64(n), grb.All, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := grb.ApplyVector[float64, float64, bool](r, nil, plus, scale, w, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := grb.EWiseAddVector[float64, bool](t, nil, nil, absDiff, t, r, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := grb.ReduceVectorToScalar(sum, t); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblation_LaneArithmetic_On(b *testing.B)  { benchLaneArithmetic(b, true) }
+func BenchmarkAblation_LaneArithmetic_Off(b *testing.B) { benchLaneArithmetic(b, false) }

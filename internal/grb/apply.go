@@ -53,7 +53,7 @@ func ApplyVector[A, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T
 	if w == nil || u == nil || f == nil {
 		return opError("apply", ErrUninitialized)
 	}
-	return ApplyIndexVector(w, mask, accum, func(x A, _, _ int) T { return f(x) }, u, desc)
+	return applyVector(w, mask, accum, f, nil, u, desc)
 }
 
 // ApplyIndexVector computes w⟨m⟩ ⊙= f(u(i), i, 0).
@@ -61,6 +61,11 @@ func ApplyIndexVector[A, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp
 	if w == nil || u == nil || f == nil {
 		return opError("apply", ErrUninitialized)
 	}
+	return applyVector(w, mask, accum, nil, func(x A, i int) (T, bool) { return f(x, i, 0), true }, u, desc)
+}
+
+// applyVector is ApplyVector given f, ApplyIndexVector given fi instead.
+func applyVector[A, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, T], f func(A) T, fi func(A, int) (T, bool), u *Vector[A], desc *Descriptor) error {
 	if w.n != u.n {
 		return opErrorf("apply", ErrDimensionMismatch, "w is %d, u is %d", w.n, u.n)
 	}
@@ -68,46 +73,68 @@ func ApplyIndexVector[A, T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp
 		return opErrorf("apply", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
-	fn := func(x A, i int) (T, bool) { return f(x, i, 0), true }
-	if z := unaryLanes(u, mask, d, fn); z != nil {
+	if z := unaryLanes(u, mask, d, f, fi); z != nil {
 		return writeVectorLanes(w, mask, accum, z, d)
 	}
-	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), true, fn)
+	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), true, f, fi)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 
 // unaryLanes is unaryRow on the dense result route: a dense-eligible
-// operand under a mask that leaves the route open is mapped through f into
-// pooled lanes the caller owns, by a pass over its own lanes or a scatter
-// of its entries. A nil return means the route is closed.
-func unaryLanes[A, T, M any](u *Vector[A], mask *Vector[M], d descValues, f func(x A, i int) (T, bool)) *bm[T] {
+// operand under a mask that leaves the route open is mapped into pooled
+// lanes the caller owns, by a pass over its own lanes (with no presence
+// test when it is full) or a scatter of its entries. f maps a value; where
+// it is nil, fi maps a value and its index and says whether to keep the
+// result. A nil return means the route is closed.
+func unaryLanes[A, T, M any](u *Vector[A], mask *Vector[M], d descValues, f func(A) T, fi func(A, int) (T, bool)) *bm[T] {
 	ru := u.ref()
 	if !ru.denseEligible(u.n) || !laneMaskOpen(mask, d) {
 		return nil
 	}
 	z := getLanes[T](u.n)
-	ru.each(func(i int, x A) {
-		if y, ok := f(x, i); ok {
-			z.b[i], z.x[i] = true, y
-			z.nvals++
+	zb, zx := z.b, z.x[:len(z.b)]
+	switch {
+	case fi != nil:
+		ru.each(func(i int, x A) {
+			if y, ok := fi(x, i); ok {
+				zb[i], zx[i] = true, y
+				z.nvals++
+			}
+		})
+		return z
+	case ru.b == nil:
+		for k, i := range ru.idx {
+			zb[i], zx[i] = true, f(ru.x[k])
 		}
-	})
+	case ru.nvals == u.n:
+		for j, x := range ru.dx[:len(zx)] {
+			zb[j], zx[j] = true, f(x)
+		}
+	default:
+		for j, ok := range ru.b[:len(zb)] {
+			if ok {
+				zb[j], zx[j] = true, f(ru.dx[j])
+			}
+		}
+	}
+	z.nvals = ru.nvals
 	return z
 }
 
-// unaryRow maps the entries of one operand row through f, keeping those f
-// accepts. Like ewiseRow it walks whichever is cheaper: the operand, or —
-// when a positive mask rm bounds the output to fewer positions — the
-// mask's admitted positions, probing the operand. The result is fresh;
-// total says f accepts everything, so an operand-driven result can be
-// sized exactly.
-func unaryRow[A, T any](ru rowRef[A], rm *maskVec, total bool, f func(x A, i int) (T, bool)) ([]int, []T) {
+// unaryRow maps the entries of one operand row through f (or fi, as in
+// unaryLanes), keeping those fi accepts. Like ewiseRow it walks whichever
+// is cheaper: the operand, or — when a positive mask rm bounds the output
+// to fewer positions — the mask's admitted positions, probing the operand.
+// The result is fresh; total says every entry is kept, so an
+// operand-driven result can be sized exactly.
+func unaryRow[A, T any](ru rowRef[A], rm *maskVec, total bool, f func(A) T, fi func(A, int) (T, bool)) ([]int, []T) {
 	var zi []int
 	var zx []T
 	emit := func(i int, x A) {
-		if y, ok := f(x, i); ok {
-			zi = append(zi, i)
-			zx = append(zx, y)
+		if f != nil {
+			zi, zx = append(zi, i), append(zx, f(x))
+		} else if y, ok := fi(x, i); ok {
+			zi, zx = append(zi, i), append(zx, y)
 		}
 	}
 	if rm == nil || len(rm.idx)*probeCost(ru) >= ru.span() {
@@ -219,10 +246,10 @@ func SelectVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 	}
 	d := desc.get()
 	fn := func(x T, i int) (T, bool) { return x, keep(x, i, 0) }
-	if z := unaryLanes(u, mask, d, fn); z != nil {
+	if z := unaryLanes(u, mask, d, nil, fn); z != nil {
 		return writeVectorLanes(w, mask, accum, z, d)
 	}
-	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), false, fn)
+	zi, zx := unaryRow(u.ref(), positiveMask(mask, d), false, nil, fn)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 

@@ -130,10 +130,11 @@ func ewiseRow[A, B, T any](ra rowRef[A], rb rowRef[B], rm *maskVec, union bool,
 // ewiseLanes is ewiseRow on the dense result route: both operands are read
 // by lanes (a sparse-held one through a pooled scratch) and the row is one
 // pass over the n positions into pooled lanes the caller owns — the same
-// operator on the same operands at every position, no index list. The
-// route is open when the mask leaves it open and the result cannot fall
-// far below the operands' fill: one dense-eligible operand of a union,
-// both of an intersection. A nil return means it is closed.
+// operator on the same operands at every position, no index list; a nil
+// onlyA (onlyB) passes the value through, A (B) then being T. The route is
+// open when the mask leaves it open and the result cannot fall far below
+// the operands' fill: one dense-eligible operand of a union, both of an
+// intersection. A nil return means it is closed.
 func ewiseLanes[A, B, T, M any](u *Vector[A], v *Vector[B], mask *Vector[M], d descValues, union bool,
 	both BinaryOp[A, B, T], onlyA func(A) T, onlyB func(B) T) *bm[T] {
 	n := u.n
@@ -144,26 +145,34 @@ func ewiseLanes[A, B, T, M any](u *Vector[A], v *Vector[B], mask *Vector[M], d d
 	}
 	ab, ax, sa := ra.lanes(n)
 	bb, bx, sb := rb.lanes(n)
-	var z *bm[T]
-	if ra.nvals == n && rb.nvals == n {
-		z = fullLanes[T](n)
-		for j := range z.x {
-			z.x[j] = both(ax[j], bx[j])
+	ab, ax, bb, bx = ab[:n], ax[:n], bb[:n], bx[:n]
+	z := getLanes[T](n)
+	zb, zx := z.b[:n], z.x[:n]
+	switch {
+	case ra.nvals == n && rb.nvals == n:
+		for j := range zx {
+			zb[j], zx[j] = true, both(ax[j], bx[j])
 		}
-	} else {
-		z = getLanes[T](n)
-		for j := range z.x {
+		z.nvals = n
+	default:
+		pa, _ := any(ax).([]T)
+		pb, _ := any(bx).([]T)
+		for j := range zx {
 			switch {
 			case ab[j] && bb[j]:
-				z.x[j] = both(ax[j], bx[j])
-			case union && ab[j]:
-				z.x[j] = onlyA(ax[j])
-			case union && bb[j]:
-				z.x[j] = onlyB(bx[j])
-			default:
+				zx[j] = both(ax[j], bx[j])
+			case !union || !ab[j] && !bb[j]:
 				continue
+			case ab[j] && onlyA == nil:
+				zx[j] = pa[j]
+			case ab[j]:
+				zx[j] = onlyA(ax[j])
+			case bb[j] && onlyB == nil:
+				zx[j] = pb[j]
+			default:
+				zx[j] = onlyB(bx[j])
 			}
-			z.b[j] = true
+			zb[j] = true
 			z.nvals++
 		}
 	}
@@ -409,12 +418,12 @@ func EWiseAddVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T
 		return opErrorf("eWiseAdd", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
 	d := desc.get()
-	id := Identity[T]()
-	if z := ewiseLanes(u, v, mask, d, true, add, id, id); z != nil {
+	if z := ewiseLanes[T, T, T](u, v, mask, d, true, add, nil, nil); z != nil {
 		return writeVectorLanes(w, mask, accum, z, d)
 	}
 	var zi []int
 	var zx []T
+	id := Identity[T]()
 	ewiseRow(u.ref(), v.ref(), positiveMask(mask, d), true, add, id, id, &zi, &zx)
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }

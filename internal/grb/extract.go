@@ -239,17 +239,29 @@ func ExtractVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T,
 	d := desc.get()
 	ru := u.ref()
 	// Dense result route: a dense-eligible u is gathered into pooled lanes
-	// in the order of the index list — a lane copy for All, an O(1) probe
-	// per index when u has lanes — with no search and no sort.
+	// in the order of the index list — a lane copy for All, an inline probe
+	// per index when u has lanes, a search when it is sparse-held — with
+	// no sort.
 	if ru.denseEligible(u.n) && bitmapCells(1, on) >= 0 && laneMaskOpen(mask, d) {
 		if idx == nil {
 			return writeVectorLanes(w, mask, accum, ru.copyLanes(on), d)
 		}
 		z := getLanes[T](on)
-		for t, src := range idx {
-			if x, ok := ru.get(src); ok {
-				z.b[t], z.x[t] = true, x
-				z.nvals++
+		zb, zx := z.b[:len(idx)], z.x[:len(idx)]
+		if ub := ru.b; ub != nil {
+			ux := ru.dx[:len(ub)]
+			for t, src := range idx {
+				if ub[src] {
+					zb[t], zx[t] = true, ux[src]
+					z.nvals++
+				}
+			}
+		} else {
+			for t, src := range idx {
+				if x, ok := ru.get(src); ok {
+					zb[t], zx[t] = true, x
+					z.nvals++
+				}
 			}
 		}
 		return writeVectorLanes(w, mask, accum, z, d)

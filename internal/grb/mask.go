@@ -57,11 +57,7 @@ func (m *maskVec) allowed(i int) bool {
 		return true
 	}
 	if m.db != nil {
-		in := m.db[i]
-		if in && m.dv != nil {
-			in = m.dv[i]
-		}
-		return in != m.comp
+		return m.admitsLane(i)
 	}
 	pos := sort.SearchInts(m.idx, i)
 	in := pos < len(m.idx) && m.idx[pos] == i
@@ -70,6 +66,33 @@ func (m *maskVec) allowed(i int) bool {
 	}
 	return in != m.comp
 }
+
+// admitsLane is allowed for a nil or lane-held mask, inlined in a pass.
+func (m *maskVec) admitsLane(i int) bool {
+	return m == nil || (m.db[i] && (m.dv == nil || m.dv[i])) != m.comp
+}
+
+// laneMask is m's view for a lane pass, probed by admitsLane: its own
+// lanes, or a pooled scratch (done hands it back) its entries fill.
+func laneMask[M any](m *Vector[M], d descValues) (mv *maskVec, done func()) {
+	if done = nop; m == nil {
+		return nil, done
+	}
+	r := m.ref()
+	b, x, sc := r.lanes(m.n)
+	mv = &maskVec{n: m.n, comp: d.Comp, db: b, nstored: r.nvals}
+	if d.MaskValue {
+		mv.dv, _ = any(x).([]bool)
+	}
+	if sc != nil {
+		done = func() { r.unlanes(sc) }
+	}
+	return mv, done
+}
+
+// nop is a done with nothing to hand back: a func literal in a generic
+// function carries its dictionary, so it would be allocated per call.
+func nop() {}
 
 // cursor returns an ascending-order admission tester with O(1) amortized
 // cost; indices must be queried in non-decreasing order.

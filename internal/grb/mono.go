@@ -1,5 +1,7 @@
 package grb
 
+import "math"
+
 // The inner loops of the product kernels, twice. A looper is everything the
 // pull dot, the Gustavson rows and the dense push do per product; a
 // Semiring is one by calling its closures — Mul (under MxV, through the
@@ -7,11 +9,11 @@ package grb
 // around one + or <. For the semirings the built-in constructors tag
 // (opsTag, types.go), over float64 and int64 — the element types the GAP
 // kernels multiply in — monoOps is the same looper with the arithmetic
-// written out over E Number. Its dot picks one loop per tag once a call, so
-// a pulled product is a lane probe and one + or <, nothing resolved per
-// product. Each of its loops keeps its generic twin's association exactly:
-// the first product assigned, the rest folded in the same order, min spelt
-// `y < x` with its terminal exit. A tagged semiring and its literal-built
+// written out over E Number. Its dot and its pull pick one loop per tag
+// once a call, so a pulled product is a lane probe and one + or <, nothing
+// resolved per product or per row. Each of its loops keeps its generic twin's
+// association exactly: the first product assigned, the rest folded in the
+// same order, min spelt `y < x` with its terminal exit. A tagged semiring and its literal-built
 // twin therefore agree bitwise, and a positional multiplier (first, second,
 // pair) never loads the operand it ignores.
 //
@@ -84,7 +86,7 @@ func (s *Semiring[L, R, T]) dot(seen []bool, lx []L, ri []int, rx []R, lo, hi in
 
 func (s *Semiring[L, R, T]) pull(seen []bool, lx []L, c *cs[R], lo, hi int, mv *maskVec, zb []bool, zx []T) (n int) {
 	for j := lo; j < hi; j++ {
-		if mv.allowed(j) {
+		if mv.admitsLane(j) {
 			if zx[j], zb[j] = s.dot(seen, lx, c.i, c.x, c.p[j], c.p[j+1]); zb[j] {
 				n++
 			}
@@ -253,15 +255,100 @@ func (m *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E
 	return acc, true
 }
 
+// pull has one loop per tag, each row's dot written out in it as dot
+// writes it: a row costs its probes and its arithmetic, not a call.
 func (m *monoOps[E]) pull(seen []bool, l []E, c *cs[E], lo, hi int, mv *maskVec, zb []bool, zx []E) (n int) {
-	for j := lo; j < hi; j++ {
-		if mv.allowed(j) {
-			if zx[j], zb[j] = m.dot(seen, l, c.i, c.x, c.p[j], c.p[j+1]); zb[j] {
-				n++
+	l, ci, cx, cp := l[:len(seen)], c.i, c.x, c.p
+	switch m.tag {
+	case opsPlusFirst:
+		for j := lo; j < hi; j++ {
+			if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+				acc := l[ci[q]]
+				for _, i := range ci[q+1 : end] {
+					if seen[i] {
+						acc += l[i]
+					}
+				}
+				zb[j], zx[j], n = true, acc, n+1
+			}
+		}
+	case opsPlusSecond:
+		for j := lo; j < hi; j++ {
+			if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+				ri, acc := ci[q+1:end], cx[q]
+				rr := cx[q+1 : end][:len(ri)]
+				for k, i := range ri {
+					if seen[i] {
+						acc += rr[k]
+					}
+				}
+				zb[j], zx[j], n = true, acc, n+1
+			}
+		}
+	case opsPlusPair:
+		for j := lo; j < hi; j++ {
+			if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+				acc := E(1)
+				for _, i := range ci[q+1 : end] {
+					if seen[i] {
+						acc++
+					}
+				}
+				zb[j], zx[j], n = true, acc, n+1
+			}
+		}
+	case opsMinFirst:
+		for j := lo; j < hi; j++ {
+			if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+				ri, acc := ci[q+1:end], l[ci[q]]
+				for k := 0; k < len(ri) && acc != m.lo; k++ {
+					if i := ri[k]; seen[i] && l[i] < acc {
+						acc = l[i]
+					}
+				}
+				zb[j], zx[j], n = true, acc, n+1
+			}
+		}
+	case opsMinSecond:
+		for j := lo; j < hi; j++ {
+			if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+				ri, acc := ci[q+1:end], cx[q]
+				rr := cx[q+1 : end][:len(ri)]
+				for k := 0; k < len(ri) && acc != m.lo; k++ {
+					if seen[ri[k]] && rr[k] < acc {
+						acc = rr[k]
+					}
+				}
+				zb[j], zx[j], n = true, acc, n+1
+			}
+		}
+	default: // min.plus
+		for j := lo; j < hi; j++ {
+			if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+				ri, acc := ci[q+1:end], l[ci[q]]+cx[q]
+				rr := cx[q+1 : end][:len(ri)]
+				for k := 0; k < len(ri) && acc != m.lo; k++ {
+					if i := ri[k]; seen[i] && l[i]+rr[k] < acc {
+						acc = l[i] + rr[k]
+					}
+				}
+				zb[j], zx[j], n = true, acc, n+1
 			}
 		}
 	}
 	return n
+}
+
+// firstMatch is where row j, entries [q, end) of ri, first meets a seen
+// lane: end when it never does or mv rejects the row.
+func firstMatch(seen []bool, ri []int, q, end int, mv *maskVec, j int) (int, int) {
+	if !mv.admitsLane(j) {
+		return end, end
+	}
+	for q < end && !seen[ri[q]] {
+		q++
+	}
+	return q, end
 }
 
 // scatter exits whatever exit says: folding into min's terminal changes
@@ -345,4 +432,84 @@ func (m monoOps[E]) markedRow(l []E, t int, ri []int, r []E, lo, hi int, mark []
 func (m *monoOps[E]) fold(pi []int, px []E, seen []bool, val []E, touched []int) []int {
 	second := monoOps[E]{right: true, min: m.min, lo: m.lo}
 	return second.scatterRow(nil, 0, pi, px, 0, len(pi), seen, val, touched)
+}
+
+// fold folds into acc, in order, the entries of xs that b marks present
+// (nil b: all), stopping at a terminal acc. A tagged monoid over float64,
+// int64 or bool runs it as written-out arithmetic: same order, same exits.
+func (mon *Monoid[T]) fold(acc T, b []bool, xs []T) T {
+	if b != nil {
+		b = b[:len(xs)]
+	}
+	if mon.ops != monoidGeneric {
+		switch p := any(&acc).(type) {
+		case *float64:
+			*p = foldNum(mon.ops, *p, b, any(xs).([]float64), math.Inf(-1), math.Inf(1))
+			return acc
+		case *int64:
+			*p = foldNum(mon.ops, *p, b, any(xs).([]int64), math.MinInt64, math.MaxInt64)
+			return acc
+		case *bool:
+			*p = foldBool(mon.ops, *p, b, any(xs).([]bool))
+			return acc
+		}
+	}
+	for j, x := range xs {
+		if b != nil && !b[j] {
+			continue
+		}
+		if mon.Terminal != nil && mon.Terminal(acc) {
+			break
+		}
+		acc = mon.Op(acc, x)
+	}
+	return acc
+}
+
+// foldNum is fold for the tagged numeric monoids; lo and hi are E's least
+// and greatest values, min's and max's terminals (0 is times's over ints).
+func foldNum[E Number](tag monoidTag, acc E, b []bool, xs []E, lo, hi E) E {
+	term, exits := lo, tag == monoidMin
+	switch tag {
+	case monoidMax:
+		term, exits = hi, true
+	case monoidTimes:
+		term, exits = 0, E(1)/2 == 0
+	}
+	for j, x := range xs {
+		if exits && acc == term {
+			break
+		}
+		if b != nil && !b[j] {
+			continue
+		}
+		switch tag {
+		case monoidPlus:
+			acc += x
+		case monoidTimes:
+			acc *= x
+		case monoidMin:
+			if x < acc {
+				acc = x
+			}
+		case monoidMax:
+			if x > acc {
+				acc = x
+			}
+		}
+	}
+	return acc
+}
+
+// foldBool is foldNum for or and and: until acc is terminal, acc is x.
+func foldBool(tag monoidTag, acc bool, b, xs []bool) bool {
+	for j, x := range xs {
+		if acc == (tag == monoidLOr) {
+			break
+		}
+		if b == nil || b[j] {
+			acc = x
+		}
+	}
+	return acc
 }

@@ -1,8 +1,8 @@
 package grb
 
 // Reductions of Table I: matrix→vector (row-wise), matrix→scalar, and
-// vector→scalar, all driven by a Monoid. Terminal monoid values short-cut
-// the reduction (§II-A's early-exit mechanism).
+// vector→scalar, all driven by a Monoid through Monoid.fold. Terminal
+// monoid values short-cut the reduction (§II-A's early-exit mechanism).
 
 // ReduceMatrixToVector computes w⟨m⟩ ⊙= ⊕ⱼ A(:,j): each output element is
 // the monoid-reduction of the corresponding row of A (or column, with
@@ -31,15 +31,7 @@ func ReduceMatrixToVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryO
 				continue
 			}
 			_, cx := ca.vec(k)
-			acc := cx[0]
-			for t := 1; t < len(cx); t++ {
-				if mon.Terminal != nil && mon.Terminal(acc) {
-					break
-				}
-				acc = mon.Op(acc, cx[t])
-			}
-			vals[k] = acc
-			nonempty[k] = true
+			vals[k], nonempty[k] = mon.fold(cx[0], nil, cx[1:]), true
 		}
 	})
 	zi := make([]int, 0, nvec)
@@ -71,23 +63,9 @@ func ReduceMatrixToScalar[T any](mon Monoid[T], a *Matrix[T]) (T, error) {
 	bounds := workChunks(n, func(int) int { return 1 }, reduceChunkEntries, pushMaxChunks)
 	partial := make([]T, len(bounds)-1)
 	runChunks(bounds, func(b, lo, hi int) {
-		acc := mon.Identity
-		for t := lo; t < hi; t++ {
-			if mon.Terminal != nil && mon.Terminal(acc) {
-				break
-			}
-			acc = mon.Op(acc, c.x[t])
-		}
-		partial[b] = acc
+		partial[b] = mon.fold(mon.Identity, nil, c.x[lo:hi])
 	})
-	acc := mon.Identity
-	for _, p := range partial {
-		if mon.Terminal != nil && mon.Terminal(acc) {
-			break
-		}
-		acc = mon.Op(acc, p)
-	}
-	return acc, nil
+	return mon.fold(mon.Identity, nil, partial), nil
 }
 
 // ReduceVectorToScalar reduces every stored entry of u with the monoid.
@@ -98,26 +76,14 @@ func ReduceVectorToScalar[T any](mon Monoid[T], u *Vector[T]) (T, error) {
 	}
 	// Stored entries fold in ascending index order whichever form holds
 	// them — the same association, so the same bits — and a dense-held
-	// vector is read off its lanes rather than compacted to be read.
+	// vector is read off its lanes rather than compacted to be read, with
+	// no presence test when it is full.
 	r := u.ref()
-	acc := mon.Identity
-	if r.sparse {
-		for _, x := range r.x {
-			if mon.Terminal != nil && mon.Terminal(acc) {
-				break
-			}
-			acc = mon.Op(acc, x)
-		}
-		return acc, nil
+	switch {
+	case r.sparse:
+		return mon.fold(mon.Identity, nil, r.x), nil
+	case r.nvals == u.n:
+		return mon.fold(mon.Identity, nil, r.dx), nil
 	}
-	for j, ok := range r.b {
-		if !ok {
-			continue
-		}
-		if mon.Terminal != nil && mon.Terminal(acc) {
-			break
-		}
-		acc = mon.Op(acc, r.dx[j])
-	}
-	return acc, nil
+	return mon.fold(mon.Identity, r.b, r.dx), nil
 }

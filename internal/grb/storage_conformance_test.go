@@ -666,79 +666,113 @@ func TestConformanceStorageFormsVector(t *testing.T) {
 // FastSV's operand, on which every lane probe of a pull passes); and a
 // sixteenth full and sparse-held (a pull reads it through scratch lanes). For
 // the min tags, row and column 0 of A meet u so that min's terminal −Inf
-// arrives mid-row whichever operand the multiplier reads.
+// arrives mid-row whichever operand the multiplier reads. Each table runs
+// twice: on rows of 24 random entries, and on a 128×128 lattice's rows of
+// at most four — PageRank's and FastSV's shape on the grid, where a row's
+// first match and its fold are most of a pull's work. Every case runs
+// unmasked, under a dense-held complemented mask (the lane pull) and under
+// a sparse-held one (the pull over the admitted rows).
 func TestTaggedTwinsChunkedVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(2401))
-	const n, deg = 4096, 24
+	const deg, side = 24, 128
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1, -2.5, 3}
-	for _, tw := range taggedTwins[float64]() {
-		isMin := tw.name[:3] == "min"
-		val := func() float64 { return cancelling(rng) }
-		if isMin {
-			val = func() float64 { return special[rng.Intn(len(special))] }
+	for _, lattice := range []bool{false, true} {
+		for _, tw := range taggedTwins[float64]() {
+			taggedTwinChunked(t, rng, tw, deg, side, lattice, special)
 		}
-		a := grb.MustMatrix[float64](n, n)
-		for i := 0; i < n; i++ {
-			for _, j := range rng.Perm(n)[:deg] {
-				_ = a.SetElement(i, j, val())
-			}
-		}
-		u, full, sparse := grb.MustVector[float64](n), grb.MustVector[float64](n), grb.MustVector[float64](n)
-		for i := 0; i < n; i++ {
-			x := val()
-			_ = full.SetElement(i, x)
-			if r := rng.Intn(16); r > 3 {
-				_ = u.SetElement(i, x)
-			} else if r == 0 {
-				_ = sparse.SetElement(i, x)
-			}
-		}
-		if isMin {
-			for k, x := range []float64{4, math.Inf(-1), math.NaN(), -1} {
-				_ = a.SetElement(k+1, 0, x+1)
-				_ = a.SetElement(0, k+1, x+1)
-				for _, v := range []*grb.Vector[float64]{u, full, sparse} {
-					_ = v.SetElement(k+1, x)
+	}
+}
+
+// taggedTwinChunked runs TestTaggedTwinsChunkedVector's table for one
+// twin, on random rows of deg entries or on the side×side lattice.
+func taggedTwinChunked(t *testing.T, rng *rand.Rand, tw taggedTwin[float64], deg, side int, lattice bool, special []float64) {
+	n := 4096
+	if lattice {
+		n = side * side
+	}
+	isMin := tw.name[:3] == "min"
+	val := func() float64 { return cancelling(rng) }
+	if isMin {
+		val = func() float64 { return special[rng.Intn(len(special))] }
+	}
+	a := grb.MustMatrix[float64](n, n)
+	for i := 0; i < n; i++ {
+		if lattice {
+			r, c := i/side, i%side
+			for _, nb := range [][2]int{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
+				if nb[0] >= 0 && nb[0] < side && nb[1] >= 0 && nb[1] < side {
+					_ = a.SetElement(i, nb[0]*side+nb[1], val())
 				}
 			}
+			continue
 		}
-		a.Wait()
-		u.Wait()
-		full = heldV(full, true)
-		sparse.Wait()
-		if dense, _ := sparse.Forms(); dense {
-			t.Fatal("the sparse u is dense-held")
+		for _, j := range rng.Perm(n)[:deg] {
+			_ = a.SetElement(i, j, val())
 		}
-		mask := randBoolVector(rng, n, 0.5)
-		for _, u := range []*grb.Vector[float64]{u, full, sparse} {
-			for _, masked := range []bool{false, true} {
-				for _, c := range []struct {
-					name string
-					d    grb.Descriptor
-					mxv  bool
-				}{
-					{"vxm/push", grb.Descriptor{Dir: grb.DirPush}, false},
-					{"vxm/pull", grb.Descriptor{Dir: grb.DirPull}, false},
-					{"mxv/pull", grb.Descriptor{Dir: grb.DirPull}, true},
-					{"mxv/push-tranA", grb.Descriptor{Dir: grb.DirPush, TranA: true}, true},
-				} {
-					var gm *grb.Vector[bool]
-					if masked {
-						gm, c.d.Comp = heldV(mask, true), true
+	}
+	u, full, sparse := grb.MustVector[float64](n), grb.MustVector[float64](n), grb.MustVector[float64](n)
+	for i := 0; i < n; i++ {
+		x := val()
+		_ = full.SetElement(i, x)
+		if r := rng.Intn(16); r > 3 {
+			_ = u.SetElement(i, x)
+		} else if r == 0 {
+			_ = sparse.SetElement(i, x)
+		}
+	}
+	if isMin && !lattice {
+		for k, x := range []float64{4, math.Inf(-1), math.NaN(), -1} {
+			_ = a.SetElement(k+1, 0, x+1)
+			_ = a.SetElement(0, k+1, x+1)
+			for _, v := range []*grb.Vector[float64]{u, full, sparse} {
+				_ = v.SetElement(k+1, x)
+			}
+		}
+	}
+	a.Wait()
+	u.Wait()
+	full = heldV(full, true)
+	sparse.Wait()
+	if dense, _ := sparse.Forms(); dense {
+		t.Fatal("the sparse u is dense-held")
+	}
+	mask, sparseMask := randBoolVector(rng, n, 0.5), randBoolVector(rng, n, 1.0/32)
+	if dense, _ := sparseMask.Forms(); dense {
+		t.Fatal("the sparse mask is dense-held")
+	}
+	for _, u := range []*grb.Vector[float64]{u, full, sparse} {
+		for _, masked := range []string{"none", "dense", "sparse"} {
+			for _, c := range []struct {
+				name string
+				d    grb.Descriptor
+				mxv  bool
+			}{
+				{"vxm/push", grb.Descriptor{Dir: grb.DirPush}, false},
+				{"vxm/pull", grb.Descriptor{Dir: grb.DirPull}, false},
+				{"mxv/pull", grb.Descriptor{Dir: grb.DirPull}, true},
+				{"mxv/push-tranA", grb.Descriptor{Dir: grb.DirPush, TranA: true}, true},
+			} {
+				var gm *grb.Vector[bool]
+				switch masked {
+				case "dense":
+					gm, c.d.Comp = heldV(mask, true), true
+				case "sparse":
+					gm = sparseMask
+				}
+				rec, err := twinned(tw, grb.MustVector[float64](n), func(w *grb.Vector[float64], s grb.Semiring[float64, float64, float64]) error {
+					if c.mxv {
+						return grb.MxV(w, gm, nil, s, a, u, &c.d)
 					}
-					rec, err := twinned(tw, grb.MustVector[float64](n), func(w *grb.Vector[float64], s grb.Semiring[float64, float64, float64]) error {
-						if c.mxv {
-							return grb.MxV(w, gm, nil, s, a, u, &c.d)
-						}
-						return grb.VxM(w, gm, nil, s, u, a, &c.d)
-					})
-					if err != nil {
-						t.Fatalf("%s %s masked=%v u=%d entries: %v", tw.name, c.name, masked, u.Nvals(), err)
-					}
-					// A push from the sparse u is too little work to chunk.
-					if rec.Chunks < 2 && (u != sparse || c.d.Dir == grb.DirPull) {
-						t.Fatalf("%s %s masked=%v u=%d entries: %d chunks at eight workers; the input does not reach the chunked kernel", tw.name, c.name, masked, u.Nvals(), rec.Chunks)
-					}
+					return grb.VxM(w, gm, nil, s, u, a, &c.d)
+				})
+				if err != nil {
+					t.Fatalf("%s %s lattice=%v mask=%s u=%d entries: %v", tw.name, c.name, lattice, masked, u.Nvals(), err)
+				}
+				// A push from the sparse u or on the lattice, and a pull
+				// over the sparse mask's rows, are too little work to chunk.
+				chunked := c.d.Dir == grb.DirPull || u != sparse && !lattice
+				if rec.Chunks < 2 && chunked && masked != "sparse" {
+					t.Fatalf("%s %s lattice=%v mask=%s u=%d entries: %d chunks at eight workers; the input does not reach the chunked kernel", tw.name, c.name, lattice, masked, u.Nvals(), rec.Chunks)
 				}
 			}
 		}

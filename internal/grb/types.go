@@ -80,11 +80,18 @@ type IndexUnaryOp[A, C any] func(a A, i, j int) C
 // non-nil, reports whether a value is an annihilator for the operation
 // (e.g. true for LOR, 0 for TIMES over integers): once a reduction reaches
 // a terminal value it may stop early. The paper (§II-A) describes this
-// early-exit mechanism as the enabler of direction-optimized BFS.
+// early-exit mechanism as the enabler of direction-optimized BFS. Build a
+// custom monoid as a composite literal; never reassign Op or Terminal on a
+// value a built-in constructor returned, which the reductions may run by
+// name.
 type Monoid[T any] struct {
 	Op       func(T, T) T
 	Identity T
 	Terminal func(T) bool // nil if the monoid has no terminal value
+
+	// ops names the monoid when a built-in constructor made it, for the
+	// reductions to run its arithmetic itself (mono.go); a literal's is zero.
+	ops monoidTag
 }
 
 // Semiring pairs an additive Monoid with a multiplicative BinaryOp, the
@@ -126,6 +133,20 @@ var (
 
 func (t opsTag) String() string  { return opsNames[t] }
 func (t opsTag) swapped() opsTag { return opsSwapped[t] }
+
+// monoidTag names a built-in monoid whose operator the reductions can run
+// as visible arithmetic. The zero tag is "whatever Op says".
+type monoidTag uint8
+
+const (
+	monoidGeneric monoidTag = iota
+	monoidPlus
+	monoidTimes
+	monoidMin
+	monoidMax
+	monoidLOr
+	monoidLAnd
+)
 
 //
 // Built-in unary operators.
@@ -236,12 +257,17 @@ func Ge[T Number]() BinaryOp[T, T, bool] { return func(x, y T) bool { return x >
 
 // PlusMonoid is the (+, 0) monoid.
 func PlusMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Op: func(x, y T) T { return x + y }, Identity: 0}
+	return Monoid[T]{Op: func(x, y T) T { return x + y }, Identity: 0, ops: monoidPlus}
 }
 
-// TimesMonoid is the (*, 1) monoid. For integer types 0 is terminal.
+// TimesMonoid is the (*, 1) monoid. For integer types 0 is terminal; for
+// floating point types it is not, since 0·Inf is NaN.
 func TimesMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Op: func(x, y T) T { return x * y }, Identity: 1}
+	m := Monoid[T]{Op: func(x, y T) T { return x * y }, Identity: 1, ops: monoidTimes}
+	if T(1)/2 == 0 { // an integer type
+		m.Terminal = func(x T) bool { return x == 0 }
+	}
+	return m
 }
 
 // MinMonoid is the (min, +inf) monoid; the maximum representable value is
@@ -257,6 +283,7 @@ func MinMonoid[T Number]() Monoid[T] {
 		},
 		Identity: hi,
 		Terminal: func(x T) bool { return x == lo },
+		ops:      monoidMin,
 	}
 }
 
@@ -272,6 +299,7 @@ func MaxMonoid[T Number]() Monoid[T] {
 		},
 		Identity: lo,
 		Terminal: func(x T) bool { return x == hi },
+		ops:      monoidMax,
 	}
 }
 
@@ -282,6 +310,7 @@ func LOrMonoid() Monoid[bool] {
 		Op:       func(x, y bool) bool { return x || y },
 		Identity: false,
 		Terminal: func(x bool) bool { return x },
+		ops:      monoidLOr,
 	}
 }
 
@@ -291,6 +320,7 @@ func LAndMonoid() Monoid[bool] {
 		Op:       func(x, y bool) bool { return x && y },
 		Identity: true,
 		Terminal: func(x bool) bool { return !x },
+		ops:      monoidLAnd,
 	}
 }
 

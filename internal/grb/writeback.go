@@ -258,12 +258,13 @@ func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum Binar
 	}
 	if w.ref().nvals == 0 || (accum == nil && (mask == nil || d.Replace)) {
 		if mask != nil && !admitted {
-			allowed := newMaskVec(mask, d).cursor()
+			mv, done := laneMask(mask, d)
 			for j, ok := range z.b {
-				if ok && !allowed(j) {
+				if ok && !mv.admitsLane(j) {
 					z.del(j)
 				}
 			}
+			done()
 		}
 		if w.adoptLanes(z) {
 			return routeDense, nil
@@ -272,19 +273,29 @@ func writeVectorLanesRouted[T, M any](w *Vector[T], mask *Vector[M], accum Binar
 	}
 	if any(mask) != any(w) {
 		if dn := w.writableDense(); dn != nil {
-			allowed := newMaskVec(mask, d).cursor()
-			for j, ok := range z.b {
-				switch {
-				case !allowed(j):
-					if d.Replace {
+			mv, done := laneMask(mask, d)
+			n := len(z.b)
+			if mv == nil && accum != nil && z.nvals == n && dn.nvals == n {
+				// Both full and no mask: a lane is one accumulation.
+				dx := dn.x[:n]
+				for j, x := range z.x[:n] {
+					dx[j] = accum(dx[j], x)
+				}
+			} else {
+				for j, ok := range z.b {
+					switch {
+					case !mv.admitsLane(j):
+						if d.Replace {
+							dn.del(j)
+						}
+					case ok:
+						dn.put(j, z.x[j], accum)
+					case accum == nil:
 						dn.del(j)
 					}
-				case ok:
-					dn.put(j, z.x[j], accum)
-				case accum == nil:
-					dn.del(j)
 				}
 			}
+			done()
 			z.release()
 			w.sparseStale()
 			w.maybeDemote()

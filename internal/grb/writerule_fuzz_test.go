@@ -183,6 +183,37 @@ func runWriteProgram(t *testing.T, prog []byte) {
 	}
 }
 
+// mustReduceLikeMimic fails unless u — held as the promotion rule leaves
+// it and re-held densely — and its wide twin reduce, under mon and under
+// its literal twin, to what the mimic's entries fold to from the identity.
+func mustReduceLikeMimic[T comparable](t *testing.T, mon grb.Monoid[T], u *grb.Vector[T], uM *grb.Matrix[T], uR *ref.Vec[T]) {
+	t.Helper()
+	want := mon.Identity
+	for i, ok := range uR.Set {
+		if ok {
+			want = mon.Op(want, uR.Val[i])
+		}
+	}
+	held := u.Dup()
+	grb.HoldDense(held)
+	for _, m := range []grb.Monoid[T]{mon, literalMonoid(mon)} {
+		for _, v := range []*grb.Vector[T]{u, held} {
+			got, err := grb.ReduceVectorToScalar(m, v)
+			must(t, err)
+			if got != want {
+				t.Fatalf("vector reduces to %v, mimic to %v", got, want)
+			}
+		}
+		got, err := grb.ReduceMatrixToScalar(m, uM)
+		must(t, err)
+		row := grb.MustVector[T](1)
+		must(t, grb.ReduceMatrixToVector[T, bool](row, nil, nil, m, uM, nil))
+		if r, err := row.GetElement(0); got != want || (uM.Nvals() > 0) != (err == nil) || err == nil && r != want {
+			t.Fatalf("wide twin reduces to %v and its row to %v (%v), mimic to %v", got, r, err, want)
+		}
+	}
+}
+
 // wideTwin returns an empty 1×(BitmapMaxCells+1) matrix: one column past
 // the dense cell cap, so it never takes the dense form. It stands in for
 // an n-vector by holding entries only in its first n columns.
@@ -315,7 +346,7 @@ func runRouteProgram(t *testing.T, prog []byte) {
 	minus := grb.Minus[int64]()
 	neg := func(x int64) int64 { return -x }
 	rd := refDesc(d)
-	switch r.next() % 6 {
+	switch r.next() % 9 {
 	case 0:
 		must(t, grb.EWiseAddVector(dense, maskD, accum, minus, hold(u), hold(v), &d))
 		must(t, grb.EWiseAddVector(plain, maskV, accum, minus, u, v, &d))
@@ -354,6 +385,37 @@ func runRouteProgram(t *testing.T, prog []byte) {
 		must(t, z.Build(zi, zj, zx, nil))
 		must(t, grb.ApplyMatrix(merged, maskM, accum, func(x int64) int64 { return x }, z, &d))
 		ref.ExtractVec(want, maskR, accum, uR, idx, rd)
+	case 6: // apply through an accumulator whose argument order shows
+		must(t, grb.ApplyVector(dense, maskD, minus, neg, hold(u), &d))
+		must(t, grb.ApplyVector(plain, maskV, minus, neg, u, &d))
+		must(t, grb.ApplyMatrix(merged, maskM, minus, neg, uM, &d))
+		ref.ApplyVec(want, maskR, minus, neg, uR, rd)
+	case 7: // a full operand meets a partial one
+		f, fM, fR := grb.MustVector[int64](n), wideTwin[int64](), ref.NewVec[int64](n)
+		for i := 0; i < n; i++ {
+			x := int64(r.next()%7) - 3
+			_ = f.SetElement(i, x)
+			_ = fM.SetElement(0, i, x)
+			fR.Val[i], fR.Set[i] = x, true
+		}
+		must(t, grb.EWiseMultVector(dense, maskD, accum, minus, hold(f), hold(v), &d))
+		must(t, grb.EWiseMultVector(plain, maskV, accum, minus, f, v, &d))
+		must(t, grb.EWiseMultMatrix(merged, maskM, accum, minus, fM, vM, &d))
+		ref.EWiseMultVec(want, maskR, accum, minus, fR, vR, rd)
+	case 8: // the three reductions, tagged and literal; the output stays put
+		for _, mon := range []grb.Monoid[int64]{grb.PlusMonoid[int64](), grb.TimesMonoid[int64](), grb.MinMonoid[int64](), grb.MaxMonoid[int64]()} {
+			mustReduceLikeMimic(t, mon, u, uM, uR)
+		}
+		pos := func(x int64) bool { return x > 0 }
+		b, bM, bR := grb.MustVector[bool](n), wideTwin[bool](), ref.NewVec[bool](n)
+		must(t, grb.ApplyVector[int64, bool, bool](b, nil, nil, pos, u, nil))
+		must(t, grb.ApplyMatrix[int64, bool, bool](bM, nil, nil, pos, uM, nil))
+		for i, ok := range uR.Set {
+			bR.Val[i], bR.Set[i] = pos(uR.Val[i]), ok
+		}
+		for _, mon := range []grb.Monoid[bool]{grb.LOrMonoid(), grb.LAndMonoid()} {
+			mustReduceLikeMimic(t, mon, b, bM, bR)
+		}
 	default:
 		must(t, grb.AssignVector(dense, maskD, accum, hold(u), grb.All, &d))
 		must(t, grb.AssignVector(plain, maskV, accum, u, grb.All, &d))
