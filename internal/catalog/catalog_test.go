@@ -365,8 +365,18 @@ func TestConcurrentReadersOnColdEntry(t *testing.T) {
 			p := e.Properties()
 			return fmt.Sprint(p.NSelfLoops, p.Symmetric), nil
 		}},
-		{"directed/at+in-degree", lagraph.Directed, viewing(func(g *lagraph.Graph) (any, error) {
-			return digest(g.AT()) + digest(g.InDegree()), nil
+		{"directed/transpose+in-degree", lagraph.Directed, viewing(func(g *lagraph.Graph) (any, error) {
+			// The in-degrees read the pattern's column cache, which the
+			// first reader builds.
+			at := grb.MustMatrix[float64](g.N(), g.N())
+			if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
+				return nil, err
+			}
+			in := grb.MustVector[int64](g.N())
+			if err := grb.ReduceMatrixToVector[int64, bool](in, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), grb.DescT0); err != nil {
+				return nil, err
+			}
+			return digest(at) + digest(in), nil
 		})},
 	}
 	for _, row := range rows {

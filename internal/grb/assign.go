@@ -31,24 +31,9 @@ func AssignVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 	if idx == nil {
 		return ExtractVector(w, mask, accum, u, All, desc)
 	}
-	ui, ux := u.materialized()
 
-	// Fast path: small dense updates buffer as pending tuples instead of
-	// rewriting w. (The deletion semantics of sparse u — region positions
-	// with no u entry lose their value — need the general path.)
-	if mask == nil && idx != nil && len(idx) <= pendingFastPathMax && !d.Replace && len(ui) == un {
-		for t, target := range idx {
-			if accum != nil {
-				w.accumElement(target, ux[t], accum)
-			} else {
-				_ = w.SetElement(target, ux[t])
-			}
-		}
-		return nil
-	}
-
-	// General path: expand u into w-shaped z over the region, then apply
-	// the write rule restricted to the region.
+	// Expand u into w-shaped z over the region, then apply the write rule
+	// restricted to the region.
 	if mask != nil && mask.n != w.n {
 		return opErrorf("assign", ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
@@ -59,23 +44,24 @@ func AssignVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryOp[T, T, 
 
 // expandOver returns u's entries moved to the positions idx names — u(t)
 // lands at idx[t] — sorted by position; a nil idx names every position, so
-// the entries are u's own (read only).
+// the entries are u's own (read only). A position idx names more than once
+// takes its last u(t), present or not, as the mimic does.
 func expandOver[T any](u *Vector[T], idx []int) ([]int, []T) {
 	if idx == nil {
 		return u.materialized()
 	}
 	ud, uok := u.dense()
-	from := make([]int, 0, len(idx))
-	for t := range idx {
-		if uok[t] {
-			from = append(from, t)
-		}
+	from := make([]int, len(idx))
+	for t := range from {
+		from[t] = t
 	}
-	sort.Slice(from, func(a, b int) bool { return idx[from[a]] < idx[from[b]] })
-	zi := make([]int, len(from))
-	zx := make([]T, len(from))
+	sort.SliceStable(from, func(a, b int) bool { return idx[from[a]] < idx[from[b]] })
+	var zi []int
+	var zx []T
 	for k, t := range from {
-		zi[k], zx[k] = idx[t], ud[t]
+		if uok[t] && (k+1 == len(from) || idx[from[k+1]] != idx[t]) {
+			zi, zx = append(zi, idx[t]), append(zx, ud[t])
+		}
 	}
 	return zi, zx
 }

@@ -78,6 +78,18 @@ func TestConformanceVectorOps(t *testing.T) {
 						ref.AssignVec(want, rm, accum, ref.FromVector(sub), idx, refDesc(d))
 						eqVec(t, w, want)
 					})
+					// A repeated index takes its last value, present or not.
+					t.Run("assign-dup/"+suffix, func(t *testing.T) {
+						dup := append(append([]int(nil), idx...), idx[0], idx[len(idx)-1])
+						sub := randVector(rand.New(rand.NewSource(int64(trial))), len(dup), 0.5)
+						w := wInit.Dup()
+						if err := grb.AssignVector(w, gm, accum, sub, dup, &d); err != nil {
+							t.Fatal(err)
+						}
+						want := ref.FromVector(wInit)
+						ref.AssignVec(want, rm, accum, ref.FromVector(sub), dup, refDesc(d))
+						eqVec(t, w, want)
+					})
 				}
 			}
 		}

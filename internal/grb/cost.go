@@ -59,10 +59,6 @@ func countingPays(n, nmajor, nminor int) bool {
 	return nmajor/countingRatio+nminor/countingRatio <= n
 }
 
-// pendingFastPathMax bounds the assign sizes routed through pending
-// tuples.
-const pendingFastPathMax = 256
-
 // chooseMxM picks a kernel and names the policy that picked it. With no
 // mask the choice is static: heap when A's rows are very short and the
 // output dimension is large, Gustavson otherwise. Under a mask that saxpy
@@ -172,18 +168,18 @@ func maskFirstPays(maskLen, flops int) bool {
 }
 
 // dotScatters is mxmDot's scatter bar: a row of la entries is scattered
-// when it is longer than dotGallopRatio average columns of B (nnzB entries
-// in ncolsB stored columns) — the lengths at which sparseDot would stop
-// merging and binary-search the row — and the inner dimension is below the
+// when it is longer than dotScatterRatio average columns of B (nnzB
+// entries in ncolsB stored columns) and the inner dimension is below the
 // hypersparse regime, where an inner-dimension lane is not affordable (the
 // bar at which vxmPush moves from pushDense to pushHash).
 func dotScatters(la, nnzB, ncolsB, inner int) bool {
-	return inner < hyperThresholdDim*hyperRatio && la*ncolsB > dotGallopRatio*nnzB
+	return inner < hyperThresholdDim*hyperRatio && la*ncolsB > dotScatterRatio*nnzB
 }
 
-// dotGallopRatio is the length ratio beyond which sparseDot stops stepping
-// through the longer vector and binary-searches it instead.
-const dotGallopRatio = 8
+// dotScatterRatio is how many times longer than B's average column a row
+// of A must be before mxmDot scatters it and walks each column against the
+// lane, rather than merging the row with every column it meets.
+const dotScatterRatio = 8
 
 // chooseDirection implements the GraphBLAST switch: pull when the input
 // vector is dense relative to its dimension (or the mask admits few
@@ -268,10 +264,6 @@ const pullWorkQuantum = 1 << 12
 // reduceChunkEntries is the entry count per chunk of a matrix-to-scalar
 // reduction (at most pushMaxChunks chunks, folded in chunk order).
 const reduceChunkEntries = 1 << 14
-
-// parallelSortThreshold is the slice length below which parallelSortPerm
-// sorts serially; goroutine and merge overhead dominate under it.
-const parallelSortThreshold = 1 << 13
 
 // extractBlockEntries is how many entries extractPermuted buckets at a time
 // (at least; never fewer than the output has columns, so that sweeping the

@@ -12,7 +12,7 @@ import (
 func TestVxMHashAccumulatorPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	const m = 40
-	const stride = 1 << 30 // scatter ids over a 2^35+ space
+	const stride = 1 << 35 // scatter ids over a 2^40+ space
 	bigN := m * stride
 
 	small := MustMatrix[int64](m, m)

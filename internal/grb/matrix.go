@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -606,21 +607,15 @@ func countingOrder(nmajor, nminor int, is, js []int) []int {
 	return perm
 }
 
-// comparisonOrder is tupleOrder by comparison sort: a parallel chunk sort
-// plus multiway merge, identical at any parallelism.
+// comparisonOrder is tupleOrder by comparison sort. The order is total,
+// so the permutation does not depend on the sort's algorithm.
 func comparisonOrder(is, js []int) []int {
 	perm := make([]int, len(is))
 	for k := range perm {
 		perm[k] = k
 	}
-	parallelSortPerm(perm, func(a, b int) bool {
-		if is[a] != is[b] {
-			return is[a] < is[b]
-		}
-		if js[a] != js[b] {
-			return js[a] < js[b]
-		}
-		return a < b
+	slices.SortFunc(perm, func(a, b int) int {
+		return cmp.Or(cmp.Compare(is[a], is[b]), cmp.Compare(js[a], js[b]), cmp.Compare(a, b))
 	})
 	return perm
 }

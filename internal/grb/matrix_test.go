@@ -264,6 +264,15 @@ func TestHypersparseFormat(t *testing.T) {
 	if at.Nvals() != 1000 {
 		t.Fatalf("transpose nvals=%d", at.Nvals())
 	}
+	// Extracting columns gathers rows: an inverse index over 2^40 columns
+	// is not an option.
+	c := MustMatrix[int](2, 2)
+	if err := ExtractMatrix[int, bool](c, nil, nil, a, []int{2 << 28, 3 << 28}, []int{(3 * 7919) % n, (2 * 7919) % n}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if x, err := c.GetElement(0, 1); err != nil || x != 2 || c.Nvals() != 2 {
+		t.Fatalf("extract: c(0,1)=%v (%v), nvals=%d", x, err, c.Nvals())
+	}
 	sum, err := ReduceMatrixToScalar(PlusMonoid[int](), a)
 	if err != nil || sum != 999*1000/2 {
 		t.Fatalf("sum=%d err=%v", sum, err)

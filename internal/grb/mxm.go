@@ -1,10 +1,6 @@
 package grb
 
-import (
-	"sort"
-
-	"lagraph/internal/obs"
-)
+import "lagraph/internal/obs"
 
 // MxM: C⟨M⟩ ⊙= A ⊕.⊗ B, with the three kernel families of §II-A:
 //
@@ -314,31 +310,17 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 
 // sparseDot merges two sorted sparse vectors under the semiring, stopping
 // early once the additive monoid reaches a terminal value (§II-A's early
-// exit; the reason a "pull" BFS step is cheap). When one side is much
-// longer (a whole BFS level against one lattice row) its cursor gallops
-// to each index of the shorter side instead of stepping, O(short·log long)
-// rather than O(short + long); matches are met in the same ascending
-// order either way, so the result is bitwise the same.
+// exit; the reason a "pull" BFS step is cheap).
 func sparseDot[A, B, T any](ai []int, ax []A, bi []int, bx []B, s Semiring[A, B, T]) (T, bool) {
 	var acc T
 	found := false
-	gallopA := len(ai) > dotGallopRatio*len(bi)
-	gallopB := len(bi) > dotGallopRatio*len(ai)
 	u, v := 0, 0
 	for u < len(ai) && v < len(bi) {
 		switch {
 		case ai[u] < bi[v]:
-			if gallopA {
-				u += sort.SearchInts(ai[u:], bi[v])
-			} else {
-				u++
-			}
+			u++
 		case bi[v] < ai[u]:
-			if gallopB {
-				v += sort.SearchInts(bi[v:], ai[u])
-			} else {
-				v++
-			}
+			v++
 		default:
 			p := s.Mul(ax[u], bx[v])
 			if found {

@@ -327,7 +327,7 @@ func TestConformanceMxMDirections(t *testing.T) {
 	})
 
 	// Rows of A on either side of the scatter bar. Every column of B holds
-	// exactly 4 entries, so the bar (dotGallopRatio = 8 average columns)
+	// exactly 4 entries, so the bar (dotScatterRatio = 8 average columns)
 	// sits between 32 and 33 entries; the rows of A hold 0, 1, 31, 32, 33,
 	// 34 and all 64.
 	t.Run("scatter-bar", func(t *testing.T) {

@@ -255,52 +255,6 @@ func parallelWorkObs(n, quantum int, weight func(k int) int, st *kernelStats, fn
 	fn(0, n)
 }
 
-// parallelSortPerm sorts perm by less, which must define a strict total
-// order (callers break ties on the original index, which also makes the
-// sort stable). Large slices are chunk-sorted concurrently and k-way
-// merged; the result is identical to a serial sort at any parallelism.
-func parallelSortPerm(perm []int, less func(a, b int) bool) {
-	n := len(perm)
-	w := workers()
-	if n < parallelSortThreshold || w <= 1 {
-		sort.Slice(perm, func(u, v int) bool { return less(perm[u], perm[v]) })
-		return
-	}
-	nchunks := w
-	if nchunks > n {
-		nchunks = n
-	}
-	bounds := make([]int, nchunks+1)
-	for c := 0; c <= nchunks; c++ {
-		bounds[c] = c * n / nchunks
-	}
-	runChunks(bounds, func(_, lo, hi int) {
-		s := perm[lo:hi]
-		sort.Slice(s, func(u, v int) bool { return less(s[u], s[v]) })
-	})
-	// K-way merge of the sorted chunks. Ties cannot occur (total order),
-	// so merge output is unique regardless of chunking.
-	heads := make([]int, nchunks)
-	for c := range heads {
-		heads[c] = bounds[c]
-	}
-	out := make([]int, 0, n)
-	for len(out) < n {
-		best := -1
-		for c := 0; c < nchunks; c++ {
-			if heads[c] == bounds[c+1] {
-				continue
-			}
-			if best < 0 || less(perm[heads[c]], perm[heads[best]]) {
-				best = c
-			}
-		}
-		out = append(out, perm[heads[best]])
-		heads[best]++
-	}
-	copy(perm, out)
-}
-
 // rowSlices is the per-row staging area used by parallel kernels: each row
 // is computed independently into its own slice pair, then stitched into a
 // compressed structure. Stitching preserves row order, so parallel results

@@ -94,15 +94,6 @@ func (v *Vector[T]) SetElement(i int, x T) error {
 	return nil
 }
 
-// accumElement buffers v(i) = v(i) ⊙ x.
-func (v *Vector[T]) accumElement(i int, x T, op func(T, T) T) {
-	if (v.pendOp == nil && len(v.pend) > 0) || (v.pendOp != nil && len(v.pend) == 0) {
-		v.Wait()
-	}
-	v.pendOp = op
-	v.pend = append(v.pend, tuple[T]{j: i, x: x})
-}
-
 // MergeElement computes v(i) ← op(v(i), x) (or v(i)=x if absent). On a
 // dense-held vector with nothing buffered it is an O(1) update in place —
 // a gather-scatter over n elements costs n, as RemoveElement already does.
@@ -123,7 +114,11 @@ func (v *Vector[T]) MergeElement(i int, x T, op BinaryOp[T, T, T]) error {
 		v.sparseStale()
 		return nil
 	}
-	v.accumElement(i, x, op)
+	if (v.pendOp == nil && len(v.pend) > 0) || (v.pendOp != nil && len(v.pend) == 0) {
+		v.Wait()
+	}
+	v.pendOp = op
+	v.pend = append(v.pend, tuple[T]{j: i, x: x})
 	return nil
 }
 

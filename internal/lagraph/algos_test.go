@@ -614,7 +614,11 @@ func TestGraphProperties(t *testing.T) {
 	if v, _ := od.GetElement(0); v != 1 {
 		t.Fatal("out degree")
 	}
-	id := d.InDegree()
+	// In-degrees are a column reduce of the pattern.
+	id := grb.MustVector[int64](d.N())
+	if err := grb.ReduceMatrixToVector[int64, bool](id, nil, nil, grb.PlusMonoid[int64](), d.PatternInt64(), grb.DescT0); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := id.GetElement(0); err == nil {
 		t.Fatal("vertex 0 has no in-edges")
 	}
@@ -629,13 +633,13 @@ func TestGraphProperties(t *testing.T) {
 	if gl.NSelfLoops() != 1 {
 		t.Fatalf("self loops=%d", gl.NSelfLoops())
 	}
-	// AT cache.
-	at := d.AT()
+	// The transpose is one grb call.
+	at := grb.MustMatrix[float64](d.N(), d.N())
+	if err := grb.Transpose[float64, bool](at, nil, nil, d.A, nil); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := at.GetElement(1, 0); err != nil {
 		t.Fatal("transpose entry missing")
-	}
-	if d.AT() != at {
-		t.Fatal("AT must be cached")
 	}
 }
 

@@ -52,10 +52,8 @@ type Graph struct {
 	A    *grb.Matrix[float64]
 	Kind Kind
 
-	at        cached[*grb.Matrix[float64]]
 	pattern   cached[*grb.Matrix[int64]]
 	outDeg    cached[*grb.Vector[int64]]
-	inDeg     cached[*grb.Vector[int64]]
 	nselfLoop cached[int]
 	symmetric cached[bool]
 	split     cached[edgeSplit]
@@ -100,15 +98,13 @@ func (s edgeSplit) Wait() {
 	s.heavy.Wait()
 }
 
-// InvalidateCache drops the cached derived properties (transpose,
-// pattern, degrees, self-loop count, symmetry, the delta split). Call it
-// after mutating A directly; the algorithms otherwise treat the adjacency
-// as immutable, as LAGraph does.
+// InvalidateCache drops the cached derived properties (pattern,
+// out-degrees, self-loop count, symmetry, the delta split, the prepared
+// triangle-count input). Call it after mutating A directly; the
+// algorithms otherwise treat the adjacency as immutable, as LAGraph does.
 func (g *Graph) InvalidateCache() {
-	g.at.drop()
 	g.pattern.drop()
 	g.outDeg.drop()
-	g.inDeg.drop()
 	g.nselfLoop.drop()
 	g.symmetric.drop()
 	g.split.drop()
@@ -157,42 +153,16 @@ func (g *Graph) N() int { return g.A.Nrows() }
 // NEdges returns the number of stored adjacency entries.
 func (g *Graph) NEdges() int { return g.A.Nvals() }
 
-// AT returns the cached transpose of the adjacency matrix, computing it on
-// first use. For undirected graphs it is A itself.
-func (g *Graph) AT() *grb.Matrix[float64] {
-	if g.Kind == Undirected {
-		return g.A
-	}
-	return g.at.get(func() *grb.Matrix[float64] {
-		at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
-		if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
-			panic(err)
-		}
-		return at
-	})
-}
-
 // OutDegree returns the cached out-degree vector (number of stored entries
 // per row).
 func (g *Graph) OutDegree() *grb.Vector[int64] {
-	return g.outDeg.get(func() *grb.Vector[int64] { return g.degree(nil) })
-}
-
-// InDegree returns the cached in-degree vector.
-func (g *Graph) InDegree() *grb.Vector[int64] {
-	if g.Kind == Undirected {
-		return g.OutDegree()
-	}
-	return g.inDeg.get(func() *grb.Vector[int64] { return g.degree(grb.DescT0) })
-}
-
-// degree reduces the pattern's rows (desc nil) or columns (grb.DescT0).
-func (g *Graph) degree(desc *grb.Descriptor) *grb.Vector[int64] {
-	deg := grb.MustVector[int64](g.N())
-	if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), desc); err != nil {
-		panic(err)
-	}
-	return deg
+	return g.outDeg.get(func() *grb.Vector[int64] {
+		deg := grb.MustVector[int64](g.N())
+		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), nil); err != nil {
+			panic(err)
+		}
+		return deg
+	})
 }
 
 // NSelfLoops counts diagonal entries (cached).
@@ -208,18 +178,12 @@ func (g *Graph) NSelfLoops() int {
 
 // IsSymmetric reports structural and numerical symmetry of the adjacency
 // (cached). It is computed, never assumed from Kind: an undirected graph
-// adopts whatever matrix it is given.
+// adopts whatever matrix it is given. A meets Aᵀ through A's column
+// cache, so no transpose is built.
 func (g *Graph) IsSymmetric() bool {
 	return g.symmetric.get(func() bool {
-		at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
-		if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
-			panic(err)
-		}
-		if at.Nvals() != g.A.Nvals() {
-			return false
-		}
 		eq := grb.MustMatrix[bool](g.A.Nrows(), g.A.Ncols())
-		if err := grb.EWiseMultMatrix[float64, float64, bool, bool](eq, nil, nil, grb.Eq[float64](), g.A, at, nil); err != nil {
+		if err := grb.EWiseMultMatrix[float64, float64, bool, bool](eq, nil, nil, grb.Eq[float64](), g.A, g.A, grb.DescT1); err != nil {
 			panic(err)
 		}
 		if eq.Nvals() != g.A.Nvals() {

@@ -116,14 +116,24 @@ func modelGraph(t *testing.T, n int, kind lagraph.Kind, model map[[2]int]float64
 }
 
 // graphProperties renders every cached property of g, with values in
-// full: the transpose, both degree vectors, the pattern, the self-loop
-// count, symmetry, (through SSSP from every vertex) the split at delta,
-// and (through TriangleCount, undirected only) the prepared triangle.
+// full: the out-degrees, the pattern, the self-loop count, symmetry,
+// (through SSSP from every vertex) the split at delta, and (through
+// TriangleCount, undirected only) the prepared triangle; beside them the
+// transpose and the in-degrees, a column reduce that reads the pattern's
+// column cache.
 func graphProperties(t *testing.T, g *lagraph.Graph, delta float64) string {
 	t.Helper()
-	ai, aj, ax := g.AT().ExtractTuples()
+	at := grb.MustMatrix[float64](g.N(), g.N())
+	in := grb.MustVector[int64](g.N())
+	if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := grb.ReduceMatrixToVector[int64, bool](in, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), grb.DescT0); err != nil {
+		t.Fatal(err)
+	}
+	ai, aj, ax := at.ExtractTuples()
 	oi, ox := g.OutDegree().ExtractTuples()
-	ii, ix := g.InDegree().ExtractTuples()
+	ii, ix := in.ExtractTuples()
 	pi, pj, px := g.PatternInt64().ExtractTuples()
 	s := fmt.Sprint("AT ", ai, aj, ax, " out ", oi, ox, " in ", ii, ix, " pattern ", pi, pj, px,
 		" loops ", g.NSelfLoops(), " symmetric ", g.IsSymmetric())
