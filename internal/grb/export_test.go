@@ -1,13 +1,17 @@
 package grb
 
-// Test hooks for the external test package: they put an object in the
-// state an in-place write leaves it — dense form authoritative, compressed
-// form stale and released — whatever its fill, so the dense paths can be
-// driven at toy sizes the promotion rule would never pick.
+// Test hooks for the external test package. Hold puts an object in a
+// storage form its content would not pick at its size — hypersparse, or the
+// state an in-place write leaves (dense form authoritative, compressed form
+// stale and released) — so every form's paths can be driven at toy sizes.
 
-// HoldDense makes v dense-held. It reports false when n is beyond the
-// dense cell cap.
-func HoldDense[T any](v *Vector[T]) bool {
+// Hold puts v in form: "dense" makes it dense-held; any other form leaves
+// it as it is, since a vector has no hypersparse layout. It reports false
+// when n is beyond the dense cell cap.
+func (v *Vector[T]) Hold(form string) bool {
+	if form != "dense" {
+		return true
+	}
 	if bitmapCells(1, v.n) < 0 {
 		return false
 	}
@@ -17,27 +21,28 @@ func HoldDense[T any](v *Vector[T]) bool {
 	return true
 }
 
-// HoldDenseMatrix makes a dense-held. It reports false when nr·nc is
-// beyond the dense cell cap.
-func HoldDenseMatrix[T any](a *Matrix[T]) bool {
-	if bitmapCells(a.nr, a.nc) < 0 {
-		return false
+// Hold puts a in form: "hyper" converts its current storage to the
+// hypersparse layout, the form the fill heuristic picks only for huge
+// sparse matrices; "dense" makes it dense-held; any other form leaves it as
+// it is. It reports false when nr·nc is beyond the dense cell cap. Nothing
+// is pinned: the next operation that rebuilds a's storage picks its layout
+// by content again.
+func (a *Matrix[T]) Hold(form string) bool {
+	switch form {
+	case "hyper":
+		c := a.materializedCSR()
+		a.bmp = nil
+		if c.h == nil {
+			a.csr = standardToHyper(c)
+		}
+	case "dense":
+		if bitmapCells(a.nr, a.nc) < 0 {
+			return false
+		}
+		a.bmp = csToBM(a.materializedCSR())
+		a.markCSRStale()
 	}
-	a.bmp = csToBM(a.materializedCSR())
-	a.markCSRStale()
 	return true
-}
-
-// HoldHyper converts a's current storage to the hypersparse layout, the
-// form the fill heuristic picks only for huge sparse matrices, so the hyper
-// paths can be driven at toy sizes. Nothing is pinned: the next operation
-// that rebuilds a's storage picks its layout by content again.
-func HoldHyper[T any](a *Matrix[T]) {
-	c := a.materializedCSR()
-	a.bmp = nil
-	if c.h == nil {
-		a.csr = standardToHyper(c)
-	}
 }
 
 // Forms reports whether v holds a dense form and whether its compressed

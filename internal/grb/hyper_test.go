@@ -18,10 +18,10 @@ func TestHypersparseConformance(t *testing.T) {
 		m := 5 + rng.Intn(25)
 		k := 5 + rng.Intn(25)
 		n := 5 + rng.Intn(25)
-		a := randMatrix(rng, m, k, 0.15)
-		b := randMatrix(rng, k, n, 0.15)
-		b2 := randMatrix(rng, m, k, 0.15)
-		ah, bh, b2h := heldHyper(a), heldHyper(b), heldHyper(b2)
+		a := random(rng, m, k, 0.15, small)
+		b := random(rng, k, n, 0.15, small)
+		b2 := random(rng, m, k, 0.15, small)
+		ah, bh, b2h := held(a, hypersparse), held(b, hypersparse), held(b2, hypersparse)
 
 		t.Run(fmt.Sprintf("t%d/mxm", trial), func(t *testing.T) {
 			for _, method := range []grb.MxMMethod{grb.MxMGustavson, grb.MxMDot, grb.MxMHeap} {
@@ -32,7 +32,7 @@ func TestHypersparseConformance(t *testing.T) {
 				}
 				want := ref.NewMat[int64](m, n)
 				ref.MxM[int64, int64, int64, bool](want, nil, nil, grb.PlusTimes[int64](), ref.FromMatrix(a), ref.FromMatrix(b), ref.Desc{})
-				eqMat(t, c, want)
+				mustMatch[int64](t, "", c, want, byValue)
 			}
 		})
 		t.Run(fmt.Sprintf("t%d/ewise", trial), func(t *testing.T) {
@@ -42,7 +42,7 @@ func TestHypersparseConformance(t *testing.T) {
 			}
 			want := ref.NewMat[int64](m, k)
 			ref.EWiseAddMat[int64, bool](want, nil, nil, grb.Plus[int64](), ref.FromMatrix(a), ref.FromMatrix(b2), ref.Desc{})
-			eqMat(t, c, want)
+			mustMatch[int64](t, "", c, want, byValue)
 
 			// Mixed: one hyper, one standard.
 			c2 := grb.MustMatrix[int64](m, k)
@@ -51,7 +51,7 @@ func TestHypersparseConformance(t *testing.T) {
 			}
 			want2 := ref.NewMat[int64](m, k)
 			ref.EWiseMultMat[int64, int64, int64, bool](want2, nil, nil, grb.Times[int64](), ref.FromMatrix(a), ref.FromMatrix(b2), ref.Desc{})
-			eqMat(t, c2, want2)
+			mustMatch[int64](t, "", c2, want2, byValue)
 		})
 		t.Run(fmt.Sprintf("t%d/transpose-select-apply", trial), func(t *testing.T) {
 			c := grb.MustMatrix[int64](k, m)
@@ -60,7 +60,7 @@ func TestHypersparseConformance(t *testing.T) {
 			}
 			want := ref.NewMat[int64](k, m)
 			ref.Transpose[int64, bool](want, nil, nil, ref.FromMatrix(a), ref.Desc{})
-			eqMat(t, c, want)
+			mustMatch[int64](t, "", c, want, byValue)
 
 			s := grb.MustMatrix[int64](m, k)
 			if err := grb.SelectMatrix[int64, bool](s, nil, nil, grb.Tril[int64](0), ah, nil); err != nil {
@@ -68,7 +68,7 @@ func TestHypersparseConformance(t *testing.T) {
 			}
 			wantS := ref.NewMat[int64](m, k)
 			ref.Select[int64, bool](wantS, nil, nil, grb.Tril[int64](0), ref.FromMatrix(a), ref.Desc{})
-			eqMat(t, s, wantS)
+			mustMatch[int64](t, "", s, wantS, byValue)
 
 			ap := grb.MustMatrix[int64](m, k)
 			if err := grb.ApplyMatrix[int64, int64, bool](ap, nil, nil, func(x int64) int64 { return -x }, ah, nil); err != nil {
@@ -76,10 +76,10 @@ func TestHypersparseConformance(t *testing.T) {
 			}
 			wantA := ref.NewMat[int64](m, k)
 			ref.Apply[int64, int64, bool](wantA, nil, nil, func(x int64) int64 { return -x }, ref.FromMatrix(a), ref.Desc{})
-			eqMat(t, ap, wantA)
+			mustMatch[int64](t, "", ap, wantA, byValue)
 		})
 		t.Run(fmt.Sprintf("t%d/vxm", trial), func(t *testing.T) {
-			u := randVector(rng, m, 0.4)
+			u := vecOf(random(rng, 1, m, 0.4, small))
 			for _, dir := range []grb.Direction{grb.DirPush, grb.DirPull} {
 				w := grb.MustVector[int64](k)
 				d := grb.Descriptor{Dir: dir}
@@ -88,7 +88,7 @@ func TestHypersparseConformance(t *testing.T) {
 				}
 				want := ref.NewVec[int64](k)
 				ref.VxM[int64, int64, int64, bool](want, nil, nil, grb.PlusTimes[int64](), ref.FromVector(u), ref.FromMatrix(a), ref.Desc{})
-				eqVec(t, w, want)
+				mustMatch[int64](t, "", w, want, byValue)
 			}
 		})
 		t.Run(fmt.Sprintf("t%d/reduce", trial), func(t *testing.T) {
@@ -98,19 +98,19 @@ func TestHypersparseConformance(t *testing.T) {
 			}
 			want := ref.NewVec[int64](m)
 			ref.ReduceMatToVec[int64, bool](want, nil, nil, grb.PlusMonoid[int64](), ref.FromMatrix(a), ref.Desc{})
-			eqVec(t, w, want)
+			mustMatch[int64](t, "", w, want, byValue)
 		})
 		t.Run(fmt.Sprintf("t%d/masked-writeback", trial), func(t *testing.T) {
 			// Write rule with hyper old value and hyper z.
-			cInit := randMatrix(rng, m, k, 0.1)
-			mask := randMatrix(rng, m, k, 0.3)
-			c := heldHyper(cInit)
+			cInit := random(rng, m, k, 0.1, small)
+			mask := random(rng, m, k, 0.3, small)
+			c := held(cInit, hypersparse)
 			if err := grb.ApplyMatrix(c, mask, grb.Plus[int64](), func(x int64) int64 { return 10 * x }, ah, &grb.Descriptor{Replace: true}); err != nil {
 				t.Fatal(err)
 			}
 			want := ref.FromMatrix(cInit)
 			ref.Apply(want, ref.FromMatrix(mask), grb.Plus[int64](), func(x int64) int64 { return 10 * x }, ref.FromMatrix(a), ref.Desc{Replace: true})
-			eqMat(t, c, want)
+			mustMatch[int64](t, "", c, want, byValue)
 		})
 	}
 }

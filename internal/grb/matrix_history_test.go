@@ -45,9 +45,9 @@ func runMatrixHistory(t *testing.T, prog []byte) {
 	for step := 0; !r.done() && step < 48; step++ {
 		switch form {
 		case 1:
-			grb.HoldHyper(a)
+			a.Hold("hyper")
 		case 3:
-			grb.HoldDenseMatrix(a)
+			a.Hold("dense")
 		}
 		for burst := 1 + r.next()%4; burst > 0; burst-- {
 			i, j := r.next()%nr, r.next()%nc
@@ -84,9 +84,15 @@ func runMatrixHistory(t *testing.T, prog []byte) {
 				a.Wait()
 			}
 		}
-		eqMatStrided(t, a, want, stride)
+		// a's row i·stride is the mimic's row i, and its other rows are empty.
+		strided := entriesOf[int64](want)
+		for k := range strided.is {
+			strided.is[k] *= stride
+		}
+		strided.nr = a.Nrows()
+		mustMatch[int64](t, "", a, strided, byValue)
 		if form != 1 { // a burst that rebuilds nothing leaves the held layout, which serializes as held
-			mustSerializeLikeTwin(t, a)
+			mustSerializeLikeTwin[int64](t, "", a)
 		}
 	}
 }
@@ -120,36 +126,6 @@ func applyBatch(m *ref.Mat[int64], is, js []int, xs []int64, dup grb.BinaryOp[in
 		} else {
 			m.Val[p.i][p.j], m.Set[p.i][p.j] = fold[p], true
 		}
-	}
-}
-
-// eqMatStrided fails unless got, whose row i·stride is the mimic's row i
-// and whose other rows are empty, agrees with want in value and pattern.
-func eqMatStrided(t *testing.T, got *grb.Matrix[int64], want *ref.Mat[int64], stride int) {
-	t.Helper()
-	is, js, xs := got.ExtractTuples()
-	for k := range is {
-		i, j := is[k]/stride, js[k]
-		if is[k]%stride != 0 || i >= want.NRows || j < 0 || j >= want.NCols {
-			t.Fatalf("entry at (%d,%d) outside the mimic's positions", is[k], j)
-		}
-		if !want.Set[i][j] {
-			t.Fatalf("spurious entry at (%d,%d) = %v", is[k], j, xs[k])
-		}
-		if want.Val[i][j] != xs[k] {
-			t.Fatalf("value at (%d,%d): got %v want %v", is[k], j, xs[k], want.Val[i][j])
-		}
-	}
-	n := 0
-	for i := range want.Set {
-		for _, set := range want.Set[i] {
-			if set {
-				n++
-			}
-		}
-	}
-	if n != len(is) {
-		t.Fatalf("%d entries, the mimic has %d", len(is), n)
 	}
 }
 

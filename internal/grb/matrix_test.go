@@ -441,7 +441,7 @@ func TestQuickTransposeInvolution(t *testing.T) {
 			_ = a.SetElement(int(coords[k])%nr, (int(coords[k])/7)%nc, int64(vals[k]))
 		}
 		if hyper {
-			HoldHyper(a)
+			a.Hold("hyper")
 		}
 		at := MustMatrix[int64](nc, nr)
 		if err := Transpose[int64, bool](at, nil, nil, a, nil); err != nil {

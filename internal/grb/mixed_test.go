@@ -12,43 +12,6 @@ import (
 	"lagraph/internal/grb/ref"
 )
 
-func eqMatG[T comparable](t *testing.T, got *grb.Matrix[T], want *ref.Mat[T]) {
-	t.Helper()
-	is, js, xs := got.ExtractTuples()
-	seen := map[[2]int]bool{}
-	for k := range is {
-		i, j := is[k], js[k]
-		if !want.Set[i][j] || want.Val[i][j] != xs[k] {
-			t.Fatalf("entry (%d,%d)=%v want set=%v val=%v", i, j, xs[k], want.Set[i][j], want.Val[i][j])
-		}
-		seen[[2]int{i, j}] = true
-	}
-	for i := 0; i < want.NRows; i++ {
-		for j := 0; j < want.NCols; j++ {
-			if want.Set[i][j] && !seen[[2]int{i, j}] {
-				t.Fatalf("missing (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func eqVecG[T comparable](t *testing.T, got *grb.Vector[T], want *ref.Vec[T]) {
-	t.Helper()
-	is, xs := got.ExtractTuples()
-	seen := map[int]bool{}
-	for k := range is {
-		if !want.Set[is[k]] || want.Val[is[k]] != xs[k] {
-			t.Fatalf("entry %d=%v", is[k], xs[k])
-		}
-		seen[is[k]] = true
-	}
-	for i := 0; i < want.N; i++ {
-		if want.Set[i] && !seen[i] {
-			t.Fatalf("missing %d", i)
-		}
-	}
-}
-
 // lorLt: bool = OR over k of (a < b) — int64 inputs, bool output.
 func lorLt() grb.Semiring[int64, int64, bool] {
 	return grb.Semiring[int64, int64, bool]{Add: grb.LOrMonoid(), Mul: grb.Lt[int64]()}
@@ -58,8 +21,8 @@ func TestConformanceMixedDomainMxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		m, k, n := 1+rng.Intn(20), 1+rng.Intn(20), 1+rng.Intn(20)
-		a := randMatrix(rng, m, k, 0.25)
-		b := randMatrix(rng, k, n, 0.25)
+		a := random(rng, m, k, 0.25, small)
+		b := random(rng, k, n, 0.25, small)
 		for _, method := range []grb.MxMMethod{grb.MxMGustavson, grb.MxMDot, grb.MxMHeap} {
 			c := grb.MustMatrix[bool](m, n)
 			d := grb.Descriptor{Method: method}
@@ -68,7 +31,7 @@ func TestConformanceMixedDomainMxM(t *testing.T) {
 			}
 			want := ref.NewMat[bool](m, n)
 			ref.MxM[int64, int64, bool, bool](want, nil, nil, lorLt(), ref.FromMatrix(a), ref.FromMatrix(b), ref.Desc{})
-			eqMatG(t, c, want)
+			mustMatch[bool](t, "", c, want, byValue)
 		}
 	}
 }
@@ -80,7 +43,7 @@ func TestConformanceMixedDomainVxM(t *testing.T) {
 	s := grb.Semiring[bool, int64, int64]{Add: grb.PlusMonoid[int64](), Mul: grb.Pair[bool, int64, int64]()}
 	for trial := 0; trial < 8; trial++ {
 		m, n := 1+rng.Intn(30), 1+rng.Intn(30)
-		a := randMatrix(rng, m, n, 0.2)
+		a := random(rng, m, n, 0.2, small)
 		u := grb.MustVector[bool](m)
 		for i := 0; i < m; i++ {
 			if rng.Float64() < 0.4 {
@@ -95,7 +58,7 @@ func TestConformanceMixedDomainVxM(t *testing.T) {
 			}
 			want := ref.NewVec[int64](n)
 			ref.VxM[int64, bool, int64, bool](want, nil, nil, s, ref.FromVector(u), ref.FromMatrix(a), ref.Desc{})
-			eqVecG(t, w, want)
+			mustMatch[int64](t, "", w, want, byValue)
 		}
 	}
 }
@@ -103,8 +66,8 @@ func TestConformanceMixedDomainVxM(t *testing.T) {
 func TestConformanceMixedEWiseAndApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	m, n := 25, 20
-	a := randMatrix(rng, m, n, 0.3)
-	b := randMatrix(rng, m, n, 0.3)
+	a := random(rng, m, n, 0.3, small)
+	b := random(rng, m, n, 0.3, small)
 
 	// eWiseMult with comparison output.
 	c := grb.MustMatrix[bool](m, n)
@@ -113,7 +76,7 @@ func TestConformanceMixedEWiseAndApply(t *testing.T) {
 	}
 	want := ref.NewMat[bool](m, n)
 	ref.EWiseMultMat[int64, int64, bool, bool](want, nil, nil, grb.Le[int64](), ref.FromMatrix(a), ref.FromMatrix(b), ref.Desc{})
-	eqMatG(t, c, want)
+	mustMatch[bool](t, "", c, want, byValue)
 
 	// apply with domain change int64 → string-ish (use float64 to stay
 	// comparable).
@@ -124,7 +87,7 @@ func TestConformanceMixedEWiseAndApply(t *testing.T) {
 	}
 	wantF := ref.NewMat[float64](m, n)
 	ref.Apply[int64, float64, bool](wantF, nil, nil, f, ref.FromMatrix(a), ref.Desc{})
-	eqMatG(t, cf, wantF)
+	mustMatch[float64](t, "", cf, wantF, byValue)
 }
 
 func TestUserDefinedTypes(t *testing.T) {

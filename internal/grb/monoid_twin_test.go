@@ -135,7 +135,7 @@ func runTwins[T comparable](t *testing.T, twins []monoidTwin[T]) {
 		}
 		plant(func(p int, x T) { full[p] = x }, n/2)
 		sparse.Wait()
-		if !grb.HoldDense(dense) {
+		if !dense.Hold("dense") {
 			t.Fatal("the dense vector is beyond the dense cap")
 		}
 		if d, _ := sparse.Forms(); d {
@@ -147,7 +147,7 @@ func runTwins[T comparable](t *testing.T, twins []monoidTwin[T]) {
 				t.Fatal(err)
 			}
 			want, _ := grb.ReduceVectorToScalar(lit, u)
-			if !bitIdentical(got, want) {
+			if !same(got, want, byBits) {
 				t.Fatalf("%s: vector of %d entries reduces to %v tagged, %v literal", name, u.Nvals(), got, want)
 			}
 		}
@@ -173,7 +173,7 @@ func runTwins[T comparable](t *testing.T, twins []monoidTwin[T]) {
 					t.Fatal(err)
 				}
 				want, _ := grb.ReduceMatrixToScalar(lit, a)
-				if !bitIdentical(got, want) {
+				if !same(got, want, byBits) {
 					t.Fatalf("%s: matrix reduces to %v tagged, %v literal at P=%d", name, got, want, p)
 				}
 				scalars[q] = got
@@ -195,14 +195,14 @@ func runTwins[T comparable](t *testing.T, twins []monoidTwin[T]) {
 						t.Fatalf("%s: %d rows reduced tagged, %d literal", name, len(gi), len(wi))
 					}
 					for e := range gi {
-						if gi[e] != wi[e] || !bitIdentical(gx[e], wx[e]) {
+						if gi[e] != wi[e] || !same(gx[e], wx[e], byBits) {
 							t.Fatalf("%s (DescT0 %v, P=%d): row %d reduces to %v tagged, %v literal", name, d != nil, p, wi[e], gx[e], wx[e])
 						}
 					}
 				}
 			}()
 		}
-		if !bitIdentical(scalars[0], scalars[1]) {
+		if !same(scalars[0], scalars[1], byBits) {
 			t.Fatalf("%s: matrix reduces to %v at one worker, %v at eight", name, scalars[0], scalars[1])
 		}
 	}

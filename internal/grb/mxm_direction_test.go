@@ -22,30 +22,6 @@ import (
 	"lagraph/internal/obs"
 )
 
-// eqMatBits fails the test unless got and want agree in pattern and, bit
-// for bit, in value.
-func eqMatBits[T comparable](t *testing.T, label string, got *grb.Matrix[T], want *ref.Mat[T]) {
-	t.Helper()
-	is, js, xs := got.ExtractTuples()
-	n := 0
-	for i := range want.Set {
-		for j := range want.Set[i] {
-			if want.Set[i][j] {
-				n++
-			}
-		}
-	}
-	if len(is) != n {
-		t.Fatalf("%s: %d entries, want %d", label, len(is), n)
-	}
-	for k := range is {
-		i, j := is[k], js[k]
-		if !want.Set[i][j] || !bitIdentical(xs[k], want.Val[i][j]) {
-			t.Fatalf("%s: (%d,%d) = %v, want %v (stored %v)", label, i, j, xs[k], want.Val[i][j], want.Set[i][j])
-		}
-	}
-}
-
 // taggedTwin is a semiring the kernels run as visible arithmetic (the
 // constructor tagged it; internal/grb/mono.go) beside its literal-built
 // twin, which carries no tag and so runs the generic loops: the conformance
@@ -95,7 +71,7 @@ func (tw taggedTwin[T]) sameWork(tagged, literal obs.OpRecord) error {
 }
 
 // dirCase is one masked product: c0⟨mask⟩ ⊙= a ⊕.⊗ b under d, the mask
-// dense-held when heldMask is set. With twin set, s is twin.tagged and every
+// held in maskForm. With twin set, s is twin.tagged and every
 // run is repeated with twin.literal, which must give the same bits by the
 // same work.
 type dirCase[T comparable] struct {
@@ -104,7 +80,7 @@ type dirCase[T comparable] struct {
 	accum    grb.BinaryOp[T, T, T]
 	a, b, c0 *grb.Matrix[T]
 	mask     *grb.Matrix[bool]
-	heldMask bool
+	maskForm form
 	d        grb.Descriptor
 }
 
@@ -128,27 +104,27 @@ func (tc dirCase[T]) check(t *testing.T, label string) map[string]obs.OpRecord {
 			got := tc.c0.Dup()
 			trace := obs.NewTrace(4)
 			restore := obs.Set(trace)
-			err := grb.MxM(got, heldM(tc.mask, tc.heldMask), tc.accum, tc.s, tc.a, tc.b, &d)
+			err := grb.MxM(got, held(tc.mask, tc.maskForm), tc.accum, tc.s, tc.a, tc.b, &d)
 			obs.Set(restore)
 			if err != nil {
 				grb.SetParallelism(prev)
 				t.Fatalf("%s %s P=%d: %v", label, m.name, p, err)
 			}
-			eqMatBits(t, fmt.Sprintf("%s %s P=%d", label, m.name, p), got, want)
-			mustSerializeLikeTwin(t, got)
+			mustMatch[T](t, fmt.Sprintf("%s %s P=%d", label, m.name, p), got, want, byBits)
+			mustSerializeLikeTwin[T](t, label, got)
 			ops := trace.Ops()
 			recs[m.name] = ops[len(ops)-1]
 			if tc.twin != nil {
 				lit := tc.c0.Dup()
 				trace := obs.NewTrace(4)
 				restore := obs.Set(trace)
-				err := grb.MxM(lit, heldM(tc.mask, tc.heldMask), tc.accum, tc.twin.literal, tc.a, tc.b, &d)
+				err := grb.MxM(lit, held(tc.mask, tc.maskForm), tc.accum, tc.twin.literal, tc.a, tc.b, &d)
 				obs.Set(restore)
 				if err != nil {
 					grb.SetParallelism(prev)
 					t.Fatalf("%s %s P=%d literal twin: %v", label, m.name, p, err)
 				}
-				eqMatBits(t, fmt.Sprintf("%s %s P=%d literal twin", label, m.name, p), lit, want)
+				mustMatch[T](t, fmt.Sprintf("%s %s P=%d literal twin", label, m.name, p), lit, want, byBits)
 				ops := trace.Ops()
 				if err := tc.twin.sameWork(recs[m.name], ops[len(ops)-1]); err != nil {
 					grb.SetParallelism(prev)
@@ -179,17 +155,6 @@ func cancelling(rng *rand.Rand) float64 {
 	return []float64{1e16, -1e16, 1, 3, 0.1, -0.3, 7e-9}[rng.Intn(7)]
 }
 
-// randMatrixOf builds an nr×nc matrix of about density·nr·nc entries drawn
-// from val (later duplicates overwrite earlier ones).
-func randMatrixOf[T any](rng *rand.Rand, nr, nc int, density float64, val func(*rand.Rand) T) *grb.Matrix[T] {
-	a := grb.MustMatrix[T](nr, nc)
-	for k := int(density * float64(nr) * float64(nc)); k > 0; k-- {
-		_ = a.SetElement(rng.Intn(nr), rng.Intn(nc), val(rng))
-	}
-	a.Wait()
-	return a
-}
-
 // operandShape returns the stored shape of an operand whose effective
 // (post-transpose) shape is nr×nc.
 func operandShape(nr, nc int, tran bool) (int, int) {
@@ -215,7 +180,7 @@ func directionTable[T comparable](t *testing.T, name string, rng *rand.Rand, m, 
 		return only
 	}
 	for _, comp := range bools {
-		for _, held := range opt() {
+		for _, maskForm := range []form{standard, denseHeld}[:len(opt())] {
 			for _, replace := range opt() {
 				for _, withAccum := range opt() {
 					for _, tranA := range opt() {
@@ -224,18 +189,18 @@ func directionTable[T comparable](t *testing.T, name string, rng *rand.Rand, m, 
 							br, bc := operandShape(k, n, tranB)
 							tc := dirCase[T]{
 								s:        s,
-								a:        randMatrixOf(rng, ar, ac, densA, val),
-								b:        randMatrixOf(rng, br, bc, densB, val),
-								c0:       randMatrixOf(rng, m, n, 0.2, val),
-								mask:     randBoolMatrix(rng, m, n, densM),
-								heldMask: held,
+								a:        random(rng, ar, ac, densA, val),
+								b:        random(rng, br, bc, densB, val),
+								c0:       random(rng, m, n, 0.2, val),
+								mask:     random(rng, m, n, densM, coin),
+								maskForm: maskForm,
 								twin:     twin,
 								d:        grb.Descriptor{Comp: comp, Replace: replace, TranA: tranA, TranB: tranB},
 							}
 							if withAccum {
 								tc.accum = plus
 							}
-							label := fmt.Sprintf("%s comp=%v held=%v replace=%v accum=%v tranA=%v tranB=%v", name, comp, held, replace, withAccum, tranA, tranB)
+							label := fmt.Sprintf("%s comp=%v mask=%s replace=%v accum=%v tranA=%v tranB=%v", name, comp, maskForm, replace, withAccum, tranA, tranB)
 							visit(label, tc.check(t, label))
 						}
 					}
@@ -353,7 +318,7 @@ func TestConformanceMxMDirections(t *testing.T) {
 		b.Wait()
 		for _, comp := range []bool{false, true} {
 			tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: grb.MustMatrix[float64](len(lens), n),
-				mask: randBoolMatrix(rng, len(lens), n, 0.5), d: grb.Descriptor{Comp: comp}}
+				mask: random(rng, len(lens), n, 0.5, coin), d: grb.Descriptor{Comp: comp}}
 			tc.check(t, fmt.Sprintf("comp=%v", comp))
 		}
 	})
@@ -366,11 +331,11 @@ func TestConformanceMxMDirections(t *testing.T) {
 		if grb.DotScatters(inner, 1, n, inner) || !grb.DotScatters(inner, 1, n, inner-1) {
 			t.Fatal("the scatter bar must close at an inner dimension of 1<<15")
 		}
-		a := randMatrixOf(rng, m, inner, 0.01, cancelling)
-		b := randMatrixOf(rng, inner, n, 0.0005, cancelling)
+		a := random(rng, m, inner, 0.01, cancelling)
+		b := random(rng, inner, n, 0.0005, cancelling)
 		for _, comp := range []bool{false, true} {
-			tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: randMatrixOf(rng, m, n, 0.3, cancelling),
-				mask: randBoolMatrix(rng, m, n, 0.5), d: grb.Descriptor{Comp: comp, Replace: true}}
+			tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: random(rng, m, n, 0.3, cancelling),
+				mask: random(rng, m, n, 0.5, coin), d: grb.Descriptor{Comp: comp, Replace: true}}
 			tc.check(t, fmt.Sprintf("comp=%v", comp))
 		}
 	})
@@ -379,17 +344,17 @@ func TestConformanceMxMDirections(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2005))
 		const m, k, n = 12, 30, 16
-		mask := randBoolMatrix(rng, m, n, 0.4)
+		mask := random(rng, m, n, 0.4, coin)
 		for i := 0; i < m; i += 2 {
 			for j := 0; j < n; j++ {
 				_ = mask.RemoveElement(i, j)
 			}
 		}
 		mask.Wait()
-		b := randMatrixOf(rng, k, n, 0.3, cancelling)
+		b := random(rng, k, n, 0.3, cancelling)
 		for _, comp := range []bool{false, true} {
-			for _, a := range []*grb.Matrix[float64]{randMatrixOf(rng, m, k, 0.4, cancelling), grb.MustMatrix[float64](m, k)} {
-				tc := dirCase[float64]{s: plusTimes, accum: grb.Plus[float64](), a: a, b: b, c0: randMatrixOf(rng, m, n, 0.3, cancelling),
+			for _, a := range []*grb.Matrix[float64]{random(rng, m, k, 0.4, cancelling), grb.MustMatrix[float64](m, k)} {
+				tc := dirCase[float64]{s: plusTimes, accum: grb.Plus[float64](), a: a, b: b, c0: random(rng, m, n, 0.3, cancelling),
 					mask: mask, d: grb.Descriptor{Comp: comp}}
 				tc.check(t, fmt.Sprintf("comp=%v nvals(A)=%d", comp, a.Nvals()))
 			}
@@ -425,7 +390,7 @@ func TestMxMPricingIsBoundedByThePush(t *testing.T) {
 		_ = visited.SetElement(0, v, true)
 	}
 	visited.Wait()
-	if !grb.HoldDenseMatrix(visited) {
+	if !visited.Hold("dense") {
 		t.Fatal("mask beyond the dense cap")
 	}
 	frontier := func(width int) *grb.Matrix[float64] {
@@ -467,7 +432,10 @@ func runDirectionProgram(t *testing.T, prog []byte) {
 	m, k, n := 1+r.next()%10, 1+r.next()%20, 1+r.next()%10
 	flags := r.next()
 	d := grb.Descriptor{Comp: flags&1 != 0, Replace: flags&2 != 0, TranA: flags&4 != 0, TranB: flags&8 != 0, MaskValue: flags&16 != 0}
-	withAccum, held := flags&32 != 0, flags&64 != 0
+	withAccum, maskForm := flags&32 != 0, standard
+	if flags&64 != 0 {
+		maskForm = denseHeld
+	}
 	ar, ac := operandShape(m, k, d.TranA)
 	br, bc := operandShape(k, n, d.TranB)
 	draw := func(nr, nc int, set func(i, j, v int)) {
@@ -478,13 +446,13 @@ func runDirectionProgram(t *testing.T, prog []byte) {
 	mask := grb.MustMatrix[bool](m, n)
 	draw(m, n, func(i, j, v int) { _ = mask.SetElement(i, j, v%3 > 0) })
 	mask.Wait()
-	label := fmt.Sprintf("%d×%d×%d %+v accum=%v held=%v", m, k, n, d, withAccum, held)
+	label := fmt.Sprintf("%d×%d×%d %+v accum=%v mask=%s", m, k, n, d, withAccum, maskForm)
 	if flags&128 != 0 {
 		a, b, c0 := grb.MustMatrix[bool](ar, ac), grb.MustMatrix[bool](br, bc), grb.MustMatrix[bool](m, n)
 		draw(ar, ac, func(i, j, v int) { _ = a.SetElement(i, j, v%3 > 0) })
 		draw(br, bc, func(i, j, v int) { _ = b.SetElement(i, j, v%3 > 0) })
 		draw(m, n, func(i, j, v int) { _ = c0.SetElement(i, j, v%2 > 0) })
-		tc := dirCase[bool]{s: grb.LorLand(), a: a, b: b, c0: c0, mask: mask, heldMask: held, d: d}
+		tc := dirCase[bool]{s: grb.LorLand(), a: a, b: b, c0: c0, mask: mask, maskForm: maskForm, d: d}
 		if withAccum {
 			tc.accum = grb.LOr()
 		}
@@ -496,7 +464,7 @@ func runDirectionProgram(t *testing.T, prog []byte) {
 	draw(ar, ac, func(i, j, v int) { _ = a.SetElement(i, j, vals[v%7]) })
 	draw(br, bc, func(i, j, v int) { _ = b.SetElement(i, j, vals[v%7]) })
 	draw(m, n, func(i, j, v int) { _ = c0.SetElement(i, j, vals[v%7]) })
-	tc := dirCase[float64]{s: grb.PlusTimes[float64](), a: a, b: b, c0: c0, mask: mask, heldMask: held, d: d}
+	tc := dirCase[float64]{s: grb.PlusTimes[float64](), a: a, b: b, c0: c0, mask: mask, maskForm: maskForm, d: d}
 	if r.next()%2 == 1 {
 		tc.s = grb.MinPlus[float64]()
 	}

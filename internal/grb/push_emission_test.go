@@ -145,7 +145,7 @@ func TestConformancePushEmission(t *testing.T) {
 			}
 			want := ref.NewVec[int64](g.n)
 			ref.VxM[int64, int64, int64, bool](want, nil, nil, grb.PlusTimes[int64](), ru, ra, refDesc(push))
-			eqVec(t, w, want)
+			mustMatch[int64](t, "", w, want, byValue)
 			op := trace.Ops()[0]
 			if op.Kernel != "push" || op.Chunks != g.wantChunks || op.NnzOut != g.span || op.EstFlops != int64(g.work) {
 				t.Fatalf("op record %+v: want push over %d chunks, %d flops, %d outputs", op, g.wantChunks, g.work, g.span)
@@ -166,7 +166,7 @@ func TestConformancePushEmission(t *testing.T) {
 			if err := grb.MxV[int64, int64, int64, bool](wm, nil, nil, grb.PlusTimes[int64](), at, u, &push); err != nil {
 				t.Fatal(err)
 			}
-			eqVec(t, wm, want)
+			mustMatch[int64](t, "", wm, want, byValue)
 
 			if g.barMask > 0 {
 				outputs, _ := w.ExtractTuples()
@@ -175,7 +175,7 @@ func TestConformancePushEmission(t *testing.T) {
 					_ = mask.SetElement(j, true)
 				}
 				comp := grb.Descriptor{Comp: true, Dir: grb.DirPush}
-				dm := heldV(mask, true)
+				dm := held(mask, denseHeld)
 				trace := obs.NewTrace(4)
 				restore := obs.Set(trace)
 				got := grb.MustVector[int64](g.n)
@@ -186,7 +186,7 @@ func TestConformancePushEmission(t *testing.T) {
 				}
 				want := ref.NewVec[int64](g.n)
 				ref.VxM(want, ref.FromVector(mask), nil, grb.PlusTimes[int64](), ru, ra, refDesc(comp))
-				eqVec(t, got, want)
+				mustMatch[int64](t, "", got, want, byValue)
 				if op := trace.Ops()[0]; op.Write != "adopt" || op.NnzOut != g.span-g.barMask {
 					t.Fatalf("op record %+v: want the %d admitted cells adopted below the bar", op, g.span-g.barMask)
 				}
@@ -198,30 +198,31 @@ func TestConformancePushEmission(t *testing.T) {
 			if !g.withVariants {
 				return
 			}
-			mask := randVector(rng, g.n, 0.5)
-			w0 := randVector(rng, g.n, 0.3)
+			mask := vecOf(random(rng, 1, g.n, 0.5, coin))
+			w0 := vecOf(random(rng, 1, g.n, 0.3, small))
 			// Into w0, and into an empty w: the write rule's adopt arm, which
 			// takes the kernel's admitted result as it is.
 			for _, into := range []*grb.Vector[int64]{w0, grb.MustVector[int64](g.n)} {
-				for _, mc := range maskCases() {
+				for _, mc := range writeCases() {
+					if mc.desc.MaskValue {
+						continue // structural masks only
+					}
 					for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
-						for _, held := range []bool{false, true} {
+						for _, f := range []form{standard, denseHeld} {
 							d := mc.desc
 							d.Dir = grb.DirPush
-							var gm *grb.Vector[int64]
-							var rm *ref.Vec[int64]
+							var gm *grb.Vector[bool]
+							var rm *ref.Vec[bool]
 							if mc.useMask {
-								gm, rm = heldV(mask, held), ref.FromVector(mask)
+								gm, rm = held(mask, f), ref.FromVector(mask)
 							}
-							got := heldV(into, held)
+							got := held(into, f)
 							if err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, a, &d); err != nil {
 								t.Fatal(err)
 							}
 							want := ref.FromVector(into)
 							ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
-							if !vecMatches(got, want) {
-								t.Fatalf("%s, accum %v, dense-held %v, %d entries before: differs from the mimic", mc.name, accum != nil, held, into.Nvals())
-							}
+							mustMatch[int64](t, fmt.Sprintf("%s, accum %v, %s, %d entries before", mc.name, accum != nil, f, into.Nvals()), got, want, byValue)
 						}
 					}
 				}
@@ -239,10 +240,13 @@ func TestConformancePushTerminalAndHash(t *testing.T) {
 
 	t.Run("lor-land", func(t *testing.T) {
 		const m, n = 600, 900
-		a := randBoolMatrix(rng, m, n, 0.2) // 108k entries: chunked
-		u := randBoolVector(rng, m, 0.9)
-		mask := randBoolVector(rng, n, 0.4)
-		for _, mc := range maskCases() {
+		a := random(rng, m, n, 0.223, coin)      // 108k entries (a fill of 1−e^−0.223): chunked
+		u := vecOf(random(rng, 1, m, 2.3, coin)) // 90 % full
+		mask := vecOf(random(rng, 1, n, 0.4, coin))
+		for _, mc := range writeCases() {
+			if mc.desc.MaskValue {
+				continue // made a value mask below
+			}
 			d := mc.desc
 			d.Dir = grb.DirPush
 			d.MaskValue = true
@@ -264,36 +268,26 @@ func TestConformancePushTerminalAndHash(t *testing.T) {
 			}
 			want := ref.NewVec[bool](n)
 			ref.VxM(want, rm, nil, grb.LorLand(), ref.FromVector(u), ref.FromMatrix(a), refDesc(d))
-			wi, wx := w.ExtractTuples()
-			k := 0
-			for j := 0; j < n; j++ {
-				if !want.Set[j] {
-					continue
-				}
-				if k >= len(wi) || wi[k] != j || wx[k] != want.Val[j] {
-					t.Fatalf("%s: entry %d differs from the mimic", mc.name, j)
-				}
-				k++
-			}
-			if k != len(wi) {
-				t.Fatalf("%s: %d entries, the mimic has %d", mc.name, len(wi), k)
-			}
+			mustMatch[bool](t, mc.name, w, want, byValue)
 		}
 	})
 
 	t.Run("hash", func(t *testing.T) {
 		const m, n = 128, 40000 // n ≥ 32768: the hash accumulator
-		a := randMatrix(rng, m, n, 0.03)
-		u := randVector(rng, m, 2)
-		mask := randVector(rng, n, 0.5)
-		w0 := randVector(rng, n, 0.2)
+		a := random(rng, m, n, 0.03, small)
+		u := vecOf(random(rng, 1, m, 2, small))
+		mask := vecOf(random(rng, 1, n, 0.5, coin))
+		w0 := vecOf(random(rng, 1, n, 0.2, small))
 		ra, ru := ref.FromMatrix(a), ref.FromVector(u)
-		for _, mc := range maskCases() {
+		for _, mc := range writeCases() {
+			if mc.desc.MaskValue {
+				continue // structural masks only
+			}
 			for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
 				d := mc.desc
 				d.Dir = grb.DirPush
-				var gm *grb.Vector[int64]
-				var rm *ref.Vec[int64]
+				var gm *grb.Vector[bool]
+				var rm *ref.Vec[bool]
 				if mc.useMask {
 					gm, rm = mask, ref.FromVector(mask)
 				}
@@ -310,7 +304,7 @@ func TestConformancePushTerminalAndHash(t *testing.T) {
 				}
 				want := ref.FromVector(w0)
 				ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
-				eqVec(t, got, want)
+				mustMatch[int64](t, mc.name, got, want, byValue)
 			}
 		}
 	})
@@ -322,8 +316,8 @@ func TestConformancePushTerminalAndHash(t *testing.T) {
 func TestVxMDirectionIsTheKernels(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(2302))
-	a := randMatrix(rng, n, n, 0.2)
-	sparse, dense := randVector(rng, n, 0.04), randVector(rng, n, 0.6)
+	a := random(rng, n, n, 0.2, small)
+	sparse, dense := vecOf(random(rng, 1, n, 0.04, small)), vecOf(random(rng, 1, n, 0.6, small))
 	fewOutputs := grb.MustVector[bool](n)
 	_ = fewOutputs.SetElement(3, true)
 	_ = fewOutputs.SetElement(40, true)
@@ -362,8 +356,8 @@ func TestVxMDirectionIsTheKernels(t *testing.T) {
 func TestPullUnderAMaskAdmittingNothing(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(2903))
-	a := randMatrix(rng, n, n, 0.2)
-	u := randVector(rng, n, 0.5)
+	a := random(rng, n, n, 0.2, small)
+	u := vecOf(random(rng, 1, n, 0.5, small))
 	empty := grb.MustVector[bool](n)
 	allFalse := grb.MustVector[bool](n)
 	for j := 0; j < n; j += 3 {

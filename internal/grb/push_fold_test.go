@@ -171,7 +171,7 @@ func pushMask(b, n int) (mv *maskVec, admits func(j int) bool) {
 			_ = m.SetElement(j, truth[j])
 		}
 	}
-	if b%3 == 2 && !HoldDense(m) {
+	if b%3 == 2 && !m.Hold("dense") {
 		panic("mask beyond the dense cap")
 	}
 	return newMaskVec(m, d), func(j int) bool {

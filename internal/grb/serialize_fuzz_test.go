@@ -89,7 +89,7 @@ func FuzzDeserializeMatrix(f *testing.F) {
 		f.Fatal(err)
 	}
 	dense := a.Dup()
-	grb.HoldDenseMatrix(dense)
+	dense.Hold("dense")
 	for _, m := range []*grb.Matrix[int64]{huge, dense} {
 		var buf bytes.Buffer
 		if err := grb.SerializeMatrix(&buf, m); err != nil {

@@ -71,7 +71,7 @@ func runWriteProgram(t *testing.T, prog []byte) {
 	}
 
 	for step := 0; !r.done() && step < 64; step++ {
-		grb.HoldDense(dense)
+		dense.Hold("dense")
 		op := r.next() % 8
 		switch op {
 		case 0: // SetElement
@@ -124,7 +124,7 @@ func runWriteProgram(t *testing.T, prog []byte) {
 					maskR.Val[i], maskR.Set[i] = b, true
 				}
 				if r.next()%2 == 1 {
-					grb.HoldDense(maskV)
+					maskV.Hold("dense")
 				}
 			}
 			if op >= 6 { // assign over a drawn region, or all of w
@@ -176,10 +176,10 @@ func runWriteProgram(t *testing.T, prog []byte) {
 			must(t, grb.ApplyMatrix(merged, maskM, accum, ident, zM, &d))
 			ref.ApplyVec(want, maskR, accum, ident, zR, refDesc(d))
 		}
-		eqVec(t, dense, want)
-		eqVec(t, plain, want)
+		mustMatch[int64](t, "", dense, want, byValue)
+		mustMatch[int64](t, "", plain, want, byValue)
 		mustMatchWideTwin(t, merged, want)
-		mustSerializeLikeTwinVec(t, dense)
+		mustSerializeLikeTwin[int64](t, "", dense)
 	}
 }
 
@@ -195,7 +195,7 @@ func mustReduceLikeMimic[T comparable](t *testing.T, mon grb.Monoid[T], u *grb.V
 		}
 	}
 	held := u.Dup()
-	grb.HoldDense(held)
+	held.Hold("dense")
 	for _, m := range []grb.Monoid[T]{mon, literalMonoid(mon)} {
 		for _, v := range []*grb.Vector[T]{u, held} {
 			got, err := grb.ReduceVectorToScalar(m, v)
@@ -240,7 +240,7 @@ func mustMatchWideTwin(t *testing.T, twin *grb.Matrix[int64], want *ref.Vec[int6
 	n := len(want.Set)
 	row := grb.MustVector[int64](n)
 	must(t, grb.ExtractMatrixCol(row, (*grb.Vector[bool])(nil), nil, twin, firstN(n), 0, grb.DescT0))
-	eqVec(t, row, want)
+	mustMatch[int64](t, "", row, want, byValue)
 }
 
 func must(t *testing.T, err error) {
@@ -334,14 +334,14 @@ func runRouteProgram(t *testing.T, prog []byte) {
 	}
 	hold := func(x *grb.Vector[int64]) *grb.Vector[int64] {
 		x = x.Dup()
-		grb.HoldDense(x)
+		x.Hold("dense")
 		return x
 	}
-	grb.HoldDense(dense)
+	dense.Hold("dense")
 	var maskD *grb.Vector[bool]
 	if maskV != nil {
 		maskD = maskV.Dup()
-		grb.HoldDense(maskD)
+		maskD.Hold("dense")
 	}
 	minus := grb.Minus[int64]()
 	neg := func(x int64) int64 { return -x }
@@ -422,14 +422,14 @@ func runRouteProgram(t *testing.T, prog []byte) {
 		must(t, grb.AssignMatrix(merged, maskM, accum, uM, grb.All, grb.All, &d))
 		ref.AssignVec(want, maskR, accum, uR, nil, rd)
 	}
-	eqVec(t, dense, want)
-	eqVec(t, plain, want)
+	mustMatch[int64](t, "", dense, want, byValue)
+	mustMatch[int64](t, "", plain, want, byValue)
 	mustMatchWideTwin(t, merged, want)
 	if dp, _ := plain.Forms(); dp && plain.Nvals()*8 < n {
 		t.Fatalf("%d of %d entries held densely by the promotion rule", plain.Nvals(), n)
 	}
-	mustSerializeLikeTwinVec(t, dense)
-	mustSerializeLikeTwinVec(t, plain)
+	mustSerializeLikeTwin[int64](t, "", dense)
+	mustSerializeLikeTwin[int64](t, "", plain)
 }
 
 // FuzzDenseResultRoute searches for an operation on which the dense result
