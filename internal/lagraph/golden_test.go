@@ -92,8 +92,10 @@ func sameBytes[T any](a, b *grb.Vector[T]) error {
 
 // goldenCases maps a stable case name to a function computing the
 // serialized result bytes. Results serialize through grb's gob codec
-// (vectors) or fixed-width little-endian (scalars) so "byte-identical"
-// is meaningful across runs and parallelism levels.
+// (vectors) or fixed-width little-endian (scalars, and BC's vectors through
+// TupleBytes: gob numbers types in the order a process first meets them,
+// and a vector case sorting before the others would shift their frames)
+// so "byte-identical" is meaningful across runs and parallelism levels.
 func goldenCases() map[string]func(g *lagraph.Graph) ([]byte, error) {
 	serialize := func(err error, write func(w *bytes.Buffer) error) ([]byte, error) {
 		if err != nil {
@@ -192,6 +194,22 @@ func goldenCases() map[string]func(g *lagraph.Graph) ([]byte, error) {
 				return nil, err
 			}
 			return serialize(nil, func(w *bytes.Buffer) error { return grb.SerializeVector(w, warm.Rank) })
+		},
+		// Betweenness from a batch of sources, and from a batch that names
+		// sources twice (their rows must add up in source order).
+		"bc-4src": func(g *lagraph.Graph) ([]byte, error) {
+			v, err := lagraph.BetweennessCentrality(g, []int{0, 5, 77, 200})
+			if err != nil {
+				return nil, err
+			}
+			return lagraph.TupleBytes(v).Bytes(), nil
+		},
+		"bc-repeated-src": func(g *lagraph.Graph) ([]byte, error) {
+			v, err := lagraph.BetweennessCentrality(g, []int{77, 5, 77, 0, 5})
+			if err != nil {
+				return nil, err
+			}
+			return lagraph.TupleBytes(v).Bytes(), nil
 		},
 		"tc-burkhardt": func(g *lagraph.Graph) ([]byte, error) {
 			n, err := lagraph.TriangleCount(g, lagraph.TCBurkhardt)

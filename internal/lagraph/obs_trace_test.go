@@ -189,6 +189,9 @@ func tupleBytes[T any](v *grb.Vector[T]) *bytes.Buffer {
 	return &buf
 }
 
+// TupleBytes is tupleBytes for the golden frames of the external tests.
+var TupleBytes = tupleBytes[float64]
+
 // obsOrNil keeps a nil *Trace from becoming a non-nil Observer.
 func obsOrNil(tr *obs.Trace) obs.Observer {
 	if tr == nil {
