@@ -3,8 +3,12 @@ package grb
 // Element-wise operations of Table I: eWiseAdd (set union of patterns) and
 // eWiseMult (set intersection).
 
-// mergeUnion merges two sorted sparse rows with union semantics.
+import "slices"
+
+// mergeUnion merges two sorted sparse rows with union semantics, growing
+// the output once to the operands' bound.
 func mergeUnion[A, B, C any](ai []int, ax []A, bi []int, bx []B, add BinaryOp[A, B, C], onlyA func(A) C, onlyB func(B) C, oi *[]int, ox *[]C) {
+	*oi, *ox = slices.Grow(*oi, len(ai)+len(bi)), slices.Grow(*ox, len(ai)+len(bi))
 	s, k := 0, 0
 	for s < len(ai) || k < len(bi) {
 		switch {
@@ -25,8 +29,10 @@ func mergeUnion[A, B, C any](ai []int, ax []A, bi []int, bx []B, add BinaryOp[A,
 	}
 }
 
-// mergeIntersect merges two sorted sparse rows with intersection semantics.
+// mergeIntersect merges two sorted sparse rows with intersection
+// semantics, growing the output once to the shorter operand.
 func mergeIntersect[A, B, C any](ai []int, ax []A, bi []int, bx []B, mul BinaryOp[A, B, C], oi *[]int, ox *[]C) {
+	*oi, *ox = slices.Grow(*oi, min(len(ai), len(bi))), slices.Grow(*ox, min(len(ai), len(bi)))
 	s, k := 0, 0
 	for s < len(ai) && k < len(bi) {
 		switch {

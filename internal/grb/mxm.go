@@ -196,7 +196,7 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 			staging.idx[k], staging.val[k] = sc.handOver()
 		}
 	})
-	return stitchByA(staging, ca, nr, nc)
+	return staging.stitch(nr, nc, ca.h)
 }
 
 // The states of a mark-lane cell during one mask-first row; the lane is
@@ -233,15 +233,6 @@ func saxpyRowMasked[A, B, T any](ai []int, ax []A, cb *cs[B], lp looper[A, B, T]
 		mark[j] = markClosed
 	}
 	return zi, zx
-}
-
-// stitchByA assembles staged rows using A's row structure (hypersparse A
-// yields hypersparse Z).
-func stitchByA[A, T any](staging *rowSlices[T], ca *cs[A], nr, nc int) *cs[T] {
-	if ca.h != nil {
-		return staging.stitch(nr, nc, ca.h)
-	}
-	return staging.stitch(nr, nc, nil)
 }
 
 // mxmDot computes Z = A·B with dot products over the positions the mask
@@ -305,7 +296,7 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 			putScratch(lane)
 		}
 	})
-	return stitchByA(staging, ca, nr, nc)
+	return staging.stitch(nr, nc, ca.h)
 }
 
 // sparseDot merges two sorted sparse vectors under the semiring, stopping
@@ -425,7 +416,7 @@ func mxmHeap[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *maskMat
 			}
 		}
 	})
-	return stitchByA(staging, ca, nr, nc)
+	return staging.stitch(nr, nc, ca.h)
 }
 
 func siftDown[B any](h []heapEntry[B], i int) {

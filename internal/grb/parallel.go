@@ -269,35 +269,39 @@ func newRowSlices[T any](n int) *rowSlices[T] {
 }
 
 // stitch assembles the staged rows into a cs. rows maps staging slot to
-// major index (nil means slot k is major index k, i.e. standard layout).
+// major index (nil means slot k is major index k, i.e. standard layout; an
+// mxm kernel passes A's, so a hypersparse A yields a hypersparse Z).
+// Every kernel stages arrays it made for the row, never an operand's, so
+// a lone non-empty row is adopted as the result's entries, spare capacity
+// and all, instead of copied.
 func (r *rowSlices[T]) stitch(nmajor, nminor int, rows []int) *cs[T] {
-	total := 0
-	for _, s := range r.idx {
-		total += len(s)
+	z := &cs[T]{nmajor: nmajor, nminor: nminor, p: make([]int, 1, len(r.idx)+1)}
+	if rows != nil {
+		z.h = make([]int, 0, len(rows))
 	}
-	ni := make([]int, 0, total)
-	nx := make([]T, 0, total)
-	if rows == nil {
-		p := make([]int, len(r.idx)+1)
-		for k := range r.idx {
-			ni = append(ni, r.idx[k]...)
-			nx = append(nx, r.val[k]...)
-			p[k+1] = len(ni)
+	last := -1
+	for k, s := range r.idx {
+		if len(s) > 0 {
+			last = k
 		}
-		return &cs[T]{nmajor: nmajor, nminor: nminor, p: p, i: ni, x: nx}
+		if rows == nil || len(s) > 0 {
+			z.p = append(z.p, z.p[len(z.p)-1]+len(s))
+		}
+		if rows != nil && len(s) > 0 {
+			z.h = append(z.h, rows[k])
+		}
 	}
-	h := make([]int, 0, len(rows))
-	p := make([]int, 1, len(rows)+1)
+	total := z.p[len(z.p)-1]
+	if last >= 0 && len(r.idx[last]) == total {
+		z.i, z.x = r.idx[last], r.val[last]
+		return z
+	}
+	z.i, z.x = make([]int, 0, total), make([]T, 0, total)
 	for k := range r.idx {
-		if len(r.idx[k]) == 0 {
-			continue
-		}
-		ni = append(ni, r.idx[k]...)
-		nx = append(nx, r.val[k]...)
-		h = append(h, rows[k])
-		p = append(p, len(ni))
+		z.i = append(z.i, r.idx[k]...)
+		z.x = append(z.x, r.val[k]...)
 	}
-	return &cs[T]{nmajor: nmajor, nminor: nminor, p: p, h: h, i: ni, x: nx}
+	return z
 }
 
 // denseScratch is a dimension-sized accumulator for the scatter kernels
