@@ -2,9 +2,9 @@
 // inputs from internal/gen concentrate nearly all flops in a few hub rows,
 // the regime where equal-count partitioning serializes on one worker. Each
 // benchmark runs at SetParallelism(1) and at the machine's parallelism so
-// `go test -bench=Skewed` prints the scaling directly; cmd/bench-tables
-// -table perf -json BENCH_1.json records the same workloads for the perf
-// trajectory.
+// `go test -bench=Skewed` prints the scaling directly. The frozen
+// bench/history/BENCH_1.json recorded the same workloads when the
+// scheduler landed.
 package lagraph_test
 
 import (
@@ -129,8 +129,9 @@ func BenchmarkSkewedTranspose(b *testing.B) {
 	})
 }
 
-// BenchmarkSkewedBuild is batch assembly (§II-A): the parallel chunk-sort
-// plus multiway merge behind Build and pending-tuple Wait.
+// BenchmarkSkewedBuild is batch assembly (§II-A): the two counting passes
+// that order the tuples behind Build and pending-tuple Wait, one serial
+// route at every parallelism.
 func BenchmarkSkewedBuild(b *testing.B) {
 	runAtParallelism(b, func() {
 		a := grb.MustMatrix[float64](skewN, skewN)

@@ -17,19 +17,6 @@ import (
 	"lagraph/internal/loccount"
 )
 
-// TableII holds the paper's published numbers and the local function(s)
-// whose count reproduces each row.
-var TableII = []struct {
-	Alg            string
-	Ligra, GraphIt string
-	GraphBLAS      string
-	Funcs          []string
-}{
-	{"Breadth-first search", "29", "22", "25", []string{"BFSLevelSimple"}},
-	{"Single-source shortest-path", "55", "25", "25", []string{"SSSPBellmanFord"}},
-	{"Local graph clustering", "84", "N/A", "45", []string{"LocalCluster"}},
-}
-
 func main() {
 	dir := flag.String("dir", "internal/lagraph", "directory of Go sources to analyze")
 	perFile := flag.Bool("files", false, "also print per-file totals")
@@ -45,12 +32,12 @@ func main() {
 	fmt.Println("Table II reproduction — lines of application code")
 	fmt.Println()
 	fmt.Printf("%-28s %7s %8s %11s %8s\n", "Algorithm", "Ligra", "GraphIt", "GraphBLAS", "lagraph-go")
-	for _, r := range TableII {
+	for _, r := range loccount.TableII {
 		total := 0
 		for _, fn := range r.Funcs {
 			total += byName[fn]
 		}
-		fmt.Printf("%-28s %7s %8s %11s %8d\n", r.Alg, r.Ligra, r.GraphIt, r.GraphBLAS, total)
+		fmt.Printf("%-28s %7s %8s %11d %8d\n", r.Alg, r.Ligra, r.GraphIt, r.GraphBLAS, total)
 	}
 	fmt.Println("\n(paper columns from Table II; lagraph-go counted from",
 		*dir+" by this tool: non-blank, non-comment lines of the function body)")

@@ -234,8 +234,8 @@ func searchBeatsWalk(k, n int) bool {
 // seqFallbackWork is the estimated-flop total below which the partitioner
 // refuses to create chunks at all, regardless of quantum: spawning workers
 // for an operation this small costs more in goroutine dispatch and chunk
-// merging than the operation itself (the source of the BENCH_1 small-op
-// regressions). Serial execution of a sub-threshold op is also exactly the
+// merging than the operation itself (the source of the small-op
+// regressions recorded in bench/history/BENCH_1.json). Serial execution of a sub-threshold op is also exactly the
 // chunk-order fold of its would-be chunks, so results are unchanged.
 const seqFallbackWork = 1 << 16
 

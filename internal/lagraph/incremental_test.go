@@ -178,9 +178,9 @@ func TestPageRankWarmEquivalence(t *testing.T) {
 	}
 }
 
-// TestPageRankWarmHalvesIterations is the machine-independent gate the
-// retired bench-tables "incremental" table carried (BENCH_4.json: 43 → 16
-// at scale 13): under a 1%-edge delta whose endpoints are drawn
+// TestPageRankWarmHalvesIterations is the machine-independent gate for the
+// warm-start win bench/history/BENCH_4.json recorded (43 → 16 at scale
+// 13): under a 1%-edge delta whose endpoints are drawn
 // degree-proportionally — the endpoints of uniformly random existing
 // edges, the growth model the power-law fixture is built from — a warm
 // start converges in at most half the iterations of a full recompute, at

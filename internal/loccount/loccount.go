@@ -1,6 +1,6 @@
 // Package loccount counts non-blank, non-comment Go source lines — the
 // cloc convention used by Table II of the paper — per function and per
-// file, via go/parser.
+// file, via go/parser, and holds that table's published columns.
 package loccount
 
 import (
@@ -78,6 +78,20 @@ func ByName(funcs []FuncLoc) map[string]int {
 		m[f.Name] = f.Lines
 	}
 	return m
+}
+
+// TableII is the paper's Table II: lines of application code in Ligra,
+// GraphIt and GraphBLAS (GraphBLAST), with the internal/lagraph function(s)
+// whose count reproduces each row.
+var TableII = []struct {
+	Alg            string
+	Ligra, GraphIt string
+	GraphBLAS      int
+	Funcs          []string
+}{
+	{"Breadth-first search", "29", "22", 25, []string{"BFSLevelSimple"}},
+	{"Single-source shortest-path", "55", "25", 25, []string{"SSSPBellmanFord"}},
+	{"Local graph clustering", "84", "N/A", 45, []string{"LocalCluster"}},
 }
 
 // codeLines marks, for each source line, whether it carries code (not

@@ -133,9 +133,8 @@ type endpointStats struct {
 	lat    histogram
 }
 
-// endpoints is the fixed label set for per-endpoint metrics. A request
-// counts under the same endpoint label whether it arrived via /v1 or a
-// legacy alias — the label identifies the operation, not the spelling.
+// endpoints is the fixed label set for per-endpoint metrics: a label names
+// the operation, not its /v1 path.
 var endpoints = []string{"load", "list", "info", "drop", "query", "edges", "snapshot", "flush", "healthz", "readyz", "metrics", "cluster"}
 
 // New creates a server around cat. counters may be nil, in which case a
