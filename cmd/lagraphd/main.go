@@ -8,7 +8,7 @@
 //	lagraphd -addr :8487 -data /var/lib/lagraphd -snapshot-interval 30s
 //	lagraphd -addr :8487 -data /var/lib/a -node-id a \
 //	    -peers a=http://h1:8487,b=http://h2:8487,c=http://h3:8487 \
-//	    -replicas 1 -route redirect
+//	    -replicas 1
 //
 // With -data the daemon is durable: graphs are periodically snapshotted
 // to checksummed frame files (see internal/store), reloaded on boot, and
@@ -23,12 +23,12 @@
 // cluster (requires -data): a consistent-hash ring places every graph on
 // a primary plus -replicas replicas, primaries ship snapshot frames and
 // live WAL records to replicas, and requests for graphs this node does
-// not own are routed to the owner — 307 redirects by default, or
-// transparently with -route proxy (mutations always redirect so the
-// primary fsync remains the durability point). The listener comes up
-// BEFORE boot recovery so /readyz can answer: it stays 503 (and
-// mutations answer 503 not_ready) until snapshot+WAL replay completes
-// and, in cluster mode, until the initial replica catch-up converged.
+// not own are answered with a 307 redirect to the owner (so the primary
+// fsync remains the durability point for writes). The listener comes up
+// BEFORE boot recovery so /readyz can answer: with -data it stays 503
+// (and mutations answer 503 not_ready) until snapshot+WAL replay
+// completes and, in cluster mode, until the initial replica catch-up
+// converged; without -data there is nothing to recover.
 //
 // Endpoints (the API lives under /v1 only; the operational endpoints are
 // unversioned):
@@ -85,15 +85,10 @@ func main() {
 	nodeID := flag.String("node-id", "", "this node's cluster member ID (enables cluster mode; requires -data and -peers)")
 	peers := flag.String("peers", "", "cluster membership as id=url,id=url,... (must include -node-id)")
 	replicas := flag.Int("replicas", 1, "replica copies per graph beyond the primary (cluster mode)")
-	route := flag.String("route", "redirect", "how non-owners answer reads for graphs they don't hold: redirect (307) or proxy")
 	clusterEpoch := flag.Uint64("cluster-epoch", 1, "epoch of the boot topology document (bump after a -peers change so restarted nodes agree)")
 	clusterPoll := flag.Duration("cluster-poll", 500*time.Millisecond, "replication sync-loop interval (cluster mode)")
 	flag.Parse()
 
-	if *route != "redirect" && *route != "proxy" {
-		fmt.Fprintf(os.Stderr, "lagraphd: -route must be redirect or proxy, got %q\n", *route)
-		os.Exit(2)
-	}
 	var topology *cluster.Topology
 	if *nodeID != "" || *peers != "" {
 		if *nodeID == "" || *peers == "" {
@@ -171,8 +166,6 @@ func main() {
 		AllowPathLoad:  *allowPath,
 		Persister:      pers,
 		Cluster:        node,
-		Route:          *route,
-		GateReady:      true,
 	})
 
 	hs := &http.Server{
@@ -222,16 +215,16 @@ func main() {
 		}
 		log.Printf("lagraphd: durable store at %s (%d graphs, wal next LSN %d)",
 			*dataDir, len(cat.Names()), jl.NextLSN())
+		srv.MarkBootReady()
 	}
-	srv.MarkBootReady()
 
 	// The sync loop starts only after local recovery: peer status answers
 	// must reflect the recovered journal positions, not an empty catalog.
 	if node != nil {
 		node.Start(ctx)
 		defer node.Close()
-		log.Printf("lagraphd: cluster member %q (epoch %d, %d nodes, %d replicas, route=%s)",
-			*nodeID, topology.Epoch, len(topology.Nodes), topology.Replicas, *route)
+		log.Printf("lagraphd: cluster member %q (epoch %d, %d nodes, %d replicas)",
+			*nodeID, topology.Epoch, len(topology.Nodes), topology.Replicas)
 	}
 
 	// Background snapshotter: every interval, persist graphs whose

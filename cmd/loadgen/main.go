@@ -35,7 +35,7 @@
 //
 // With a comma-separated -base list the target is a lagraphd cluster:
 // loadgen waits for every node's /readyz, round-robins the traffic over
-// all of them (followed 307s and proxied answers both count), then waits
+// all of them (answers reached by following a 307 count), then waits
 // for replication to converge (lagraphd_cluster_replication_lag 0 on
 // every node) and re-runs every query against every node directly —
 // each node must return the same checksum the mixed run produced,
@@ -199,8 +199,8 @@ func run(opts options) error {
 	}
 
 	// 3. Fire the query mix concurrently; every request must be 2xx.
-	// Queries round-robin over every base (against a cluster, the 307s and
-	// proxied answers are part of what is under test); with -edges,
+	// Queries round-robin over every base (against a cluster, the 307s
+	// are part of what is under test); with -edges,
 	// deterministic edge batches against the mutation copy are interleaved
 	// into the same worker pool.
 	n := 1 << opts.scale
@@ -507,9 +507,11 @@ func clusterIdentity(client *http.Client, bases []string, name string, sums map[
 
 // clusterLagging polls /v1/cluster/status on every base and reports the
 // first replica whose journal position or generation disagrees with its
-// primary's ("" = fully converged). A replica whose primary is not among
-// the polled bases cannot be judged and counts as lagging — the caller
-// is expected to name every live node.
+// primary's ("" = fully converged). A replica that has not discovered a
+// graph yet lists nothing to compare, so every polled node a placement
+// in /v1/cluster/topology names must hold the graph too. A replica whose
+// primary is not among the polled bases cannot be judged and counts as
+// lagging — the caller is expected to name every live node.
 func clusterLagging(client *http.Client, bases []string) (string, error) {
 	type graphPos struct {
 		Name       string `json:"name"`
@@ -523,6 +525,7 @@ func clusterLagging(client *http.Client, bases []string) (string, error) {
 		Graphs []graphPos `json:"graphs"`
 	}
 	primaries := map[string]graphPos{}
+	held := map[string]map[string]bool{} // node ID → the graphs it lists
 	type replica struct {
 		base string
 		g    graphPos
@@ -540,12 +543,36 @@ func clusterLagging(client *http.Client, bases []string) (string, error) {
 		if !st.Ready {
 			return b + " not ready", nil
 		}
+		held[st.Node] = map[string]bool{}
 		for _, g := range st.Graphs {
+			held[st.Node][g.Name] = true
 			switch g.Role {
 			case "primary":
 				primaries[g.Name] = g
 			case "replica":
 				replicas = append(replicas, replica{base: b, g: g})
+			}
+		}
+	}
+	for _, b := range bases {
+		body, err := getBody(client, b+"/v1/cluster/topology")
+		if err != nil {
+			return b + " unreachable", err
+		}
+		var top struct {
+			Placements []struct {
+				Name  string   `json:"name"`
+				Nodes []string `json:"nodes"`
+			} `json:"placements"`
+		}
+		if err := json.Unmarshal([]byte(body), &top); err != nil {
+			return b + " bad topology", err
+		}
+		for _, p := range top.Placements {
+			for _, id := range p.Nodes {
+				if h, polled := held[id]; polled && !h[p.Name] {
+					return fmt.Sprintf("node %s does not hold %q yet", id, p.Name), nil
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -49,5 +50,42 @@ func TestRunReportsUnhealthyDaemon(t *testing.T) {
 	err := run(options{bases: []string{ts.URL}, wait: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("run against a dead daemon succeeded")
+	}
+}
+
+// TestClusterLaggingNeedsEveryOwner: a replica that has not discovered a
+// graph yet lists nothing to compare, and convergence must not read that
+// as caught up — every polled node the placement names must hold it.
+func TestClusterLaggingNeedsEveryOwner(t *testing.T) {
+	leakcheck.Check(t)
+	node := func(status, topology string) string {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/cluster/status", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, status) })
+		mux.HandleFunc("GET /v1/cluster/topology", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, topology) })
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	client := &http.Client{}
+	t.Cleanup(client.CloseIdleConnections)
+	primary := node(`{"node":"a","ready":true,"graphs":[{"name":"g","role":"primary","generation":3,"journal":3}]}`,
+		`{"placements":[{"name":"g","nodes":["a","b"]}]}`)
+	for _, tc := range []struct {
+		name, replicaStatus string
+		converged           bool
+	}{
+		{"replica has not discovered the graph", `{"node":"b","ready":true,"graphs":[]}`, false},
+		{"replica caught up", `{"node":"b","ready":true,"graphs":[{"name":"g","role":"replica","generation":3,"journal":3}]}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			replica := node(tc.replicaStatus, `{"placements":[]}`)
+			lagging, err := clusterLagging(client, []string{primary, replica})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (lagging == "") != tc.converged {
+				t.Fatalf("lagging %q, want converged=%v", lagging, tc.converged)
+			}
+		})
 	}
 }

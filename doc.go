@@ -48,15 +48,16 @@ const (
 )
 
 // Triangle-count method selection, re-exported: the formulation family
-// (TCMethod), degree presorting (TCPresort), and the functional options
-// that carry them. TCAuto + TCSortAuto picks the formulation and decides
-// whether a degree relabeling pays, per graph, at call time.
+// (TCMethod, TriangleCount's method argument) and degree presorting
+// (TCPresort, set by WithPresort). TCAuto picks the formulation and,
+// unless a presort is given, decides whether a degree relabeling pays,
+// per graph, at call time.
 type (
 	// TCMethod selects a triangle-count formulation.
 	TCMethod = lagraph.TCMethod
 	// TCPresort selects a degree relabeling applied before counting.
 	TCPresort = lagraph.TCPresort
-	// TCOption configures TriangleCount (WithMethod, WithPresort, …).
+	// TCOption configures TriangleCount (WithPresort, …).
 	TCOption = lagraph.Option
 )
 
@@ -71,8 +72,6 @@ const (
 )
 
 var (
-	// WithMethod overrides the TriangleCount method argument.
-	WithMethod = lagraph.WithMethod
 	// WithPresort sets the degree presort for TriangleCount.
 	WithPresort = lagraph.WithPresort
 	// WithDamping sets PageRank's damping factor (default 0.85).

@@ -359,7 +359,7 @@ func TestConcurrentReadersOnColdEntry(t *testing.T) {
 			if tcReads.Add(1)%2 == 0 {
 				return lagraph.TriangleCount(g, lagraph.TCAuto)
 			}
-			return lagraph.TriangleCount(g, lagraph.TCAuto, lagraph.WithMethod(lagraph.TCSandiaLL), lagraph.WithPresort(lagraph.TCNoSort))
+			return lagraph.TriangleCount(g, lagraph.TCSandiaLL, lagraph.WithPresort(lagraph.TCNoSort))
 		})},
 		{"properties/self-loops+symmetry", lagraph.Undirected, func(e *Entry) (string, error) {
 			p := e.Properties()

@@ -94,7 +94,6 @@ type Node struct {
 	fetchedRecords atomic.Int64
 	fetchedSnaps   atomic.Int64
 	redirects      atomic.Int64
-	proxied        atomic.Int64
 	handoffs       atomic.Int64
 	syncErrors     atomic.Int64
 }
@@ -172,15 +171,8 @@ func (n *Node) run(ctx context.Context) {
 	}
 }
 
-// Self returns this node's ID.
-func (n *Node) Self() string { return n.self }
-
 // Epoch returns the current topology epoch (lock-free).
 func (n *Node) Epoch() uint64 { return n.epoch.Load() }
-
-// Client returns the HTTP client used for peer traffic; the service
-// layer's proxy route shares it so per-peer connection pools are reused.
-func (n *Node) Client() *http.Client { return n.client }
 
 // Ready reports whether the initial replica catch-up has completed: all
 // peers answered one full pass and every graph this node replicates was
@@ -279,13 +271,9 @@ func (n *Node) ApplyTopology(t Topology) error {
 	return nil
 }
 
-// CountRedirect and CountProxied are bumped by the service layer's
-// routing middleware; they live here so every cluster counter renders
-// from one place.
+// CountRedirect is bumped by the service layer's routing middleware; it
+// lives here so every cluster counter renders from one place.
 func (n *Node) CountRedirect() { n.redirects.Add(1) }
-
-// CountProxied counts a query proxied to the graph's owner.
-func (n *Node) CountProxied() { n.proxied.Add(1) }
 
 // NodeStats is the metrics snapshot of one cluster member.
 type NodeStats struct {
@@ -306,7 +294,6 @@ type NodeStats struct {
 	FetchedRecords   int64   `json:"fetched_records"`
 	FetchedSnapshots int64   `json:"fetched_snapshots"`
 	Redirects        int64   `json:"redirects"`
-	Proxied          int64   `json:"proxied"`
 	Handoffs         int64   `json:"handoffs"`
 	SyncErrors       int64   `json:"sync_errors"`
 }
@@ -345,7 +332,6 @@ func (n *Node) Stats() NodeStats {
 		FetchedRecords:   n.fetchedRecords.Load(),
 		FetchedSnapshots: n.fetchedSnaps.Load(),
 		Redirects:        n.redirects.Load(),
-		Proxied:          n.proxied.Load(),
 		Handoffs:         n.handoffs.Load(),
 		SyncErrors:       n.syncErrors.Load(),
 	}

@@ -179,15 +179,6 @@ func (r *Ring) Place(name string) []NodeInfo {
 	return owners
 }
 
-// Primary returns the write owner of a graph name.
-func (r *Ring) Primary(name string) NodeInfo {
-	owners := r.Place(name)
-	if len(owners) == 0 {
-		return NodeInfo{}
-	}
-	return owners[0]
-}
-
 // hash64 maps a string onto the ring circle: the first 8 bytes of its
 // SHA-256 digest. A cheap multiplicative hash (FNV) is not good enough
 // here — vnode keys are short near-identical strings ("a#0", "a#1", …)

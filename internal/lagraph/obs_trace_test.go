@@ -203,7 +203,7 @@ func obsOrNil(tr *obs.Trace) obs.Observer {
 // TestPowerLawBFSTraceSwitch: on a skewed graph the auto-directed BFS
 // starts push (sparse frontier) and goes pull once the frontier saturates;
 // the trace must record frontier sizes and that switch. This is the
-// in-tree twin of the CI trace-smoke job (cmd/tracecheck -want-switch).
+// library-level twin of cmd/lagraph's TestRunTrace/bfs.
 func TestPowerLawBFSTraceSwitch(t *testing.T) {
 	g := powerLawGraph(1<<12, 1<<16, 82)
 	tr := obs.NewTrace(0)

@@ -38,13 +38,6 @@ type Options struct {
 	Dir grb.Direction
 	// Stats, when non-nil, receives per-iteration BFS statistics.
 	Stats *BFSStats
-	// Method selects the TriangleCount formulation when MethodSet is
-	// true, overriding the positional method argument. Use WithMethod —
-	// the MethodSet latch is what lets TCBurkhardt (the zero value) be
-	// selected explicitly.
-	Method TCMethod
-	// MethodSet records that Method was set via WithMethod.
-	MethodSet bool
 	// Presort selects TriangleCount's degree relabeling; the zero value
 	// TCNoSort preserves the input ordering.
 	Presort TCPresort
@@ -127,13 +120,6 @@ func WithDirection(d grb.Direction) Option {
 // error matching grb.ErrCanceled (and ctx's own cause) via errors.Is.
 func WithContext(ctx context.Context) Option {
 	return func(o *Options) { o.Ctx = ctx }
-}
-
-// WithMethod selects the TriangleCount formulation, overriding the
-// positional method argument; pass TCAuto to let the library choose
-// (and combine with WithPresort(TCSortAuto) for fully adaptive counting).
-func WithMethod(m TCMethod) Option {
-	return func(o *Options) { o.Method = m; o.MethodSet = true }
 }
 
 // WithPresort selects TriangleCount's degree relabeling. TCSortAuto

@@ -28,7 +28,7 @@ const (
 	TCSandiaLL
 	// TCSandiaDot computes sum(L·Uᵀ ∘ L) using the dot-product kernel —
 	// the formulation that showcases the masked dot mxm (§II-A). In the
-	// LAGraph family naming this is SandiaLUT; TCSandiaLUT aliases it.
+	// LAGraph family naming this is SandiaLUT.
 	TCSandiaDot
 	// TCSandiaUU computes sum(U·U ∘ U): SandiaLL over the upper triangle.
 	TCSandiaUU
@@ -41,10 +41,6 @@ const (
 	// the work estimate says the relabeling pays.
 	TCAuto
 )
-
-// TCSandiaLUT is the LAGraph family name for TCSandiaDot (L·Uᵀ masked by
-// L, computed with the dot kernel).
-const TCSandiaLUT = TCSandiaDot
 
 // tcMethodNames renders methods for iteration traces.
 var tcMethodNames = map[TCMethod]string{
@@ -100,8 +96,8 @@ var tcPresortNames = map[TCPresort]string{
 const tcSortWorkFactor = 4
 
 // TriangleCount counts the triangles of an undirected graph. method picks
-// the formulation (WithMethod overrides it, so callers using options can
-// pass TCAuto here); WithPresort selects the degree relabeling.
+// the formulation (TCAuto lets the library choose); WithPresort selects
+// the degree relabeling.
 func TriangleCount(g *Graph, method TCMethod, opts ...Option) (_ int64, err error) {
 	defer catch(&err)
 	try(g.requireUndirected())
@@ -110,9 +106,6 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (_ int64, err erro
 	// and one before the multiply, and the plan's record.
 	lp := cfg.loop("tc")
 	try(lp.next())
-	if cfg.MethodSet {
-		method = cfg.Method
-	}
 	if method < TCBurkhardt || method > TCAuto {
 		return 0, ErrBadArgument
 	}

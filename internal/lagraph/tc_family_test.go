@@ -11,13 +11,13 @@ import (
 )
 
 // tcAllMethods enumerates the full formulation family, including the
-// aliases and the adaptive entry.
+// adaptive entry.
 var tcAllMethods = []struct {
 	name string
 	m    TCMethod
 }{
 	{"burkhardt", TCBurkhardt}, {"cohen", TCCohen},
-	{"sandiaLL", TCSandiaLL}, {"sandiaLUT", TCSandiaLUT},
+	{"sandiaLL", TCSandiaLL}, {"sandiaLUT", TCSandiaDot},
 	{"sandiaUU", TCSandiaUU}, {"sandiaULT", TCSandiaULT},
 	{"auto", TCAuto},
 }
@@ -64,22 +64,6 @@ func TestTriangleCountNewMethodsSmall(t *testing.T) {
 	}
 }
 
-// TestTriangleCountWithMethod: the option overrides the positional
-// argument, and the MethodSet latch lets the zero-valued TCBurkhardt be
-// selected explicitly.
-func TestTriangleCountWithMethod(t *testing.T) {
-	g := rmatGraph(t, 8, 8, 3, true)
-	want := baseline.TriangleCount(baseline.FromMatrix(g.A.Dup()))
-	got, err := TriangleCount(g, TCSandiaLL, WithMethod(TCBurkhardt))
-	if err != nil || got != want {
-		t.Fatalf("WithMethod(TCBurkhardt): %d (%v), want %d", got, err, want)
-	}
-	got, err = TriangleCount(g, TCBurkhardt, WithMethod(TCAuto), WithPresort(TCSortAuto))
-	if err != nil || got != want {
-		t.Fatalf("WithMethod(TCAuto): %d (%v), want %d", got, err, want)
-	}
-}
-
 // TestTriangleCountBadArguments: out-of-range methods and presorts are
 // rejected, not silently clamped.
 func TestTriangleCountBadArguments(t *testing.T) {
@@ -90,8 +74,8 @@ func TestTriangleCountBadArguments(t *testing.T) {
 	if _, err := TriangleCount(g, TCBurkhardt, WithPresort(TCPresort(99))); err != ErrBadArgument {
 		t.Fatalf("presort 99: %v, want ErrBadArgument", err)
 	}
-	if _, err := TriangleCount(g, TCBurkhardt, WithMethod(TCMethod(-1))); err != ErrBadArgument {
-		t.Fatalf("WithMethod(-1): %v, want ErrBadArgument", err)
+	if _, err := TriangleCount(g, TCMethod(-1)); err != ErrBadArgument {
+		t.Fatalf("method -1: %v, want ErrBadArgument", err)
 	}
 }
 
@@ -158,7 +142,7 @@ func TestTriangleCountTracesDecision(t *testing.T) {
 	// The dot formulation never auto-sorts (sorting concentrates its
 	// merge work instead of spreading it).
 	tr3 := obs.NewTrace(16)
-	if _, err := TriangleCount(g, TCSandiaLUT, WithPresort(TCSortAuto), WithObserver(tr3)); err != nil {
+	if _, err := TriangleCount(g, TCSandiaDot, WithPresort(TCSortAuto), WithObserver(tr3)); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range tr3.Iters() {
@@ -187,12 +171,12 @@ func TestTriangleCountTracesDecision(t *testing.T) {
 // degree-regular graphs where every comparison ties.
 func TestTriangleCountPresortDeterministic(t *testing.T) {
 	g := rmatGraph(t, 7, 8, 9, true)
-	first, err := TriangleCount(g, TCSandiaLUT, WithPresort(TCSortAscending))
+	first, err := TriangleCount(g, TCSandiaDot, WithPresort(TCSortAscending))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := TriangleCount(g, TCSandiaLUT, WithPresort(TCSortAscending))
+		again, err := TriangleCount(g, TCSandiaDot, WithPresort(TCSortAscending))
 		if err != nil {
 			t.Fatal(err)
 		}

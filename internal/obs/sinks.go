@@ -202,8 +202,8 @@ func (t *Trace) Iters() []IterRecord {
 	return out
 }
 
-// TraceDocument is the serialized form a Trace writes: the schema for
-// cmd/lagraph -trace output and the CI trace-smoke validator.
+// TraceDocument is the serialized form a Trace writes: the schema of
+// cmd/lagraph -trace output, which cmd/lagraph's TestRunTrace reads back.
 type TraceDocument struct {
 	Schema       string       `json:"schema"` // "lagraph-trace/1"
 	Ops          []OpRecord   `json:"ops"`

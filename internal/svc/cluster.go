@@ -36,8 +36,8 @@ type listPlacement struct {
 }
 
 // MarkBootReady reports that boot-time recovery (snapshot loads + WAL
-// replay) has completed; /readyz stays 503 until then when the server
-// was built with GateReady.
+// replay) has completed; a server built with a Persister answers /readyz
+// 503 and mutations not_ready until then.
 func (s *Server) MarkBootReady() { s.bootReady.Store(true) }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness:
@@ -94,8 +94,7 @@ func (s *Server) routeMutation(w http.ResponseWriter, r *http.Request, name stri
 
 // routeRead handles a read (query/info) whose graph has no local copy.
 // Owners answer 503 while their sync is pending and 404 otherwise; a
-// non-owner forwards to the primary — 307 or a transparent proxy,
-// per the -route mode.
+// non-owner answers 307 to the primary, as writes do.
 func (s *Server) routeRead(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
 	n := s.cfg.Cluster
 	if n == nil {
@@ -109,9 +108,6 @@ func (s *Server) routeRead(w http.ResponseWriter, r *http.Request, name string) 
 		// This node IS the authority for the name; a miss is a real 404.
 		return 0, false
 	}
-	if s.cfg.Route == "proxy" {
-		return s.proxyTo(w, r, primary), true
-	}
 	return s.redirectTo(w, r, primary), true
 }
 
@@ -122,34 +118,6 @@ func (s *Server) redirectTo(w http.ResponseWriter, r *http.Request, target clust
 	w.Header().Set("Location", target.URL+r.URL.RequestURI())
 	w.WriteHeader(http.StatusTemporaryRedirect)
 	return http.StatusTemporaryRedirect
-}
-
-// proxyTo forwards the request to the target node and relays the
-// response verbatim, so clients that cannot follow redirects still get
-// an answer from any node.
-func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, target cluster.NodeInfo) int {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.URL+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		return writeJSON(w, http.StatusBadGateway, errorBody{Error: ErrorInfo{
-			Code: "bad_gateway", Message: "proxy: " + err.Error(), Retryable: true}})
-	}
-	req.Header = r.Header.Clone()
-	resp, err := s.cfg.Cluster.Client().Do(req)
-	if err != nil {
-		return writeJSON(w, http.StatusBadGateway, errorBody{Error: ErrorInfo{
-			Code: "bad_gateway", Message: fmt.Sprintf("proxy to %s: %v", target.ID, err), Retryable: true}})
-	}
-	defer resp.Body.Close()
-	s.cfg.Cluster.CountProxied()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.Header().Set("X-Lagraph-Proxied-From", target.ID)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return resp.StatusCode
 }
 
 // statusRecorder captures the status code a wrapped http.Handler wrote,
@@ -202,8 +170,6 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 	p("lagraphd_cluster_fetched_snapshots_total %d\n", st.FetchedSnapshots)
 	p("# TYPE lagraphd_cluster_redirects_total counter\n")
 	p("lagraphd_cluster_redirects_total %d\n", st.Redirects)
-	p("# TYPE lagraphd_cluster_proxied_total counter\n")
-	p("lagraphd_cluster_proxied_total %d\n", st.Proxied)
 	p("# TYPE lagraphd_cluster_handoffs_total counter\n")
 	p("lagraphd_cluster_handoffs_total %d\n", st.Handoffs)
 	p("# TYPE lagraphd_cluster_sync_errors_total counter\n")

@@ -61,7 +61,7 @@ type testDaemon struct {
 	node *cluster.Node
 }
 
-func (d *testDaemon) boot(t *testing.T, top cluster.Topology, route string, client *http.Client) {
+func (d *testDaemon) boot(t *testing.T, top cluster.Topology, client *http.Client) {
 	t.Helper()
 	st, err := store.Open(d.dir)
 	if err != nil {
@@ -85,7 +85,7 @@ func (d *testDaemon) boot(t *testing.T, top cluster.Topology, route string, clie
 		t.Fatal(err)
 	}
 	d.cat, d.pers, d.jl, d.node = cat, p, jl, n
-	d.s = New(cat, &obs.Counters{}, Config{Persister: p, Cluster: n, Route: route, GateReady: true})
+	d.s = New(cat, &obs.Counters{}, Config{Persister: p, Cluster: n})
 	d.s.MarkBootReady()
 	d.swap.set(d.s.Handler())
 	n.Start(t.Context())
@@ -104,7 +104,7 @@ func (d *testDaemon) kill() {
 }
 
 // newSvcCluster boots len(ids) daemons sharing one topology document.
-func newSvcCluster(t *testing.T, ids []string, replicas int, route string) map[string]*testDaemon {
+func newSvcCluster(t *testing.T, ids []string, replicas int) map[string]*testDaemon {
 	t.Helper()
 	leakcheck.Check(t)
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -120,7 +120,7 @@ func newSvcCluster(t *testing.T, ids []string, replicas int, route string) map[s
 		top.Nodes = append(top.Nodes, cluster.NodeInfo{ID: id, URL: d.ts.URL})
 	}
 	for _, id := range ids {
-		ds[id].boot(t, top, route, client)
+		ds[id].boot(t, top, client)
 		t.Cleanup(ds[id].kill)
 	}
 	return ds
@@ -217,13 +217,14 @@ func waitCaughtUp(t *testing.T, primary, replica *testDaemon, name string) {
 	})
 }
 
-// TestClusterSvcRedirectFlow is the 3-node e2e in -route=redirect mode:
-// mutations 307 to the primary from any other node, replicas serve
-// checksummed read-only queries, listings carry placement, /readyz
-// converges, metrics render the cluster families, and a drop through
-// the service layer propagates to the replica.
+// TestClusterSvcRedirectFlow is the 3-node e2e: mutations and reads of
+// graphs a node does not hold 307 to the primary, replicas serve
+// checksummed read-only queries, a missing graph gets an authoritative
+// 404 from its primary, listings carry placement, /readyz converges,
+// metrics render the cluster families, and a drop through the service
+// layer propagates to the replica.
 func TestClusterSvcRedirectFlow(t *testing.T) {
-	ds := newSvcCluster(t, []string{"n1", "n2", "n3"}, 1, "redirect")
+	ds := newSvcCluster(t, []string{"n1", "n2", "n3"}, 1)
 	const name = "ring-a"
 	primary, replica, outsider := placementOf(t, ds, name)
 	t.Logf("placement %s: primary=%s replica=%s outsider=%s", name, primary.id, replica.id, outsider.id)
@@ -292,6 +293,18 @@ func TestClusterSvcRedirectFlow(t *testing.T) {
 	}
 	if outsider.node.Stats().Redirects == 0 {
 		t.Fatal("outsider issued no redirects")
+	}
+	resp = noFollow(t, "GET", outsider.ts.URL+"/v1/graphs/"+name, nil)
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != primary.ts.URL+"/v1/graphs/"+name {
+		t.Fatalf("info via outsider: status %d Location %q, want 307 to the primary", resp.StatusCode, loc)
+	}
+
+	// A name nobody holds: the ring names a primary, and asking it yields
+	// an authoritative 404, not another redirect.
+	ghost := "ghost-" + name
+	gp := ds[outsider.node.Placement(ghost)[0].ID]
+	if code := post(t, gp.ts.URL+"/v1/graphs/"+ghost+"/query", map[string]any{"algo": "cc"}, nil); code != http.StatusNotFound {
+		t.Fatalf("ghost query on its primary: %d, want 404", code)
 	}
 
 	// The replica's listing carries placement: role replica, lag 0.
@@ -369,124 +382,72 @@ func TestClusterSvcRedirectFlow(t *testing.T) {
 	})
 }
 
-// TestClusterSvcProxyFlow exercises -route=proxy: a node that does not
-// hold the graph relays queries to the primary and returns the answer
-// itself, while mutations still redirect.
-func TestClusterSvcProxyFlow(t *testing.T) {
-	ds := newSvcCluster(t, []string{"n1", "n2", "n3"}, 1, "proxy")
-	const name = "ring-b"
-	primary, replica, outsider := placementOf(t, ds, name)
-
-	loadViaV1 := func(base string) int {
-		return post(t, base+"/v1/graphs", map[string]any{
-			"name": name, "undirected": true,
-			"generator": map[string]any{"kind": "er", "scale": 5, "edge_factor": 4, "seed": 11},
-		}, nil)
+// TestClusterProtocolErrorsCounted: the cluster wire protocol's handlers
+// live in the cluster package, and the status they write still lands in
+// the "cluster" endpoint's status class on /metrics.
+func TestClusterProtocolErrorsCounted(t *testing.T) {
+	d := newSvcCluster(t, []string{"solo"}, 0)["solo"]
+	if code := get(t, d.ts.URL+"/v1/cluster/wal?from=0", nil); code != http.StatusBadRequest {
+		t.Fatalf("wal stream from 0: %d, want 400", code)
 	}
-	if code := loadViaV1(primary.ts.URL); code != http.StatusCreated {
-		t.Fatalf("load: %d", code)
+	if code := get(t, d.ts.URL+"/v1/cluster/graphs/missing/snapshot", nil); code != http.StatusNotFound {
+		t.Fatalf("snapshot of a missing graph: %d, want 404", code)
 	}
-	seedEdges(t, primary.ts.URL, name, 32, 4, 8)
-	waitCaughtUp(t, primary, replica, name)
-
-	// Query through the outsider: answered 200 by proxying, tagged with
-	// the node it came from, checksum identical to the primary's.
-	var qp QueryResponse
-	if code := post(t, primary.ts.URL+"/v1/graphs/"+name+"/query", map[string]any{"algo": "cc"}, &qp); code != http.StatusOK {
-		t.Fatalf("primary query: %d", code)
-	}
-	req, _ := http.NewRequest("POST", outsider.ts.URL+"/v1/graphs/"+name+"/query",
-		strings.NewReader(`{"algo":"cc"}`))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	mr, err := http.Get(d.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied query: %d", resp.StatusCode)
-	}
-	if from := resp.Header.Get("X-Lagraph-Proxied-From"); from != primary.id {
-		t.Fatalf("proxied from %q, want %q", from, primary.id)
-	}
-	var qo QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qo); err != nil {
-		t.Fatal(err)
-	}
-	if qo.Checksum != qp.Checksum {
-		t.Fatalf("proxied checksum %q != primary %q", qo.Checksum, qp.Checksum)
-	}
-	if outsider.node.Stats().Proxied == 0 {
-		t.Fatal("outsider proxied counter still zero")
-	}
-
-	// Info through the outsider also proxies.
-	var props catalog.Properties
-	if code := get(t, outsider.ts.URL+"/v1/graphs/"+name, &props); code != http.StatusOK {
-		t.Fatalf("proxied info: %d", code)
-	}
-	if props.Name != name {
-		t.Fatalf("proxied info returned name %q", props.Name)
-	}
-
-	// Mutations do NOT proxy — writes go to the primary by 307 even in
-	// proxy mode, so there is exactly one write path.
-	eb, _ := json.Marshal(map[string]any{"edges": []map[string]any{{"src": 3, "dst": 4}}})
-	r2 := noFollow(t, "POST", outsider.ts.URL+"/v1/graphs/"+name+"/edges", eb)
-	if r2.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("edges via outsider in proxy mode: %d, want 307", r2.StatusCode)
-	}
-
-	// A name nobody holds: the ring names a primary; asking IT yields an
-	// authoritative 404 (not a proxy loop).
-	ghost := "ghost-" + name
-	gp := ds[outsider.node.Placement(ghost)[0].ID]
-	if code := post(t, gp.ts.URL+"/v1/graphs/"+ghost+"/query", map[string]any{"algo": "cc"}, nil); code != http.StatusNotFound {
-		t.Fatalf("ghost query on its primary: %d, want 404", code)
+	mb, _ := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if want := `lagraphd_http_requests_total{endpoint="cluster",code="4xx"} 2`; !strings.Contains(string(mb), want) {
+		t.Fatalf("metrics lack %q", want)
 	}
 }
 
-// TestReadyzGatesBoot covers the satellite: /readyz is 503 until the
-// daemon marks boot recovery complete, while /healthz stays 200 — the
-// two probes answer different questions.
-func TestReadyzGatesBoot(t *testing.T) {
-	s, ts := newTestServer(t, Config{GateReady: true})
-	if code := get(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz during boot: %d", code)
-	}
-	var doc map[string]any
-	if code := get(t, ts.URL+"/readyz", &doc); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz before boot-ready: %d, want 503", code)
-	}
-	if doc["boot_recovered"] != false {
-		t.Fatalf("readyz doc: %+v", doc)
-	}
-	// Mutations are gated too: the daemon listens before boot replay
-	// finishes, and a write interleaved with replay would corrupt the
-	// journal floor bookkeeping.
-	var eb errorBody
-	code := post(t, ts.URL+"/v1/graphs", map[string]any{
-		"name": "early", "generator": map[string]any{"kind": "er", "scale": 3},
-	}, &eb)
-	if code != http.StatusServiceUnavailable || eb.Error.Code != "not_ready" || !eb.Error.Retryable {
-		t.Fatalf("load during boot: %d %+v, want 503 not_ready retryable", code, eb.Error)
-	}
-	s.MarkBootReady()
-	if code := get(t, ts.URL+"/readyz", &doc); code != http.StatusOK {
-		t.Fatalf("readyz after boot-ready: %d", code)
-	}
-	if doc["ready"] != true || doc["cluster_synced"] != true {
-		t.Fatalf("readyz doc after ready: %+v", doc)
-	}
-}
-
-// TestReadyzDefaultOn: servers built without GateReady (tests, library
-// embedding) are ready immediately — no behavior change for existing
-// users.
-func TestReadyzDefaultOn(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	if code := get(t, ts.URL+"/readyz", nil); code != http.StatusOK {
-		t.Fatalf("readyz without gating: %d", code)
+// TestReadyz: /readyz and mutations wait for MarkBootReady exactly when
+// the server has a Persister, whose boot recovery they must not race;
+// /healthz answers 200 throughout — the two probes answer different
+// questions.
+func TestReadyz(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		persister bool
+	}{
+		{"no persister", false},
+		{"persister then MarkBootReady", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg Config
+			if tc.persister {
+				st, err := store.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Persister = store.NewPersister(st, catalog.New())
+			}
+			s, ts := newTestServer(t, cfg)
+			if code := get(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+				t.Fatalf("healthz: %d", code)
+			}
+			if tc.persister {
+				var doc map[string]any
+				if code := get(t, ts.URL+"/readyz", &doc); code != http.StatusServiceUnavailable || doc["boot_recovered"] != false {
+					t.Fatalf("readyz before boot-ready: %d %+v, want 503", code, doc)
+				}
+				var eb errorBody
+				code := post(t, ts.URL+"/v1/graphs", map[string]any{
+					"name": "early", "generator": map[string]any{"kind": "er", "scale": 3},
+				}, &eb)
+				if code != http.StatusServiceUnavailable || eb.Error.Code != "not_ready" || !eb.Error.Retryable {
+					t.Fatalf("load during boot: %d %+v, want 503 not_ready retryable", code, eb.Error)
+				}
+				s.MarkBootReady()
+			}
+			var doc map[string]any
+			if code := get(t, ts.URL+"/readyz", &doc); code != http.StatusOK || doc["ready"] != true || doc["cluster_synced"] != true {
+				t.Fatalf("readyz when ready: %d %+v", code, doc)
+			}
+		})
 	}
 }
 

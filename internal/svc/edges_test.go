@@ -261,6 +261,7 @@ func newDurableServer(t *testing.T, dir string) (*Server, *httptest.Server, *wal
 		t.Fatal(err)
 	}
 	s := New(cat, &obs.Counters{}, Config{Persister: p})
+	s.MarkBootReady()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, jl
@@ -434,6 +435,7 @@ func TestEdgesNoSyncNotDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(cat, &obs.Counters{}, Config{Persister: p})
+	s.MarkBootReady()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

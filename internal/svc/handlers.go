@@ -405,8 +405,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
 	name := r.PathValue("name")
 	e, err := s.cat.Get(name)
 	if err != nil {
-		// No local copy: in cluster mode a non-owner forwards the query
-		// to the primary (307 or proxy, per -route); owners answer 404.
+		// No local copy: in cluster mode a non-owner redirects the query
+		// to the primary; owners answer 404.
 		if st, done := s.routeRead(w, r, name); done {
 			return st
 		}

@@ -35,6 +35,7 @@ func newPersistentServer(t *testing.T, dir string) (*Server, *httptest.Server, [
 		t.Fatal(err)
 	}
 	s := New(cat, &obs.Counters{}, Config{Persister: p})
+	s.MarkBootReady()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, events

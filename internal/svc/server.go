@@ -52,23 +52,18 @@ type Config struct {
 	// Persister, when non-nil, enables the durability endpoints
 	// (POST /v1/graphs/{name}/snapshot, POST /v1/admin/flush), mirrors graph
 	// drops into the store, and adds lagraphd_store_* metric families.
-	// Nil runs the daemon volatile, exactly as before persistence existed.
+	// It also gates readiness: /readyz answers 503 and mutations
+	// not_ready until MarkBootReady reports boot recovery done. Nil runs
+	// the daemon volatile and ready at once.
 	Persister *store.Persister
 	// Cluster, when non-nil, runs the daemon as one member of a
 	// multi-node deployment: mutations are routed to each graph's ring
 	// primary (307 + Location), replica-held graphs serve read-only
 	// queries locally, reads of graphs this node does not hold are
-	// forwarded per Route, the cluster wire protocol mounts under
-	// /v1/cluster/, and the lagraphd_cluster_* metric families appear.
+	// redirected to the primary too, the cluster wire protocol mounts
+	// under /v1/cluster/, and the lagraphd_cluster_* metric families
+	// appear.
 	Cluster *cluster.Node
-	// Route picks how reads of non-local graphs are forwarded in cluster
-	// mode: "redirect" (default; 307 to the primary) or "proxy" (this
-	// node relays the request and response).
-	Route string
-	// GateReady starts /readyz at 503 until MarkBootReady is called
-	// (after boot snapshot loads + WAL replay). Off by default so tests
-	// and library users are ready immediately.
-	GateReady bool
 }
 
 func (c Config) withDefaults() Config {
@@ -86,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGraphBytes <= 0 {
 		c.MaxGraphBytes = 256 << 20
-	}
-	if c.Route == "" {
-		c.Route = "redirect"
 	}
 	return c
 }
@@ -110,7 +102,7 @@ type Server struct {
 	rejected atomic.Int64  // 429s issued
 
 	// bootReady reports that boot recovery completed (/readyz gates on
-	// it when cfg.GateReady; starts true otherwise).
+	// it; starts true when there is no Persister to recover).
 	bootReady atomic.Bool
 
 	// Incremental-query counters (see incremental.go): runs answered
@@ -157,7 +149,7 @@ func New(cat *catalog.Catalog, counters *obs.Counters, cfg Config) *Server {
 	for _, e := range endpoints {
 		s.requests[e] = &endpointStats{}
 	}
-	if !cfg.GateReady {
+	if cfg.Persister == nil {
 		s.bootReady.Store(true)
 	}
 	return s
@@ -165,9 +157,6 @@ func New(cat *catalog.Catalog, counters *obs.Counters, cfg Config) *Server {
 
 // Catalog exposes the registry (the daemon preloads graphs through it).
 func (s *Server) Catalog() *catalog.Catalog { return s.cat }
-
-// Counters exposes the kernel-activity sink rendered by /metrics.
-func (s *Server) Counters() *obs.Counters { return s.counters }
 
 // route is one row of the API surface: an operation (the metrics label),
 // its method, its path pattern relative to the version prefix, and the

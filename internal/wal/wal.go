@@ -197,9 +197,6 @@ func Open(dir string, opt Options) (*Log, error) {
 // bytes dropped). Immutable after Open.
 func (l *Log) Recovery() RecoveryInfo { return l.rec }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // recover scans the segment files in LSN order, verifying each record and
 // establishing the append position (nextLSN + chain digest). It runs in
 // Open before the Log is shared, but takes mu anyway — uncontended, and
