@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"lagraph/internal/catalog"
+	"lagraph/internal/cluster"
 	"lagraph/internal/gen"
 	"lagraph/internal/lagraph"
 	"lagraph/internal/leakcheck"
@@ -56,5 +59,47 @@ func TestSnapshotLoopStops(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("snapshot loop did not stop on context cancellation")
+	}
+}
+
+// TestParsePeers pins the -peers grammar: id=url pairs, comma-separated,
+// order-insensitive and strict, so every node builds the same topology
+// or refuses to boot. A malformed entry fails in parsePeers itself
+// ("bad -peers entry"); a well-formed document that is not a valid
+// topology fails in Topology.Validate ("cluster: ...").
+func TestParsePeers(t *testing.T) {
+	two := []cluster.NodeInfo{{ID: "a", URL: "http://h:1"}, {ID: "b", URL: "http://h:2"}}
+	cases := []struct {
+		name  string
+		spec  string
+		epoch uint64
+		want  []cluster.NodeInfo
+		err   string // a substring of the error; "" when the spec is valid
+	}{
+		{"trailing slash trimmed", "a=http://h:1/,b=http://h:2//", 1, two, ""},
+		{"empty parts skipped", " ,a=http://h:1,, b=http://h:2 ,", 1, two, ""},
+		{"no separator", "a", 1, nil, "bad -peers entry"},
+		{"no id", "=http://h:1", 1, nil, "bad -peers entry"},
+		{"no url", "a=", 1, nil, "bad -peers entry"},
+		{"url only a slash", "a=/", 1, nil, "cluster: node needs both id and url"},
+		{"duplicate id", "a=http://h:1,a=http://h:2", 1, nil, "cluster: duplicate node id"},
+		{"epoch 0", "a=http://h:1", 0, nil, "cluster: topology epoch"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := parsePeers(tc.spec, 1, tc.epoch)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("parsePeers(%q, epoch %d): err = %v, want one naming %q", tc.spec, tc.epoch, err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parsePeers(%q): %v", tc.spec, err)
+			}
+			if !slices.Equal(topo.Nodes, tc.want) || topo.Epoch != tc.epoch || topo.Replicas != 1 {
+				t.Errorf("parsePeers(%q) = %+v, want nodes %+v at epoch %d with 1 replica", tc.spec, topo, tc.want, tc.epoch)
+			}
+		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 func allocBoundsCheck() *Check {
 	return &Check{
 		Name: "alloc-bounds",
-		Doc:  "decoders must bound sizes before make()/Grow() — validate, then allocate",
 		Applies: func(p *Package) bool {
 			switch p.Name {
 			case "grb", "store", "svc", "mmio", "lagraph", "wal":

@@ -5,116 +5,36 @@ import (
 	"go/types"
 )
 
-// atomicFieldsCheck enforces all-or-nothing atomicity: once any variable
-// or struct field is accessed through sync/atomic (its address passed to
-// atomic.Load*/Store*/Add*/Swap*/CompareAndSwap*), every other access to
-// the same object must also go through sync/atomic. A single plain read of
-// such a field — the classic `workers` class of bug — is a data race the
-// race detector only catches when the interleaving actually happens;
-// this check catches it structurally. (Fields of type atomic.Int64 etc.
-// are safe by construction and need no checking.)
+// atomicFieldsCheck bans the package-level functions of sync/atomic
+// (atomic.AddInt64, atomic.LoadPointer, …). They operate on a plain
+// variable, so nothing stops another site from reading or writing the
+// same variable without them — the `workers`-field class of data race,
+// which the race detector only catches when the interleaving happens.
+// The typed atomics (atomic.Int64, atomic.Pointer[T], …) are safe by
+// construction: their value cannot be reached except through their
+// methods. Every atomic in the repository is typed; this keeps it so.
 func atomicFieldsCheck() *Check {
 	return &Check{
-		Name: "atomic-fields",
-		Doc:  "objects accessed via sync/atomic must never be accessed plainly",
-		// Mixed plain/atomic access is a bug anywhere, so this check has
-		// no package restriction.
+		Name:    "atomic-fields",
 		Applies: func(p *Package) bool { return true },
 		Run:     runAtomicFields,
 	}
 }
 
 func runAtomicFields(p *Package, r *Reporter) {
-	// Pass 1: objects whose address escapes into a sync/atomic call.
-	atomicObjs := map[types.Object]bool{}
-	isAtomicCall := func(call *ast.CallExpr) bool {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		pkgID, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		pn, ok := p.Info.ObjectOf(pkgID).(*types.PkgName)
-		return ok && pn.Imported().Path() == "sync/atomic"
-	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(call) {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok || un.Op.String() != "&" {
-					continue
-				}
-				if obj := addressedObject(p, un.X); obj != nil {
-					atomicObjs[obj] = true
-				}
+			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				r.Reportf(sel.Pos(),
+					"atomic.%s works on a plain variable that other sites can access plainly; declare it as a typed atomic (atomic.Int64, atomic.Pointer[T], …) instead",
+					fn.Name())
 			}
 			return true
 		})
 	}
-	if len(atomicObjs) == 0 {
-		return
-	}
-
-	// Pass 2: any use of those objects outside an atomic call argument.
-	for _, f := range p.Files {
-		var walk func(n ast.Node, shielded bool)
-		walk = func(n ast.Node, shielded bool) {
-			if n == nil {
-				return
-			}
-			if call, ok := n.(*ast.CallExpr); ok && isAtomicCall(call) {
-				for _, arg := range call.Args {
-					walk(arg, true)
-				}
-				return
-			}
-			if id, ok := n.(*ast.Ident); ok {
-				if !shielded && atomicObjs[p.Info.Uses[id]] {
-					r.Reportf(id.Pos(),
-						"%s is accessed via sync/atomic elsewhere; this plain access is a data race — use the atomic API here too",
-						id.Name)
-				}
-				return
-			}
-			var children []ast.Node
-			ast.Inspect(n, func(c ast.Node) bool {
-				if c == n {
-					return true
-				}
-				if c != nil {
-					children = append(children, c)
-				}
-				return false
-			})
-			for _, c := range children {
-				walk(c, shielded)
-			}
-		}
-		walk(f, false)
-	}
-}
-
-// addressedObject resolves &expr's operand to the variable or field object
-// it denotes, unwrapping parentheses.
-func addressedObject(p *Package, e ast.Expr) types.Object {
-	for {
-		if par, ok := e.(*ast.ParenExpr); ok {
-			e = par.X
-			continue
-		}
-		break
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		return p.Info.ObjectOf(e)
-	case *ast.SelectorExpr:
-		return p.Info.ObjectOf(e.Sel)
-	}
-	return nil
 }

@@ -2,12 +2,13 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
 // contextPlumbingCheck enforces the repo's cancellation discipline below
 // cmd/: deadlines and cancellation must flow from the caller, not be
-// minted or squirreled away by library code. Three rules:
+// minted or squirreled away by library code, kernel packages included.
+// Three rules:
 //
 //   - no context.Background()/context.TODO() outside package main — a
 //     library that mints its own root context silently detaches work from
@@ -15,13 +16,14 @@ import (
 //     call being cancelable from the handler's r.Context());
 //   - a function that takes a context.Context takes it as the first
 //     parameter, per Go convention, so call sites read uniformly;
-//   - context.Context never appears as a struct field — contexts are
-//     call-scoped, not object-scoped; the single blessed exception is
-//     Options.Ctx, the public API's explicit execution-scope knob.
+//   - context.Context is never stored, in a struct field or a package
+//     variable — contexts are call-scoped, not object-scoped, and a
+//     stored one turns a pure function of its operands into a function
+//     of ambient state; the single blessed exception is Options.Ctx, the
+//     public API's explicit execution-scope knob.
 func contextPlumbingCheck() *Check {
 	return &Check{
 		Name: "context-plumbing",
-		Doc:  "no Background/TODO below cmd/, ctx first param, no context struct fields beyond Options.Ctx",
 		Applies: func(p *Package) bool {
 			return p.Name != "main"
 		},
@@ -31,10 +33,6 @@ func contextPlumbingCheck() *Check {
 
 func runContextPlumbing(p *Package, r *Reporter) {
 	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -57,6 +55,13 @@ func runContextPlumbing(p *Package, r *Reporter) {
 			}
 			return true
 		})
+	}
+	scope := p.Types.Scope()
+	for _, name := range scope.Names() {
+		if v, ok := scope.Lookup(name).(*types.Var); ok && v.Type().String() == "context.Context" {
+			r.Reportf(v.Pos(),
+				"package variable %s stores a context.Context; contexts are call-scoped — pass ctx per call instead", name)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 func deprecationCheck() *Check {
 	return &Check{
 		Name:    "no-deprecated",
-		Doc:     "deprecated Go symbols must be deleted and their callers migrated, not accumulated",
 		Applies: func(p *Package) bool { return true },
 		Run:     runNoDeprecated,
 	}

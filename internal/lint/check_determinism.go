@@ -20,7 +20,6 @@ func determinismCheck() *Check {
 	kernelPkgs := map[string]bool{"grb": true, "ref": true, "lagraph": true}
 	return &Check{
 		Name: "determinism",
-		Doc:  "no output may be derived from map iteration order",
 		Applies: func(p *Package) bool {
 			return kernelPkgs[p.Name]
 		},

@@ -24,7 +24,6 @@ import (
 func errorDisciplineCheck() *Check {
 	return &Check{
 		Name: "error-discipline",
-		Doc:  "algorithms must not silently drop error returns",
 		Applies: func(p *Package) bool {
 			return p.Name == "lagraph"
 		},

@@ -29,7 +29,6 @@ import (
 func formatInvariantsCheck() *Check {
 	return &Check{
 		Name: "format-invariants",
-		Doc:  "reads of Matrix and Vector storage fields must go through the format-dispatch accessors",
 		Applies: func(p *Package) bool {
 			return p.Name == "grb"
 		},

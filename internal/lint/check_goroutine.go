@@ -32,7 +32,6 @@ import (
 func goroutineLifecycleCheck() *Check {
 	return &Check{
 		Name:    "goroutine-lifecycle",
-		Doc:     "every go statement needs a provable termination path (ctx/done receive, waited WaitGroup, drained channel, or ctx-carrying callee)",
 		Applies: func(p *Package) bool { return true },
 		Run:     runGoroutineLifecycle,
 	}
@@ -40,10 +39,6 @@ func goroutineLifecycleCheck() *Check {
 
 func runGoroutineLifecycle(p *Package, r *Reporter) {
 	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -36,14 +36,12 @@ import (
 //     must not call into while one of its own mutexes is held: store
 //     code must not call the catalog under a store-layer lock (an entry
 //     callback may trigger a snapshot save; the reverse closes the cycle
-//     and is one blocked writer away from deadlock), and cluster code
-//     must never call back into svc while holding the ring mutex (svc
-//     calls into cluster on every routed request; re-entry under mu
-//     would deadlock).
+//     and is one blocked writer away from deadlock). A cluster → svc call
+//     needs no row: svc imports cluster, so the compiler rejects it as an
+//     import cycle.
 func lockDisciplineCheck() *Check {
 	return &Check{
 		Name: "lock-discipline",
-		Doc:  "guardedby-annotated fields accessed only under their mutex; no catalog calls under store locks",
 		// Guarded-field analysis runs wherever annotations appear; the
 		// ordering rule keys off the store package name so it also covers
 		// the fixture.
@@ -61,13 +59,10 @@ var (
 // lockOrderForbidden is the repo's lock-order table: package name → the
 // import-path suffixes it must not call into while holding any of its
 // own mutexes. The order is cluster → catalog → store, so store may not
-// re-enter the catalog under lock, and cluster — whose ring mutex sits
-// outermost and is taken on every routed request — may not call back
-// into svc at all while holding it. (Calls the other way down the order,
+// re-enter the catalog under lock. (Calls the other way down the order,
 // e.g. cluster → catalog under the ring mutex, are legal by design.)
 var lockOrderForbidden = map[string][]string{
-	"store":   {"/catalog"},
-	"cluster": {"/svc"},
+	"store": {"/catalog"},
 }
 
 // guardKey identifies one guarded field: the named struct and field name.
@@ -395,7 +390,7 @@ func analyzeLockContext(p *Package, r *Reporter, body *ast.BlockStmt, grants []l
 			}
 			if heldHere {
 				r.Reportf(call.Pos(),
-					"calls %s.%s while holding a %s-layer mutex; the lock order (cluster→catalog→store, svc outside it) forbids %s code from entering %s under lock — release the lock (snapshot the state you need) first",
+					"calls %s.%s while holding a %s-layer mutex; the lock order (cluster→catalog→store) forbids %s code from entering %s under lock — release the lock (snapshot the state you need) first",
 					target, sel.Sel.Name, p.Name, p.Name, target)
 			}
 			return true

@@ -21,7 +21,6 @@ import (
 func pendingTuplesCheck() *Check {
 	return &Check{
 		Name: "pending-tuples",
-		Doc:  "exported grb operations must Wait before reading cs internals",
 		Applies: func(p *Package) bool {
 			return p.Name == "grb"
 		},

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"strconv"
 	"strings"
 )
@@ -14,16 +13,9 @@ import (
 // conformance methodology (fast kernel vs dense mimic, §II-A) and the
 // cross-parallelism bitwise tests meaningful. Timing belongs in
 // benchmarks, randomness in internal/gen, I/O in cmd/, HTTP in
-// internal/svc.
-//
-// Contexts get a narrower rule than a full import ban: kernel code may
-// *check* a caller's context (a ctx parameter consulted between chunks of
-// work is how the algorithm layer's cancellation reaches long kernels),
-// but must never *store* one — no context.Context struct fields, no
-// package-level context variables. Stored contexts outlive the call that
-// supplied them, which turns a pure function of its operands into a
-// function of ambient mutable state (exactly what "contexts are
-// call-scoped, not object-scoped" in the stdlib docs guards against).
+// internal/svc. The context package is not banned: a kernel may check a
+// caller's ctx parameter between chunks of work, and context-plumbing
+// keeps it from storing one.
 //
 // The one sanctioned timing route is the observability seam: kernels may
 // import lagraph/internal/obs and read the clock through an injected
@@ -36,7 +28,6 @@ func kernelPurityCheck() *Check {
 	kernelPkgs := map[string]bool{"grb": true, "ref": true}
 	return &Check{
 		Name: "kernel-purity",
-		Doc:  "no time, randomness, os access, or printing inside kernel code",
 		Applies: func(p *Package) bool {
 			return kernelPkgs[p.Name]
 		},
@@ -67,7 +58,6 @@ func runKernelPurity(p *Package, r *Reporter) {
 		// The local name each impure or print-capable package is bound to.
 		fmtName := ""
 		obsName := ""
-		ctxName := ""
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -89,22 +79,12 @@ func runKernelPurity(p *Package, r *Reporter) {
 					obsName = name
 				}
 			}
-			if path == "context" {
-				// Allowed as a checked parameter; storage is flagged below.
-				ctxName = "context"
-				if name != "" {
-					ctxName = name
-				}
-			}
 			if path == "fmt" {
 				fmtName = "fmt"
 				if name != "" {
 					fmtName = name
 				}
 			}
-		}
-		if ctxName != "" && ctxName != "_" {
-			checkContextStorage(f, ctxName, r)
 		}
 		if (fmtName == "" || fmtName == "_") && (obsName == "" || obsName == "_") {
 			continue
@@ -135,68 +115,4 @@ func runKernelPurity(p *Package, r *Reporter) {
 			return true
 		})
 	}
-}
-
-// checkContextStorage flags stored contexts: struct fields of type
-// context.Context and package-level context variables. Parameters and
-// locals are fine — those are the sanctioned "check between chunks of
-// work" seam.
-func checkContextStorage(f *ast.File, ctxName string, r *Reporter) {
-	isCtxType := func(e ast.Expr) bool {
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		id, ok := sel.X.(*ast.Ident)
-		return ok && id.Name == ctxName && sel.Sel.Name == "Context"
-	}
-	// Package-level vars: declared context type, or initialized from the
-	// context package (Background()/TODO()/With*), which stores one even
-	// without a declared type.
-	fromCtxPkg := func(e ast.Expr) bool {
-		call, ok := e.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		id, ok := sel.X.(*ast.Ident)
-		return ok && id.Name == ctxName
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			stored := vs.Type != nil && isCtxType(vs.Type)
-			for _, v := range vs.Values {
-				stored = stored || fromCtxPkg(v)
-			}
-			if stored {
-				r.Reportf(vs.Pos(),
-					"kernel code must not store a context in a package variable; contexts may only be checked, passed in per call")
-			}
-		}
-	}
-	// Struct fields anywhere in the file (named types, locals, literals).
-	ast.Inspect(f, func(n ast.Node) bool {
-		st, ok := n.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		for _, field := range st.Fields.List {
-			if isCtxType(field.Type) {
-				r.Reportf(field.Pos(),
-					"kernel code must not store a context in a struct field; contexts may only be checked, passed in per call")
-			}
-		}
-		return true
-	})
 }

@@ -1,12 +1,14 @@
-// Package lint is the analyzer framework behind cmd/grblint: a small,
-// stdlib-only (go/parser, go/ast, go/types — no x/tools) suite of checks
-// that mechanically enforce the kernel invariants the library's
-// correctness argument rests on. The GraphBLAS substrate promises
+// Package lint is the repository's invariant checks: a small,
+// stdlib-only (go/parser, go/ast, go/types — no x/tools) suite that
+// mechanically enforces the kernel invariants the library's correctness
+// argument rests on. The GraphBLAS substrate promises
 // bitwise-deterministic results at any parallelism level and a disciplined
 // non-blocking execution model; both are properties a reviewer cannot
 // reliably police by eye, so they are enforced here instead (in the spirit
 // of LAGraph's position that a community algorithm collection needs
-// mechanically-checked correctness discipline).
+// mechanically-checked correctness discipline). The one runner is
+// TestRepoClean, which checks every package of the module under
+// `go test ./...`.
 //
 // Diagnostics may be suppressed site-by-site with a trailing or preceding
 // comment of the form
@@ -18,8 +20,8 @@
 // audit, so a directive without one is itself reported as a diagnostic
 // (check name "ignore-justification", not suppressible). The colon after
 // the check list is accepted but optional — legacy space-separated
-// reasons keep working. `grblint -list-ignores` inventories every
-// directive with its reason.
+// reasons keep working. `go test -v -run TestRepoClean ./internal/lint`
+// logs every directive with its reason.
 package lint
 
 import (
@@ -33,11 +35,11 @@ import (
 
 // Diagnostic is one finding, positioned for file:line:col reporting.
 type Diagnostic struct {
-	Check   string `json:"check"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Check   string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 func (d Diagnostic) String() string {
@@ -45,10 +47,10 @@ func (d Diagnostic) String() string {
 }
 
 // Check is one analyzer: a name (used in reports and ignore comments), a
-// one-line description, a package predicate, and the analysis itself.
+// package predicate, and the analysis itself. The invariant a check
+// enforces is its constructor's doc comment.
 type Check struct {
 	Name string
-	Doc  string
 	// Applies reports whether the check runs on this package at all;
 	// checks that guard internals of a specific package key off the
 	// package name so they also run against fixture packages in tests.
@@ -92,33 +94,15 @@ func Checks() []*Check {
 	}
 }
 
-// CheckNames returns the names of every registered check.
-func CheckNames() []string {
-	var names []string
-	for _, c := range Checks() {
-		names = append(names, c.Name)
-	}
-	return names
-}
-
-// RunChecks runs the selected checks (nil or empty selection = all) over a
-// package and returns the surviving diagnostics, ignore comments applied,
-// sorted by position. Ignore directives without a justification are
-// themselves reported (check "ignore-justification") regardless of the
-// selection: a bare ignore is an unauditable claim, not a finding that a
-// check could be asked to skip.
-func RunChecks(p *Package, selection []string) []Diagnostic {
-	selected := map[string]bool{}
-	for _, s := range selection {
-		selected[s] = true
-	}
+// RunChecks runs every check over a package and returns the surviving
+// diagnostics, ignore comments applied, sorted by position. Ignore
+// directives without a justification are themselves reported (check
+// "ignore-justification"): a bare ignore is an unauditable claim.
+func RunChecks(p *Package) []Diagnostic {
 	directives := Ignores(p)
 	ignores := indexIgnores(directives)
 	var out []Diagnostic
 	for _, c := range Checks() {
-		if len(selected) > 0 && !selected[c.Name] {
-			continue
-		}
 		if c.Applies != nil && !c.Applies(p) {
 			continue
 		}
@@ -160,18 +144,17 @@ func RunChecks(p *Package, selection []string) []Diagnostic {
 // an optional colon, then the free-text justification. Anchored to the
 // start of the comment so prose that merely *mentions* the grammar
 // (e.g. this package's own doc comments) neither suppresses anything
-// nor pollutes the -list-ignores inventory.
+// nor pollutes the inventory TestRepoClean logs.
 var ignoreRe = regexp.MustCompile(`^//grblint:ignore\s+([a-z][a-z0-9-]*(?:,[a-z][a-z0-9-]*)*):?\s*(.*)`)
 
-// IgnoreDirective is one //grblint:ignore comment, positioned for
-// inventory listings (`grblint -list-ignores`) and justification
-// enforcement.
+// IgnoreDirective is one //grblint:ignore comment, positioned for the
+// inventory TestRepoClean logs and for justification enforcement.
 type IgnoreDirective struct {
-	File   string   `json:"file"`
-	Line   int      `json:"line"`
-	Col    int      `json:"col"`
-	Checks []string `json:"checks"`
-	Reason string   `json:"reason"`
+	File   string
+	Line   int
+	Col    int
+	Checks []string
+	Reason string
 }
 
 // Ignores scans every comment of the package for ignore directives, in

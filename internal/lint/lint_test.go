@@ -69,7 +69,7 @@ func TestFixtures(t *testing.T) {
 	loader := sharedLoader(t)
 	fixtures := []string{
 		"determinism", "pending", "atomicfields", "purity", "errdiscipline", "format",
-		"lockdiscipline", "lockorder", "clusterorder", "goroutine", "ctxplumb",
+		"lockdiscipline", "lockorder", "goroutine", "ctxplumb",
 		"allocbounds", "deprecated",
 	}
 	for _, name := range fixtures {
@@ -84,7 +84,7 @@ func TestFixtures(t *testing.T) {
 				t.Fatalf("fixture %s has no WANT markers", name)
 			}
 			got := map[string]bool{}
-			for _, d := range RunChecks(pkg, nil) {
+			for _, d := range RunChecks(pkg) {
 				got[fmt.Sprintf("%s:%d:%s", filepath.Base(d.File), d.Line, d.Check)] = true
 			}
 			for k := range want {
@@ -101,25 +101,8 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestCheckSelection verifies the -checks subset mechanism: selecting a
-// single check must drop every other check's findings.
-func TestCheckSelection(t *testing.T) {
-	loader := sharedLoader(t)
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "purity"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(RunChecks(pkg, []string{"atomic-fields"})); n != 0 {
-		t.Fatalf("selection [atomic-fields] on purity fixture: want 0 diagnostics, got %d", n)
-	}
-	if n := len(RunChecks(pkg, []string{"kernel-purity"})); n == 0 {
-		t.Fatal("selection [kernel-purity] on purity fixture: want diagnostics, got none")
-	}
-}
-
 // TestCheckMetadata keeps the registry well-formed: unique kebab-case
-// names and docs (the names are load-bearing — they appear in ignore
-// directives).
+// names (the names are load-bearing — they appear in ignore directives).
 func TestCheckMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	nameRe := regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
@@ -131,8 +114,8 @@ func TestCheckMetadata(t *testing.T) {
 			t.Errorf("duplicate check name %q", c.Name)
 		}
 		seen[c.Name] = true
-		if c.Doc == "" || c.Run == nil {
-			t.Errorf("check %q missing doc or run function", c.Name)
+		if c.Run == nil {
+			t.Errorf("check %q has no run function", c.Name)
 		}
 	}
 	if len(seen) < 10 {
@@ -143,29 +126,26 @@ func TestCheckMetadata(t *testing.T) {
 // TestIgnoreJustification pins the bare-directive contract: a legacy
 // //grblint:ignore with no reason still suppresses its finding (so
 // adopting the rule cannot break a build mid-migration) but is itself
-// reported as ignore-justification — and that report survives -checks
-// selection, since it is not a check a caller can deselect.
+// reported as ignore-justification.
 func TestIgnoreJustification(t *testing.T) {
 	loader := sharedLoader(t)
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "bareignore"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, selection := range [][]string{nil, {"determinism"}} {
-		diags := RunChecks(pkg, selection)
-		if len(diags) != 1 {
-			t.Fatalf("selection %v: want exactly the justification diagnostic, got %v", selection, diags)
-		}
-		if diags[0].Check != "ignore-justification" {
-			t.Fatalf("selection %v: want ignore-justification, got %s", selection, diags[0].Check)
-		}
-		if !strings.Contains(diags[0].Message, "goroutine-lifecycle") {
-			t.Errorf("diagnostic should name the suppressed check: %s", diags[0].Message)
-		}
+	diags := RunChecks(pkg)
+	if len(diags) != 1 {
+		t.Fatalf("want exactly the justification diagnostic, got %v", diags)
+	}
+	if diags[0].Check != "ignore-justification" {
+		t.Fatalf("want ignore-justification, got %s", diags[0].Check)
+	}
+	if !strings.Contains(diags[0].Message, "goroutine-lifecycle") {
+		t.Errorf("diagnostic should name the suppressed check: %s", diags[0].Message)
 	}
 }
 
-// TestIgnoresInventory covers the -list-ignores data source: every
+// TestIgnoresInventory covers the inventory TestRepoClean logs: every
 // directive comes back with its position, check list, and reason.
 func TestIgnoresInventory(t *testing.T) {
 	loader := sharedLoader(t)
@@ -198,33 +178,48 @@ func TestIgnoresInventory(t *testing.T) {
 	}
 }
 
-// TestRepoClean is the acceptance gate run as a unit test: the linter
-// must be clean over the entire repository. Any kernel change that
-// violates an invariant fails here (and in CI) before review.
+// TestLoadDirTypeError pins that a package which does not type-check is
+// a load error, so no check ever runs on partial type information.
+func TestLoadDirTypeError(t *testing.T) {
+	_, err := sharedLoader(t).LoadDir(filepath.Join("testdata", "typeerror"))
+	if err == nil || !strings.Contains(err.Error(), "fixture.go") {
+		t.Fatalf("LoadDir on a package that does not type-check: err = %v, want the positioned type error", err)
+	}
+}
+
+// TestRepoClean is the invariant gate: every check must be clean over
+// every package of the module, bench/e2e included, one subtest per
+// package. Each ignore directive is logged with its reason, so
+// `go test -v -run TestRepoClean ./internal/lint` is the inventory of
+// every suppression.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	loader := sharedLoader(t)
-	dirs, err := loader.Expand([]string{filepath.Join(loader.ModuleRoot, "...")})
+	dirs, err := loader.packageDirs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dirs) < 5 {
 		t.Fatalf("expected to find the module's packages, got %v", dirs)
 	}
-	total := 0
 	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
+		rel, err := filepath.Rel(loader.ModuleRoot, dir)
 		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
+			t.Fatal(err)
 		}
-		for _, d := range RunChecks(pkg, nil) {
-			t.Errorf("%s", d)
-			total++
-		}
-	}
-	if total > 0 {
-		t.Fatalf("grblint reports %d diagnostic(s) on the repository", total)
+		t.Run(filepath.ToSlash(rel), func(t *testing.T) {
+			pkg, err := loader.LoadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ig := range Ignores(pkg) {
+				t.Logf("%s:%d: ignore %s: %s", ig.File, ig.Line, strings.Join(ig.Checks, ","), ig.Reason)
+			}
+			for _, d := range RunChecks(pkg) {
+				t.Errorf("%s", d)
+			}
+		})
 	}
 }

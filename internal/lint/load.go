@@ -9,15 +9,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // Package is one loaded, type-checked package: the unit every check runs
-// over. Type-checking is best-effort — TypeErrors collects anything the
-// checker could not resolve, and checks degrade gracefully on missing
-// type info rather than failing the run (a package that truly does not
-// compile is caught by `go build`, not by grblint).
+// over. A package that does not type-check is a load error, so every
+// check runs on complete type information.
 type Package struct {
 	Path  string // import path ("lagraph/internal/grb")
 	Name  string // package name ("grb")
@@ -26,8 +23,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	TypeErrors []error
 }
 
 // Loader parses and type-checks packages of one module. Module-internal
@@ -96,55 +91,26 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module directive", gomod)
 }
 
-// Expand resolves command-line patterns to package directories. "..."
-// suffixes walk recursively; other arguments name a single directory.
-// Directories named testdata or vendor, and hidden directories, are
-// skipped, mirroring the go tool.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	seen := map[string]bool{}
+// packageDirs lists every directory under the module root that holds a
+// package, in lexical order. Directories named testdata or vendor, and
+// hidden ones, are skipped, mirroring the go tool; a nested module such
+// as bench/e2e is walked like any other directory.
+func (l *Loader) packageDirs() ([]string, error) {
 	var dirs []string
-	addIfPackage := func(dir string) {
-		if seen[dir] {
-			return
+	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-		if hasGoFiles(dir) {
-			seen[dir] = true
-			dirs = append(dirs, dir)
+		name := d.Name()
+		if path != l.ModuleRoot && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
 		}
-	}
-	for _, pat := range patterns {
-		if rest, recursive := strings.CutSuffix(pat, "..."); recursive {
-			base := filepath.Clean(rest)
-			if base == "" || base == "."+string(filepath.Separator) {
-				base = "."
-			}
-			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != base && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				addIfPackage(path)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			dir := filepath.Clean(pat)
-			if !hasGoFiles(dir) {
-				return nil, fmt.Errorf("%s: no Go files", pat)
-			}
-			addIfPackage(dir)
+		if hasGoFiles(path) {
+			dirs = append(dirs, path)
 		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
+		return nil
+	})
+	return dirs, err
 }
 
 func hasGoFiles(dir string) bool {
@@ -160,10 +126,10 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// LoadDir parses and type-checks the package in dir. Test files
-// (*_test.go) are excluded: every invariant grblint enforces is about
-// shipped kernel code, and test packages may deliberately exercise the
-// forbidden patterns.
+// LoadDir parses and type-checks the package in dir, and returns the
+// first parse or type error. Test files (*_test.go) are excluded: every
+// invariant the checks enforce is about shipped code, and test packages
+// may deliberately exercise the forbidden patterns.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -224,13 +190,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 	}
-	conf := types.Config{
-		Importer: &loaderImporter{l: l},
-		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	conf := types.Config{Importer: &loaderImporter{l: l}}
+	tpkg, err := conf.Check(path, l.Fset, files, p.Info)
+	if err != nil {
+		return nil, err
 	}
-	// Best effort: Check reports the first hard error, but Info is
-	// populated for everything that did resolve.
-	tpkg, _ := conf.Check(path, l.Fset, files, p.Info)
 	p.Types = tpkg
 	l.cache[path] = p
 	return p, nil
@@ -256,9 +220,6 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 		p, err := l.load(path, filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)))
 		if err != nil {
 			return nil, err
-		}
-		if p.Types == nil {
-			return nil, fmt.Errorf("type-checking %s failed", path)
 		}
 		return p.Types, nil
 	}

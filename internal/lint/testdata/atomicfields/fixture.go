@@ -1,48 +1,40 @@
-// Package fixture exercises the atomic-fields check: once an object's
-// address reaches sync/atomic, every access must be atomic.
+// Package fixture exercises the atomic-fields check: sync/atomic's
+// package-level functions are banned, its typed atomics are not.
 package fixture
 
 import "sync/atomic"
 
 type scheduler struct {
 	workers int64
-	limit   int64 // never touched atomically: plain access is fine
+	typed   atomic.Int64
 }
 
 func (s *scheduler) grow() {
-	atomic.AddInt64(&s.workers, 1)
+	atomic.AddInt64(&s.workers, 1) // WANT atomic-fields
 }
 
-func (s *scheduler) badRead() int64 {
-	return s.workers // WANT atomic-fields
+func (s *scheduler) read() int64 {
+	return atomic.LoadInt64(&s.workers) // WANT atomic-fields
 }
 
-func (s *scheduler) badWrite(n int64) {
-	s.workers = n // WANT atomic-fields
+// loader holds a sync/atomic function as a value: the same plain
+// variable, one step removed.
+var loader = atomic.LoadInt64 // WANT atomic-fields
+
+func (s *scheduler) growTyped() int64 {
+	return s.typed.Add(1)
 }
 
-func (s *scheduler) goodRead() int64 {
-	return atomic.LoadInt64(&s.workers)
-}
-
-func (s *scheduler) plainField() int64 {
-	return s.limit
-}
-
-var hits int64
+var hits atomic.Int64
 
 func recordHit() {
-	atomic.AddInt64(&hits, 1)
+	hits.Add(1)
 }
 
-func badSnapshot() int64 {
-	return hits // WANT atomic-fields
+func snapshot() int64 {
+	return hits.Load()
 }
 
-func goodSnapshot() int64 {
-	return atomic.LoadInt64(&hits)
-}
-
-func annotatedSnapshot() int64 {
-	return hits //grblint:ignore atomic-fields read under startup, pre-goroutine
+func annotated(n *int32) {
+	atomic.StoreInt32(n, 0) //grblint:ignore atomic-fields: the caller owns n until this returns, before any goroutine starts
 }

@@ -1,5 +1,6 @@
 // Package ctxplumb exercises the context-plumbing check: no minted root
-// contexts below cmd/, ctx first, contexts never stored in structs.
+// contexts below cmd/, ctx first, contexts never stored in struct fields
+// or package variables.
 package ctxplumb
 
 import "context"
@@ -20,6 +21,10 @@ type Holder struct {
 func Mint() context.Context {
 	return context.Background() // WANT context-plumbing
 }
+
+// derived is a package variable whose context type is inferred: stored
+// all the same.
+var derived, stop = context.WithCancel(Mint()) // WANT context-plumbing
 
 // Todo is the placeholder variant of the same mistake.
 func Todo() context.Context {

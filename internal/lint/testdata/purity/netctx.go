@@ -1,9 +1,9 @@
 package grb
 
-// Networking is banned outright in kernel code, and contexts follow the
-// narrower storage rule: checking a caller's ctx between chunks of work
-// is the sanctioned cancellation seam, storing one (struct field or
-// package variable) is a violation.
+// Networking is banned outright in kernel code. The context package is
+// not: checking a caller's ctx between chunks of work is the sanctioned
+// cancellation seam, and storing one (struct field or package variable)
+// is a context-plumbing finding here as in every library package.
 
 import (
 	"context"
@@ -16,12 +16,15 @@ var _ = net.JoinHostPort
 
 // storedCtx smuggles ambient state into kernel objects.
 type storedCtx struct {
-	ctx context.Context // WANT kernel-purity // WANT context-plumbing
+	ctx context.Context // WANT context-plumbing
 	n   int
 }
 
 // pkgCtx outlives every call that could have scoped it.
-var pkgCtx = context.Background() // WANT kernel-purity // WANT context-plumbing
+var pkgCtx = context.Background() // WANT context-plumbing
+
+// heldCtx is stored by its declared type alone.
+var heldCtx context.Context // WANT context-plumbing
 
 // chunkedKernel shows the sanctioned seam: ctx arrives as a parameter and
 // is only ever checked, never retained.

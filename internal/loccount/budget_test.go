@@ -16,7 +16,6 @@ import (
 // package (CONTRIBUTING.md, rule 12).
 var lineBudgets = map[string]int{
 	".":                       64,
-	"cmd/grblint":             138,
 	"cmd/lagraph":             406,
 	"cmd/lagraphd":            220,
 	"cmd/loadgen":             650,
@@ -35,7 +34,7 @@ var lineBudgets = map[string]int{
 	"internal/grb/ref":        496,
 	"internal/lagraph":        2349,
 	"internal/leakcheck":      81,
-	"internal/lint":           1928,
+	"internal/lint":           1729,
 	"internal/loccount":       113,
 	"internal/mmio":           248,
 	"internal/obs":            245,

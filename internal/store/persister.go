@@ -302,9 +302,11 @@ type FlushResult struct {
 // FlushDirty snapshots every dirty graph. Per-graph failures are joined
 // into the returned error but do not stop the sweep; a graph dropped
 // between the dirty scan and its snapshot is skipped silently.
+// Snapshotted is never nil, so a sweep with nothing dirty encodes as []
+// like every other list the daemon answers with.
 func (p *Persister) FlushDirty() (FlushResult, error) {
 	dirty := p.Dirty()
-	res := FlushResult{Clean: len(p.cat.Names()) - len(dirty)}
+	res := FlushResult{Snapshotted: make([]SnapResult, 0, len(dirty)), Clean: len(p.cat.Names()) - len(dirty)}
 	var errs []error
 	for _, name := range dirty {
 		sr, err := p.SnapshotOne(name)

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,6 +53,32 @@ func queryChecksum(t *testing.T, base, graph, algo string) string {
 		t.Fatalf("query %s/%s returned no checksum", graph, algo)
 	}
 	return resp.Checksum
+}
+
+// TestFlushNothingDirty pins the flush body when there is nothing to
+// write, on an empty daemon and after a second flush of a loaded one:
+// "snapshotted" is an empty list, never null.
+func TestFlushNothingDirty(t *testing.T) {
+	_, ts, _ := newPersistentServer(t, t.TempDir())
+	flush := func(wantClean string) {
+		t.Helper()
+		var body map[string]json.RawMessage
+		if code := post(t, ts.URL+"/v1/admin/flush", nil, &body); code != http.StatusOK {
+			t.Fatalf("flush: status %d", code)
+		}
+		if got := string(body["snapshotted"]); got != "[]" {
+			t.Errorf(`flush with nothing dirty: "snapshotted" is %s, want []`, got)
+		}
+		if got := string(body["clean"]); got != wantClean {
+			t.Errorf(`flush with nothing dirty: "clean" is %s, want %s`, got, wantClean)
+		}
+	}
+	flush("0")
+	loadGraph(t, ts.URL, "alpha", 5)
+	if code := post(t, ts.URL+"/v1/admin/flush", nil, nil); code != http.StatusOK {
+		t.Fatalf("first flush: status %d", code)
+	}
+	flush("1")
 }
 
 // TestCrashRecovery is the end-to-end durability test: load graphs into a
