@@ -81,7 +81,6 @@ func main() {
 	dataDir := flag.String("data", "", "directory for durable graph snapshots (empty = volatile)")
 	snapEvery := flag.Duration("snapshot-interval", 30*time.Second, "how often to snapshot dirty graphs (0 disables the background snapshotter; requires -data)")
 	walSync := flag.Bool("wal-sync", true, "fsync the edge journal on every accepted batch (requires -data; false trades durability for throughput)")
-	walSegBytes := flag.Int64("wal-segment-bytes", 0, "journal segment rotation size in bytes (0 = 64 MiB; requires -data)")
 	nodeID := flag.String("node-id", "", "this node's cluster member ID (enables cluster mode; requires -data and -peers)")
 	peers := flag.String("peers", "", "cluster membership as id=url,id=url,... (must include -node-id)")
 	replicas := flag.Int("replicas", 1, "replica copies per graph beyond the primary (cluster mode)")
@@ -125,10 +124,7 @@ func main() {
 		// The edge journal lives beside the snapshots. Opening it first
 		// also runs its own recovery (chain verification, torn-tail
 		// truncation), so LoadAll below can replay the suffix.
-		jl, err = wal.Open(filepath.Join(*dataDir, "wal"), wal.Options{
-			SegmentBytes: *walSegBytes,
-			NoSync:       !*walSync,
-		})
+		jl, err = wal.Open(filepath.Join(*dataDir, "wal"), wal.Options{NoSync: !*walSync})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lagraphd:", err)
 			os.Exit(1)

@@ -26,8 +26,8 @@ import (
 // All of this state is in-memory only: it is deliberately NOT
 // snapshotted or journaled, so a crash-restarted daemon starts cold and
 // its first incremental query falls back to full — a warm-start cache
-// can never survive a restart incorrectly (the server-smoke crash pass
-// asserts exactly this).
+// can never survive a restart incorrectly (lagraphd's
+// TestSmoke/kill9_torn_wal_tail asserts exactly this).
 //
 // Lock order: Entry.mu (either mode) → Entry.resMu. The cache methods
 // take only resMu and are called from inside View/Ingest callbacks with

@@ -14,7 +14,7 @@ import (
 // algorithms, each warm-started from a prior result instead of the cold
 // initial state. The correctness contract differs per algorithm and is
 // what the metamorphic test battery (FuzzIncrementalEquivalence, the
-// golden suite, loadgen's dual-mode pass) asserts:
+// golden suite, lagraphd's TestSmoke dual pass) asserts:
 //
 //   - IncrementalCC: FastSV restarted from the prior label vector. Valid
 //     only for insert-only deltas (components can merge but never split),

@@ -81,7 +81,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) int {
 		return fail(w, err)
 	}
 	var req EdgesRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxGraphBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		return fail(w, fmt.Errorf("%w: %v", errBadRequest, err))
 	}
 	if len(req.Edges) == 0 {

@@ -185,7 +185,7 @@ var errBadRequest = errors.New("svc: bad request")
 // handleLoad builds a graph from the request source and registers it.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) int {
 	var req LoadRequest
-	body := io.LimitReader(r.Body, s.cfg.MaxGraphBytes)
+	body := io.LimitReader(r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		return fail(w, fmt.Errorf("%w: %v", errBadRequest, err))
 	}

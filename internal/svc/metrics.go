@@ -60,8 +60,7 @@ var metricLine = regexp.MustCompile(
 		`([-+]?([0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?|Inf)|NaN)$`)
 
 // requiredFamilies are the metric families every healthy /metrics
-// response must expose; ValidateMetrics (and therefore the load-generator
-// client and the CI server-smoke job) fails without them.
+// response must expose; ValidateMetrics fails without them.
 var requiredFamilies = []string{
 	"lagraphd_graphs",
 	"lagraphd_grb_ops_total",
@@ -73,8 +72,8 @@ var requiredFamilies = []string{
 // ValidateMetrics checks a /metrics payload: every non-comment line must
 // be a well-formed Prometheus text sample, every required family must be
 // present, and histogram buckets must be cumulative with the +Inf bucket
-// equal to the family count. The load-generator client and the service's
-// own tests share this validator.
+// equal to the family count. The service's own tests and every node of
+// lagraphd's TestSmoke share this validator.
 func ValidateMetrics(r io.Reader) error {
 	seen := map[string]bool{}
 	type histKey struct{ name, labels string }

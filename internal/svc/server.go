@@ -43,8 +43,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps client-requested timeouts; 0 selects 5m.
 	MaxTimeout time.Duration
-	// MaxGraphBytes caps an inline mmio upload; 0 selects 256 MiB.
-	MaxGraphBytes int64
 	// AllowPathLoad permits the load endpoint to read Matrix Market
 	// files from the daemon's filesystem. Off by default: inline and
 	// generator sources only.
@@ -79,11 +77,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
 	}
-	if c.MaxGraphBytes <= 0 {
-		c.MaxGraphBytes = 256 << 20
-	}
 	return c
 }
+
+// maxBodyBytes caps a request body: an inline mmio upload or an edge
+// batch.
+const maxBodyBytes = 256 << 20
 
 // errQueueFull is the admission gate's load-shedding signal (→ 429).
 var errQueueFull = errors.New("svc: worker queue full")

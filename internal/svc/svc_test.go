@@ -253,7 +253,8 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestMetrics exercises /metrics after real traffic and validates the
-// payload with the shared validator (the same one loadgen and CI use).
+// payload with the shared validator (the same one lagraphd's TestSmoke
+// runs against real daemons).
 func TestMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadGraph(t, ts.URL, "g", 6)
