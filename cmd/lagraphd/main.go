@@ -55,11 +55,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -90,20 +92,15 @@ func main() {
 
 	var topology *cluster.Topology
 	if *nodeID != "" || *peers != "" {
-		if *nodeID == "" || *peers == "" {
-			fmt.Fprintln(os.Stderr, "lagraphd: cluster mode needs both -node-id and -peers")
-			os.Exit(2)
+		var err error
+		topology, err = parsePeers(*peers, *replicas, *clusterEpoch)
+		if *nodeID == "" || *peers == "" || *dataDir == "" {
+			err = errors.New("cluster mode needs -node-id, -peers and -data (replication streams the WAL)")
 		}
-		if *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "lagraphd: cluster mode needs -data (replication streams the WAL)")
-			os.Exit(2)
-		}
-		t, err := parsePeers(*peers, *replicas, *clusterEpoch)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lagraphd:", err)
 			os.Exit(2)
 		}
-		topology = t
 	}
 
 	// Kernel-level op records from every query flow into one process-wide
@@ -117,8 +114,7 @@ func main() {
 	if *dataDir != "" {
 		st, err := store.Open(*dataDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lagraphd:", err)
-			os.Exit(1)
+			log.Fatal("lagraphd: ", err)
 		}
 		pers = store.NewPersister(st, cat)
 		// The edge journal lives beside the snapshots. Opening it first
@@ -126,8 +122,7 @@ func main() {
 		// truncation), so LoadAll below can replay the suffix.
 		jl, err = wal.Open(filepath.Join(*dataDir, "wal"), wal.Options{NoSync: !*walSync})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lagraphd:", err)
-			os.Exit(1)
+			log.Fatal("lagraphd: ", err)
 		}
 		defer jl.Close()
 		pers.AttachWAL(jl)
@@ -149,8 +144,7 @@ func main() {
 			Logf:      log.Printf,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lagraphd:", err)
-			os.Exit(1)
+			log.Fatal("lagraphd: ", err)
 		}
 	}
 
@@ -164,10 +158,24 @@ func main() {
 		Cluster:        node,
 	})
 
+	// Shutdown counts a connection whose first request is unread
+	// (StateNew) as active until it is 5 s old, so a client that dialled
+	// and never wrote would hold the drain that long. silent holds such
+	// connections, and the drain closes them. None has a request in a
+	// handler: one whose first request was still arriving is dropped, as
+	// Shutdown drops it at 5 s.
+	var silent sync.Map
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState: func(c net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				silent.Store(c, nil)
+			} else {
+				silent.Delete(c)
+			}
+		},
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -177,11 +185,9 @@ func main() {
 	// immediately and /readyz honestly: 503 while graphs are rebuilt
 	// (mutations are gated the same way; see svc.routeMutation).
 	errc := make(chan error, 1)
+	log.Printf("lagraphd: listening on %s", *addr)
 	//grblint:ignore goroutine-lifecycle: ListenAndServe returns when Shutdown closes the listener; errc is buffered so the send never blocks
-	go func() {
-		log.Printf("lagraphd: listening on %s", *addr)
-		errc <- hs.ListenAndServe()
-	}()
+	go func() { errc <- hs.ListenAndServe() }()
 
 	if pers != nil {
 		// Boot-time recovery: replay every live snapshot, then the journal
@@ -190,20 +196,18 @@ func main() {
 		// never keep the daemon from serving the healthy ones.
 		events, err := pers.LoadAll()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lagraphd:", err)
-			os.Exit(1)
+			log.Fatal("lagraphd: ", err)
 		}
 		for _, ev := range events {
-			if ev.Err != nil {
-				if ev.Quarantined {
-					log.Printf("lagraphd: recovery: quarantined %s (%s): %v", ev.File, ev.Name, ev.Err)
-				} else {
-					log.Printf("lagraphd: recovery: skipped %s (%s), snapshot kept for a later boot: %v", ev.File, ev.Name, ev.Err)
-				}
-				continue
+			switch {
+			case ev.Err == nil:
+				log.Printf("lagraphd: recovered %q (gen %d, %d vertices, %d edges) from %s",
+					ev.Name, ev.Meta.Generation, ev.Meta.NRows, ev.Meta.NVals, ev.File)
+			case ev.Quarantined:
+				log.Printf("lagraphd: recovery: quarantined %s (%s): %v", ev.File, ev.Name, ev.Err)
+			default:
+				log.Printf("lagraphd: recovery: skipped %s (%s), snapshot kept for a later boot: %v", ev.File, ev.Name, ev.Err)
 			}
-			log.Printf("lagraphd: recovered %q (gen %d, %d vertices, %d edges) from %s",
-				ev.Name, ev.Meta.Generation, ev.Meta.NRows, ev.Meta.NVals, ev.File)
 		}
 		if rs := pers.ReplayStats(); rs.Applied+rs.SkippedFloor+rs.SkippedUnknown > 0 {
 			log.Printf("lagraphd: wal: replayed %d edge batches (%d below snapshot floors, %d for unknown graphs)",
@@ -242,15 +246,17 @@ func main() {
 		}
 		sctx, cancel := context.WithTimeout(context.Background(), *maxTimeout+5*time.Second)
 		defer cancel()
+		hs.RegisterOnShutdown(func() {
+			<-errc // Serve has returned, and every connection it accepted has reported StateNew
+			silent.Range(func(c, _ any) bool { c.(net.Conn).Close(); return true })
+		})
 		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("lagraphd: shutdown: %v", err)
-			os.Exit(1)
+			log.Fatalf("lagraphd: shutdown: %v", err)
 		}
 		if pers != nil {
 			res, err := pers.FlushDirty()
 			if err != nil {
-				log.Printf("lagraphd: final flush: %v", err)
-				os.Exit(1)
+				log.Fatalf("lagraphd: final flush: %v", err)
 			}
 			log.Printf("lagraphd: final flush: %d snapshotted, %d already clean",
 				len(res.Snapshotted), res.Clean)
@@ -258,8 +264,7 @@ func main() {
 		log.Printf("lagraphd: drained, bye")
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "lagraphd:", err)
-			os.Exit(1)
+			log.Fatal("lagraphd: ", err)
 		}
 	}
 }

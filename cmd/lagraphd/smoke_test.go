@@ -558,9 +558,16 @@ func (s *scenario) except(gone *daemon) []*daemon {
 	return slices.DeleteFunc(slices.Clone(s.nodes), func(d *daemon) bool { return d == gone })
 }
 
-// stopAll requires every node to exit 0 on SIGTERM after a final flush.
+// stopAll requires every node to exit 0 on SIGTERM after a final flush,
+// within 2 s although each holds a connection that never sent a request
+// (Shutdown alone would wait 5 s for it).
 func (s *scenario) stopAll(t *testing.T) {
-	s.client.CloseIdleConnections() // Shutdown waits up to 5 s for a dialled, unused connection
+	for _, d := range s.nodes {
+		c, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
+		must(t, err)
+		defer c.Close()
+	}
+	signalled := time.Now()
 	for _, d := range s.nodes {
 		d.cmd.Process.Signal(syscall.SIGTERM)
 	}
@@ -569,6 +576,9 @@ func (s *scenario) stopAll(t *testing.T) {
 		err := d.cmd.Wait()
 		if hung.Stop(); err != nil || !strings.Contains(d.logText(), "lagraphd: final flush:") {
 			t.Errorf("node %q stopped with %v; want exit status 0 after a logged final flush", d.id, err)
+		}
+		if took := time.Since(signalled); took > 2*time.Second {
+			t.Errorf("node %q took %v to stop, want at most 2s", d.id, took)
 		}
 	}
 }

@@ -49,9 +49,10 @@ const (
 
 // Triangle-count method selection, re-exported: the formulation family
 // (TCMethod, TriangleCount's method argument) and degree presorting
-// (TCPresort, set by WithPresort). TCAuto picks the formulation and,
-// unless a presort is given, decides whether a degree relabeling pays,
-// per graph, at call time.
+// (TCPresort, set by WithPresort). TCAuto picks the formulation by
+// LAGraph's rule — the masked dot SandiaLUT on a skewed graph, the saxpy
+// SandiaLL otherwise — and, unless a presort is given, decides whether a
+// degree relabeling pays, once per graph.
 type (
 	// TCMethod selects a triangle-count formulation.
 	TCMethod = lagraph.TCMethod
@@ -62,12 +63,14 @@ type (
 )
 
 const (
-	// TCAuto picks the formulation and presort from the graph's shape.
+	// TCAuto picks the formulation and presort from the graph's shape:
+	// SandiaLUT on an ascending-degree relabel when the graph is skewed.
 	TCAuto = lagraph.TCAuto
 	// TCSandiaLL is the saxpy L·L formulation (masked by L).
 	TCSandiaLL = lagraph.TCSandiaLL
-	// TCSortAuto relabels by degree only when the estimated saxpy work
-	// on the natural ordering says the rebuild pays.
+	// TCSortAuto relabels by degree only when the rebuild pays: for the
+	// saxpy pair when the estimated work on the natural ordering says so,
+	// for the dot pair when the graph is skewed.
 	TCSortAuto = lagraph.TCSortAuto
 )
 

@@ -169,11 +169,12 @@ func maskFirstPays(maskLen, flops int) bool {
 
 // dotScatters is mxmDot's scatter bar: a row of la entries is scattered
 // when it is longer than dotScatterRatio average columns of B (nnzB
-// entries in ncolsB stored columns) and the inner dimension is below the
-// hypersparse regime, where an inner-dimension lane is not affordable (the
-// bar at which vxmPush moves from pushDense to pushHash).
+// entries in ncolsB stored columns) and an inner-dimension lane is within
+// bitmapMaxCells, the cap of every dense form. pullRowCost prices every
+// dot as a lane probe, so a lower cap would make a long row past it merge
+// with each column at a cost the direction choice never saw.
 func dotScatters(la, nnzB, ncolsB, inner int) bool {
-	return inner < hyperThresholdDim*hyperRatio && la*ncolsB > dotScatterRatio*nnzB
+	return inner <= bitmapMaxCells && la*ncolsB > dotScatterRatio*nnzB
 }
 
 // dotScatterRatio is how many times longer than B's average column a row

@@ -323,20 +323,31 @@ func TestConformanceMxMDirections(t *testing.T) {
 		}
 	})
 
-	// An inner dimension in the hypersparse regime never scatters: no lane
-	// of that length is drawn, whatever the row's length.
-	t.Run("hypersparse-inner", func(t *testing.T) {
+	// An inner dimension past the hypersparse bar (1<<15) still scatters a
+	// long row, as pullRowCost prices it; the lane closes only past the
+	// dense-form cap. Rows of A hold ≈ 160 entries of 1<<15 (≈ 320 of
+	// 1<<16) against B's ≈ 16-entry columns, far past the scatter bar.
+	t.Run("lane-past-hypersparse-inner", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2004))
-		const inner, m, n = 1 << 15, 5, 6
-		if grb.DotScatters(inner, 1, n, inner) || !grb.DotScatters(inner, 1, n, inner-1) {
-			t.Fatal("the scatter bar must close at an inner dimension of 1<<15")
+		const m, n = 5, 6
+		if !grb.DotScatters(grb.BitmapMaxCells, 1, n, grb.BitmapMaxCells) || grb.DotScatters(grb.BitmapMaxCells+1, 1, n, grb.BitmapMaxCells+1) {
+			t.Fatal("the scatter bar must close just past an inner dimension of BitmapMaxCells")
 		}
-		a := random(rng, m, inner, 0.01, cancelling)
-		b := random(rng, inner, n, 0.0005, cancelling)
-		for _, comp := range []bool{false, true} {
-			tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: random(rng, m, n, 0.3, cancelling),
-				mask: random(rng, m, n, 0.5, coin), d: grb.Descriptor{Comp: comp, Replace: true}}
-			tc.check(t, fmt.Sprintf("comp=%v", comp))
+		for _, inner := range []int{1 << 15, 1 << 16} {
+			a := random(rng, m, inner, 160.0/float64(inner), cancelling)
+			b := random(rng, inner, n, 16.0/float64(inner), cancelling)
+			for i := range m {
+				if row, _ := a.RowIndices(i); !grb.DotScatters(len(row), b.Nvals(), n, inner) {
+					t.Fatalf("inner=%d: row %d of %d entries does not scatter", inner, i, len(row))
+				}
+			}
+			for _, comp := range []bool{false, true} {
+				tc := dirCase[float64]{s: plusTimes, a: a, b: b, c0: random(rng, m, n, 0.3, cancelling),
+					mask: random(rng, m, n, 0.5, coin), d: grb.Descriptor{Comp: comp, Replace: true}}
+				if recs := tc.check(t, fmt.Sprintf("inner=%d comp=%v", inner, comp)); recs["dot"].Kernel != "dot" {
+					t.Fatalf("inner=%d: the dot method ran %q", inner, recs["dot"].Kernel)
+				}
+			}
 		}
 	})
 

@@ -35,10 +35,13 @@ const (
 	// TCSandiaULT computes sum(U·Lᵀ ∘ U) with the dot kernel: the
 	// transpose-orientation twin of SandiaLUT.
 	TCSandiaULT
-	// TCAuto picks the plan for the graph: the saxpy SandiaLL
-	// formulation, paired (unless the caller chose a presort explicitly)
-	// with TCSortAuto so that skewed orderings are repaired exactly when
-	// the work estimate says the relabeling pays.
+	// TCAuto picks the plan for the graph by LAGraph's rule: on a skewed
+	// graph (more than 1 000 vertices, at least 10 entries per vertex and
+	// a mean degree above 4× the median) the masked dot SandiaLUT, else
+	// the saxpy SandiaLL. Unless the caller chose a presort explicitly it
+	// is paired with TCSortAuto, so a skewed graph counts on an
+	// ascending-degree relabel and the LL plan relabels exactly when its
+	// work estimate says the relabeling pays.
 	TCAuto
 )
 
@@ -58,13 +61,12 @@ var tcMethodNames = map[TCMethod]string{
 // the saxpy work of the LL formulation on skewed (power-law) graphs: a
 // hub relabeled to the highest index never appears as an inner index k,
 // so its long L row is never replayed into other rows' accumulations.
-// Descending order does the same for UU. The dot-product formulations are
-// different: their per-entry merge cost is |L(i,:)|+|U(j,:)|, and pushing
-// all hubs to one end concentrates those lengths instead of spreading
-// them, so sorting does not pay there (TCSortAuto leaves them alone).
-// The count is invariant under any vertex relabeling, so the permutation
-// needs no inverse on output — it is applied once, counted, and
-// discarded.
+// Descending order does the same for UU. For the dot pair, ascending
+// order (descending for ULT) leaves every L row short except the hubs',
+// and the masked dot scatters a hub's long row into a lane once and
+// probes it with each short column it meets. The count is invariant
+// under any vertex relabeling, so the permutation needs no inverse on
+// output — it is applied once, counted, and discarded.
 type TCPresort int
 
 const (
@@ -74,11 +76,12 @@ const (
 	TCSortAscending
 	// TCSortDescending relabels vertices by descending degree.
 	TCSortDescending
-	// TCSortAuto sorts only when the estimated saxpy work of the natural
+	// TCSortAuto sorts only for the methods whose shape the ordering
+	// helps: the saxpy pair when the estimated work of the natural
 	// ordering (Σᵥ d₋(v)·d₊(v), the exact inner-loop count of the LL
 	// formulation) exceeds tcSortWorkFactor× the entry count — the
 	// regime where hubs sit mid-ordering and their rows are replayed —
-	// and only for the methods whose shape the ordering helps.
+	// and the dot pair when the graph is skewed (see TCAuto).
 	TCSortAuto
 )
 
@@ -114,15 +117,8 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (_ int64, err erro
 		return 0, ErrBadArgument
 	}
 
-	if method == TCAuto {
-		// The saxpy LL formulation: on well-ordered graphs its masked
-		// Gustavson pass does exactly Σ d₋·d₊ work (the family's
-		// measured best), and pairing it with the auto presort repairs
-		// the orderings where that estimate blows up.
-		method = TCSandiaLL
-		if !cfg.PresortSet {
-			presort = TCSortAuto
-		}
+	if method == TCAuto && !cfg.PresortSet {
+		presort = TCSortAuto
 	}
 	in, err := g.tcPrepared(method, presort)
 	try(err)
@@ -137,7 +133,7 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (_ int64, err erro
 		} else if in.dir < 0 {
 			sorted = "sorted-descending"
 		}
-		lp.done(obs.IterRecord{Iter: 1, Dir: tcMethodNames[method] + "/" + sorted, Frontier: in.nvals})
+		lp.done(obs.IterRecord{Iter: 1, Dir: tcMethodNames[in.plan] + "/" + sorted, Frontier: in.nvals})
 	}
 	try(lp.next())
 	return tcCount(in)
@@ -145,13 +141,15 @@ func TriangleCount(g *Graph, method TCMethod, opts ...Option) (_ int64, err erro
 
 // tcInput is what one concrete formulation multiplies: the off-diagonal
 // adjacency, relabeled by degree when the presort resolves to a
-// direction, reduced to the matrices the method reads (nil where it reads
-// none). It is cached on the Graph for one (method, presort) at a time.
+// direction, reduced to the matrices the plan reads (nil where it reads
+// none). It is cached on the Graph for one requested (method, presort)
+// at a time, so TCAuto's choice is made once per prepared input.
 type tcInput struct {
-	method  TCMethod
+	method  TCMethod // the requested method and presort: the cache key
 	presort TCPresort
-	dir     int // the resolved relabeling: +1 ascending, -1 descending, 0 none
-	nvals   int // entries of the prepared adjacency, as the tc trace reports them
+	plan    TCMethod // the resolved formulation: method, or TCAuto's choice
+	dir     int      // the resolved relabeling: +1 ascending, -1 descending, 0 none
+	nvals   int      // entries of the prepared adjacency, as the tc trace reports them
 	a, l, u *grb.Matrix[int64]
 }
 
@@ -165,7 +163,7 @@ func (in tcInput) Wait() {
 	}
 }
 
-// tcPrepared returns the input a resolved method and presort count on,
+// tcPrepared returns the input a requested method and presort count on,
 // cached for one (method, presort) at a time: a call with another pair
 // replaces it.
 func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (_ tcInput, err error) {
@@ -179,13 +177,21 @@ func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (_ tcInput, err e
 		try(grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil))
 		a = offDiag
 	}
-	in := tcInput{method: method, presort: presort, dir: tcResolvePresort(a, method, presort)}
+	work, skewed := tcShape(a)
+	in := tcInput{method: method, presort: presort, plan: method}
+	if method == TCAuto {
+		in.plan = TCSandiaLL
+		if skewed {
+			in.plan = TCSandiaDot
+		}
+	}
+	in.dir = tcResolvePresort(in.plan, presort, work > tcSortWorkFactor*int64(a.Nvals()), skewed)
 	if in.dir != 0 {
 		a, err = tcPermuteByDegree(a, in.dir)
 		try(err)
 	}
 	in.nvals = a.Nvals()
-	switch method {
+	switch in.plan {
 	case TCBurkhardt:
 		in.a = a
 	case TCCohen:
@@ -203,62 +209,60 @@ func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (_ tcInput, err e
 }
 
 // tcResolvePresort turns the requested presort into a concrete direction:
-// +1 ascending, -1 descending, 0 none.
-func tcResolvePresort(a *grb.Matrix[int64], method TCMethod, presort TCPresort) int {
-	switch presort {
-	case TCSortAscending:
-		return 1
-	case TCSortDescending:
-		return -1
-	case TCSortAuto:
-		// Sorting costs an O(nnz) rebuild; it pays only when the
-		// method's triangle shape can exploit the ordering — the saxpy
-		// formulations LL and UU, whose inner-index replay the
-		// relabeling removes — and only when the natural ordering is
-		// actually bad. Σᵥ d₋(v)·d₊(v) is the exact saxpy inner-loop
-		// count of LL (and, symmetrically, UU) on the ordering as given:
-		// a hub already first or last contributes nothing, a hub
-		// mid-ordering contributes ~deg²/4. The dot formulations and the
-		// full-matrix methods see no benefit (measured: on a power-law
-		// graph an ascending sort inflates the masked-dot merge work by
-		// orders of magnitude), so auto never sorts them.
-		var prefer int
-		switch method {
-		case TCSandiaLL:
-			prefer = 1
-		case TCSandiaUU:
-			prefer = -1
-		default:
-			return 0
-		}
-		work, total := tcNaturalWork(a)
-		if total == 0 {
-			return 0
-		}
-		if work > tcSortWorkFactor*total {
+// +1 ascending, -1 descending, 0 none. saxpyPays and skewed are tcShape's
+// verdicts on the input ordering.
+func tcResolvePresort(method TCMethod, presort TCPresort, saxpyPays, skewed bool) int {
+	if presort != TCSortAuto {
+		return map[TCPresort]int{TCSortAscending: 1, TCSortDescending: -1}[presort]
+	}
+	// Sorting costs an O(nnz) rebuild; it pays only when the method's
+	// triangle shape can exploit the ordering, so the full-matrix methods
+	// never sort. The saxpy pair LL and UU, whose inner-index replay the
+	// relabeling removes, sort when the natural ordering is actually bad;
+	// the dot pair follows LAGraph's rule and sorts a skewed graph, so the
+	// long rows its dots scatter are the few hubs'.
+	prefer := map[TCMethod]int{TCSandiaLL: 1, TCSandiaDot: 1, TCSandiaUU: -1, TCSandiaULT: -1}[method]
+	switch method {
+	case TCSandiaLL, TCSandiaUU:
+		if saxpyPays {
 			return prefer
 		}
-		return 0
+	case TCSandiaDot, TCSandiaULT:
+		if skewed {
+			return prefer
+		}
 	}
 	return 0
 }
 
-// tcNaturalWork estimates the saxpy triangle work of the input ordering:
-// for each vertex the product of its below-diagonal and above-diagonal
-// degrees, summed, alongside the total entry count. This is the exact
-// multiply count of the LL formulation's masked Gustavson pass (each
-// entry k of row i's strict lower triangle replays L(k,:), whose length
-// is d₋(k); k appears as such an inner index d₊(k) times).
-func tcNaturalWork(a *grb.Matrix[int64]) (work, total int64) {
-	for v := 0; v < a.Nrows(); v++ {
+// tcShape reads the two facts the auto choices decide on from one pass
+// over the rows of the off-diagonal adjacency a:
+//   - work, the saxpy triangle work of the input ordering: for each vertex
+//     the product of its below-diagonal and above-diagonal degrees,
+//     summed. This is the exact multiply count of the LL formulation's
+//     masked Gustavson pass (each entry k of row i's strict lower triangle
+//     replays L(k,:), whose length is d₋(k); k appears as such an inner
+//     index d₊(k) times) — a hub already first or last contributes
+//     nothing, a hub mid-ordering ~deg²/4;
+//   - skewed, LAGraph's skew test: more than 1 000 vertices, at least 10
+//     entries per vertex, and a mean degree above 4× the median. The
+//     degrees are exact (an empty row counts 0), not sampled, so the
+//     answer is deterministic; the median is the sorted degrees' element
+//     n/2, which is below mean/4 exactly when more than n/2 degrees are.
+func tcShape(a *grb.Matrix[int64]) (work int64, skewed bool) {
+	n, nvals := a.Nrows(), a.Nvals()
+	light := 0 // vertices of degree below a quarter of the mean
+	for v := 0; v < n; v++ {
 		// a is off-diagonal, so one binary search splits the sorted row
 		// into its below- and above-diagonal parts.
-		row, _ := a.RowIndices(v) // v < nrows: cannot fail
+		row, _ := a.RowIndices(v) // v < n: cannot fail
 		lo, _ := slices.BinarySearch(row, v)
 		work += int64(lo) * int64(len(row)-lo)
-		total += int64(len(row))
+		if 4*n*len(row) < nvals {
+			light++
+		}
 	}
-	return work, total
+	return work, n > 1000 && nvals >= 10*n && light > n/2
 }
 
 // tcPermuteByDegree relabels the graph's vertices by degree (dir > 0
@@ -300,7 +304,7 @@ func tcCount(in tcInput) (_ int64, err error) {
 	var m, a, b *grb.Matrix[int64]
 	var d *grb.Descriptor
 	times := int64(1)
-	switch in.method {
+	switch in.plan {
 	case TCBurkhardt:
 		m, a, b, times = in.a, in.a, in.a, 6
 	case TCCohen:

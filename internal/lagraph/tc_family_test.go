@@ -2,7 +2,6 @@ package lagraph
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"lagraph/internal/baseline"
@@ -103,65 +102,59 @@ func midHubStar(n int) *gen.EdgeList {
 // TestTriangleCountTracesDecision: the resolved method and presort are
 // runtime decisions under TCAuto/TCSortAuto; the trace must surface them.
 func TestTriangleCountTracesDecision(t *testing.T) {
-	g := FromEdgeList(midHubStar(64), Undirected)
-
-	tr := obs.NewTrace(16)
-	if _, err := TriangleCount(g, TCSandiaLL, WithPresort(TCSortAuto), WithObserver(tr)); err != nil {
-		t.Fatal(err)
-	}
-	var recs []obs.IterRecord
-	for _, r := range tr.Iters() {
-		if r.Algo == "tc" {
-			recs = append(recs, r)
+	cfg := gen.Config{Undirected: true, Seed: 7}
+	star := FromEdgeList(midHubStar(64), Undirected)
+	rmat := rmatGraph(t, 12, 16, 99, true)
+	for _, c := range []struct {
+		name   string
+		g      *Graph
+		method TCMethod
+		want   string
+	}{
+		// The saxpy LL formulation prefers ascending order, and the work
+		// estimate (hub mid-ordering → Σ d₋·d₊ ≫ nnz) must have engaged;
+		// TCAuto resolves to the same plan without the caller naming
+		// either. At n ≤ 1 000 the skew rule is off, so the dot pair
+		// counts on the ordering as given.
+		{"star/sandia-ll", star, TCSandiaLL, "sandia-ll/sorted-ascending"},
+		{"star/auto", star, TCAuto, "sandia-ll/sorted-ascending"},
+		{"star/sandia-lut", star, TCSandiaDot, "sandia-lut/unsorted"},
+		// On a degree-regular graph nothing sorts: every vertex's
+		// below/above split is balanced but tiny, so the estimate stays
+		// under the rebuild bar.
+		{"ring/auto", FromEdgeList(gen.Ring(32, gen.Config{Undirected: true}), Undirected), TCAuto, "sandia-ll/unsorted"},
+		// A skewed graph (n > 1 000, nnz/n ≥ 10, mean degree > 4 ×
+		// median) takes LAGraph's plan: the masked dot on a degree
+		// relabel, ascending for LUT and descending for ULT.
+		{"rmat-12x16/auto", rmat, TCAuto, "sandia-lut/sorted-ascending"},
+		{"rmat-12x16/sandia-lut", rmat, TCSandiaDot, "sandia-lut/sorted-ascending"},
+		{"rmat-12x16/sandia-ult", rmat, TCSandiaULT, "sandia-ult/sorted-descending"},
+		// Large graphs that are not skewed keep the LL plan and its work
+		// estimate: the lattice (nnz/n ≈ 4), an Erdős–Rényi graph (mean ≈
+		// median) and a power law whose median is not small enough.
+		{"lattice-128x128/auto", FromEdgeList(gen.Grid2D(128, 128, cfg), Undirected), TCAuto, "sandia-ll/unsorted"},
+		{"erdos-renyi/auto", FromEdgeList(gen.ErdosRenyi(1<<14, 16<<14, cfg), Undirected), TCAuto, "sandia-ll/sorted-ascending"},
+		{"powerlaw-1.8/auto", FromEdgeList(gen.PowerLaw(1<<14, 16<<14, 1.8, cfg), Undirected), TCAuto, "sandia-ll/unsorted"},
+	} {
+		tr := obs.NewTrace(16)
+		opts := []Option{WithObserver(tr)}
+		if c.method != TCAuto {
+			opts = append(opts, WithPresort(TCSortAuto))
 		}
-	}
-	if len(recs) != 1 {
-		t.Fatalf("%d tc trace records, want 1", len(recs))
-	}
-	// The saxpy LL formulation prefers ascending order, and the work
-	// estimate (hub mid-ordering → Σ d₋·d₊ ≫ nnz) must have engaged.
-	if recs[0].Dir != "sandia-ll/sorted-ascending" {
-		t.Fatalf("traced decision %q, want sandia-ll/sorted-ascending", recs[0].Dir)
-	}
-	if recs[0].Frontier <= 0 {
-		t.Fatalf("traced record has no edge count: %+v", recs[0])
-	}
-
-	// TCAuto resolves to the same plan — LL plus the implied auto
-	// presort — without the caller naming either.
-	tr2 := obs.NewTrace(16)
-	if _, err := TriangleCount(g, TCAuto, WithObserver(tr2)); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tr2.Iters() {
-		if r.Algo == "tc" && r.Dir != "sandia-ll/sorted-ascending" {
-			t.Fatalf("auto on skewed graph traced %q, want sandia-ll/sorted-ascending", r.Dir)
+		if _, err := TriangleCount(c.g, c.method, opts...); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-
-	// The dot formulation never auto-sorts (sorting concentrates its
-	// merge work instead of spreading it).
-	tr3 := obs.NewTrace(16)
-	if _, err := TriangleCount(g, TCSandiaDot, WithPresort(TCSortAuto), WithObserver(tr3)); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tr3.Iters() {
-		if r.Algo == "tc" && r.Dir != "sandia-lut/unsorted" {
-			t.Fatalf("dot on skewed graph traced %q, want sandia-lut/unsorted", r.Dir)
+		var recs []obs.IterRecord
+		for _, r := range tr.Iters() {
+			if r.Algo == "tc" {
+				recs = append(recs, r)
+			}
 		}
-	}
-
-	// On a degree-regular graph no method auto-sorts: every vertex's
-	// below/above split is balanced but tiny, so the estimate stays
-	// under the rebuild bar.
-	ring := FromEdgeList(gen.Ring(32, gen.Config{Undirected: true}), Undirected)
-	tr4 := obs.NewTrace(16)
-	if _, err := TriangleCount(ring, TCAuto, WithObserver(tr4)); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tr4.Iters() {
-		if r.Algo == "tc" && !strings.HasSuffix(r.Dir, "/unsorted") {
-			t.Fatalf("regular graph traced %q, want */unsorted", r.Dir)
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d tc trace records, want 1", c.name, len(recs))
+		}
+		if recs[0].Dir != c.want || recs[0].Frontier <= 0 {
+			t.Errorf("%s: traced %q with %d entries, want %q and the prepared entry count", c.name, recs[0].Dir, recs[0].Frontier, c.want)
 		}
 	}
 }
@@ -226,53 +219,74 @@ func TestTriangleCountKnownAnswers(t *testing.T) {
 
 // TestTriangleCountPrepAllocatesPerEntry is the work gate for everything
 // TriangleCount does around its multiply: building the pattern, counting
-// self loops, estimating the natural ordering's work, relabeling by degree
-// and selecting one triangle. Each is a pass over the stored entries, done
-// on a graph's first count and cached on the Graph, so the bytes a call
-// allocates per entry is a count that does not depend on the host. A first
-// count reads ~77, ~16 of it the pattern; copying the off-diagonal part of
-// a graph with no self loops adds ~25, staging a select's rows in a slab
-// ~40, and exporting tuples and re-sorting them through Build more than
-// doubles it. A repeat count is the multiply and its reduction (~19);
-// preparing the input again reads ~87.
+// self loops, testing for skew, estimating the natural ordering's work,
+// relabeling by degree and selecting the triangles. Each is a pass over the
+// stored entries, done on a graph's first count and cached on the Graph,
+// so the bytes a call allocates per entry is a count that does not depend
+// on the host. One row per plan the library picks on RMAT-12:
+//   - (SandiaLL, TCSortAuto): a first count reads ~77, ~16 of it the
+//     pattern; copying the off-diagonal part of a graph with no self loops
+//     adds ~25, staging a select's rows in a slab ~40, and exporting tuples
+//     and re-sorting them through Build more than doubles it. A repeat
+//     count is the multiply and its reduction (~19); preparing the input
+//     again reads ~87.
+//   - TCAuto, which takes the dot pair on this skewed graph: a first count
+//     also selects U, and a repeat count's dot stages its output rows.
 func TestTriangleCountPrepAllocatesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the bytes stop being a count")
 	}
-	const (
-		maxColdBytesPerEntry = 108.0 // the prep-only gate's 1.25 × 84–87; a first count reads 75–78
-		maxWarmBytesPerEntry = 24.0  // 1.25 × the 18.8 measured
-	)
 	g := rmatGraph(t, 12, 8, 99, true)
 	g.A.Materialize()
-	trace := obs.NewTrace(4)
-	if _, err := TriangleCount(g, TCAuto, WithObserver(trace)); err != nil { // fills the kernel scratch pools
-		t.Fatal(err)
-	}
-	if plan := trace.Iters()[0].Dir; plan != "sandia-ll/sorted-ascending" {
-		t.Fatalf("plan %q: the gate needs a graph the auto presort relabels", plan)
-	}
-	perEntry := func(g *Graph) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := TriangleCount(g, TCAuto); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NEdges())
-	}
-	fresh, err := NewGraph(g.A, Undirected) // same A, nothing cached
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := perEntry(fresh)
-	warm := perEntry(fresh)
-	t.Logf("TriangleCount(TCAuto) on RMAT-12 (%d entries): %.1f B per entry on a graph's first count, %.1f on a repeat", g.NEdges(), cold, warm)
-	if cold > maxColdBytesPerEntry {
-		t.Errorf("a first TriangleCount allocates %.1f bytes per stored entry (limit %.0f): some preparation step is materializing tuples or re-sorting instead of passing over rows", cold, maxColdBytesPerEntry)
-	}
-	if warm > maxWarmBytesPerEntry {
-		t.Errorf("a repeat TriangleCount allocates %.1f bytes per stored entry (limit %.0f): the prepared triangle is rebuilt per call, not cached on the Graph", warm, maxWarmBytesPerEntry)
+	for _, row := range []struct {
+		name    string
+		method  TCMethod
+		plan    string
+		maxCold float64 // bytes per entry on a graph's first count
+		maxWarm float64 // and on a repeat
+	}{
+		// The prep-only gate's 1.25 × 84–87 (a first count reads 75–78),
+		// and 1.25 × the 18.8 measured.
+		{"sandia-ll", TCSandiaLL, "sandia-ll/sorted-ascending", 108, 24},
+		// 1.25 × the 89.3–92.6 and 23.9–26.4 measured; a repeat that
+		// prepares the dot pair's input again reads 70.
+		{"auto", TCAuto, "sandia-lut/sorted-ascending", 116, 33},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			count := func(g *Graph, opts ...Option) {
+				if row.method != TCAuto {
+					opts = append(opts, WithPresort(TCSortAuto))
+				}
+				if _, err := TriangleCount(g, row.method, opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			trace := obs.NewTrace(4)
+			count(g, WithObserver(trace)) // fills the kernel scratch pools
+			if plan := trace.Iters()[0].Dir; plan != row.plan {
+				t.Fatalf("plan %q, want %q: the gate needs a graph this plan relabels", plan, row.plan)
+			}
+			perEntry := func(g *Graph) float64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				count(g)
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NEdges())
+			}
+			fresh, err := NewGraph(g.A, Undirected) // same A, nothing cached
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := perEntry(fresh)
+			warm := perEntry(fresh)
+			t.Logf("%s on RMAT-12 (%d entries): %.1f B per entry on a graph's first count, %.1f on a repeat", row.plan, g.NEdges(), cold, warm)
+			if cold > row.maxCold {
+				t.Errorf("a first TriangleCount allocates %.1f bytes per stored entry (limit %.0f): some preparation step is materializing tuples or re-sorting instead of passing over rows", cold, row.maxCold)
+			}
+			if warm > row.maxWarm {
+				t.Errorf("a repeat TriangleCount allocates %.1f bytes per stored entry (limit %.0f): the prepared triangle is rebuilt per call, not cached on the Graph", warm, row.maxWarm)
+			}
+		})
 	}
 }
 
