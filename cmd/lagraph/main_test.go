@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -63,6 +64,50 @@ func TestRunTrace(t *testing.T) {
 			}
 			if tc.wantSwitch && !switched {
 				t.Errorf("no push→pull switch in %d iteration records", len(iters))
+			}
+		})
+	}
+}
+
+// TestCLI runs the subcommands TestRunTrace does not: gen → info →
+// convert .mtx → .grb → .mtx, whose round trip must reproduce the
+// generated file byte for byte, and `run` of every algorithm on an RMAT
+// scale-6 undirected weighted graph, one subtest each.
+func TestCLI(t *testing.T) {
+	dir := t.TempDir()
+	mtx, bin, back := filepath.Join(dir, "g.mtx"), filepath.Join(dir, "g.grb"), filepath.Join(dir, "back.mtx")
+	graph := []string{"-kind", "rmat", "-scale", "6", "-undirected", "-minw", "1", "-maxw", "10"}
+	if err := cmdGen(append([]string{"-out", mtx}, graph...)); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if err := cmdInfo([]string{"-in", mtx}); err != nil {
+		t.Fatalf("info: %v", err)
+	}
+	for _, step := range [][2]string{{mtx, bin}, {bin, back}} {
+		if err := cmdConvert([]string{"-in", step[0], "-out", step[1]}); err != nil {
+			t.Fatalf("convert %s: %v", filepath.Base(step[0]), err)
+		}
+	}
+	want, err := os.ReadFile(mtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("convert round trip through .grb changed the file (%d bytes → %d)", len(want), len(got))
+	}
+
+	for _, algo := range []string{
+		"bfs", "parents", "sssp", "bellmanford", "pagerank", "tc", "ktruss",
+		"cc", "mis", "coloring", "bc", "mcl", "peerpressure", "localcluster",
+		"apsp", "kcore", "hits", "diameter", "cc-lp", "subgraph",
+	} {
+		t.Run(algo, func(t *testing.T) {
+			if err := cmdRun(append([]string{"-algo", algo}, graph...)); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -14,9 +14,10 @@ import (
 // and re-verifies it (StreamReader). The wire format is deliberately the
 // on-disk format — a 56-byte segment header (synthetic: its firstLSN is
 // the window start and its carry-in digest is the chain link of the
-// record just before it) followed by raw framed records. A follower
-// therefore runs exactly the CRC + hash-chain + LSN-density verification
-// that boot recovery runs, and a window is spliced onto the follower's
+// record just before it) followed by raw framed records. The log reads
+// its own segment files through StreamReader too, so a follower runs
+// exactly the CRC + hash-chain + LSN-density verification that boot
+// recovery runs — the same code — and a window is spliced onto the follower's
 // position by comparing the header's carry-in against the digest of the
 // last record it already holds — continuity across polls, across segment
 // rotations, and across follower restarts all reduce to one digest
@@ -62,124 +63,115 @@ func (l *Log) StreamTo(w io.Writer, from uint64, maxRecords int) (StreamInfo, er
 		return StreamInfo{}, fmt.Errorf("wal: stream: from must be >= 1")
 	}
 	l.mu.Lock()
-	head := l.nextLSN
-	chainHead := l.chain
+	head, chainHead := l.nextLSN, l.chain
 	segs := append([]segment(nil), l.segments...)
 	l.mu.Unlock()
 
-	if from > head {
+	info := StreamInfo{From: from, NextLSN: from}
+	switch {
+	case from > head:
 		return StreamInfo{}, fmt.Errorf("wal: stream: from %d beyond head %d", from, head)
-	}
-	if from == head {
+	case from == head:
 		// Caught up: header only, carry-in = live chain head, so the
 		// follower can still verify it agrees with the primary's chain.
 		if _, err := w.Write(encodeSegmentHeader(from, chainHead)); err != nil {
 			return StreamInfo{}, fmt.Errorf("wal: stream: %w", err)
 		}
-		return StreamInfo{From: from, Records: 0, NextLSN: head}, nil
-	}
-
-	// Locate the segment containing from. Anything below the oldest
-	// retained record is gone for good.
-	idx := -1
-	for i, seg := range segs {
-		if seg.lastLSN < seg.firstLSN {
-			continue // empty segment (header only)
-		}
-		if from >= seg.firstLSN && from <= seg.lastLSN {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+		return info, nil
+	case len(segs) == 0 || from < segs[0].firstLSN:
+		// Anything below the oldest retained record is gone for good.
 		return StreamInfo{}, fmt.Errorf("wal: stream from %d: %w", from, ErrTruncated)
 	}
-
 	stop := head // exclusive
 	if maxRecords > 0 && from+uint64(maxRecords) < stop {
 		stop = from + uint64(maxRecords)
 	}
-
-	info := StreamInfo{From: from, NextLSN: from}
-	headerWritten := false
-	for i := idx; i < len(segs) && info.NextLSN < stop; i++ {
-		seg := segs[i]
-		if seg.lastLSN < seg.firstLSN {
-			continue
+	err := walk(segs, from, stop, func(rec Record, encoded []byte) error {
+		if info.Records == 0 {
+			// A verified record's prev-digest is the chain digest of
+			// record from-1: exactly the carry-in the window anchors on.
+			if _, err := w.Write(encodeSegmentHeader(from, prevOf(encoded))); err != nil {
+				return fmt.Errorf("wal: stream: %w", err)
+			}
 		}
-		if err := l.streamSegment(w, seg, from, stop, &info, &headerWritten); err != nil {
-			return info, err
+		if _, err := w.Write(encoded); err != nil {
+			return fmt.Errorf("wal: stream: %w", err)
 		}
-	}
-	if !headerWritten {
-		return info, corruptf("stream from %d: record not found in pinned segments", from)
-	}
-	return info, nil
+		info.Records++
+		info.NextLSN = rec.LSN + 1
+		return nil
+	})
+	return info, err
 }
 
-// streamSegment reads one pinned segment file, verifying CRCs, chain
-// links and LSN density as it goes, and forwards the raw encoded bytes of
-// every record in [from, stop) to w — writing the synthetic window header
-// (anchored at the chain digest of record from-1) just before the first
-// forwarded record.
-func (l *Log) streamSegment(w io.Writer, seg segment, from, stop uint64, info *StreamInfo, headerWritten *bool) error {
-	base := filepath.Base(seg.path)
-	f, err := os.Open(seg.path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// A concurrent TruncateBefore removed the file between the pin
-			// and the open: the window is no longer serveable.
-			return fmt.Errorf("wal: stream %s: %w", base, ErrTruncated)
+// walk re-reads segs, a pinned segment list, in order through one
+// StreamReader and hands fn every record in [from, stop) with its encoded
+// bytes. The first segment it opens is the reader's trusted origin, as
+// the oldest retained one is for recovery; each later segment's header
+// must continue it. A segment is read only through the last record the
+// list says it holds, so bytes an append writes past a pinned head are
+// never read.
+func walk(segs []segment, from, stop uint64, fn func(Record, []byte) error) error {
+	sr := &StreamReader{}
+	for _, seg := range segs {
+		if seg.lastLSN < from {
+			continue
 		}
-		return fmt.Errorf("wal: stream %s: %w", base, err)
-	}
-	defer f.Close()
-	first, chain, err := readSegmentHeader(f)
-	if err != nil {
-		return fmt.Errorf("wal: stream %s: %w", base, err)
-	}
-	if first != seg.firstLSN {
-		return corruptf("stream %s: segment header changed since recovery", base)
-	}
-	want := first
-	for want < stop {
-		rec, encoded, err := readRecord(f)
-		if errors.Is(err, io.EOF) {
-			return nil // sealed short of stop: the next segment continues
+		if seg.firstLSN >= stop {
+			break
 		}
-		if err != nil {
-			return fmt.Errorf("wal: stream %s: %w", base, err)
+		if err := sr.walkSegment(seg, from, min(seg.lastLSN, stop-1), fn); err != nil {
+			return err
 		}
-		if rec.LSN != want || prevOf(encoded) != chain {
-			return corruptf("stream %s: record %d fails chain verification", base, rec.LSN)
-		}
-		if rec.LSN >= from {
-			if !*headerWritten {
-				// chain still holds the digest of record from-1: exactly the
-				// carry-in the synthetic header must anchor the window with.
-				if _, werr := w.Write(encodeSegmentHeader(from, chain)); werr != nil {
-					return fmt.Errorf("wal: stream: %w", werr)
-				}
-				*headerWritten = true
-			}
-			if _, werr := w.Write(encoded); werr != nil {
-				return fmt.Errorf("wal: stream: %w", werr)
-			}
-			info.Records++
-			info.NextLSN = rec.LSN + 1
-		}
-		chain = sha256.Sum256(encoded)
-		want++
 	}
 	return nil
 }
 
+// walkSegment attaches sr to one segment file and reads it through record
+// last, handing fn the records numbered from onward.
+func (sr *StreamReader) walkSegment(seg segment, from, last uint64, fn func(Record, []byte) error) error {
+	base := filepath.Base(seg.path)
+	f, err := os.Open(seg.path)
+	if errors.Is(err, os.ErrNotExist) {
+		// A concurrent TruncateBefore removed the file after the pin: the
+		// window is no longer serveable.
+		return fmt.Errorf("wal: %s: %w", base, ErrTruncated)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %s: %w", base, err)
+	}
+	defer f.Close()
+	if err := sr.attach(f); err != nil {
+		return fmt.Errorf("wal: %s: %w", base, err)
+	}
+	if sr.next != seg.firstLSN {
+		return corruptf("%s: segment header changed since recovery", base)
+	}
+	err = sr.each(last, func(rec Record, encoded []byte) error {
+		if rec.LSN < from {
+			return nil
+		}
+		return fn(rec, encoded)
+	})
+	if errors.Is(err, io.EOF) {
+		return corruptf("%s: segment ends before record %d", base, sr.next)
+	}
+	return err
+}
+
+// errBreak is wrapped by every CRC-valid record or segment header that
+// does not continue the LSN sequence or the hash chain. A torn write
+// cannot produce one, so recovery treats it as tampering even at the tail.
+var errBreak = fmt.Errorf("journal sequence or hash chain broken: %w", ErrCorrupt)
+
 // StreamReader decodes a StreamTo window, re-running the CRC, hash-chain
 // and LSN-density verification of boot recovery on every record. The
 // follower splices windows together by checking Carry() against the
-// Chain() it recorded after the previous window.
+// Chain() it recorded after the previous window. It is the log's only
+// record reader: recovery, Replay and StreamTo read segment files through
+// it too.
 type StreamReader struct {
-	r     io.Reader
+	r     io.Reader // nil until the first header is attached
 	first uint64
 	next  uint64
 	carry digest
@@ -191,11 +183,29 @@ type StreamReader struct {
 // the sender; a follower that already holds records must verify it
 // matches its own chain head before applying anything.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
+	sr := &StreamReader{}
+	if err := sr.attach(r); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// attach reads a segment header from r and continues reading records
+// from r. The first header attached is the reader's trusted origin (a
+// window's claimed carry-in, a log's oldest retained segment); every
+// later one must start exactly where the records read so far end.
+func (sr *StreamReader) attach(r io.Reader) error {
 	first, carry, err := readSegmentHeader(r)
 	if err != nil {
-		return nil, fmt.Errorf("wal: stream header: %w", err)
+		return err
 	}
-	return &StreamReader{r: r, first: first, next: first, carry: carry, chain: carry}, nil
+	if sr.r == nil {
+		sr.first, sr.next, sr.carry, sr.chain = first, first, carry, carry
+	} else if first != sr.next || carry != sr.chain {
+		return fmt.Errorf("wal: segment starts at LSN %d, expected %d and its chain: %w", first, sr.next, errBreak)
+	}
+	sr.r = r
+	return nil
 }
 
 // First returns the window's first LSN.
@@ -215,20 +225,42 @@ func (sr *StreamReader) NextLSN() uint64 { return sr.next }
 // Next returns the window's next record, or io.EOF at the end of the
 // window. Any CRC, chain or density failure wraps ErrCorrupt.
 func (sr *StreamReader) Next() (Record, error) {
+	rec, _, err := sr.read()
+	return rec, err
+}
+
+// read returns the next record with its encoded bytes. It is the one
+// place a record is CRC-checked (readRecord) and checked to continue the
+// LSN sequence and the hash chain; a clean end at a record boundary is a
+// bare io.EOF.
+func (sr *StreamReader) read() (Record, []byte, error) {
 	rec, encoded, err := readRecord(sr.r)
-	if errors.Is(err, io.EOF) {
-		return Record{}, io.EOF
-	}
 	if err != nil {
-		return Record{}, err
+		return Record{}, nil, err
 	}
 	if rec.LSN != sr.next {
-		return Record{}, corruptf("stream record LSN %d breaks sequence (expected %d)", rec.LSN, sr.next)
+		return Record{}, nil, fmt.Errorf("wal: record LSN %d, expected %d: %w", rec.LSN, sr.next, errBreak)
 	}
 	if prevOf(encoded) != sr.chain {
-		return Record{}, corruptf("stream record %d breaks the hash chain", rec.LSN)
+		return Record{}, nil, fmt.Errorf("wal: record %d does not link to its predecessor (spliced or reordered): %w", rec.LSN, errBreak)
 	}
 	sr.chain = sha256.Sum256(encoded)
 	sr.next++
-	return rec, nil
+	return rec, encoded, nil
+}
+
+// each reads records through the one numbered last, handing fn each with
+// its encoded bytes. It stops at fn's first error or the reader's, which
+// is a bare io.EOF when the bytes end cleanly before last.
+func (sr *StreamReader) each(last uint64, fn func(Record, []byte) error) error {
+	for sr.next <= last {
+		rec, encoded, err := sr.read()
+		if err != nil {
+			return err
+		}
+		if err := fn(rec, encoded); err != nil {
+			return err
+		}
+	}
+	return nil
 }

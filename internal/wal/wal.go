@@ -56,8 +56,10 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,12 +83,17 @@ const (
 	// beyond it no matter what a damaged length field claims.
 	MaxRecordBytes = 16 << 20
 
+	// readChunk caps the buffer a record read sizes from its length field
+	// before the bytes behind it have arrived.
+	readChunk = 64 << 10
+
 	// DefaultSegmentBytes is the rotation threshold when Options leaves
 	// SegmentBytes zero.
 	DefaultSegmentBytes = 64 << 20
 )
 
-// crcTable is the CRC-64/ECMA table shared with the snapshot store.
+// crcTable is the CRC-64/ECMA table of records and segment headers. The
+// snapshot store uses the same polynomial but builds its own table.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // digest is one SHA-256 chain link.
@@ -197,10 +204,11 @@ func Open(dir string, opt Options) (*Log, error) {
 // bytes dropped). Immutable after Open.
 func (l *Log) Recovery() RecoveryInfo { return l.rec }
 
-// recover scans the segment files in LSN order, verifying each record and
-// establishing the append position (nextLSN + chain digest). It runs in
-// Open before the Log is shared, but takes mu anyway — uncontended, and
-// it keeps the guarded-field invariants checkable.
+// recover scans the segment files in LSN order through one StreamReader,
+// verifying each record and establishing the append position (nextLSN +
+// chain digest). It runs in Open before the Log is shared, but takes mu
+// anyway — uncontended, and it keeps the guarded-field invariants
+// checkable.
 func (l *Log) recover() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -208,126 +216,89 @@ func (l *Log) recover() error {
 	if err != nil {
 		return fmt.Errorf("wal: recover %s: %w", l.dir, err)
 	}
-	sort.Strings(paths) // fixed-width hex names sort in LSN order
+	sort.Strings(paths)          // fixed-width hex names sort in LSN order
+	sr := &StreamReader{next: 1} // an empty log appends from LSN 1
 	for idx, path := range paths {
-		last := idx == len(paths)-1
-		seg, err := l.recoverSegment(path, last)
-		if err != nil {
+		if err := l.recoverSegment(sr, path, idx == len(paths)-1); err != nil {
 			return err
 		}
-		if seg == nil {
-			continue // torn header on the last segment: file removed
-		}
-		l.segments = append(l.segments, *seg)
 	}
+	l.nextLSN, l.chain = sr.next, sr.chain
 	l.rec.Segments = len(l.segments)
 	return nil
 }
 
-// recoverSegment verifies one segment. It returns nil (with the file
-// removed) for a last segment whose header never finished writing, and an
-// ErrCorrupt error for damage that cannot be a torn tail.
+// recoverSegment verifies one segment through sr and retains it. A last
+// segment whose header never finished writing is removed, a torn final
+// record on it is truncated away, and any other damage is an ErrCorrupt
+// error.
 //
 //grblint:locked mu
-func (l *Log) recoverSegment(path string, last bool) (*segment, error) {
+func (l *Log) recoverSegment(sr *StreamReader, path string, last bool) error {
 	base := filepath.Base(path)
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: recover %s: %w", base, err)
+		return fmt.Errorf("wal: recover %s: %w", base, err)
 	}
 	defer f.Close()
 
-	first, carry, err := readSegmentHeader(f)
-	if err != nil {
+	// The oldest retained segment is the reader's origin: snapshots may
+	// have truncated its predecessors, so its first LSN and carry-in
+	// digest are the trusted start of sequence and chain. Every later
+	// header must continue them.
+	if err := sr.attach(f); err != nil {
 		// A crash between creating the segment file and syncing its header
 		// leaves a SHORT file (the header is written and synced before any
 		// record can land): that torn create is tolerated on the last
 		// segment. A full-size header that fails validation cannot be a
 		// torn write — it is damage.
 		if fi, statErr := f.Stat(); last && statErr == nil && fi.Size() < segHeaderLen {
-			if dropErr := l.noteTorn(path, 0); dropErr != nil {
-				return nil, dropErr
-			}
-			return nil, nil
+			return l.dropTorn(path, 0)
 		}
-		return nil, fmt.Errorf("wal: %s: %w", base, err)
+		return fmt.Errorf("wal: %s: %w", base, err)
 	}
-	if len(l.segments) == 0 {
-		// The oldest retained segment defines the origin: snapshots may
-		// have truncated its predecessors, so its first LSN and carry-in
-		// digest are the trusted start of sequence and chain.
-		l.nextLSN = first
-		l.chain = carry
-	} else {
-		if first != l.nextLSN {
-			return nil, corruptf("%s: segment starts at LSN %d, expected %d", base, first, l.nextLSN)
-		}
-		if carry != l.chain {
-			return nil, corruptf("%s: segment chain carry-in does not match preceding segment", base)
-		}
-	}
-
-	seg := &segment{path: path, firstLSN: first, lastLSN: first - 1, size: segHeaderLen}
-	for {
-		rec, encoded, err := readRecord(f)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			if last {
-				return seg, l.tornTail(f, path, seg)
-			}
-			return nil, fmt.Errorf("wal: %s: %w", base, err)
-		}
-		// CRC already validated; now the chain and density checks, which
-		// distinguish tampering from torn writes: a torn write cannot
-		// produce a CRC-valid record, so a CRC-valid record that breaks
-		// the chain or the LSN sequence is corruption even at the tail.
-		if rec.LSN != l.nextLSN {
-			return nil, corruptf("%s: record LSN %d breaks sequence (expected %d)", base, rec.LSN, l.nextLSN)
-		}
-		if prevOf(encoded) != l.chain {
-			return nil, corruptf("%s: record %d breaks the hash chain (spliced or reordered)", base, rec.LSN)
-		}
-		l.chain = sha256.Sum256(encoded)
-		l.nextLSN++
+	seg := segment{path: path, firstLSN: sr.next, lastLSN: sr.next - 1, size: segHeaderLen}
+	err = sr.each(math.MaxUint64, func(rec Record, encoded []byte) error {
 		seg.lastLSN = rec.LSN
 		seg.size += int64(len(encoded))
 		l.rec.Records++
+		return nil
+	})
+	// The walk ends only on an error: a clean io.EOF, or damage. A torn
+	// write cannot produce a CRC-valid record, so one that breaks the
+	// sequence or the chain is tampering even at the tail; any other
+	// damage on the last segment is a torn final append.
+	switch {
+	case errors.Is(err, io.EOF):
+	case last && !errors.Is(err, errBreak):
+		if err := l.dropTorn(path, seg.size); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("wal: %s: %w", base, err)
 	}
-	return seg, nil
-}
-
-// tornTail truncates the last segment back to its final valid record and
-// records the loss. Only called for the final segment.
-func (l *Log) tornTail(f *os.File, path string, seg *segment) error {
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
-	}
-	if err := l.noteTorn(path, seg.size); err != nil {
-		return err
-	}
-	l.rec.TornBytes = fi.Size() - seg.size
-	l.rec.TornFile = filepath.Base(path)
+	l.segments = append(l.segments, seg)
 	return nil
 }
 
-// noteTorn truncates path to keep (removing it when keep is 0) so the
-// append position lands exactly after the last valid record.
-func (l *Log) noteTorn(path string, keep int64) error {
-	if keep == 0 {
-		if fi, err := os.Stat(path); err == nil {
-			l.rec.TornBytes = fi.Size()
-			l.rec.TornFile = filepath.Base(path)
-		}
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("wal: drop torn segment %s: %w", filepath.Base(path), err)
-		}
-		return nil
+// dropTorn cuts path back to keep bytes (removing the file when keep is
+// 0, a torn header) so the append position lands exactly after the last
+// valid record, and reports the loss in RecoveryInfo.
+func (l *Log) dropTorn(path string, keep int64) error {
+	base := filepath.Base(path)
+	fi, err := os.Stat(path)
+	if err != nil {
+		return fmt.Errorf("wal: %s: %w", base, err)
 	}
-	if err := os.Truncate(path, keep); err != nil {
-		return fmt.Errorf("wal: truncate torn tail of %s: %w", filepath.Base(path), err)
+	l.rec.TornBytes = fi.Size() - keep
+	l.rec.TornFile = base
+	if keep == 0 {
+		err = os.Remove(path)
+	} else {
+		err = os.Truncate(path, keep)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: drop torn tail of %s: %w", base, err)
 	}
 	return nil
 }
@@ -468,53 +439,7 @@ func (l *Log) sealActiveLocked() {
 func (l *Log) Replay(from uint64, fn func(r Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for idx, seg := range l.segments {
-		if seg.lastLSN < from || seg.lastLSN < seg.firstLSN {
-			continue
-		}
-		if err := l.replaySegment(seg, idx == 0, from, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replaySegment re-reads one segment from disk, verifying as it goes.
-func (l *Log) replaySegment(seg segment, oldest bool, from uint64, fn func(r Record) error) error {
-	base := filepath.Base(seg.path)
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: replay %s: %w", base, err)
-	}
-	defer f.Close()
-	first, carry, err := readSegmentHeader(f)
-	if err != nil {
-		return fmt.Errorf("wal: replay %s: %w", base, err)
-	}
-	if first != seg.firstLSN {
-		return corruptf("%s: segment header changed since recovery", base)
-	}
-	_ = oldest // the carry-in of the oldest segment is the trusted origin
-	chain := carry
-	want := first
-	for want <= seg.lastLSN {
-		rec, encoded, err := readRecord(f)
-		if err != nil {
-			return fmt.Errorf("wal: replay %s: %w", base, err)
-		}
-		if rec.LSN != want || prevOf(encoded) != chain {
-			return corruptf("%s: record %d fails chain verification on replay", base, rec.LSN)
-		}
-		chain = sha256.Sum256(encoded)
-		want++
-		if rec.LSN < from {
-			continue
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return walk(l.segments, from, l.nextLSN, func(rec Record, _ []byte) error { return fn(rec) })
 }
 
 // TruncateBefore removes sealed segments whose every record is older than
@@ -525,13 +450,9 @@ func (l *Log) TruncateBefore(lsn uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	removed := 0
-	for len(l.segments) > 1 && l.segments[0].lastLSN < lsn && l.segments[0].lastLSN >= l.segments[0].firstLSN-1 {
-		seg := l.segments[0]
-		if seg.lastLSN >= lsn {
-			break
-		}
-		if err := os.Remove(seg.path); err != nil {
-			return removed, fmt.Errorf("wal: truncate %s: %w", filepath.Base(seg.path), err)
+	for len(l.segments) > 1 && l.segments[0].lastLSN < lsn {
+		if err := os.Remove(l.segments[0].path); err != nil {
+			return removed, fmt.Errorf("wal: truncate %s: %w", filepath.Base(l.segments[0].path), err)
 		}
 		l.segments = l.segments[1:]
 		removed++
@@ -661,9 +582,9 @@ func prevOf(encoded []byte) digest {
 // readRecord reads and CRC-validates one record from r. A clean EOF at a
 // record boundary returns io.EOF; any other failure — short read, a
 // length field beyond MaxRecordBytes, a checksum mismatch — wraps
-// ErrCorrupt. Chain and LSN checks are the caller's (they need the
-// running state). Allocation is bounded by MaxRecordBytes: the length
-// field is validated before the payload buffer is sized from it.
+// ErrCorrupt. Chain and LSN checks are StreamReader.read's (they need the
+// running state). A length field is never trusted to size an allocation:
+// past readChunk the buffer grows, at most doubling, only as bytes arrive.
 func readRecord(r io.Reader) (Record, []byte, error) {
 	var hdr [recHeaderLen]byte
 	n, err := io.ReadFull(r, hdr[:])
@@ -677,10 +598,15 @@ func readRecord(r io.Reader) (Record, []byte, error) {
 	if payloadLen == 0 || payloadLen > MaxRecordBytes {
 		return Record{}, nil, corruptf("record payload length %d outside (0, %d]", payloadLen, MaxRecordBytes)
 	}
-	encoded := make([]byte, recHeaderLen+int(payloadLen)+recTrailerLen)
-	copy(encoded, hdr[:])
-	if _, err := io.ReadFull(r, encoded[recHeaderLen:]); err != nil {
-		return Record{}, nil, corruptf("short record body: %v", err)
+	size := recHeaderLen + int(payloadLen) + recTrailerLen
+	encoded := append(make([]byte, 0, min(size, readChunk)), hdr[:]...)
+	for len(encoded) < size {
+		k := min(size, max(cap(encoded), 2*len(encoded)))
+		encoded = slices.Grow(encoded, k-len(encoded))
+		if _, err := io.ReadFull(r, encoded[len(encoded):k]); err != nil {
+			return Record{}, nil, corruptf("short record body: %v", err)
+		}
+		encoded = encoded[:k]
 	}
 	body := encoded[:len(encoded)-recTrailerLen]
 	want := crc64.Checksum(body, crcTable)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -566,4 +567,97 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	l.Close()
+}
+
+// TestDamageAfterOpenCaughtOnEveryReadPath damages a sealed segment after
+// Open has verified it, then reads the log back every way it can be read:
+// Replay, StreamTo, and a StreamReader over a window served before the
+// damage with the same damage applied to its bytes (the wire format is the
+// segment format, so one edit fits both). Each must refuse with ErrCorrupt
+// rather than serve the damaged history.
+func TestDamageAfterOpenCaughtOnEveryReadPath(t *testing.T) {
+	// Fixed-width payloads give every record the same length, and
+	// 56 + 4×60-byte segments seal after four records.
+	const recLen = recHeaderLen + 8 + recTrailerLen
+	opt := Options{NoSync: true, SegmentBytes: segHeaderLen + 4*recLen}
+	fill := func(t *testing.T, dir, prefix string) *Log {
+		t.Helper()
+		l, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 10; i++ {
+			if _, err := l.Append([]byte(fmt.Sprintf("%s-%04d", prefix, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l
+	}
+	window := func(t *testing.T, l *Log) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := l.StreamTo(&buf, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	other := fill(t, t.TempDir(), "BBB")
+	defer other.Close()
+	otherBytes := window(t, other)
+
+	// Each damage rewrites record 2, in the middle of the first segment.
+	rec2 := segHeaderLen + recLen
+	for _, d := range []struct {
+		name   string
+		damage func(raw []byte) []byte
+	}{
+		{"flipped payload bit", func(raw []byte) []byte {
+			raw[rec2+recHeaderLen+3] ^= 0x10
+			return raw
+		}},
+		{"record spliced from another log", func(raw []byte) []byte {
+			copy(raw[rec2:rec2+recLen], otherBytes[rec2:rec2+recLen])
+			return raw
+		}},
+		{"deleted middle record", func(raw []byte) []byte {
+			return append(raw[:rec2:rec2], raw[rec2+recLen:]...)
+		}},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := fill(t, dir, "AAA")
+			defer l.Close()
+			served := window(t, l)
+			paths, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+			if len(paths) < 3 {
+				t.Fatalf("want the first segment sealed behind two more, got %d segments", len(paths))
+			}
+			raw, err := os.ReadFile(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(paths[0], d.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			replayErr := l.Replay(1, func(Record) error { return nil })
+			_, streamErr := l.StreamTo(io.Discard, 1, 0)
+			var readErr error
+			sr, err := NewStreamReader(bytes.NewReader(d.damage(served)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for readErr == nil {
+				_, readErr = sr.Next()
+			}
+			for _, got := range []struct {
+				path string
+				err  error
+			}{{"Replay", replayErr}, {"StreamTo", streamErr}, {"StreamReader", readErr}} {
+				if !errors.Is(got.err, ErrCorrupt) {
+					t.Errorf("%s after damage: err = %v, want ErrCorrupt", got.path, got.err)
+				}
+			}
+		})
+	}
 }
