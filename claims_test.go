@@ -1,0 +1,88 @@
+package lagraph_test
+
+// The mechanisms the paper's claims rest on, counted rather than timed,
+// beside the benchmarks that time them (bench_test.go): a count is the same
+// on any host, so a claim that stops holding fails `go test .`.
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"lagraph/internal/gen"
+	"lagraph/internal/grb"
+	"lagraph/internal/lagraph"
+)
+
+// TestC4_TerminalCutsProducts: one pull over C4's half-full frontier calls
+// the multiplier of the literal lor.first with LOR's terminal at most a
+// tenth as often as without it — each dot stops at its first product.
+func TestC4_TerminalCutsProducts(t *testing.T) {
+	_, g, _ := benchGraphs()
+	n := g.N()
+	frontier := c4Frontier(n)
+	defer grb.SetParallelism(grb.SetParallelism(1)) // the count is not atomic
+	products := func(terminal bool) int {
+		calls := 0
+		s := grb.Semiring[bool, float64, bool]{Add: grb.LOrMonoid(), Mul: func(x bool, _ float64) bool { calls++; return x }}
+		if !terminal {
+			s.Add.Terminal = nil
+		}
+		w := grb.MustVector[bool](n)
+		if err := grb.VxM(w, (*grb.Vector[bool])(nil), nil, s, frontier, g.A, &grb.Descriptor{Dir: grb.DirPull}); err != nil {
+			t.Fatal(err)
+		}
+		return calls
+	}
+	with, without := products(true), products(false)
+	t.Logf("products with the terminal: %d, without: %d", with, without)
+	if with*10 > without {
+		t.Errorf("with LOR's terminal a pull makes %d products, without it %d: the early exit saves less than 10×", with, without)
+	}
+}
+
+// TestC5_BFSDirections pins the per-level frontier sizes and directions of
+// the direction-optimized BFS on C5's graph from vertex 0: the hump the
+// claim is about, push while the frontier is small, pull across its peak.
+func TestC5_BFSDirections(t *testing.T) {
+	_, g, _ := benchGraphs()
+	var st lagraph.BFSStats
+	if _, err := lagraph.BFSLevels(g, 0, lagraph.WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	wantSizes := []int{1, 2213, 4179, 87}
+	wantDirs := []grb.Direction{grb.DirPush, grb.DirPull, grb.DirPull, grb.DirPush}
+	if !slices.Equal(st.FrontierSizes, wantSizes) || !slices.Equal(st.Directions, wantDirs) {
+		t.Errorf("C5's levels have frontiers %v taken %v, want %v taken %v", st.FrontierSizes, st.Directions, wantSizes, wantDirs)
+	}
+}
+
+// TestC7_ExportImportBytes: export plus import of a matrix moves its arrays
+// and allocates no byte that grows with it (§IV: "no new memory is
+// allocated"): the same bytes at n = 2¹⁰ as at n = 2¹³.
+func TestC7_ExportImportBytes(t *testing.T) {
+	_, g13, _ := benchGraphs()
+	g10 := lagraph.FromEdgeList(gen.RMAT(10, benchEF, gen.Config{Seed: 2, Undirected: true, NoSelfLoops: true}), lagraph.Undirected)
+	bytes := func(a *grb.Matrix[float64]) uint64 {
+		a = a.Dup()
+		a.Wait()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 64
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for r := 0; r < runs; r++ {
+			nr, nc, p, idx, x := a.ExportCSR()
+			var err error
+			if a, err = grb.ImportCSR(nr, nc, p, idx, x, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	small, large := bytes(g10.A), bytes(g13.A)
+	t.Logf("export plus import: %d B at n = 2^10, %d B at n = 2^13", small, large)
+	if small != large {
+		t.Errorf("export plus import allocates %d B at n = 2^10 and %d B at n = 2^13: the move costs O(n) memory", small, large)
+	}
+}

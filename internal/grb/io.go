@@ -92,7 +92,7 @@ func (a *Matrix[T]) ExportCSR() (nrows, ncols int, p, i []int, x []T) {
 	if c.h != nil {
 		c = hyperToStandard(c)
 	}
-	nrows, ncols, p, i, x = a.nr, a.nc, c.p, c.i, c.x
+	nrows, ncols, p, i, x = a.nr, a.nc, ownedPtrs(c.p), c.i, c.x
 	a.Clear()
 	return
 }

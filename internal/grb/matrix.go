@@ -62,15 +62,31 @@ func (c *cs[T]) vec(k int) ([]int, []T) {
 
 // emptyCS returns an empty structure, hypersparse when the major
 // dimension alone would make a standard pointer array the dominant cost.
+// A standard one's pointers are a window on zeroPtrs, so an empty matrix —
+// new, cleared or exported — costs O(1) memory in either form.
 func emptyCS[T any](nmajor, nminor int) *cs[T] {
 	c := &cs[T]{nmajor: nmajor, nminor: nminor}
 	if nmajor >= hyperThresholdDim*hyperRatio {
 		c.p = []int{0}
 		c.h = []int{}
 	} else {
-		c.p = make([]int, nmajor+1)
+		c.p = zeroPtrs[: nmajor+1 : nmajor+1]
 	}
 	return c
+}
+
+// zeroPtrs backs the pointer array of every empty standard structure. No
+// kernel writes a stored pointer array; an export copies this one out
+// (ownedPtrs) before a caller can.
+var zeroPtrs [hyperThresholdDim * hyperRatio]int
+
+// ownedPtrs returns p as an array its receiver may write: a fresh one when
+// p is a window on zeroPtrs.
+func ownedPtrs(p []int) []int {
+	if len(p) > 0 && &p[0] == &zeroPtrs[0] {
+		return make([]int, len(p))
+	}
+	return p
 }
 
 // tuple is a pending update produced by SetElement or element-wise Assign.

@@ -6,16 +6,22 @@ import "math"
 // pull dot, the Gustavson rows and the dense push do per product; a
 // Semiring is one by calling its closures — Mul (under MxV, through the
 // argument-swapping wrapper), Add.Op and Add.Terminal, three indirect calls
-// around one + or <. For the semirings the built-in constructors tag
-// (opsTag, types.go), over float64 and int64 — the element types the GAP
-// kernels multiply in — monoOps is the same looper with the arithmetic
-// written out over E Number. Its dot and its pull pick one loop per tag
-// once a call, so a pulled product is a lane probe and one + or <, nothing
-// resolved per product or per row. Each of its loops keeps its generic twin's
-// association exactly: the first product assigned, the rest folded in the
-// same order, min spelt `y < x` with its terminal exit. A tagged semiring and its literal-built
-// twin therefore agree bitwise, and a positional multiplier (first, second,
-// pair) never loads the operand it ignores.
+// around one + or <. The semirings the built-in constructors tag (opsTag,
+// types.go) have the same looper with the arithmetic written out:
+//
+//   - monoOps, the plus and min semirings over float64 and int64 — the
+//     element types the GAP kernels multiply in — whose dot and pull pick
+//     one loop per tag once a call, so a pulled product is a lane probe and
+//     one + or <, nothing resolved per product or per row;
+//   - lorFirst and anyFirst, the traversal semirings: a positional first
+//     under a terminal monoid, lor over bool and any over any element type,
+//     against a right operand of any type, which they never load.
+//
+// Each loop keeps its generic twin's association exactly: the first product
+// assigned, the rest folded in the same order, min spelt `y < x`, and the
+// exit at a terminal value where the twin exits. A tagged semiring and its
+// literal-built twin therefore agree bitwise, and a positional multiplier
+// (first, second, pair) never loads the operand it ignores.
 //
 // The heap mxm, the hash push and sparseDot multiply through the closures
 // whatever the tag: a census of both bench/e2e workloads puts under 0.4 %
@@ -47,22 +53,29 @@ type looper[L, R, T any] interface {
 }
 
 // loopsOf returns the loops a kernel multiplies with: the tagged ones when s
-// is tagged and L, R and T are all the float64 or int64 they exist for (st
-// is then told which, for the op record), s's own otherwise.
+// is tagged and its types are those the loops exist for (st is then told
+// which, for the op record), s's own otherwise.
 func loopsOf[L, R, T any](s *Semiring[L, R, T], st *kernelStats) looper[L, R, T] {
-	if s.ops != opsGeneric {
-		m, ok := any(&monoFloat64[s.ops]).(looper[L, R, T])
-		if !ok {
+	var m looper[L, R, T]
+	ok := false
+	switch s.ops {
+	case opsGeneric:
+	case opsLOrFirst:
+		m, ok = any(lorFirst[R]{}).(looper[L, R, T])
+	case opsAnyFirst:
+		m, ok = any(anyFirst[L, R]{}).(looper[L, R, T])
+	default:
+		if m, ok = any(&monoFloat64[s.ops]).(looper[L, R, T]); !ok {
 			m, ok = any(&monoInt64[s.ops]).(looper[L, R, T])
 		}
-		if ok {
-			if st != nil {
-				st.ops = s.ops
-			}
-			return m
-		}
 	}
-	return s
+	if !ok {
+		return s
+	}
+	if st != nil {
+		st.ops = s.ops
+	}
+	return m
 }
 
 func (s *Semiring[L, R, T]) dot(seen []bool, lx []L, ri []int, rx []R, lo, hi int) (acc T, found bool) {
@@ -156,9 +169,9 @@ type monoOps[E Number] struct {
 	lo          E
 }
 
-// monoTable resolves every tag over E, indexed by tag.
-func monoTable[E Number]() (t [len(opsNames)]monoOps[E]) {
-	for tag := opsPlusFirst; int(tag) < len(t); tag++ {
+// monoTable resolves every plus and min tag over E, indexed by tag.
+func monoTable[E Number]() (t [opsMinPlus + 1]monoOps[E]) {
+	for tag := opsPlusFirst; tag <= opsMinPlus; tag++ {
 		t[tag] = monoOps[E]{
 			tag:   tag,
 			left:  tag == opsPlusFirst || tag == opsMinFirst || tag == opsMinPlus,
@@ -432,6 +445,146 @@ func (m monoOps[E]) markedRow(l []E, t int, ri []int, r []E, lo, hi int, mark []
 func (m *monoOps[E]) fold(pi []int, px []E, seen []bool, val []E, touched []int) []int {
 	second := monoOps[E]{right: true, min: m.min, lo: m.lo}
 	return second.scatterRow(nil, 0, pi, px, 0, len(pi), seen, val, touched)
+}
+
+// lorFirst is lor.first: a product is its left value, and true is the
+// terminal. Until a cell is true, or-ing x into it makes it x.
+type lorFirst[R any] struct{}
+
+func (lorFirst[R]) dot(seen []bool, l []bool, ri []int, _ []R, lo, hi int) (acc, found bool) {
+	for _, i := range ri[lo:hi] {
+		if seen[i] {
+			if acc, found = l[i], true; acc {
+				break
+			}
+		}
+	}
+	return acc, found
+}
+
+func (lorFirst[R]) pull(seen []bool, l []bool, c *cs[R], lo, hi int, mv *maskVec, zb []bool, zx []bool) (n int) {
+	l, ci, cp := l[:len(seen)], c.i, c.p
+	for j := lo; j < hi; j++ {
+		if q, end := firstMatch(seen, ci, cp[j], cp[j+1], mv, j); q < end {
+			acc := l[ci[q]]
+			for q++; q < end && !acc; q++ {
+				if i := ci[q]; seen[i] {
+					acc = l[i]
+				}
+			}
+			zb[j], zx[j], n = true, acc, n+1
+		}
+	}
+	return n
+}
+
+func (lorFirst[R]) scatter(li []int, l []bool, lo, hi int, c *cs[R], seen []bool, val []bool, touched []int, _ bool) []int {
+	for t := lo; t < hi; t++ {
+		if k, ok := c.findMajor(li[t]); ok {
+			lv := l[t]
+			for _, j := range c.i[c.p[k]:c.p[k+1]] {
+				if !seen[j] {
+					seen[j], val[j] = true, lv
+					touched = append(touched, j)
+				} else {
+					val[j] = val[j] || lv
+				}
+			}
+		}
+	}
+	return touched
+}
+
+func (lorFirst[R]) marked(li []int, l []bool, c *cs[R], mark []uint8, val []bool) {
+	for t := range li {
+		if k, ok := c.findMajor(li[t]); ok {
+			lv := l[t]
+			for _, j := range c.i[c.p[k]:c.p[k+1]] {
+				switch mark[j] {
+				case markOpen:
+					mark[j], val[j] = markFilled, lv
+				case markFilled:
+					val[j] = val[j] || lv
+				}
+			}
+		}
+	}
+}
+
+func (lorFirst[R]) fold(pi []int, px []bool, seen []bool, val []bool, touched []int) []int {
+	for t, j := range pi {
+		if !seen[j] {
+			seen[j], val[j] = true, px[t]
+			touched = append(touched, j)
+		} else {
+			val[j] = val[j] || px[t]
+		}
+	}
+	return touched
+}
+
+// anyFirst is any.first over E: a product is its left value, and every
+// value is terminal, so a dot, a pushed cell and a chunk fold keep their
+// first product. Where its twin does not exit — a Gustavson or a marked
+// row — any's operator keeps the last.
+type anyFirst[E, R any] struct{}
+
+func (anyFirst[E, R]) dot(seen []bool, l []E, ri []int, _ []R, lo, hi int) (acc E, found bool) {
+	for _, i := range ri[lo:hi] {
+		if seen[i] {
+			return l[i], true
+		}
+	}
+	return acc, false
+}
+
+func (anyFirst[E, R]) pull(seen []bool, l []E, c *cs[R], lo, hi int, mv *maskVec, zb []bool, zx []E) (n int) {
+	for j := lo; j < hi; j++ {
+		if q, end := firstMatch(seen, c.i, c.p[j], c.p[j+1], mv, j); q < end {
+			zb[j], zx[j], n = true, l[c.i[q]], n+1
+		}
+	}
+	return n
+}
+
+func (anyFirst[E, R]) scatter(li []int, l []E, lo, hi int, c *cs[R], seen []bool, val []E, touched []int, exit bool) []int {
+	for t := lo; t < hi; t++ {
+		if k, ok := c.findMajor(li[t]); ok {
+			lv := l[t]
+			for _, j := range c.i[c.p[k]:c.p[k+1]] {
+				if !seen[j] {
+					seen[j], val[j] = true, lv
+					touched = append(touched, j)
+				} else if !exit {
+					val[j] = lv
+				}
+			}
+		}
+	}
+	return touched
+}
+
+func (anyFirst[E, R]) marked(li []int, l []E, c *cs[R], mark []uint8, val []E) {
+	for t := range li {
+		if k, ok := c.findMajor(li[t]); ok {
+			lv := l[t]
+			for _, j := range c.i[c.p[k]:c.p[k+1]] {
+				if mark[j] != markClosed {
+					mark[j], val[j] = markFilled, lv
+				}
+			}
+		}
+	}
+}
+
+func (anyFirst[E, R]) fold(pi []int, px []E, seen []bool, val []E, touched []int) []int {
+	for t, j := range pi {
+		if !seen[j] {
+			seen[j], val[j] = true, px[t]
+			touched = append(touched, j)
+		}
+	}
+	return touched
 }
 
 // fold folds into acc, in order, the entries of xs that b marks present

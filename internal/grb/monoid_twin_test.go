@@ -3,6 +3,7 @@ package grb_test
 // The reductions' tagged loops (mono.go, Monoid.fold) against the generic
 // loop they replace: every built-in monoid beside its composite-literal
 // twin, which carries the same operator, identity and terminal but no tag.
+// Then the traversal semirings' loops (lorFirst, anyFirst) beside theirs.
 
 import (
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"lagraph/internal/grb"
+	"lagraph/internal/obs"
 )
 
 // literalMonoid is m rebuilt as a composite literal: the generic loop runs
@@ -204,6 +206,132 @@ func runTwins[T comparable](t *testing.T, twins []monoidTwin[T]) {
 		}
 		if !same(scalars[0], scalars[1], byBits) {
 			t.Fatalf("%s: matrix reduces to %v at one worker, %v at eight", name, scalars[0], scalars[1])
+		}
+	}
+}
+
+// traversalTwin is a traversal semiring beside its literal-built twin, the
+// same monoid and first with no tag; draw yields frontier values.
+type traversalTwin[E comparable] struct {
+	name            string
+	tagged, literal grb.Semiring[E, float64, E]
+	draw            func(*rand.Rand) E
+}
+
+// TestTraversalSemiringTwins: lor.first and any.first agree bit for bit
+// with their literal twins, at one worker and at eight, on the paths a
+// traversal takes — a push whose frontier is cut into chunks and folded in
+// chunk order; a pull under a complemented mask held compressed and held
+// dense; the masked mxm's mask-first (marked) rows, and its complemented
+// rows in both directions. lor's frontier holds false values too, so its
+// loops fold past a non-terminal product; any's holds distinct ones, so
+// keeping the first product and keeping the last differ. The op records
+// say the tagged run took the loops and the twin the closures.
+func TestTraversalSemiringTwins(t *testing.T) {
+	runTraversalTwin(t, traversalTwin[bool]{"lor.first", grb.LOrFirst[float64](),
+		grb.Semiring[bool, float64, bool]{Add: grb.LOrMonoid(), Mul: grb.First[bool, float64]()},
+		func(rng *rand.Rand) bool { return rng.Intn(4) == 0 }})
+	runTraversalTwin(t, traversalTwin[int64]{"any.first", grb.AnyFirstOf[int64, float64](),
+		grb.Semiring[int64, float64, int64]{Add: grb.AnyMonoid[int64](), Mul: grb.First[int64, float64]()},
+		func(rng *rand.Rand) int64 { return rng.Int63() }})
+}
+
+func runTraversalTwin[E comparable](t *testing.T, tw traversalTwin[E]) {
+	const m, n, deg = 400, 2000, 200 // m·deg products: past pushWorkQuantum
+	rng := rand.New(rand.NewSource(4700))
+	a := grb.MustMatrix[float64](m, n)
+	for i := 0; i < m; i++ {
+		for _, j := range rng.Perm(n)[:deg] {
+			_ = a.SetElement(i, j, 1)
+		}
+	}
+	u := grb.MustVector[E](m)
+	for i := 0; i < m; i++ {
+		_ = u.SetElement(i, tw.draw(rng))
+	}
+	f := grb.MustMatrix[E](8, m) // eight frontiers of twenty
+	for s := 0; s < 8; s++ {
+		for _, i := range rng.Perm(m)[:20] {
+			_ = f.SetElement(s, i, tw.draw(rng))
+		}
+	}
+	mask := grb.MustVector[bool](n) // n/16 entries: compressed
+	for _, j := range rng.Perm(n)[:n/16] {
+		_ = mask.SetElement(j, true)
+	}
+	mm := grb.MustMatrix[bool](8, n) // rows of eight: the marked route
+	for s := 0; s < 8; s++ {
+		for _, j := range rng.Perm(n)[:8] {
+			_ = mm.SetElement(s, j, true)
+		}
+	}
+	a.Wait()
+	u.Wait()
+	f.Wait()
+	mask.Wait()
+	mm.Wait()
+	if d, _ := mask.Forms(); d {
+		t.Fatal("the sparse mask is dense-held")
+	}
+
+	// run returns the product each twin gives, checking that the two agree
+	// and that their op records name the loops each took.
+	run := func(label string, product func(s grb.Semiring[E, float64, E]) any) any {
+		trace := obs.NewTrace(4)
+		restore := obs.Set(trace)
+		got := product(tw.tagged)
+		want := product(tw.literal)
+		obs.Set(restore)
+		mustMatch[E](t, tw.name+" "+label, got, want, byBits)
+		ops := trace.Ops()
+		if len(ops) != 2 || ops[0].Ops != tw.name || ops[1].Ops != "" {
+			t.Fatalf("%s %s: op records %+v, want the loops' %q then the closures'", tw.name, label, ops, tw.name)
+		}
+		if label == "push" && ops[0].Chunks < 2 {
+			t.Fatalf("%s push ran in %d chunk(s): nothing was folded", tw.name, ops[0].Chunks)
+		}
+		return got
+	}
+	vxm := func(mask *grb.Vector[bool], dir grb.Direction) func(grb.Semiring[E, float64, E]) any {
+		return func(s grb.Semiring[E, float64, E]) any {
+			w := grb.MustVector[E](n)
+			if err := grb.VxM(w, mask, nil, s, u, a, &grb.Descriptor{Replace: true, Comp: mask != nil, Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+	}
+	mxm := func(d grb.Descriptor) func(grb.Semiring[E, float64, E]) any {
+		return func(s grb.Semiring[E, float64, E]) any {
+			c := grb.MustMatrix[E](8, n)
+			if err := grb.MxM(c, mm, nil, s, f, a, &d); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	cases := []struct {
+		label   string
+		product func(grb.Semiring[E, float64, E]) any
+	}{
+		{"push", vxm(nil, grb.DirPush)},
+		{"pull/¬compressed", vxm(mask, grb.DirPull)},
+		{"pull/¬dense", vxm(held(mask, denseHeld), grb.DirPull)},
+		{"mxm/marked", mxm(grb.Descriptor{Method: grb.MxMGustavson})},
+		{"mxm/¬gustavson", mxm(grb.Descriptor{Comp: true, Method: grb.MxMGustavson})},
+		{"mxm/¬dot", mxm(grb.Descriptor{Comp: true, Method: grb.MxMDot})},
+	}
+	for _, tc := range cases {
+		var first any
+		for _, p := range []int{1, 8} {
+			atParallelism(p, func() {
+				got := run(fmt.Sprintf("%s P=%d", tc.label, p), tc.product)
+				if first == nil {
+					first = got
+				} else {
+					mustMatch[E](t, fmt.Sprintf("%s %s at P=8 against P=1", tw.name, tc.label), got, first, byBits)
+				}
+			})
 		}
 	}
 }

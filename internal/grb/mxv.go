@@ -52,7 +52,16 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 	if mask != nil && mask.n != w.n {
 		return opErrorf(op, ErrDimensionMismatch, "mask is %d, w is %d", mask.n, w.n)
 	}
-	mv := newMaskVec(mask, d)
+	// A complemented mask is probed on lanes, whatever its form: a
+	// compressed one fills laneMask's pooled scratch in O(nnz(mask)), so
+	// neither direction enumerates or searches the outputs it rejects.
+	var mv *maskVec
+	done := nop
+	if mask != nil && d.Comp && bitmapCells(1, mask.n) >= 0 {
+		mv, done = laneMask(mask, d)
+	} else {
+		mv = newMaskVec(mask, d)
+	}
 
 	// Kernel selection. A forced direction is honored verbatim; DirAuto
 	// engages the GraphBLAST push/pull density switch, a pure function of
@@ -97,6 +106,7 @@ func vxmImpl[A, U, T, M any](op string, w *Vector[T], mask *Vector[M], accum Bin
 		nnzA = ca.nvals()
 		zi, zx, zd, admitted = vxmPush(u, ca, s, mv, ac, st)
 	}
+	done() // w may be the mask: its lanes go back before the write
 	nnzOut := len(zi)
 	var route string
 	var err error
@@ -355,11 +365,12 @@ func scatterRowsHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, 
 // partitioned at equal-degree boundaries (hub columns of a power-law graph
 // otherwise serialize the sweep).
 //
-// With no mask, or a mask that can only be probed (complemented and
-// dense-held), every column is a candidate and the staging area is indexed
-// by column: it *is* the result's dense lanes, returned as zd for the
-// write rule's dense arms instead of being compacted. Under an enumerable
-// mask the admitted columns are staged and compacted into (zi, zx).
+// With no mask, or a complemented one on lanes, every column is a candidate
+// and the staging area is indexed by column: it *is* the result's dense
+// lanes, returned as zd for the write rule's dense arms instead of being
+// compacted. Otherwise the columns a positive mask admits are staged, and
+// under a complemented mask (past the dense cap, or over a hypersparse
+// matrix) every stored column it admits; either is compacted into (zi, zx).
 func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) (zi []int, zx []T, zd *bm[T]) {
 	// u is probed once per matrix entry: straight off its dense lanes when
 	// it has them, otherwise off a pooled scratch it is scattered into.
@@ -384,18 +395,17 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 	}
 
 	// Staging slot t holds column colOf(t), found at major position
-	// majorOf(t) (-1: not stored).
+	// majorOf(t) (-1: not stored, or not admitted).
 	var n int
 	var colOf, majorOf func(t int) int
-	if mv != nil {
+	if mv != nil && !mv.comp {
 		// The admitted output set, which may be empty: then nothing is
 		// computed.
 		targets := mv.idx
-		if mv.comp || mv.val != nil {
+		if mv.val != nil {
 			targets = nil
-			allowed := mv.cursor()
-			for j := 0; j < outDim; j++ {
-				if allowed(j) {
+			for k, j := range mv.idx {
+				if mv.val[k] {
 					targets = append(targets, j)
 				}
 			}
@@ -409,10 +419,15 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 			return -1
 		}
 	} else {
-		// No mask: sweep all stored columns.
+		// Every stored column the mask, if any, admits.
 		n = caT.nvecs()
 		colOf = caT.majorOf
-		majorOf = func(t int) int { return t }
+		majorOf = func(t int) int {
+			if mv.allowed(caT.majorOf(t)) {
+				return t
+			}
+			return -1
+		}
 	}
 	weight := func(t int) int {
 		ck := majorOf(t)

@@ -121,14 +121,18 @@ const (
 	opsMinFirst
 	opsMinSecond
 	opsMinPlus
+	opsLOrFirst
+	opsAnyFirst
 )
 
 // opsNames are the tags as op records spell them (obs.OpRecord.Ops);
 // opsSwapped maps each to the tag of the same semiring with its multiplier's
-// arguments exchanged, as MxV runs it: first and second trade places.
+// arguments exchanged, as MxV runs it: first and second trade places. The
+// traversal semirings have no second-multiplier loop, so swapped they run
+// the closures.
 var (
-	opsNames   = [...]string{"", "plus.first", "plus.second", "plus.pair", "min.first", "min.second", "min.plus"}
-	opsSwapped = [...]opsTag{opsGeneric, opsPlusSecond, opsPlusFirst, opsPlusPair, opsMinSecond, opsMinFirst, opsMinPlus}
+	opsNames   = [...]string{"", "plus.first", "plus.second", "plus.pair", "min.first", "min.second", "min.plus", "lor.first", "any.first"}
+	opsSwapped = [...]opsTag{opsGeneric, opsPlusSecond, opsPlusFirst, opsPlusPair, opsMinSecond, opsMinFirst, opsMinPlus, opsGeneric, opsGeneric}
 )
 
 func (t opsTag) String() string  { return opsNames[t] }
@@ -415,9 +419,22 @@ func AnySecond[T any]() Semiring[T, T, T] {
 	return Semiring[T, T, T]{Add: AnyMonoid[T](), Mul: Second[T, T]()}
 }
 
-// AnyFirst is the (any, first) semiring.
-func AnyFirst[T any]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: AnyMonoid[T](), Mul: First[T, T]()}
+// AnyFirst is the (any, first) semiring over one type.
+func AnyFirst[T any]() Semiring[T, T, T] { return AnyFirstOf[T, T]() }
+
+// AnyFirstOf is the (any, first) semiring over a left operand of type T and
+// a right one of any type B: w = u any.first A carries into w(j) the value
+// of one entry of u adjacent to j, as BFS parents carry a parent id.
+func AnyFirstOf[T, B any]() Semiring[T, B, T] {
+	return Semiring[T, B, T]{Add: AnyMonoid[T](), Mul: First[T, B](), ops: opsAnyFirst}
+}
+
+// LOrFirst is the (||, first) semiring over a boolean left operand and a
+// right one of any type B: w = u lor.first A marks each j adjacent to a true
+// entry of u, the step of level BFS (Fig. 2), whose pull the LOR terminal
+// ends at the first true product.
+func LOrFirst[B any]() Semiring[bool, B, bool] {
+	return Semiring[bool, B, bool]{Add: LOrMonoid(), Mul: First[bool, B](), ops: opsLOrFirst}
 }
 
 // maxVal returns the largest representable value of T: the MIN monoid

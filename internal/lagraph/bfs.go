@@ -65,7 +65,7 @@ func BFSLevels(g *Graph, src int, opts ...Option) (_ *grb.Vector[int32], err err
 	levels := grb.MustVector[int32](n)
 	frontier := grb.MustVector[bool](n)
 	_ = frontier.SetElement(src, true)
-	logical := grb.Semiring[bool, float64, bool]{Add: grb.LOrMonoid(), Mul: grb.First[bool, float64]()}
+	logical := grb.LOrFirst[float64]()
 	depth := int32(0)
 	for {
 		try(lp.next())
@@ -109,7 +109,7 @@ func BFSParents(g *Graph, src int, opts ...Option) (_ *grb.Vector[int64], err er
 	frontier := grb.MustVector[int64](n)
 	_ = frontier.SetElement(src, int64(src))
 	// w(j) = any_{i in frontier} frontier(i): carries a parent id.
-	anyFirst := grb.Semiring[int64, float64, int64]{Add: grb.AnyMonoid[int64](), Mul: grb.First[int64, float64]()}
+	anyFirst := grb.AnyFirstOf[int64, float64]()
 	for iter := 1; ; iter++ {
 		try(lp.next())
 		nf := frontier.Nvals()

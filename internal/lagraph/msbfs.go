@@ -37,7 +37,7 @@ func MSBFSLevels(g *Graph, sources []int, opts ...Option) (_ *grb.Matrix[int32],
 	for s, src := range sources {
 		_ = frontier.SetElement(s, src, true)
 	}
-	logical := grb.Semiring[bool, float64, bool]{Add: grb.LOrMonoid(), Mul: grb.First[bool, float64]()}
+	logical := grb.LOrFirst[float64]()
 	for depth := int32(0); frontier.Nvals() > 0; depth++ {
 		try(lp.next())
 		// levels⟨frontier⟩ = depth

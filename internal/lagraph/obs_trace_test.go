@@ -248,8 +248,8 @@ func dirs(iters []obs.IterRecord) []string {
 // loops (grb's mono.go): on a skewed graph and on a lattice, every product
 // PageRank, FastSV, TC, delta-stepping SSSP and batched BC make is recorded
 // under the semiring the algorithm spells — the op ran the inline loops, not
-// the closures — while level BFS, whose lor.first literal no constructor
-// can type, records none. A count of records, the same on any host.
+// the closures — and so does every level BFS step, under lor.first. A count
+// of records, the same on any host.
 func TestGAPKernelsRunVisibleOperators(t *testing.T) {
 	cfg := gen.Config{Seed: 24, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10}
 	for _, tc := range []struct {
@@ -269,7 +269,7 @@ func TestGAPKernelsRunVisibleOperators(t *testing.T) {
 			{"tc", "plus.pair", func() error { _, err := TriangleCount(g, TCAuto); return err }},
 			{"sssp", "min.plus", func() error { _, err := SSSP(g, sources[0]); return err }},
 			{"bc", "plus.first", func() error { _, err := BetweennessCentrality(g, sources); return err }},
-			{"bfs", "", func() error { _, err := BFSLevels(g, sources[0]); return err }},
+			{"bfs", "lor.first", func() error { _, err := BFSLevels(g, sources[0]); return err }},
 		} {
 			trace := obs.NewTrace(1 << 14)
 			restore := obs.Set(trace)
