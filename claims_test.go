@@ -12,7 +12,27 @@ import (
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/obs"
 )
+
+// TestC1_OneAssembly: C1's e setElement calls and one wait make exactly one
+// assembly, of all e pending tuples (§II-A: the pending tuples that make e
+// setElement calls cost one build).
+func TestC1_OneAssembly(t *testing.T) {
+	is, js, xs := benchTuples(1 << 14)
+	c := &obs.Counters{}
+	defer obs.Set(obs.Set(c))
+	a := grb.MustMatrix[float64](1<<benchScale, 1<<benchScale)
+	for k := range is {
+		if err := a.SetElement(is[k], js[k], xs[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Wait()
+	if waits, pending := c.Waits.Load(), c.Pending.Load(); waits != 1 || pending != int64(len(is)) {
+		t.Errorf("%d setElement calls and one wait made %d assemblies of %d pending tuples, want 1 of %d", len(is), waits, pending, len(is))
+	}
+}
 
 // TestC4_TerminalCutsProducts: one pull over C4's half-full frontier calls
 // the multiplier of the literal lor.first with LOR's terminal at most a
@@ -54,6 +74,36 @@ func TestC5_BFSDirections(t *testing.T) {
 	wantDirs := []grb.Direction{grb.DirPush, grb.DirPull, grb.DirPull, grb.DirPush}
 	if !slices.Equal(st.FrontierSizes, wantSizes) || !slices.Equal(st.Directions, wantDirs) {
 		t.Errorf("C5's levels have frontiers %v taken %v, want %v taken %v", st.FrontierSizes, st.Directions, wantSizes, wantDirs)
+	}
+}
+
+// TestC6_HypersparseBytes: C6's build by setElement allocates no more at
+// dimension 2⁴⁰ than at 2¹⁴, plus a fixed slack: a hypersparse matrix costs
+// its entries, never its dimension (§II-B).
+func TestC6_HypersparseBytes(t *testing.T) {
+	const slack = 4 << 10
+	el := gen.ErdosRenyi(1<<14, 1<<12, gen.Config{Seed: 7})
+	bytes := func(n, shift int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 8
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for r := 0; r < runs; r++ {
+			a := grb.MustMatrix[float64](n, n)
+			for k := range el.Src {
+				if err := a.SetElement(el.Src[k]<<shift, el.Dst[k]<<shift, el.W[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Wait()
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	standard, hyper := bytes(1<<14, 0), bytes(1<<40, 26)
+	t.Logf("a %d-entry build allocates %d B at n = 2^14, %d B at n = 2^40", len(el.Src), standard, hyper)
+	if hyper > standard+slack {
+		t.Errorf("a %d-entry build allocates %d B at n = 2^40, over the %d B it takes at n = 2^14 plus %d B: the dimension costs memory", len(el.Src), hyper, standard, slack)
 	}
 }
 

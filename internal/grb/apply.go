@@ -37,7 +37,8 @@ func applyIdxMatrix[A, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T
 	}
 	z.i = append([]int(nil), ca.i...)
 	z.x = make([]T, len(ca.x))
-	parallelRanges(ca.nvecs(), 64, func(lo, hi int) {
+	rowLen := func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }
+	parallelWork(ca.nvecs(), mxmWorkQuantum, rowLen, nil, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			row := ca.majorOf(k)
 			for t := ca.p[k]; t < ca.p[k+1]; t++ {
@@ -180,7 +181,7 @@ func SelectMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 	// degree-sorted operand keeps every hub in its last rows).
 	rowLen := func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }
 	zp := make([]int, nv+1)
-	parallelWork(nv, mxmWorkQuantum, rowLen, func(lo, hi int) {
+	parallelWork(nv, mxmWorkQuantum, rowLen, nil, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			row := ca.majorOf(k)
 			ci, cx := ca.vec(k)
@@ -197,7 +198,7 @@ func SelectMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, 
 		zp[k+1] += zp[k]
 	}
 	zi, zx := make([]int, zp[nv]), make([]T, zp[nv])
-	parallelWork(nv, mxmWorkQuantum, rowLen, func(lo, hi int) {
+	parallelWork(nv, mxmWorkQuantum, rowLen, nil, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			ci, cx := ca.vec(k)
 			oi, ox := zi[zp[k]:zp[k+1]], zx[zp[k]:zp[k+1]]

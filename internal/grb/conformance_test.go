@@ -713,24 +713,6 @@ func table[T grb.Number](s *shape[T]) []row[T] {
 		product("mxv", true, grb.DirAuto, s.a, s.u, grb.PlusTimes[T](), nil, false),
 		product("mxv/push", true, grb.DirPush, s.a, s.u, grb.PlusTimes[T](), nil, false),
 		product("mxv/pull", true, grb.DirPull, s.a, s.u, grb.PlusTimes[T](), nil, false),
-		row[T]{name: "reduce", vec: true, nc: s.m, tran: 1,
-			run: func(k k) error {
-				return grb.ReduceMatrixToVector(k.w, k.mv, k.accum, grb.PlusMonoid[T](), k.A(s.a), &k.d)
-			},
-			mimic: func(k k) { ref.ReduceMatToVec(k.rw, k.rmv, k.accum, grb.PlusMonoid[T](), k.RA(s.a), k.rd()) }},
-		// The scalar reduction, written over a one-entry w.
-		row[T]{name: "reduce/scalar", vec: true, nc: 1, tran: 1,
-			run: func(k k) error {
-				x, err := grb.ReduceMatrixToScalar(grb.PlusMonoid[T](), k.A(s.a))
-				if err != nil {
-					return err
-				}
-				return grb.AssignVectorScalar(k.w, k.mv, k.accum, x, grb.All, &k.d)
-			},
-			mimic: func(k k) {
-				x := ref.ReduceMatToScalar(grb.PlusMonoid[T](), k.RA(s.a))
-				k.write(cells(1, 1, func(int, int) (T, bool) { return x, true }))
-			}},
 		row[T]{name: "extract/col", vec: true, nc: s.m, tran: 1,
 			run: func(k k) error { return grb.ExtractMatrixCol(k.w, k.mv, k.accum, k.A(s.a), grb.All, s.colJ, &k.d) },
 			mimic: func(k k) {
@@ -792,6 +774,45 @@ func table[T grb.Number](s *shape[T]) []row[T] {
 		vscalar("v/assign/scalar", grb.All),
 		vscalar("v/assign/scalar-region", s.subIdx),
 	)
+	// The three reductions by plus and by ANY, which keeps a row's, a
+	// matrix's or a vector's first stored entry. A scalar is written over a
+	// one-entry w.
+	for _, r := range []struct {
+		suffix string
+		mon    grb.Monoid[T]
+	}{{"", grb.PlusMonoid[T]()}, {"/any", grb.AnyMonoid[T]()}} {
+		scalarOut := func(k k, x T, err error) error {
+			if err != nil {
+				return err
+			}
+			return grb.AssignVectorScalar(k.w, k.mv, k.accum, x, grb.All, &k.d)
+		}
+		rows = append(rows,
+			row[T]{name: "reduce" + r.suffix, vec: true, nc: s.m, tran: 1,
+				run: func(k k) error {
+					return grb.ReduceMatrixToVector(k.w, k.mv, k.accum, r.mon, k.A(s.a), &k.d)
+				},
+				mimic: func(k k) { ref.ReduceMatToVec(k.rw, k.rmv, k.accum, r.mon, k.RA(s.a), k.rd()) }},
+			row[T]{name: "reduce/scalar" + r.suffix, vec: true, nc: 1, tran: 1,
+				run: func(k k) error {
+					x, err := grb.ReduceMatrixToScalar(r.mon, k.A(s.a))
+					return scalarOut(k, x, err)
+				},
+				mimic: func(k k) {
+					x := ref.ReduceMatToScalar(r.mon, k.RA(s.a))
+					k.write(cells(1, 1, func(int, int) (T, bool) { return x, true }))
+				}},
+			row[T]{name: "reduce/vector" + r.suffix, vec: true, nc: 1, in: vectorIn,
+				run: func(k k) error {
+					x, err := grb.ReduceVectorToScalar(r.mon, k.U(s.u))
+					return scalarOut(k, x, err)
+				},
+				mimic: func(k k) {
+					ru := k.RU(s.u)
+					x := ref.ReduceMatToScalar(r.mon, &ref.Mat[T]{NRows: 1, NCols: ru.N, Val: [][]T{ru.Val}, Set: [][]bool{ru.Set}})
+					k.write(cells(1, 1, func(int, int) (T, bool) { return x, true }))
+				}})
+	}
 	// Every tagged constructor beside its literal twin, over operands salted
 	// with the extremes: mxm whichever kernel MxMAuto picks (the kernels'
 	// twins are mxm_direction_test.go's), VxM and MxV in both directions.
@@ -1000,13 +1021,22 @@ func TestConformanceTable(t *testing.T) {
 
 	// Chunked at eight workers: a select whose predicates each meet rows
 	// they keep whole, rows they drop and rows they keep in part, over a
-	// standard and a hypersparse operand ...
+	// standard and a hypersparse operand, ...
 	sel := newShape("select-chunked", 1908, 320, 2, 300, small)
 	sel.a = selectOperand(sel.rng)
 	sel.outForms, sel.maskForms, sel.inForms = allForms[:1], allForms[:1], allForms[:2]
 	sel.ps = []int{8}
 	sel.rows = func(name string) bool { return strings.HasPrefix(name, "select") }
 	t.Run(sel.name, sel.run)
+
+	// ... the reductions, over 320×300 held compressed and dense with ~83k
+	// entries: past seqFallbackWork, so eight workers cut the row reduce
+	// into chunks, and five reduceChunkEntries chunks for the scalar one ...
+	red := newShape("reduce-chunked", 1909, 320, 2, 300, small)
+	red.a = random(red.rng, 320, 300, 2.0, small)
+	red.outForms, red.maskForms, red.inForms = allForms[:1], allForms[:1], []form{standard, denseHeld}
+	red.rows = func(name string) bool { return strings.HasPrefix(name, "reduce") }
+	t.Run(red.name, red.run)
 
 	// ... and extracts down the permuting route (an injective J) and the
 	// sorting one (a repeated J), into an empty C with no mask.

@@ -256,6 +256,16 @@ func (m matRef[T]) row(i int) rowRef[T] {
 	return r
 }
 
+// width is the entries reading row i costs: those it stores, or every
+// cell of a row held only densely.
+func (m matRef[T]) width(i int) int {
+	if m.c == nil {
+		return m.d.nc
+	}
+	ri, _ := rowView(m.c, i)
+	return len(ri)
+}
+
 // unionRows returns the sorted union of the stored major indices of two
 // structures (used for hypersparse outputs).
 func unionRows[A, B any](a *cs[A], b *cs[B]) []int {
@@ -346,7 +356,8 @@ func ewiseRows[A, B, T any](ma matRef[A], mb matRef[B], mm *maskMat, nr, nc int,
 	if ma.c != nil && mb.c != nil && (ma.c.h != nil || mb.c.h != nil) {
 		rows := unionRows(ma.c, mb.c)
 		staging := newRowSlices[T](len(rows))
-		parallelRanges(len(rows), 64, func(lo, hi int) {
+		rowLen := func(k int) int { return ma.width(rows[k]) + mb.width(rows[k]) + 1 }
+		parallelWork(len(rows), mxmWorkQuantum, rowLen, nil, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				r := rows[k]
 				ewiseRow(ma.row(r), mb.row(r), positiveRowMask(mm, r), union, both, onlyA, onlyB, &staging.idx[k], &staging.val[k])
@@ -355,7 +366,8 @@ func ewiseRows[A, B, T any](ma matRef[A], mb matRef[B], mm *maskMat, nr, nc int,
 		return staging.stitch(nr, nc, rows)
 	}
 	staging := newRowSlices[T](nr)
-	parallelRanges(nr, 256, func(lo, hi int) {
+	rowLen := func(r int) int { return ma.width(r) + mb.width(r) + 1 }
+	parallelWork(nr, mxmWorkQuantum, rowLen, nil, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			ewiseRow(ma.row(r), mb.row(r), positiveRowMask(mm, r), union, both, onlyA, onlyB, &staging.idx[r], &staging.val[r])
 		}

@@ -104,7 +104,7 @@ func ExtractMatrix[T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T,
 		si, _ := rowView(ca, srcRow(r))
 		return len(si) + 1
 	}
-	parallelWork(onr, mxmWorkQuantum, rowLen, func(lo, hi int) {
+	parallelWork(onr, mxmWorkQuantum, rowLen, nil, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			gatherRow(r, srcRow(r))
 		}
@@ -171,7 +171,7 @@ func extractPermuted[T any](ca *cs[T], rows, inv []int, onr, onc int) *cs[T] {
 	next := append([]int(nil), z.p[:onr]...)
 
 	block := max(onc, extractBlockEntries)
-	parallelWork(nsrc, block, func(r int) int { return kept[r] + 1 }, func(lo, hi int) {
+	parallelWork(nsrc, block, func(r int) int { return kept[r] + 1 }, nil, func(lo, hi int) {
 		colStart := make([]int, onc+1)
 		var byColRow []int
 		var byColVal []T

@@ -68,31 +68,8 @@ func InnerProduct[A, B, T any](s Semiring[A, B, T], u *Vector[A], v *Vector[B]) 
 	}
 	ui, ux := u.materialized()
 	vi, vx := v.materialized()
-	var acc T
-	found := false
-	a, b := 0, 0
-	for a < len(ui) && b < len(vi) {
-		switch {
-		case ui[a] < vi[b]:
-			a++
-		case vi[b] < ui[a]:
-			b++
-		default:
-			p := s.Mul(ux[a], vx[b])
-			if found {
-				acc = s.Add.Op(acc, p)
-			} else {
-				acc = p
-				found = true
-			}
-			if s.Add.Terminal != nil && s.Add.Terminal(acc) {
-				return acc, true, nil
-			}
-			a++
-			b++
-		}
-	}
-	return acc, found, nil
+	result, ok = sparseDot(ui, ux, vi, vx, s)
+	return result, ok, nil
 }
 
 // ExtractMatrixRow computes w⟨m⟩ ⊙= A(i,J)ᵀ: one row of A as a vector

@@ -97,10 +97,12 @@ func TestInnerProduct(t *testing.T) {
 	if err != nil || ok {
 		t.Fatal("empty intersection must report ok=false")
 	}
-	// Terminal early exit (any monoid).
-	_, ok, err = InnerProduct(AnySecond[int64](), u, v)
-	if err != nil || !ok {
-		t.Fatal("any semiring")
+	// Terminal early exit (any monoid): the first common product, at 2.
+	if got, ok, err = InnerProduct(AnySecond[int64](), u, v); err != nil || !ok || got != 10 {
+		t.Fatalf("any.second = %d, %v, %v; want 10", got, ok, err)
+	}
+	if got, ok, err = InnerProduct(AnyFirst[int64](), u, v); err != nil || !ok || got != 3 {
+		t.Fatalf("any.first = %d, %v, %v; want 3", got, ok, err)
 	}
 	// Dim mismatch.
 	bad := MustVector[int64](7)

@@ -1,6 +1,9 @@
 package grb
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The inner loops of the product kernels, twice. A looper is everything the
 // pull dot, the Gustavson rows and the dense push do per product; a
@@ -18,10 +21,13 @@ import "math"
 //     against a right operand of any type, which they never load.
 //
 // Each loop keeps its generic twin's association exactly: the first product
-// assigned, the rest folded in the same order, min spelt `y < x`, and the
-// exit at a terminal value where the twin exits. A tagged semiring and its
-// literal-built twin therefore agree bitwise, and a positional multiplier
-// (first, second, pair) never loads the operand it ignores.
+// assigned, the rest folded in the same order, min spelt `y < x`. A loop may
+// stop folding into a cell at a terminal value whether or not its twin
+// does: every built-in terminal absorbs (z ⊕ y = z; ANY keeps its first
+// operand), so an exit saves work and never changes a bit. A tagged
+// semiring and its literal-built twin therefore agree bitwise, and a
+// positional multiplier (first, second, pair) never loads the operand it
+// ignores.
 //
 // The heap mxm, the hash push and sparseDot multiply through the closures
 // whatever the tag: a census of both bench/e2e workloads puts under 0.4 %
@@ -42,9 +48,8 @@ type looper[L, R, T any] interface {
 	// scatter folds the products of entries [lo, hi) of (li, lx) — frontier
 	// entries, or a row of A — with the major vectors of c they select into
 	// a dense accumulator (seen, val), appending to touched each cell first
-	// reached; with exit set (a push) it leaves a cell alone once it holds a
-	// terminal value.
-	scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int, exit bool) []int
+	// reached; it leaves a cell alone once it holds a terminal value.
+	scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int) []int
 	// marked folds the products of a row (li, lx) of A with the rows of c it
 	// selects into the cells a mask-first row's mark lane opens.
 	marked(li []int, lx []L, c *cs[R], mark []uint8, val []T)
@@ -108,8 +113,7 @@ func (s *Semiring[L, R, T]) pull(seen []bool, lx []L, c *cs[R], lo, hi int, mv *
 	return n
 }
 
-func (s *Semiring[L, R, T]) scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int, exit bool) []int {
-	exit = exit && s.Add.Terminal != nil
+func (s *Semiring[L, R, T]) scatter(li []int, lx []L, lo, hi int, c *cs[R], seen []bool, val []T, touched []int) []int {
 	for t := lo; t < hi; t++ {
 		k, ok := c.findMajor(li[t])
 		if !ok {
@@ -121,7 +125,7 @@ func (s *Semiring[L, R, T]) scatter(li []int, lx []L, lo, hi int, c *cs[R], seen
 			if !seen[j] {
 				seen[j], val[j] = true, s.Mul(lv, rx[q])
 				touched = append(touched, j)
-			} else if !exit || !s.Add.Terminal(val[j]) {
+			} else if s.Add.Terminal == nil || !s.Add.Terminal(val[j]) {
 				val[j] = s.Add.Op(val[j], s.Mul(lv, rx[q]))
 			}
 		}
@@ -364,9 +368,7 @@ func firstMatch(seen []bool, ri []int, q, end int, mv *maskVec, j int) (int, int
 	return q, end
 }
 
-// scatter exits whatever exit says: folding into min's terminal changes
-// nothing.
-func (m *monoOps[E]) scatter(li []int, l []E, lo, hi int, c *cs[E], seen []bool, val []E, touched []int, _ bool) []int {
+func (m *monoOps[E]) scatter(li []int, l []E, lo, hi int, c *cs[E], seen []bool, val []E, touched []int) []int {
 	for t := lo; t < hi; t++ {
 		if k, ok := c.findMajor(li[t]); ok {
 			touched = m.scatterRow(l, t, c.i, c.x, c.p[k], c.p[k+1], seen, val, touched)
@@ -478,7 +480,7 @@ func (lorFirst[R]) pull(seen []bool, l []bool, c *cs[R], lo, hi int, mv *maskVec
 	return n
 }
 
-func (lorFirst[R]) scatter(li []int, l []bool, lo, hi int, c *cs[R], seen []bool, val []bool, touched []int, _ bool) []int {
+func (lorFirst[R]) scatter(li []int, l []bool, lo, hi int, c *cs[R], seen []bool, val []bool, touched []int) []int {
 	for t := lo; t < hi; t++ {
 		if k, ok := c.findMajor(li[t]); ok {
 			lv := l[t]
@@ -523,10 +525,9 @@ func (lorFirst[R]) fold(pi []int, px []bool, seen []bool, val []bool, touched []
 	return touched
 }
 
-// anyFirst is any.first over E: a product is its left value, and every
-// value is terminal, so a dot, a pushed cell and a chunk fold keep their
-// first product. Where its twin does not exit — a Gustavson or a marked
-// row — any's operator keeps the last.
+// anyFirst is any.first over E: a product is its left value, and any's
+// operator keeps its first operand, so every loop keeps a cell's first
+// product.
 type anyFirst[E, R any] struct{}
 
 func (anyFirst[E, R]) dot(seen []bool, l []E, ri []int, _ []R, lo, hi int) (acc E, found bool) {
@@ -547,7 +548,7 @@ func (anyFirst[E, R]) pull(seen []bool, l []E, c *cs[R], lo, hi int, mv *maskVec
 	return n
 }
 
-func (anyFirst[E, R]) scatter(li []int, l []E, lo, hi int, c *cs[R], seen []bool, val []E, touched []int, exit bool) []int {
+func (anyFirst[E, R]) scatter(li []int, l []E, lo, hi int, c *cs[R], seen []bool, val []E, touched []int) []int {
 	for t := lo; t < hi; t++ {
 		if k, ok := c.findMajor(li[t]); ok {
 			lv := l[t]
@@ -555,8 +556,6 @@ func (anyFirst[E, R]) scatter(li []int, l []E, lo, hi int, c *cs[R], seen []bool
 				if !seen[j] {
 					seen[j], val[j] = true, lv
 					touched = append(touched, j)
-				} else if !exit {
-					val[j] = lv
 				}
 			}
 		}
@@ -569,7 +568,7 @@ func (anyFirst[E, R]) marked(li []int, l []E, c *cs[R], mark []uint8, val []E) {
 		if k, ok := c.findMajor(li[t]); ok {
 			lv := l[t]
 			for _, j := range c.i[c.p[k]:c.p[k+1]] {
-				if mark[j] != markClosed {
+				if mark[j] == markOpen {
 					mark[j], val[j] = markFilled, lv
 				}
 			}
@@ -587,13 +586,21 @@ func (anyFirst[E, R]) fold(pi []int, px []E, seen []bool, val []E, touched []int
 	return touched
 }
 
-// fold folds into acc, in order, the entries of xs that b marks present
-// (nil b: all), stopping at a terminal acc. A tagged monoid over float64,
-// int64 or bool runs it as written-out arithmetic: same order, same exits.
-func (mon *Monoid[T]) fold(acc T, b []bool, xs []T) T {
+// fold folds, in order, the entries of xs that b marks present (nil b:
+// all): the first is the accumulator, and the rest fold into it until it is
+// a terminal value. Only an empty fold is the identity. A tagged monoid over
+// float64, int64 or bool runs it as written-out arithmetic: same order,
+// same exits.
+func (mon *Monoid[T]) fold(b []bool, xs []T) T {
+	j := 0
 	if b != nil {
-		b = b[:len(xs)]
+		j = slices.Index(b[:len(xs)], true)
+		b = b[j+1 : len(xs)]
 	}
+	if j < 0 || j == len(xs) {
+		return mon.Identity
+	}
+	acc, xs := xs[j], xs[j+1:]
 	if mon.ops != monoidGeneric {
 		switch p := any(&acc).(type) {
 		case *float64:

@@ -54,8 +54,41 @@ func TestTimesMonoidTerminal(t *testing.T) {
 	if tagged != 0 || literal != 0 {
 		t.Fatalf("times over a run holding a 0: tagged %d, literal %d", tagged, literal)
 	}
-	if calls != zeroAt+1 {
-		t.Fatalf("the literal twin called its operator %d times, want %d: the run did not stop at the 0", calls, zeroAt+1)
+	// The first entry starts the fold, so entries 1 to zeroAt take one
+	// operator call each.
+	if calls != zeroAt {
+		t.Fatalf("the literal twin called its operator %d times, want %d: the run did not stop at the 0", calls, zeroAt)
+	}
+}
+
+// TestAnyFoldKeepsFirstEntry: a reduction by ANY of a non-empty object is
+// its first stored entry, never the identity, held compressed or dense.
+func TestAnyFoldKeepsFirstEntry(t *testing.T) {
+	anyMon := grb.AnyMonoid[int64]()
+	u := grb.MustVector[int64](6)
+	_ = u.SetElement(1, 7)
+	_ = u.SetElement(3, 9)
+	u.Wait()
+	a := grb.MustMatrix[int64](3, 4)
+	_ = a.SetElement(1, 2, 5)
+	_ = a.SetElement(1, 3, 6)
+	_ = a.SetElement(2, 0, 8)
+	a.Wait()
+	for _, f := range []form{standard, denseHeld} {
+		if x, err := grb.ReduceVectorToScalar(anyMon, held(u, f)); err != nil || x != 7 {
+			t.Fatalf("%s vector {1:7, 3:9} reduces by any to %d, %v; want 7", f, x, err)
+		}
+		if x, err := grb.ReduceMatrixToScalar(anyMon, held(a, f)); err != nil || x != 5 {
+			t.Fatalf("%s matrix reduces by any to %d, %v; want 5", f, x, err)
+		}
+		w := grb.MustVector[int64](3)
+		if err := grb.ReduceMatrixToVector[int64, bool](w, nil, nil, anyMon, held(a, f), nil); err != nil {
+			t.Fatal(err)
+		}
+		mustMatch[int64](t, string(f)+" rows by any", w, entries[int64]{1, 3, []int{0, 0}, []int{1, 2}, []int64{5, 8}}, byValue)
+	}
+	if x, err := grb.ReduceVectorToScalar(anyMon, grb.MustVector[int64](6)); err != nil || x != 0 {
+		t.Fatalf("an empty vector reduces by any to %d, %v; want the identity", x, err)
 	}
 }
 

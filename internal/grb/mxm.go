@@ -167,7 +167,7 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 	flops := func(k int) int { return saxpyFlops(ca, cb, k) }
 	maskFirst := mm != nil && !mm.comp
 	lp := loopsOf(&s, st)
-	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
+	parallelWork(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		sc := getScratch[T](nc)
 		defer putScratch(sc)
 		var mark []uint8
@@ -190,7 +190,7 @@ func mxmGustavson[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *ma
 					continue
 				}
 			}
-			sc.touched = lp.scatter(ai, ax, 0, len(ai), cb, sc.seen, sc.val, sc.touched[:0], false)
+			sc.touched = lp.scatter(ai, ax, 0, len(ai), cb, sc.seen, sc.val, sc.touched[:0])
 			rm := mm.rowMask(row)
 			sc.sortAdmitted(rm, sc.admitDense(rm))
 			staging.idx[k], staging.val[k] = sc.handOver()
@@ -250,7 +250,7 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 	flops := func(k int) int { return pullRowCost(ca, k, mm, nc, cbT) }
 	nnzB, ncolsB, inner := cbT.nvals(), cbT.nvecs(), ca.nminor
 	lp := loopsOf(&s, st)
-	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
+	parallelWork(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		var lane *denseScratch[A] // drawn at the chunk's first scattered row
 		for k := lo; k < hi; k++ {
 			ai, ax := ca.vec(k)
@@ -354,7 +354,7 @@ func mxmHeap[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *maskMat
 	nvec := ca.nvecs()
 	staging := newRowSlices[T](nvec)
 	flops := func(k int) int { return saxpyFlops(ca, cb, k) }
-	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
+	parallelWork(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
 		var heap []heapEntry[B]
 		for k := lo; k < hi; k++ {
 			ai, ax := ca.vec(k)
@@ -478,7 +478,7 @@ func kroneckerCS[A, B, T any](ca *cs[A], cb *cs[B], mul BinaryOp[A, B, T], nr, n
 	}
 	zi := make([]int, p[nrows])
 	zx := make([]T, p[nrows])
-	parallelWork(nrows, mxmWorkQuantum, func(r int) int { return p[r+1] - p[r] + 1 }, func(lo, hi int) {
+	parallelWork(nrows, mxmWorkQuantum, func(r int) int { return p[r+1] - p[r] + 1 }, nil, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			ai, ax := ca.vec(r / nvb)
 			bi, bx := cb.vec(r % nvb)

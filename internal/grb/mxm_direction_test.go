@@ -6,10 +6,10 @@ package grb_test
 // kernel scatters a row of A that is long against B's columns instead of
 // searching it. None of that may change a bit: every product of one output
 // is met in ascending inner index whichever kernel meets it. So each case
-// here runs forced dot, forced Gustavson and MxMAuto at 1 and 8 workers,
-// compares all of them with the mimic bit for bit, and checks that the op
-// record of the automatic run carries the smaller of the two forced runs'
-// estimates under the policy "cost".
+// here runs forced dot, forced Gustavson, forced heap and MxMAuto at 1 and
+// 8 workers, compares all of them with the mimic bit for bit, and checks
+// that the op record of the automatic run carries the smaller of the
+// forced dot's and Gustavson's estimates under the policy "cost".
 
 import (
 	"fmt"
@@ -44,13 +44,16 @@ func taggedTwins[T grb.Number]() []taggedTwin[T] {
 	}
 }
 
-// wantOps is the Ops an op record must carry after a kernel with tagged
-// loops multiplied by tw.tagged: the tag's name over float64 and int64, the
-// element types those loops exist for, nothing over any other.
-func (tw taggedTwin[T]) wantOps() string {
+// wantOps is the Ops an op record must carry after kernel multiplied by
+// tw.tagged: the tag's name over float64 and int64, the element types the
+// tagged loops exist for, nothing over any other or from the heap, which
+// has no tagged loops.
+func (tw taggedTwin[T]) wantOps(kernel string) string {
 	switch any(*new(T)).(type) {
 	case float64, int64:
-		return tw.name
+		if kernel != "heap" {
+			return tw.name
+		}
 	}
 	return ""
 }
@@ -60,8 +63,8 @@ func (tw taggedTwin[T]) wantOps() string {
 // differ only in the operators they name: a tag changes what a product
 // costs, never which products are made.
 func (tw taggedTwin[T]) sameWork(tagged, literal obs.OpRecord) error {
-	if tagged.Ops != tw.wantOps() || literal.Ops != "" {
-		return fmt.Errorf("tagged ran operators %q (want %q), its literal twin %q (want none)", tagged.Ops, tw.wantOps(), literal.Ops)
+	if want := tw.wantOps(tagged.Kernel); tagged.Ops != want || literal.Ops != "" {
+		return fmt.Errorf("tagged ran operators %q (want %q), its literal twin %q (want none)", tagged.Ops, want, literal.Ops)
 	}
 	tagged.Ops, tagged.DurNanos, literal.DurNanos = "", 0, 0
 	if tagged != literal {
@@ -98,7 +101,7 @@ func (tc dirCase[T]) check(t *testing.T, label string) map[string]obs.OpRecord {
 		for _, m := range []struct {
 			name   string
 			method grb.MxMMethod
-		}{{"dot", grb.MxMDot}, {"gustavson", grb.MxMGustavson}, {"auto", grb.MxMAuto}} {
+		}{{"dot", grb.MxMDot}, {"gustavson", grb.MxMGustavson}, {"heap", grb.MxMHeap}, {"auto", grb.MxMAuto}} {
 			d := tc.d
 			d.Method = m.method
 			got := tc.c0.Dup()
@@ -435,8 +438,11 @@ func TestMxMPricingIsBoundedByThePush(t *testing.T) {
 }
 
 // runDirectionProgram interprets prog as one masked product — shapes,
-// operands, mask, descriptor, semiring — and runs it through both forced
-// directions and MxMAuto against the mimic.
+// operands, mask, descriptor, semiring — and runs it through the three
+// forced kernels and MxMAuto against the mimic. Besides plus.times and
+// min.plus, a semiring is a tagged constructor beside its literal twin, or
+// one by ANY: literal AnySecond, or tagged AnyFirst beside its twin, which
+// every kernel must leave with the product of smallest inner index.
 func runDirectionProgram(t *testing.T, prog []byte) {
 	t.Helper()
 	r := &progReader{b: prog}
@@ -479,9 +485,13 @@ func runDirectionProgram(t *testing.T, prog []byte) {
 	if r.next()%2 == 1 {
 		tc.s = grb.MinPlus[float64]()
 	}
-	if pick := r.next() % 8; pick >= 2 {
-		// One more program bit: a tagged constructor beside its literal twin.
-		tw := taggedTwins[float64]()[pick-2]
+	twins := append(taggedTwins[float64](), taggedTwin[float64]{"any.first", grb.AnyFirst[float64](),
+		grb.Semiring[float64, float64, float64]{Add: grb.AnyMonoid[float64](), Mul: grb.First[float64, float64]()}})
+	switch pick := r.next() % 10; {
+	case pick == 2:
+		tc.s = grb.AnySecond[float64]()
+	case pick >= 3:
+		tw := twins[pick-3]
 		tc.s, tc.twin = tw.tagged, &tw
 	}
 	if withAccum {
@@ -495,6 +505,9 @@ func FuzzMxMDirection(f *testing.F) {
 	f.Add([]byte{8, 19, 9, 1 | 2 | 32, 30, 0, 0, 1, 1, 1, 2, 2, 2, 0, 3, 1, 4, 4, 2, 60, 1, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{3, 7, 4, 4 | 8 | 64, 5, 0, 0, 1, 1, 1, 2, 2, 2, 0, 15, 1, 2, 3, 4, 5, 6, 0, 1, 2, 0, 1, 2, 6, 6, 6, 6, 2, 2, 2, 1})
 	f.Add([]byte{9, 4, 9, 128 | 1 | 16, 70, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 1, 1})
+	// A 1×3 by 3×1 product by AnySecond under a one-entry mask: the right
+	// operand holds 1, 3 and 0.1 down its column, and every kernel reads 1.
+	f.Add([]byte{0, 2, 0, 0, 1, 0, 0, 1, 3, 0, 0, 2, 0, 1, 2, 0, 2, 3, 3, 0, 0, 2, 1, 0, 3, 2, 0, 4, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1024 {
 			return

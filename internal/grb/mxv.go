@@ -220,7 +220,7 @@ func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], ou
 	lp := loopsOf(&s, st)
 	nchunks := len(bounds) - 1
 	if nchunks <= 1 {
-		acc.touched = lp.scatter(ui, ux, 0, len(ui), ca, acc.seen, acc.val, acc.touched[:0], true)
+		acc.touched = lp.scatter(ui, ux, 0, len(ui), ca, acc.seen, acc.val, acc.touched[:0])
 		return acc
 	}
 	type part struct {
@@ -231,7 +231,7 @@ func pushDense[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], ou
 	runChunks(bounds, func(c, lo, hi int) {
 		// The pool hands a worker back the accumulator it just returned.
 		sc := getScratch[T](outDim)
-		sc.touched = lp.scatter(ui, ux, lo, hi, ca, sc.seen, sc.val, sc.touched[:0], true)
+		sc.touched = lp.scatter(ui, ux, lo, hi, ca, sc.seen, sc.val, sc.touched[:0])
 		parts[c].i, parts[c].x = sc.handOver()
 		putScratch(sc)
 	})
@@ -438,7 +438,7 @@ func vxmPull[A, U, T any](u *Vector[U], caT *cs[A], s Semiring[U, A, T], mv *mas
 	}
 	vals := make([]T, n)
 	found := make([]bool, n)
-	parallelWorkObs(n, pullWorkQuantum, weight, st, func(lo, hi int) {
+	parallelWork(n, pullWorkQuantum, weight, st, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			if ck := majorOf(t); ck >= 0 {
 				vals[t], found[t] = lp.dot(uok, ud, caT.i, caT.x, caT.p[ck], caT.p[ck+1])

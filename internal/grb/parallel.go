@@ -33,43 +33,6 @@ func workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelRanges splits [0,n) into at most workers() contiguous ranges of
-// at least grain elements and runs fn on each concurrently. fn must be
-// safe for concurrent invocation on disjoint ranges. Results are
-// deterministic as long as fn's effects are confined to its range.
-//
-// Use this for uniform per-element cost; for skewed workloads (power-law
-// row degrees) use parallelWork, which balances estimated flops instead of
-// element counts.
-func parallelRanges(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := workers()
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks > w {
-		chunks = w
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	for c := 0; c < chunks; c++ {
-		lo := c * n / chunks
-		hi := (c + 1) * n / chunks
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // workChunks splits [0,n) into contiguous ranges holding roughly equal
 // total weight (estimated flops), not equal element counts: on power-law
 // inputs equal-count splitting leaves one worker with the hub rows and the
@@ -190,14 +153,6 @@ func runChunks(bounds []int, fn func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// parallelWork runs fn over [0,n) split at equal-weight boundaries and
-// dynamically scheduled: the flop-balanced counterpart of parallelRanges.
-// quantum is the minimum total weight worth spinning up goroutines for.
-// fn must be safe for concurrent invocation on disjoint ranges.
-func parallelWork(n, quantum int, weight func(k int) int, fn func(lo, hi int)) {
-	parallelWorkObs(n, quantum, weight, nil, fn)
-}
-
 // kernelStats is the scheduler's contribution to an op record: how much
 // estimated work the kernel carried and how it was partitioned. A nil
 // *kernelStats means observation is disabled and must cost nothing; a
@@ -237,10 +192,14 @@ func (st *kernelStats) fill(bounds []int, weight func(k int) int) {
 	}
 }
 
-// parallelWorkObs is parallelWork plus optional observation: with st nil
-// it records nothing (same branches, same bounds, no extra work); with st
-// non-nil it additionally fills st from the partition it runs.
-func parallelWorkObs(n, quantum int, weight func(k int) int, st *kernelStats, fn func(lo, hi int)) {
+// parallelWork runs fn over [0,n) split at equal-weight boundaries and
+// dynamically scheduled: every parallel kernel's scheduler. weight(k) is
+// the work index k costs — the entries it reads — and quantum the least
+// weight worth a chunk; below seqFallbackWork in total, or at one worker,
+// fn runs once over [0,n). fn must be safe for concurrent invocation on
+// disjoint ranges. A non-nil st is filled from the partition it runs; a
+// nil one records nothing (same branches, same bounds, no extra work).
+func parallelWork(n, quantum int, weight func(k int) int, st *kernelStats, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}

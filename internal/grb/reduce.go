@@ -25,13 +25,13 @@ func ReduceMatrixToVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryO
 	// compact in order (a hub row no longer serializes the reduction).
 	vals := make([]T, nvec)
 	nonempty := make([]bool, nvec)
-	parallelWork(nvec, mxmWorkQuantum, func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }, func(lo, hi int) {
+	parallelWork(nvec, mxmWorkQuantum, func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }, nil, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			if ca.p[k+1] == ca.p[k] {
 				continue
 			}
 			_, cx := ca.vec(k)
-			vals[k], nonempty[k] = mon.fold(cx[0], nil, cx[1:]), true
+			vals[k], nonempty[k] = mon.fold(nil, cx), true
 		}
 	})
 	zi := make([]int, 0, nvec)
@@ -45,27 +45,23 @@ func ReduceMatrixToVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryO
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 
-// ReduceMatrixToScalar reduces every stored entry of A with the monoid,
-// starting from its identity.
+// ReduceMatrixToScalar reduces every stored entry of A with the monoid, in
+// row-major order; an A with none reduces to the monoid's identity.
 func ReduceMatrixToScalar[T any](mon Monoid[T], a *Matrix[T]) (T, error) {
 	var zero T
 	if a == nil || mon.Op == nil {
 		return zero, opError("reduce", ErrUninitialized)
 	}
 	c := a.materializedCSR()
-	n := len(c.x)
-	if n == 0 {
-		return mon.Identity, nil
-	}
 	// Chunk boundaries depend only on n (never the worker count), and
 	// partials fold in chunk order, so the reduction is deterministic at
 	// any parallelism even for rounding-sensitive monoids.
-	bounds := workChunks(n, func(int) int { return 1 }, reduceChunkEntries, pushMaxChunks)
+	bounds := workChunks(len(c.x), func(int) int { return 1 }, reduceChunkEntries, pushMaxChunks)
 	partial := make([]T, len(bounds)-1)
 	runChunks(bounds, func(b, lo, hi int) {
-		partial[b] = mon.fold(mon.Identity, nil, c.x[lo:hi])
+		partial[b] = mon.fold(nil, c.x[lo:hi])
 	})
-	return mon.fold(mon.Identity, nil, partial), nil
+	return mon.fold(nil, partial), nil
 }
 
 // ReduceVectorToScalar reduces every stored entry of u with the monoid.
@@ -81,9 +77,9 @@ func ReduceVectorToScalar[T any](mon Monoid[T], u *Vector[T]) (T, error) {
 	r := u.ref()
 	switch {
 	case r.sparse:
-		return mon.fold(mon.Identity, nil, r.x), nil
+		return mon.fold(nil, r.x), nil
 	case r.nvals == u.n:
-		return mon.fold(mon.Identity, nil, r.dx), nil
+		return mon.fold(nil, r.dx), nil
 	}
-	return mon.fold(mon.Identity, r.b, r.dx), nil
+	return mon.fold(r.b, r.dx), nil
 }

@@ -33,6 +33,21 @@ type Desc struct {
 	MaskValue    bool
 }
 
+// fold is every reduction's accumulator: the first term added is its value,
+// and each later one folds in by op, in the order added.
+type fold[T any] struct {
+	x  T
+	ok bool // a term was added
+}
+
+func (r *fold[T]) add(op grb.BinaryOp[T, T, T], x T) {
+	if r.ok {
+		r.x = op(r.x, x)
+	} else {
+		r.x, r.ok = x, true
+	}
+}
+
 // NewMat returns an empty dense matrix.
 func NewMat[T any](nr, nc int) *Mat[T] {
 	m := &Mat[T]{NRows: nr, NCols: nc}
@@ -209,23 +224,13 @@ func MxM[A, B, T, M any](c *Mat[T], mask *Mat[M], accum grb.BinaryOp[T, T, T], s
 	z := NewMat[T](ae.NRows, be.NCols)
 	for i := 0; i < ae.NRows; i++ {
 		for j := 0; j < be.NCols; j++ {
-			var acc T
-			found := false
+			var r fold[T]
 			for k := 0; k < ae.NCols; k++ {
 				if ae.Set[i][k] && be.Set[k][j] {
-					p := s.Mul(ae.Val[i][k], be.Val[k][j])
-					if found {
-						acc = s.Add.Op(acc, p)
-					} else {
-						acc = p
-						found = true
-					}
+					r.add(s.Add.Op, s.Mul(ae.Val[i][k], be.Val[k][j]))
 				}
 			}
-			if found {
-				z.Val[i][j] = acc
-				z.Set[i][j] = true
-			}
+			z.Val[i][j], z.Set[i][j] = r.x, r.ok
 		}
 	}
 	writeMat(c, mask, accum, z, d)
@@ -236,23 +241,13 @@ func VxM[A, U, T, M any](w *Vec[T], mask *Vec[M], accum grb.BinaryOp[T, T, T], s
 	ae := maybeTranspose(a, d.TranA)
 	z := NewVec[T](ae.NCols)
 	for j := 0; j < ae.NCols; j++ {
-		var acc T
-		found := false
+		var r fold[T]
 		for i := 0; i < ae.NRows; i++ {
 			if u.Set[i] && ae.Set[i][j] {
-				p := s.Mul(u.Val[i], ae.Val[i][j])
-				if found {
-					acc = s.Add.Op(acc, p)
-				} else {
-					acc = p
-					found = true
-				}
+				r.add(s.Add.Op, s.Mul(u.Val[i], ae.Val[i][j]))
 			}
 		}
-		if found {
-			z.Val[j] = acc
-			z.Set[j] = true
-		}
+		z.Val[j], z.Set[j] = r.x, r.ok
 	}
 	writeVec(w, mask, accum, z, d)
 }
@@ -262,23 +257,13 @@ func MxV[A, U, T, M any](w *Vec[T], mask *Vec[M], accum grb.BinaryOp[T, T, T], s
 	ae := maybeTranspose(a, d.TranA)
 	z := NewVec[T](ae.NRows)
 	for i := 0; i < ae.NRows; i++ {
-		var acc T
-		found := false
+		var r fold[T]
 		for j := 0; j < ae.NCols; j++ {
 			if ae.Set[i][j] && u.Set[j] {
-				p := s.Mul(ae.Val[i][j], u.Val[j])
-				if found {
-					acc = s.Add.Op(acc, p)
-				} else {
-					acc = p
-					found = true
-				}
+				r.add(s.Add.Op, s.Mul(ae.Val[i][j], u.Val[j]))
 			}
 		}
-		if found {
-			z.Val[i] = acc
-			z.Set[i] = true
-		}
+		z.Val[i], z.Set[i] = r.x, r.ok
 	}
 	writeVec(w, mask, accum, z, d)
 }
@@ -388,37 +373,32 @@ func ReduceMatToVec[T, M any](w *Vec[T], mask *Vec[M], accum grb.BinaryOp[T, T, 
 	ae := maybeTranspose(a, d.TranA)
 	z := NewVec[T](ae.NRows)
 	for i := 0; i < ae.NRows; i++ {
-		var acc T
-		found := false
+		var r fold[T]
 		for j := 0; j < ae.NCols; j++ {
 			if ae.Set[i][j] {
-				if found {
-					acc = mon.Op(acc, ae.Val[i][j])
-				} else {
-					acc = ae.Val[i][j]
-					found = true
-				}
+				r.add(mon.Op, ae.Val[i][j])
 			}
 		}
-		if found {
-			z.Val[i] = acc
-			z.Set[i] = true
-		}
+		z.Val[i], z.Set[i] = r.x, r.ok
 	}
 	writeVec(w, mask, accum, z, d)
 }
 
-// ReduceMatToScalar reduces all entries starting from the identity.
+// ReduceMatToScalar reduces all entries in row-major order; an empty A
+// reduces to the identity.
 func ReduceMatToScalar[T any](mon grb.Monoid[T], a *Mat[T]) T {
-	acc := mon.Identity
+	var r fold[T]
 	for i := 0; i < a.NRows; i++ {
 		for j := 0; j < a.NCols; j++ {
 			if a.Set[i][j] {
-				acc = mon.Op(acc, a.Val[i][j])
+				r.add(mon.Op, a.Val[i][j])
 			}
 		}
 	}
-	return acc
+	if !r.ok {
+		return mon.Identity
+	}
+	return r.x
 }
 
 // Transpose computes C⟨M⟩ ⊙= Aᵀ.

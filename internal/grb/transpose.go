@@ -96,8 +96,9 @@ func transposeParallel[T any](c, t *cs[T]) {
 		counts[cx] = cnt
 	})
 	// Turn per-chunk counts into within-column offsets and per-column
-	// totals, then prefix the totals into the column pointer array.
-	parallelRanges(c.nminor, 4096, func(jlo, jhi int) {
+	// totals, then prefix the totals into the column pointer array. A
+	// column reads one count a chunk.
+	parallelWork(c.nminor, mxmWorkQuantum, func(int) int { return nchunks }, nil, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			run := 0
 			for cx := 0; cx < nchunks; cx++ {

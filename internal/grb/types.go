@@ -333,13 +333,14 @@ func LXorMonoid() Monoid[bool] {
 	return Monoid[bool]{Op: func(x, y bool) bool { return x != y }, Identity: false}
 }
 
-// AnyMonoid returns either operand (here: the second). It is the ANY monoid
-// of SuiteSparse: every value is terminal, so reductions stop at the first
-// hit.
+// AnyMonoid is the ANY monoid of SuiteSparse, which may return either
+// operand: here it keeps the first. Every value is terminal, so a fold
+// stops at its first entry, and every kernel keeps the product of smallest
+// inner index.
 func AnyMonoid[T any]() Monoid[T] {
 	var zero T
 	return Monoid[T]{
-		Op:       func(_, y T) T { return y },
+		Op:       func(x, _ T) T { return x },
 		Identity: zero,
 		Terminal: func(T) bool { return true },
 	}
