@@ -7,6 +7,7 @@ package lagraph_test
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"lagraph/internal/gen"
@@ -31,6 +32,45 @@ func TestC1_OneAssembly(t *testing.T) {
 	a.Wait()
 	if waits, pending := c.Waits.Load(), c.Pending.Load(); waits != 1 || pending != int64(len(is)) {
 		t.Errorf("%d setElement calls and one wait made %d assemblies of %d pending tuples, want 1 of %d", len(is), waits, pending, len(is))
+	}
+}
+
+// TestC3_CostPicksDot: left to MxMAuto, a masked product is priced both
+// ways and runs the cheaper kernel, and the masked dot wins when a sparse
+// mask bounds the output (§II-A). Under a 1-in-32 sample of ⟨L⟩, C3's
+// triangle-counting product L·Uᵀ by plus.pair must run the dot, picked by
+// the cost rule. Under the whole of ⟨L⟩ the pick is reported, not pinned:
+// there it is Gustavson, which C3's kernel rows also time the faster.
+func TestC3_CostPicksDot(t *testing.T) {
+	l, u := benchTCOperands()
+	pick := func(mask *grb.Matrix[int64]) string {
+		trace := obs.NewTrace(4)
+		restore := obs.Set(trace)
+		c := grb.MustMatrix[int64](l.Nrows(), l.Ncols())
+		err := grb.MxM(c, mask, nil, grb.PlusPair[int64, int64, int64](), l, u, &grb.Descriptor{TranB: true})
+		obs.Set(restore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var picks []string
+		for _, op := range trace.Ops() {
+			if op.Op == "mxm" {
+				picks = append(picks, op.Kernel+"/"+op.Policy)
+			}
+		}
+		return strings.Join(picks, " ")
+	}
+	sample := grb.MustMatrix[int64](l.Nrows(), l.Ncols())
+	if err := grb.SelectMatrix[int64, bool](sample, nil, nil, func(_ int64, i, j int) bool { return (i+j)%32 == 0 }, l, nil); err != nil {
+		t.Fatal(err)
+	}
+	whole, sparse := pick(l), pick(sample)
+	t.Logf("MxMAuto on L·Uᵀ runs %s under ⟨L⟩ (%d entries), %s under a sample of it (%d entries)", whole, l.Nvals(), sparse, sample.Nvals())
+	if !strings.HasSuffix(whole, "/cost") || strings.Contains(whole, " ") {
+		t.Errorf("MxMAuto on L·Uᵀ under ⟨L⟩ ran %q, want one kernel picked by the cost rule", whole)
+	}
+	if sparse != "dot/cost" {
+		t.Errorf("MxMAuto on L·Uᵀ under a 1-in-32 sample of ⟨L⟩ ran %q, want the dot picked by the cost rule, which a mask this sparse makes the cheaper", sparse)
 	}
 }
 

@@ -340,9 +340,6 @@ func TestConcurrentReadersOnColdEntry(t *testing.T) {
 		kind lagraph.Kind
 		read func(e *Entry) (string, error)
 	}{
-		{"sssp/split", lagraph.Undirected, viewing(func(g *lagraph.Graph) (any, error) {
-			return lagraph.SSSP(g, 3)
-		})},
 		{"pagerank/out-degree", lagraph.Undirected, viewing(func(g *lagraph.Graph) (any, error) {
 			r, err := lagraph.PageRankWith(g)
 			if err != nil {

@@ -114,11 +114,11 @@ func (e *Entry) Name() string { return e.name }
 
 // View runs fn with the entry's read lock held and the adjacency's
 // pending tuples assembled: fn may run any read-only algorithm
-// concurrently with other View calls. The graph's cached properties (AT,
-// degrees, pattern, self-loops, symmetry, the delta split) are built here,
-// under the shared lock, by the first reader that asks; lagraph publishes
-// each atomically, so concurrent readers may race to build one. fn must
-// not mutate the graph; mutations go through Update.
+// concurrently with other View calls. The graph's cached properties
+// (degrees, pattern, self-loops, symmetry, the prepared triangle-count
+// input) are built here, under the shared lock, by the first reader that
+// asks; lagraph publishes each atomically, so concurrent readers may race
+// to build one. fn must not mutate the graph; mutations go through Update.
 //
 //grblint:holdslock mu read
 func (e *Entry) View(fn func(g *lagraph.Graph) error) error {

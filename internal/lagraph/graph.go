@@ -56,7 +56,6 @@ type Graph struct {
 	outDeg    cached[*grb.Vector[int64]]
 	nselfLoop cached[int]
 	symmetric cached[bool]
-	split     cached[edgeSplit]
 	tri       cached[tcInput]
 }
 
@@ -85,46 +84,16 @@ func (c *cached[T]) store(v T) T {
 
 func (c *cached[T]) drop() { c.p.Store(nil) }
 
-// edgeSplit is A split at delta: light holds the entries < delta, heavy
-// those ≥ delta.
-type edgeSplit struct {
-	delta        float64
-	light, heavy *grb.Matrix[float64]
-}
-
-// Wait settles both halves, so cached.store publishes them together.
-func (s edgeSplit) Wait() {
-	s.light.Wait()
-	s.heavy.Wait()
-}
-
 // InvalidateCache drops the cached derived properties (pattern,
-// out-degrees, self-loop count, symmetry, the delta split, the prepared
-// triangle-count input). Call it after mutating A directly; the
-// algorithms otherwise treat the adjacency as immutable, as LAGraph does.
+// out-degrees, self-loop count, symmetry, the prepared triangle-count
+// input). Call it after mutating A directly; the algorithms otherwise
+// treat the adjacency as immutable, as LAGraph does.
 func (g *Graph) InvalidateCache() {
 	g.pattern.drop()
 	g.outDeg.drop()
 	g.nselfLoop.drop()
 	g.symmetric.drop()
-	g.split.drop()
 	g.tri.drop()
-}
-
-// deltaSplit returns A's light (< delta) and heavy (≥ delta) edges, the
-// two matrices delta-stepping relaxes, cached for one delta at a time: a
-// query at another delta replaces the split.
-func (g *Graph) deltaSplit(delta float64) (_, _ *grb.Matrix[float64], err error) {
-	defer catch(&err)
-	if s := g.split.p.Load(); s != nil && s.delta == delta {
-		return s.light, s.heavy, nil
-	}
-	n := g.N()
-	light, heavy := grb.MustMatrix[float64](n, n), grb.MustMatrix[float64](n, n)
-	try(grb.SelectMatrix[float64, bool](light, nil, nil, grb.ValueLT(delta), g.A, nil))
-	try(grb.SelectMatrix[float64, bool](heavy, nil, nil, grb.ValueGE(delta), g.A, nil))
-	g.split.store(edgeSplit{delta: delta, light: light, heavy: heavy})
-	return light, heavy, nil
 }
 
 // NewGraph wraps an adjacency matrix. The matrix is adopted, not copied.

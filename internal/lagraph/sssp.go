@@ -29,12 +29,12 @@ var descVC = &grb.Descriptor{Comp: true, MaskValue: true}
 
 // descPush names a relaxation's direction. The product is an unmasked
 // min.+, and min's terminal value is −Inf, which no finite distance
-// reaches, so a pull has nothing to skip: it costs nnz(edges) per call,
-// plus a transpose of the half of A it sweeps, where the pushes of a whole
-// query sum to about nnz(A) — and a push only reads the halves, which
-// concurrent queries share. BFS and BC leave the choice to grb, whose
-// density switch assumes a mask or a terminal that lets a dense-frontier
-// pull stop early.
+// reaches, so a pull has nothing to skip: it reads all of A on every call
+// (and builds A's column-major form on a graph's first pull), where a push
+// reads only its request's rows, and a whole query reads each row about as
+// often as its vertex enters or moves within its bucket. BFS and BC leave
+// the choice to grb, whose density switch assumes a mask or a terminal
+// that lets a dense-frontier pull stop early.
 var descPush = &grb.Descriptor{Dir: grb.DirPush}
 
 // SSSPBellmanFord iterates d ← d min (d min.+ A) until no candidate
@@ -85,15 +85,15 @@ func SSSP(g *Graph, src int, opts ...Option) (*grb.Vector[float64], error) {
 }
 
 // ssspDelta is the delta-stepping core: vertices are processed in distance
-// buckets of width delta; light edges (< delta) are relaxed repeatedly
-// inside the bucket, heavy edges once per bucket.
+// buckets of width delta. Each step of a bucket pushes the whole row of
+// every member that entered the bucket or moved within it; an edge of
+// weight ≥ delta lands beyond the bucket, so a member's last push, at its
+// final distance, is the one that settles its heavy edges.
 func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[float64], err error) {
 	defer catch(&err)
 	try(g.checkSource(src))
 	lp := cfg.loop("sssp")
 	n := g.N()
-	light, heavy, err := g.deltaSplit(delta)
-	try(err)
 
 	t := grb.MustVector[float64](n) // tentative distances
 	_ = t.SetElement(src, 0)
@@ -111,7 +111,7 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[fl
 		try(lp.next())
 		hi := float64(step)*delta + delta
 		inBucket := func(x float64, _, _ int) bool { return x < hi }
-		// tReq: the bucket members whose light edges are still to relax.
+		// tReq: the bucket members whose rows are still to push.
 		tReq := grb.MustVector[float64](n)
 		try(grb.SelectVector[float64, bool](tReq, nil, nil, inBucket, unsettled, nil))
 		bucketSize := tReq.Nvals()
@@ -126,20 +126,13 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[fl
 			}
 			continue
 		}
-		// Relax light edges until no bucket member moves.
-		members := grb.MustVector[bool](n) // every vertex the bucket has held
+		// Relax until no bucket member moves.
 		for tReq.Nvals() > 0 {
-			try(grb.AssignVectorScalar(members, tReq, nil, true, grb.All, nil))
-			tNew, stale, err := relaxDelta(t, unsettled, tReq, light)
+			tNew, stale, err := relaxDelta(t, unsettled, tReq, g.A)
 			try(err)
 			// tReq⟨¬stale,replace⟩ = tNew(inBucket): the members that moved.
 			try(grb.SelectVector(tReq, stale, nil, inBucket, tNew, descRVC))
 		}
-		// Settle the bucket: relax heavy edges once from all its members,
-		// at their final distances.
-		try(grb.EWiseMultVector[float64, bool, float64, bool](tReq, nil, nil, grb.First[float64, bool](), t, members, nil))
-		_, _, err = relaxDelta(t, unsettled, tReq, heavy)
-		try(err)
 		lp.done(obs.IterRecord{Iter: step + 1, Frontier: bucketSize})
 		// Every tentative distance below hi is now final; stop when nothing
 		// at or beyond hi is left.

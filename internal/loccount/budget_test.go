@@ -31,7 +31,7 @@ var lineBudgets = map[string]int{
 	"internal/gen":            243,
 	"internal/grb":            5386,
 	"internal/grb/ref":        471,
-	"internal/lagraph":        2349,
+	"internal/lagraph":        2320,
 	"internal/leakcheck":      81,
 	"internal/lint":           1729,
 	"internal/loccount":       113,

@@ -116,11 +116,11 @@ func modelGraph(t *testing.T, n int, kind lagraph.Kind, model map[[2]int]float64
 }
 
 // graphProperties renders every cached property of g, with values in
-// full: the out-degrees, the pattern, the self-loop count, symmetry,
-// (through SSSP from every vertex) the split at delta, and (through
-// TriangleCount, undirected only) the prepared triangle; beside them the
-// transpose and the in-degrees, a column reduce that reads the pattern's
-// column cache.
+// full: the out-degrees, the pattern, the self-loop count, symmetry and
+// (through TriangleCount, undirected only) the prepared triangle; beside
+// them the transpose, the in-degrees, a column reduce that reads the
+// pattern's column cache, and the distances by SSSP at delta from every
+// vertex, which read A itself.
 func graphProperties(t *testing.T, g *lagraph.Graph, delta float64) string {
 	t.Helper()
 	at := grb.MustMatrix[float64](g.N(), g.N())

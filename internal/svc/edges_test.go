@@ -196,11 +196,11 @@ func TestEdgesDupPolicies(t *testing.T) {
 	}
 }
 
-// TestSSSPAfterEdgeCrossesDelta: an entry caches delta-stepping's
-// light/heavy split of its adjacency, so an upsert that moves an edge from
-// light to heavy (1.5 → 3.0 across the default width 2) must drop it. The
-// next query answers what a fresh server answers for the mutated graph:
-// d(1) goes from 1.5 (the direct edge) to 2 (via vertex 2).
+// TestSSSPAfterEdgeCrossesDelta: an upsert that moves an edge across the
+// default bucket width 2 (1.5 → 3.0), from the bucket its tail settles in
+// to a later one, changes the answer as it changes the graph. The next
+// query answers what a fresh server answers for the mutated graph: d(1)
+// goes from 1.5 (the direct edge) to 2 (via vertex 2).
 func TestSSSPAfterEdgeCrossesDelta(t *testing.T) {
 	const graph = "%%%%MatrixMarket matrix coordinate real general\n4 4 4\n1 2 %s\n1 3 1\n3 2 1\n2 4 1\n"
 	sssp := func(base string) QueryResponse {

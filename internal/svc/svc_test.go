@@ -426,10 +426,9 @@ func TestSSSPTinyDeltaOverHTTP(t *testing.T) {
 	if code := post(t, ts.URL+"/v1/graphs/w/query", map[string]any{"algo": "sssp", "src": 1}, &want); code != http.StatusOK || want.Checksum == "" {
 		t.Fatalf("sssp: status %d checksum %q", code, want.Checksum)
 	}
-	// Each width replaces the entry's cached light/heavy split. A split made
-	// for a narrower width answers a wider one wrongly (its heavy half holds
-	// edges the query calls light), so 1e6 must not reuse the default's and
-	// the last query, back at the default, must not reuse 1e-300's.
+	// Widths from far below every edge weight to far above all of them
+	// answer the default's distances, one query after another on one entry:
+	// a width sets only the buckets, never which edges a query relaxes.
 	for _, tc := range []struct {
 		delta float64
 		code  int
