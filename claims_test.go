@@ -35,6 +35,41 @@ func TestC1_OneAssembly(t *testing.T) {
 	}
 }
 
+// TestC2_AssignBytes: C2's batched AssignMatrix allocates bytes in
+// proportion to nnz(C) + nnz(A), with one bound per entry at n = 4096 (C2's
+// size) and at n = 16 384 (§II-A: a submatrix assign is one pass over C and
+// A, not a rebuild of C per entry of A).
+func TestC2_AssignBytes(t *testing.T) {
+	const perEntry = 32
+	for _, n := range []int{4096, 1 << 14} {
+		c, a, rows, cols := benchAssignOperands(n)
+		const runs = 4
+		dups := make([]*grb.Matrix[float64], runs)
+		for r := range dups {
+			dups[r] = c.Dup()
+			dups[r].Wait()
+		}
+		entries := uint64(c.Nvals() + a.Nvals())
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for _, d := range dups {
+				if err := grb.AssignMatrix[float64, bool](d, nil, nil, a, rows, cols, nil); err != nil {
+					t.Fatal(err)
+				}
+				d.Wait()
+			}
+			runtime.ReadMemStats(&m1)
+			bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+			t.Logf("n = %d: C(I,J) = A over %d + %d entries allocates %d B, %.1f B an entry", n, c.Nvals(), a.Nvals(), bytes, float64(bytes)/float64(entries))
+			if bytes > perEntry*entries {
+				t.Fatalf("n = %d: the assign allocates %d B, over %d B an entry of C and A (%d B)", n, bytes, perEntry, perEntry*entries)
+			}
+		}()
+	}
+}
+
 // TestC3_CostPicksDot: left to MxMAuto, a masked product is priced both
 // ways and runs the cheaper kernel, and the masked dot wins when a sparse
 // mask bounds the output (§II-A). Under a 1-in-32 sample of ⟨L⟩, C3's

@@ -160,20 +160,9 @@ func (gf *graphFlags) load() (*lagraph.Graph, error) {
 	}
 	cfg := gen.Config{Seed: *gf.seed, Undirected: *gf.undirected, NoSelfLoops: true,
 		MinWeight: *gf.minW, MaxWeight: *gf.maxW}
-	var e *gen.EdgeList
-	switch *gf.kind {
-	case "rmat":
-		e = gen.RMAT(*gf.scale, *gf.ef, cfg)
-	case "er":
-		n := 1 << *gf.scale
-		e = gen.ErdosRenyi(n, *gf.ef*n, cfg)
-	case "grid":
-		e = gen.Grid2D(*gf.scale, *gf.scale, cfg)
-	case "powerlaw":
-		n := 1 << *gf.scale
-		e = gen.PowerLaw(n, *gf.ef*n, *gf.alpha, cfg)
-	default:
-		return nil, fmt.Errorf("unknown generator %q", *gf.kind)
+	e, err := gen.Named(*gf.kind, *gf.scale, *gf.ef, *gf.alpha, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return lagraph.NewGraph(e.Matrix(), kind)
 }

@@ -7,6 +7,7 @@
 package gen
 
 import (
+	"fmt"
 	"math/rand"
 
 	"lagraph/internal/grb"
@@ -79,6 +80,27 @@ func (e *EdgeList) add(rng *rand.Rand, cfg Config, u, v int, w float64) {
 		e.Dst = append(e.Dst, u)
 		e.W = append(e.W, w)
 	}
+}
+
+// Named builds the graph the command line and the daemon name by kind:
+// "rmat" (RMAT at scale), "er" (Erdős–Rényi on 2^scale vertices), "grid" (a
+// scale×scale lattice) or "powerlaw" (exponent alpha on 2^scale vertices),
+// each with edgeFactor edges a vertex but the lattice. Any other kind is an
+// error.
+func Named(kind string, scale, edgeFactor int, alpha float64, cfg Config) (*EdgeList, error) {
+	switch kind {
+	case "rmat":
+		return RMAT(scale, edgeFactor, cfg), nil
+	case "er":
+		n := 1 << scale
+		return ErdosRenyi(n, edgeFactor*n, cfg), nil
+	case "grid":
+		return Grid2D(scale, scale, cfg), nil
+	case "powerlaw":
+		n := 1 << scale
+		return PowerLaw(n, edgeFactor*n, alpha, cfg), nil
+	}
+	return nil, fmt.Errorf("unknown generator %q", kind)
 }
 
 // RMAT generates a recursive-matrix (Kronecker-like) scale-free graph with

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -216,5 +217,31 @@ func TestBoolMatrix(t *testing.T) {
 	}
 	if v, _ := b.GetElement(0, 1); v != true {
 		t.Fatal("value")
+	}
+}
+
+// TestNamed: each kind Named accepts is the generator call it names, edge
+// for edge, and any other kind is an error.
+func TestNamed(t *testing.T) {
+	cfg := Config{Seed: 3, Undirected: true, MinWeight: 1, MaxWeight: 4}
+	for _, tc := range []struct {
+		kind string
+		want *EdgeList
+	}{
+		{"rmat", RMAT(6, 4, cfg)},
+		{"er", ErdosRenyi(64, 256, cfg)},
+		{"grid", Grid2D(6, 6, cfg)},
+		{"powerlaw", PowerLaw(64, 256, 2.1, cfg)},
+	} {
+		got, err := Named(tc.kind, 6, 4, 2.1, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Named's graph differs from the generator's", tc.kind)
+		}
+	}
+	if _, err := Named("kron", 6, 4, 2.1, cfg); err == nil {
+		t.Error("an unknown kind was accepted")
 	}
 }

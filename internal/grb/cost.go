@@ -60,17 +60,18 @@ func countingPays(n, nmajor, nminor int) bool {
 }
 
 // chooseMxM picks a kernel and names the policy that picked it. With no
-// mask the choice is static: heap when A's rows are very short and the
-// output dimension is large, Gustavson otherwise. Under a mask that saxpy
-// kernel is the push direction of a push–pull pair whose pull is the dot
-// method, and the cheaper of the two by pullIsCheaper's estimates runs
-// (policy "cost") — whichever way the mask is polarised.
+// mask the choice is static: heap when an output row is wider than a lane
+// (bitmapCells) or A's rows are very short and the output dimension large,
+// Gustavson otherwise. Under a mask that saxpy kernel is the push direction
+// of a push–pull pair whose pull is the dot method, and the cheaper of the
+// two by pullIsCheaper's estimates runs (policy "cost") — whichever way the
+// mask is polarised.
 func chooseMxM[A, B any](ca *cs[A], b *Matrix[B], tranB bool, mm *maskMat, outCols int) (MxMMethod, string) {
 	push := MxMGustavson
 	nv := ca.nvals()
 	switch {
-	case nv > 0 && outCols >= hyperThresholdDim*hyperRatio:
-		push = MxMHeap // avoid O(outCols) accumulators per worker
+	case nv > 0 && bitmapCells(1, outCols) < 0:
+		push = MxMHeap // no outCols-wide lane fits
 	case ca.nvecs() > 0 && nv/ca.nvecs() <= 2 && outCols > 4096:
 		push = MxMHeap
 	}

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestVxMHashAccumulatorPath exercises the O(flops)-memory hash push used
-// when the output dimension is in the hypersparse regime, by embedding a
-// small problem into a huge id space and checking the embedded result
-// matches the compact one.
-func TestVxMHashAccumulatorPath(t *testing.T) {
+// TestVxMPushOnHugeOutput exercises the push past the lane cap, where the
+// frontier is one heap row and memory is O(nnz(u)), by embedding a small
+// problem into a 2⁴⁰-wide id space and checking the embedded result matches
+// the compact one.
+func TestVxMPushOnHugeOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	const m = 40
 	const stride = 1 << 35 // scatter ids over a 2^40+ space

@@ -29,9 +29,9 @@ import (
 // positional multiplier (first, second, pair) never loads the operand it
 // ignores.
 //
-// The heap mxm, the hash push and sparseDot multiply through the closures
-// whatever the tag: a census of both bench/e2e workloads puts under 0.4 %
-// of any kernel's products there.
+// The heap row merge (the heap mxm, and a push past the lane cap) and
+// sparseDot multiply through the closures whatever the tag: a census of
+// both bench/e2e workloads puts under 0.4 % of any kernel's products there.
 
 // looper is a semiring's inner loops over left values []L, right values
 // []R and results []T.

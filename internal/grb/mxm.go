@@ -12,8 +12,8 @@ import "lagraph/internal/obs"
 //     stops a dot early when the additive monoid has a terminal value.
 //   - The heap method: a k-way merge of the B rows selected by each A row;
 //     wins when rows of A are very short, and never allocates an
-//     output-dimension-sized accumulator (so it also serves hypersparse
-//     outputs).
+//     output-dimension-sized accumulator (so it serves every output wider
+//     than a lane, a push's included).
 //
 // All three meet the products of one output in ascending inner index, so
 // which of them runs changes what a product costs, never its bits.
@@ -346,9 +346,8 @@ func (e heapEntry[B]) before(o heapEntry[B]) bool {
 	return e.col < o.col || (e.col == o.col && e.src < o.src)
 }
 
-// mxmHeap computes Z = A·B one row at a time by merging the selected rows
-// of B with a binary heap keyed on column index. Memory per worker is
-// O(row degree of A), never O(ncols) — the property that matters for
+// mxmHeap computes Z = A·B one row at a time (heapRow). Memory per worker
+// is O(row degree of A), never O(ncols) — the property that matters for
 // hypersparse outputs.
 func mxmHeap[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
 	nvec := ca.nvecs()
@@ -361,62 +360,71 @@ func mxmHeap[A, B, T any](ca *cs[A], cb *cs[B], s Semiring[A, B, T], mm *maskMat
 			if len(ai) == 0 {
 				continue
 			}
-			row := ca.majorOf(k)
-			heap = heap[:0]
-			for t := range ai {
-				bk, ok := cb.findMajor(ai[t])
-				if !ok {
-					continue
-				}
-				bi, bx := cb.vec(bk)
-				if len(bi) == 0 {
-					continue
-				}
-				heap = append(heap, heapEntry[B]{col: bi[0], pos: 0, bi: bi, bx: bx, src: t})
-			}
-			// heapify
-			for t := len(heap)/2 - 1; t >= 0; t-- {
-				siftDown(heap, t)
-			}
 			var oi []int
 			var ox []T
-			for len(heap) > 0 {
-				top := heap[0]
-				j := top.col
-				p := s.Mul(ax[top.src], top.bx[top.pos])
-				if len(oi) > 0 && oi[len(oi)-1] == j {
-					ox[len(ox)-1] = s.Add.Op(ox[len(ox)-1], p)
-				} else {
-					oi = append(oi, j)
-					ox = append(ox, p)
-				}
-				// advance cursor
-				if top.pos+1 < len(top.bi) {
-					heap[0].pos++
-					heap[0].col = top.bi[top.pos+1]
-					siftDown(heap, 0)
-				} else {
-					heap[0] = heap[len(heap)-1]
-					heap = heap[:len(heap)-1]
-					if len(heap) > 0 {
-						siftDown(heap, 0)
-					}
-				}
-			}
+			oi, ox, heap = heapRow(ai, ax, cb, s, heap)
 			if mm == nil {
 				staging.idx[k], staging.val[k] = oi, ox
-			} else {
-				allowed := mm.rowMask(row).cursor()
-				for t, j := range oi {
-					if allowed(j) {
-						staging.idx[k] = append(staging.idx[k], j)
-						staging.val[k] = append(staging.val[k], ox[t])
-					}
+				continue
+			}
+			allowed := mm.rowMask(ca.majorOf(k)).cursor()
+			for t, j := range oi {
+				if allowed(j) {
+					staging.idx[k] = append(staging.idx[k], j)
+					staging.val[k] = append(staging.val[k], ox[t])
 				}
 			}
 		}
 	})
 	return staging.stitch(nr, nc, ca.h)
+}
+
+// heapRow computes one output row, (ai, ax)·B, by merging the rows of B
+// that ai selects with a binary heap keyed on column index: the row leaves
+// in column order, and an output's products meet in ascending position of
+// ai. heap is the caller's cursor buffer, returned for reuse.
+func heapRow[L, R, T any](ai []int, ax []L, cb *cs[R], s Semiring[L, R, T], heap []heapEntry[R]) ([]int, []T, []heapEntry[R]) {
+	heap = heap[:0]
+	for t := range ai {
+		bk, ok := cb.findMajor(ai[t])
+		if !ok {
+			continue
+		}
+		bi, bx := cb.vec(bk)
+		if len(bi) == 0 {
+			continue
+		}
+		heap = append(heap, heapEntry[R]{col: bi[0], pos: 0, bi: bi, bx: bx, src: t})
+	}
+	for t := len(heap)/2 - 1; t >= 0; t-- {
+		siftDown(heap, t)
+	}
+	var oi []int
+	var ox []T
+	for len(heap) > 0 {
+		top := heap[0]
+		j := top.col
+		p := s.Mul(ax[top.src], top.bx[top.pos])
+		if len(oi) > 0 && oi[len(oi)-1] == j {
+			ox[len(ox)-1] = s.Add.Op(ox[len(ox)-1], p)
+		} else {
+			oi = append(oi, j)
+			ox = append(ox, p)
+		}
+		// advance cursor
+		if top.pos+1 < len(top.bi) {
+			heap[0].pos++
+			heap[0].col = top.bi[top.pos+1]
+			siftDown(heap, 0)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+			if len(heap) > 0 {
+				siftDown(heap, 0)
+			}
+		}
+	}
+	return oi, ox, heap
 }
 
 func siftDown[B any](h []heapEntry[B], i int) {

@@ -164,23 +164,26 @@ func VxMDirection[U, A, M any](mask *Vector[M], u *Vector[U], a *Matrix[A], desc
 }
 
 // vxmPush computes z = uᵀ·A by scattering each selected row of A
-// (Gustavson over a single "row": SpMSpV) into one accumulator: a pooled
-// dense one when the output dimension is modest (pushDense), a hash map in
-// the hypersparse regime (pushHash). Either way the kernel costs its
-// products: the accumulator is unordered while it is built, and order is
-// established once, at the end, by whatever the result's size makes
-// cheapest. admitted reports that z holds only what mv admits.
+// (Gustavson over a single "row": SpMSpV) into a pooled dense accumulator
+// (pushDense) whenever an outDim-wide lane is within bitmapCells, the cap
+// of every dense form. The accumulator is unordered while it is built, so
+// the kernel costs its products, and order is established once, at the
+// end, by whatever the result's size makes cheapest. admitted reports that
+// z holds only what mv admits.
 //
-//   - A dense-held mask is probed at each touched cell of a dense
-//     accumulator in O(1) before anything else, so the bar check, the sort
-//     and the write rule see admitted cells only.
-//   - A dense accumulator whose cells reach the promotion bar of outDim *is*
-//     the result's lanes: it is returned as zd for the write rule's dense
-//     arms — no index list, no sort, no copy. Under a compressed mask it is
-//     not admitted: the write rule applies the mask in the sweep it makes.
+//   - A dense-held mask is probed at each touched cell of the accumulator
+//     in O(1) before anything else, so the bar check, the sort and the
+//     write rule see admitted cells only.
+//   - An accumulator whose cells reach the promotion bar of outDim *is* the
+//     result's lanes: it is returned as zd for the write rule's dense arms
+//     — no index list, no sort, no copy. Under a compressed mask it is not
+//     admitted: the write rule applies the mask in the sweep it makes.
 //   - Below the bar the touched list is sorted, walked against a compressed
 //     mask, and emitted as (zi, zx).
-//   - A hash accumulator's keys are sorted and filtered, likewise.
+//
+// Past the cap u is one row of the heap merge (heapRow): memory O(nnz(u)),
+// never O(outDim), output in column order, each output's products met in
+// ascending input index — the association of one chunk, the pull's.
 func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *maskVec, outDim int, st *kernelStats) (zi []int, zx []T, zd *bm[T], admitted bool) {
 	ui, ux := u.ref().entries()
 	deg := func(t int) int {
@@ -190,13 +193,14 @@ func vxmPush[A, U, T any](u *Vector[U], ca *cs[A], s Semiring[U, A, T], mv *mask
 		}
 		return ca.p[rk+1] - ca.p[rk] + 1
 	}
-	bounds := workChunks(len(ui), deg, pushWorkQuantum, pushMaxChunks)
-	st.fill(bounds, deg) // read-only: never perturbs the bounds
-	if outDim >= hyperThresholdDim*hyperRatio {
-		zi, zx = pushHash(ui, ux, ca, s, bounds)
+	if bitmapCells(1, outDim) < 0 {
+		st.fill([]int{0, len(ui)}, deg)
+		zi, zx, _ = heapRow(ui, ux, ca, s, nil)
 		zi, zx = filterAdmitted(zi, zx, mv)
 		return zi, zx, nil, true
 	}
+	bounds := workChunks(len(ui), deg, pushWorkQuantum, pushMaxChunks)
+	st.fill(bounds, deg) // read-only: never perturbs the bounds
 	acc := pushDense(ui, ux, ca, s, outDim, bounds, st)
 	admitted = acc.admitDense(mv)
 	if denseWanted(bitmapCells(1, outDim), len(acc.touched)) {
@@ -292,70 +296,6 @@ func (sc *denseScratch[T]) handOver() ([]int, []T) {
 	}
 	sc.touched = sc.touched[:0]
 	return zi, zx
-}
-
-// pushHash is pushDense with O(flops)-memory accumulators, used when the
-// output dimension is enormous (hypersparse regime): each chunk scatters
-// into a map of its own, the maps are folded into the first in chunk order,
-// and its keys are sorted once.
-func pushHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T], bounds []int) ([]int, []T) {
-	parts := make([]map[int]T, len(bounds)-1)
-	runChunks(bounds, func(c, lo, hi int) {
-		parts[c] = scatterRowsHash(ui[lo:hi], ux[lo:hi], ca, s)
-	})
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		// A chunk holds each output once, so whatever order its keys come
-		// in, an output's contributions still meet in chunk order.
-		for _, j := range mapKeys(p) {
-			if old, ok := acc[j]; !ok {
-				acc[j] = p[j]
-			} else if s.Add.Terminal == nil || !s.Add.Terminal(old) {
-				acc[j] = s.Add.Op(old, p[j])
-			}
-		}
-	}
-	zi := mapKeys(acc)
-	sort.Ints(zi)
-	zx := make([]T, len(zi))
-	for t, j := range zi {
-		zx[t] = acc[j]
-	}
-	return zi, zx
-}
-
-// mapKeys returns m's keys, in no particular order.
-func mapKeys[T any](m map[int]T) []int {
-	keys := make([]int, 0, len(m))
-	for j := range m {
-		keys = append(keys, j)
-	}
-	return keys
-}
-
-// scatterRowsHash is scatterRowsDense into a fresh map.
-func scatterRowsHash[A, U, T any](ui []int, ux []U, ca *cs[A], s Semiring[U, A, T]) map[int]T {
-	acc := make(map[int]T)
-	for t, k := range ui {
-		rk, ok := ca.findMajor(k)
-		if !ok {
-			continue
-		}
-		ri, rx := ca.vec(rk)
-		uv := ux[t]
-		for p := range ri {
-			j := ri[p]
-			if old, ok := acc[j]; ok {
-				if s.Add.Terminal != nil && s.Add.Terminal(old) {
-					continue
-				}
-				acc[j] = s.Add.Op(old, s.Mul(uv, rx[p]))
-			} else {
-				acc[j] = s.Mul(uv, rx[p])
-			}
-		}
-	}
-	return acc
 }
 
 // vxmPull computes z(j) = u·A(:,j) for each admitted output j, with early

@@ -117,7 +117,7 @@ func pushGeometries() []pushGeometry {
 		}
 	}
 	// Two chunks need a two-entry frontier carrying 1<<16 flops: two full
-	// rows of the widest dimension the dense accumulator serves.
+	// rows of 32 767 columns, each weighing its entries plus one.
 	out = append(out, pushGeometry{name: "two-chunks", n: 32767, span: 32767, work: fallback, wantChunks: 2, wantLanes: true, withVariants: true})
 	// On the bar by its touched cells, one output below it by its admitted
 	// ones (8·2046 < 16376): a traversal's ¬visited mask rejecting what the
@@ -231,11 +231,14 @@ func TestConformancePushEmission(t *testing.T) {
 	}
 }
 
-// TestConformancePushTerminalAndHash covers the two accumulators the
-// geometry table does not: a terminal monoid (lor stops folding at true,
-// in the scatter and in the chunk fold alike) and the hash accumulator of
-// the hypersparse regime, both over enough work to be chunked.
-func TestConformancePushTerminalAndHash(t *testing.T) {
+// TestConformancePushTerminalAndWide covers what the geometry table does
+// not: a terminal monoid (lor stops folding at true, in the scatter and in
+// the chunk fold alike), and a chunked push 40 000 outputs wide — past the
+// hypersparse layout bar, within the lane cap — beside its wide copy, the
+// same entries in BitmapMaxCells+1 columns, where the frontier is one heap
+// row. The op record's chunk count names the route: chunked lanes, or one
+// heap row.
+func TestConformancePushTerminalAndWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(1906))
 
 	t.Run("lor-land", func(t *testing.T) {
@@ -272,42 +275,133 @@ func TestConformancePushTerminalAndHash(t *testing.T) {
 		}
 	})
 
-	t.Run("hash", func(t *testing.T) {
-		const m, n = 128, 40000 // n ≥ 32768: the hash accumulator
-		a := random(rng, m, n, 0.03, small)
-		u := vecOf(random(rng, 1, m, 2, small))
-		mask := vecOf(random(rng, 1, n, 0.5, coin))
-		w0 := vecOf(random(rng, 1, n, 0.2, small))
-		ra, ru := ref.FromMatrix(a), ref.FromVector(u)
-		for _, mc := range writeCases() {
-			if mc.desc.MaskValue {
-				continue // structural masks only
+	const m, n = 128, 40000
+	a := random(rng, m, n, 0.03, small)
+	u := vecOf(random(rng, 1, m, 2, small))
+	mask := vecOf(random(rng, 1, n, 0.5, coin))
+	w0 := vecOf(random(rng, 1, n, 0.2, small))
+	ra, ru := ref.FromMatrix(a), ref.FromVector(u)
+	// The mimic's answer to each case, shared by both widths.
+	type wcase struct {
+		mask  string
+		accum bool
+	}
+	wants := map[wcase]*ref.Vec[int64]{}
+	for _, tc := range []struct {
+		name   string
+		width  int
+		chunks func(int) bool
+	}{
+		{"lanes", n, func(c int) bool { return c >= 2 }},
+		{"past-cap", grb.BitmapMaxCells + 1, func(c int) bool { return c == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			aw, maskw, w0w := widened(a, tc.width, 0), widenedVec(mask, tc.width), widenedVec(w0, tc.width)
+			for _, mc := range writeCases() {
+				if mc.desc.MaskValue {
+					continue // structural masks only
+				}
+				for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
+					d := mc.desc
+					d.Dir = grb.DirPush
+					var gm *grb.Vector[bool]
+					var rm *ref.Vec[bool]
+					if mc.useMask {
+						gm, rm = maskw, ref.FromVector(mask)
+					}
+					trace := obs.NewTrace(4)
+					restore := obs.Set(trace)
+					got := w0w.Dup()
+					err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, aw, &d)
+					obs.Set(restore)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if op := trace.Ops()[0]; op.Kernel != "push" || !tc.chunks(op.Chunks) {
+						t.Fatalf("op record %+v: the push took the other route", op)
+					}
+					want := wants[wcase{mc.name, accum != nil}]
+					if want == nil {
+						want = ref.FromVector(w0)
+						ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
+						wants[wcase{mc.name, accum != nil}] = want
+					}
+					mustMatchEmbedded(t, mc.name, got, want, byValue)
+				}
 			}
-			for _, accum := range []grb.BinaryOp[int64, int64, int64]{nil, grb.Plus[int64]()} {
-				d := mc.desc
-				d.Dir = grb.DirPush
-				var gm *grb.Vector[bool]
-				var rm *ref.Vec[bool]
-				if mc.useMask {
-					gm, rm = mask, ref.FromVector(mask)
-				}
-				trace := obs.NewTrace(4)
-				restore := obs.Set(trace)
-				got := w0.Dup()
-				err := grb.VxM(got, gm, accum, grb.PlusTimes[int64](), u, a, &d)
-				obs.Set(restore)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if op := trace.Ops()[0]; op.Kernel != "push" || op.Chunks < 2 {
-					t.Fatalf("op record %+v: want a chunked push", op)
-				}
-				want := ref.FromVector(w0)
-				ref.VxM(want, rm, accum, grb.PlusTimes[int64](), ru, ra, refDesc(d))
-				mustMatch[int64](t, mc.name, got, want, byValue)
-			}
+		})
+	}
+
+	// Chunked float64 sums over cancelling values: the lanes fold their
+	// chunk partials in chunk order, which here differs from the mimic's
+	// ascending-input order; past the cap the push reads the mimic's
+	// order, which is also the pull's, bit for bit.
+	t.Run("past-cap-association", func(t *testing.T) {
+		af := random(rng, m, n, 0.03, cancelling)
+		uf := vecOf(random(rng, 1, m, 2, cancelling))
+		want := ref.NewVec[float64](n)
+		ref.VxM[float64, float64, float64, bool](want, nil, nil, grb.PlusTimes[float64](), ref.FromVector(uf), ref.FromMatrix(af), ref.Desc{})
+		lanes := grb.MustVector[float64](n)
+		must(t, grb.VxM[float64, float64, float64, bool](lanes, nil, nil, grb.PlusTimes[float64](), uf, af, &grb.Descriptor{Dir: grb.DirPush}))
+		if sameEntries(lanes, want, byBits) {
+			t.Fatal("the chunked lanes agree with the mimic: the input does not tell the associations apart")
+		}
+		wide := widened(af, grb.BitmapMaxCells+1, 0)
+		for _, dir := range []grb.Direction{grb.DirPush, grb.DirPull} {
+			got := grb.MustVector[float64](wide.Ncols())
+			must(t, grb.VxM[float64, float64, float64, bool](got, nil, nil, grb.PlusTimes[float64](), uf, wide, &grb.Descriptor{Dir: dir}))
+			mustMatchEmbedded(t, fmt.Sprint(dir), got, want, byBits)
 		}
 	})
+}
+
+// widened returns a's entries in an a.Nrows()×width matrix, their columns
+// moved right by offset.
+func widened[T any](a *grb.Matrix[T], width, offset int) *grb.Matrix[T] {
+	is, js, xs := a.ExtractTuples()
+	for k := range js {
+		js[k] += offset
+	}
+	b := grb.MustMatrix[T](a.Nrows(), width)
+	if err := b.Build(is, js, xs, nil); err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// widenedVec returns v's entries in a vector of dimension width.
+func widenedVec[T any](v *grb.Vector[T], width int) *grb.Vector[T] {
+	is, xs := v.ExtractTuples()
+	w := grb.MustVector[T](width)
+	if err := w.Build(is, xs, nil); err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// sameEntries reports whether got holds exactly want's entries, at want's
+// indices, by value or by bits; got may be wider than want.
+func sameEntries[T comparable](got *grb.Vector[T], want *ref.Vec[T], bits bool) bool {
+	gi, gx := got.ExtractTuples()
+	k := 0
+	for j, set := range want.Set {
+		if !set {
+			continue
+		}
+		if k == len(gi) || gi[k] != j || !same(gx[k], want.Val[j], bits) {
+			return false
+		}
+		k++
+	}
+	return k == len(gi)
+}
+
+// mustMatchEmbedded fails unless got holds exactly want's entries.
+func mustMatchEmbedded[T comparable](t *testing.T, label string, got *grb.Vector[T], want *ref.Vec[T], bits bool) {
+	t.Helper()
+	if !sameEntries(got, want, bits) {
+		t.Fatalf("%s: the %d entries differ from the mimic's", label, got.Nvals())
+	}
 }
 
 // TestVxMDirectionIsTheKernels asks VxMDirection for the direction of a

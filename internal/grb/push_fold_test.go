@@ -87,8 +87,9 @@ func pushSemirings() []Semiring[float64, float64, float64] {
 // TestPushFoldAssociation: every push semiring over cancellation-prone
 // values, chunked, is bitwise the reference association at 1 and at 8
 // workers — on both emission routes (a result below the promotion bar is
-// sort-emitted, one above it handed over as lanes) and in the hash regime,
-// which has no tagged loop.
+// sort-emitted, one above it handed over as lanes), at 2¹⁵ outputs as at
+// 2000. Past the lane cap the push is one heap row, which has no tagged
+// loop: there it is bitwise the one-chunk association, which is the pull's.
 func TestPushFoldAssociation(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -96,7 +97,8 @@ func TestPushFoldAssociation(t *testing.T) {
 	}{
 		{"sort-emit", 2000, 240},
 		{"lanes", 2000, 2000},
-		{"hash", hyperThresholdDim * hyperRatio, 3000},
+		{"sort-emit-2^15", 1 << 15, 3000},
+		{"past-cap", bitmapMaxCells + 1, 3000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.support)))
@@ -132,6 +134,10 @@ func TestPushFoldAssociation(t *testing.T) {
 				if k < 5 && sameBits(wi, wx, oi, ox) {
 					t.Fatalf("semiring %d: the chunked and the unchunked association agree on this input", k)
 				}
+				pastCap, chunks := tc.n > bitmapMaxCells, len(bounds)-1
+				if pastCap {
+					wi, wx, chunks = oi, ox, 1
+				}
 				for _, p := range []int{1, 8} {
 					atParallelism(p, func() {
 						w := MustVector[float64](tc.n)
@@ -143,7 +149,17 @@ func TestPushFoldAssociation(t *testing.T) {
 						}
 						gi, gx := w.ExtractTuples()
 						if !sameBits(gi, gx, wi, wx) {
-							t.Fatalf("semiring %d P=%d: result differs from the chunk-order association", k, p)
+							t.Fatalf("semiring %d P=%d: result differs from the association of %d chunks", k, p, chunks)
+						}
+						if !pastCap {
+							return
+						}
+						pull := MustVector[float64](tc.n)
+						if err := VxM(pull, (*Vector[bool])(nil), nil, s, u, a, &Descriptor{Dir: DirPull}); err != nil {
+							t.Fatal(err)
+						}
+						if pi, px := pull.ExtractTuples(); !sameBits(gi, gx, pi, px) {
+							t.Fatalf("semiring %d P=%d: the push past the cap differs from the pull", k, p)
 						}
 					})
 				}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"lagraph/internal/obs"
 )
 
 // Cross-parallelism determinism on skewed inputs: every kernel that was
@@ -151,43 +153,63 @@ func TestSkewedPushDeterminism(t *testing.T) {
 	vectorsIdentical(t, "vxm/pull-masked", p1, p8)
 }
 
-// TestSkewedPushHashDeterminism drives the hash-accumulator push used in
-// the hypersparse regime (output dimension ≥ hyperThresholdDim·hyperRatio)
-// through the chunked scatter and merge.
-func TestSkewedPushHashDeterminism(t *testing.T) {
-	n := hyperThresholdDim * hyperRatio // 32768: hash threshold exactly
-	rng := rand.New(rand.NewSource(7))
-	a := MustMatrix[float64](n, n)
-	var is, js []int
-	var xs []float64
-	for r := 0; r < 600; r++ {
-		row := rng.Intn(n)
-		deg := 600/(r+1) + 2
-		for d := 0; d < deg; d++ {
-			is = append(is, row)
-			js = append(js, rng.Intn(n))
-			xs = append(xs, rng.Float64())
-		}
+// TestSkewedWidePushDeterminism drives a skewed frontier of 32 768 rows, whose
+// work is chunked, into 2¹⁵ output columns, which scatter into lanes chunk
+// by chunk, and into one column past the lane cap, where the frontier is
+// one heap row: P=1 ≡ P=8 bitwise in both, and the op record's chunk count
+// names the route.
+func TestSkewedWidePushDeterminism(t *testing.T) {
+	const m = 1 << 15
+	for _, tc := range []struct {
+		name   string
+		n      int
+		chunks func(int) bool
+	}{
+		{"lanes-2^15", 1 << 15, func(c int) bool { return c >= 2 }},
+		{"heap-past-cap", bitmapMaxCells + 1, func(c int) bool { return c == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			a := MustMatrix[float64](m, tc.n)
+			var is, js []int
+			var xs []float64
+			for r := 0; r < 600; r++ {
+				row := rng.Intn(m)
+				deg := 8000/(r+1) + 40
+				for d := 0; d < deg; d++ {
+					is = append(is, row)
+					js = append(js, rng.Intn(tc.n))
+					xs = append(xs, rng.Float64())
+				}
+			}
+			if err := a.Build(is, js, xs, Plus[float64]()); err != nil {
+				t.Fatal(err)
+			}
+			u := MustVector[float64](m)
+			for _, r := range is { // frontier covering every stored row
+				_ = u.SetElement(r, 1.5)
+			}
+			u.Wait()
+			run := func() *Vector[float64] {
+				trace := obs.NewTrace(1)
+				restore := obs.Set(trace)
+				w := MustVector[float64](tc.n)
+				err := VxM(w, (*Vector[bool])(nil), nil, PlusTimes[float64](), u, a, &Descriptor{Dir: DirPush})
+				obs.Set(restore)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if op := trace.Ops()[0]; !tc.chunks(op.Chunks) {
+					t.Fatalf("op record %+v: the push took the other route", op)
+				}
+				return w
+			}
+			var p1, p8 *Vector[float64]
+			atParallelism(1, func() { p1 = run() })
+			atParallelism(8, func() { p8 = run() })
+			vectorsIdentical(t, "vxm/push/"+tc.name, p1, p8)
+		})
 	}
-	if err := a.Build(is, js, xs, Plus[float64]()); err != nil {
-		t.Fatal(err)
-	}
-	u := MustVector[float64](n)
-	for _, r := range is { // frontier covering every stored row
-		_ = u.SetElement(r, 1.5)
-	}
-	u.Wait()
-	run := func() *Vector[float64] {
-		w := MustVector[float64](n)
-		if err := VxM(w, (*Vector[bool])(nil), nil, PlusTimes[float64](), u, a, &Descriptor{Dir: DirPush}); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	var p1, p8 *Vector[float64]
-	atParallelism(1, func() { p1 = run() })
-	atParallelism(8, func() { p8 = run() })
-	vectorsIdentical(t, "vxm/push-hash", p1, p8)
 }
 
 func TestSkewedTransposeDeterminism(t *testing.T) {

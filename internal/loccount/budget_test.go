@@ -16,7 +16,7 @@ import (
 // package (CONTRIBUTING.md, rule 12).
 var lineBudgets = map[string]int{
 	".":                       64,
-	"cmd/lagraph":             406,
+	"cmd/lagraph":             395,
 	"cmd/lagraphd":            216,
 	"cmd/loc":                 50,
 	"examples/communities":    108,
@@ -28,17 +28,17 @@ var lineBudgets = map[string]int{
 	"internal/baseline":       365,
 	"internal/catalog":        394,
 	"internal/cluster":        1018,
-	"internal/gen":            243,
-	"internal/grb":            5386,
+	"internal/gen":            259,
+	"internal/grb":            5339,
 	"internal/grb/ref":        471,
 	"internal/lagraph":        2320,
 	"internal/leakcheck":      81,
 	"internal/lint":           1729,
 	"internal/loccount":       113,
-	"internal/mmio":           248,
+	"internal/mmio":           260,
 	"internal/obs":            245,
 	"internal/store":          928,
-	"internal/svc":            1491,
+	"internal/svc":            1481,
 	"internal/wal":            559,
 }
 

@@ -27,6 +27,9 @@ func TestHeaderRejection(t *testing.T) {
 		{"trailing entries", "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 1\n2 2 1\n", "trailing entry"},
 		{"bad row index", "%%MatrixMarket matrix coordinate real general\n3 3 1\nx 1 1\n", "row index"},
 		{"bad value", "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 zz\n", "value"},
+		{"nan value", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n2 1 nan\n", "line 4: entry 2 value is NaN"},
+		{"NaN symmetric", "%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n2 1 NaN\n", "line 3: entry 1 value is NaN"},
+		{"inf sums to NaN", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 inf\n1 1 -inf\n", "sum +Inf and -Inf to NaN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -80,6 +82,7 @@ func ReadMatrix(r io.Reader) (*grb.Matrix[float64], *Header, error) {
 	is := make([]int, 0, cap)
 	js := make([]int, 0, cap)
 	xs := make([]float64, 0, cap)
+	infinite := false // duplicates summing +Inf and −Inf make a NaN
 	for k := 0; k < h.NNZ; k++ {
 		line, ln, err := lr.nextData()
 		if err != nil {
@@ -113,6 +116,12 @@ func ReadMatrix(r io.Reader) (*grb.Matrix[float64], *Header, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: line %d: entry %d value: %w", ErrFormat, ln, k+1, err)
 			}
+			// A NaN weight has no order: min.plus and a relaxation
+			// disagree on it, so a graph is never loaded holding one.
+			if math.IsNaN(v) {
+				return nil, nil, fmt.Errorf("%w: line %d: entry %d value is NaN", ErrFormat, ln, k+1)
+			}
+			infinite = infinite || math.IsInf(v, 0)
 		}
 		i--
 		j--
@@ -145,6 +154,11 @@ func ReadMatrix(r io.Reader) (*grb.Matrix[float64], *Header, error) {
 	}
 	if err := a.Build(is, js, xs, grb.Plus[float64]()); err != nil {
 		return nil, nil, err
+	}
+	if infinite {
+		if _, _, vs := a.ExtractTuples(); slices.ContainsFunc(vs, math.IsNaN) {
+			return nil, nil, fmt.Errorf("%w: duplicate entries sum +Inf and -Inf to NaN", ErrFormat)
+		}
 	}
 	return a, h, nil
 }

@@ -287,18 +287,8 @@ func (s *Server) buildGraph(req *LoadRequest) (*lagraph.Graph, error) {
 		Seed: spec.Seed, Undirected: req.Undirected, NoSelfLoops: true,
 		MinWeight: spec.MinWeight, MaxWeight: spec.MaxWeight,
 	}
-	n := 1 << spec.Scale
-	var e *gen.EdgeList
-	switch spec.Kind {
-	case "rmat":
-		e = gen.RMAT(spec.Scale, ef, cfg)
-	case "er":
-		e = gen.ErdosRenyi(n, ef*n, cfg)
-	case "grid":
-		e = gen.Grid2D(spec.Scale, spec.Scale, cfg)
-	case "powerlaw":
-		e = gen.PowerLaw(n, ef*n, alpha, cfg)
-	default:
+	e, err := gen.Named(spec.Kind, spec.Scale, ef, alpha, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("%w: unknown generator kind %q", errBadRequest, spec.Kind)
 	}
 	return lagraph.NewGraph(e.Matrix(), kind)

@@ -340,6 +340,7 @@ func TestBadLoadRequests(t *testing.T) {
 		{"bad scale", map[string]any{"name": "x", "generator": map[string]any{"kind": "er", "scale": 99}}, 400},
 		{"path disabled", map[string]any{"name": "x", "path": "/etc/passwd"}, 400},
 		{"bad mmio", map[string]any{"name": "x", "mmio": "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n"}, 400},
+		{"nan weight", map[string]any{"name": "x", "mmio": "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 nan\n2 3 1\n"}, 400},
 	}
 	for _, tc := range cases {
 		if code := post(t, ts.URL+"/v1/graphs", tc.body, nil); code != tc.want {
