@@ -17,25 +17,30 @@ import (
 // the distance it replaces.
 func notLess(cand, cur float64) bool { return cand >= cur }
 
-// The relaxations' operators, built once: a generic constructor allocates
-// its closures on every call.
+// SSSP's operators, built once: a generic constructor allocates its
+// closures on every call.
 var (
-	minPlus = grb.MinPlus[float64]()
-	minOp   = grb.MinOp[float64]()
+	minPlus   = grb.MinPlus[float64]()
+	minOp     = grb.MinOp[float64]()
+	minMonoid = grb.MinMonoid[float64]()
 )
 
-// descVC writes through the complement of a value mask.
-var descVC = &grb.Descriptor{Comp: true, MaskValue: true}
-
-// descPush names a relaxation's direction. The product is an unmasked
-// min.+, and min's terminal value is −Inf, which no finite distance
-// reaches, so a pull has nothing to skip: it reads all of A on every call
-// (and builds A's column-major form on a graph's first pull), where a push
-// reads only its request's rows, and a whole query reads each row about as
-// often as its vertex enters or moves within its bucket. BFS and BC leave
-// the choice to grb, whose density switch assumes a mask or a terminal
-// that lets a dense-frontier pull stop early.
-var descPush = &grb.Descriptor{Dir: grb.DirPush}
+var (
+	// descVC writes through the complement of a value mask.
+	descVC = &grb.Descriptor{Comp: true, MaskValue: true}
+	// descRVC replaces the output under the complement of a value mask.
+	descRVC = &grb.Descriptor{Replace: true, Comp: true, MaskValue: true}
+	// descPush relaxes under the complement of a structural mask — the
+	// settled distances, which no candidate improves — and names the
+	// direction. min's terminal value is −Inf, which no finite distance
+	// reaches, so a pull stops early nowhere: it reads every unsettled
+	// column of A (and builds A's column-major form on a graph's first
+	// pull), where a push reads only its request's rows, and a whole query
+	// reads each row about as often as its vertex enters or moves within
+	// its bucket. BFS and BC leave the choice to grb, whose density switch
+	// assumes a terminal that lets a dense-frontier pull stop early.
+	descPush = &grb.Descriptor{Dir: grb.DirPush, Comp: true}
+)
 
 // SSSPBellmanFord iterates d ← d min (d min.+ A) until no candidate
 // distance improves on d. Edge weights must be non-negative (no negative
@@ -89,20 +94,24 @@ func SSSP(g *Graph, src int, opts ...Option) (*grb.Vector[float64], error) {
 // every member that entered the bucket or moved within it; an edge of
 // weight ≥ delta lands beyond the bucket, so a member's last push, at its
 // final distance, is the one that settles its heavy edges.
+//
+// Each tentative distance lives in one place. unsettled holds the reached
+// vertices not yet settled — the band at or beyond the current bucket —
+// and t gets a vertex's distance once, when its bucket closes. A candidate
+// pushed from bucket k is at least k·delta, never below a settled
+// distance, so the push's complemented mask ⟨¬t⟩ drops only candidates
+// that could not improve anything, and a step's writes are the band's size.
+// The mask is also what keeps a settled vertex out of unsettled: there its
+// candidate would find no entry to lose to and rejoin the band for ever.
 func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[float64], err error) {
 	defer catch(&err)
 	try(g.checkSource(src))
 	lp := cfg.loop("sssp")
 	n := g.N()
 
-	t := grb.MustVector[float64](n) // tentative distances
-	_ = t.SetElement(src, 0)
-	// unsettled holds, entry for entry equal to t, the tentative distances
-	// at or beyond the current bucket: the reached vertices still to
-	// settle. Buckets are drawn from it, so a bucket costs what the band of
-	// unsettled vertices does, not a sweep of t.
-	unsettled := t.Dup()
-	descRVC := &grb.Descriptor{Replace: true, Comp: true, MaskValue: true}
+	t := grb.MustVector[float64](n)         // settled distances
+	unsettled := grb.MustVector[float64](n) // tentative distances still to settle
+	_ = unsettled.SetElement(src, 0)
 
 	// Bucket step is [step·delta, step·delta + delta). Everything in
 	// unsettled is at or beyond the previous bucket's upper bound, so a
@@ -118,7 +127,7 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[fl
 		if bucketSize == 0 {
 			// unsettled is non-empty, so a later bucket holds its minimum:
 			// go there, not through every empty bucket in between.
-			m, err := grb.ReduceVectorToScalar(grb.MinMonoid[float64](), unsettled)
+			m, err := grb.ReduceVectorToScalar(minMonoid, unsettled)
 			try(err)
 			var ok bool
 			if step, ok = bucketOf(m, delta); !ok {
@@ -128,36 +137,27 @@ func ssspDelta(g *Graph, src int, delta float64, cfg *Options) (_ *grb.Vector[fl
 		}
 		// Relax until no bucket member moves.
 		for tReq.Nvals() > 0 {
-			tNew, stale, err := relaxDelta(t, unsettled, tReq, g.A)
-			try(err)
+			// tNew⟨¬t⟩ = tReq min.+ A: candidates for unsettled vertices only.
+			tNew, stale := grb.MustVector[float64](n), grb.MustVector[bool](n)
+			try(grb.VxM(tNew, t, nil, minPlus, tReq, g.A, descPush))
+			// stale⟨tNew⟩ = tNew ≥ unsettled (a vertex reached for the first
+			// time has no entry in unsettled, so none in stale).
+			try(grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, unsettled, nil))
+			// unsettled min= tNew: under min a stale candidate changes nothing.
+			try(grb.AssignVector(unsettled, (*grb.Vector[bool])(nil), minOp, tNew, grb.All, nil))
 			// tReq⟨¬stale,replace⟩ = tNew(inBucket): the members that moved.
 			try(grb.SelectVector(tReq, stale, nil, inBucket, tNew, descRVC))
 		}
 		lp.done(obs.IterRecord{Iter: step + 1, Frontier: bucketSize})
-		// Every tentative distance below hi is now final; stop when nothing
-		// at or beyond hi is left.
+		// Every tentative distance below hi is now final: t min= those,
+		// and stop when nothing at or beyond hi is left.
+		try(grb.SelectVector[float64, bool](t, nil, minOp, inBucket, unsettled, nil))
 		try(grb.SelectVector[float64, bool](unsettled, nil, nil, grb.ValueGE(hi), unsettled, nil))
 		if unsettled.Nvals() == 0 {
 			return t, nil
 		}
 		step++
 	}
-}
-
-// relaxDelta folds the candidate distances tNew = from min.+ edges into
-// delta-stepping's t and unsettled. stale marks the candidates notLess
-// rejects (a vertex reached for the first time has no entry in t, so none
-// in stale).
-func relaxDelta(t, unsettled, from *grb.Vector[float64], edges *grb.Matrix[float64]) (_ *grb.Vector[float64], _ *grb.Vector[bool], err error) {
-	defer catch(&err)
-	tNew, stale := grb.MustVector[float64](t.Size()), grb.MustVector[bool](t.Size())
-	try(grb.VxM(tNew, (*grb.Vector[bool])(nil), nil, minPlus, from, edges, descPush))
-	// stale⟨tNew⟩ = tNew ≥ t
-	try(grb.EWiseMultVector(stale, tNew, nil, notLess, tNew, t, nil))
-	// t min= tNew;  unsettled⟨¬stale⟩ min= tNew
-	try(grb.AssignVector(t, (*grb.Vector[bool])(nil), minOp, tNew, grb.All, nil))
-	try(grb.AssignVector(unsettled, stale, minOp, tNew, grb.All, descVC))
-	return tNew, stale, nil
 }
 
 // bucketOf returns the first bucket [k·delta, k·delta + delta) whose upper

@@ -153,6 +153,44 @@ func TestSSSPKnownAnswers(t *testing.T) {
 		exactDistances(t, "path", d, want)
 	})
 
+	// Rows at the edges of the push's ⟨¬t⟩ mask, at the default δ = 2,
+	// against heap Dijkstra and Bellman-Ford. Each edge is {u, v, weight},
+	// directed.
+	for _, c := range []struct {
+		name  string
+		n     int
+		edges [][3]float64
+	}{
+		// Vertex 2 enters bucket 1 at exactly 2 and pushes zero-weight
+		// edges back to 1 and 0, settled in bucket 0, and on to 3.
+		{"zero-weight-back-to-settled", 4, [][3]float64{{0, 1, 1.5}, {1, 2, 0.5}, {2, 1, 0}, {2, 0, 0}, {2, 3, 0}, {3, 2, 0}}},
+		// Edges of weight exactly δ land on hi: vertex 1 at 2 opens bucket
+		// 1, and 2 at 4 opens bucket 2, reached at 4 through 3 and 4 too.
+		{"weight-delta-lands-on-hi", 5, [][3]float64{{0, 1, 2}, {1, 2, 2}, {0, 3, 1.5}, {3, 4, 2}, {4, 2, 0.5}}},
+		// Vertex 3 is reached at 2.5 three ways: directly in bucket 0's
+		// first step, then through 1 and through 2 in one push, its second.
+		{"tie-between-paths", 5, [][3]float64{{0, 3, 2.5}, {0, 1, 1}, {1, 3, 1.5}, {0, 2, 1.5}, {2, 3, 1}, {3, 4, 0.5}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := &gen.EdgeList{N: c.n}
+			for _, uvw := range c.edges {
+				e.Src, e.Dst, e.W = append(e.Src, int(uvw[0])), append(e.Dst, int(uvw[1])), append(e.W, uvw[2])
+			}
+			g := FromEdgeList(e, Directed)
+			want := baseline.Dijkstra(baseline.FromMatrix(g.A.Dup()), 0)
+			d, err := SSSP(g, 0, WithDelta(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactDistances(t, c.name, d, want)
+			bf, err := SSSPBellmanFord(g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactDistances(t, c.name+" (Bellman-Ford)", bf, want)
+		})
+	}
+
 	// RMAT-12 against heap Dijkstra and against Bellman-Ford. The directed
 	// graph is the one that tells out-edges from in-edges: a relaxation that
 	// pushed along columns would agree on the symmetric graph and fail here.
@@ -182,17 +220,57 @@ func TestSSSPKnownAnswers(t *testing.T) {
 	}
 }
 
+// TestSSSPLatticeWork pins the work of a query from the centre of
+// bench/e2e's grid, the 128² lattice that BenchmarkC8_Lattice/sssp reads, at
+// one and eight workers: 385 pushes, 215 buckets, and 31 940 candidate
+// distances over all pushes. The push's ⟨¬t⟩ mask keeps settled vertices
+// out of the candidates: pushed unmasked, with each candidate rejected
+// against every tentative distance instead, the same pushes, buckets and
+// distances came from 56 747.
+func TestSSSPLatticeWork(t *testing.T) {
+	const side = 128
+	g := FromEdgeList(gen.Grid2D(side, side, gen.Config{Seed: 20190520, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10}), Undirected)
+	const src = (side/2)*side + side/2
+	const wantPushes, wantBuckets, wantCandidates = 385, 215, 31940
+	for _, p := range []int{1, 8} {
+		trace := obs.NewTrace(1 << 12)
+		func() {
+			defer grb.SetParallelism(grb.SetParallelism(p))
+			defer obs.Set(obs.Set(trace))
+			// Unmasked, a settled vertex's candidate finds no entry in
+			// unsettled and rejoins it: the band never empties.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := SSSP(g, src, WithContext(ctx)); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		pushes, candidates := 0, 0
+		for _, op := range trace.Ops() {
+			if op.Kernel == "push" {
+				pushes++
+				candidates += op.NnzOut
+			}
+		}
+		buckets := len(trace.Iters())
+		t.Logf("P=%d: %d pushes, %d buckets, %d candidate distances", p, pushes, buckets, candidates)
+		if pushes != wantPushes || buckets != wantBuckets || candidates != wantCandidates {
+			t.Errorf("P=%d: %d pushes, %d buckets, %d candidates; want %d, %d, %d", p, pushes, buckets, candidates, wantPushes, wantBuckets, wantCandidates)
+		}
+	}
+}
+
 // TestSSSPPrepAllocatesPerEntry is the work gate for what delta-stepping
 // does around its relaxations. A query prepares nothing on the Graph and
 // every relaxation is a push — a product per relaxed edge, reading rows of
-// A itself — so a query allocates its vectors alone (~9 bytes per stored
+// A itself — so a query allocates its vectors alone (~8 bytes per stored
 // entry), and a graph's first query costs what a repeat does. A query that
 // splits A into light and heavy halves reads ~30.
 func TestSSSPPrepAllocatesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the bytes stop being a count")
 	}
-	const maxBytesPerEntry = 11.5 // 1.25 × the 9.2 measured
+	const maxBytesPerEntry = 10.1 // 1.25 × the 8.1 measured
 	e := gen.RMAT(12, 16, gen.Config{Seed: 99, Undirected: true, NoSelfLoops: true, MinWeight: 1, MaxWeight: 10})
 	g := FromEdgeList(e, Undirected)
 	g.A.Materialize()

@@ -31,7 +31,7 @@ var lineBudgets = map[string]int{
 	"internal/gen":            259,
 	"internal/grb":            5339,
 	"internal/grb/ref":        471,
-	"internal/lagraph":        2320,
+	"internal/lagraph":        2317,
 	"internal/leakcheck":      81,
 	"internal/lint":           1729,
 	"internal/loccount":       113,

@@ -32,7 +32,7 @@ func TestTableII_LinesOfCode(t *testing.T) {
 		{sssp.Funcs, sssp.GraphBLAS, 25},
 		{lgc.Funcs, lgc.GraphBLAS, 90},
 		{[]string{"BFSLevels"}, 0, 38},
-		{[]string{"ssspDelta", "relaxDelta"}, 0, 49},
+		{[]string{"ssspDelta"}, 0, 42},
 		{[]string{"pageRankFrom"}, 0, 58},
 		{[]string{"fastSVFrom"}, 0, 43},
 		{[]string{"TriangleCount"}, 0, 38},
