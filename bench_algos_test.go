@@ -394,7 +394,7 @@ func benchVisibleOperators(b *testing.B, tagged bool) {
 	})
 	b.Run("mxm", func(b *testing.B) {
 		l := grb.MustMatrix[int64](n, n)
-		if err := grb.SelectMatrix[int64, bool](l, nil, nil, grb.Tril[int64](-1), g.PatternInt64(), nil); err != nil {
+		if err := grb.SelectMatrix[int64, bool](l, nil, nil, grb.Tril[int64](-1), patternOf(g), nil); err != nil {
 			b.Fatal(err)
 		}
 		l.Wait()

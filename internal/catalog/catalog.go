@@ -13,9 +13,9 @@
 //     assembled by the next whole-object operation or Wait;
 //  2. the column-oriented (CSC) cache built on first use by pull/dot
 //     kernels (guarded by the matrix's own mutex);
-//  3. the Graph property cache (degrees, pattern, self-loop count,
-//     symmetry, the prepared triangle-count input), computed on first use
-//     by whichever algorithm needs it and published atomically.
+//  3. the Graph property cache (degrees, self-loop count, symmetry, the
+//     prepared triangle-count input), computed on first use by whichever
+//     algorithm needs it and published atomically.
 //
 // Only the first needs the exclusive lock. An Entry therefore
 // distinguishes a warm graph — no pending tuples, safe for unlimited

@@ -348,6 +348,8 @@ func TestConcurrentReadersOnColdEntry(t *testing.T) {
 			return r.Rank, nil
 		})},
 		{"fastsv/pattern", lagraph.Undirected, viewing(func(g *lagraph.Graph) (any, error) {
+			// FastSV multiplies A's pattern through A itself: the readers
+			// race on the column form of A its pull reads.
 			return lagraph.ConnectedComponentsFastSV(g)
 		})},
 		{"tc-auto+sandia-ll-nosort/triangle", lagraph.Undirected, viewing(func(g *lagraph.Graph) (any, error) {
@@ -363,14 +365,18 @@ func TestConcurrentReadersOnColdEntry(t *testing.T) {
 			return fmt.Sprint(p.NSelfLoops, p.Symmetric), nil
 		}},
 		{"directed/transpose+in-degree", lagraph.Directed, viewing(func(g *lagraph.Graph) (any, error) {
-			// The in-degrees read the pattern's column cache, which the
-			// first reader builds.
+			// The in-degrees are a column reduce of a pattern each reader
+			// builds from A, so they read only A's shared state.
 			at := grb.MustMatrix[float64](g.N(), g.N())
 			if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
 				return nil, err
 			}
+			p := grb.MustMatrix[int64](g.N(), g.N())
+			if err := grb.ApplyMatrix[float64, int64, bool](p, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
+				return nil, err
+			}
 			in := grb.MustVector[int64](g.N())
-			if err := grb.ReduceMatrixToVector[int64, bool](in, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), grb.DescT0); err != nil {
+			if err := grb.ReduceMatrixToVector[int64, bool](in, nil, nil, grb.PlusMonoid[int64](), p, grb.DescT0); err != nil {
 				return nil, err
 			}
 			return digest(at) + digest(in), nil

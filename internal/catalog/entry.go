@@ -45,9 +45,9 @@ type Properties struct {
 	NSelfLoops int    `json:"nself_loops"`
 	Empty      bool   `json:"empty"`
 	// Symmetric reports structural+numerical symmetry of the adjacency;
-	// computed by the first Properties call of a generation (one
-	// transpose + compare), then cached on the graph until the next
-	// mutation.
+	// computed by the first Properties call of a generation (one compare
+	// of A with Aᵀ through A's column form, no transpose built), then
+	// cached on the graph until the next mutation.
 	Symmetric bool `json:"symmetric"`
 	// Generation counts mutations: it bumps on every Update, so clients
 	// can detect that cached derived data went stale.
@@ -115,10 +115,11 @@ func (e *Entry) Name() string { return e.name }
 // View runs fn with the entry's read lock held and the adjacency's
 // pending tuples assembled: fn may run any read-only algorithm
 // concurrently with other View calls. The graph's cached properties
-// (degrees, pattern, self-loops, symmetry, the prepared triangle-count
-// input) are built here, under the shared lock, by the first reader that
-// asks; lagraph publishes each atomically, so concurrent readers may race
-// to build one. fn must not mutate the graph; mutations go through Update.
+// (degrees, self-loops, symmetry, the prepared triangle-count input) and
+// A's column form are built here, under the shared lock, by the first
+// reader that asks; lagraph publishes each atomically and grb builds the
+// column form under its own mutex, so concurrent readers may race to build
+// one. fn must not mutate the graph; mutations go through Update.
 //
 //grblint:holdslock mu read
 func (e *Entry) View(fn func(g *lagraph.Graph) error) error {

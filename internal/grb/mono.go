@@ -12,10 +12,12 @@ import (
 // around one + or <. The semirings the built-in constructors tag (opsTag,
 // types.go) have the same looper with the arithmetic written out:
 //
-//   - monoOps, the plus and min semirings over float64 and int64 — the
+//   - monoLoops, the plus and min semirings over float64 and int64 — the
 //     element types the GAP kernels multiply in — whose dot and pull pick
 //     one loop per tag once a call, so a pulled product is a lane probe and
-//     one + or <, nothing resolved per product or per row;
+//     one + or <, nothing resolved per product or per row. A multiplier
+//     that never loads its right operand (first, pair) takes one of any
+//     type, as FastSV's int64 labels meet the float64 adjacency;
 //   - lorFirst and anyFirst, the traversal semirings: a positional first
 //     under a terminal monoid, lor over bool and any over any element type,
 //     against a right operand of any type, which they never load.
@@ -70,9 +72,11 @@ func loopsOf[L, R, T any](s *Semiring[L, R, T], st *kernelStats) looper[L, R, T]
 	case opsAnyFirst:
 		m, ok = any(anyFirst[L, R]{}).(looper[L, R, T])
 	default:
-		if m, ok = any(&monoFloat64[s.ops]).(looper[L, R, T]); !ok {
-			m, ok = any(&monoInt64[s.ops]).(looper[L, R, T])
+		if m, ok = any(monoLoops[float64, R]{&monoFloat64[s.ops]}).(looper[L, R, T]); !ok {
+			m, ok = any(monoLoops[int64, R]{&monoInt64[s.ops]}).(looper[L, R, T])
 		}
+		_, same := any((*R)(nil)).(*L) // a multiplier that loads its right operand reads it as []E
+		ok = ok && (same || !monoInt64[s.ops].right)
 	}
 	if !ok {
 		return s
@@ -191,6 +195,13 @@ var (
 	monoInt64   = monoTable[int64]()
 )
 
+// monoLoops is monoOps's loops against right values of type R. Only the
+// multipliers that load them (second, plus) read them, as []E, and loopsOf
+// gives those no R but E; asE hands any other a nil slice it never reads.
+type monoLoops[E Number, R any] struct{ *monoOps[E] }
+
+func asE[E, R any](r []R) []E { e, _ := any(r).([]E); return e }
+
 // rowProduct resolves the products of l[t] with right values r[lo:hi]: a
 // multiplier that ignores its right operand has one, c, for the whole
 // vector (rr is nil); otherwise product q is rr[q], plus c when the
@@ -217,7 +228,7 @@ func (m monoOps[E]) add(x, y E) E {
 	return x
 }
 
-func (m *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E, found bool) {
+func (m monoLoops[E, R]) dot(seen []bool, l []E, ri []int, rs []R, lo, hi int) (acc E, found bool) {
 	q := lo
 	for ; q < hi && !seen[ri[q]]; q++ {
 	}
@@ -227,7 +238,11 @@ func (m *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E
 	// The first match is i, at q. The rest are cut so that the compiler
 	// drops every bounds check but the lane probe's.
 	i, ri := ri[q], ri[q+1:hi]
-	l, rr := l[:len(seen)], r[q+1 : hi][:len(ri)]
+	l, r, rr := l[:len(seen)], []E(nil), []E(nil)
+	if m.right {
+		r = asE[E](rs)
+		rr = r[q+1 : hi][:len(ri)]
+	}
 	switch m.tag {
 	case opsPlusFirst:
 		acc = l[i]
@@ -274,8 +289,8 @@ func (m *monoOps[E]) dot(seen []bool, l []E, ri []int, r []E, lo, hi int) (acc E
 
 // pull has one loop per tag, each row's dot written out in it as dot
 // writes it: a row costs its probes and its arithmetic, not a call.
-func (m *monoOps[E]) pull(seen []bool, l []E, c *cs[E], lo, hi int, mv *maskVec, zb []bool, zx []E) (n int) {
-	l, ci, cx, cp := l[:len(seen)], c.i, c.x, c.p
+func (m monoLoops[E, R]) pull(seen []bool, l []E, c *cs[R], lo, hi int, mv *maskVec, zb []bool, zx []E) (n int) {
+	l, ci, cx, cp := l[:len(seen)], c.i, asE[E](c.x), c.p
 	switch m.tag {
 	case opsPlusFirst:
 		for j := lo; j < hi; j++ {
@@ -368,10 +383,11 @@ func firstMatch(seen []bool, ri []int, q, end int, mv *maskVec, j int) (int, int
 	return q, end
 }
 
-func (m *monoOps[E]) scatter(li []int, l []E, lo, hi int, c *cs[E], seen []bool, val []E, touched []int) []int {
+func (m monoLoops[E, R]) scatter(li []int, l []E, lo, hi int, c *cs[R], seen []bool, val []E, touched []int) []int {
+	cx := asE[E](c.x)
 	for t := lo; t < hi; t++ {
 		if k, ok := c.findMajor(li[t]); ok {
-			touched = m.scatterRow(l, t, c.i, c.x, c.p[k], c.p[k+1], seen, val, touched)
+			touched = m.scatterRow(l, t, c.i, cx, c.p[k], c.p[k+1], seen, val, touched)
 		}
 	}
 	return touched
@@ -407,10 +423,11 @@ func (m monoOps[E]) scatterRow(l []E, t int, ri []int, r []E, lo, hi int, seen [
 	return touched
 }
 
-func (m *monoOps[E]) marked(li []int, l []E, c *cs[E], mark []uint8, val []E) {
+func (m monoLoops[E, R]) marked(li []int, l []E, c *cs[R], mark []uint8, val []E) {
+	cx := asE[E](c.x)
 	for t := range li {
 		if k, ok := c.findMajor(li[t]); ok {
-			m.markedRow(l, t, c.i, c.x, c.p[k], c.p[k+1], mark, val)
+			m.markedRow(l, t, c.i, cx, c.p[k], c.p[k+1], mark, val)
 		}
 	}
 }
@@ -444,7 +461,7 @@ func (m monoOps[E]) markedRow(l []E, t int, ri []int, r []E, lo, hi int, mark []
 
 // A chunk partial folds as one more row whose products are its values:
 // scatter under the second multiplier.
-func (m *monoOps[E]) fold(pi []int, px []E, seen []bool, val []E, touched []int) []int {
+func (m monoLoops[E, R]) fold(pi []int, px []E, seen []bool, val []E, touched []int) []int {
 	second := monoOps[E]{right: true, min: m.min, lo: m.lo}
 	return second.scatterRow(nil, 0, pi, px, 0, len(pi), seen, val, touched)
 }

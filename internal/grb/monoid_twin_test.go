@@ -3,7 +3,8 @@ package grb_test
 // The reductions' tagged loops (mono.go, Monoid.fold) against the generic
 // loop they replace: every built-in monoid beside its composite-literal
 // twin, which carries the same operator, identity and terminal but no tag.
-// Then the traversal semirings' loops (lorFirst, anyFirst) beside theirs.
+// Then the traversal semirings' loops (lorFirst, anyFirst) beside theirs,
+// and min.second's over a matrix of another type than the labels it carries.
 
 import (
 	"fmt"
@@ -363,6 +364,65 @@ func runTraversalTwin[E comparable](t *testing.T, tw traversalTwin[E]) {
 					first = got
 				} else {
 					mustMatch[E](t, fmt.Sprintf("%s %s at P=8 against P=1", tw.name, tc.label), got, first, byBits)
+				}
+			})
+		}
+	}
+}
+
+// TestMinSecondOfTwin: min.second over a float64 A and int64 labels, the
+// product FastSV takes, agrees bit for bit with its literal twin under MxV,
+// pulled and pushed, at one worker and at eight. The push's frontier is
+// every label, A's 80 000 products, so it is cut into chunks and folded;
+// one label is int64's least value, min's terminal, so the loops stop
+// folding into the rows that meet it. The tagged run's loops ignore A's
+// values while its twin's closures are handed them; the op records say
+// which took which.
+func TestMinSecondOfTwin(t *testing.T) {
+	const m, n, deg = 400, 2000, 200 // m·deg products: past pushWorkQuantum
+	rng := rand.New(rand.NewSource(5200))
+	a := grb.MustMatrix[float64](m, n)
+	for i := 0; i < m; i++ {
+		for _, j := range rng.Perm(n)[:deg] {
+			_ = a.SetElement(i, j, rng.NormFloat64())
+		}
+	}
+	labels := make([]int64, n)
+	for j := range labels {
+		labels[j] = rng.Int63n(n) - n/2
+	}
+	labels[n/2] = math.MinInt64
+	u := grb.DenseVector(labels)
+	a.Wait()
+	tagged := grb.MinSecondOf[float64, int64]()
+	literal := grb.Semiring[float64, int64, int64]{Add: grb.MinMonoid[int64](), Mul: grb.Second[float64, int64]()}
+	for _, dir := range []grb.Direction{grb.DirPull, grb.DirPush} {
+		var first *grb.Vector[int64]
+		for _, p := range []int{1, 8} {
+			atParallelism(p, func() {
+				label := fmt.Sprintf("min.second %v P=%d", dir, p)
+				trace := obs.NewTrace(4)
+				restore := obs.Set(trace)
+				var got [2]*grb.Vector[int64]
+				for k, s := range []grb.Semiring[float64, int64, int64]{tagged, literal} {
+					got[k] = grb.MustVector[int64](m)
+					if err := grb.MxV(got[k], (*grb.Vector[bool])(nil), nil, s, a, u, &grb.Descriptor{Dir: dir}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				obs.Set(restore)
+				mustMatch[int64](t, label, got[0], got[1], byBits)
+				ops := trace.Ops()
+				if len(ops) != 2 || ops[0].Ops != "min.second" || ops[1].Ops != "" {
+					t.Fatalf("%s: op records %+v, want the loops' min.second then the closures'", label, ops)
+				}
+				if dir == grb.DirPush && ops[0].Chunks < 2 {
+					t.Fatalf("%s ran in %d chunk(s): nothing was folded", label, ops[0].Chunks)
+				}
+				if first == nil {
+					first = got[0]
+				} else {
+					mustMatch[int64](t, label+" against P=1", got[0], first, byBits)
 				}
 			})
 		}

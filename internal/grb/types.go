@@ -405,8 +405,14 @@ func MinFirst[T Number]() Semiring[T, T, T] {
 }
 
 // MinSecond is the (min, second) semiring.
-func MinSecond[T Number]() Semiring[T, T, T] {
-	return Semiring[T, T, T]{Add: MinMonoid[T](), Mul: Second[T, T](), ops: opsMinSecond}
+func MinSecond[T Number]() Semiring[T, T, T] { return MinSecondOf[T, T]() }
+
+// MinSecondOf is the (min, second) semiring over a left operand of any type
+// A, which second ignores, and a right one of type T: w = A min.second u
+// carries into w(i) the least u(j) over the entries A(i,j), whatever A
+// stores, as FastSV's labels meet the weighted adjacency.
+func MinSecondOf[A any, T Number]() Semiring[A, T, T] {
+	return Semiring[A, T, T]{Add: MinMonoid[T](), Mul: Second[A, T](), ops: opsMinSecond}
 }
 
 // MaxSecond is the (max, second) semiring.

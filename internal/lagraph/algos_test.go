@@ -2,6 +2,7 @@ package lagraph
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"lagraph/internal/baseline"
@@ -209,6 +210,38 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	}
 	if CountComponents(got) != 1 {
 		t.Fatalf("components=%d", CountComponents(got))
+	}
+}
+
+// TestConnectedComponentsFirstCallAllocates is the work gate for the
+// matrix FastSV multiplies. min.second never loads an entry of A, so FastSV
+// multiplies A itself and a graph's first call allocates only its vectors
+// (~5 bytes per stored entry on RMAT-12). Multiplying an int64 copy of A's
+// pattern instead, built on every graph's first call, reads 22–24.
+func TestConnectedComponentsFirstCallAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the bytes stop being a count")
+	}
+	const maxBytesPerEntry = 7.4 // 1.25 × the 5.07–5.92 measured
+	g := rmatGraph(t, 12, 8, 99, true)
+	g.A.Materialize()
+	if _, err := ConnectedComponentsFastSV(g); err != nil { // fills the kernel scratch pools
+		t.Fatal(err)
+	}
+	fresh, err := NewGraph(g.A, Undirected) // same A, nothing cached
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ConnectedComponentsFastSV(fresh); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NEdges())
+	t.Logf("FastSV on RMAT-12 (%d entries): %.2f B per entry on a graph's first call", g.NEdges(), b)
+	if b > maxBytesPerEntry {
+		t.Errorf("a first FastSV allocates %.2f bytes per stored entry (limit %.2f): it is building a matrix (a copy of A's pattern) rather than multiplying A", b, maxBytesPerEntry)
 	}
 }
 
@@ -616,7 +649,7 @@ func TestGraphProperties(t *testing.T) {
 	}
 	// In-degrees are a column reduce of the pattern.
 	id := grb.MustVector[int64](d.N())
-	if err := grb.ReduceMatrixToVector[int64, bool](id, nil, nil, grb.PlusMonoid[int64](), d.PatternInt64(), grb.DescT0); err != nil {
+	if err := grb.ReduceMatrixToVector[int64, bool](id, nil, nil, grb.PlusMonoid[int64](), d.patternInt64(), grb.DescT0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := id.GetElement(0); err == nil {

@@ -58,10 +58,10 @@ func fastSVFrom(g *Graph, f0 *grb.Vector[int64], warm bool, cfg *Options) (_ *CC
 		f = f0.Dup()
 	}
 
-	// min.second ignores the stored weight, so it multiplies by the cached
-	// int64 pattern: same structure, and the constructor's semiring is one
-	// grb runs as visible arithmetic (a literal over g.A would not be).
-	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
+	// min.second never loads the stored weight, so it multiplies A itself:
+	// MinSecondOf pairs the int64 labels with float64 entries, and grb runs
+	// it as visible arithmetic (a literal semiring would run its closures).
+	minSecond, a := grb.MinSecondOf[float64, int64](), g.A
 
 	lp := cfg.loop("cc-fastsv")
 	// Workspaces, allocated once: gp (grandparent) and newGP swap roles
@@ -138,7 +138,7 @@ func ConnectedComponentsLabelProp(g *Graph, opts ...Option) (_ *grb.Vector[int64
 		ids[i] = int64(i)
 	}
 	l := grb.DenseVector(ids)
-	minSecond, a := grb.MinSecond[int64](), g.PatternInt64()
+	minSecond, a := grb.MinSecondOf[float64, int64](), g.A
 	for iter := 0; iter <= n; iter++ {
 		try(lp.next())
 		prev := l.Dup()

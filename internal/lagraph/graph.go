@@ -52,7 +52,6 @@ type Graph struct {
 	A    *grb.Matrix[float64]
 	Kind Kind
 
-	pattern   cached[*grb.Matrix[int64]]
 	outDeg    cached[*grb.Vector[int64]]
 	nselfLoop cached[int]
 	symmetric cached[bool]
@@ -84,12 +83,11 @@ func (c *cached[T]) store(v T) T {
 
 func (c *cached[T]) drop() { c.p.Store(nil) }
 
-// InvalidateCache drops the cached derived properties (pattern,
-// out-degrees, self-loop count, symmetry, the prepared triangle-count
-// input). Call it after mutating A directly; the algorithms otherwise
-// treat the adjacency as immutable, as LAGraph does.
+// InvalidateCache drops the cached derived properties (out-degrees,
+// self-loop count, symmetry, the prepared triangle-count input). Call it
+// after mutating A directly; the algorithms otherwise treat the adjacency
+// as immutable, as LAGraph does.
 func (g *Graph) InvalidateCache() {
-	g.pattern.drop()
 	g.outDeg.drop()
 	g.nselfLoop.drop()
 	g.symmetric.drop()
@@ -127,7 +125,7 @@ func (g *Graph) NEdges() int { return g.A.Nvals() }
 func (g *Graph) OutDegree() *grb.Vector[int64] {
 	return g.outDeg.get(func() *grb.Vector[int64] {
 		deg := grb.MustVector[int64](g.N())
-		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), nil); err != nil {
+		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), g.patternInt64(), nil); err != nil {
 			panic(err)
 		}
 		return deg
@@ -236,15 +234,14 @@ func DegreeHistogram(g *Graph) []int {
 	return hist
 }
 
-// PatternInt64 returns the adjacency pattern with all weights replaced by
-// 1 (int64), the form several §V algorithms start from. The result is
-// cached; callers must not mutate it.
-func (g *Graph) PatternInt64() *grb.Matrix[int64] {
-	return g.pattern.get(func() *grb.Matrix[int64] {
-		p := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
-		if err := grb.ApplyMatrix[float64, int64, bool](p, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
-			panic(err)
-		}
-		return p
-	})
+// patternInt64 returns a new matrix holding A's pattern with every weight
+// replaced by 1 (int64), the form the counting algorithms (degrees,
+// triangles, k-truss, subgraphs) multiply and reduce. The Graph keeps no
+// copy: a caller caches what it derives from it, or runs once.
+func (g *Graph) patternInt64() *grb.Matrix[int64] {
+	p := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
+	if err := grb.ApplyMatrix[float64, int64, bool](p, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
+		panic(err)
+	}
+	return p
 }

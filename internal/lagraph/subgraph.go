@@ -24,7 +24,7 @@ type SubgraphCounts struct {
 func CountSubgraphs(g *Graph) (_ *SubgraphCounts, err error) {
 	defer catch(&err)
 	try(g.requireUndirected())
-	a := g.PatternInt64()
+	a := g.patternInt64()
 	n := a.Nrows()
 	offDiag := grb.MustMatrix[int64](n, n)
 	try(grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil))
@@ -42,11 +42,9 @@ func CountSubgraphs(g *Graph) (_ *SubgraphCounts, err error) {
 	// Drop explicit zeros (vertices on no triangle).
 	try(grb.SelectVector[int64, bool](tri, nil, nil, grb.ValueNE(int64(0)), tri, grb.DescR))
 
-	// Wedges from degrees.
+	// Wedges from degrees: a holds only ones, so its row sums are them.
 	deg := grb.MustVector[int64](n)
-	ones := grb.MustMatrix[int64](n, n)
-	try(grb.ApplyMatrix[int64, int64, bool](ones, nil, nil, grb.One[int64, int64](), a, nil))
-	try(grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, nil))
+	try(grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), a, nil))
 	wedges := grb.MustVector[int64](n)
 	try(grb.ApplyVector[int64, int64, bool](wedges, nil, nil,
 		func(d int64) int64 { return d * (d - 1) / 2 }, deg, nil))

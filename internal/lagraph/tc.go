@@ -171,7 +171,7 @@ func (g *Graph) tcPrepared(method TCMethod, presort TCPresort) (_ tcInput, err e
 	if in := g.tri.p.Load(); in != nil && in.method == method && in.presort == presort {
 		return *in, nil
 	}
-	a := g.PatternInt64()
+	a := g.patternInt64()
 	if g.NSelfLoops() > 0 {
 		offDiag := grb.MustMatrix[int64](a.Nrows(), a.Ncols())
 		try(grb.SelectMatrix[int64, bool](offDiag, nil, nil, grb.OffDiag[int64](), a, nil))
@@ -359,7 +359,7 @@ func KTruss(g *Graph, k int, opts ...Option) (_ *grb.Matrix[int64], err error) {
 	lp := cfg.loop("ktruss")
 	n := g.N()
 	c := grb.MustMatrix[int64](n, n)
-	try(grb.SelectMatrix[int64, bool](c, nil, nil, grb.OffDiag[int64](), g.PatternInt64(), nil))
+	try(grb.SelectMatrix[int64, bool](c, nil, nil, grb.OffDiag[int64](), g.patternInt64(), nil))
 	support := int64(k - 2)
 	plusPair := grb.PlusPair[int64, int64, int64]()
 	for iter := 0; iter <= n; iter++ {

@@ -29,9 +29,9 @@ var lineBudgets = map[string]int{
 	"internal/catalog":        394,
 	"internal/cluster":        1018,
 	"internal/gen":            259,
-	"internal/grb":            5339,
+	"internal/grb":            5350, // MinSecondOf, and the plus/min loops against a right operand of another type (ROADMAP 2(a))
 	"internal/grb/ref":        471,
-	"internal/lagraph":        2317,
+	"internal/lagraph":        2311,
 	"internal/leakcheck":      81,
 	"internal/lint":           1729,
 	"internal/loccount":       113,

@@ -116,25 +116,29 @@ func modelGraph(t *testing.T, n int, kind lagraph.Kind, model map[[2]int]float64
 }
 
 // graphProperties renders every cached property of g, with values in
-// full: the out-degrees, the pattern, the self-loop count, symmetry and
-// (through TriangleCount, undirected only) the prepared triangle; beside
-// them the transpose, the in-degrees, a column reduce that reads the
-// pattern's column cache, and the distances by SSSP at delta from every
-// vertex, which read A itself.
+// full: the out-degrees, the self-loop count, symmetry and (through
+// TriangleCount, undirected only) the prepared triangle; beside them the
+// transpose, the pattern (A with every weight 1, as the counting algorithms
+// build it), the in-degrees, a column reduce of that pattern, and the
+// distances by SSSP at delta from every vertex, which read A itself.
 func graphProperties(t *testing.T, g *lagraph.Graph, delta float64) string {
 	t.Helper()
 	at := grb.MustMatrix[float64](g.N(), g.N())
+	p := grb.MustMatrix[int64](g.N(), g.N())
 	in := grb.MustVector[int64](g.N())
 	if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := grb.ReduceMatrixToVector[int64, bool](in, nil, nil, grb.PlusMonoid[int64](), g.PatternInt64(), grb.DescT0); err != nil {
+	if err := grb.ApplyMatrix[float64, int64, bool](p, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := grb.ReduceMatrixToVector[int64, bool](in, nil, nil, grb.PlusMonoid[int64](), p, grb.DescT0); err != nil {
 		t.Fatal(err)
 	}
 	ai, aj, ax := at.ExtractTuples()
 	oi, ox := g.OutDegree().ExtractTuples()
 	ii, ix := in.ExtractTuples()
-	pi, pj, px := g.PatternInt64().ExtractTuples()
+	pi, pj, px := p.ExtractTuples()
 	s := fmt.Sprint("AT ", ai, aj, ax, " out ", oi, ox, " in ", ii, ix, " pattern ", pi, pj, px,
 		" loops ", g.NSelfLoops(), " symmetric ", g.IsSymmetric())
 	for src := 0; src < g.N(); src++ {
