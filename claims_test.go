@@ -141,14 +141,19 @@ func TestC4_TerminalCutsProducts(t *testing.T) {
 // claim is about, push while the frontier is small, pull across its peak.
 func TestC5_BFSDirections(t *testing.T) {
 	_, g, _ := benchGraphs()
-	var st lagraph.BFSStats
-	if _, err := lagraph.BFSLevels(g, 0, lagraph.WithStats(&st)); err != nil {
+	trace := obs.NewTrace(16)
+	if _, err := lagraph.BFSLevels(g, 0, lagraph.WithObserver(trace)); err != nil {
 		t.Fatal(err)
 	}
+	var sizes []int
+	var dirs []string
+	for _, r := range trace.Iters() {
+		sizes, dirs = append(sizes, r.Frontier), append(dirs, r.Dir)
+	}
 	wantSizes := []int{1, 2213, 4179, 87}
-	wantDirs := []grb.Direction{grb.DirPush, grb.DirPull, grb.DirPull, grb.DirPush}
-	if !slices.Equal(st.FrontierSizes, wantSizes) || !slices.Equal(st.Directions, wantDirs) {
-		t.Errorf("C5's levels have frontiers %v taken %v, want %v taken %v", st.FrontierSizes, st.Directions, wantSizes, wantDirs)
+	wantDirs := []string{"push", "pull", "pull", "push"}
+	if !slices.Equal(sizes, wantSizes) || !slices.Equal(dirs, wantDirs) {
+		t.Errorf("C5's levels have frontiers %v taken %v, want %v taken %v", sizes, dirs, wantSizes, wantDirs)
 	}
 }
 

@@ -256,18 +256,20 @@ func cmdRun(args []string) error {
 
 	switch strings.ToLower(*algo) {
 	case "bfs":
-		var stats lagraph.BFSStats
-		levels, err := lagraph.BFSLevels(g, *src, append(opts, lagraph.WithStats(&stats))...)
+		// One record per level; a per-call observer takes them from the
+		// -trace file, so they are handed on to it.
+		levelTrace := obs.NewTrace(g.N() + 1)
+		levels, err := lagraph.BFSLevels(g, *src, append(opts, lagraph.WithObserver(levelTrace))...)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("bfs from %d: reached %d vertices, depth %d\n", *src, levels.Nvals(), stats.Depth)
-		for i := range stats.FrontierSizes {
-			dir := "push"
-			if stats.Directions[i] == grb.DirPull {
-				dir = "pull"
+		recs := levelTrace.Iters()
+		fmt.Printf("bfs from %d: reached %d vertices, depth %d\n", *src, levels.Nvals(), len(recs))
+		for _, r := range recs {
+			if tr != nil {
+				tr.Iter(r)
 			}
-			fmt.Printf("  iter %2d: frontier %7d  %s\n", i, stats.FrontierSizes[i], dir)
+			fmt.Printf("  iter %2d: frontier %7d  %s\n", r.Iter-1, r.Frontier, r.Dir)
 		}
 	case "parents":
 		parents, err := lagraph.BFSParents(g, *src, opts...)

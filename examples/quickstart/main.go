@@ -9,8 +9,8 @@ import (
 	"log"
 
 	root "lagraph"
-	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/obs"
 )
 
 func main() {
@@ -42,16 +42,12 @@ func main() {
 
 	// The production BFS records the push–pull decisions the paper's
 	// §II-E describes.
-	var stats lagraph.BFSStats
-	if _, err := root.BFSLevels(g, 0, lagraph.WithStats(&stats)); err != nil {
+	trace := obs.NewTrace(0)
+	if _, err := root.BFSLevels(g, 0, lagraph.WithObserver(trace)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\niteration  frontier  direction")
-	for i, nf := range stats.FrontierSizes {
-		dir := "push"
-		if stats.Directions[i] == grb.DirPull {
-			dir = "pull"
-		}
-		fmt.Printf("%9d  %8d  %s\n", i, nf, dir)
+	for _, r := range trace.Iters() {
+		fmt.Printf("%9d  %8d  %s\n", r.Iter-1, r.Frontier, r.Dir)
 	}
 }

@@ -98,7 +98,7 @@ func TestDeltaSinceCoverage(t *testing.T) {
 	base := e.Generation()
 
 	// Empty window is trivially tracked.
-	if d := e.DeltaSince(base); d.Unknown || d.Inserts() != 0 {
+	if d := e.DeltaSince(base); d.Unknown || len(d.AddSrc) != 0 {
 		t.Fatalf("empty window: %+v", d)
 	}
 	// A future generation cannot be covered.
@@ -109,14 +109,14 @@ func TestDeltaSinceCoverage(t *testing.T) {
 	ingestDelta(t, e, []int{1, 2}, []int{3, 4}, 0)
 	ingestDelta(t, e, []int{5}, []int{6}, 0)
 	d := e.DeltaSince(base)
-	if d.Unknown || d.Removals != 0 || d.Inserts() != 3 {
+	if d.Unknown || d.Removals != 0 || len(d.AddSrc) != 3 {
 		t.Fatalf("two-batch window: %+v", d)
 	}
 	if d.AddSrc[2] != 5 || d.AddDst[2] != 6 {
 		t.Fatalf("aggregation out of order: %+v", d)
 	}
 	// Partial window: only the second batch.
-	if d := e.DeltaSince(base + 1); d.Unknown || d.Inserts() != 1 || d.AddSrc[0] != 5 {
+	if d := e.DeltaSince(base + 1); d.Unknown || len(d.AddSrc) != 1 || d.AddSrc[0] != 5 {
 		t.Fatalf("partial window: %+v", d)
 	}
 
@@ -152,7 +152,7 @@ func TestDeltaInvalidation(t *testing.T) {
 	// Tracking resumes for batches after the break.
 	mark := e.Generation()
 	ingestDelta(t, e, []int{7}, []int{8}, 0)
-	if d := e.DeltaSince(mark); d.Unknown || d.Inserts() != 1 {
+	if d := e.DeltaSince(mark); d.Unknown || len(d.AddSrc) != 1 {
 		t.Fatalf("post-Update window: %+v", d)
 	}
 	if d := e.DeltaSince(base); !d.Unknown {

@@ -245,6 +245,23 @@ func TestConnectedComponentsFirstCallAllocates(t *testing.T) {
 	}
 }
 
+// TestOutDegreeAllocates: a graph's first OutDegree allocates its result,
+// 16 bytes per vertex, never a copy of A's pattern.
+func TestOutDegreeAllocates(t *testing.T) {
+	const maxBytesPerEntry = 1.54 // 1.25 × the 1.23 measured
+	g := rmatGraph(t, 12, 8, 99, true)
+	g.A.Materialize()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	deg := g.OutDegree()
+	runtime.ReadMemStats(&after)
+	b := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NEdges())
+	t.Logf("OutDegree on RMAT-12 (%d entries, %d rows with one): %.2f B per entry", g.NEdges(), deg.Nvals(), b)
+	if b > maxBytesPerEntry {
+		t.Errorf("a first OutDegree allocates %.2f bytes per stored entry (limit %.2f): it is copying A rather than reading its rows", b, maxBytesPerEntry)
+	}
+}
+
 func TestPageRankMatchesBaseline(t *testing.T) {
 	e := gen.RMAT(9, 8, gen.Config{Seed: 3, NoSelfLoops: true})
 	g := FromEdgeList(e, Directed)
@@ -317,6 +334,28 @@ func TestBetweennessMatchesBaseline(t *testing.T) {
 			if math.Abs(gv-want[v]) > 1e-6 {
 				t.Fatalf("bc[%d]=%v want %v", v, gv, want[v])
 			}
+		}
+	}
+}
+
+func TestBetweennessDirected(t *testing.T) {
+	// Batched BC must also agree with the baseline on a directed graph.
+	e := gen.ErdosRenyi(50, 350, gen.Config{Seed: 20, NoSelfLoops: true})
+	g := FromEdgeList(e, Directed)
+	bg := baseline.FromMatrix(g.A.Dup())
+	sources := []int{0, 9, 25, 33}
+	want := baseline.BetweennessCentralitySources(bg, sources)
+	got, err := BetweennessCentrality(g, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.N(); v++ {
+		gv, err := got.GetElement(v)
+		if err != nil {
+			gv = 0
+		}
+		if math.Abs(gv-want[v]) > 1e-6 {
+			t.Fatalf("bc[%d]=%v want %v", v, gv, want[v])
 		}
 	}
 }

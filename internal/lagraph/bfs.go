@@ -12,21 +12,10 @@ import (
 //   - BFSLevelSimple: the level-synchronous loop of Fig. 2, transcribed
 //     line by line;
 //   - BFSLevels/BFSParents: the production form with explicit direction
-//     control and per-iteration statistics;
+//     control, whose per-iteration records name each step's frontier and
+//     direction;
 //   - direction-optimizing traversal (push–pull) following Beamer et al.
 //     as realised in GraphBLAST (§II-E), driven by the frontier density.
-
-// BFSStats records per-iteration traversal decisions for the
-// direction-optimization experiments (reproduction of §II-E).
-type BFSStats struct {
-	// FrontierSizes holds nvals(frontier) at the start of each iteration.
-	FrontierSizes []int
-	// Directions holds the direction used in each iteration.
-	Directions []grb.Direction
-	// Depth is the number of BFS levels discovered (eccentricity+1 of the
-	// source within its component).
-	Depth int
-}
 
 // BFSLevelSimple is the level BFS of Fig. 2, Go flavour. levels(i)
 // receives the 1-based BFS depth of vertex i; unreached vertices hold no
@@ -76,19 +65,12 @@ func BFSLevels(g *Graph, src int, opts ...Option) (_ *grb.Vector[int32], err err
 		try(grb.AssignVectorScalar(levels, frontier, nil, depth, grb.All, nil))
 		d := &grb.Descriptor{Replace: true, Comp: true, Dir: cfg.Dir}
 		var dir grb.Direction // asked for only when someone records it
-		if lp.traced() || cfg.Stats != nil {
+		if lp.traced() {
 			dir = grb.VxMDirection(levels, frontier, g.A, d)
-		}
-		if cfg.Stats != nil {
-			cfg.Stats.FrontierSizes = append(cfg.Stats.FrontierSizes, nf)
-			cfg.Stats.Directions = append(cfg.Stats.Directions, dir)
 		}
 		try(grb.VxM(frontier, levels, nil, logical, frontier, g.A, d))
 		depth++
 		lp.done(obs.IterRecord{Iter: int(depth), Frontier: nf, Dir: dirString(dir)})
-	}
-	if cfg.Stats != nil {
-		cfg.Stats.Depth = int(depth)
 	}
 	return levels, nil
 }

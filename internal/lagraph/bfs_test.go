@@ -2,11 +2,13 @@ package lagraph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lagraph/internal/baseline"
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
+	"lagraph/internal/obs"
 )
 
 func rmatGraph(t testing.TB, scale, ef int, seed int64, undirected bool) *Graph {
@@ -161,27 +163,22 @@ func TestBFSBothConsistent(t *testing.T) {
 	}
 }
 
-func TestBFSStatsDirectionSwitch(t *testing.T) {
+func TestBFSRecordsDirectionSwitch(t *testing.T) {
 	// On a scale-free graph the frontier balloons: DirAuto must start
 	// with push and switch to pull at the hump.
 	g := rmatGraph(t, 11, 16, 7, true)
-	var stats BFSStats
-	if _, err := BFSLevels(g, 0, WithStats(&stats)); err != nil {
+	trace := obs.NewTrace(64)
+	if _, err := BFSLevels(g, 0, WithObserver(trace)); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Depth < 2 {
-		t.Fatalf("depth=%d", stats.Depth)
+	recs := trace.Iters()
+	if len(recs) < 2 {
+		t.Fatalf("depth=%d", len(recs))
 	}
-	if stats.Directions[0] != grb.DirPush {
+	if recs[0].Dir != "push" {
 		t.Fatal("first iteration should push (frontier = 1 vertex)")
 	}
-	sawPull := false
-	for _, d := range stats.Directions {
-		if d == grb.DirPull {
-			sawPull = true
-		}
-	}
-	if !sawPull {
+	if !slices.ContainsFunc(recs, func(r obs.IterRecord) bool { return r.Dir == "pull" }) {
 		t.Fatal("expected at least one pull iteration on a scale-free graph")
 	}
 }

@@ -121,13 +121,18 @@ func (g *Graph) N() int { return g.A.Nrows() }
 func (g *Graph) NEdges() int { return g.A.Nvals() }
 
 // OutDegree returns the cached out-degree vector (number of stored entries
-// per row).
+// per row; an empty row holds no entry). It reads each row's length, so it
+// copies nothing of A.
 func (g *Graph) OutDegree() *grb.Vector[int64] {
 	return g.outDeg.get(func() *grb.Vector[int64] {
-		deg := grb.MustVector[int64](g.N())
-		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), g.patternInt64(), nil); err != nil {
-			panic(err)
+		n := g.N()
+		is, xs := make([]int, 0, n), make([]int64, 0, n)
+		for i := range n {
+			if row, _ := g.A.RowIndices(i); len(row) > 0 { // i < n: cannot fail
+				is, xs = append(is, i), append(xs, int64(len(row)))
+			}
 		}
+		deg, _ := grb.ImportSparse(n, is, xs, true) // equal lengths: cannot fail
 		return deg
 	})
 }
@@ -235,8 +240,8 @@ func DegreeHistogram(g *Graph) []int {
 }
 
 // patternInt64 returns a new matrix holding A's pattern with every weight
-// replaced by 1 (int64), the form the counting algorithms (degrees,
-// triangles, k-truss, subgraphs) multiply and reduce. The Graph keeps no
+// replaced by 1 (int64), the form the counting algorithms (triangles,
+// k-truss, subgraphs) multiply and reduce. The Graph keeps no
 // copy: a caller caches what it derives from it, or runs once.
 func (g *Graph) patternInt64() *grb.Matrix[int64] {
 	p := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())

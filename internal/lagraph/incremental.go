@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/obs"
@@ -20,10 +20,10 @@ import (
 //     only for insert-only deltas (components can merge but never split),
 //     where it converges to the canonical min-id labeling — bitwise
 //     identical to a full recompute.
-//   - IncrementalBFSLevels: frontier repair for edge insertions. Levels
-//     only decrease under insertions; seeding a relaxation from the
-//     inserted edges reaches the unique BFS-level fixed point — bitwise
-//     identical to a full recompute.
+//   - IncrementalBFSLevels: a masked relaxation for edge insertions.
+//     Levels only decrease under insertions; seeding it from the inserted
+//     edges reaches the unique BFS-level fixed point — bitwise identical
+//     to a full recompute.
 //   - PageRankWarm: the power iteration started from the prior rank
 //     vector. Valid under ANY delta (the damped iteration is a
 //     contraction with a unique fixed point), but float convergence is
@@ -56,14 +56,6 @@ type Delta struct {
 // window — the precondition for the exact CC and BFS warm starts.
 func (d *Delta) InsertOnly() bool {
 	return d != nil && !d.Unknown && d.Removals == 0
-}
-
-// Inserts returns the number of recorded insertions.
-func (d *Delta) Inserts() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.AddSrc)
 }
 
 // IncrementalCC recomputes connected components after an insert-only
@@ -121,10 +113,13 @@ func PageRankWarm(g *Graph, prior *grb.Vector[float64], opts ...Option) (*PageRa
 // IncrementalBFSLevels repairs a BFS level vector after an insert-only
 // delta. Edge insertions can only lower levels (or reach new vertices),
 // so the prior levels are a valid upper bound; relaxing outward from the
-// inserted edges' endpoints reaches the unique fixed point
+// inserted edges reaches the unique fixed point
 // level(v) = min over in-neighbours u of level(u)+1 — bitwise identical
-// to BFSLevels on the mutated graph. Returns the repaired levels and the
-// number of propagation rounds (0 when no inserted edge improved
+// to BFSLevels on the mutated graph. The relaxation is SSSPBellmanFord's
+// over the (min, first+1) semiring: the seed proposes through Δ, the
+// batch's edges, from the prior levels alone, so its rounds and frontiers
+// do not depend on the order of the batch. Returns the repaired levels
+// and the number of propagation rounds (0 when no inserted edge improved
 // anything). Deltas with removals or untracked windows return
 // ErrStalePrior.
 func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *Delta, opts ...Option) (_ *grb.Vector[int32], _ int, err error) {
@@ -139,104 +134,68 @@ func IncrementalBFSLevels(g *Graph, src int, prior *grb.Vector[int32], delta *De
 	if !delta.InsertOnly() {
 		return nil, 0, fmt.Errorf("%w: bfs repair needs a tracked insert-only delta", ErrStalePrior)
 	}
-
-	// Dense scatter of the prior levels: lv/has is the working state the
-	// relaxation improves in place (the prior vector itself is not
-	// mutated).
-	lv := make([]int32, n)
-	has := make([]bool, n)
-	pis, pxs := prior.ExtractTuples()
-	for k, i := range pis {
-		lv[i] = pxs[k]
-		has[i] = true
-	}
-	if !has[src] || lv[src] != 0 {
+	if l, err := prior.GetElement(src); err != nil || l != 0 {
 		return nil, 0, fmt.Errorf("%w: bfs prior does not root at source %d", ErrStalePrior, src)
 	}
-
-	// relax lowers v's level to cand if that improves it, queueing v for
-	// the next propagation round (deduplicated via queued).
-	next := make([]int, 0, delta.Inserts())
-	queued := make([]bool, n)
-	relax := func(v int, cand int32) {
-		if has[v] && lv[v] <= cand {
-			return
-		}
-		lv[v] = cand
-		has[v] = true
-		if !queued[v] {
-			queued[v] = true
-			next = append(next, v)
-		}
+	// Δᵀ: an undirected batch records each edge once, so it is mirrored
+	// here. Its weights are never read.
+	is, js := delta.AddSrc, delta.AddDst
+	if g.Kind == Undirected {
+		is, js = slices.Concat(is, js), slices.Concat(js, is)
 	}
-
-	// Seed: endpoints improved directly by an inserted edge. The graph
-	// already contains the delta's edges (the batch was applied before
-	// the query ran), so propagation through A covers everything further
-	// out. Undirected batches record each edge once; mirror it here.
-	for k := range delta.AddSrc {
-		u, v := delta.AddSrc[k], delta.AddDst[k]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, 0, fmt.Errorf("%w: delta endpoint (%d,%d) out of range", ErrStalePrior, u, v)
-		}
-		if has[u] {
-			relax(v, lv[u]+1)
-		}
-		if g.Kind == Undirected && has[v] {
-			relax(u, lv[v]+1)
-		}
+	dT := grb.MustMatrix[float64](n, n)
+	if err := dT.Build(js, is, make([]float64, len(is)), grb.First[float64, float64]()); err != nil {
+		return nil, 0, fmt.Errorf("%w: delta edge out of range: %w", ErrStalePrior, err)
 	}
-
-	minFirst := grb.Semiring[int32, float64, int32]{Add: grb.MinMonoid[int32](), Mul: grb.First[int32, float64]()}
-	iters := 0
-	for len(next) > 0 {
+	// lv holds a level for every vertex, noLevel where none is known yet,
+	// so it stays in dense lanes and each round writes into it in place.
+	lv := grb.DenseVector(slices.Repeat([]int32{noLevel}, n))
+	try(grb.AssignVector(lv, prior, nil, prior, grb.All, nil))
+	// cand = lv min.(first+1) Δ, which pulls over Δᵀ's stored rows: the
+	// inserted edges' heads. The graph already holds the batch, so what
+	// the seed improves relaxes on through A.
+	cand := grb.MustVector[int32](n)
+	try(grb.VxM(cand, noMask, nil, minSucc, lv, dT, descT))
+	for rounds := 0; ; rounds++ {
+		// stale⟨cand⟩ = cand ≥ lv;  fr⟨¬stale,replace⟩ = cand: the
+		// candidates strictly below a level or newly reached.
+		stale := grb.MustVector[bool](n)
+		try(grb.EWiseMultVector(stale, cand, nil, notLessLevel, cand, lv, nil))
+		fr := grb.MustVector[int32](n)
+		try(grb.AssignVector(fr, stale, nil, cand, grb.All, descRVC))
+		if fr.Nvals() == 0 {
+			out := grb.MustVector[int32](n)
+			try(grb.SelectVector(out, noMask, nil, reached, lv, nil))
+			return out, rounds, nil
+		}
 		try(lp.next())
-		iters++
-		// Frontier carries the improved vertices' new levels + 1: the
-		// value each proposes to its out-neighbours.
-		sort.Ints(next)
-		frontierSize := len(next)
-		is := make([]int, len(next))
-		xs := make([]int32, len(next))
-		for k, v := range next {
-			is[k] = v
-			xs[k] = lv[v] + 1
-			queued[v] = false
-		}
-		next = next[:0]
-		fr, err := grb.ImportSparse(n, is, xs, true)
-		try(err)
-		// cand(j) = min over frontier vertices i with an edge i→j of
-		// lv(i)+1, pushed along edges like the full BFS's VxM.
-		cand := grb.MustVector[int32](n)
-		try(grb.VxM(cand, (*grb.Vector[bool])(nil), nil, minFirst, fr, g.A, nil))
-		cis, cxs := cand.ExtractTuples()
-		for k, v := range cis {
-			relax(v, cxs[k])
-		}
-		lp.done(obs.IterRecord{Iter: iters, Frontier: frontierSize, Dir: "push", Warm: true})
+		// lv⟨fr⟩ = fr;  cand = fr min.(first+1) A, in the direction grb
+		// chooses (asking which is O(1)).
+		try(grb.AssignVector(lv, fr, nil, fr, grb.All, nil))
+		cand = grb.MustVector[int32](n)
+		try(grb.VxM(cand, noMask, nil, minSucc, fr, g.A, nil))
+		lp.done(obs.IterRecord{Iter: rounds + 1, Frontier: fr.Nvals(), Dir: dirString(grb.VxMDirection(noMask, fr, g.A, nil)), Warm: true})
 	}
-
-	// Rebuild the sparse level vector; indices ascend, so the tuple
-	// stream is bitwise identical to a full BFS of the mutated graph.
-	nnz := 0
-	for i := range has {
-		if has[i] {
-			nnz++
-		}
-	}
-	ris := make([]int, 0, nnz)
-	rxs := make([]int32, 0, nnz)
-	for i := 0; i < n; i++ {
-		if has[i] {
-			ris = append(ris, i)
-			rxs = append(rxs, lv[i])
-		}
-	}
-	out, err := grb.ImportSparse(n, ris, rxs, true)
-	try(err)
-	return out, iters, nil
 }
+
+// The BFS repair's operators. noLevel stands for a vertex no level has
+// reached: one below int32's top, so the proposal of such a vertex,
+// noLevel+1, neither wraps nor improves anything. minSucc proposes one
+// level beyond a frontier vertex's and keeps the lowest proposal;
+// notLessLevel marks a proposal that improves nothing; reached keeps the
+// levels a BFS stores; descT reads Δᵀ as Δ.
+const noLevel = math.MaxInt32 - 1
+
+var (
+	minSucc = grb.Semiring[int32, float64, int32]{
+		Add: grb.MinMonoid[int32](),
+		Mul: func(l int32, _ float64) int32 { return l + 1 },
+	}
+	notLessLevel = grb.Ge[int32]()
+	reached      = func(l int32, _, _ int) bool { return l < noLevel }
+	noMask       *grb.Vector[bool]
+	descT        = &grb.Descriptor{TranA: true}
+)
 
 // L1Distance returns ‖a-b‖₁ over the union of stored entries (a missing
 // entry counts as zero) — the metric the equivalence battery uses to

@@ -12,11 +12,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/obs"
 )
 
 // deltaGraph builds the scale-8 power-law fixture used across the
@@ -261,17 +263,109 @@ func TestIncrementalBFSEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stats lagraph.BFSStats
-		full, err := lagraph.BFSLevels(g, 0, lagraph.WithStats(&stats))
+		full, err := lagraph.BFSLevels(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(vecBytes(t, repaired), vecBytes(t, full)) {
 			t.Fatalf("kind %v: repaired BFS levels differ from full recompute", kind)
 		}
-		if rounds > stats.Depth {
-			t.Fatalf("kind %v: repair took %d rounds, more than a full BFS depth %d", kind, rounds, stats.Depth)
+		_, xs := full.ExtractTuples()
+		if depth := int(slices.Max(xs)) + 1; rounds > depth {
+			t.Fatalf("kind %v: repair took %d rounds, more than a full BFS depth %d", kind, rounds, depth)
 		}
+	}
+}
+
+// TestIncrementalBFSIgnoresTupleOrder: on the 10-vertex path 0–…–9, the
+// inserts (0,5) and (5,9) repair the same levels in the same rounds in
+// either order. The seed proposes from the prior levels only, so (5,9)
+// proposes 9's prior level + 1 even when (0,5) comes first, and the second
+// round lowers 9 to 2; a seed that relaxed the batch serially would lower
+// 9 straight to 2 in one order and not in the other. An undirected batch
+// may record an edge either way round, so there the two edges are also
+// inserted as (9,5) and (5,0).
+func TestIncrementalBFSIgnoresTupleOrder(t *testing.T) {
+	forward, backward, flipped := [2][]int{{0, 5}, {5, 9}}, [2][]int{{5, 0}, {9, 5}}, [2][]int{{9, 5}, {5, 0}}
+	cases := []struct {
+		kind      lagraph.Kind
+		batches   [][2][]int // the inserts' sources and destinations
+		levels    []int32
+		frontiers []int
+	}{
+		{lagraph.Undirected, [][2][]int{forward, backward, flipped}, []int32{0, 1, 2, 3, 2, 1, 2, 3, 3, 2}, []int{2, 4, 2}},
+		{lagraph.Directed, [][2][]int{forward, backward}, []int32{0, 1, 2, 3, 4, 1, 2, 3, 4, 2}, []int{2, 2, 1, 1}},
+	}
+	for _, c := range cases {
+		for _, order := range c.batches {
+			el := gen.Path(10, gen.Config{Undirected: c.kind == lagraph.Undirected})
+			g, err := lagraph.NewGraph(el.Matrix(), c.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prior, err := lagraph.BFSLevels(g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := applyInserts(t, g, order[0], order[1])
+			trace := obs.NewTrace(16)
+			repaired, rounds, err := lagraph.IncrementalBFSLevels(g, 0, prior, delta, lagraph.WithObserver(trace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frontiers []int
+			for _, r := range trace.Iters() {
+				frontiers = append(frontiers, r.Frontier)
+			}
+			if _, xs := repaired.ExtractTuples(); !slices.Equal(xs, c.levels) {
+				t.Errorf("kind %v, inserts %v→%v: levels %v, want %v", c.kind, order[0], order[1], xs, c.levels)
+			}
+			if rounds != len(c.frontiers) || !slices.Equal(frontiers, c.frontiers) {
+				t.Errorf("kind %v, inserts %v→%v: %d rounds with frontiers %v, want %v", c.kind, order[0], order[1], rounds, frontiers, c.frontiers)
+			}
+		}
+	}
+}
+
+// TestIncrementalBFSRecordsDirection: each repair round records the
+// direction its vxm over A ran, on a graph where a thousand-vertex frontier
+// pulls and the rounds after it push.
+func TestIncrementalBFSRecordsDirection(t *testing.T) {
+	g := lagraph.FromEdgeList(gen.RMAT(12, 8, gen.Config{Seed: 5, Undirected: true, NoSelfLoops: true}), lagraph.Undirected)
+	prior, err := lagraph.BFSLevels(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src, dst []int
+	for v := 1; v < g.N(); v += 3 {
+		src, dst = append(src, 0), append(dst, v)
+	}
+	delta := applyInserts(t, g, src, dst)
+	trace := obs.NewTrace(0)
+	prev := obs.Set(trace)
+	defer obs.Set(prev)
+	if _, _, err := lagraph.IncrementalBFSLevels(g, 0, prior, delta); err != nil {
+		t.Fatal(err)
+	}
+	var kernels []string // the seed's vxm over the batch comes first
+	for _, o := range trace.Ops() {
+		if o.Op == "vxm" {
+			kernels = append(kernels, o.Kernel)
+		}
+	}
+	iters := trace.Iters()
+	if len(kernels) != len(iters)+1 {
+		t.Fatalf("%d vxm ops for %d rounds", len(kernels), len(iters))
+	}
+	dirs := map[string]int{}
+	for k, r := range iters {
+		dirs[r.Dir]++
+		if r.Dir != kernels[k+1] {
+			t.Errorf("round %d (frontier %d) records %q, its vxm ran %s", r.Iter, r.Frontier, r.Dir, kernels[k+1])
+		}
+	}
+	if dirs["push"] == 0 || dirs["pull"] == 0 {
+		t.Errorf("rounds by direction %v: want both", dirs)
 	}
 }
 

@@ -224,6 +224,47 @@ func TestLatticeBCAllocates(t *testing.T) {
 	}
 }
 
+// TestIncrementalBFSRepairAllocates is the work gate for the BFS repair's
+// level vector: it holds every vertex, the unreached at noLevel, so it
+// stays in dense lanes and each round writes its frontier in place. The
+// 128² lattice sits in a graph eight times its size of isolated vertices,
+// so the reached levels are too few for grb to keep them dense of its own
+// accord, and a shortcut from corner to corner makes the repair run 127
+// rounds. A repair reads 2 690–2 720 KB; with the levels held as the
+// prior's sparse copy every round merged all 16 384 of them, 32 MB.
+func TestIncrementalBFSRepairAllocates(t *testing.T) {
+	const maxKB = 3380 // 1.25 × the 2 704 measured
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops entries at random: the kernel scratch is reallocated and the allocations stop being a count")
+	}
+	e := gen.Grid2D(latticeSide, latticeSide, gen.Config{Undirected: true})
+	e.N *= 9
+	g := FromEdgeList(e, Undirected)
+	prior, err := BFSLevels(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := latticeSide*latticeSide - 1
+	if err := g.A.SetElements([]int{0, far}, []int{far, 0}, []float64{1, 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.A.Materialize()
+	delta := &Delta{AddSrc: []int{0}, AddDst: []int{far}}
+	rounds := 0
+	const calls = 4
+	kb := totalAlloc(func() {
+		for i := 0; i < calls; i++ {
+			if _, rounds, err = IncrementalBFSLevels(g, 0, prior, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / calls / 1024
+	t.Logf("a repair of %d rounds on the padded 128² lattice: %.0f KB", rounds, kb)
+	if kb > maxKB {
+		t.Errorf("a BFS repair on the padded lattice allocates %.0f KB (limit %d): a round rewrites every level rather than its frontier's", kb, maxKB)
+	}
+}
+
 // centreRepeatCost returns what a repeat call of run from the centre of the
 // 128² lattice allocates, averaged over four calls: a collection that
 // empties the scratch pool mid-call costs that call its lanes again.

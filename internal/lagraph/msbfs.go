@@ -55,17 +55,3 @@ func MSBFSLevels(g *Graph, sources []int, opts ...Option) (_ *grb.Matrix[int32],
 	}
 	return levels, nil
 }
-
-// ReachabilityCount returns, for each source in the batch, how many
-// vertices its BFS reaches (including itself).
-func ReachabilityCount(g *Graph, sources []int) (_ []int, err error) {
-	defer catch(&err)
-	levels, err := MSBFSLevels(g, sources)
-	try(err)
-	counts := make([]int, len(sources))
-	is, _, _ := levels.ExtractTuples()
-	for _, s := range is {
-		counts[s]++
-	}
-	return counts, nil
-}

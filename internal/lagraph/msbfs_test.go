@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lagraph/internal/baseline"
-	"lagraph/internal/gen"
 )
 
 func TestMSBFSMatchesSingleSource(t *testing.T) {
@@ -43,17 +42,5 @@ func TestMSBFSEmptyAndBadSources(t *testing.T) {
 	}
 	if _, err := MSBFSLevels(g, []int{0, -1}); err != ErrBadArgument {
 		t.Fatal("bad source")
-	}
-}
-
-func TestReachabilityCount(t *testing.T) {
-	// Directed path: vertex k reaches n-k vertices.
-	g := FromEdgeList(gen.Path(6, gen.Config{}), Directed)
-	counts, err := ReachabilityCount(g, []int{0, 3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 6 || counts[1] != 3 || counts[2] != 1 {
-		t.Fatalf("counts=%v", counts)
 	}
 }

@@ -36,8 +36,6 @@ type Options struct {
 	Observer obs.Observer
 	// Dir forces push or pull traversal (DirAuto switches adaptively).
 	Dir grb.Direction
-	// Stats, when non-nil, receives per-iteration BFS statistics.
-	Stats *BFSStats
 	// Presort selects TriangleCount's degree relabeling; the zero value
 	// TCNoSort preserves the input ordering.
 	Presort TCPresort
@@ -127,11 +125,6 @@ func WithContext(ctx context.Context) Option {
 // the resolved method prefers.
 func WithPresort(p TCPresort) Option {
 	return func(o *Options) { o.Presort = p; o.PresortSet = true }
-}
-
-// WithStats records per-iteration traversal statistics into s.
-func WithStats(s *BFSStats) Option {
-	return func(o *Options) { o.Stats = s }
 }
 
 // dirString renders a traversal direction for an IterRecord.

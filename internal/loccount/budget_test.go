@@ -22,7 +22,7 @@ var lineBudgets = map[string]int{
 	"examples/communities":    108,
 	"examples/dnn":            66,
 	"examples/pagerank":       45,
-	"examples/quickstart":     42,
+	"examples/quickstart":     38,
 	"examples/sssp":           60,
 	"examples/trianglecensus": 46,
 	"internal/baseline":       365,
@@ -31,14 +31,14 @@ var lineBudgets = map[string]int{
 	"internal/gen":            259,
 	"internal/grb":            5350, // MinSecondOf, and the plus/min loops against a right operand of another type (ROADMAP 2(a))
 	"internal/grb/ref":        471,
-	"internal/lagraph":        2311,
+	"internal/lagraph":        2200,
 	"internal/leakcheck":      81,
 	"internal/lint":           1729,
 	"internal/loccount":       113,
 	"internal/mmio":           260,
 	"internal/obs":            245,
 	"internal/store":          928,
-	"internal/svc":            1481,
+	"internal/svc":            1447,
 	"internal/wal":            559,
 }
 

@@ -468,7 +468,7 @@ func (s *Server) runQuery(ctx context.Context, e *catalog.Entry, req *QueryReque
 				return err
 			}
 			resp.Result = map[string]any{"tree_size": parents.Nvals()}
-			resp.Checksum = checksumInt64(parents)
+			resp.Checksum = checksum(parents)
 		case "sssp":
 			d, err := lagraph.SSSP(g, req.Src, opts...)
 			if err != nil {
@@ -476,14 +476,14 @@ func (s *Server) runQuery(ctx context.Context, e *catalog.Entry, req *QueryReque
 			}
 			mx, _ := grb.ReduceVectorToScalar(grb.MaxMonoid[float64](), d)
 			resp.Result = map[string]any{"reached": d.Nvals(), "max_distance": mx}
-			resp.Checksum = checksumFloat64(d)
+			resp.Checksum = checksum(d)
 		case "bellmanford":
 			d, err := lagraph.SSSPBellmanFord(g, req.Src, opts...)
 			if err != nil {
 				return err
 			}
 			resp.Result = map[string]any{"reached": d.Nvals()}
-			resp.Checksum = checksumFloat64(d)
+			resp.Checksum = checksum(d)
 		case "pagerank":
 			return s.runIncAlgo(e, g, mode, pagerankAlgo(req, opts, k), resp)
 		case "cc":
@@ -520,7 +520,7 @@ func (s *Server) runQuery(ctx context.Context, e *catalog.Entry, req *QueryReque
 				"iterations": res.Iterations, "converged": res.Converged,
 				"top_authorities": lagraph.TopK(res.Authorities, k),
 			}
-			resp.Checksum = checksumFloat64(res.Authorities)
+			resp.Checksum = checksum(res.Authorities)
 		default:
 			return fmt.Errorf("%w: unknown algo %q", errBadRequest, req.Algo)
 		}
@@ -643,38 +643,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 // contract, and the digest makes it observable end to end.
 //
 
-func checksumInt32(v *grb.Vector[int32]) string {
+// checksum writes each tuple as its index in 8 bytes, then its value in
+// its own width: 8 bytes, or 4 for an int32 level. The 4 are the low half
+// of the value's 8-byte little-endian encoding.
+func checksum[T int32 | int64 | float64](v *grb.Vector[T]) string {
 	is, xs := v.ExtractTuples()
-	h := fnv.New64a()
-	var buf [12]byte
-	for k := range is {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(is[k]))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(xs[k]))
-		h.Write(buf[:])
+	width := 16
+	if _, ok := any(*new(T)).(int32); ok {
+		width = 12
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func checksumInt64(v *grb.Vector[int64]) string {
-	is, xs := v.ExtractTuples()
 	h := fnv.New64a()
 	var buf [16]byte
 	for k := range is {
 		binary.LittleEndian.PutUint64(buf[0:8], uint64(is[k]))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(xs[k]))
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func checksumFloat64(v *grb.Vector[float64]) string {
-	is, xs := v.ExtractTuples()
-	h := fnv.New64a()
-	var buf [16]byte
-	for k := range is {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(is[k]))
-		binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(xs[k]))
-		h.Write(buf[:])
+		bits := uint64(int64(xs[k]))
+		if f, ok := any(xs[k]).(float64); ok {
+			bits = math.Float64bits(f)
+		}
+		binary.LittleEndian.PutUint64(buf[8:16], bits)
+		h.Write(buf[:width])
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -102,110 +102,88 @@ type incAlgo struct {
 // here, and the generation cannot move under us.
 func (s *Server) runIncAlgo(e *catalog.Entry, g *lagraph.Graph, mode string, a incAlgo, resp *QueryResponse) error {
 	gen := e.Generation()
-	if mode == modeFull {
-		v, iters, err := a.full(g)
-		if err != nil {
-			return err
-		}
-		s.incFull.Add(1)
-		e.StoreResult(a.key, catalog.CachedResult{Value: v, Generation: gen, FullIters: iters})
-		resp.Incremental = &IncrementalInfo{ModeUsed: modeFull}
-		a.finish(resp, v)
-		return nil
-	}
-
-	info := &IncrementalInfo{}
+	info := &IncrementalInfo{ModeUsed: modeFull}
 	resp.Incremental = info
-	prior, havePrior := e.PriorResult(a.key)
+	var prior catalog.CachedResult
 	var warmV any
 	var warmIters int
-	if !havePrior {
-		info.FallbackReason = "no_prior_result"
-	} else {
-		delta := e.DeltaSince(prior.Generation)
-		v, iters, err := a.warm(g, prior, delta)
-		switch {
-		case err == nil:
-			warmV, warmIters = v, iters
-		case errors.Is(err, lagraph.ErrStalePrior):
-			info.FallbackReason = staleReason(delta)
-		default:
-			return err
+	if mode != modeFull {
+		var ok bool
+		if prior, ok = e.PriorResult(a.key); !ok {
+			info.FallbackReason = "no_prior_result"
+		} else {
+			delta := e.DeltaSince(prior.Generation)
+			v, iters, err := a.warm(g, prior, delta)
+			switch {
+			case err == nil:
+				warmV, warmIters = v, iters
+			case errors.Is(err, lagraph.ErrStalePrior):
+				info.FallbackReason = staleReason(delta)
+			default:
+				return err
+			}
 		}
 	}
 
+	// v becomes the cached result, and fullIters the full-run iteration
+	// count its lineage carries forward.
+	v, fullIters := warmV, prior.FullIters
 	if warmV == nil {
-		// Fall back to a full run — and prime the cache, so the next
-		// incremental query on this key warm-starts.
-		v, iters, err := a.full(g)
-		if err != nil {
+		// A full run, requested or fallen back to. It primes the cache,
+		// so the next incremental query on this key warm-starts.
+		var err error
+		if v, fullIters, err = a.full(g); err != nil {
 			return err
 		}
 		s.incFull.Add(1)
-		s.incFallbacks.Add(1)
-		e.StoreResult(a.key, catalog.CachedResult{Value: v, Generation: gen, FullIters: iters})
-		info.ModeUsed = modeFull
-		a.finish(resp, v)
-		return nil
-	}
-
-	info.ModeUsed = modeIncremental
-	info.WarmStartGeneration = prior.Generation
-	info.Exact = a.exact
-	baseline := prior.FullIters
-
-	if mode == modeVerify {
-		fullV, fullIters, err := a.full(g)
-		if err != nil {
-			return err
+		if mode != modeFull {
+			s.incFallbacks.Add(1)
 		}
-		baseline = fullIters
-		vi := &VerifyInfo{}
-		info.Verify = vi
-		if a.l1 == nil {
-			// Exact algorithms: the tuple streams must be bitwise
-			// identical, which the FNV checksum witnesses.
-			var wr, fr QueryResponse
-			a.finish(&wr, warmV)
-			a.finish(&fr, fullV)
-			vi.Equivalent = wr.Checksum == fr.Checksum
-			if !vi.Equivalent {
-				return fmt.Errorf("%w: %s checksums warm=%s full=%s", errEquivalence, a.key, wr.Checksum, fr.Checksum)
+	} else {
+		info.ModeUsed = modeIncremental
+		info.WarmStartGeneration = prior.Generation
+		info.Exact = a.exact
+		if mode == modeVerify {
+			// Verify responses carry the FULL result: its checksum is the
+			// deterministic one, stable across restarts and cluster nodes.
+			fullV, iters, err := a.full(g)
+			if err != nil {
+				return err
 			}
-		} else {
-			vi.L1Diff = a.l1(warmV, fullV)
-			vi.Bound = a.l1Bound
-			vi.Equivalent = vi.L1Diff <= a.l1Bound
-			if !vi.Equivalent {
-				return fmt.Errorf("%w: %s L1 diff %g exceeds bound %g", errEquivalence, a.key, vi.L1Diff, vi.Bound)
+			if info.Verify, err = a.verify(warmV, fullV); err != nil {
+				return err
 			}
+			v, fullIters = fullV, iters
 		}
-		saved := baseline - warmIters
-		if saved < 0 {
-			saved = 0
-		}
+		saved := max(fullIters-warmIters, 0)
 		info.IterationsSaved = saved
 		s.incWarm.Add(1)
 		s.incItersSaved.Add(int64(saved))
-		// Verify responses carry the FULL result: its checksum is the
-		// deterministic one, stable across restarts and cluster nodes.
-		e.StoreResult(a.key, catalog.CachedResult{Value: fullV, Generation: gen, FullIters: fullIters})
-		a.finish(resp, fullV)
-		return nil
 	}
-
-	saved := baseline - warmIters
-	if saved < 0 {
-		saved = 0
-	}
-	info.IterationsSaved = saved
-	s.incWarm.Add(1)
-	s.incItersSaved.Add(int64(saved))
-	// The warm answer becomes the new prior, carrying the lineage's full
-	// baseline forward.
-	e.StoreResult(a.key, catalog.CachedResult{Value: warmV, Generation: gen, FullIters: prior.FullIters})
-	a.finish(resp, warmV)
+	e.StoreResult(a.key, catalog.CachedResult{Value: v, Generation: gen, FullIters: fullIters})
+	a.finish(resp, v)
 	return nil
+}
+
+// verify compares a warm answer with the full one: an exact algorithm's
+// tuple streams must be bitwise identical, which the FNV checksum
+// witnesses; the others must agree within the contraction bound.
+func (a incAlgo) verify(warmV, fullV any) (*VerifyInfo, error) {
+	vi := &VerifyInfo{}
+	if a.l1 == nil {
+		var wr, fr QueryResponse
+		a.finish(&wr, warmV)
+		a.finish(&fr, fullV)
+		if vi.Equivalent = wr.Checksum == fr.Checksum; !vi.Equivalent {
+			return vi, fmt.Errorf("%w: %s checksums warm=%s full=%s", errEquivalence, a.key, wr.Checksum, fr.Checksum)
+		}
+		return vi, nil
+	}
+	vi.L1Diff, vi.Bound = a.l1(warmV, fullV), a.l1Bound
+	if vi.Equivalent = vi.L1Diff <= vi.Bound; !vi.Equivalent {
+		return vi, fmt.Errorf("%w: %s L1 diff %g exceeds bound %g", errEquivalence, a.key, vi.L1Diff, vi.Bound)
+	}
+	return vi, nil
 }
 
 // staleReason maps a rejected warm start onto the response vocabulary.
@@ -249,27 +227,26 @@ func ccAlgo(opts []lagraph.Option) incAlgo {
 		finish: func(resp *QueryResponse, v any) {
 			labels := v.(*grb.Vector[int64])
 			resp.Result = map[string]any{"components": lagraph.CountComponents(labels)}
-			resp.Checksum = checksumInt64(labels)
+			resp.Checksum = checksum(labels)
 		},
 	}
 }
 
-// bfsAlgo adapts BFS levels: frontier repair for edge insertions, exact
-// under insert-only deltas. The depth reported in the Result map is
-// recomputed from the level vector so full and warm responses agree
-// byte for byte.
+// bfsAlgo adapts BFS levels: a masked relaxation repairs them after edge
+// insertions, exact under insert-only deltas. The depth, in the Result map
+// and as a full run's iteration count, is read from the level vector, so
+// full and warm responses agree byte for byte.
 func bfsAlgo(src int, opts []lagraph.Option) incAlgo {
 	return incAlgo{
 		key:   fmt.Sprintf("bfs|src=%d", src),
 		exact: true,
 		full: func(g *lagraph.Graph) (any, int, error) {
-			var stats lagraph.BFSStats
-			levels, err := lagraph.BFSLevels(g, src, append(opts, lagraph.WithStats(&stats))...)
+			levels, err := lagraph.BFSLevels(g, src, opts...)
 			if err != nil {
 				return nil, 0, err
 			}
 			levels.Wait()
-			return levels, stats.Depth, nil
+			return levels, bfsDepth(levels), nil
 		},
 		warm: func(g *lagraph.Graph, prior catalog.CachedResult, delta *lagraph.Delta) (any, int, error) {
 			priorLevels, ok := prior.Value.(*grb.Vector[int32])
@@ -285,17 +262,21 @@ func bfsAlgo(src int, opts []lagraph.Option) incAlgo {
 		},
 		finish: func(resp *QueryResponse, v any) {
 			levels := v.(*grb.Vector[int32])
-			is, xs := levels.ExtractTuples()
-			maxLv := int32(-1)
-			for _, x := range xs {
-				if x > maxLv {
-					maxLv = x
-				}
-			}
-			resp.Result = map[string]any{"reached": len(is), "depth": int(maxLv) + 1}
-			resp.Checksum = checksumInt32(levels)
+			resp.Result = map[string]any{"reached": levels.Nvals(), "depth": bfsDepth(levels)}
+			resp.Checksum = checksum(levels)
 		},
 	}
+}
+
+// bfsDepth is the number of BFS levels: one past the deepest level, 0 for
+// an empty vector.
+func bfsDepth(levels *grb.Vector[int32]) int {
+	depth := 0
+	levels.Iterate(func(_ int, l int32) bool {
+		depth = max(depth, int(l)+1)
+		return true
+	})
+	return depth
 }
 
 // pagerankAlgo adapts PageRank: power iteration warm-started from the
@@ -342,7 +323,7 @@ func pagerankAlgo(req *QueryRequest, opts []lagraph.Option, k int) incAlgo {
 				"iterations": res.Iterations, "converged": res.Converged,
 				"top": lagraph.TopK(res.Rank, k),
 			}
-			resp.Checksum = checksumFloat64(res.Rank)
+			resp.Checksum = checksum(res.Rank)
 		},
 		l1: func(a, b any) float64 {
 			return lagraph.L1Distance(a.(*lagraph.PageRankResult).Rank, b.(*lagraph.PageRankResult).Rank)
